@@ -30,20 +30,16 @@ for pkg in het-json het-rng het-trace het-simnet het-tensor het-data \
 done
 echo "    [timing] test suite total: $(($(date +%s) - suite_start))s"
 
-echo "==> trace schema validation (golden fixtures + byte-identity)"
-cargo test -q -p het --test trace_golden
-
-echo "==> golden fixtures current (re-derive and byte-diff against committed)"
-cargo test -q -p het --test trace_golden golden_fixtures_are_current
-
-echo "==> serving subsystem (determinism, staleness window, warmup, faults)"
-cargo test -q -p het --test serving
+# The benchmark is a workspace of its own compiled against the public
+# API; build it, run its own tests, and smoke every workload once.
+echo "==> benchmark (own tests + one quick pass over all five workloads)"
+step_start=$(date +%s)
+cargo test -q --manifest-path benchmark/Cargo.toml
+bash benchmark/run.sh --quick
+echo "    [timing] benchmark: $(($(date +%s) - step_start))s"
 
 echo "==> colocated train+serve smoke (one runtime, one PS fabric)"
 cargo run -q --release -p het-bench --bin hetctl -- colocate --iters 120 --requests 200
-
-echo "==> parallel backend (BSP bit-identity vs sim, async oracle replay, sim untouched)"
-cargo test -q -p het --test parallel
 
 echo "==> PS concurrency stress (seeded schedule perturbation, high test parallelism)"
 step_start=$(date +%s)
@@ -73,19 +69,11 @@ cargo run -q --release -p het-bench --bin hetctl -- scale-sweep \
     --threads 1,2,4 --iters 240 --gate "$SCALE_GATE"
 echo "    [timing] scale sweep: $(($(date +%s) - step_start))s"
 
-echo "==> elasticity (supervised recovery, autoscaler, live split, chaos)"
-cargo test -q -p het --test elasticity
-
 echo "==> chaos smoke (compound failure, SLO/RTO gate, single seed)"
 cargo run -q --release -p het-bench --bin hetctl -- chaos --seed 7
 
 echo "==> chaos recovery campaign (every seed must ride out the storm)"
 cargo run -q --release -p het-bench --bin hetctl -- chaos --seeds 0..120
-
-echo "==> eviction-policy model equivalence (naive O(n) references, full zoo)"
-step_start=$(date +%s)
-cargo test -q -p het-cache --test policy_model
-echo "    [timing] policy_model: $(($(date +%s) - step_start))s"
 
 echo "==> consistency oracle (120-seed fuzz campaign over the full policy zoo)"
 # The campaign also exercises the prefetch cell: ~1/3 of sampled
@@ -102,21 +90,9 @@ step_start=$(date +%s)
 cargo run -q --release -p het-bench --bin hetctl -- oracle --seeds 0..120 --iters 40
 echo "    [timing] oracle campaign: $(($(date +%s) - step_start))s"
 
-echo "==> lookahead prefetching (exact-lookahead invariant, byte-identity, ledger)"
-cargo test -q -p het --test prefetch
-
 echo "==> prefetch depth sweep (>=30% cut at depth 4, monotone non-increasing)"
 cargo run -q --release -p het-bench --bin hetctl -- prefetch-sweep \
     --iters 480 --depths 0,1,2,4,8 --gate 0.30
-
-echo "==> tiered store (page byte-layout pin, compaction, crash recovery)"
-step_start=$(date +%s)
-cargo test -q -p het-store
-echo "    [timing] het-store: $(($(date +%s) - step_start))s"
-
-echo "==> tiered determinism matrix + golden fixture (reports and traces byte-identical)"
-cargo test -q -p het --test determinism tiered_store_seed_matrix
-cargo test -q -p het --test trace_golden tiered_fixture_reconciles_store_counters
 
 echo "==> store sweep smoke (10^7 keys, bounded residency, hit-rate floor, Mem zero-disk)"
 step_start=$(date +%s)

@@ -54,18 +54,55 @@ use het_runtime::ExecutionBackend;
 use het_simnet::{ClusterSpec, SimDuration};
 use std::process::ExitCode;
 
+/// Flag groups shared by several subcommands, whitespace-separated;
+/// each subcommand's full list is in [`COMMANDS`].
+const FAULT_FLAGS: &str = "fault-crashes fault-outages fault-stragglers fault-degradations \
+                           fault-drop fault-horizon fault-checkpoint-every";
+const TRACE_FLAGS: &str = "trace trace-chrome";
+const PLAN_FLAGS: &str = "fault-plan fault-plan-dump";
+const TRAIN_FLAGS: &str = "workload system staleness backend workers servers dim iters cache-frac \
+                           policy network target lr lookahead store";
+
+/// Levenshtein distance, for "did you mean" on a mistyped flag.
+fn edit_distance(a: &str, b: &str) -> usize {
+    let b: Vec<char> = b.chars().collect();
+    let mut row: Vec<usize> = (0..=b.len()).collect();
+    for (i, ca) in a.chars().enumerate() {
+        let mut diagonal = row[0];
+        row[0] = i + 1;
+        for (j, &cb) in b.iter().enumerate() {
+            let above = row[j + 1];
+            row[j + 1] = (diagonal + usize::from(ca != cb))
+                .min(row[j] + 1)
+                .min(above + 1);
+            diagonal = above;
+        }
+    }
+    row[b.len()]
+}
+
 struct Args {
     map: Vec<(String, String)>,
 }
 
 impl Args {
-    fn parse(argv: &[String]) -> Result<Args, String> {
+    /// Parses `--flag value` pairs. A flag outside `known` (the
+    /// subcommand's flag groups) is an error naming the nearest known
+    /// flag, so a typo never silently runs the defaults.
+    fn parse(argv: &[String], known: &[&str]) -> Result<Args, String> {
+        let known = || known.iter().flat_map(|group| group.split_whitespace());
         let mut map = Vec::new();
         let mut i = 0;
         while i < argv.len() {
             let key = argv[i]
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected --flag, got '{}'", argv[i]))?;
+            if !known().any(|k| k == key) {
+                return Err(match known().min_by_key(|k| edit_distance(key, k)) {
+                    Some(k) => format!("unknown flag --{key} (did you mean --{k}?)"),
+                    None => format!("unknown flag --{key} (this command takes no flags)"),
+                });
+            }
             let value = argv
                 .get(i + 1)
                 .ok_or_else(|| format!("--{key} needs a value"))?
@@ -81,6 +118,17 @@ impl Args {
             .iter()
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.as_str())
+    }
+
+    /// A comma-separated list flag.
+    fn get_list<T: std::str::FromStr>(&self, key: &str, default: Vec<T>) -> Result<Vec<T>, String> {
+        let Some(list) = self.get(key) else {
+            return Ok(default);
+        };
+        let parse = |v: &str| v.trim().parse();
+        list.split(',')
+            .map(|v| parse(v).map_err(|_| format!("--{key}: cannot parse '{v}'")))
+            .collect()
     }
 
     fn get_parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
@@ -328,13 +376,23 @@ fn dump_fault_plan(args: &Args, plan: &het_simnet::FaultPlan) -> Result<(), Stri
     Ok(())
 }
 
-fn run_one(
-    workload: Workload,
-    preset: SystemPreset,
+/// The `TrainerConfig` edit the `train`/`compare` flags ask for, built
+/// once for both backends. On `threads:<n>` the backend sets the worker
+/// count (one OS thread per worker); a different `--workers` is an
+/// error.
+fn train_tweak(
     args: &Args,
-    traced: bool,
-) -> Result<(RunSummary, TrainReport, Option<het_trace::TraceLog>), String> {
-    let workers: usize = args.get_parsed("workers", 8)?;
+    backend: ExecutionBackend,
+) -> Result<impl Fn(&mut TrainerConfig), String> {
+    let workers = match (backend.threads(), args.get("workers")) {
+        (Some(n), Some(w)) if w.parse() != Ok(n) => {
+            return Err(format!(
+                "--workers {w} conflicts with --backend threads:{n} (one thread per worker)"
+            ))
+        }
+        (Some(n), _) => n,
+        (None, _) => args.get_parsed("workers", 8)?,
+    };
     let servers: usize = args.get_parsed("servers", 1)?;
     let dim: usize = args.get_parsed("dim", 16)?;
     let iters: u64 = args.get_parsed("iters", 1_600)?;
@@ -347,7 +405,7 @@ fn run_one(
     let store = store_spec_of(args.get("store").unwrap_or("mem"))?;
     let faults = fault_config_of(args)?;
 
-    let tweak = move |c: &mut TrainerConfig| {
+    Ok(move |c: &mut TrainerConfig| {
         c.cluster = match band.as_str() {
             "10gbe" => ClusterSpec::cluster_b(workers, servers),
             _ => ClusterSpec::cluster_a(workers, servers),
@@ -365,7 +423,16 @@ fn run_one(
         c.lookahead_depth = lookahead;
         c.store = store.clone();
         c.faults = faults.clone();
-    };
+    })
+}
+
+fn run_one(
+    workload: Workload,
+    preset: SystemPreset,
+    args: &Args,
+    traced: bool,
+) -> Result<(RunSummary, TrainReport, Option<het_trace::TraceLog>), String> {
+    let tweak = train_tweak(args, ExecutionBackend::Sim)?;
     let (report, log) = if traced {
         let (report, log) = run_workload_traced(workload, preset, &tweak);
         (report, Some(log))
@@ -379,6 +446,17 @@ fn run_one(
 /// The `--backend sim|threads:<n>` flag (default `sim`).
 fn backend_of(args: &Args) -> Result<ExecutionBackend, String> {
     ExecutionBackend::parse(args.get("backend").unwrap_or("sim"))
+}
+
+/// Threaded `serve`/`colocate` have no trace output and no fault plan.
+fn reject_sim_only_flags(args: &Args) -> Result<(), String> {
+    let given = |group: &str| group.split_whitespace().any(|f| args.get(f).is_some());
+    if given(TRACE_FLAGS) || given(PLAN_FLAGS) {
+        return Err(
+            "--trace[-chrome] and --fault-plan[-dump] are sim-only here; use --backend sim".into(),
+        );
+    }
+    Ok(())
 }
 
 fn print_parallel_report(workload: Workload, report: &het_core::ParallelReport) {
@@ -398,50 +476,19 @@ fn print_parallel_report(workload: Workload, report: &het_core::ParallelReport) 
     }
 }
 
-/// A training run on the threaded backend: same flags as the sim path
-/// (minus the sim-only ones), one OS thread per worker. The run always
-/// collects a merged per-thread trace and replays it through the
-/// model-based oracle before reporting — every threaded run is checked
-/// against the consistency model, not just timed.
+/// A training run on the threaded backend: same flags as the sim path,
+/// one OS thread per worker (`Trainer::run_threaded` rejects the
+/// sim-only ones). The run always collects a merged per-thread trace
+/// and replays it through the model-based oracle before reporting —
+/// every threaded run is checked against the consistency model, not
+/// just timed.
 fn run_one_threaded(
     workload: Workload,
     preset: SystemPreset,
     args: &Args,
     n_threads: usize,
 ) -> Result<(), String> {
-    let servers: usize = args.get_parsed("servers", 1)?;
-    let dim: usize = args.get_parsed("dim", 16)?;
-    let iters: u64 = args.get_parsed("iters", 1_600)?;
-    let cache_frac: f64 = args.get_parsed("cache-frac", 0.10)?;
-    let policy = policy_of(args.get("policy").unwrap_or("lightlfu"))?;
-    let band = args.get("network").unwrap_or("1gbe").to_string();
-    let target: f64 = args.get_parsed("target", -1.0)?;
-    let lr: f64 = args.get_parsed("lr", -1.0)?;
-    let store = store_spec_of(args.get("store").unwrap_or("mem"))?;
-    let faults = fault_config_of(args)?;
-    if faults.enabled {
-        return Err(
-            "the threaded backend does not support fault injection; use --backend sim".to_string(),
-        );
-    }
-
-    let tweak = move |c: &mut TrainerConfig| {
-        c.cluster = match band.as_str() {
-            "10gbe" => ClusterSpec::cluster_b(n_threads, servers),
-            _ => ClusterSpec::cluster_a(n_threads, servers),
-        };
-        c.dim = dim;
-        c.max_iterations = iters;
-        c.eval_every = (iters / 4).max(1);
-        if target > 0.0 {
-            c.target_metric = Some(target);
-        }
-        if lr > 0.0 {
-            c.lr = lr as f32;
-        }
-        *c = c.clone().with_cache(cache_frac, policy);
-        c.store = store.clone();
-    };
+    let tweak = train_tweak(args, ExecutionBackend::Threads(n_threads))?;
     let meta = vec![
         (
             "kind".to_string(),
@@ -485,17 +532,7 @@ fn run_one_threaded(
 fn cmd_scale_sweep(args: &Args) -> Result<(), String> {
     let iters: u64 = args.get_parsed("iters", 240)?;
     let gate: f64 = args.get_parsed("gate", 0.0)?;
-    let threads: Vec<usize> = match args.get("threads") {
-        None => vec![1, 2, 4],
-        Some(s) => s
-            .split(',')
-            .map(|t| {
-                t.trim()
-                    .parse()
-                    .map_err(|_| format!("--threads: cannot parse '{t}'"))
-            })
-            .collect::<Result<_, _>>()?,
-    };
+    let threads: Vec<usize> = args.get_list("threads", vec![1, 2, 4])?;
     let rows = het_bench::scale_sweep(&threads, iters)?;
     println!(
         "{:>7} {:>7} {:>10} {:>11} {:>12} {:>8}",
@@ -596,12 +633,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         // One OS thread per replica; the sim-only machinery (faults,
         // supervision, scripted plans, traces) stays on `--backend sim`
         // — `run_threaded_serve` rejects what slips past these checks.
-        if TraceArgs::of(args).requested() {
-            return Err("--trace/--trace-chrome on serve are sim-only; use --backend sim".into());
-        }
-        if args.get("fault-plan").is_some() || args.get("fault-plan-dump").is_some() {
-            return Err("--fault-plan[-dump] is sim-only; use --backend sim".into());
-        }
+        reject_sim_only_flags(args)?;
         cfg.n_replicas = n;
         let (n_fields, dim) = (cfg.n_fields, cfg.dim);
         let report = het_serve::run_threaded_serve(cfg, n, move |rng| {
@@ -760,14 +792,7 @@ fn cmd_colocate(args: &Args) -> Result<(), String> {
         // Trainer workers and serving replicas each get a real OS
         // thread, sharing one live PS fabric; `threads:<n>` sizes the
         // trainer side, `--replicas` the fleet.
-        if TraceArgs::of(args).requested() {
-            return Err(
-                "--trace/--trace-chrome on colocate are sim-only; use --backend sim".into(),
-            );
-        }
-        if args.get("fault-plan").is_some() || args.get("fault-plan-dump").is_some() {
-            return Err("--fault-plan[-dump] is sim-only; use --backend sim".into());
-        }
+        reject_sim_only_flags(args)?;
         train_cfg.cluster = ClusterSpec::cluster_a(n, servers);
         let mut trainer = Trainer::new(train_cfg, CtrDataset::new(CtrConfig::tiny(seed)), |rng| {
             het_models::WideDeep::new(rng, 4, 8, &[16])
@@ -785,11 +810,12 @@ fn cmd_colocate(args: &Args) -> Result<(), String> {
         return Ok(());
     }
 
-    let mut trainer = Trainer::with_shared_members(
+    let mut trainer = Trainer::with_cluster(
         train_cfg,
         CtrDataset::new(CtrConfig::tiny(seed)),
         |rng| het_models::WideDeep::new(rng, 4, 8, &[16]),
         serve_cfg.n_replicas,
+        0,
     );
     if let Some(plan) = fault_plan_override(args)? {
         trainer.override_plan(plan);
@@ -934,17 +960,7 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
 /// `F` vs depth 0 — the CI smoke gate.
 fn cmd_prefetch_sweep(args: &Args) -> Result<(), String> {
     let iters: u64 = args.get_parsed("iters", 600)?;
-    let depths: Vec<u64> = match args.get("depths") {
-        None => vec![0, 1, 2, 4, 8],
-        Some(s) => s
-            .split(',')
-            .map(|d| {
-                d.trim()
-                    .parse()
-                    .map_err(|_| format!("--depths: cannot parse '{d}'"))
-            })
-            .collect::<Result<_, _>>()?,
-    };
+    let depths: Vec<u64> = args.get_list("depths", vec![0, 1, 2, 4, 8])?;
     let gate: f64 = args.get_parsed("gate", 0.0)?;
     let dim: usize = args.get_parsed("dim", 0)?;
     let batch: usize = args.get_parsed("batch", 0)?;
@@ -1045,17 +1061,7 @@ fn cmd_store_sweep(args: &Args) -> Result<(), String> {
     let ops: u64 = args.get_parsed("ops", 1_000_000)?;
     let dim: usize = args.get_parsed("dim", 16)?;
     let gate: f64 = args.get_parsed("gate", 0.0)?;
-    let hot_budgets: Vec<u64> = match args.get("hot") {
-        None => vec![1 << 14, 1 << 16, 1 << 18],
-        Some(s) => s
-            .split(',')
-            .map(|h| {
-                h.trim()
-                    .parse()
-                    .map_err(|_| format!("--hot: cannot parse '{h}'"))
-            })
-            .collect::<Result<_, _>>()?,
-    };
+    let hot_budgets: Vec<u64> = args.get_list("hot", vec![1 << 14, 1 << 16, 1 << 18])?;
     // Cold tiers spill to real segment files under target/experiments
     // by default, so host memory stays bounded at 10⁷–10⁸-key scale;
     // `--spill 0` keeps segments in memory (small sweeps only).
@@ -1234,116 +1240,146 @@ fn cmd_oracle(args: &Args) -> Result<(), String> {
     ))
 }
 
+/// Prints the value vocabularies and, from [`COMMANDS`], every
+/// subcommand with the flags it reads.
+fn cmd_list(_: &Args) -> Result<(), String> {
+    println!("workloads: wdl dfm dcn reddit amazon mag");
+    println!("systems:   tf-ps tf-parallax het-ps het-ar het-hybrid het-cache ssp");
+    println!("policies:  lru lfu lightlfu[:T] clock slru lfuda gdsf adaptive[:W]");
+    println!("backends:  sim threads:N    stores: mem tiered:HOT_ROWS    networks: 1gbe 10gbe");
+    for (name, flags, _) in COMMANDS {
+        let flags = flags.iter().flat_map(|g| g.split_whitespace());
+        println!(
+            "{name}:{}",
+            flags.map(|f| format!(" --{f}")).collect::<String>()
+        );
+    }
+    Ok(())
+}
+
+fn train_or_compare(args: &Args, compare: bool) -> Result<(), String> {
+    let workload = workload_of(args.get("workload").unwrap_or("wdl"))?;
+    let staleness: u64 = args.get_parsed("staleness", 100)?;
+    let system_name = args.get("system").unwrap_or("het-cache").to_string();
+    let preset = system_of(&system_name, staleness)?;
+    if let ExecutionBackend::Threads(n) = backend_of(args)? {
+        if compare {
+            return Err(
+                "compare is sim-only (its baselines are simulated); use --backend sim".to_string(),
+            );
+        }
+        return run_one_threaded(workload, preset, args, n);
+    }
+    let trace = TraceArgs::of(args);
+    let (summary, report, log) = run_one(workload, preset, args, trace.requested())?;
+    print_report(workload, &system_name, &summary, &report);
+    if let Some(log) = log {
+        trace.write(&log)?;
+    }
+    if compare {
+        let base_name = args.get("baseline").unwrap_or("het-hybrid").to_string();
+        let base_preset = system_of(&base_name, staleness)?;
+        let (base, base_report, _) = run_one(workload, base_preset, args, false)?;
+        println!("\n--- baseline ---");
+        print_report(workload, &base_name, &base, &base_report);
+        println!("\n--- comparison ---");
+        println!(
+            "epoch-time speedup      {:.2}x",
+            base.epoch_time_s / summary.epoch_time_s.max(f64::MIN_POSITIVE)
+        );
+        let reduction = if base.embedding_bytes > 0 {
+            1.0 - summary.embedding_bytes as f64 / base.embedding_bytes as f64
+        } else {
+            0.0
+        };
+        println!("embedding comm reduction {:.1} %", 100.0 * reduction);
+    }
+    Ok(())
+}
+
+/// Every subcommand: its name, the groups of flags it reads (checked by
+/// [`Args::parse`] before anything runs), and its entry point.
+#[allow(clippy::type_complexity)]
+const COMMANDS: &[(&str, &[&str], fn(&Args) -> Result<(), String>)] = &[
+    ("train", &[TRAIN_FLAGS, FAULT_FLAGS, TRACE_FLAGS], |args| {
+        train_or_compare(args, false)
+    }),
+    (
+        "compare",
+        &[TRAIN_FLAGS, "baseline", FAULT_FLAGS, TRACE_FLAGS],
+        |args| train_or_compare(args, true),
+    ),
+    (
+        "serve",
+        &[
+            "seed replicas dim fields keys cache staleness policy rate requests zipf max-batch \
+             max-delay-us pretrain-updates warmup servers store drift-period-ms drift-step \
+             flash-at-ms flash-dur-ms flash-x flash-hot network supervised heartbeat-us backend",
+            FAULT_FLAGS,
+            TRACE_FLAGS,
+            PLAN_FLAGS,
+        ],
+        cmd_serve,
+    ),
+    (
+        "colocate",
+        &[
+            "seed workers servers iters staleness system replicas cache serve-staleness policy \
+             rate requests pretrain-updates warmup backend",
+            FAULT_FLAGS,
+            TRACE_FLAGS,
+            PLAN_FLAGS,
+        ],
+        cmd_colocate,
+    ),
+    (
+        "chaos",
+        &[
+            "seed seeds workers servers iters requests rate flash-x slo-p99-us rto-us \
+             fault-plan-dump",
+            TRACE_FLAGS,
+        ],
+        cmd_chaos,
+    ),
+    (
+        "oracle",
+        &["seeds iters master-seed stop-after sabotage-staleness out repro"],
+        cmd_oracle,
+    ),
+    (
+        "prefetch-sweep",
+        &[
+            "depths iters gate dim batch workers cache-frac staleness trace-depth",
+            TRACE_FLAGS,
+        ],
+        cmd_prefetch_sweep,
+    ),
+    ("scale-sweep", &["threads iters gate"], cmd_scale_sweep),
+    (
+        "store-sweep",
+        &["keys ops hot dim spill gate"],
+        cmd_store_sweep,
+    ),
+    (
+        "policy-shootout",
+        &["iters requests gate"],
+        cmd_policy_shootout,
+    ),
+    ("list", &[], cmd_list),
+];
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = argv.first().map(String::as_str) else {
-        eprintln!(
-            "usage: hetctl <train|compare|serve|colocate|chaos|oracle|prefetch-sweep|\
-             scale-sweep|store-sweep|policy-shootout|list> [--flag value ...]"
-        );
-        return ExitCode::FAILURE;
+    let names = |sep: &str| {
+        let names: Vec<&str> = COMMANDS.iter().map(|c| c.0).collect();
+        names.join(sep)
     };
-    let result = match command {
-        "list" => {
-            println!("workloads: wdl dfm dcn reddit amazon mag");
-            println!("systems:   tf-ps tf-parallax het-ps het-ar het-hybrid het-cache ssp");
-            println!("flags:     --workers N --servers N --dim N --iters N --staleness N");
-            println!(
-                "           --cache-frac F --network 1gbe|10gbe\n           --policy \
-                 lru|lfu|lightlfu[:T]|clock|slru|lfuda|gdsf|adaptive[:W]"
-            );
-            println!("           --target METRIC --lr RATE --lookahead DEPTH (prefetcher)");
-            println!(
-                "           --backend sim|threads:N (train/serve/colocate: real OS threads;\n           \
-                 threaded training always oracle-replays its merged trace)"
-            );
-            println!("           --fault-crashes N --fault-outages N --fault-stragglers N");
-            println!("           --fault-degradations N --fault-drop P --fault-horizon SECS");
-            println!("           --fault-checkpoint-every ITERS");
-            println!("           --trace OUT.jsonl (structured event trace, het-trace-v1)");
-            println!("           --trace-chrome OUT.json (chrome://tracing view)");
-            println!("oracle:    --seeds A..B --iters N --master-seed N --stop-after N");
-            println!("           --sabotage-staleness N --out DIR --repro FILE.json");
-            println!("           --store mem|tiered:HOT_ROWS (PS row-store backend)");
-            println!("prefetch-sweep: --depths 0,1,2,4,8 --iters N --gate FRACTION");
-            println!("scale-sweep: --threads 1,2,4 --iters N --gate RATIO (wall-clock scaling)");
-            println!("store-sweep: --keys N --ops N --hot A,B,C --dim N --spill 0|1 --gate FLOOR");
-            println!("policy-shootout: --iters N --requests N --gate HIT_RATE_MARGIN");
-            println!("serve:     --replicas N --servers N --dim N --fields N --keys N");
-            println!("           --cache ENTRIES --staleness N --policy (as above)");
-            println!("           --rate REQ_PER_S --requests N --zipf EXP --seed N");
-            println!("           --max-batch N --max-delay-us US --network 1gbe|10gbe");
-            println!("           --pretrain-updates N --warmup REQS");
-            println!("           --drift-period-ms MS --drift-step KEYS");
-            println!("           --flash-at-ms MS --flash-dur-ms MS --flash-x F --flash-hot N");
-            println!("           (plus the --fault-* and --trace* flags above)");
-            println!("colocate:  --workers N --servers N --iters N --system NAME --staleness N");
-            println!(
-                "           --replicas N --cache ENTRIES --serve-staleness N --rate REQ_PER_S"
-            );
-            println!("           --requests N --pretrain-updates N --warmup REQS --seed N");
-            println!("           (plus the --fault-* and --trace* flags above)");
-            println!("chaos:     --seed N | --seeds A..B --workers N --servers N --iters N");
-            println!("           --requests N --rate REQ_PER_S --flash-x F");
-            println!("           --slo-p99-us US --rto-us US");
-            println!("plans:     --fault-plan FILE.json (serve/colocate/chaos: scripted plan)");
-            println!("           --fault-plan-dump FILE.json (write the plan actually used)");
-            println!("           --supervised 1 --heartbeat-us US (serve: heartbeat recovery)");
-            Ok(())
-        }
-        "train" | "compare" => (|| -> Result<(), String> {
-            let args = Args::parse(&argv[1..])?;
-            let workload = workload_of(args.get("workload").unwrap_or("wdl"))?;
-            let staleness: u64 = args.get_parsed("staleness", 100)?;
-            let system_name = args.get("system").unwrap_or("het-cache").to_string();
-            let preset = system_of(&system_name, staleness)?;
-            if let ExecutionBackend::Threads(n) = backend_of(&args)? {
-                if command == "compare" {
-                    return Err(
-                        "compare is sim-only (its baselines are simulated); use --backend sim"
-                            .to_string(),
-                    );
-                }
-                return run_one_threaded(workload, preset, &args, n);
-            }
-            let trace = TraceArgs::of(&args);
-            let (summary, report, log) = run_one(workload, preset, &args, trace.requested())?;
-            print_report(workload, &system_name, &summary, &report);
-            if let Some(log) = log {
-                trace.write(&log)?;
-            }
-            if command == "compare" {
-                let base_name = args.get("baseline").unwrap_or("het-hybrid").to_string();
-                let base_preset = system_of(&base_name, staleness)?;
-                let (base, base_report, _) = run_one(workload, base_preset, &args, false)?;
-                println!("\n--- baseline ---");
-                print_report(workload, &base_name, &base, &base_report);
-                println!("\n--- comparison ---");
-                println!(
-                    "epoch-time speedup      {:.2}x",
-                    base.epoch_time_s / summary.epoch_time_s.max(f64::MIN_POSITIVE)
-                );
-                let reduction = if base.embedding_bytes > 0 {
-                    1.0 - summary.embedding_bytes as f64 / base.embedding_bytes as f64
-                } else {
-                    0.0
-                };
-                println!("embedding comm reduction {:.1} %", 100.0 * reduction);
-            }
-            Ok(())
-        })(),
-        "prefetch-sweep" => Args::parse(&argv[1..]).and_then(|args| cmd_prefetch_sweep(&args)),
-        "scale-sweep" => Args::parse(&argv[1..]).and_then(|args| cmd_scale_sweep(&args)),
-        "store-sweep" => Args::parse(&argv[1..]).and_then(|args| cmd_store_sweep(&args)),
-        "policy-shootout" => Args::parse(&argv[1..]).and_then(|args| cmd_policy_shootout(&args)),
-        "serve" => Args::parse(&argv[1..]).and_then(|args| cmd_serve(&args)),
-        "colocate" => Args::parse(&argv[1..]).and_then(|args| cmd_colocate(&args)),
-        "chaos" => Args::parse(&argv[1..]).and_then(|args| cmd_chaos(&args)),
-        "oracle" => Args::parse(&argv[1..]).and_then(|args| cmd_oracle(&args)),
-        other => Err(format!(
-            "unknown command '{other}' (try: train compare serve colocate chaos oracle \
-             prefetch-sweep scale-sweep store-sweep policy-shootout list)"
-        )),
+    let result = match argv.first() {
+        None => Err(format!("usage: hetctl <{}> [--flag value ...]", names("|"))),
+        Some(command) => match COMMANDS.iter().find(|c| c.0 == command) {
+            None => Err(format!("unknown command '{command}' (try: {})", names(" "))),
+            Some((_, flags, run)) => Args::parse(&argv[1..], flags).and_then(|args| run(&args)),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

@@ -175,45 +175,56 @@ pub fn bench_config(preset: SystemPreset) -> TrainerConfig {
     config
 }
 
-/// Runs one (workload × system) pair. `tweak` edits the bench-scale
-/// config (iterations, cluster, dim, cache, …) before the run.
+/// Builds `workload`'s trainer — its (dataset, model) pair at bench
+/// scale under `preset`, with `tweak` editing the bench-scale config
+/// (iterations, cluster, dim, cache, …) — binds it to `$t` and
+/// evaluates `$run`. A macro because the four trainer types differ.
+macro_rules! with_trainer {
+    ($workload:expr, $preset:expr, $tweak:expr, |$t:ident| $run:expr) => {{
+        let workload: Workload = $workload;
+        let mut config = bench_config($preset);
+        config.lr = workload.learning_rate();
+        $tweak(&mut config);
+        let dim = config.dim;
+        match workload {
+            Workload::WdlCriteo => {
+                let mut $t = Trainer::new(config, ctr_dataset(0xC0), move |rng| {
+                    WideDeep::new(rng, CTR_FIELDS, dim, &[64, 32])
+                });
+                $run
+            }
+            Workload::DfmCriteo => {
+                let mut $t = Trainer::new(config, ctr_dataset(0xC1), move |rng| {
+                    DeepFm::new(rng, CTR_FIELDS, dim, &[64, 32])
+                });
+                $run
+            }
+            Workload::DcnCriteo => {
+                let mut $t = Trainer::new(config, ctr_dataset(0xC2), move |rng| {
+                    DeepCross::new(rng, CTR_FIELDS, dim, 3, &[64, 32])
+                });
+                $run
+            }
+            Workload::GnnReddit | Workload::GnnAmazon | Workload::GnnOgbnMag => {
+                let dataset = graph_dataset(workload, 0xD0 + workload.n_keys() as u64);
+                let classes = dataset.graph().config().n_classes;
+                let mut $t = Trainer::new(config, dataset, move |rng| {
+                    GraphSage::new(rng, dim, 32, classes)
+                });
+                $run
+            }
+        }
+    }};
+}
+
+/// Runs one (workload × system) pair on the simulator. `tweak` edits
+/// the bench-scale config before the run.
 pub fn run_workload(
     workload: Workload,
     preset: SystemPreset,
     tweak: &dyn Fn(&mut TrainerConfig),
 ) -> TrainReport {
-    let mut config = bench_config(preset);
-    config.lr = workload.learning_rate();
-    tweak(&mut config);
-    let dim = config.dim;
-    match workload {
-        Workload::WdlCriteo => {
-            let mut t = Trainer::new(config, ctr_dataset(0xC0), move |rng| {
-                WideDeep::new(rng, CTR_FIELDS, dim, &[64, 32])
-            });
-            t.run()
-        }
-        Workload::DfmCriteo => {
-            let mut t = Trainer::new(config, ctr_dataset(0xC1), move |rng| {
-                DeepFm::new(rng, CTR_FIELDS, dim, &[64, 32])
-            });
-            t.run()
-        }
-        Workload::DcnCriteo => {
-            let mut t = Trainer::new(config, ctr_dataset(0xC2), move |rng| {
-                DeepCross::new(rng, CTR_FIELDS, dim, 3, &[64, 32])
-            });
-            t.run()
-        }
-        Workload::GnnReddit | Workload::GnnAmazon | Workload::GnnOgbnMag => {
-            let dataset = graph_dataset(workload, 0xD0 + workload.n_keys() as u64);
-            let classes = dataset.graph().config().n_classes;
-            let mut t = Trainer::new(config, dataset, move |rng| {
-                GraphSage::new(rng, dim, 32, classes)
-            });
-            t.run()
-        }
-    }
+    with_trainer!(workload, preset, tweak, |t| t.run())
 }
 
 /// [`run_workload`] with the observability layer switched on: the run
@@ -259,38 +270,10 @@ pub fn run_workload_threaded(
     tweak: &dyn Fn(&mut TrainerConfig),
     trace_meta: Option<Vec<(String, het_json::Json)>>,
 ) -> Result<(het_core::ParallelReport, TrainerConfig), String> {
-    let mut config = bench_config(preset);
-    config.lr = workload.learning_rate();
-    tweak(&mut config);
-    let dim = config.dim;
-    match workload {
-        Workload::WdlCriteo => {
-            let mut t = Trainer::new(config, ctr_dataset(0xC0), move |rng| {
-                WideDeep::new(rng, CTR_FIELDS, dim, &[64, 32])
-            });
-            Ok((t.run_threaded(trace_meta)?, t.config().clone()))
-        }
-        Workload::DfmCriteo => {
-            let mut t = Trainer::new(config, ctr_dataset(0xC1), move |rng| {
-                DeepFm::new(rng, CTR_FIELDS, dim, &[64, 32])
-            });
-            Ok((t.run_threaded(trace_meta)?, t.config().clone()))
-        }
-        Workload::DcnCriteo => {
-            let mut t = Trainer::new(config, ctr_dataset(0xC2), move |rng| {
-                DeepCross::new(rng, CTR_FIELDS, dim, 3, &[64, 32])
-            });
-            Ok((t.run_threaded(trace_meta)?, t.config().clone()))
-        }
-        Workload::GnnReddit | Workload::GnnAmazon | Workload::GnnOgbnMag => {
-            let dataset = graph_dataset(workload, 0xD0 + workload.n_keys() as u64);
-            let classes = dataset.graph().config().n_classes;
-            let mut t = Trainer::new(config, dataset, move |rng| {
-                GraphSage::new(rng, dim, 32, classes)
-            });
-            Ok((t.run_threaded(trace_meta)?, t.config().clone()))
-        }
-    }
+    with_trainer!(workload, preset, tweak, |t| Ok((
+        t.run_threaded(trace_meta)?,
+        t.config().clone()
+    )))
 }
 
 /// The systems compared throughout §5, in the paper's order.

@@ -1,10 +1,16 @@
-//! The discrete-event multi-worker trainer.
+//! The multi-worker trainer: one worker iteration, two schedulers.
 //!
-//! Workers are simulated machines: every protocol step advances a
-//! worker's clock by the simulated network/compute time while the
-//! *training math runs for real* (models from `het-models`, parameters
-//! on `het-ps`), so convergence curves are genuine learning curves
-//! plotted against simulated time.
+//! Workers train *for real* (models from `het-models`, parameters on
+//! `het-ps`). The job body — Algorithm 1's `Het.Read` → forward/backward
+//! → `Het.Write` → dense sync, plus the round collectives, evaluation
+//! and the end-of-run flush — exists once, as methods on [`Worker`] over
+//! the shared [`StepEnv`]. Two schedulers drive it:
+//!
+//! * this module's [`Process`] handlers, on the discrete-event
+//!   [`ClusterRuntime`]: every step advances a worker's clock by the
+//!   simulated network/compute time, so convergence curves are genuine
+//!   learning curves plotted against simulated time;
+//! * [`parallel`], on one OS thread per worker and the wall clock.
 //!
 //! Synchronous systems (the hybrids, HET AR) run in two-phase BSP
 //! rounds: all workers read, then all compute and write, then the dense
@@ -13,22 +19,22 @@
 //! iterations; SSP additionally blocks workers that run more than `s`
 //! iterations ahead of the slowest.
 //!
-//! Both shapes are [`Process`] implementations scheduled by the shared
-//! [`ClusterRuntime`] event loop: a BSP trainer is a *barrier process*
-//! (one event per round), an ASP/SSP trainer schedules one event per
-//! worker iteration, and the SSP staleness gate is expressed as a
-//! runtime wait condition ([`Ctx::wait_until`]). Crashes and PS-shard
-//! outages are routed to the trainer by the runtime's centralized fault
-//! delivery, so a co-scheduled job (e.g. a serving fleet on the same PS
-//! fabric) shares one plan, one queue, and one clock domain.
+//! On the simulator a BSP trainer is a *barrier process* (one event per
+//! round), an ASP/SSP trainer schedules one event per worker iteration,
+//! and the SSP staleness gate is a runtime wait condition
+//! ([`Ctx::wait_until`]). Crashes and PS-shard outages are routed to
+//! the trainer by the runtime's centralized fault delivery, so a
+//! co-scheduled job (e.g. a serving fleet on the same PS fabric) shares
+//! one plan, one queue, and one clock domain.
 
 pub mod parallel;
 
 use crate::client::{DirectPsClient, HetClient};
-use crate::config::{Backbone, DenseSync, SparseMode, SyncMode, TrainerConfig};
+use crate::config::{DenseSync, SparseMode, SyncMode, TrainerConfig};
 use crate::fault::{FaultContext, FaultRecord, FaultStats};
 use crate::prefetch::{PrefetchAudit, PrefetchOrder, PrefetchPlane, Prefetcher};
 use crate::report::{ConvergencePoint, TimeBreakdown, TrainReport};
+use het_cache::CacheStats;
 use het_data::Key;
 use het_models::{Dataset, EmbeddingModel, EmbeddingStore, EvalChunk, ModelBatch, SparseGrads};
 use het_ps::{DenseStore, PsConfig, PsServer, ServerHandle, ShardCheckpointStore};
@@ -50,48 +56,367 @@ enum SparseEngine {
     Replicated,
 }
 
-struct Worker<M> {
-    model: M,
-    sparse: SparseEngine,
-    clock: SimTime,
-    iterations: u64,
-    comm: CommStats,
-    breakdown: TimeBreakdown,
-    loss_sum: f64,
-    loss_count: u64,
-}
-
-/// Timing of one iteration's components.
-struct IterTiming {
-    read: SimDuration,
-    compute: SimDuration,
-    write: SimDuration,
-}
-
-impl IterTiming {
-    /// The iteration's critical-path span under a backbone (§4.1:
-    /// overlapping communication with computation).
-    fn span(&self, backbone: &Backbone) -> SimDuration {
-        if backbone.overlap {
-            self.compute.max(self.read + self.write)
-        } else {
-            self.read + self.compute + self.write
-        }
-    }
-}
-
-/// The training simulation for one (system, model, dataset) triple.
-pub struct Trainer<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> {
+/// Everything a worker step reads and never mutates, built once by the
+/// constructor and shared by reference with every step of either
+/// backend (it is `Sync`: the PS and the dense store synchronise
+/// internally).
+struct StepEnv<D> {
     config: TrainerConfig,
     dataset: D,
     server: ServerHandle,
     dense_store: Option<DenseStore>,
-    workers: Vec<Worker<M>>,
     net: Collectives,
     sgd: Sgd,
+}
+
+impl<D> StepEnv<D> {
+    /// The data cursor of worker `w`'s iteration `t`: workers stride the
+    /// global example sequence so shards are disjoint.
+    fn data_cursor(&self, worker: usize, iteration: u64) -> u64 {
+        (iteration * self.config.cluster.n_workers as u64 + worker as u64)
+            * self.config.batch_size as u64
+    }
+}
+
+struct Worker<M> {
+    id: usize,
+    model: M,
+    sparse: SparseEngine,
+    /// Simulated time, owned by the sim scheduler (the threaded one
+    /// keeps time on its `WallClock`).
+    clock: SimTime,
+    iterations: u64,
+    comm: CommStats,
+    breakdown: TimeBreakdown,
+    /// Training loss since the last evaluation.
+    loss: (f64, u64),
+}
+
+/// The job body. Every method runs at the ambient trace scope — the
+/// scheduler publishes "now" (`het_trace::set_scope`) before calling —
+/// and returns the modelled duration of what it did; what to do with
+/// that duration is the scheduler's business.
+impl<M: EmbeddingModel> Worker<M> {
+    /// The batch of this worker's next iteration.
+    fn next_batch<D: Dataset<Batch = M::Batch>>(&self, env: &StepEnv<D>) -> M::Batch {
+        let cursor = env.data_cursor(self.id, self.iterations);
+        env.dataset.train_batch(cursor, env.config.batch_size)
+    }
+
+    /// `Het.Read`: acquire the batch's embeddings. With a prefetch plane
+    /// every due prefetch lands first, and the read waits out (and is
+    /// charged) any in-flight pull this batch needs — the unhidden
+    /// remainder of the transfer is the only part the read ever pays.
+    fn read<D>(
+        &mut self,
+        keys: &[Key],
+        env: &StepEnv<D>,
+        faults: Option<&mut FaultContext<'_>>,
+        plane: Option<&Mutex<PrefetchPlane>>,
+    ) -> (EmbeddingStore, SimDuration) {
+        let (server, net) = (&*env.server, &env.net);
+        let mut prefetch_wait = SimDuration::ZERO;
+        if let (Some(plane), SparseEngine::Cached(c)) = (plane, &mut self.sparse) {
+            let (landed, stall) = plane
+                .lock()
+                .unwrap()
+                .take_for_read(self.id, self.clock, keys);
+            let mut installed = 0u64;
+            let mut superseded = 0u64;
+            for r in landed {
+                if c.install_prefetch_result(r.key, r.vector, r.clock, server) {
+                    installed += 1;
+                } else {
+                    superseded += 1;
+                }
+            }
+            // Installs can displace dirty rows back to the server;
+            // that write-back's disk time stalls this read.
+            prefetch_wait = stall + SimDuration::from_nanos(server.take_io_ns());
+            let mut plane = plane.lock().unwrap();
+            plane.note_install(installed, stall);
+            plane.note_cancelled(superseded);
+            if het_trace::enabled() && (installed > 0 || stall > SimDuration::ZERO) {
+                het_trace::event!("prefetcher", "prefetch_install",
+                    "installed" => installed,
+                    "waited_ns" => stall.as_nanos());
+            }
+        }
+        let (store, t_read) = match &mut self.sparse {
+            SparseEngine::Direct(c) => c.read(keys, server, net, &mut self.comm, faults),
+            SparseEngine::Cached(c) => c.read(keys, server, net, &mut self.comm, faults),
+            SparseEngine::Replicated => {
+                let mut store = EmbeddingStore::new(server.dim());
+                for &k in keys {
+                    store.insert(k, server.pull(k).vector);
+                }
+                // Replica reads stand for local table lookups, not a
+                // priced PS leg — keep their disk time out of request
+                // latency.
+                server.reclassify_pending_io();
+                (store, SimDuration::ZERO)
+            }
+        };
+        let t_read = prefetch_wait + t_read;
+        self.breakdown.sparse_read += t_read;
+        het_trace::span!("trainer", "read", t_read.as_nanos(), "keys" => keys.len());
+        (store, t_read)
+    }
+
+    /// Forward and backward pass over the batch.
+    fn compute(&mut self, batch: &M::Batch, store: &EmbeddingStore) -> (f32, SparseGrads) {
+        let (loss, grads) = self.model.forward_backward(batch, store);
+        self.loss.0 += loss as f64;
+        self.loss.1 += 1;
+        (loss, grads)
+    }
+
+    /// `Het.Write`: apply the sparse gradients. Replicated mode hands
+    /// them back for the round's AllGather instead.
+    fn write<D>(
+        &mut self,
+        grads: SparseGrads,
+        env: &StepEnv<D>,
+        faults: Option<&mut FaultContext<'_>>,
+    ) -> (SimDuration, Option<SparseGrads>) {
+        let (server, net) = (&*env.server, &env.net);
+        match &mut self.sparse {
+            SparseEngine::Direct(c) => (c.write(&grads, server, net, &mut self.comm, faults), None),
+            SparseEngine::Cached(c) => (c.write(&grads, server, net, &mut self.comm, faults), None),
+            SparseEngine::Replicated => {
+                let block = wire::sparse_allgather_block_bytes(grads.len(), env.config.dim);
+                let bytes = net.allgather_bytes_per_worker(block);
+                if bytes > 0 {
+                    self.comm.record(CommCategory::SparseAllGather, bytes);
+                }
+                (SimDuration::ZERO, Some(grads))
+            }
+        }
+    }
+
+    /// Closes the iteration: accounts the phases and emits their spans
+    /// (`compute` before `write` — the order the golden traces pin).
+    fn complete(&mut self, compute: SimDuration, loss: f32, write: SimDuration) {
+        self.iterations += 1;
+        self.breakdown.compute += compute;
+        self.breakdown.sparse_write += write;
+        het_trace::span!("trainer", "compute", compute.as_nanos(), "loss" => loss as f64);
+        het_trace::span!("trainer", "write", write.as_nanos());
+    }
+
+    /// Dense PS path: push gradients to the dense store, pull fresh
+    /// parameters. Zero when the dense path is AllReduce.
+    fn dense_ps_sync<D>(&mut self, env: &StepEnv<D>) -> SimDuration {
+        let Some(store) = &env.dense_store else {
+            return SimDuration::ZERO;
+        };
+        let grads = self.export_dense_grads();
+        store.push(grads.as_slice());
+        let (params, _version) = store.pull();
+        FlatParams::from_vec(params).import_into(&mut self.model);
+        self.model.zero_grads();
+
+        let bytes = wire::dense_transfer_bytes(grads.len());
+        self.comm.record(CommCategory::DensePs, bytes);
+        self.comm.record(CommCategory::DensePs, bytes);
+        let t = env.net.ps_transfer(bytes) * 2;
+        self.breakdown.dense_sync += t;
+        het_trace::span!("trainer", "dense_sync", t.as_nanos(), "bytes" => bytes * 2);
+        t
+    }
+
+    fn export_dense_grads(&mut self) -> FlatGrads {
+        let mut grads = FlatGrads::new();
+        grads.export_from(&mut self.model);
+        grads
+    }
+
+    /// Dense AllReduce path, this worker's share of a round's
+    /// [`allreduce_dense`]: step the replica by the averaged gradient.
+    fn apply_dense_average<D>(&mut self, avg: &FlatGrads, t: SimDuration, env: &StepEnv<D>) {
+        avg.import_into(&mut self.model);
+        env.sgd.step(&mut self.model);
+        let bytes = (avg.len() * wire::F32_BYTES as usize) as u64;
+        let per_worker_bytes = env.net.ring_allreduce_bytes_per_worker(bytes);
+        if per_worker_bytes > 0 {
+            self.comm
+                .record(CommCategory::DenseAllReduce, per_worker_bytes);
+        }
+        self.breakdown.dense_sync += t;
+    }
+
+    /// Evaluates the model against the held-out split from this
+    /// worker's point of view: its dense replica, and its *cache view*
+    /// of the embeddings where resident (read-my-updates — pending
+    /// stale writes are visible, exactly as they are to the training
+    /// computation, and eviction bookkeeping is untouched), falling
+    /// back to the server for everything else.
+    fn evaluate<D: Dataset<Batch = M::Batch>>(&self, env: &StepEnv<D>) -> f64 {
+        let config = &env.config;
+        let cache = match &self.sparse {
+            SparseEngine::Cached(c) => Some(c.cache()),
+            _ => None,
+        };
+        let mut chunk = EvalChunk::default();
+        for b in 0..config.eval_batches {
+            let batch = env
+                .dataset
+                .test_batch((b * config.batch_size) as u64, config.batch_size);
+            let mut store = EmbeddingStore::new(config.dim);
+            for k in batch.unique_keys() {
+                let v = cache
+                    .and_then(|c| c.peek(k).map(|e| e.vector.clone()))
+                    .unwrap_or_else(|| env.server.pull(k).vector);
+                store.insert(k, v);
+            }
+            // Evaluation is outside the simulated clocks entirely.
+            env.server.reclassify_pending_io();
+            chunk.extend(self.model.evaluate(&batch, &store));
+        }
+        chunk.metric(self.model.metric_kind())
+    }
+
+    fn is_cached(&self) -> bool {
+        matches!(self.sparse, SparseEngine::Cached(_))
+    }
+
+    /// End-of-training write-back (the paper's): every pending cached
+    /// update reaches the server. A no-op without a cache.
+    fn flush<D>(&mut self, env: &StepEnv<D>) {
+        let SparseEngine::Cached(c) = &mut self.sparse else {
+            return;
+        };
+        let waste_before = c.cache().stats().prefetch_wasted;
+        let t = c.flush(&env.server, &env.net, &mut self.comm);
+        self.breakdown.sparse_write += t;
+        self.clock += t;
+        het_trace::span!("trainer", "flush", t.as_nanos());
+        if het_trace::enabled() {
+            let wasted = c.cache().stats().prefetch_wasted - waste_before;
+            if wasted > 0 {
+                het_trace::event!("prefetcher", "prefetch_waste", "n" => wasted);
+            }
+        }
+    }
+}
+
+/// HET AR sparse path at the barrier: AllGather every worker's gradient
+/// block (in worker order), apply the merged update once to the shared
+/// table. Returns the AllGather time.
+fn apply_sparse_gather<D>(gathered: &[SparseGrads], env: &StepEnv<D>) -> SimDuration {
+    let dim = env.config.dim;
+    let mut merged = SparseGrads::new(dim);
+    let mut max_block = 0u64;
+    for grads in gathered {
+        max_block = max_block.max(wire::sparse_allgather_block_bytes(grads.len(), dim));
+        merged.merge(grads);
+    }
+    for k in merged.sorted_keys() {
+        env.server.push_inc(k, merged.get(k).expect("merged key"));
+    }
+    // The merged apply is the gathered update landing in every
+    // replica; its disk time rides the barrier it happens behind.
+    env.net.allgather(max_block) + SimDuration::from_nanos(env.server.take_io_ns())
+}
+
+/// The round's dense AllReduce: the workers' gradients accumulated in
+/// worker order (float addition order is part of the bit-identity
+/// contract between the backends), then averaged. Returns the average
+/// and the collective's time (zero for one worker).
+fn allreduce_dense<D>(
+    grads: impl ExactSizeIterator<Item = FlatGrads>,
+    env: &StepEnv<D>,
+) -> (FlatGrads, SimDuration) {
+    let n = grads.len() as f32;
+    let mut sum = FlatGrads::new();
+    for g in grads {
+        sum.accumulate(&g);
+    }
+    sum.scale(1.0 / n);
+    let t = env
+        .net
+        .ring_allreduce((sum.len() * wire::F32_BYTES as usize) as u64);
+    (sum, t)
+}
+
+/// Mean training loss over per-worker `(sum, count)` parts, added in
+/// the order given.
+fn mean_loss(parts: impl Iterator<Item = (f64, u64)>) -> f64 {
+    let (mut sum, mut count) = (0.0f64, 0u64);
+    for (s, c) in parts {
+        sum += s;
+        count += c;
+    }
+    if count > 0 {
+        sum / count as f64
+    } else {
+        0.0
+    }
+}
+
+/// Communication, cache and time accounting merged over the workers.
+fn merged_stats<M>(workers: &[Worker<M>]) -> (CommStats, CacheStats, TimeBreakdown) {
+    let mut comm = CommStats::new();
+    let mut cache = CacheStats::default();
+    let mut breakdown = TimeBreakdown::default();
+    for worker in workers {
+        comm.merge(&worker.comm);
+        if let SparseEngine::Cached(c) = &worker.sparse {
+            cache.merge(c.cache().stats());
+        }
+        breakdown.sparse_read += worker.breakdown.sparse_read;
+        breakdown.compute += worker.breakdown.compute;
+        breakdown.sparse_write += worker.breakdown.sparse_write;
+        breakdown.dense_sync += worker.breakdown.dense_sync;
+    }
+    (comm, cache, breakdown)
+}
+
+/// Where the run stands: iterations claimed so far and the convergence
+/// curve.
+#[derive(Default)]
+struct Progress {
     global_iterations: u64,
     curve: Vec<ConvergencePoint>,
     converged_at: Option<SimTime>,
+}
+
+impl Progress {
+    /// Appends the curve point of an evaluation at `at`. Returns true
+    /// when it is the first to reach `target`.
+    fn record_eval(
+        &mut self,
+        metric: f64,
+        train_loss: f64,
+        at: SimTime,
+        target: Option<f64>,
+    ) -> bool {
+        if het_trace::enabled() {
+            het_trace::set_scope(at.as_nanos(), None);
+            het_trace::event!("trainer", "eval",
+                "iteration" => self.global_iterations,
+                "metric" => metric,
+                "train_loss" => train_loss);
+        }
+        self.curve.push(ConvergencePoint {
+            sim_time: at,
+            iteration: self.global_iterations,
+            metric,
+            train_loss,
+        });
+        if target.is_some_and(|t| metric >= t) && self.converged_at.is_none() {
+            self.converged_at = Some(at);
+            return true;
+        }
+        false
+    }
+}
+
+/// The training job for one (system, model, dataset) triple.
+pub struct Trainer<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> {
+    env: StepEnv<D>,
+    workers: Vec<Worker<M>>,
+    progress: Progress,
     // --- fault injection (all inert when `plan` is empty) ---
     // Crash and outage *schedules* live in the runtime's centralized
     // fault delivery; the trainer keeps the plan only for the effects the
@@ -115,7 +440,7 @@ pub struct Trainer<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> {
 }
 
 impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
-    /// Builds the simulation. `model_factory` constructs one replica from
+    /// Builds the job. `model_factory` constructs one replica from
     /// an RNG; it is called once per worker with identically seeded RNGs,
     /// so all replicas start equal (data-parallel requirement, §2.1).
     pub fn new(
@@ -123,29 +448,22 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         dataset: D,
         model_factory: impl Fn(&mut StdRng) -> M,
     ) -> Self {
-        Self::with_shared_members(config, dataset, model_factory, 0)
+        Self::with_cluster(config, dataset, model_factory, 0, 0)
     }
 
-    /// Like [`Trainer::new`], but generates the fault plan over
-    /// `config.cluster.n_workers + extra_members` cluster members, so a
-    /// job co-scheduled after this trainer on the same [`ClusterRuntime`]
-    /// (which then owns members `n_workers..n_workers + extra_members`)
-    /// draws its crash schedule from the same plan.
-    pub fn with_shared_members(
-        config: TrainerConfig,
-        dataset: D,
-        model_factory: impl Fn(&mut StdRng) -> M,
-        extra_members: usize,
-    ) -> Self {
-        Self::with_shared_members_and_spares(config, dataset, model_factory, extra_members, 0)
-    }
-
-    /// Like [`Trainer::with_shared_members`], but reserves
-    /// `spare_shards` extra physical PS shards as live-split targets
-    /// (see [`het_ps::PsServer::with_spare_shards`]). The fault plan
-    /// still addresses only the base shards — spares receive traffic
-    /// solely through supervised resharding.
-    pub fn with_shared_members_and_spares(
+    /// Like [`Trainer::new`], for a trainer that shares its cluster:
+    ///
+    /// * the fault plan is generated over
+    ///   `config.cluster.n_workers + extra_members` cluster members, so
+    ///   a job co-scheduled after this trainer on the same
+    ///   [`ClusterRuntime`] (which then owns members
+    ///   `n_workers..n_workers + extra_members`) draws its crash
+    ///   schedule from the same plan;
+    /// * `spare_shards` extra physical PS shards are reserved as
+    ///   live-split targets (see [`het_ps::PsServer::with_spare_shards`]).
+    ///   The fault plan still addresses only the base shards — spares
+    ///   receive traffic solely through supervised resharding.
+    pub fn with_cluster(
         config: TrainerConfig,
         dataset: D,
         model_factory: impl Fn(&mut StdRng) -> M,
@@ -191,7 +509,7 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
             fused: config.system.backbone.fuse_messages,
         };
         let mut workers = Vec::with_capacity(config.cluster.n_workers);
-        for _ in 0..config.cluster.n_workers {
+        for id in 0..config.cluster.n_workers {
             let mut rng = StdRng::seed_from_u64(config.seed ^ 0x0DE1_CAFE);
             let model = model_factory(&mut rng);
             let sparse = match config.system.sparse {
@@ -221,26 +539,23 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
                 }
             };
             workers.push(Worker {
+                id,
                 model,
                 sparse,
                 clock: SimTime::ZERO,
                 iterations: 0,
                 comm: CommStats::new(),
                 breakdown: TimeBreakdown::default(),
-                loss_sum: 0.0,
-                loss_count: 0,
+                loss: (0.0, 0),
             });
         }
 
-        let dense_store = if config.system.dense == DenseSync::Ps {
+        let dense_store = (config.system.dense == DenseSync::Ps).then(|| {
             let mut flat = FlatParams::new();
             flat.export_from(&mut workers[0].model);
-            Some(DenseStore::new(flat.into_vec(), config.lr))
-        } else {
-            None
-        };
+            DenseStore::new(flat.into_vec(), config.lr)
+        });
 
-        let sgd = Sgd::new(config.lr);
         let worker_ops = vec![0u64; config.cluster.n_workers];
         let plane = (config.lookahead_depth > 0
             && matches!(config.system.sparse, SparseMode::Cached { .. }))
@@ -251,16 +566,16 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
             )))
         });
         Trainer {
-            config,
-            dataset,
-            server,
-            dense_store,
+            env: StepEnv {
+                sgd: Sgd::new(config.lr),
+                config,
+                dataset,
+                server,
+                dense_store,
+                net,
+            },
             workers,
-            net,
-            sgd,
-            global_iterations: 0,
-            curve: Vec::new(),
-            converged_at: None,
+            progress: Progress::default(),
             plan,
             ckpt_store,
             fault_stats,
@@ -274,18 +589,18 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
 
     /// The trainer's configuration.
     pub fn config(&self) -> &TrainerConfig {
-        &self.config
+        &self.env.config
     }
 
     /// The global embedding server (for test oracles and benches).
     pub fn server(&self) -> &PsServer {
-        &self.server
+        &self.env.server
     }
 
     /// A clone of the shared PS-fabric handle, for co-scheduling another
     /// job (e.g. a serving fleet) against the same table.
     pub fn server_handle(&self) -> ServerHandle {
-        self.server.clone()
+        self.env.server.clone()
     }
 
     /// The cluster's fault plan. The trainer's workers are cluster
@@ -306,7 +621,7 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
 
     /// The same-time ordering rule the trainer's runtime must use.
     pub fn tie_break(&self) -> TieBreak {
-        self.config.tie_break
+        self.env.config.tie_break
     }
 
     /// A worker's HET client, if the system is cached.
@@ -324,7 +639,7 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
 
     /// The dataset under training.
     pub fn dataset(&self) -> &D {
-        &self.dataset
+        &self.env.dataset
     }
 
     /// Number of workers.
@@ -332,16 +647,11 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         self.workers.len()
     }
 
-    /// The data cursor of worker `w`'s iteration `t`: workers stride the
-    /// global example sequence so shards are disjoint.
-    fn data_cursor(&self, worker: usize, iteration: u64) -> u64 {
-        (iteration * self.workers.len() as u64 + worker as u64) * self.config.batch_size as u64
-    }
-
-    /// Public view of the data cursor, so lookahead tests can recompute
-    /// exactly which batch a worker reads at a given iteration.
+    /// The data cursor of worker `w`'s iteration `t`, so lookahead
+    /// tests can recompute exactly which batch a worker reads at a
+    /// given iteration.
     pub fn data_cursor_of(&self, worker: usize, iteration: u64) -> u64 {
-        self.data_cursor(worker, iteration)
+        self.env.data_cursor(worker, iteration)
     }
 
     /// Iterations completed by one worker.
@@ -358,12 +668,12 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         self.plane.as_ref().map(|plane| {
             Prefetcher::new(
                 Arc::clone(plane),
-                self.server.clone(),
-                self.net,
+                self.env.server.clone(),
+                self.env.net,
                 wire::MessageCosts {
-                    fused: self.config.system.backbone.fuse_messages,
+                    fused: self.env.config.system.backbone.fuse_messages,
                 },
-                self.config.dim,
+                self.env.config.dim,
                 self.plan.clone(),
             )
         })
@@ -415,8 +725,11 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         let to = next_read + plane.depth();
         let mut queued = false;
         for target in from..to {
-            let cursor = self.data_cursor(w, target);
-            let batch = self.dataset.train_batch(cursor, self.config.batch_size);
+            let cursor = self.env.data_cursor(w, target);
+            let batch = self
+                .env
+                .dataset
+                .train_batch(cursor, self.env.config.batch_size);
             let keys = batch.unique_keys();
             let mut issued = Vec::new();
             let mut skipped_resident = Vec::new();
@@ -477,21 +790,22 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         let Some(store) = &mut self.ckpt_store else {
             return;
         };
-        let every = self.config.faults.checkpoint_every;
-        if every > 0 && self.global_iterations >= self.last_checkpoint_iter + every {
-            self.last_checkpoint_iter = self.global_iterations;
+        let every = self.env.config.faults.checkpoint_every;
+        let global = self.progress.global_iterations;
+        if every > 0 && global >= self.last_checkpoint_iter + every {
+            self.last_checkpoint_iter = global;
             store
-                .checkpoint_all(&self.server)
+                .checkpoint_all(&self.env.server)
                 .expect("in-memory checkpoint");
             self.fault_stats.checkpoints += 1;
             if het_trace::enabled() {
                 het_trace::set_scope(now.as_nanos(), None);
-                het_trace::event!("ps", "checkpoint", "iteration" => self.global_iterations);
+                het_trace::event!("ps", "checkpoint", "iteration" => global);
             }
         }
         while let Some((shard, at, failover)) = ctx.take_due_outage(now) {
             let outcome = store
-                .fail_and_restore(&self.server, shard)
+                .fail_and_restore(&self.env.server, shard)
                 .expect("in-memory checkpoint");
             self.fault_stats.shard_failovers += 1;
             self.fault_stats.rows_restored += outcome.rows_restored as u64;
@@ -527,8 +841,8 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
             return SimDuration::ZERO;
         };
         let Trainer {
+            env,
             workers,
-            dense_store,
             fault_stats,
             fault_events,
             plane,
@@ -557,7 +871,7 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
             SparseEngine::Cached(c) => c.crash_reset(),
             _ => (0, 0, 0),
         };
-        if let Some(store) = dense_store {
+        if let Some(store) = &env.dense_store {
             let (params, _version) = store.pull();
             FlatParams::from_vec(params).import_into(&mut worker.model);
             worker.model.zero_grads();
@@ -595,354 +909,135 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         restart
     }
 
-    /// Phase 1 of an iteration: acquire embeddings.
-    fn do_read(&mut self, w: usize, keys: &[Key]) -> (EmbeddingStore, SimDuration) {
-        let retry = self.config.faults.retry_policy();
-        // Split borrows: the engine needs &mut, the server &.
-        let Trainer {
-            server,
-            net,
-            workers,
-            plan,
-            fault_stats,
-            worker_ops,
-            plane,
-            ..
-        } = self;
-        let worker = &mut workers[w];
+    /// Worker `w`'s step inputs at its current clock: the worker, the
+    /// shared environment, the fault context (when a plan is active)
+    /// and the prefetch plane (when lookahead is on) — with the trace
+    /// scope published.
+    #[allow(clippy::type_complexity)]
+    fn step_parts(
+        &mut self,
+        w: usize,
+    ) -> (
+        &mut Worker<M>,
+        &StepEnv<D>,
+        Option<FaultContext<'_>>,
+        Option<&Mutex<PrefetchPlane>>,
+    ) {
+        let worker = &mut self.workers[w];
         let now = worker.clock;
         if het_trace::enabled() {
             het_trace::set_scope(now.as_nanos(), Some(w as u64));
         }
-        // Land every due prefetch first, waiting out (and charging) any
-        // in-flight pull this batch needs — the unhidden remainder of
-        // the transfer is the only part the read ever pays.
-        let mut prefetch_wait = SimDuration::ZERO;
-        if let Some(plane_rc) = plane {
-            if let SparseEngine::Cached(c) = &mut worker.sparse {
-                let (landed, stall) = plane_rc.lock().unwrap().take_for_read(w, now, keys);
-                prefetch_wait = stall;
-                let mut installed = 0u64;
-                let mut superseded = 0u64;
-                for r in landed {
-                    if c.install_prefetch_result(r.key, r.vector, r.clock, server) {
-                        installed += 1;
-                    } else {
-                        superseded += 1;
-                    }
-                }
-                // Installs can displace dirty rows back to the server;
-                // that write-back's disk time stalls this read.
-                prefetch_wait += SimDuration::from_nanos(server.take_io_ns());
-                let mut plane = plane_rc.lock().unwrap();
-                plane.note_install(installed, stall);
-                plane.note_cancelled(superseded);
-                if het_trace::enabled() && (installed > 0 || stall > SimDuration::ZERO) {
-                    het_trace::event!("prefetcher", "prefetch_install",
-                        "installed" => installed,
-                        "waited_ns" => stall.as_nanos());
-                }
-            }
-        }
-        let mut ctx = (!plan.is_empty()).then(|| FaultContext {
-            plan,
+        let faults = (!self.plan.is_empty()).then(|| FaultContext {
+            plan: &self.plan,
             now,
             worker: w,
-            retry,
-            ops: &mut worker_ops[w],
-            stats: fault_stats,
+            retry: self.env.config.faults.retry_policy(),
+            ops: &mut self.worker_ops[w],
+            stats: &mut self.fault_stats,
         });
-        let (store, t_read) = match &mut worker.sparse {
-            SparseEngine::Direct(c) => c.read(keys, server, net, &mut worker.comm, ctx.as_mut()),
-            SparseEngine::Cached(c) => c.read(keys, server, net, &mut worker.comm, ctx.as_mut()),
-            SparseEngine::Replicated => {
-                let mut store = EmbeddingStore::new(server.dim());
-                for &k in keys {
-                    store.insert(k, server.pull(k).vector);
-                }
-                // Replica reads stand for local table lookups, not a
-                // priced PS leg — keep their disk time out of request
-                // latency.
-                server.reclassify_pending_io();
-                (store, SimDuration::ZERO)
-            }
-        };
-        let t_read = prefetch_wait + t_read;
-        het_trace::span!("trainer", "read", t_read.as_nanos(), "keys" => keys.len());
-        (store, t_read)
+        (worker, &self.env, faults, self.plane.as_deref())
     }
 
-    /// Phase 2 of an iteration: compute + sparse write. Returns the
-    /// timing and, for replicated mode, the gradients to gather at the
-    /// barrier.
+    /// Phase 1 of an iteration: acquire embeddings.
+    fn do_read(&mut self, w: usize, keys: &[Key]) -> (EmbeddingStore, SimDuration) {
+        let (worker, env, mut faults, plane) = self.step_parts(w);
+        worker.read(keys, env, faults.as_mut(), plane)
+    }
+
+    /// Phase 2 of an iteration: compute + sparse write, charged at the
+    /// modelled compute time. Returns the iteration's critical-path
+    /// span (§4.1: the backbone may overlap communication with
+    /// computation) and, for replicated mode, the gradients to gather
+    /// at the barrier.
     fn do_compute_write(
         &mut self,
         w: usize,
         batch: &M::Batch,
         store: &EmbeddingStore,
         read_time: SimDuration,
-    ) -> (IterTiming, Option<SparseGrads>) {
-        let compute_factor = self.config.system.backbone.compute_factor;
-        let flops = {
-            let worker = &self.workers[w];
-            worker.model.flops_per_batch(batch.n_examples())
-        };
-        let mut compute = self.config.cluster.compute_time(flops * compute_factor);
+    ) -> (SimDuration, Option<SparseGrads>) {
+        let now = self.workers[w].clock;
+        let flops = self.workers[w].model.flops_per_batch(batch.n_examples());
+        let compute_factor = self.env.config.system.backbone.compute_factor;
+        let mut compute = self.env.config.cluster.compute_time(flops * compute_factor);
         if !self.plan.is_empty() {
             // Straggler windows slow this worker's compute, not the math.
-            let sf = self.plan.straggler_factor(w, self.workers[w].clock);
+            let sf = self.plan.straggler_factor(w, now);
             if sf != 1.0 {
                 compute = compute * sf;
                 self.fault_stats.straggler_slow_iters += 1;
                 if het_trace::enabled() {
-                    het_trace::set_scope(self.workers[w].clock.as_nanos(), Some(w as u64));
+                    het_trace::set_scope(now.as_nanos(), Some(w as u64));
                     het_trace::event!("trainer", "straggler_slow", "factor" => sf);
                 }
             }
         }
-        let retry = self.config.faults.retry_policy();
 
-        let Trainer {
-            server,
-            net,
-            workers,
-            plan,
-            fault_stats,
-            worker_ops,
-            plane,
-            ..
-        } = self;
-        let worker = &mut workers[w];
-        let (loss, grads) = worker.model.forward_backward(batch, store);
-        worker.loss_sum += loss as f64;
-        worker.loss_count += 1;
-
-        let now = worker.clock;
-        if het_trace::enabled() {
-            het_trace::set_scope(now.as_nanos(), Some(w as u64));
-        }
-        let mut ctx = (!plan.is_empty()).then(|| FaultContext {
-            plan,
-            now,
-            worker: w,
-            retry,
-            ops: &mut worker_ops[w],
-            stats: fault_stats,
-        });
-        let (write, gathered) = match &mut worker.sparse {
-            SparseEngine::Direct(c) => (
-                c.write(&grads, server, net, &mut worker.comm, ctx.as_mut()),
-                None,
-            ),
-            SparseEngine::Cached(c) => (
-                c.write(&grads, server, net, &mut worker.comm, ctx.as_mut()),
-                None,
-            ),
-            SparseEngine::Replicated => (SimDuration::ZERO, Some(grads)),
-        };
+        let (worker, env, mut faults, plane) = self.step_parts(w);
+        let (loss, grads) = worker.compute(batch, store);
+        let (write, gathered) = worker.write(grads, env, faults.as_mut());
 
         // Write-behind: the dirty evictions already reached the server
         // inside `write`, but their wire time was deferred — drain it
         // onto the plane's transmit channel, where it streams out
         // concurrently with later spans (and is paid in full at the
         // shutdown drain if the run ends first).
-        if let Some(plane_rc) = plane {
-            if let SparseEngine::Cached(c) = &mut worker.sparse {
-                let bg = c.take_deferred_push();
-                if bg > SimDuration::ZERO {
-                    let issue_at = now + read_time + compute;
-                    let (start, _) = plane_rc.lock().unwrap().tx_transfer(w, issue_at, bg);
-                    if het_trace::enabled() {
-                        het_trace::set_scope(start.as_nanos(), Some(w as u64));
-                        het_trace::span!("prefetcher", "writeback_bg", bg.as_nanos());
-                        het_trace::set_scope(now.as_nanos(), Some(w as u64));
-                    }
+        if let (Some(plane), SparseEngine::Cached(c)) = (plane, &mut worker.sparse) {
+            let bg = c.take_deferred_push();
+            if bg > SimDuration::ZERO {
+                let issue_at = now + read_time + compute;
+                let (start, _) = plane.lock().unwrap().tx_transfer(w, issue_at, bg);
+                if het_trace::enabled() {
+                    het_trace::set_scope(start.as_nanos(), Some(w as u64));
+                    het_trace::span!("prefetcher", "writeback_bg", bg.as_nanos());
+                    het_trace::set_scope(now.as_nanos(), Some(w as u64));
                 }
             }
         }
 
-        worker.iterations += 1;
-        worker.breakdown.sparse_read += read_time;
-        worker.breakdown.compute += compute;
-        worker.breakdown.sparse_write += write;
-        het_trace::span!("trainer", "compute", compute.as_nanos(), "loss" => loss as f64);
-        het_trace::span!("trainer", "write", write.as_nanos());
-        (
-            IterTiming {
-                read: read_time,
-                compute,
-                write,
-            },
-            gathered,
-        )
+        worker.complete(compute, loss, write);
+        let span = if env.config.system.backbone.overlap {
+            compute.max(read_time + write)
+        } else {
+            read_time + compute + write
+        };
+        (span, gathered)
     }
 
-    /// ASP dense path: push gradients to the dense store, pull fresh
-    /// parameters. Returns the time spent.
+    /// Worker `w`'s dense PS push/pull at its current clock.
     fn dense_ps_sync(&mut self, w: usize) -> SimDuration {
-        let Trainer {
-            dense_store,
-            workers,
-            net,
-            ..
-        } = self;
-        let Some(store) = dense_store else {
-            return SimDuration::ZERO;
-        };
-        let worker = &mut workers[w];
-        if het_trace::enabled() {
-            het_trace::set_scope(worker.clock.as_nanos(), Some(w as u64));
-        }
-        let mut grads = FlatGrads::new();
-        grads.export_from(&mut worker.model);
-        store.push(grads.as_slice());
-        let (params, _version) = store.pull();
-        FlatParams::from_vec(params).import_into(&mut worker.model);
-        worker.model.zero_grads();
-
-        let bytes = wire::dense_transfer_bytes(grads.len());
-        worker.comm.record(CommCategory::DensePs, bytes);
-        worker.comm.record(CommCategory::DensePs, bytes);
-        let t = net.ps_transfer(bytes) * 2;
-        worker.breakdown.dense_sync += t;
-        het_trace::span!("trainer", "dense_sync", t.as_nanos(), "bytes" => bytes * 2);
-        t
+        let (worker, env, ..) = self.step_parts(w);
+        worker.dense_ps_sync(env)
     }
 
     /// BSP dense path: average gradients across workers, step each
     /// replica. Returns the AllReduce time (zero for one worker).
     fn dense_allreduce(&mut self) -> SimDuration {
-        let mut sum = FlatGrads::new();
-        let mut per_worker = Vec::with_capacity(self.workers.len());
-        for worker in &mut self.workers {
-            let mut g = FlatGrads::new();
-            g.export_from(&mut worker.model);
-            sum.accumulate(&g);
-            per_worker.push(g);
-        }
-        let n = self.workers.len() as f32;
-        sum.scale(1.0 / n);
-        let bytes = (sum.len() * wire::F32_BYTES as usize) as u64;
-        let t = self.net.ring_allreduce(bytes);
-        let per_worker_bytes = self.net.ring_allreduce_bytes_per_worker(bytes);
-        let sgd = self.sgd;
-        for (i, worker) in self.workers.iter_mut().enumerate() {
-            if het_trace::enabled() {
-                het_trace::set_scope(worker.clock.as_nanos(), Some(i as u64));
-            }
-            sum.import_into(&mut worker.model);
-            sgd.step(&mut worker.model);
-            if per_worker_bytes > 0 {
-                worker
-                    .comm
-                    .record(CommCategory::DenseAllReduce, per_worker_bytes);
-            }
-            worker.breakdown.dense_sync += t;
-        }
-        t
-    }
-
-    /// HET AR sparse path at the barrier: AllGather every worker's
-    /// gradient block, apply the merged update once to the shared table.
-    fn sparse_allgather(&mut self, gathered: Vec<SparseGrads>) -> SimDuration {
-        let dim = self.config.dim;
-        let net = self.net;
-        let mut merged = SparseGrads::new(dim);
-        let mut max_block = 0u64;
-        for (i, (grads, worker)) in gathered.iter().zip(&mut self.workers).enumerate() {
-            if het_trace::enabled() {
-                het_trace::set_scope(worker.clock.as_nanos(), Some(i as u64));
-            }
-            let block = wire::sparse_allgather_block_bytes(grads.len(), dim);
-            max_block = max_block.max(block);
-            let bytes = net.allgather_bytes_per_worker(block);
-            if bytes > 0 {
-                worker.comm.record(CommCategory::SparseAllGather, bytes);
-            }
-            merged.merge(grads);
-        }
-        for k in merged.sorted_keys() {
-            self.server.push_inc(k, merged.get(k).expect("merged key"));
-        }
-        // The merged apply is the gathered update landing in every
-        // replica; its disk time rides the barrier it happens behind.
-        let t = net.allgather(max_block) + SimDuration::from_nanos(self.server.take_io_ns());
-        for worker in &mut self.workers {
-            worker.breakdown.sparse_write += t;
+        let grads: Vec<FlatGrads> = self
+            .workers
+            .iter_mut()
+            .map(Worker::export_dense_grads)
+            .collect();
+        let (avg, t) = allreduce_dense(grads.into_iter(), &self.env);
+        for w in 0..self.workers.len() {
+            let (worker, env, ..) = self.step_parts(w);
+            worker.apply_dense_average(&avg, t, env);
         }
         t
     }
 
     /// Evaluates the current model against the held-out split from
-    /// worker 0's point of view: its dense replica, and its *cache view*
-    /// of the embeddings where resident (read-my-updates — pending
-    /// stale writes are visible, exactly as they are to the training
-    /// computation), falling back to the server for everything else.
+    /// worker 0's point of view (its dense replica and cache view).
     pub fn evaluate_now(&mut self) -> f64 {
-        let mut chunk = EvalChunk::default();
-        for b in 0..self.config.eval_batches {
-            let batch = self
-                .dataset
-                .test_batch((b * self.config.batch_size) as u64, self.config.batch_size);
-            let keys = batch.unique_keys();
-            let store = self.resolve_eval_view(&keys);
-            chunk.extend(self.workers[0].model.evaluate(&batch, &store));
-        }
-        chunk.metric(self.workers[0].model.metric_kind())
-    }
-
-    /// Worker 0's view of a key set: cached local values where resident
-    /// (without touching eviction bookkeeping), server values otherwise.
-    fn resolve_eval_view(&self, keys: &[Key]) -> EmbeddingStore {
-        let mut store = EmbeddingStore::new(self.config.dim);
-        let cache = match &self.workers[0].sparse {
-            SparseEngine::Cached(c) => Some(c.cache()),
-            _ => None,
-        };
-        for &k in keys {
-            let v = cache
-                .and_then(|c| c.peek(k).map(|e| e.vector.clone()))
-                .unwrap_or_else(|| self.server.pull(k).vector);
-            store.insert(k, v);
-        }
-        // Evaluation is outside the simulated clocks entirely.
-        self.server.reclassify_pending_io();
-        store
+        self.workers[0].evaluate(&self.env)
     }
 
     fn record_eval(&mut self, sim_time: SimTime) -> bool {
         let metric = self.evaluate_now();
-        let loss_sum: f64 = self.workers.iter().map(|w| w.loss_sum).sum();
-        let loss_count: u64 = self.workers.iter().map(|w| w.loss_count).sum();
-        let train_loss = if loss_count > 0 {
-            loss_sum / loss_count as f64
-        } else {
-            0.0
-        };
-        for w in &mut self.workers {
-            w.loss_sum = 0.0;
-            w.loss_count = 0;
-        }
-        if het_trace::enabled() {
-            het_trace::set_scope(sim_time.as_nanos(), None);
-            het_trace::event!("trainer", "eval",
-                "iteration" => self.global_iterations,
-                "metric" => metric,
-                "train_loss" => train_loss);
-        }
-        self.curve.push(ConvergencePoint {
-            sim_time,
-            iteration: self.global_iterations,
-            metric,
-            train_loss,
-        });
-        if let Some(target) = self.config.target_metric {
-            if metric >= target && self.converged_at.is_none() {
-                self.converged_at = Some(sim_time);
-                return true;
-            }
-        }
-        false
+        let train_loss = mean_loss(self.workers.iter_mut().map(|w| std::mem::take(&mut w.loss)));
+        self.progress
+            .record_eval(metric, train_loss, sim_time, self.env.config.target_metric)
     }
 
     /// Runs the full simulation on a private [`ClusterRuntime`] and
@@ -950,7 +1045,7 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
     /// one cluster) build the runtime themselves, register every job,
     /// call [`Trainer::prime`], run, then [`Trainer::finalize`].
     pub fn run(&mut self) -> TrainReport {
-        let mut rt = ClusterRuntime::new(self.config.tie_break, self.plan.clone());
+        let mut rt = ClusterRuntime::new(self.env.config.tie_break, self.plan.clone());
         let pid = rt.register(self.workers.len());
         // The prefetcher is a separate process with no fault-domain
         // members of its own: worker crashes and shard outages route to
@@ -975,7 +1070,7 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
     /// Schedules this trainer's initial events on `rt`: one round event
     /// for BSP, one event per worker for ASP/SSP.
     pub fn prime(&self, rt: &mut ClusterRuntime, pid: ProcessId) {
-        match self.config.system.sync {
+        match self.env.config.system.sync {
             SyncMode::Bsp => rt.prime(pid, SimTime::ZERO, Event::Wake(0)),
             SyncMode::Asp | SyncMode::Ssp { .. } => {
                 for w in 0..self.workers.len() {
@@ -989,7 +1084,7 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
     /// workers read, all compute and write, then the collectives close
     /// the round and the next round is scheduled at the barrier's exit.
     fn on_round(&mut self, ctx: &mut Ctx<'_>) {
-        if self.global_iterations >= self.config.max_iterations {
+        if self.progress.global_iterations >= self.env.config.max_iterations {
             self.stop_prefetch();
             ctx.stop();
             return;
@@ -1008,8 +1103,7 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         // Phase 1: reads.
         let mut pending: Vec<(M::Batch, EmbeddingStore, SimDuration)> = Vec::with_capacity(n);
         for w in 0..n {
-            let cursor = self.data_cursor(w, self.workers[w].iterations);
-            let batch = self.dataset.train_batch(cursor, self.config.batch_size);
+            let batch = self.workers[w].next_batch(&self.env);
             let keys = batch.unique_keys();
             let (store, t_read) = self.do_read(w, &keys);
             pending.push((batch, store, t_read));
@@ -1018,18 +1112,20 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         let mut span_max = SimDuration::ZERO;
         let mut gathered = Vec::new();
         for (w, (batch, store, t_read)) in pending.into_iter().enumerate() {
-            let (timing, g) = self.do_compute_write(w, &batch, &store, t_read);
-            span_max = span_max.max(timing.span(&self.config.system.backbone));
-            if let Some(g) = g {
-                gathered.push(g);
-            }
+            let (span, g) = self.do_compute_write(w, &batch, &store, t_read);
+            span_max = span_max.max(span);
+            gathered.extend(g);
         }
         // Barrier: collectives.
         let mut barrier_time = SimDuration::ZERO;
         if !gathered.is_empty() {
-            barrier_time += self.sparse_allgather(gathered);
+            let t = apply_sparse_gather(&gathered, &self.env);
+            for worker in &mut self.workers {
+                worker.breakdown.sparse_write += t;
+            }
+            barrier_time += t;
         }
-        match self.config.system.dense {
+        match self.env.config.system.dense {
             DenseSync::AllReduce => barrier_time += self.dense_allreduce(),
             DenseSync::Ps => {
                 // BSP over a dense PS (not used by the presets but
@@ -1051,14 +1147,15 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         for worker in &mut self.workers {
             worker.clock = now;
         }
-        self.global_iterations += n as u64;
+        self.progress.global_iterations += n as u64;
+        let global = self.progress.global_iterations;
 
-        if self.global_iterations % self.config.eval_every < n as u64 && self.record_eval(now) {
+        if global % self.env.config.eval_every < n as u64 && self.record_eval(now) {
             self.stop_prefetch();
             ctx.stop();
             return;
         }
-        if self.global_iterations >= self.config.max_iterations {
+        if global >= self.env.config.max_iterations {
             self.stop_prefetch();
             ctx.stop();
         } else {
@@ -1083,7 +1180,7 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         ssp_staleness: Option<u64>,
         ctx: &mut Ctx<'_>,
     ) {
-        if self.global_iterations >= self.config.max_iterations {
+        if self.progress.global_iterations >= self.env.config.max_iterations {
             self.stop_prefetch();
             ctx.stop();
             return;
@@ -1124,26 +1221,25 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
                 self.workers[w].clock = t + crash_delay;
             }
         }
-        let cursor = self.data_cursor(w, self.workers[w].iterations);
-        let batch = self.dataset.train_batch(cursor, self.config.batch_size);
+        let batch = self.workers[w].next_batch(&self.env);
         let keys = batch.unique_keys();
         let (store, t_read) = self.do_read(w, &keys);
-        let (timing, gathered) = self.do_compute_write(w, &batch, &store, t_read);
+        let (mut iter_time, gathered) = self.do_compute_write(w, &batch, &store, t_read);
         debug_assert!(gathered.is_none(), "replicated sparse requires BSP");
-        let mut iter_time = timing.span(&self.config.system.backbone);
         iter_time += self.dense_ps_sync(w);
 
         let now = t + crash_delay + iter_time;
         self.workers[w].clock = now;
         ctx.schedule(now, Event::Wake(w as u64));
-        self.global_iterations += 1;
+        self.progress.global_iterations += 1;
+        let global = self.progress.global_iterations;
 
-        if self.global_iterations % self.config.eval_every == 0 && self.record_eval(now) {
+        if global % self.env.config.eval_every == 0 && self.record_eval(now) {
             self.stop_prefetch();
             ctx.stop();
             return;
         }
-        if self.global_iterations >= self.config.max_iterations {
+        if global >= self.env.config.max_iterations {
             self.stop_prefetch();
             ctx.stop();
         } else {
@@ -1174,8 +1270,7 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
             }
         }
         // Snapshot cache residency (the "stale path" key sets), then
-        // flush so every pending update reaches the server (the paper's
-        // end-of-training write-back).
+        // flush so every pending update reaches the server.
         let resident_keys_per_worker: Vec<Vec<u64>> = self
             .workers
             .iter()
@@ -1188,29 +1283,10 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
                 _ => Vec::new(),
             })
             .collect();
-        let Trainer {
-            server,
-            net,
-            workers,
-            ..
-        } = &mut *self;
-        let (server, net) = (&*server, &*net);
-        for (i, worker) in workers.iter_mut().enumerate() {
-            if let SparseEngine::Cached(c) = &mut worker.sparse {
-                if het_trace::enabled() {
-                    het_trace::set_scope(worker.clock.as_nanos(), Some(i as u64));
-                }
-                let waste_before = c.cache().stats().prefetch_wasted;
-                let t = c.flush(server, net, &mut worker.comm);
-                worker.breakdown.sparse_write += t;
-                worker.clock += t;
-                het_trace::span!("trainer", "flush", t.as_nanos());
-                if het_trace::enabled() {
-                    let wasted = c.cache().stats().prefetch_wasted - waste_before;
-                    if wasted > 0 {
-                        het_trace::event!("prefetcher", "prefetch_waste", "n" => wasted);
-                    }
-                }
+        for w in 0..self.workers.len() {
+            if self.workers[w].is_cached() {
+                let (worker, env, ..) = self.step_parts(w);
+                worker.flush(env);
             }
         }
         let final_metric = self.evaluate_now();
@@ -1221,35 +1297,25 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
             .max()
             .unwrap_or(SimTime::ZERO);
 
-        let mut comm = CommStats::new();
-        let mut cache = het_cache::CacheStats::default();
-        let mut breakdown = TimeBreakdown::default();
-        for worker in &self.workers {
-            comm.merge(&worker.comm);
-            if let SparseEngine::Cached(c) = &worker.sparse {
-                cache.merge(c.cache().stats());
-            }
-            breakdown.sparse_read += worker.breakdown.sparse_read;
-            breakdown.compute += worker.breakdown.compute;
-            breakdown.sparse_write += worker.breakdown.sparse_write;
-            breakdown.dense_sync += worker.breakdown.dense_sync;
-        }
-        let examples = self.global_iterations * self.config.batch_size as u64;
-        let epochs = examples as f64 / self.dataset.epoch_examples().max(1) as f64;
+        let (comm, cache, breakdown) = merged_stats(&self.workers);
+        let config = &self.env.config;
+        let server = &self.env.server;
+        let examples = self.progress.global_iterations * config.batch_size as u64;
+        let epochs = examples as f64 / self.env.dataset.epoch_examples().max(1) as f64;
         // Tiered-store accounting: absent for Mem runs so their reports
         // (and traces) stay byte-identical to the legacy path. Any disk
         // time the final flush left pending has no leg to ride — fold
         // it into the client pool total here.
-        let store = match &self.config.store {
+        let store = match &config.store {
             het_ps::StoreSpec::Mem => None,
             het_ps::StoreSpec::Tiered(_) => {
-                let stats = self.server.store_stats();
-                let client_io_ns = stats.io_ns.saturating_sub(self.server.background_io_ns());
+                let stats = server.store_stats();
+                let client_io_ns = stats.io_ns.saturating_sub(server.background_io_ns());
                 let summary = crate::report::StoreSummary {
                     client_io_ns,
-                    background_io_ns: self.server.background_io_ns(),
-                    resident_rows: self.server.resident_rows() as u64,
-                    total_rows: self.server.len() as u64,
+                    background_io_ns: server.background_io_ns(),
+                    resident_rows: server.resident_rows() as u64,
+                    total_rows: server.len() as u64,
                     stats,
                 };
                 // The per-op counters (hot_hits, demotions, …) are
@@ -1265,13 +1331,13 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
             }
         };
         TrainReport {
-            system: self.config.system.name.to_string(),
-            curve: self.curve.clone(),
+            system: config.system.name.to_string(),
+            curve: self.progress.curve.clone(),
             total_sim_time,
-            total_iterations: self.global_iterations,
+            total_iterations: self.progress.global_iterations,
             examples_processed: examples,
             epochs,
-            converged_at: self.converged_at,
+            converged_at: self.progress.converged_at,
             final_metric,
             comm,
             cache,
@@ -1295,7 +1361,7 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Process for Trainer<M, D> 
             "register the trainer before any co-scheduled job"
         );
         let Event::Wake(w) = ev else { return };
-        match self.config.system.sync {
+        match self.env.config.system.sync {
             SyncMode::Bsp => self.on_round(ctx),
             SyncMode::Asp => self.on_worker_event(t, w as usize, None, ctx),
             SyncMode::Ssp { staleness } => {
@@ -1354,7 +1420,7 @@ mod tests {
         let _ = t.run();
         let iters: Vec<u64> = t.workers.iter().map(|w| w.iterations).collect();
         let total: u64 = iters.iter().sum();
-        assert_eq!(total, t.global_iterations);
+        assert_eq!(total, t.progress.global_iterations);
     }
 
     #[test]

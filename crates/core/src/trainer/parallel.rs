@@ -1,57 +1,51 @@
-//! The threaded execution backend for the trainer.
+//! The threaded scheduler for the trainer's job body.
 //!
-//! [`Trainer::run`] schedules every worker on the single-threaded
-//! discrete-event runtime; this module runs the *same* training job on
-//! real OS threads — one thread per worker — behind the
-//! `--backend threads:<n>` seam (`het_runtime::ExecutionBackend`). The
-//! simulator stays the correctness oracle:
+//! [`Trainer::run`] schedules the worker steps of [`super`] on the
+//! single-threaded discrete-event runtime; this module schedules the
+//! *same* steps on real OS threads — one per worker — behind
+//! `--backend threads:<n>` (`het_runtime::ExecutionBackend`). All that
+//! lives here is who may run when, and what time it is:
 //!
-//! * **BSP** rounds are replayed with the sim's exact server-visible
-//!   operation order: reads pass through an ordered [`Turnstile`],
-//!   compute runs genuinely in parallel, writes pass through a second
-//!   turnstile, and the round tail (sparse AllGather merge, dense
-//!   gradient averaging, evaluation) runs on the deterministic barrier
-//!   leader (the thread that owns worker 0). Because every PS-mutating
-//!   step happens in worker order and the gradient average accumulates
-//!   in worker order, the final dense parameters and the convergence
-//!   curve are **bit-identical** to the sim backend's.
-//! * **ASP/SSP** workers free-run against the shared PS (per-shard
+//! * **BSP**: reads pass through an ordered [`Turnstile`], compute runs
+//!   genuinely in parallel, writes pass through a second turnstile, and
+//!   the round tail (sparse gather, dense average, evaluation) runs on
+//!   the barrier leader — the thread that owns worker 0. Every
+//!   PS-mutating step therefore happens in the sim's worker order, which
+//!   is what makes a threaded BSP run **bit-identical** to the sim's
+//!   (DESIGN.md §3.13).
+//! * **ASP/SSP**: workers free-run against the shared PS (per-shard
 //!   locks carry the concurrency); an iteration is claimed under a
 //!   progress lock before it runs, and the SSP gate blocks a worker
 //!   whose completed-iteration count is more than `staleness` ahead of
 //!   the slowest — so a merged trace always satisfies the oracle's
-//!   spread bound (`s + 1`, counting the in-flight iteration).
-//!
-//! Tracing: each worker thread runs its own thread-local collector (the
-//! existing sink, unchanged); events are stamped from a shared
-//! strictly-increasing [`WallClock`] and merged at join time with
-//! [`het_trace::merge_threads`], which orders by `(t, tid)`. Callers
-//! that want a trace pass `trace_meta` to [`Trainer::run_threaded`] and
-//! must **not** have their own collector running on the calling thread
-//! — the run starts one for the post-join flush and merges it in as the
-//! last part.
+//!   spread bound (`s + 1`, counting the in-flight iteration). Mid-run
+//!   evaluation is BSP-only; ASP/SSP runs evaluate once at the end.
+//! * **Time** is a shared strictly-increasing [`WallClock`]: each
+//!   worker thread runs its own thread-local trace collector, scopes
+//!   are stamped from the clock, and the buffers are merged at join
+//!   time with [`het_trace::merge_threads`] in `(t, tid)` order.
+//!   Callers that pass `trace_meta` to [`Trainer::run_threaded`] must
+//!   **not** have a collector running on the calling thread — the run
+//!   starts one for the post-join flush and merges it in last.
 //!
 //! Locking order (DESIGN.md §3.13): progress/phase locks → PS shard
-//! locks → trace scope. Nothing in this module takes a shard lock while
-//! holding another shard's lock, and no PS call is made while holding
-//! the progress or tail mutex.
+//! locks → trace scope.
 //!
-//! Not supported (rejected up front): fault injection and lookahead
-//! prefetch, both of which are defined in terms of the simulated clock.
-//! Mid-run evaluation is BSP-only; ASP/SSP threaded runs evaluate once
-//! at the end (the sim backend remains the tool for async convergence
-//! curves).
+//! Fault injection and lookahead prefetch are defined in terms of the
+//! simulated clock and are rejected up front.
 
-use super::{SparseEngine, Trainer, Worker};
-use crate::config::{DenseSync, SyncMode, TrainerConfig};
+use super::{
+    allreduce_dense, apply_sparse_gather, mean_loss, merged_stats, Progress, StepEnv, Trainer,
+    Worker,
+};
+use crate::config::{DenseSync, SyncMode};
 use crate::report::ConvergencePoint;
 use het_cache::CacheStats;
 use het_json::{Json, ToJson};
-use het_models::{Dataset, EmbeddingModel, EmbeddingStore, EvalChunk, ModelBatch, SparseGrads};
-use het_ps::{DenseStore, PsServer};
+use het_models::{Dataset, EmbeddingModel, EmbeddingStore, ModelBatch, SparseGrads};
 use het_runtime::{Barrier, Turnstile, WallClock};
-use het_simnet::{wire, Collectives, CommCategory, CommStats, SimTime};
-use het_tensor::{FlatGrads, FlatParams, Sgd};
+use het_simnet::{CommStats, SimDuration, SimTime};
+use het_tensor::{FlatGrads, FlatParams};
 use het_trace::TraceLog;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -119,24 +113,15 @@ impl ToJson for ParallelReport {
     }
 }
 
-/// Immutable per-run state shared by every worker thread.
-struct ThreadCtx<'a, D> {
-    config: &'a TrainerConfig,
-    dataset: &'a D,
-    server: &'a PsServer,
-    dense_store: Option<&'a DenseStore>,
-    net: Collectives,
-    sgd: Sgd,
-    n: usize,
-    tracing: bool,
-}
-
-/// Leader-side BSP round accounting.
+/// What one worker hands the leader at the end of a BSP round.
 #[derive(Default)]
-struct BspTail {
-    rounds: u64,
-    curve: Vec<ConvergencePoint>,
-    converged_at_ns: Option<u64>,
+struct RoundSlot {
+    /// Exported dense gradients (AllReduce dense path).
+    dense: Option<FlatGrads>,
+    /// Sparse gradient block (HET AR only).
+    sparse: Option<SparseGrads>,
+    /// Training loss since the last evaluation.
+    loss: (f64, u64),
 }
 
 /// Everything the BSP threads rendezvous on.
@@ -150,19 +135,12 @@ struct BspShared {
     written: Barrier,
     /// Leader tail done; followers may apply the averaged gradient.
     applied: Barrier,
-    clock: WallClock,
     stop: AtomicBool,
-    /// Per-worker exported dense gradients, filled in the write phase.
-    dense_slots: Mutex<Vec<Option<FlatGrads>>>,
-    /// Per-worker sparse gradient blocks (HET AR only).
-    gathered: Mutex<Vec<Option<SparseGrads>>>,
-    /// The round's averaged dense gradient, published by the leader.
-    avg: Mutex<FlatGrads>,
-    /// Per-worker `(loss_sum, loss_count)` slots; summed in worker
-    /// order at evaluation so the reported train loss is bit-identical
-    /// to the sim's (float addition order matters).
-    loss: Mutex<Vec<(f64, u64)>>,
-    tail: Mutex<BspTail>,
+    slots: Mutex<Vec<RoundSlot>>,
+    /// The round's averaged dense gradient and AllReduce time, published
+    /// by the leader.
+    avg: Mutex<(FlatGrads, SimDuration)>,
+    progress: Mutex<Progress>,
 }
 
 /// ASP/SSP progress ledger: completed iterations per worker plus the
@@ -175,7 +153,6 @@ struct AsyncProgress {
 }
 
 struct AsyncShared {
-    clock: WallClock,
     progress: Mutex<AsyncProgress>,
     cv: Condvar,
 }
@@ -198,17 +175,59 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
                     .to_string(),
             );
         }
-        if self.config.lookahead_depth > 0 {
+        if self.env.config.lookahead_depth > 0 {
             return Err(
                 "the threaded backend does not support lookahead prefetch; use --backend sim"
                     .to_string(),
             );
         }
-        Ok(match self.config.system.sync {
-            SyncMode::Bsp => self.run_threaded_bsp(trace_meta),
-            SyncMode::Asp => self.run_threaded_async(None, trace_meta),
-            SyncMode::Ssp { staleness } => self.run_threaded_async(Some(staleness), trace_meta),
-        })
+        let Trainer {
+            env,
+            workers,
+            progress,
+            ..
+        } = &mut *self;
+        let env = &*env;
+        let n = workers.len();
+        let tracing = trace_meta.is_some();
+        let clock = WallClock::new();
+        let sync = env.config.system.sync;
+        let logs = if sync == SyncMode::Bsp {
+            let shared = BspShared {
+                read_ts: Turnstile::new(n),
+                write_ts: Turnstile::new(n),
+                computed: Barrier::new(n),
+                written: Barrier::new(n),
+                applied: Barrier::new(n),
+                stop: AtomicBool::new(false),
+                slots: Mutex::new((0..n).map(|_| RoundSlot::default()).collect()),
+                avg: Mutex::new((FlatGrads::new(), SimDuration::ZERO)),
+                progress: Mutex::new(std::mem::take(progress)),
+            };
+            let logs = on_threads(workers, tracing, |worker| {
+                bsp_worker_loop(worker, &shared, &clock, env)
+            });
+            *progress = shared.progress.into_inner().unwrap();
+            logs
+        } else {
+            let staleness = match sync {
+                SyncMode::Ssp { staleness } => Some(staleness),
+                _ => None,
+            };
+            let shared = AsyncShared {
+                progress: Mutex::new(AsyncProgress {
+                    iters: vec![0; n],
+                    global: 0,
+                }),
+                cv: Condvar::new(),
+            };
+            let logs = on_threads(workers, tracing, |worker| {
+                async_worker_loop(worker, &shared, &clock, env, staleness)
+            });
+            progress.global_iterations = shared.progress.into_inner().unwrap().global;
+            logs
+        };
+        Ok(self.finish_threaded(&clock, logs, trace_meta, sync != SyncMode::Bsp))
     }
 
     /// Worker 0's flat dense parameters, for cross-backend bit-identity
@@ -219,154 +238,15 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         flat.into_vec()
     }
 
-    fn run_threaded_bsp(&mut self, trace_meta: Option<Vec<(String, Json)>>) -> ParallelReport {
-        let n = self.workers.len();
-        let tracing = trace_meta.is_some();
-        let shared = BspShared {
-            read_ts: Turnstile::new(n),
-            write_ts: Turnstile::new(n),
-            computed: Barrier::new(n),
-            written: Barrier::new(n),
-            applied: Barrier::new(n),
-            clock: WallClock::new(),
-            stop: AtomicBool::new(false),
-            dense_slots: Mutex::new((0..n).map(|_| None).collect()),
-            gathered: Mutex::new((0..n).map(|_| None).collect()),
-            avg: Mutex::new(FlatGrads::new()),
-            loss: Mutex::new(vec![(0.0, 0u64); n]),
-            tail: Mutex::new(BspTail::default()),
-        };
-        let Trainer {
-            config,
-            dataset,
-            server,
-            dense_store,
-            workers,
-            net,
-            sgd,
-            ..
-        } = &mut *self;
-        let ctx = ThreadCtx {
-            config,
-            dataset,
-            server,
-            dense_store: dense_store.as_ref(),
-            net: *net,
-            sgd: *sgd,
-            n,
-            tracing,
-        };
-        let logs: Vec<TraceLog> = std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(n);
-            for (w, worker) in workers.iter_mut().enumerate() {
-                let shared = &shared;
-                let ctx = &ctx;
-                handles.push(s.spawn(move || {
-                    if ctx.tracing {
-                        het_trace::start(Vec::new());
-                    }
-                    bsp_worker_loop(w, worker, shared, ctx);
-                    het_trace::finish()
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect()
-        });
-        let tail = std::mem::take(&mut *shared.tail.lock().unwrap());
-        let total = tail.rounds * n as u64;
-        self.finish_threaded(
-            n,
-            &shared.clock,
-            logs,
-            trace_meta,
-            total,
-            tail.curve,
-            tail.converged_at_ns,
-            false,
-        )
-    }
-
-    fn run_threaded_async(
-        &mut self,
-        staleness: Option<u64>,
-        trace_meta: Option<Vec<(String, Json)>>,
-    ) -> ParallelReport {
-        let n = self.workers.len();
-        let tracing = trace_meta.is_some();
-        let shared = AsyncShared {
-            clock: WallClock::new(),
-            progress: Mutex::new(AsyncProgress {
-                iters: vec![0; n],
-                global: 0,
-            }),
-            cv: Condvar::new(),
-        };
-        let Trainer {
-            config,
-            dataset,
-            server,
-            dense_store,
-            workers,
-            net,
-            sgd,
-            ..
-        } = &mut *self;
-        let ctx = ThreadCtx {
-            config,
-            dataset,
-            server,
-            dense_store: dense_store.as_ref(),
-            net: *net,
-            sgd: *sgd,
-            n,
-            tracing,
-        };
-        let logs: Vec<TraceLog> = std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(n);
-            for (w, worker) in workers.iter_mut().enumerate() {
-                let shared = &shared;
-                let ctx = &ctx;
-                handles.push(s.spawn(move || {
-                    if ctx.tracing {
-                        het_trace::start(Vec::new());
-                    }
-                    async_worker_loop(w, worker, shared, ctx, staleness);
-                    het_trace::finish()
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect()
-        });
-        let total = shared.progress.lock().unwrap().global;
-        self.finish_threaded(
-            n,
-            &shared.clock,
-            logs,
-            trace_meta,
-            total,
-            Vec::new(),
-            None,
-            true,
-        )
-    }
-
-    /// Post-join tail shared by both modes: flush every cache (wall
-    /// stamps, on the main thread's own collector), evaluate, merge the
-    /// per-thread traces, and assemble the report.
-    #[allow(clippy::too_many_arguments)]
+    /// Post-join tail: flush every cache (wall stamps, on the main
+    /// thread's own collector), evaluate, merge the per-thread traces,
+    /// and assemble the report. ASP/SSP runs get their one curve point
+    /// here.
     fn finish_threaded(
         &mut self,
-        n: usize,
         clock: &WallClock,
         logs: Vec<TraceLog>,
         trace_meta: Option<Vec<(String, Json)>>,
-        total: u64,
-        mut curve: Vec<ConvergencePoint>,
-        converged_at_ns: Option<u64>,
         push_final_point: bool,
     ) -> ParallelReport {
         let tracing = trace_meta.is_some();
@@ -374,24 +254,9 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         if tracing {
             het_trace::start(Vec::new());
         }
-        {
-            let Trainer {
-                server,
-                net,
-                workers,
-                ..
-            } = &mut *self;
-            let server = &**server;
-            for (i, worker) in workers.iter_mut().enumerate() {
-                if let SparseEngine::Cached(c) = &mut worker.sparse {
-                    if tracing {
-                        het_trace::set_scope(clock.stamp(), Some(i as u64));
-                    }
-                    let t = c.flush(server, net, &mut worker.comm);
-                    worker.breakdown.sparse_write += t;
-                    het_trace::span!("trainer", "flush", t.as_nanos());
-                }
-            }
+        for worker in self.workers.iter_mut().filter(|w| w.is_cached()) {
+            stamp_scope(worker, clock);
+            worker.flush(&self.env);
         }
         let final_metric = self.evaluate_now();
         let trace = trace_meta.map(|meta| {
@@ -399,33 +264,20 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
             parts.push(het_trace::finish());
             het_trace::merge_threads(meta, parts)
         });
+        let total = self.progress.global_iterations;
         if push_final_point {
-            let loss_sum: f64 = self.workers.iter().map(|w| w.loss_sum).sum();
-            let loss_count: u64 = self.workers.iter().map(|w| w.loss_count).sum();
-            curve.push(ConvergencePoint {
+            self.progress.curve.push(ConvergencePoint {
                 sim_time: SimTime::from_nanos(wall_ns),
                 iteration: total,
                 metric: final_metric,
-                train_loss: if loss_count > 0 {
-                    loss_sum / loss_count as f64
-                } else {
-                    0.0
-                },
+                train_loss: mean_loss(self.workers.iter().map(|w| w.loss)),
             });
         }
-        let mut comm = CommStats::new();
-        let mut cache = CacheStats::default();
-        for worker in &self.workers {
-            comm.merge(&worker.comm);
-            if let SparseEngine::Cached(c) = &worker.sparse {
-                cache.merge(c.cache().stats());
-            }
-        }
-        self.global_iterations = total;
-        self.curve = curve.clone();
+        let (comm, cache, _) = merged_stats(&self.workers);
+        let n = self.workers.len();
         let wall_s = wall_ns as f64 / 1e9;
         ParallelReport {
-            system: self.config.system.name.to_string(),
+            system: self.env.config.system.name.to_string(),
             backend: format!("threads:{n}"),
             n_threads: n,
             total_iterations: total,
@@ -436,8 +288,8 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
                 0.0
             },
             final_metric,
-            converged_at_ns,
-            curve,
+            converged_at_ns: self.progress.converged_at.map(|t| t.as_nanos()),
+            curve: self.progress.curve.clone(),
             comm,
             cache,
             final_dense: self.export_dense_params(),
@@ -446,187 +298,165 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
     }
 }
 
+/// Runs `body` for every worker on a scoped thread of its own, each
+/// with its own trace collector when `tracing`. Returns the per-thread
+/// trace logs in worker order.
+fn on_threads<M: Send>(
+    workers: &mut [Worker<M>],
+    tracing: bool,
+    body: impl Fn(&mut Worker<M>) + Sync,
+) -> Vec<TraceLog> {
+    std::thread::scope(|s| {
+        let handles: Vec<_> = workers
+            .iter_mut()
+            .map(|worker| {
+                let body = &body;
+                s.spawn(move || {
+                    if tracing {
+                        het_trace::start(Vec::new());
+                    }
+                    body(worker);
+                    het_trace::finish()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker thread panicked"))
+            .collect()
+    })
+}
+
+/// Publishes "now" for `worker`'s next events on a traced run.
+fn stamp_scope<M>(worker: &Worker<M>, clock: &WallClock) {
+    if het_trace::enabled() {
+        het_trace::set_scope(clock.stamp(), Some(worker.id as u64));
+    }
+}
+
+/// Runs the forward/backward pass and measures its wall time.
+fn timed_compute<M: EmbeddingModel>(
+    worker: &mut Worker<M>,
+    batch: &M::Batch,
+    store: &EmbeddingStore,
+    clock: &WallClock,
+) -> (SimDuration, f32, SparseGrads) {
+    let t0 = clock.elapsed_ns();
+    let (loss, grads) = worker.compute(batch, store);
+    let wall = clock.elapsed_ns().saturating_sub(t0);
+    (SimDuration::from_nanos(wall), loss, grads)
+}
+
 /// One worker thread's BSP loop. Per round: ordered read, parallel
 /// compute, barrier, ordered write (+ dense export or ordered dense PS
 /// sync), barrier, leader tail, barrier, apply averaged gradient.
 fn bsp_worker_loop<M: EmbeddingModel, D: Dataset<Batch = M::Batch>>(
-    w: usize,
     worker: &mut Worker<M>,
     shared: &BspShared,
-    ctx: &ThreadCtx<'_, D>,
+    clock: &WallClock,
+    env: &StepEnv<D>,
 ) {
-    let dim = ctx.config.dim;
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let cursor = (worker.iterations * ctx.n as u64 + w as u64) * ctx.config.batch_size as u64;
-        let batch = ctx.dataset.train_batch(cursor, ctx.config.batch_size);
+    let w = worker.id;
+    let allreduce = env.config.system.dense == DenseSync::AllReduce;
+    while !shared.stop.load(Ordering::SeqCst) {
+        let batch = worker.next_batch(env);
         let keys = batch.unique_keys();
-        let store = shared.read_ts.pass(w, || {
-            if ctx.tracing {
-                het_trace::set_scope(shared.clock.stamp(), Some(w as u64));
-            }
-            engine_read(worker, &keys, ctx)
+        let (store, _) = shared.read_ts.pass(w, || {
+            stamp_scope(worker, clock);
+            worker.read(&keys, env, None, None)
         });
-        let c0 = shared.clock.elapsed_ns();
-        let (loss, grads) = worker.model.forward_backward(&batch, &store);
-        let compute_ns = shared.clock.elapsed_ns().saturating_sub(c0);
+        let (compute, loss, grads) = timed_compute(worker, &batch, &store, clock);
         shared.computed.wait(w);
         shared.write_ts.pass(w, || {
-            if ctx.tracing {
-                het_trace::set_scope(shared.clock.stamp(), Some(w as u64));
-            }
-            if matches!(worker.sparse, SparseEngine::Replicated) {
-                let block = wire::sparse_allgather_block_bytes(grads.len(), dim);
-                let bytes = ctx.net.allgather_bytes_per_worker(block);
-                if bytes > 0 {
-                    worker.comm.record(CommCategory::SparseAllGather, bytes);
-                }
-                shared.gathered.lock().unwrap()[w] = Some(grads);
-            } else {
-                engine_write(worker, &grads, ctx);
-            }
-            match ctx.config.system.dense {
-                DenseSync::AllReduce => {
-                    let mut g = FlatGrads::new();
-                    g.export_from(&mut worker.model);
-                    shared.dense_slots.lock().unwrap()[w] = Some(g);
-                }
-                DenseSync::Ps => {
-                    dense_ps_sync(worker, ctx.dense_store.expect("dense PS store"), &ctx.net);
-                }
-            }
-            worker.iterations += 1;
-            {
-                let mut slots = shared.loss.lock().unwrap();
-                slots[w].0 += loss as f64;
-                slots[w].1 += 1;
-            }
-            het_trace::span!("trainer", "compute", compute_ns, "loss" => loss as f64);
+            stamp_scope(worker, clock);
+            let (write, sparse) = worker.write(grads, env, None);
+            let dense = allreduce.then(|| worker.export_dense_grads());
+            worker.dense_ps_sync(env);
+            worker.complete(compute, loss, write);
+            let mut slots = shared.slots.lock().unwrap();
+            let slot = &mut slots[w];
+            (slot.dense, slot.sparse) = (dense, sparse);
+            // Accumulated here exactly as the worker itself would, so
+            // the leader's worker-order sum is bit-identical to the
+            // sim's (float addition order matters).
+            let (sum, count) = std::mem::take(&mut worker.loss);
+            slot.loss.0 += sum;
+            slot.loss.1 += count;
         });
         if shared.written.wait(w) {
-            bsp_leader_tail(worker, shared, ctx);
+            bsp_leader_tail(worker, shared, clock, env);
         }
         shared.applied.wait(w);
-        if matches!(ctx.config.system.dense, DenseSync::AllReduce) {
+        // The leader already stepped worker 0's replica (before
+        // evaluating, mirroring the sim's apply-then-eval order).
+        if allreduce && w != 0 {
             let avg = shared.avg.lock().unwrap();
-            if w != 0 {
-                // The leader already applied it to worker 0's replica
-                // (before evaluating, mirroring the sim's apply-then-
-                // eval order).
-                avg.import_into(&mut worker.model);
-                ctx.sgd.step(&mut worker.model);
-            }
-            let bytes = (avg.len() * wire::F32_BYTES as usize) as u64;
-            let per_worker = ctx.net.ring_allreduce_bytes_per_worker(bytes);
-            if per_worker > 0 {
-                worker.comm.record(CommCategory::DenseAllReduce, per_worker);
-            }
+            worker.apply_dense_average(&avg.0, avg.1, env);
         }
     }
 }
 
 /// The single-threaded tail of a BSP round, run by the barrier leader
-/// (worker 0's thread): sparse AllGather merge, dense gradient
-/// averaging (worker-order accumulation — the sim's float addition
-/// order), round accounting, and evaluation at the sim's cadence.
+/// (worker 0's thread) while every other thread waits: the round's
+/// collectives, round accounting, and evaluation at the sim's cadence.
 fn bsp_leader_tail<M: EmbeddingModel, D: Dataset<Batch = M::Batch>>(
-    worker: &mut Worker<M>,
+    worker0: &mut Worker<M>,
     shared: &BspShared,
-    ctx: &ThreadCtx<'_, D>,
+    clock: &WallClock,
+    env: &StepEnv<D>,
 ) {
-    let n = ctx.n;
-    let gathered: Vec<Option<SparseGrads>> = {
-        let mut g = shared.gathered.lock().unwrap();
-        g.iter_mut().map(|s| s.take()).collect()
-    };
-    if gathered.iter().any(|g| g.is_some()) {
-        let mut merged = SparseGrads::new(ctx.config.dim);
-        for g in gathered.iter().flatten() {
-            merged.merge(g);
-        }
-        for k in merged.sorted_keys() {
-            ctx.server.push_inc(k, merged.get(k).expect("merged key"));
-        }
-        ctx.server.take_io_ns();
+    let config = &env.config;
+    let mut slots = shared.slots.lock().unwrap();
+    let n = slots.len() as u64;
+    let gathered: Vec<SparseGrads> = slots.iter_mut().filter_map(|s| s.sparse.take()).collect();
+    if !gathered.is_empty() {
+        apply_sparse_gather(&gathered, env);
     }
-    if matches!(ctx.config.system.dense, DenseSync::AllReduce) {
-        let slots: Vec<FlatGrads> = {
-            let mut s = shared.dense_slots.lock().unwrap();
-            s.iter_mut()
-                .map(|g| g.take().expect("dense slot filled in write phase"))
-                .collect()
-        };
-        let mut sum = FlatGrads::new();
-        for g in &slots {
-            sum.accumulate(g);
-        }
-        sum.scale(1.0 / n as f32);
-        sum.import_into(&mut worker.model);
-        ctx.sgd.step(&mut worker.model);
-        *shared.avg.lock().unwrap() = sum;
+    if config.system.dense == DenseSync::AllReduce {
+        let grads = slots
+            .iter_mut()
+            .map(|s| s.dense.take().expect("dense slot filled in write phase"));
+        let (avg, t) = allreduce_dense(grads, env);
+        worker0.apply_dense_average(&avg, t, env);
+        *shared.avg.lock().unwrap() = (avg, t);
     }
-    let mut tail = shared.tail.lock().unwrap();
-    tail.rounds += 1;
-    let global = tail.rounds * n as u64;
-    let t_ns = shared.clock.stamp();
-    if ctx.tracing {
+    let mut progress = shared.progress.lock().unwrap();
+    progress.global_iterations += n;
+    let global = progress.global_iterations;
+    let t_ns = clock.stamp();
+    if het_trace::enabled() {
         het_trace::set_scope(t_ns, None);
         het_trace::span!("trainer", "barrier", 0u64,
             "round_iters" => n, "round_end_ns" => t_ns);
     }
-    if global % ctx.config.eval_every < n as u64 {
-        let metric = eval_worker0(&*worker, ctx);
-        let (mut loss_sum, mut loss_count) = (0.0f64, 0u64);
-        {
-            let mut slots = shared.loss.lock().unwrap();
-            for s in slots.iter_mut() {
-                loss_sum += s.0;
-                loss_count += s.1;
-                *s = (0.0, 0);
-            }
-        }
-        let train_loss = if loss_count > 0 {
-            loss_sum / loss_count as f64
-        } else {
-            0.0
-        };
-        if ctx.tracing {
-            het_trace::event!("trainer", "eval",
-                "iteration" => global, "metric" => metric, "train_loss" => train_loss);
-        }
-        tail.curve.push(ConvergencePoint {
-            sim_time: SimTime::from_nanos(t_ns),
-            iteration: global,
-            metric,
-            train_loss,
-        });
-        if let Some(target) = ctx.config.target_metric {
-            if metric >= target && tail.converged_at_ns.is_none() {
-                tail.converged_at_ns = Some(t_ns);
-                shared.stop.store(true, Ordering::SeqCst);
-            }
+    if global % config.eval_every < n {
+        let metric = worker0.evaluate(env);
+        let train_loss = mean_loss(slots.iter_mut().map(|s| std::mem::take(&mut s.loss)));
+        let at = SimTime::from_nanos(t_ns);
+        if progress.record_eval(metric, train_loss, at, config.target_metric) {
+            shared.stop.store(true, Ordering::SeqCst);
         }
     }
-    if global >= ctx.config.max_iterations {
+    if global >= config.max_iterations {
         shared.stop.store(true, Ordering::SeqCst);
     }
 }
 
 /// One worker thread's ASP/SSP loop: claim an iteration under the
 /// progress lock (blocking at the SSP gate), run it against the shared
-/// PS, then publish completion — stamping and emitting the compute
-/// event *inside* the lock, so the merged `(t, tid)` order equals the
-/// completion order and the oracle's spread bound holds at every event.
+/// PS, then publish completion — stamping and closing the iteration
+/// *inside* the lock, so the merged `(t, tid)` order of the compute
+/// events equals the completion order and the oracle's spread bound
+/// holds at every event.
 fn async_worker_loop<M: EmbeddingModel, D: Dataset<Batch = M::Batch>>(
-    w: usize,
     worker: &mut Worker<M>,
     shared: &AsyncShared,
-    ctx: &ThreadCtx<'_, D>,
+    clock: &WallClock,
+    env: &StepEnv<D>,
     staleness: Option<u64>,
 ) {
-    let max = ctx.config.max_iterations;
+    let w = worker.id;
+    let max = env.config.max_iterations;
     loop {
         {
             let mut p = shared.progress.lock().unwrap();
@@ -646,125 +476,27 @@ fn async_worker_loop<M: EmbeddingModel, D: Dataset<Batch = M::Batch>>(
             }
             p.global += 1;
         }
-        let cursor = (worker.iterations * ctx.n as u64 + w as u64) * ctx.config.batch_size as u64;
-        let batch = ctx.dataset.train_batch(cursor, ctx.config.batch_size);
+        let batch = worker.next_batch(env);
         let keys = batch.unique_keys();
-        if ctx.tracing {
-            het_trace::set_scope(shared.clock.stamp(), Some(w as u64));
-        }
-        let store = engine_read(worker, &keys, ctx);
-        let c0 = shared.clock.elapsed_ns();
-        let (loss, grads) = worker.model.forward_backward(&batch, &store);
-        let compute_ns = shared.clock.elapsed_ns().saturating_sub(c0);
-        worker.loss_sum += loss as f64;
-        worker.loss_count += 1;
-        engine_write(worker, &grads, ctx);
-        if matches!(ctx.config.system.dense, DenseSync::Ps) {
-            dense_ps_sync(worker, ctx.dense_store.expect("dense PS store"), &ctx.net);
-        }
+        stamp_scope(worker, clock);
+        let (store, _) = worker.read(&keys, env, None, None);
+        let (compute, loss, grads) = timed_compute(worker, &batch, &store, clock);
+        let (write, _) = worker.write(grads, env, None);
+        worker.dense_ps_sync(env);
         {
             let mut p = shared.progress.lock().unwrap();
-            if ctx.tracing {
-                het_trace::set_scope(shared.clock.stamp(), Some(w as u64));
-                het_trace::span!("trainer", "compute", compute_ns, "loss" => loss as f64);
-            }
+            stamp_scope(worker, clock);
+            worker.complete(compute, loss, write);
             p.iters[w] += 1;
-            worker.iterations += 1;
             shared.cv.notify_all();
         }
     }
 }
 
-/// The sparse read, minus the sim-only prefetch/fault paths.
-fn engine_read<M: EmbeddingModel, D: Dataset>(
-    worker: &mut Worker<M>,
-    keys: &[het_data::Key],
-    ctx: &ThreadCtx<'_, D>,
-) -> EmbeddingStore {
-    let (store, t) = match &mut worker.sparse {
-        SparseEngine::Direct(c) => c.read(keys, ctx.server, &ctx.net, &mut worker.comm, None),
-        SparseEngine::Cached(c) => c.read(keys, ctx.server, &ctx.net, &mut worker.comm, None),
-        SparseEngine::Replicated => {
-            let mut store = EmbeddingStore::new(ctx.server.dim());
-            for &k in keys {
-                store.insert(k, ctx.server.pull(k).vector);
-            }
-            ctx.server.reclassify_pending_io();
-            (store, het_simnet::SimDuration::ZERO)
-        }
-    };
-    worker.breakdown.sparse_read += t;
-    het_trace::span!("trainer", "read", t.as_nanos(), "keys" => keys.len());
-    store
-}
-
-/// The sparse write for the direct and cached engines (replicated mode
-/// gathers at the barrier instead).
-fn engine_write<M: EmbeddingModel, D: Dataset>(
-    worker: &mut Worker<M>,
-    grads: &SparseGrads,
-    ctx: &ThreadCtx<'_, D>,
-) {
-    let t = match &mut worker.sparse {
-        SparseEngine::Direct(c) => c.write(grads, ctx.server, &ctx.net, &mut worker.comm, None),
-        SparseEngine::Cached(c) => c.write(grads, ctx.server, &ctx.net, &mut worker.comm, None),
-        SparseEngine::Replicated => unreachable!("replicated writes gather at the barrier"),
-    };
-    worker.breakdown.sparse_write += t;
-    het_trace::span!("trainer", "write", t.as_nanos());
-}
-
-/// Dense PS push/pull, mirroring the sim's `dense_ps_sync` math (the
-/// `DenseStore` is internally synchronised).
-fn dense_ps_sync<M: EmbeddingModel>(worker: &mut Worker<M>, store: &DenseStore, net: &Collectives) {
-    let mut grads = FlatGrads::new();
-    grads.export_from(&mut worker.model);
-    store.push(grads.as_slice());
-    let (params, _version) = store.pull();
-    FlatParams::from_vec(params).import_into(&mut worker.model);
-    worker.model.zero_grads();
-    let bytes = wire::dense_transfer_bytes(grads.len());
-    worker.comm.record(CommCategory::DensePs, bytes);
-    worker.comm.record(CommCategory::DensePs, bytes);
-    let t = net.ps_transfer(bytes) * 2;
-    worker.breakdown.dense_sync += t;
-    het_trace::span!("trainer", "dense_sync", t.as_nanos(), "bytes" => bytes * 2);
-}
-
-/// Held-out evaluation from worker 0's point of view — the same view
-/// the sim's `evaluate_now` builds: cached values where resident,
-/// server values otherwise.
-fn eval_worker0<M: EmbeddingModel, D: Dataset<Batch = M::Batch>>(
-    worker: &Worker<M>,
-    ctx: &ThreadCtx<'_, D>,
-) -> f64 {
-    let mut chunk = EvalChunk::default();
-    let cache = match &worker.sparse {
-        SparseEngine::Cached(c) => Some(c.cache()),
-        _ => None,
-    };
-    for b in 0..ctx.config.eval_batches {
-        let batch = ctx
-            .dataset
-            .test_batch((b * ctx.config.batch_size) as u64, ctx.config.batch_size);
-        let keys = batch.unique_keys();
-        let mut store = EmbeddingStore::new(ctx.config.dim);
-        for &k in &keys {
-            let v = cache
-                .and_then(|c| c.peek(k).map(|e| e.vector.clone()))
-                .unwrap_or_else(|| ctx.server.pull(k).vector);
-            store.insert(k, v);
-        }
-        ctx.server.reclassify_pending_io();
-        chunk.extend(worker.model.evaluate(&batch, &store));
-    }
-    chunk.metric(worker.model.metric_kind())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SystemPreset;
+    use crate::config::{SystemPreset, TrainerConfig};
     use het_data::{CtrConfig, CtrDataset};
     use het_models::WideDeep;
 

@@ -259,7 +259,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     let plan = cfg.fault_plan();
 
     // One spare physical shard backs the live split.
-    let mut trainer = Trainer::with_shared_members_and_spares(
+    let mut trainer = Trainer::with_cluster(
         train_cfg,
         CtrDataset::new(CtrConfig::tiny(cfg.seed)),
         |rng| WideDeep::new(rng, 4, 8, &[16]),

@@ -12,7 +12,7 @@
 //!
 //! Fault injection is cluster-wide: the trainer's plan covers the
 //! serving replicas as extra cluster members (see
-//! [`Trainer::with_shared_members`]), and the runtime's centralized
+//! [`Trainer::with_cluster`]), and the runtime's centralized
 //! fault delivery routes each crash to the job that owns the member.
 //! The serve config's own `faults` section is ignored here.
 //!
@@ -50,7 +50,7 @@ impl ToJson for ColocatedReport {
 /// Runs a trainer and a serving fleet to completion on one shared
 /// [`ClusterRuntime`] and one PS fabric.
 ///
-/// Build the trainer with [`Trainer::with_shared_members`] passing
+/// Build the trainer with [`Trainer::with_cluster`] passing
 /// `serve_cfg.n_replicas` as the extra member count, so the cluster's
 /// fault plan covers the fleet. The serve config's `n_shards` and
 /// `faults` are superseded by the shared fabric and plan; its `dim`

@@ -17,7 +17,7 @@ use crate::workload::{generate_requests, key_of, pretrain, warmup_seed, Request}
 use het_core::fault::{FaultContext, FaultStats};
 use het_core::HetClient;
 use het_data::{CtrBatch, Key, LatencyHistogram, SpaceSaving, ZipfSampler};
-use het_models::{EmbeddingModel, ModelBatch};
+use het_models::EmbeddingModel;
 use het_ps::{PsConfig, PsServer, ServerHandle, ServerOptimizer};
 use het_rng::rngs::StdRng;
 use het_rng::SeedableRng;
@@ -32,12 +32,131 @@ use std::rc::Rc;
 /// instead of three). Fixed so reports are comparable across runs.
 const FORWARD_FLOP_FRACTION: f64 = 1.0 / 3.0;
 
+/// A private PS fabric for a serving run, with `spares` extra physical
+/// shards reserved for live splits.
+pub(crate) fn private_server(cfg: &ServeConfig, spares: usize) -> ServerHandle {
+    ServerHandle::new(PsServer::with_store(
+        PsConfig {
+            dim: cfg.dim,
+            n_shards: cfg.n_shards,
+            lr: cfg.lr,
+            seed: cfg.seed,
+            optimizer: ServerOptimizer::Sgd,
+            grad_clip: None,
+        },
+        spares,
+        &cfg.store,
+    ))
+}
+
+/// The SpaceSaving warmup set: replays the popularity distribution
+/// through the sketch offline and returns its top keys, to pre-install
+/// into every replica cache before the first request lands.
+pub(crate) fn warmup_keys(cfg: &ServeConfig) -> Vec<Key> {
+    if cfg.warmup_requests == 0 {
+        return Vec::new();
+    }
+    let mut rng = StdRng::seed_from_u64(warmup_seed(cfg));
+    let zipf = ZipfSampler::new(cfg.n_keys as usize, cfg.zipf_exponent);
+    let mut sketch = SpaceSaving::new(cfg.cache_capacity);
+    for _ in 0..cfg.warmup_requests * cfg.n_fields {
+        let rank = zipf.sample(&mut rng) as u64;
+        sketch.observe(key_of(rank, SimTime::ZERO, cfg));
+    }
+    let top = sketch.top(cfg.cache_capacity);
+    top.into_iter().map(|(k, _)| k).collect()
+}
+
+/// What one micro-batch did.
+pub(crate) struct BatchOutcome {
+    /// Modelled embedding-resolution time.
+    pub lookup: SimDuration,
+    /// Distinct keys resolved.
+    pub unique_keys: usize,
+    /// Sum and count of the model's scores.
+    pub score_sum: f64,
+    pub scores: u64,
+}
+
+/// What a replica is on either backend: a read-only cache client in
+/// front of the served model, plus its communication accounting.
+pub(crate) struct ReplicaCore<M> {
+    pub client: HetClient,
+    pub model: M,
+    pub comm: CommStats,
+}
+
+impl<M: EmbeddingModel<Batch = CtrBatch>> ReplicaCore<M> {
+    /// Builds one replica. Every replica gets an identically seeded
+    /// RNG, so the fleet serves the same model.
+    pub fn new(cfg: &ServeConfig, model_fn: &impl Fn(&mut StdRng) -> M) -> Self {
+        let model = model_fn(&mut StdRng::seed_from_u64(cfg.seed));
+        assert_eq!(
+            model.embedding_dim(),
+            cfg.dim,
+            "model embedding dim must match the config"
+        );
+        let mut client = HetClient::new(
+            cfg.cache_capacity,
+            cfg.staleness,
+            cfg.policy,
+            cfg.dim,
+            cfg.lr,
+        );
+        // A serving replica must never dirty an entry — enforce it at
+        // the table level, not by convention.
+        client.cache_mut().set_read_only(true);
+        ReplicaCore {
+            client,
+            model,
+            comm: CommStats::default(),
+        }
+    }
+
+    /// One serving micro-batch: staleness-bounded embedding resolution
+    /// over the batch's unique keys (the micro-batch analogue of the
+    /// trainer's read), then the forward pass.
+    pub fn serve_batch<'a>(
+        &mut self,
+        reqs: impl Iterator<Item = &'a Request>,
+        n_fields: usize,
+        server: &PsServer,
+        net: &Collectives,
+        faults: Option<&mut FaultContext<'_>>,
+    ) -> BatchOutcome {
+        let keys: Vec<Key> = reqs.flat_map(|r| r.keys.iter().copied()).collect();
+        let mut unique = keys.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        let client = &mut self.client;
+        let (store, lookup) = client.read(&unique, server, net, &mut self.comm, faults);
+        // `Het.Read` installs fetched entries past capacity; training
+        // trims the overflow in `Het.Write`, which serving never calls,
+        // so trim here. Read-only entries are always clean.
+        let evicted = client.cache_mut().evict_overflow();
+        debug_assert!(
+            evicted.iter().all(|(_, e)| !e.dirty),
+            "read-only cache evicted a dirty entry"
+        );
+        let batch = CtrBatch {
+            labels: vec![0.0; keys.len() / n_fields],
+            keys,
+            n_fields,
+        };
+        let chunk = self.model.evaluate(&batch, &store);
+        BatchOutcome {
+            lookup,
+            unique_keys: unique.len(),
+            score_sum: chunk.scores.iter().map(|&s| s as f64).sum(),
+            scores: chunk.scores.len() as u64,
+        }
+    }
+}
+
 struct Replica<M> {
-    client: HetClient,
-    model: M,
+    core: ReplicaCore<M>,
     queue: VecDeque<usize>,
     busy_until: SimTime,
-    comm: CommStats,
     ops: u64,
     hist: LatencyHistogram,
     requests: u64,
@@ -125,18 +244,7 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
         // A planned live split needs a spare physical shard to split
         // into; an unused spare changes nothing about routing.
         let spares = usize::from(cfg.supervision.reshard.is_some());
-        let server = ServerHandle::new(PsServer::with_store(
-            PsConfig {
-                dim: cfg.dim,
-                n_shards: cfg.n_shards,
-                lr: cfg.lr,
-                seed: cfg.seed,
-                optimizer: ServerOptimizer::Sgd,
-                grad_clip: None,
-            },
-            spares,
-            &cfg.store,
-        ));
+        let server = private_server(&cfg, spares);
         Self::assemble(cfg, server, plan, 0, model_fn)
     }
 
@@ -178,36 +286,15 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
         };
         let supervised = cfg.supervision.enabled || cfg.autoscale.enabled;
         let replicas = (0..fleet)
-            .map(|_| {
-                let mut client = HetClient::new(
-                    cfg.cache_capacity,
-                    cfg.staleness,
-                    cfg.policy,
-                    cfg.dim,
-                    cfg.lr,
-                );
-                // A serving replica must never dirty an entry — enforce
-                // it at the table level, not by convention.
-                client.cache_mut().set_read_only(true);
-                let mut model_rng = StdRng::seed_from_u64(cfg.seed);
-                let model = model_fn(&mut model_rng);
-                assert_eq!(
-                    model.embedding_dim(),
-                    cfg.dim,
-                    "model embedding dim must match the config"
-                );
-                Replica {
-                    client,
-                    model,
-                    queue: VecDeque::new(),
-                    busy_until: SimTime::ZERO,
-                    comm: CommStats::default(),
-                    ops: 0,
-                    hist: LatencyHistogram::new(),
-                    requests: 0,
-                    batches: 0,
-                    crash_count: 0,
-                }
+            .map(|_| Replica {
+                core: ReplicaCore::new(&cfg, &model_fn),
+                queue: VecDeque::new(),
+                busy_until: SimTime::ZERO,
+                ops: 0,
+                hist: LatencyHistogram::new(),
+                requests: 0,
+                batches: 0,
+                crash_count: 0,
             })
             .collect();
         let requests = generate_requests(&cfg);
@@ -257,30 +344,23 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
         self.control.clone()
     }
 
-    /// SpaceSaving warmup: replays the popularity distribution through
-    /// the sketch offline, then pre-installs its top keys into every
-    /// replica cache before the first request lands.
+    /// Pre-installs the [`warmup_keys`] into every replica cache.
     fn warm_replicas(&mut self) {
-        if self.cfg.warmup_requests == 0 {
+        let top = warmup_keys(&self.cfg);
+        if top.is_empty() {
             return;
         }
-        let mut rng = StdRng::seed_from_u64(warmup_seed(&self.cfg));
-        let zipf = ZipfSampler::new(self.cfg.n_keys as usize, self.cfg.zipf_exponent);
-        let mut sketch = SpaceSaving::new(self.cfg.cache_capacity);
-        for _ in 0..self.cfg.warmup_requests * self.cfg.n_fields {
-            let rank = zipf.sample(&mut rng) as u64;
-            sketch.observe(key_of(rank, SimTime::ZERO, &self.cfg));
-        }
-        let top: Vec<(Key, u64)> = sketch.top(self.cfg.cache_capacity);
         self.warmed_keys = top.len() as u64;
         for (r, replica) in self.replicas.iter_mut().enumerate() {
             het_trace::set_scope(0, Some((self.member_offset + r) as u64));
-            for &(k, _) in &top {
+            for &k in &top {
                 let pulled = self.server.pull(k);
-                let displaced = replica
-                    .client
-                    .cache_mut()
-                    .install(k, pulled.vector, pulled.clock);
+                let displaced =
+                    replica
+                        .core
+                        .client
+                        .cache_mut()
+                        .install(k, pulled.vector, pulled.clock);
                 debug_assert!(displaced.is_none(), "warmup installs into an empty cache");
             }
             het_trace::counter_add("serve", "warmed_keys", top.len() as u64);
@@ -338,7 +418,7 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
     fn apply_one_crash(&mut self, r: usize, at: SimTime, restart: SimDuration) {
         let replica = &mut self.replicas[r];
         het_trace::set_scope(at.as_nanos(), Some((self.member_offset + r) as u64));
-        let (lost, dirty_lost, _) = replica.client.crash_reset();
+        let (lost, dirty_lost, _) = replica.core.client.crash_reset();
         debug_assert_eq!(dirty_lost, 0, "read-only caches hold no dirty entries");
         replica.busy_until = replica.busy_until.max(at + restart);
         replica.crash_count += 1;
@@ -366,7 +446,7 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
     fn apply_supervised_crash(&mut self, r: usize, at: SimTime) {
         let replica = &mut self.replicas[r];
         het_trace::set_scope(at.as_nanos(), Some((self.member_offset + r) as u64));
-        let (lost, dirty_lost, _) = replica.client.crash_reset();
+        let (lost, dirty_lost, _) = replica.core.client.crash_reset();
         debug_assert_eq!(dirty_lost, 0, "read-only caches hold no dirty entries");
         self.down[r] = true;
         replica.crash_count += 1;
@@ -605,6 +685,7 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
         for &(k, _) in &top {
             let pulled = self.server.pull(k);
             let _ = replica
+                .core
                 .client
                 .cache_mut()
                 .install(k, pulled.vector, pulled.clock);
@@ -645,18 +726,19 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
         // workload cannot accumulate unconsumed pins without limit.
         let replica = &mut self.replicas[r];
         let budget = ((self.cfg.cache_capacity / 4).max(1) as u64)
-            .saturating_sub(replica.client.cache().pinned_len() as u64);
+            .saturating_sub(replica.core.client.cache().pinned_len() as u64);
         let mut installed = 0u64;
         for k in candidates {
             if installed == budget {
                 break;
             }
-            if replica.client.cache().find(k) {
+            if replica.core.client.cache().find(k) {
                 continue;
             }
             let pulled = self.server.pull(k);
             let displaced =
                 replica
+                    .core
                     .client
                     .cache_mut()
                     .install_prefetched(k, pulled.vector, pulled.clock);
@@ -686,14 +768,6 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
         let idxs: Vec<usize> = replica.queue.drain(..n_take).collect();
         let depth_after = replica.queue.len();
 
-        // Staleness-bounded embedding resolution over the batch's
-        // unique keys (the micro-batch analogue of the trainer's read).
-        let mut unique: Vec<Key> = idxs
-            .iter()
-            .flat_map(|&i| self.requests[i].keys.iter().copied())
-            .collect();
-        unique.sort_unstable();
-        unique.dedup();
         let degraded_before = self.fault_stats.degraded_reads;
         let mut fctx = (!self.plan.is_empty()).then_some(FaultContext {
             plan: &self.plan,
@@ -703,37 +777,20 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
             ops: &mut replica.ops,
             stats: &mut self.fault_stats,
         });
-        let (store, t_lookup) = replica.client.read(
-            &unique,
+        let out = replica.core.serve_batch(
+            idxs.iter().map(|&i| &self.requests[i]),
+            self.cfg.n_fields,
             &self.server,
             &self.net,
-            &mut replica.comm,
             fctx.as_mut(),
         );
-        // `Het.Read` installs fetched entries past capacity; training
-        // trims the overflow in `Het.Write`, which serving never calls,
-        // so trim here. Read-only entries are always clean.
-        let evicted = replica.client.cache_mut().evict_overflow();
-        debug_assert!(
-            evicted.iter().all(|(_, e)| !e.dirty),
-            "read-only cache evicted a dirty entry"
-        );
-
-        // Forward pass over the batch.
-        let batch = CtrBatch {
-            keys: idxs
-                .iter()
-                .flat_map(|&i| self.requests[i].keys.iter().copied())
-                .collect(),
-            labels: vec![0.0; idxs.len()],
-            n_fields: self.cfg.n_fields,
-        };
-        let chunk = replica.model.evaluate(&batch, &store);
-        self.score_sum += chunk.scores.iter().map(|&s| s as f64).sum::<f64>();
-        self.score_count += chunk.scores.len() as u64;
-        let t_infer = self.cfg.cluster.compute_time(
-            replica.model.flops_per_batch(batch.n_examples()) * FORWARD_FLOP_FRACTION,
-        );
+        self.score_sum += out.score_sum;
+        self.score_count += out.scores;
+        let t_lookup = out.lookup;
+        let t_infer = self
+            .cfg
+            .cluster
+            .compute_time(replica.core.model.flops_per_batch(idxs.len()) * FORWARD_FLOP_FRACTION);
         let service = t_lookup + t_infer;
         let done = t + service;
         replica.busy_until = done;
@@ -744,7 +801,7 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
         // Accounting + trace.
         self.lookup_ns += t_lookup.as_nanos();
         self.infer_ns += t_infer.as_nanos();
-        het_trace::span!("serve", "lookup", t_lookup.as_nanos(), "keys" => unique.len());
+        het_trace::span!("serve", "lookup", t_lookup.as_nanos(), "keys" => out.unique_keys);
         het_trace::span!("serve", "infer", t_infer.as_nanos(), "examples" => idxs.len());
         het_trace::span!("serve", "batch", service.as_nanos(),
             "n" => idxs.len(), "depth_after" => depth_after);
@@ -885,7 +942,7 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
             .iter()
             .enumerate()
             .map(|(i, r)| {
-                let stats = *r.client.cache().stats();
+                let stats = *r.core.client.cache().stats();
                 cache.merge(&stats);
                 served += r.requests;
                 batches += r.batches;

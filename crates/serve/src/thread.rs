@@ -1,18 +1,18 @@
-//! The threaded half of the serving execution-backend seam.
+//! The threaded scheduler for the serving replica.
 //!
 //! [`ServeSim`](crate::ServeSim) is the discrete-event oracle: one OS
 //! thread, virtual time, byte-identical reports. This module runs the
-//! *same* replica machinery — a read-only [`HetClient`] cache in front
-//! of a trained forward pass, staleness-bounded reads against a live
-//! PS — on real OS threads behind `--backend threads:<n>`:
+//! *same* replica (`sim::ReplicaCore`: a read-only [`het_core::HetClient`]
+//! cache in front of a trained forward pass, warmed from the same
+//! `sim::warmup_keys`) on real OS threads behind `--backend threads:<n>`.
+//! What lives here is only who serves what, and when:
 //!
-//! * one thread per replica, each **owning** its cache and model (the
-//!   het-cache tables stay single-owner; only the PS fabric is shared,
-//!   through [`PsServer`]'s internally synchronized shards);
+//! * one thread per replica, each **owning** its cache and model (only
+//!   the PS fabric is shared, through [`PsServer`]'s internally
+//!   synchronized shards);
 //! * the pre-generated request schedule ([`generate_requests`]) is
 //!   drained through a shared atomic cursor — each thread claims the
-//!   next `max_batch` requests, resolves their embeddings through its
-//!   cache, and runs the forward pass;
+//!   next `max_batch` requests and serves them as one micro-batch;
 //! * latency is **wall-clock service time** per micro-batch (claim →
 //!   forward done). The open-loop arrival process and join-shortest-
 //!   queue routing are simulation constructs; the threaded backend is
@@ -24,8 +24,6 @@
 //! staleness-validated against the same clocks). What is not: wall
 //! times, thread interleaving, and therefore cache hit counts when
 //! serving runs *while training* (the PS clocks advance concurrently).
-//! Cross-backend equivalence is asserted where it holds — request
-//! count, batch accounting, score sanity — in `tests/parallel.rs`.
 //!
 //! Features that are inherently schedule-scripted — fault injection,
 //! heartbeat supervision, autoscaling, drift-triggered prefetch — are
@@ -33,17 +31,15 @@
 //! silently ignored.
 
 use crate::config::ServeConfig;
-use crate::workload::{generate_requests, key_of, pretrain, warmup_seed, Request};
+use crate::sim::{private_server, warmup_keys, ReplicaCore};
+use crate::workload::{generate_requests, pretrain, Request};
 use het_cache::CacheStats;
-use het_core::HetClient;
-use het_data::{CtrBatch, Key, LatencyHistogram, SpaceSaving, ZipfSampler};
+use het_data::{CtrBatch, Key, LatencyHistogram};
 use het_json::{Json, ToJson};
 use het_models::EmbeddingModel;
-use het_ps::{PsConfig, PsServer, PullResult, ServerHandle, ServerOptimizer};
+use het_ps::{PsServer, PullResult, ServerHandle};
 use het_rng::rngs::StdRng;
-use het_rng::SeedableRng;
 use het_runtime::WallClock;
-use het_simnet::{Collectives, CommStats, SimTime};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -144,56 +140,23 @@ struct ThreadOut {
 /// (fault instants, heartbeat ticks, queue-depth windows), which has
 /// no wall-clock analogue here.
 fn check_supported(cfg: &ServeConfig) -> Result<(), String> {
-    if cfg.faults.enabled {
-        return Err(
-            "the threaded serving backend does not support fault injection; use --backend sim"
-                .to_string(),
-        );
-    }
-    if cfg.supervision.enabled {
-        return Err(
-            "the threaded serving backend does not support supervision; use --backend sim"
-                .to_string(),
-        );
-    }
-    if cfg.autoscale.enabled {
-        return Err(
-            "the threaded serving backend does not support autoscaling; use --backend sim"
-                .to_string(),
-        );
+    for (on, what) in [
+        (cfg.faults.enabled, "fault injection"),
+        (cfg.supervision.enabled, "supervision"),
+        (cfg.autoscale.enabled, "autoscaling"),
+    ] {
+        if on {
+            return Err(format!(
+                "the threaded serving backend does not support {what}; use --backend sim"
+            ));
+        }
     }
     Ok(())
 }
 
-/// The SpaceSaving warmup set, pulled once on the calling thread so
-/// every replica installs the identical snapshot (the sim warms each
-/// replica from the same offline sketch; pulling once gives the
-/// threaded fleet the same content without racing the warm pulls).
-fn warm_snapshot(cfg: &ServeConfig, server: &PsServer) -> Vec<(Key, PullResult)> {
-    if cfg.warmup_requests == 0 {
-        return Vec::new();
-    }
-    let mut rng = StdRng::seed_from_u64(warmup_seed(cfg));
-    let zipf = ZipfSampler::new(cfg.n_keys as usize, cfg.zipf_exponent);
-    let mut sketch = SpaceSaving::new(cfg.cache_capacity);
-    for _ in 0..cfg.warmup_requests * cfg.n_fields {
-        let rank = zipf.sample(&mut rng) as u64;
-        sketch.observe(key_of(rank, SimTime::ZERO, cfg));
-    }
-    let snapshot = sketch
-        .top(cfg.cache_capacity)
-        .into_iter()
-        .map(|(k, _)| (k, server.pull(k)))
-        .collect();
-    // Warmup precedes the first request; its cold fetches are not
-    // serving latency.
-    server.reclassify_pending_io();
-    snapshot
-}
-
-/// One replica thread: claim `max_batch` requests off the shared
-/// cursor, resolve embeddings through the thread-owned cache, forward,
-/// record the batch's wall service time for each request in it.
+/// One replica thread: install the warm snapshot, then claim
+/// `max_batch` requests at a time off the shared cursor and serve them,
+/// recording the batch's wall service time for each request in it.
 fn replica_loop<M: EmbeddingModel<Batch = CtrBatch>>(
     cfg: &ServeConfig,
     server: &PsServer,
@@ -201,23 +164,15 @@ fn replica_loop<M: EmbeddingModel<Batch = CtrBatch>>(
     warm: &[(Key, PullResult)],
     next: &AtomicUsize,
     clock: &WallClock,
-    model: M,
+    mut replica: ReplicaCore<M>,
 ) -> ThreadOut {
-    let mut client = HetClient::new(
-        cfg.cache_capacity,
-        cfg.staleness,
-        cfg.policy,
-        cfg.dim,
-        cfg.lr,
-    );
-    client.cache_mut().set_read_only(true);
     for (k, pulled) in warm {
-        let _ = client
+        let _ = replica
+            .client
             .cache_mut()
             .install(*k, pulled.vector.clone(), pulled.clock);
     }
-    let net: Collectives = cfg.cluster.collectives();
-    let mut comm = CommStats::default();
+    let net = cfg.cluster.collectives();
     let mut out = ThreadOut {
         hist: LatencyHistogram::new(),
         cache: CacheStats::default(),
@@ -233,43 +188,24 @@ fn replica_loop<M: EmbeddingModel<Batch = CtrBatch>>(
         }
         let end = (start + cfg.max_batch).min(requests.len());
         let t0 = clock.elapsed_ns();
-        let batch_reqs = &requests[start..end];
-        let mut unique: Vec<Key> = batch_reqs
-            .iter()
-            .flat_map(|r| r.keys.iter().copied())
-            .collect();
-        unique.sort_unstable();
-        unique.dedup();
-        let (store, _modelled) = client.read(&unique, server, &net, &mut comm, None);
-        // Training trims past-capacity installs in `Het.Write`, which
-        // serving never calls — trim here, as the sim replica does.
-        let evicted = client.cache_mut().evict_overflow();
-        debug_assert!(evicted.iter().all(|(_, e)| !e.dirty));
-        let batch = CtrBatch {
-            keys: batch_reqs
-                .iter()
-                .flat_map(|r| r.keys.iter().copied())
-                .collect(),
-            labels: vec![0.0; batch_reqs.len()],
-            n_fields: cfg.n_fields,
-        };
-        let chunk = model.evaluate(&batch, &store);
-        out.score_sum += chunk.scores.iter().map(|&s| s as f64).sum::<f64>();
-        out.score_count += chunk.scores.len() as u64;
+        let batch = &requests[start..end];
+        let served = replica.serve_batch(batch.iter(), cfg.n_fields, server, &net, None);
+        out.score_sum += served.score_sum;
+        out.score_count += served.scores;
         let service = clock.elapsed_ns().saturating_sub(t0);
-        for _ in batch_reqs {
+        for _ in batch {
             out.hist.record(service);
         }
-        out.requests += batch_reqs.len() as u64;
+        out.requests += batch.len() as u64;
         out.batches += 1;
     }
-    out.cache = *client.cache().stats();
+    out.cache = *replica.client.cache().stats();
     out
 }
 
 /// Runs the replica fleet: `n_threads` threads drain `requests` against
 /// `server`, each installing the shared `warm` snapshot first. Returns
-/// the merged per-thread results and the fleet wall time.
+/// the per-thread results and the fleet wall time.
 fn run_fleet<M: EmbeddingModel<Batch = CtrBatch>>(
     cfg: &ServeConfig,
     server: &PsServer,
@@ -285,16 +221,8 @@ fn run_fleet<M: EmbeddingModel<Batch = CtrBatch>>(
         for _ in 0..n_threads {
             let (clock, next, outs) = (&clock, &next, &outs);
             scope.spawn(move || {
-                // Every replica serves the same model: identically
-                // seeded RNG per thread, as in `ServeSim::assemble`.
-                let mut model_rng = StdRng::seed_from_u64(cfg.seed);
-                let model = model_fn(&mut model_rng);
-                assert_eq!(
-                    model.embedding_dim(),
-                    cfg.dim,
-                    "model embedding dim must match the config"
-                );
-                let out = replica_loop(cfg, server, requests, warm, next, clock, model);
+                let replica = ReplicaCore::new(cfg, model_fn);
+                let out = replica_loop(cfg, server, requests, warm, next, clock, replica);
                 outs.lock().unwrap_or_else(|e| e.into_inner()).push(out);
             });
         }
@@ -363,45 +291,27 @@ pub fn run_threaded_serve<M: EmbeddingModel<Batch = CtrBatch>>(
     n_threads: usize,
     model_fn: impl Fn(&mut StdRng) -> M + Sync,
 ) -> Result<ThreadedServeReport, String> {
-    cfg.validate();
-    check_supported(&cfg)?;
-    if n_threads == 0 {
-        return Err("threaded serving needs at least one replica thread".to_string());
-    }
-    let server = ServerHandle::new(PsServer::with_store(
-        PsConfig {
-            dim: cfg.dim,
-            n_shards: cfg.n_shards,
-            lr: cfg.lr,
-            seed: cfg.seed,
-            optimizer: ServerOptimizer::Sgd,
-            grad_clip: None,
-        },
-        0,
-        &cfg.store,
-    ));
-    let pretrained = pretrain(&cfg, &server, cfg.pretrain_updates);
-    let warm = warm_snapshot(&cfg, &server);
-    let requests = generate_requests(&cfg);
-    let (outs, wall_ns) = run_fleet(&cfg, &server, &requests, &warm, n_threads, &model_fn);
-    Ok(assemble_report(
-        outs,
-        wall_ns,
-        n_threads,
-        warm.len() as u64,
-        pretrained,
-    ))
+    serve_on(&cfg, None, n_threads, model_fn)
 }
 
 /// Runs a threaded serving fleet against a *shared, live* PS fabric —
 /// the trainer's — while something else (a threaded trainer) mutates
-/// it. The caller supplies the handle and pre-generated requests;
-/// pretraining is skipped (the live trainer *is* the training stream).
-/// Used by the threaded colocate path; see
-/// [`run_threaded_colocated`](crate::colocate) wiring in `hetctl`.
+/// it. Pretraining is skipped (the live trainer *is* the training
+/// stream). Used by [`run_threaded_colocated`].
 pub fn run_threaded_serve_shared<M: EmbeddingModel<Batch = CtrBatch>>(
     cfg: &ServeConfig,
     server: ServerHandle,
+    n_threads: usize,
+    model_fn: impl Fn(&mut StdRng) -> M + Sync,
+) -> Result<ThreadedServeReport, String> {
+    serve_on(cfg, Some(server), n_threads, model_fn)
+}
+
+/// Warms and runs a fleet against `shared`, or — given none — against a
+/// private, pretrained PS fabric.
+fn serve_on<M: EmbeddingModel<Batch = CtrBatch>>(
+    cfg: &ServeConfig,
+    shared: Option<ServerHandle>,
     n_threads: usize,
     model_fn: impl Fn(&mut StdRng) -> M + Sync,
 ) -> Result<ThreadedServeReport, String> {
@@ -410,12 +320,34 @@ pub fn run_threaded_serve_shared<M: EmbeddingModel<Batch = CtrBatch>>(
     if n_threads == 0 {
         return Err("threaded serving needs at least one replica thread".to_string());
     }
-    assert_eq!(
-        server.dim(),
-        cfg.dim,
-        "shared PS fabric dim must match the serve config"
-    );
-    let warm = warm_snapshot(cfg, &server);
+    let (server, pretrained) = match shared {
+        Some(server) => {
+            assert_eq!(
+                server.dim(),
+                cfg.dim,
+                "shared PS fabric dim must match the serve config"
+            );
+            (server, 0)
+        }
+        None => {
+            let server = private_server(cfg, 0);
+            let pretrained = pretrain(cfg, &server, cfg.pretrain_updates);
+            (server, pretrained)
+        }
+    };
+    // Pulled once on the calling thread so every replica installs the
+    // identical snapshot (the sim warms each replica from the same key
+    // set; pulling once gives the threaded fleet the same content
+    // without racing the warm pulls).
+    let warm: Vec<(Key, PullResult)> = warmup_keys(cfg)
+        .into_iter()
+        .map(|k| (k, server.pull(k)))
+        .collect();
+    if !warm.is_empty() {
+        // Warmup precedes the first request; its cold fetches are not
+        // serving latency.
+        server.reclassify_pending_io();
+    }
     let requests = generate_requests(cfg);
     let (outs, wall_ns) = run_fleet(cfg, &server, &requests, &warm, n_threads, &model_fn);
     Ok(assemble_report(
@@ -423,7 +355,7 @@ pub fn run_threaded_serve_shared<M: EmbeddingModel<Batch = CtrBatch>>(
         wall_ns,
         n_threads,
         warm.len() as u64,
-        0,
+        pretrained,
     ))
 }
 
@@ -501,10 +433,13 @@ mod tests {
         // reads are staleness-validated against the same pretrained
         // clocks and the model is identical. Aggregate score mean is
         // FP-order dependent, so compare with a tolerance.
-        let cfg = ServeConfig::tiny(13);
+        let mut cfg = ServeConfig::tiny(13);
+        cfg.warmup_requests = 40;
         let sim = crate::ServeSim::new(cfg.clone(), model_of(&cfg)).run();
         let thr = run_threaded_serve(cfg.clone(), 2, model_of(&cfg)).expect("threaded serve");
         assert_eq!(thr.requests, sim.requests);
+        assert!(sim.warmed_keys > 0);
+        assert_eq!(thr.warmed_keys, sim.warmed_keys);
         assert!(
             (thr.score_mean - sim.score_mean).abs() < 1e-6,
             "threaded score mean {} vs sim {}",

@@ -351,11 +351,12 @@ fn colocated_seed_matrix_identical_reports_and_traces() {
         train_cfg.max_iterations = 120;
         train_cfg.faults = faults;
         let dataset = CtrDataset::new(CtrConfig::tiny(seed));
-        let trainer = Trainer::with_shared_members(
+        let trainer = Trainer::with_cluster(
             train_cfg,
             dataset,
             |rng| WideDeep::new(rng, 4, 8, &[16]),
             serve_cfg.n_replicas,
+            0,
         );
         het::trace::start(vec![(
             "kind".to_string(),

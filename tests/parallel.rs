@@ -24,6 +24,7 @@ use het::json::ToJson;
 use het::prelude::*;
 use het_oracle::{check_replay, OracleSpec};
 use het_trace::replay::ReplayLog;
+use std::collections::BTreeMap;
 
 fn config_of(preset: SystemPreset, seed: u64, iters: u64) -> TrainerConfig {
     let mut config = TrainerConfig::tiny(preset);
@@ -44,24 +45,63 @@ fn sorted_rows(server: &PsServer) -> Vec<CheckpointRow> {
     rows
 }
 
+/// A trace's counters of one component, summed over their sub-indices
+/// (workers, shards).
+fn counter_totals(log: &het_trace::TraceLog, comp: &str) -> BTreeMap<&'static str, u64> {
+    let mut totals = BTreeMap::new();
+    for c in log.counters.iter().filter(|c| c.comp == comp) {
+        *totals.entry(c.name).or_insert(0) += c.value;
+    }
+    totals
+}
+
 /// BSP: the threaded backend must reproduce the simulator's final
 /// state exactly — dense parameters, eval metric, convergence curve,
-/// and every server row's vector and clock.
+/// communication and cache accounting, every server row's vector and
+/// clock — and its merged trace must replay oracle-clean with the
+/// sim's cache and PS counter totals.
 #[test]
 fn bsp_threads_match_sim_bit_for_bit() {
     for (threads, seed) in [(2usize, 3u64), (4, 7)] {
         let mut config = config_of(SystemPreset::HetCache { staleness: 10 }, seed, 240);
         config.cluster = ClusterSpec::cluster_a(threads, 1);
 
+        het::trace::start(Vec::new());
         let mut sim = trainer_of(config.clone(), seed);
         let sim_report = sim.run();
+        let sim_trace = het::trace::finish();
         let sim_dense = sim.export_dense_params();
 
         let mut thr = trainer_of(config, seed);
-        let report = thr.run_threaded(None).expect("threaded BSP run");
+        let meta = vec![(
+            "kind".to_string(),
+            het::json::Json::Str("parallel-bsp".to_string()),
+        )];
+        let report = thr.run_threaded(Some(meta)).expect("threaded BSP run");
 
         assert_eq!(report.backend, format!("threads:{threads}"));
         assert_eq!(report.total_iterations, sim_report.total_iterations);
+        assert_eq!(
+            report.comm, sim_report.comm,
+            "threads:{threads} seed {seed}: comm accounting diverged from sim"
+        );
+        assert_eq!(
+            report.cache, sim_report.cache,
+            "threads:{threads} seed {seed}: merged cache stats diverged from sim"
+        );
+        let log = report.trace.as_ref().expect("traced threaded run");
+        het_trace::schema::validate_jsonl(&log.to_jsonl()).expect("schema-valid merged trace");
+        let oracle = check_replay(&ReplayLog::from(log), &OracleSpec::of(thr.config()))
+            .unwrap_or_else(|v| panic!("threads:{threads}: oracle [{}] {}", v.check, v.message));
+        assert_eq!(oracle.computes, report.total_iterations);
+        assert!(oracle.barriers > 0 && oracle.window_reads > 0);
+        for comp in ["cache", "ps"] {
+            assert_eq!(
+                counter_totals(log, comp),
+                counter_totals(&sim_trace, comp),
+                "threads:{threads} seed {seed}: {comp} trace counters diverged from sim"
+            );
+        }
         assert_eq!(
             report.final_metric, sim_report.final_metric,
             "threads:{threads} seed {seed}: final metric diverged from sim"

@@ -110,11 +110,12 @@ fn concurrent_training_never_breaks_the_staleness_window() {
     serve_cfg.pretrain_updates = 300;
     let train_cfg = TrainerConfig::tiny(SystemPreset::HetCache { staleness: 8 });
     let dataset = CtrDataset::new(CtrConfig::tiny(21));
-    let trainer = Trainer::with_shared_members(
+    let trainer = Trainer::with_cluster(
         train_cfg,
         dataset,
         |rng| WideDeep::new(rng, 4, 8, &[16]),
         serve_cfg.n_replicas,
+        0,
     );
     let n_workers = trainer.n_workers() as u64;
     let (n_fields, dim) = (serve_cfg.n_fields, serve_cfg.dim);
