@@ -494,14 +494,16 @@ pub fn prefetch_sweep_with(
     rows
 }
 
-/// One row of the thread-scaling sweep (`hetctl scale-sweep`): the
-/// Fig. 2 CTR recipe re-run at one `--backend threads:<n>` width,
-/// everything else held fixed. Unlike every other sweep in this crate
-/// the numbers here are **wall-clock**, so they vary run to run and
-/// with the host's core count — the sweep measures the machine, not
-/// the model.
+/// One row of the thread-scaling sweep (`hetctl scale-sweep`): one
+/// recipe run at one `--backend threads:<n>` width, beside the
+/// simulator's run of the very same `n`-worker job. Unlike every other
+/// sweep in this crate the numbers here are **wall-clock**, so they
+/// vary run to run and with the host's core count — the sweep measures
+/// the machine, not the model.
 #[derive(Clone, Debug)]
 pub struct ScaleSweepRow {
+    /// The recipe's name: `wdl` or `reddit`.
+    pub recipe: String,
     /// Worker-thread count of this run.
     pub threads: u64,
     /// Training iterations completed (all runs complete the recipe).
@@ -512,27 +514,49 @@ pub struct ScaleSweepRow {
     pub ops_per_sec: f64,
     /// Wall-clock microseconds per training iteration (cycle time).
     pub cycle_time_us: f64,
-    /// Throughput relative to the `threads = 1` row of the same sweep.
+    /// Throughput relative to the recipe's `threads = 1` row. A wider
+    /// row is a *bigger job* (more workers), so this mixes scaling with
+    /// the change of job; `speedup_vs_sim` does not.
     pub speedup_vs_one: f64,
+    /// Iterations per wall-clock second of the sim twin: the same
+    /// `threads`-worker job on the single-threaded simulator (which
+    /// also pays its end-of-run flush and final evaluation, ~1 % at 240
+    /// iterations).
+    pub sim_ops_per_sec: f64,
+    /// `ops_per_sec / sim_ops_per_sec`: what the threads bought on an
+    /// identical job.
+    pub speedup_vs_sim: f64,
 }
 
 impl_to_json!(ScaleSweepRow {
+    recipe,
     threads,
     iterations,
     wall_s,
     ops_per_sec,
     cycle_time_us,
     speedup_vs_one,
+    sim_ops_per_sec,
+    speedup_vs_sim,
 });
 
-/// The scale-sweep recipe: the paper's Fig. 2 CTR deployment shape —
-/// Wide&Deep over Criteo-like data behind the HET cache — with the
-/// cluster resized to `threads` workers so the threaded backend runs
-/// one OS thread per worker. BSP keeps every width on the sim-identical
-/// convergence path; only the wall clock changes.
-fn scale_sweep_config(c: &mut TrainerConfig, iters: u64, threads: usize) {
+/// The sweep's recipes, `(name, workload, embedding dim)`, both behind
+/// the HET cache (10 %, LightLFU, s = 100) under BSP — every width on
+/// the sim-identical convergence path: the paper's Fig. 2 CTR
+/// deployment (Wide&Deep over Criteo-like data), bound by dense
+/// compute, and GraphSAGE over the Reddit-shaped graph, bound by the
+/// sparse path (thousands of cache misses and evictions a step).
+const SCALE_SWEEP_RECIPES: [(&str, Workload, usize); 2] = [
+    ("wdl", Workload::WdlCriteo, 32),
+    ("reddit", Workload::GnnReddit, 16),
+];
+
+/// A scale-sweep recipe's configuration, with the cluster resized to
+/// `threads` workers so the threaded backend runs one OS thread per
+/// worker.
+fn scale_sweep_config(c: &mut TrainerConfig, iters: u64, threads: usize, dim: usize) {
     c.cluster = het_simnet::ClusterSpec::cluster_a(threads, 1);
-    c.dim = 32;
+    c.dim = dim;
     *c = c
         .clone()
         .with_cache(0.10, het_cache::PolicyKind::light_lfu());
@@ -541,58 +565,64 @@ fn scale_sweep_config(c: &mut TrainerConfig, iters: u64, threads: usize) {
     c.lookahead_depth = 0;
 }
 
-/// Runs the thread-scaling sweep: one threaded training run per entry
-/// of `threads_list` (the first entry must be 1 — that row is the
-/// baseline every speedup is measured against), `iters` iterations
-/// each, all on the Fig. 2 CTR recipe.
+/// Runs the thread-scaling sweep: per recipe and per entry of
+/// `threads_list` (the first entry must be 1 — that row is the baseline
+/// `speedup_vs_one` is measured against), one threaded training run and
+/// one simulator run of the same job, `iters` iterations each.
 pub fn scale_sweep(threads_list: &[usize], iters: u64) -> Result<Vec<ScaleSweepRow>, String> {
     if threads_list.first() != Some(&1) {
         return Err("scale-sweep must start at the threads:1 baseline".to_string());
     }
+    let preset = SystemPreset::HetCache { staleness: 100 };
     let mut rows: Vec<ScaleSweepRow> = Vec::new();
-    for &threads in threads_list {
-        let (report, _) = run_workload_threaded(
-            Workload::WdlCriteo,
-            SystemPreset::HetCache { staleness: 100 },
-            &|c| scale_sweep_config(c, iters, threads),
-            None,
-        )?;
-        let wall_s = report.wall_ns as f64 / 1e9;
-        let cycle_time_us = report.wall_ns as f64 / 1e3 / report.total_iterations.max(1) as f64;
-        let base = rows.first().map_or(report.ops_per_sec, |r| r.ops_per_sec);
-        rows.push(ScaleSweepRow {
-            threads: threads as u64,
-            iterations: report.total_iterations,
-            wall_s,
-            ops_per_sec: report.ops_per_sec,
-            cycle_time_us,
-            speedup_vs_one: report.ops_per_sec / base,
-        });
+    for (recipe, workload, dim) in SCALE_SWEEP_RECIPES {
+        let mut one = None;
+        for &threads in threads_list {
+            let tweak = |c: &mut TrainerConfig| scale_sweep_config(c, iters, threads, dim);
+            let (report, _) = run_workload_threaded(workload, preset, &tweak, None)?;
+            let sim_ops_per_sec = with_trainer!(workload, preset, tweak, |t| {
+                let start = std::time::Instant::now();
+                let sim = t.run();
+                sim.total_iterations as f64 / start.elapsed().as_secs_f64()
+            });
+            let wall_s = report.wall_ns as f64 / 1e9;
+            let cycle_time_us = report.wall_ns as f64 / 1e3 / report.total_iterations.max(1) as f64;
+            rows.push(ScaleSweepRow {
+                recipe: recipe.to_string(),
+                threads: threads as u64,
+                iterations: report.total_iterations,
+                wall_s,
+                ops_per_sec: report.ops_per_sec,
+                cycle_time_us,
+                speedup_vs_one: report.ops_per_sec / *one.get_or_insert(report.ops_per_sec),
+                sim_ops_per_sec,
+                speedup_vs_sim: report.ops_per_sec / sim_ops_per_sec,
+            });
+        }
     }
     Ok(rows)
 }
 
-/// The CI gate over a scale sweep: the `threads = 4` row must reach at
-/// least `threshold ×` the `threads = 1` throughput. On a multi-core
-/// host the threshold is 1.0 (parallelism must not lose); single-core
-/// CI boxes pass a tolerance < 1 instead, because four time-sliced
-/// threads doing BSP turnstiles can only add coordination overhead
-/// there — `ci.sh` picks the threshold from `nproc`.
+/// The CI gate over a scale sweep: on each recipe the `threads = 2` run
+/// must reach at least `threshold ×` the throughput of its sim twin —
+/// the same two-worker job on one thread. With two cores the threshold
+/// is 1.0 (threads must not lose to the simulator); single-core CI
+/// boxes pass a tolerance < 1 instead, because two time-sliced threads
+/// can only add coordination overhead there — `ci.sh` picks the
+/// threshold from `nproc`.
 pub fn scale_sweep_gate(rows: &[ScaleSweepRow], threshold: f64) -> Result<(), String> {
-    let one = rows
-        .iter()
-        .find(|r| r.threads == 1)
-        .ok_or("scale-sweep gate: no threads:1 baseline row")?;
-    let four = rows
-        .iter()
-        .find(|r| r.threads == 4)
-        .ok_or("scale-sweep gate: no threads:4 row")?;
-    if four.ops_per_sec < threshold * one.ops_per_sec {
-        return Err(format!(
-            "scale-sweep gate: threads:4 throughput {:.1} ops/s fell below {threshold:.2} x \
-             threads:1 ({:.1} ops/s)",
-            four.ops_per_sec, one.ops_per_sec
-        ));
+    for (recipe, ..) in SCALE_SWEEP_RECIPES {
+        let two = rows
+            .iter()
+            .find(|r| r.recipe == recipe && r.threads == 2)
+            .ok_or(format!("scale-sweep gate: no threads:2 row for {recipe}"))?;
+        if two.speedup_vs_sim < threshold {
+            return Err(format!(
+                "scale-sweep gate: {recipe} on threads:2 ran at {:.1} ops/s, below \
+                 {threshold:.2} x its sim twin ({:.1} ops/s)",
+                two.ops_per_sec, two.sim_ops_per_sec
+            ));
+        }
     }
     Ok(())
 }

@@ -14,9 +14,22 @@
 //! `Het.Write` (Algorithm 3): gradients are accumulated into the cache
 //! (stale writes), per-key clocks advance by one, and only capacity
 //! overflow triggers server write-backs.
+//!
+//! Most of either step is local — that is the paper's point — so both
+//! are built from stages that keep the local work apart from the one
+//! fused exchange with the server: a read is **plan** (partition the
+//! batch; cache reads only) → **exchange** (every server call of the
+//! step, and no cache mutation) → **apply** (every cache mutation, then
+//! the resolved batch); a write is its local half (stale writes, clocks,
+//! overflow eviction) → **exchange** (the victims' write-backs). The
+//! public [`HetClient::read`]/[`HetClient::write`] run the stages back
+//! to back; a scheduler that has to order workers' server calls orders
+//! the exchanges only (`trainer::parallel`). Per client, server calls
+//! happen in one fixed order and cache mutations in one fixed order,
+//! however the stages of different clients interleave.
 
 use crate::fault::FaultContext;
-use het_cache::{CacheTable, PolicyKind};
+use het_cache::{CacheTable, EvictedEntry, PolicyKind};
 use het_data::Key;
 use het_models::{EmbeddingStore, SparseGrads};
 use het_ps::PsServer;
@@ -54,6 +67,51 @@ fn outage_wait<'a>(
 /// into simulated clocks exactly like network time.
 fn store_io(server: &PsServer) -> SimDuration {
     SimDuration::from_nanos(server.take_io_ns())
+}
+
+/// One `Het.Read` between its stages: what the plan decided to move,
+/// then what the exchange moved, for the apply stage to land.
+#[derive(Default)]
+pub(crate) struct ReadStep {
+    /// Resident entries served on condition (1) alone (shard down).
+    degraded: Vec<Key>,
+    /// Resident entries that pass condition (1): the clock-check
+    /// candidates after the plan, the validated hits after the exchange.
+    hits: Vec<Key>,
+    /// Resident entries that must be written back and re-fetched.
+    resync: Vec<Key>,
+    /// Keys that are not resident.
+    missing: Vec<Key>,
+    /// The pulled rows, `dim` floats each, in pull order (`missing`'s,
+    /// then `resync`'s; a cache-less read's whole batch).
+    rows: Vec<f32>,
+    /// The pulled rows' global clocks.
+    clocks: Vec<u64>,
+    /// Simulated time the step has cost so far.
+    pub(crate) time: SimDuration,
+    // `client/read_window` observations, gathered on traced runs.
+    validated: u64, // hits accepted by both CheckValid conditions
+    max_lag: u64,   // max c_c − c_s over served cache hits
+    max_gap: u64,   // max c_g − c_c over clock-validated hits
+    waste_before: u64,
+}
+
+impl ReadStep {
+    /// A cache-less exchange's result: `keys`' pulled rows as the
+    /// resolved batch.
+    pub(crate) fn into_store(self, keys: &[Key], dim: usize) -> (EmbeddingStore, SimDuration) {
+        let mut store = EmbeddingStore::new(dim);
+        for (&k, row) in keys.iter().zip(self.rows.chunks_exact(dim)) {
+            store.insert(k, row.to_vec());
+        }
+        (store, self.time)
+    }
+
+    /// Pulls `keys` with no priced leg (a replica's local table
+    /// lookups).
+    pub(crate) fn pull_unpriced(&mut self, keys: &[Key], server: &PsServer) {
+        server.pull_into(keys, &mut self.rows, &mut self.clocks);
+    }
 }
 
 /// The cache-enabled embedding client of one worker.
@@ -158,7 +216,9 @@ impl HetClient {
 
     /// `Het.Read(keys)`: resolves every key through the cache, fetching
     /// and synchronising as the protocol requires. Returns the resolved
-    /// embeddings and the simulated communication time spent.
+    /// embeddings and the simulated communication time spent. `keys`
+    /// are distinct, as [`het_models::ModelBatch::unique_keys`] yields
+    /// them.
     ///
     /// Fetched entries are added to the cache *temporarily* even past
     /// capacity (Algorithm 2 line 8); the overflow is trimmed by the
@@ -183,97 +243,132 @@ impl HetClient {
         stats: &mut CommStats,
         mut faults: Option<&mut FaultContext<'_>>,
     ) -> (EmbeddingStore, SimDuration) {
-        // The effective staleness window. `extra_staleness` is 0 outside
-        // the oracle harness, where it deliberately widens the admitted
-        // window to prove the oracle catches the breakage.
-        let eff_staleness = self.staleness + self.extra_staleness;
-        // Oracle hook: per-read admitted-window observations, emitted as
-        // a `client/read_window` event so a trace replay can re-check
-        // every accepted entry against the *configured* bound.
-        let tracing = het_trace::enabled();
-        let mut validated = 0u64; // hits accepted by both CheckValid conditions
-        let mut degraded = 0u64; // hits served on condition (1) alone (shard down)
-        let mut max_lag = 0u64; // max c_c − c_s over served cache hits
-        let mut max_gap = 0u64; // max c_g − c_c over clock-validated hits
-        let mut prefetch_hits = 0u64; // hits whose entry a prefetch installed
-        let waste_before = self.cache.stats().prefetch_wasted;
+        let mut step = self.plan_read(keys, server, faults.as_deref_mut());
+        self.exchange_read(&mut step, server, net, stats, faults);
+        self.apply_read(step, keys)
+    }
 
-        // Partition the request.
-        let mut check_candidates: Vec<Key> = Vec::new(); // hit + cond (1) holds
-        let mut resync: Vec<Key> = Vec::new(); // must evict + fetch
-        let mut missing: Vec<Key> = Vec::new();
+    /// The effective staleness window. `extra_staleness` is 0 outside
+    /// the oracle harness, where it deliberately widens the admitted
+    /// window to prove the oracle catches the breakage.
+    fn eff_staleness(&self) -> u64 {
+        self.staleness + self.extra_staleness
+    }
+
+    /// Stage 1 of a read: partitions the batch into degraded serves,
+    /// clock-check candidates, locally invalid entries and missing
+    /// keys. Reads the cache, changes nothing in it, calls no server
+    /// operation (a fault context is asked which shards are down, and
+    /// charged the wait for those the step must touch).
+    pub(crate) fn plan_read(
+        &self,
+        keys: &[Key],
+        server: &PsServer,
+        mut faults: Option<&mut FaultContext<'_>>,
+    ) -> ReadStep {
+        debug_assert!(
+            {
+                let mut sorted = keys.to_vec();
+                sorted.sort_unstable();
+                sorted.windows(2).all(|w| w[0] != w[1])
+            },
+            "Het.Read takes distinct keys"
+        );
+        let eff_staleness = self.eff_staleness();
+        let tracing = het_trace::enabled();
+        let mut step = ReadStep {
+            waste_before: self.cache.stats().prefetch_wasted,
+            ..ReadStep::default()
+        };
         for &k in keys {
-            if self.cache.find(k) {
-                let entry = self.cache.peek(k).expect("resident entry");
-                if entry.within_write_bound(eff_staleness) {
-                    // Graceful degradation: condition (1) already holds
-                    // locally, so if the key's shard is down we serve the
-                    // cached value stale instead of stalling on failover.
-                    let degrade = faults
-                        .as_mut()
-                        .is_some_and(|f| f.shard_down(server.shard_index_of(k)));
-                    if degrade {
-                        if let Some(f) = faults.as_mut() {
-                            f.record_degraded_read();
-                        }
-                        if tracing {
-                            degraded += 1;
-                            max_lag = max_lag.max(entry.current_clock - entry.start_clock);
-                        }
-                        if self.cache.consume_prefetch(k) {
-                            prefetch_hits += 1;
-                        }
-                        self.cache.record_hit();
-                    } else {
-                        check_candidates.push(k);
+            let Some(entry) = self.cache.peek(k) else {
+                step.missing.push(k);
+                continue;
+            };
+            if !entry.within_write_bound(eff_staleness) {
+                step.resync.push(k);
+                continue;
+            }
+            // Graceful degradation: condition (1) already holds
+            // locally, so if the key's shard is down we serve the
+            // cached value stale instead of stalling on failover.
+            match faults.as_mut() {
+                Some(f) if f.shard_down(server.shard_index_of(k)) => {
+                    f.record_degraded_read();
+                    if tracing {
+                        step.max_lag = step.max_lag.max(entry.current_clock - entry.start_clock);
                     }
-                } else {
-                    resync.push(k);
+                    step.degraded.push(k);
                 }
-            } else {
-                missing.push(k);
+                _ => step.hits.push(k),
             }
         }
-
         // Keys that cannot be served locally block on any mid-failover
         // shard they must touch.
-        let mut time = outage_wait(resync.iter().chain(missing.iter()), server, &mut faults);
+        step.time = outage_wait(
+            step.resync.iter().chain(step.missing.iter()),
+            server,
+            &mut faults,
+        );
+        step
+    }
+
+    /// Stage 2 of a read: every server call of the step, in protocol
+    /// order, and their cost — nothing else. The cache is only read
+    /// (the candidates are classified against the clocks that came
+    /// back; the write-back payloads of dirty invalid entries are
+    /// pushed from where they lie), and pulled rows land in the step's
+    /// one `dim`-strided buffer.
+    pub(crate) fn exchange_read(
+        &self,
+        step: &mut ReadStep,
+        server: &PsServer,
+        net: &Collectives,
+        stats: &mut CommStats,
+        mut faults: Option<&mut FaultContext<'_>>,
+    ) {
+        let eff_staleness = self.eff_staleness();
+        let tracing = het_trace::enabled();
 
         // Phase A — two independent legs issued concurrently (§4.1 async
         // invocation): the clock-only validation round trip for the
         // resident candidates, and the fetch of the keys already known to
         // be missing. The phase costs the slower of the two.
         let mut t_clock = SimDuration::ZERO;
-        if !check_candidates.is_empty() {
-            let bytes = self.costs.clock_check(check_candidates.len());
+        if !step.hits.is_empty() {
+            let bytes = self.costs.clock_check(step.hits.len());
             stats.record(CommCategory::ClockSync, bytes);
             t_clock = net.ps_transfer(bytes);
             if let Some(f) = faults.as_mut() {
                 t_clock =
                     f.charge_leg(t_clock, |b| stats.record(CommCategory::ClockSync, b), bytes);
             }
-            for k in std::mem::take(&mut check_candidates) {
+            let ReadStep {
+                hits,
+                resync,
+                validated,
+                max_lag,
+                max_gap,
+                ..
+            } = step;
+            hits.retain(|&k| {
                 let global = server.clock_of(k);
                 let entry = self.cache.peek(k).expect("resident entry");
-                if entry.within_read_bound(global, eff_staleness) {
-                    if tracing {
-                        validated += 1;
-                        max_lag = max_lag.max(entry.current_clock - entry.start_clock);
-                        max_gap = max_gap.max(global.saturating_sub(entry.current_clock));
-                    }
-                    if self.cache.consume_prefetch(k) {
-                        prefetch_hits += 1;
-                    }
-                    self.cache.record_hit();
-                } else {
+                let valid = entry.within_read_bound(global, eff_staleness);
+                if !valid {
                     resync.push(k);
+                } else if tracing {
+                    *validated += 1;
+                    *max_lag = (*max_lag).max(entry.current_clock - entry.start_clock);
+                    *max_gap = (*max_gap).max(global.saturating_sub(entry.current_clock));
                 }
-            }
+                valid
+            });
         }
         let mut t_missing = SimDuration::ZERO;
-        if !missing.is_empty() {
-            let req = self.costs.fetch_request(missing.len());
-            let resp = self.costs.fetch_response(missing.len(), self.dim);
+        if !step.missing.is_empty() {
+            let req = self.costs.fetch_request(step.missing.len());
+            let resp = self.costs.fetch_response(step.missing.len(), self.dim);
             stats.record(CommCategory::EmbeddingFetch, req + resp);
             t_missing = net.ps_transfer(req) + net.ps_transfer(resp);
             if let Some(f) = faults.as_mut() {
@@ -283,33 +378,26 @@ impl HetClient {
                     req + resp,
                 );
             }
-            for &k in &missing {
-                self.cache.record_miss();
-                let pulled = server.pull(k);
-                self.install_fetched(k, pulled.vector, pulled.clock, server);
-            }
+            server.pull_into(&step.missing, &mut step.rows, &mut step.clocks);
             t_missing += store_io(server);
         }
-        time += t_clock.max(t_missing);
+        step.time += t_clock.max(t_missing);
 
         // Phase B — synchronise entries the validation invalidated:
-        // evict (write back the pending gradients) then re-fetch. This
-        // leg depends on the clock results, so it is sequential.
+        // write back the pending gradients, then re-fetch. This leg
+        // depends on the clock results, so it is sequential.
         let mut dirty_pushes = 0usize;
-        for &k in &resync {
-            self.cache.record_invalidation();
-            self.cache.record_miss();
-            if let Some(ev) = self.cache.evict(k) {
-                if ev.dirty {
-                    server.push_with_clock(k, &ev.pending_grad, ev.current_clock);
-                    dirty_pushes += 1;
-                }
+        for &k in &step.resync {
+            let entry = self.cache.peek(k).expect("resident entry");
+            if entry.dirty {
+                server.push_with_clock(k, &entry.pending_grad, entry.current_clock);
+                dirty_pushes += 1;
             }
         }
         if dirty_pushes > 0 {
             let bytes = self.costs.push(dirty_pushes, self.dim);
             stats.record(CommCategory::EmbeddingPush, bytes);
-            time += store_io(server);
+            step.time += store_io(server);
             let mut t_push = net.ps_transfer(bytes);
             if let Some(f) = faults.as_mut() {
                 t_push = f.charge_leg(
@@ -318,11 +406,11 @@ impl HetClient {
                     bytes,
                 );
             }
-            time += t_push;
+            step.time += t_push;
         }
-        if !resync.is_empty() {
-            let req = self.costs.fetch_request(resync.len());
-            let resp = self.costs.fetch_response(resync.len(), self.dim);
+        if !step.resync.is_empty() {
+            let req = self.costs.fetch_request(step.resync.len());
+            let resp = self.costs.fetch_response(step.resync.len(), self.dim);
             stats.record(CommCategory::EmbeddingFetch, req + resp);
             let mut t_refetch = net.ps_transfer(req) + net.ps_transfer(resp);
             if let Some(f) = faults.as_mut() {
@@ -332,12 +420,43 @@ impl HetClient {
                     req + resp,
                 );
             }
-            time += t_refetch;
-            for &k in &resync {
-                let pulled = server.pull(k);
-                self.install_fetched(k, pulled.vector, pulled.clock, server);
+            step.time += t_refetch;
+            server.pull_into(&step.resync, &mut step.rows, &mut step.clocks);
+            step.time += store_io(server);
+        }
+    }
+
+    /// Stage 3 of a read: every cache mutation of the step — hits
+    /// counted, missing rows installed, invalid entries evicted and
+    /// re-installed — then the batch served from the cache. No server
+    /// call.
+    pub(crate) fn apply_read(
+        &mut self,
+        step: ReadStep,
+        keys: &[Key],
+    ) -> (EmbeddingStore, SimDuration) {
+        let mut prefetch_hits = 0u64; // hits whose entry a prefetch installed
+        for &k in step.degraded.iter().chain(&step.hits) {
+            if self.cache.consume_prefetch(k) {
+                prefetch_hits += 1;
             }
-            time += store_io(server);
+            self.cache.record_hit();
+        }
+        let mut pulled = step.rows.chunks_exact(self.dim).zip(&step.clocks);
+        for &k in &step.missing {
+            self.cache.record_miss();
+            let (row, &clock) = pulled.next().expect("a pulled row per missing key");
+            self.install_fetched(k, row.to_vec(), clock);
+        }
+        for &k in &step.resync {
+            self.cache.record_invalidation();
+            self.cache.record_miss();
+            // The exchange already wrote the pending gradient back.
+            let _ = self.cache.evict(k);
+        }
+        for &k in &step.resync {
+            let (row, &clock) = pulled.next().expect("a pulled row per resynced key");
+            self.install_fetched(k, row.to_vec(), clock);
         }
 
         // Serve the batch from the cache.
@@ -350,34 +469,41 @@ impl HetClient {
                 .to_vec();
             store.insert(k, v);
         }
-        if tracing && validated + degraded > 0 {
-            het_trace::event!("client", "read_window",
-                "validated" => validated,
-                "degraded" => degraded,
-                "max_lag" => max_lag,
-                "max_gap" => max_gap);
-        }
-        if tracing {
+        if het_trace::enabled() {
+            // Oracle hook: per-read admitted-window observations, so a
+            // trace replay can re-check every accepted entry against
+            // the *configured* bound.
+            let degraded = step.degraded.len() as u64;
+            if step.validated + degraded > 0 {
+                het_trace::event!("client", "read_window",
+                    "validated" => step.validated,
+                    "degraded" => degraded,
+                    "max_lag" => step.max_lag,
+                    "max_gap" => step.max_gap);
+            }
             // Both events exist only on prefetch-enabled runs — a
             // depth-0 trace is byte-identical to the legacy path.
             if prefetch_hits > 0 {
                 het_trace::event!("prefetcher", "prefetch_hit", "n" => prefetch_hits);
             }
-            let wasted = self.cache.stats().prefetch_wasted - waste_before;
+            let wasted = self.cache.stats().prefetch_wasted - step.waste_before;
             if wasted > 0 {
                 het_trace::event!("prefetcher", "prefetch_waste", "n" => wasted);
             }
         }
-        (store, time)
+        (store, step.time)
     }
 
-    /// Lands a fetched vector in the cache. Unreachable in the read
-    /// protocol's happy path, a dirty resident entry would be displaced;
-    /// its pending gradient is pushed rather than dropped.
-    fn install_fetched(&mut self, key: Key, vector: Vec<f32>, clock: u64, server: &PsServer) {
-        if let Some(ev) = self.cache.install(key, vector, clock) {
-            server.push_with_clock(key, &ev.pending_grad, ev.current_clock);
-        }
+    /// Lands a fetched vector in the cache. The read protocol installs
+    /// only keys that are not resident (missing, or just evicted), so
+    /// nothing dirty can be displaced — which is what lets the install
+    /// run after, not inside, the server exchange.
+    fn install_fetched(&mut self, key: Key, vector: Vec<f32>, clock: u64) {
+        let displaced = self.cache.install(key, vector, clock);
+        assert!(
+            displaced.is_none(),
+            "Het.Read displaced a dirty entry of key {key}"
+        );
     }
 
     /// Lands a landed *prefetch* pull in the cache. Returns `false` —
@@ -424,34 +550,52 @@ impl HetClient {
         server: &PsServer,
         net: &Collectives,
         stats: &mut CommStats,
-        mut faults: Option<&mut FaultContext<'_>>,
+        faults: Option<&mut FaultContext<'_>>,
     ) -> SimDuration {
+        let victims = self.plan_write(grads);
+        self.exchange_write(&victims, server, net, stats, faults)
+    }
+
+    /// The local half of a write: stale-writes the gradients, bumps the
+    /// clocks, trims the overflow. Returns the dirty victims — what the
+    /// exchange must write back. No server call.
+    pub(crate) fn plan_write(&mut self, grads: &SparseGrads) -> Vec<(Key, EvictedEntry)> {
         let waste_before = self.cache.stats().prefetch_wasted;
         for k in grads.sorted_keys() {
             let g = grads.get(k).expect("key from sorted_keys");
             self.cache.update(k, g);
             self.cache.bump_clock(k);
         }
-        let evicted = self.cache.evict_overflow();
+        let mut victims = self.cache.evict_overflow();
         if het_trace::enabled() {
             let wasted = self.cache.stats().prefetch_wasted - waste_before;
             if wasted > 0 {
                 het_trace::event!("prefetcher", "prefetch_waste", "n" => wasted);
             }
         }
-        let mut dirty_keys: Vec<Key> = Vec::new();
-        for (k, ev) in &evicted {
-            if ev.dirty {
-                server.push_with_clock(*k, &ev.pending_grad, ev.current_clock);
-                dirty_keys.push(*k);
-            }
-        }
-        if dirty_keys.is_empty() {
+        victims.retain(|(_, ev)| ev.dirty);
+        victims
+    }
+
+    /// The server half of a write: pushes the victims' pending
+    /// gradients and prices the leg. No cache access.
+    pub(crate) fn exchange_write(
+        &mut self,
+        victims: &[(Key, EvictedEntry)],
+        server: &PsServer,
+        net: &Collectives,
+        stats: &mut CommStats,
+        mut faults: Option<&mut FaultContext<'_>>,
+    ) -> SimDuration {
+        if victims.is_empty() {
             return SimDuration::ZERO;
         }
+        for (k, ev) in victims {
+            server.push_with_clock(*k, &ev.pending_grad, ev.current_clock);
+        }
         let io = store_io(server);
-        let wait = outage_wait(dirty_keys.iter(), server, &mut faults);
-        let bytes = self.costs.push(dirty_keys.len(), self.dim);
+        let wait = outage_wait(victims.iter().map(|(k, _)| k), server, &mut faults);
+        let bytes = self.costs.push(victims.len(), self.dim);
         stats.record(CommCategory::EmbeddingPush, bytes);
         let mut t = net.ps_transfer(bytes);
         if let Some(f) = faults.as_mut() {
@@ -544,8 +688,24 @@ impl DirectPsClient {
         server: &PsServer,
         net: &Collectives,
         stats: &mut CommStats,
-        mut faults: Option<&mut FaultContext<'_>>,
+        faults: Option<&mut FaultContext<'_>>,
     ) -> (EmbeddingStore, SimDuration) {
+        let mut step = ReadStep::default();
+        self.exchange_read(&mut step, keys, server, net, stats, faults);
+        step.into_store(keys, self.dim)
+    }
+
+    /// The whole of a cache-less read but building the resolved batch
+    /// ([`ReadStep::into_store`]): it is all server exchange.
+    pub(crate) fn exchange_read(
+        &self,
+        step: &mut ReadStep,
+        keys: &[Key],
+        server: &PsServer,
+        net: &Collectives,
+        stats: &mut CommStats,
+        mut faults: Option<&mut FaultContext<'_>>,
+    ) {
         let wait = outage_wait(keys.iter(), server, &mut faults);
         let req = self.costs.fetch_request(keys.len());
         let resp = self.costs.fetch_response(keys.len(), self.dim);
@@ -558,11 +718,8 @@ impl DirectPsClient {
                 req + resp,
             );
         }
-        let mut store = EmbeddingStore::new(self.dim);
-        for &k in keys {
-            store.insert(k, server.pull(k).vector);
-        }
-        (store, wait + time + store_io(server))
+        server.pull_into(keys, &mut step.rows, &mut step.clocks);
+        step.time += wait + time + store_io(server);
     }
 
     /// Pushes the batch's gradients to the server.
@@ -576,14 +733,27 @@ impl DirectPsClient {
         server: &PsServer,
         net: &Collectives,
         stats: &mut CommStats,
+        faults: Option<&mut FaultContext<'_>>,
+    ) -> SimDuration {
+        self.exchange_write(grads, &grads.sorted_keys(), server, net, stats, faults)
+    }
+
+    /// A cache-less write given the push order `keys`
+    /// (`grads.sorted_keys()`, the one local step of it).
+    pub(crate) fn exchange_write(
+        &self,
+        grads: &SparseGrads,
+        keys: &[Key],
+        server: &PsServer,
+        net: &Collectives,
+        stats: &mut CommStats,
         mut faults: Option<&mut FaultContext<'_>>,
     ) -> SimDuration {
         if grads.is_empty() {
             return SimDuration::ZERO;
         }
-        let keys = grads.sorted_keys();
         let wait = outage_wait(keys.iter(), server, &mut faults);
-        for &k in &keys {
+        for &k in keys {
             server.push_inc(k, grads.get(k).expect("key from sorted_keys"));
         }
         let bytes = self.costs.push(grads.len(), self.dim);
@@ -790,6 +960,140 @@ mod tests {
         assert_eq!(client.cache().len(), 3, "temporary overflow allowed");
         client.write(&grads_for(&[1, 2, 3], 1.0), &server, &net, &mut stats, None);
         assert_eq!(client.cache().len(), 2, "write's Evict() trims to capacity");
+    }
+
+    /// A read's resolved batch in key order, and its time.
+    type Resolved = (Vec<(Key, Vec<f32>)>, SimDuration);
+
+    /// Everything two clients' steps on one server can be observed by.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        reads: Vec<Resolved>,
+        writes: Vec<SimDuration>,
+        caches: Vec<(Vec<(Key, het_cache::CacheEntry)>, het_cache::CacheStats)>,
+        comm: Vec<CommStats>,
+        store: het_ps::StoreStats,
+        rows: Vec<het_ps::CheckpointRow>,
+    }
+
+    /// Two clients (staleness 1, overlapping hot keys, a cache smaller
+    /// than the key space) run 24 rounds of read → write against one
+    /// server: `A.read; B.read; A.write; B.write` when `staged` is off,
+    /// and with the stages interleaved the way the threaded BSP
+    /// scheduler may run them — exchanges in client order, local stages
+    /// in any order — when it is on.
+    fn two_clients(policy: PolicyKind, spec: &het_ps::StoreSpec, staged: bool) -> Observed {
+        let ps = PsConfig {
+            dim: 2,
+            n_shards: 2,
+            lr: 0.5,
+            seed: 7,
+            optimizer: ServerOptimizer::Sgd,
+            grad_clip: None,
+        };
+        let server = PsServer::with_store(ps, 0, spec);
+        let net = ClusterSpec::cluster_a(4, 1).collectives();
+        let mut a = HetClient::new(8, 1, policy, 2, 0.5);
+        let mut b = HetClient::new(8, 1, policy, 2, 0.5);
+        let (mut comm_a, mut comm_b) = (CommStats::new(), CommStats::new());
+        // Three hot keys both clients touch every round, three of nine
+        // colder ones in rotation.
+        let batch = |round: u64, who: u64| -> Vec<Key> {
+            let mut keys: Vec<Key> = (0..3)
+                .chain((0..3).map(|j| 3 + (round + who * 2 + j * 3) % 9))
+                .collect();
+            keys.sort_unstable();
+            keys.dedup();
+            keys
+        };
+        let grads = |round: u64, keys: &[Key]| {
+            let mut g = SparseGrads::new(2);
+            for &k in keys {
+                let x = ((round + k) % 5) as f32 * 0.25 - 0.5;
+                g.accumulate(k, &[x, -x]);
+            }
+            g
+        };
+        let resolved = |keys: &[Key], (store, time): (EmbeddingStore, SimDuration)| -> Resolved {
+            let rows = keys.iter().map(|&k| (k, store.get(k).to_vec())).collect();
+            (rows, time)
+        };
+        let (mut reads, mut writes) = (Vec::new(), Vec::new());
+        for round in 0..24 {
+            let (ka, kb) = (batch(round, 0), batch(round, 1));
+            let (ra, rb) = if staged {
+                let mut sa = a.plan_read(&ka, &server, None);
+                let mut sb = b.plan_read(&kb, &server, None);
+                a.exchange_read(&mut sa, &server, &net, &mut comm_a, None);
+                b.exchange_read(&mut sb, &server, &net, &mut comm_b, None);
+                let rb = b.apply_read(sb, &kb);
+                (a.apply_read(sa, &ka), rb)
+            } else {
+                let ra = a.read(&ka, &server, &net, &mut comm_a, None);
+                (ra, b.read(&kb, &server, &net, &mut comm_b, None))
+            };
+            reads.extend([resolved(&ka, ra), resolved(&kb, rb)]);
+            let (ga, gb) = (grads(round, &ka), grads(round, &kb));
+            if staged {
+                let vb = b.plan_write(&gb);
+                let va = a.plan_write(&ga);
+                writes.push(a.exchange_write(&va, &server, &net, &mut comm_a, None));
+                writes.push(b.exchange_write(&vb, &server, &net, &mut comm_b, None));
+            } else {
+                writes.push(a.write(&ga, &server, &net, &mut comm_a, None));
+                writes.push(b.write(&gb, &server, &net, &mut comm_b, None));
+            }
+        }
+        let caches = [&a, &b]
+            .map(|c| {
+                let mut entries: Vec<_> = c
+                    .cache()
+                    .keys()
+                    .map(|k| (k, c.cache().peek(k).expect("resident").clone()))
+                    .collect();
+                entries.sort_by_key(|(k, _)| *k);
+                (entries, *c.cache().stats())
+            })
+            .to_vec();
+        Observed {
+            reads,
+            writes,
+            caches,
+            comm: vec![comm_a, comm_b],
+            store: server.store_stats(),
+            rows: server.export_rows(),
+        }
+    }
+
+    /// The property the threaded BSP scheduler relies on: a client's
+    /// local stages commute with everything another client does, so
+    /// ordering the exchanges alone reproduces the sequential run.
+    #[test]
+    fn local_stages_commute_across_clients() {
+        // 8 hot rows over 2 shards: nearly every server call demotes or
+        // promotes, so per-shard call order shows in rows and I/O time.
+        let tiered = het_ps::StoreSpec::Tiered(het_ps::TieredConfig::new(8));
+        let cells = PolicyKind::ALL
+            .map(|policy| (policy, het_ps::StoreSpec::Mem))
+            .into_iter()
+            .chain([(PolicyKind::Lru, tiered)]);
+        for (policy, spec) in cells {
+            let sequential = two_clients(policy, &spec, false);
+            for (_, stats) in &sequential.caches {
+                assert!(
+                    stats.invalidations > 0 && stats.writebacks > 0 && stats.hits > 0,
+                    "{policy}: the scenario must resync, write back and hit: {stats:?}"
+                );
+            }
+            if spec.is_tiered() {
+                assert!(sequential.store.promotions > 0 && sequential.store.demotions > 0);
+            }
+            assert_eq!(
+                two_clients(policy, &spec, true),
+                sequential,
+                "{policy} on {spec:?}"
+            );
+        }
     }
 
     #[test]

@@ -29,12 +29,12 @@
 
 pub mod parallel;
 
-use crate::client::{DirectPsClient, HetClient};
+use crate::client::{DirectPsClient, HetClient, ReadStep};
 use crate::config::{DenseSync, SparseMode, SyncMode, TrainerConfig};
 use crate::fault::{FaultContext, FaultRecord, FaultStats};
 use crate::prefetch::{PrefetchAudit, PrefetchOrder, PrefetchPlane, Prefetcher};
 use crate::report::{ConvergencePoint, TimeBreakdown, TrainReport};
-use het_cache::CacheStats;
+use het_cache::{CacheStats, EvictedEntry};
 use het_data::Key;
 use het_models::{Dataset, EmbeddingModel, EmbeddingStore, EvalChunk, ModelBatch, SparseGrads};
 use het_ps::{DenseStore, PsConfig, PsServer, ServerHandle, ShardCheckpointStore};
@@ -54,6 +54,15 @@ enum SparseEngine {
     /// Full local replica (HET AR): reads are free, writes are gathered
     /// at the round barrier.
     Replicated,
+}
+
+/// One `Het.Write` between its local stage and its server exchange.
+struct WriteStep {
+    grads: SparseGrads,
+    /// Cache-less engine: the push order.
+    keys: Vec<Key>,
+    /// Cached engine: the dirty overflow victims to write back.
+    victims: Vec<(Key, EvictedEntry)>,
 }
 
 /// Everything a worker step reads and never mutates, built once by the
@@ -103,20 +112,39 @@ impl<M: EmbeddingModel> Worker<M> {
         env.dataset.train_batch(cursor, env.config.batch_size)
     }
 
-    /// `Het.Read`: acquire the batch's embeddings. With a prefetch plane
-    /// every due prefetch lands first, and the read waits out (and is
-    /// charged) any in-flight pull this batch needs — the unhidden
-    /// remainder of the transfer is the only part the read ever pays.
+    /// `Het.Read`: acquire the batch's embeddings — the three stages
+    /// back to back.
     fn read<D>(
+        &mut self,
+        keys: &[Key],
+        env: &StepEnv<D>,
+        mut faults: Option<&mut FaultContext<'_>>,
+        plane: Option<&Mutex<PrefetchPlane>>,
+    ) -> (EmbeddingStore, SimDuration) {
+        let mut step = self.plan_read(keys, env, faults.as_deref_mut(), plane);
+        self.exchange_read(&mut step, keys, env, faults);
+        self.apply_read(step, keys, env)
+    }
+
+    /// Read, stage 1 — local: decide what the step must move. With a
+    /// prefetch plane (sim only; its landings may write back to the
+    /// server) every due prefetch lands first, and the read waits out
+    /// (and is charged) any in-flight pull this batch needs — the
+    /// unhidden remainder of the transfer is the only part the read
+    /// ever pays.
+    fn plan_read<D>(
         &mut self,
         keys: &[Key],
         env: &StepEnv<D>,
         faults: Option<&mut FaultContext<'_>>,
         plane: Option<&Mutex<PrefetchPlane>>,
-    ) -> (EmbeddingStore, SimDuration) {
-        let (server, net) = (&*env.server, &env.net);
+    ) -> ReadStep {
+        let server = &*env.server;
+        let SparseEngine::Cached(c) = &mut self.sparse else {
+            return ReadStep::default();
+        };
         let mut prefetch_wait = SimDuration::ZERO;
-        if let (Some(plane), SparseEngine::Cached(c)) = (plane, &mut self.sparse) {
+        if let Some(plane) = plane {
             let (landed, stall) = plane
                 .lock()
                 .unwrap()
@@ -142,22 +170,49 @@ impl<M: EmbeddingModel> Worker<M> {
                     "waited_ns" => stall.as_nanos());
             }
         }
-        let (store, t_read) = match &mut self.sparse {
-            SparseEngine::Direct(c) => c.read(keys, server, net, &mut self.comm, faults),
-            SparseEngine::Cached(c) => c.read(keys, server, net, &mut self.comm, faults),
+        let mut step = c.plan_read(keys, server, faults);
+        step.time += prefetch_wait;
+        step
+    }
+
+    /// Read, stage 2 — the server exchange: every PS call of the read
+    /// and nothing else. The one stage a scheduler has to order across
+    /// workers.
+    fn exchange_read<D>(
+        &mut self,
+        step: &mut ReadStep,
+        keys: &[Key],
+        env: &StepEnv<D>,
+        faults: Option<&mut FaultContext<'_>>,
+    ) {
+        let (server, net) = (&*env.server, &env.net);
+        match &self.sparse {
+            SparseEngine::Direct(c) => {
+                c.exchange_read(step, keys, server, net, &mut self.comm, faults)
+            }
+            SparseEngine::Cached(c) => c.exchange_read(step, server, net, &mut self.comm, faults),
             SparseEngine::Replicated => {
-                let mut store = EmbeddingStore::new(server.dim());
-                for &k in keys {
-                    store.insert(k, server.pull(k).vector);
-                }
+                step.pull_unpriced(keys, server);
                 // Replica reads stand for local table lookups, not a
                 // priced PS leg — keep their disk time out of request
                 // latency.
                 server.reclassify_pending_io();
-                (store, SimDuration::ZERO)
             }
+        }
+    }
+
+    /// Read, stage 3 — local: land what the exchange brought and hand
+    /// the model its resolved batch.
+    fn apply_read<D>(
+        &mut self,
+        step: ReadStep,
+        keys: &[Key],
+        env: &StepEnv<D>,
+    ) -> (EmbeddingStore, SimDuration) {
+        let (store, t_read) = match &mut self.sparse {
+            SparseEngine::Cached(c) => c.apply_read(step, keys),
+            _ => step.into_store(keys, env.server.dim()),
         };
-        let t_read = prefetch_wait + t_read;
         self.breakdown.sparse_read += t_read;
         het_trace::span!("trainer", "read", t_read.as_nanos(), "keys" => keys.len());
         (store, t_read)
@@ -171,26 +226,63 @@ impl<M: EmbeddingModel> Worker<M> {
         (loss, grads)
     }
 
-    /// `Het.Write`: apply the sparse gradients. Replicated mode hands
-    /// them back for the round's AllGather instead.
+    /// `Het.Write`: apply the sparse gradients — both stages back to
+    /// back. Replicated mode hands them back for the round's AllGather
+    /// instead.
     fn write<D>(
         &mut self,
         grads: SparseGrads,
         env: &StepEnv<D>,
         faults: Option<&mut FaultContext<'_>>,
     ) -> (SimDuration, Option<SparseGrads>) {
-        let (server, net) = (&*env.server, &env.net);
+        let mut step = self.plan_write(grads, env);
+        self.exchange_write(&mut step, env, faults)
+    }
+
+    /// Write, stage 1 — local: the cached engine's stale writes, clock
+    /// bumps and overflow eviction, a cache-less engine's push order, a
+    /// replica's AllGather accounting.
+    fn plan_write<D>(&mut self, grads: SparseGrads, env: &StepEnv<D>) -> WriteStep {
+        let mut step = WriteStep {
+            keys: Vec::new(),
+            victims: Vec::new(),
+            grads,
+        };
         match &mut self.sparse {
-            SparseEngine::Direct(c) => (c.write(&grads, server, net, &mut self.comm, faults), None),
-            SparseEngine::Cached(c) => (c.write(&grads, server, net, &mut self.comm, faults), None),
+            SparseEngine::Direct(_) => step.keys = step.grads.sorted_keys(),
+            SparseEngine::Cached(c) => step.victims = c.plan_write(&step.grads),
             SparseEngine::Replicated => {
-                let block = wire::sparse_allgather_block_bytes(grads.len(), env.config.dim);
-                let bytes = net.allgather_bytes_per_worker(block);
+                let block = wire::sparse_allgather_block_bytes(step.grads.len(), env.config.dim);
+                let bytes = env.net.allgather_bytes_per_worker(block);
                 if bytes > 0 {
                     self.comm.record(CommCategory::SparseAllGather, bytes);
                 }
-                (SimDuration::ZERO, Some(grads))
             }
+        }
+        step
+    }
+
+    /// Write, stage 2 — the server exchange: the pushes (none for a
+    /// replica, which hands its gradients back for the round's gather).
+    /// The step is borrowed so that freeing what it holds is not part
+    /// of the exchange.
+    fn exchange_write<D>(
+        &mut self,
+        step: &mut WriteStep,
+        env: &StepEnv<D>,
+        faults: Option<&mut FaultContext<'_>>,
+    ) -> (SimDuration, Option<SparseGrads>) {
+        let (server, net, comm) = (&*env.server, &env.net, &mut self.comm);
+        match &mut self.sparse {
+            SparseEngine::Direct(c) => {
+                let t = c.exchange_write(&step.grads, &step.keys, server, net, comm, faults);
+                (t, None)
+            }
+            SparseEngine::Cached(c) => (
+                c.exchange_write(&step.victims, server, net, comm, faults),
+                None,
+            ),
+            SparseEngine::Replicated => (SimDuration::ZERO, Some(std::mem::take(&mut step.grads))),
         }
     }
 

@@ -6,13 +6,15 @@
 //! `--backend threads:<n>` (`het_runtime::ExecutionBackend`). All that
 //! lives here is who may run when, and what time it is:
 //!
-//! * **BSP**: reads pass through an ordered [`Turnstile`], compute runs
-//!   genuinely in parallel, writes pass through a second turnstile, and
-//!   the round tail (sparse gather, dense average, evaluation) runs on
-//!   the barrier leader — the thread that owns worker 0. Every
-//!   PS-mutating step therefore happens in the sim's worker order, which
-//!   is what makes a threaded BSP run **bit-identical** to the sim's
-//!   (DESIGN.md §3.13).
+//! * **BSP**: only the **server exchange** of a read and of a write
+//!   passes through an ordered [`Turnstile`]; planning the read,
+//!   landing it in the worker's cache, compute, and the local half of
+//!   the write touch nothing but the worker's own state and run
+//!   genuinely in parallel. The round tail (sparse gather, dense
+//!   average, evaluation) runs on the barrier leader — the thread that
+//!   owns worker 0. Every PS call therefore happens in the sim's worker
+//!   order, which is what makes a threaded BSP run **bit-identical** to
+//!   the sim's (DESIGN.md §3.13).
 //! * **ASP/SSP**: workers free-run against the shared PS (per-shard
 //!   locks carry the concurrency); an iteration is claimed under a
 //!   progress lock before it runs, and the SSP gate blocks a worker
@@ -33,6 +35,9 @@
 //!
 //! Fault injection and lookahead prefetch are defined in terms of the
 //! simulated clock and are rejected up front.
+//!
+//! A worker thread that panics poisons everything its peers can block
+//! on, so the run fails with that panic instead of hanging.
 
 use super::{
     allreduce_dense, apply_sparse_gather, mean_loss, merged_stats, Progress, StepEnv, Trainer,
@@ -47,7 +52,7 @@ use het_runtime::{Barrier, Turnstile, WallClock};
 use het_simnet::{CommStats, SimDuration, SimTime};
 use het_tensor::{FlatGrads, FlatParams};
 use het_trace::TraceLog;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
 /// The result of one threaded training run.
@@ -126,21 +131,47 @@ struct RoundSlot {
 
 /// Everything the BSP threads rendezvous on.
 struct BspShared {
+    /// Orders the server exchange of the round's reads, of its writes.
     read_ts: Turnstile,
     write_ts: Turnstile,
-    /// All reads + computes done; no write may precede a later worker's
-    /// read (the sim runs the whole read phase before the write phase).
+    /// All reads + computes done; no write exchange may precede a later
+    /// worker's read exchange (the sim runs the whole read phase before
+    /// the write phase).
     computed: Barrier,
     /// All writes done; the leader tail may merge.
     written: Barrier,
     /// Leader tail done; followers may apply the averaged gradient.
     applied: Barrier,
     stop: AtomicBool,
+    /// The first worker to panic (`usize::MAX`: none has).
+    failed: AtomicUsize,
     slots: Mutex<Vec<RoundSlot>>,
     /// The round's averaged dense gradient and AllReduce time, published
     /// by the leader.
     avg: Mutex<(FlatGrads, SimDuration)>,
     progress: Mutex<Progress>,
+}
+
+impl BspShared {
+    /// Worker `by` is unwinding: fail every peer parked on (or yet to
+    /// reach) a rendezvous it will never get to.
+    fn poison(&self, by: usize) {
+        // Peers woken to panic poison too, and may get to a primitive
+        // before the worker that woke them does: all report the first.
+        let first =
+            match self
+                .failed
+                .compare_exchange(usize::MAX, by, Ordering::SeqCst, Ordering::SeqCst)
+            {
+                Ok(_) => by,
+                Err(first) => first,
+            };
+        self.read_ts.poison(first);
+        self.write_ts.poison(first);
+        for barrier in [&self.computed, &self.written, &self.applied] {
+            barrier.poison(first);
+        }
+    }
 }
 
 /// ASP/SSP progress ledger: completed iterations per worker plus the
@@ -150,11 +181,22 @@ struct BspShared {
 struct AsyncProgress {
     iters: Vec<u64>,
     global: u64,
+    /// A worker that panicked: the SSP gate must not wait for it.
+    failed: Option<usize>,
 }
 
 struct AsyncShared {
     progress: Mutex<AsyncProgress>,
     cv: Condvar,
+}
+
+impl AsyncShared {
+    /// Worker `by` is unwinding: wake the SSP gate's waiters to fail.
+    fn poison(&self, by: usize) {
+        let mut p = self.progress.lock().unwrap_or_else(|e| e.into_inner());
+        p.failed.get_or_insert(by);
+        self.cv.notify_all();
+    }
 }
 
 impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
@@ -200,13 +242,17 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
                 written: Barrier::new(n),
                 applied: Barrier::new(n),
                 stop: AtomicBool::new(false),
+                failed: AtomicUsize::new(usize::MAX),
                 slots: Mutex::new((0..n).map(|_| RoundSlot::default()).collect()),
                 avg: Mutex::new((FlatGrads::new(), SimDuration::ZERO)),
                 progress: Mutex::new(std::mem::take(progress)),
             };
-            let logs = on_threads(workers, tracing, |worker| {
-                bsp_worker_loop(worker, &shared, &clock, env)
-            });
+            let logs = on_threads(
+                workers,
+                tracing,
+                |by| shared.poison(by),
+                |worker| bsp_worker_loop(worker, &shared, &clock, env),
+            );
             *progress = shared.progress.into_inner().unwrap();
             logs
         } else {
@@ -218,12 +264,16 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
                 progress: Mutex::new(AsyncProgress {
                     iters: vec![0; n],
                     global: 0,
+                    failed: None,
                 }),
                 cv: Condvar::new(),
             };
-            let logs = on_threads(workers, tracing, |worker| {
-                async_worker_loop(worker, &shared, &clock, env, staleness)
-            });
+            let logs = on_threads(
+                workers,
+                tracing,
+                |by| shared.poison(by),
+                |worker| async_worker_loop(worker, &shared, &clock, env, staleness),
+            );
             progress.global_iterations = shared.progress.into_inner().unwrap().global;
             logs
         };
@@ -301,17 +351,31 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
 /// Runs `body` for every worker on a scoped thread of its own, each
 /// with its own trace collector when `tracing`. Returns the per-thread
 /// trace logs in worker order.
+///
+/// A `body` that unwinds calls `poison(worker id)` on its way out —
+/// which must fail whatever the other threads can block on — and the
+/// first failed worker's panic (in worker order) is re-raised.
 fn on_threads<M: Send>(
     workers: &mut [Worker<M>],
     tracing: bool,
+    poison: impl Fn(usize) + Sync,
     body: impl Fn(&mut Worker<M>) + Sync,
 ) -> Vec<TraceLog> {
+    struct PoisonOnUnwind<'a, P: Fn(usize)>(&'a P, usize);
+    impl<P: Fn(usize)> Drop for PoisonOnUnwind<'_, P> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                (self.0)(self.1);
+            }
+        }
+    }
     std::thread::scope(|s| {
         let handles: Vec<_> = workers
             .iter_mut()
             .map(|worker| {
-                let body = &body;
+                let (body, poison) = (&body, &poison);
                 s.spawn(move || {
+                    let _guard = PoisonOnUnwind(poison, worker.id);
                     if tracing {
                         het_trace::start(Vec::new());
                     }
@@ -320,9 +384,14 @@ fn on_threads<M: Send>(
                 })
             })
             .collect();
+        // Unwinding out of the scope still joins the threads not yet
+        // joined here; poisoned, they all come back.
         handles
             .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
             .collect()
     })
 }
@@ -347,9 +416,12 @@ fn timed_compute<M: EmbeddingModel>(
     (SimDuration::from_nanos(wall), loss, grads)
 }
 
-/// One worker thread's BSP loop. Per round: ordered read, parallel
-/// compute, barrier, ordered write (+ dense export or ordered dense PS
-/// sync), barrier, leader tail, barrier, apply averaged gradient.
+/// One worker thread's BSP loop. Per round: plan the read, ordered read
+/// exchange, land it and compute in parallel, local half of the write,
+/// barrier, ordered write exchange (+ ordered dense PS sync), dense
+/// export and round slot, barrier, leader tail, barrier, apply averaged
+/// gradient. The trace scope is stamped inside each ordered section, so
+/// the merged `(t, tid)` order of a traced run equals server order.
 fn bsp_worker_loop<M: EmbeddingModel, D: Dataset<Batch = M::Batch>>(
     worker: &mut Worker<M>,
     shared: &BspShared,
@@ -361,18 +433,26 @@ fn bsp_worker_loop<M: EmbeddingModel, D: Dataset<Batch = M::Batch>>(
     while !shared.stop.load(Ordering::SeqCst) {
         let batch = worker.next_batch(env);
         let keys = batch.unique_keys();
-        let (store, _) = shared.read_ts.pass(w, || {
+        let mut read = worker.plan_read(&keys, env, None, None);
+        shared.read_ts.pass(w, || {
             stamp_scope(worker, clock);
-            worker.read(&keys, env, None, None)
+            worker.exchange_read(&mut read, &keys, env, None);
         });
+        let (store, _) = worker.apply_read(read, &keys, env);
         let (compute, loss, grads) = timed_compute(worker, &batch, &store, clock);
+        // Touches this worker's cache only, so it needs no peer to have
+        // finished reading.
+        let mut pending = worker.plan_write(grads, env);
         shared.computed.wait(w);
-        shared.write_ts.pass(w, || {
+        let (write, sparse) = shared.write_ts.pass(w, || {
             stamp_scope(worker, clock);
-            let (write, sparse) = worker.write(grads, env, None);
-            let dense = allreduce.then(|| worker.export_dense_grads());
+            let written = worker.exchange_write(&mut pending, env, None);
             worker.dense_ps_sync(env);
-            worker.complete(compute, loss, write);
+            written
+        });
+        let dense = allreduce.then(|| worker.export_dense_grads());
+        worker.complete(compute, loss, write);
+        {
             let mut slots = shared.slots.lock().unwrap();
             let slot = &mut slots[w];
             (slot.dense, slot.sparse) = (dense, sparse);
@@ -382,7 +462,7 @@ fn bsp_worker_loop<M: EmbeddingModel, D: Dataset<Batch = M::Batch>>(
             let (sum, count) = std::mem::take(&mut worker.loss);
             slot.loss.0 += sum;
             slot.loss.1 += count;
-        });
+        }
         if shared.written.wait(w) {
             bsp_leader_tail(worker, shared, clock, env);
         }
@@ -423,8 +503,15 @@ fn bsp_leader_tail<M: EmbeddingModel, D: Dataset<Batch = M::Batch>>(
     let mut progress = shared.progress.lock().unwrap();
     progress.global_iterations += n;
     let global = progress.global_iterations;
-    let t_ns = clock.stamp();
-    if het_trace::enabled() {
+    // A strict stamp (a CAS all threads share) only where a trace event
+    // needs one.
+    let tracing = het_trace::enabled();
+    let t_ns = if tracing {
+        clock.stamp()
+    } else {
+        clock.elapsed_ns()
+    };
+    if tracing {
         het_trace::set_scope(t_ns, None);
         het_trace::span!("trainer", "barrier", 0u64,
             "round_iters" => n, "round_end_ns" => t_ns);
@@ -461,6 +548,10 @@ fn async_worker_loop<M: EmbeddingModel, D: Dataset<Batch = M::Batch>>(
         {
             let mut p = shared.progress.lock().unwrap();
             loop {
+                if let Some(by) = p.failed {
+                    drop(p);
+                    panic!("worker {by} panicked; worker {w} stops at the progress gate");
+                }
                 if p.global >= max {
                     shared.cv.notify_all();
                     return;

@@ -321,35 +321,66 @@ impl PsServer {
         }
     }
 
-    /// Pulls one embedding, lazily initialising it on first touch.
-    pub fn pull(&self, key: Key) -> PullResult {
+    /// The lock of the shard `key` lives on, resolved once per operation;
+    /// a traced run counts the operation against that shard.
+    fn route(&self, key: Key, counter: &'static str) -> &RwLock<Shard> {
+        let idx = self.shard_index_of(key);
         if het_trace::enabled() {
-            het_trace::counter_add_at("ps", "pulls", Some(self.shard_index_of(key) as u64), 1);
+            het_trace::counter_add_at("ps", counter, Some(idx as u64), 1);
         }
-        let shard = self.shard_of(key);
-        let mut guard = shard.write();
-        let result = match guard.store.get(key) {
-            Some(row) => PullResult {
-                vector: row.vector.clone(),
-                clock: row.clock,
-            },
+        &self.shards[idx]
+    }
+
+    /// One pull: hands `read` the key's row under its shard lock,
+    /// lazily initialising the row on first touch.
+    fn pull_with<T>(&self, key: Key, read: impl FnOnce(&StoredRow) -> T) -> T {
+        let mut guard = self.route(key, "pulls").write();
+        let out = match guard.store.get(key) {
+            Some(row) => read(row),
             None => {
                 let row = self.make_row(key);
-                let result = PullResult {
-                    vector: row.vector.clone(),
-                    clock: row.clock,
-                };
+                let out = read(&row);
                 guard.store.insert(key, row);
-                result
+                out
             }
         };
         self.charge_io(&mut guard);
-        result
+        out
+    }
+
+    /// Pulls one embedding, lazily initialising it on first touch.
+    pub fn pull(&self, key: Key) -> PullResult {
+        self.pull_with(key, |row| PullResult {
+            vector: row.vector.clone(),
+            clock: row.clock,
+        })
+    }
+
+    /// Pulls `keys` in order into caller-owned buffers: `dim` floats per
+    /// key are appended to `rows` and one global clock per key to
+    /// `clocks`, so a batch costs no allocation per key.
+    pub fn pull_into(&self, keys: &[Key], rows: &mut Vec<f32>, clocks: &mut Vec<u64>) {
+        rows.reserve(keys.len() * self.config.dim);
+        clocks.reserve(keys.len());
+        for &key in keys {
+            self.pull_with(key, |row| {
+                rows.extend_from_slice(&row.vector);
+                clocks.push(row.clock);
+            });
+        }
     }
 
     /// Pulls a batch of embeddings.
     pub fn pull_many(&self, keys: &[Key]) -> Vec<PullResult> {
-        keys.iter().map(|&k| self.pull(k)).collect()
+        let (mut rows, mut clocks) = (Vec::new(), Vec::new());
+        self.pull_into(keys, &mut rows, &mut clocks);
+        rows.chunks_exact(self.config.dim)
+            .zip(clocks)
+            .map(|(vector, clock)| PullResult {
+                vector: vector.to_vec(),
+                clock,
+            })
+            .collect()
     }
 
     /// HET eviction write-back (paper §3.1, `Het.Cache.Evict`): applies
@@ -360,13 +391,10 @@ impl PsServer {
     /// Panics if the gradient length differs from the configured dim.
     pub fn push_with_clock(&self, key: Key, grad: &[f32], candidate_clock: u64) {
         assert_eq!(grad.len(), self.config.dim, "gradient dimension mismatch");
-        if het_trace::enabled() {
-            het_trace::counter_add_at("ps", "pushes", Some(self.shard_index_of(key) as u64), 1);
-        }
         let (lr, opt) = (self.config.lr, self.config.optimizer);
         let mut scratch = Vec::new();
         let grad = clipped(grad, self.config.grad_clip, &mut scratch);
-        let mut guard = self.shard_of(key).write();
+        let mut guard = self.route(key, "pushes").write();
         guard
             .store
             .apply(key, &mut || self.make_row(key), &mut |e| {
@@ -383,13 +411,10 @@ impl PsServer {
     /// Panics if the gradient length differs from the configured dim.
     pub fn push_inc(&self, key: Key, grad: &[f32]) {
         assert_eq!(grad.len(), self.config.dim, "gradient dimension mismatch");
-        if het_trace::enabled() {
-            het_trace::counter_add_at("ps", "pushes", Some(self.shard_index_of(key) as u64), 1);
-        }
         let (lr, opt) = (self.config.lr, self.config.optimizer);
         let mut scratch = Vec::new();
         let grad = clipped(grad, self.config.grad_clip, &mut scratch);
-        let mut guard = self.shard_of(key).write();
+        let mut guard = self.route(key, "pushes").write();
         guard
             .store
             .apply(key, &mut || self.make_row(key), &mut |e| {
@@ -405,15 +430,8 @@ impl PsServer {
     /// time, mirroring how the wire protocol ships clocks without
     /// payloads.
     pub fn clock_of(&self, key: Key) -> u64 {
-        if het_trace::enabled() {
-            het_trace::counter_add_at(
-                "ps",
-                "clock_queries",
-                Some(self.shard_index_of(key) as u64),
-                1,
-            );
-        }
-        self.shard_of(key).read().store.clock_of(key).unwrap_or(0)
+        let shard = self.route(key, "clock_queries").read();
+        shard.store.clock_of(key).unwrap_or(0)
     }
 
     /// Batched [`PsServer::clock_of`].
@@ -737,6 +755,13 @@ mod tests {
         for (p, c) in pulls.iter().zip(&clocks) {
             assert_eq!(p.clock, *c);
         }
+        // The flat-buffer pull appends the same rows and clocks, in key
+        // order, behind whatever the caller's buffers already hold.
+        let (mut rows, mut flat_clocks) = (vec![9.0], vec![9]);
+        s.pull_into(&keys, &mut rows, &mut flat_clocks);
+        let vectors: Vec<f32> = pulls.iter().flat_map(|p| p.vector.clone()).collect();
+        assert_eq!(rows[1..], vectors);
+        assert_eq!(flat_clocks[1..], clocks);
     }
 
     #[test]

@@ -17,16 +17,22 @@
 //!   `(t, tid)` merge order is total (`het_trace::merge_threads`).
 //! * **[`Turnstile`]** — an ordered-section primitive: threads pass in
 //!   a fixed index order, one at a time. The threaded BSP trainer runs
-//!   its read and write phases through a turnstile so server-visible
-//!   mutations happen in exactly the sim's worker order — the property
-//!   its bit-identity guarantee rests on — while the compute between
-//!   them runs genuinely in parallel.
+//!   the server exchange of each read and each write through a
+//!   turnstile so server-visible calls happen in exactly the sim's
+//!   worker order — the property its bit-identity guarantee rests on —
+//!   while everything a worker does to its own state, and the compute
+//!   between the exchanges, runs genuinely in parallel.
 //! * **[`Barrier`]** — a reusable all-thread rendezvous (BSP round
-//!   edges). `std::sync::Barrier` would do, but this one is built on
-//!   the same poison-free Mutex/Condvar idiom as the rest of the crate
-//!   and reports the leader deterministically (index 0, not "some
-//!   thread"), which the trainer uses to run the single-threaded round
-//!   tail (allreduce, eval) on a fixed thread.
+//!   edges). `std::sync::Barrier` would do, but this one reports the
+//!   leader deterministically (index 0, not "some thread"), which the
+//!   trainer uses to run the single-threaded round tail (allreduce,
+//!   eval) on a fixed thread.
+//!
+//! Both blocking primitives can be **poisoned**: when a worker thread
+//! unwinds, its launcher calls `poison(worker)` on everything the
+//! worker's peers could be parked on, and every waiter wakes and panics
+//! naming that worker — a bug becomes a panic with an origin, never a
+//! hang.
 //!
 //! Locking order, repo-wide (documented in DESIGN.md §3.13 and enforced
 //! by review, not by types): **progress/phase locks → PS shard locks →
@@ -139,46 +145,78 @@ impl Default for WallClock {
     }
 }
 
+/// What a thread blocked on a [`Turnstile`] or [`Barrier`] dies with
+/// once worker `by` has unwound: its peers can no longer arrive, so
+/// waiting for them would park this thread forever.
+fn poisoned(by: usize) -> ! {
+    panic!("worker {by} panicked; a thread waiting on it gives up");
+}
+
 /// An ordered section: `n` threads each enter once per cycle, strictly
 /// in index order `0, 1, .., n-1`, one at a time.
 ///
-/// The threaded BSP trainer wraps its read and write phases in a
-/// turnstile: worker `w` blocks until workers `0..w` have finished the
-/// phase this cycle, runs its (server-mutating) phase body alone, then
+/// The threaded BSP trainer wraps the server exchange of its read and
+/// of its write in a turnstile: worker `w` blocks until workers `0..w`
+/// have finished the exchange this cycle, runs its own alone, then
 /// admits `w + 1`. After `n-1` passes, the turnstile resets for the
-/// next cycle. Compute between the phases runs outside the turnstile,
-/// fully parallel.
+/// next cycle. Everything a worker does to state it owns — and the
+/// compute between the exchanges — runs outside the turnstile, fully
+/// parallel.
 pub struct Turnstile {
     n: usize,
-    turn: Mutex<usize>,
+    state: Mutex<TurnState>,
     cv: Condvar,
+}
+
+struct TurnState {
+    turn: usize,
+    poisoned_by: Option<usize>,
 }
 
 impl Turnstile {
     /// A turnstile for `n` threads (indices `0..n`).
-    // `turn` is a Mutex<usize>, not an atomic, because waiters block on
-    // the Condvar — which requires the Mutex (the CI lint wall denies
-    // `clippy::mutex_atomic` exactly so exceptions carry this note).
-    #[allow(clippy::mutex_atomic)]
     pub fn new(n: usize) -> Self {
         Turnstile {
             n: n.max(1),
-            turn: Mutex::new(0),
+            state: Mutex::new(TurnState {
+                turn: 0,
+                poisoned_by: None,
+            }),
             cv: Condvar::new(),
         }
     }
 
     /// Runs `body` when it is thread `index`'s turn this cycle, then
     /// passes the turn on. Returns `body`'s result.
+    ///
+    /// # Panics
+    /// Panics, naming the worker that failed, once the turnstile is
+    /// [poisoned](Turnstile::poison).
     pub fn pass<T>(&self, index: usize, body: impl FnOnce() -> T) -> T {
-        let mut turn = self.turn.lock().unwrap_or_else(|e| e.into_inner());
-        while *turn != index {
-            turn = self.cv.wait(turn).unwrap_or_else(|e| e.into_inner());
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            if let Some(by) = state.poisoned_by {
+                poisoned(by);
+            }
+            if state.turn == index {
+                break;
+            }
+            state = self.cv.wait(state).unwrap_or_else(|e| e.into_inner());
         }
         let out = body();
-        *turn = (index + 1) % self.n;
+        state.turn = (index + 1) % self.n;
         self.cv.notify_all();
         out
+    }
+
+    /// Marks worker `by` as dead: every thread waiting for its turn, and
+    /// every later [`pass`](Turnstile::pass), panics instead of waiting
+    /// for a pass that will never come. The first poisoner is the one
+    /// reported.
+    pub fn poison(&self, by: usize) {
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        state.poisoned_by.get_or_insert(by);
+        self.cv.notify_all();
     }
 }
 
@@ -193,8 +231,14 @@ impl Turnstile {
 /// worker-0-first orderings.
 pub struct Barrier {
     n: usize,
-    state: Mutex<(usize, u64)>, // (arrived this generation, generation)
+    state: Mutex<BarrierState>,
     cv: Condvar,
+}
+
+struct BarrierState {
+    arrived: usize,
+    generation: u64,
+    poisoned_by: Option<usize>,
 }
 
 impl Barrier {
@@ -202,27 +246,51 @@ impl Barrier {
     pub fn new(n: usize) -> Self {
         Barrier {
             n: n.max(1),
-            state: Mutex::new((0, 0)),
+            state: Mutex::new(BarrierState {
+                arrived: 0,
+                generation: 0,
+                poisoned_by: None,
+            }),
             cv: Condvar::new(),
         }
     }
 
     /// Blocks until all threads arrive; returns `true` iff this caller
     /// passed `index == 0`.
+    ///
+    /// # Panics
+    /// Panics, naming the worker that failed, once the barrier is
+    /// [poisoned](Barrier::poison).
     pub fn wait(&self, index: usize) -> bool {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.0 += 1;
-        if state.0 == self.n {
-            state.0 = 0;
-            state.1 += 1;
+        if let Some(by) = state.poisoned_by {
+            poisoned(by);
+        }
+        state.arrived += 1;
+        if state.arrived == self.n {
+            state.arrived = 0;
+            state.generation += 1;
             self.cv.notify_all();
         } else {
-            let gen = state.1;
-            while state.1 == gen {
+            let generation = state.generation;
+            while state.generation == generation {
                 state = self.cv.wait(state).unwrap_or_else(|e| e.into_inner());
+                if let Some(by) = state.poisoned_by {
+                    poisoned(by);
+                }
             }
         }
         index == 0
+    }
+
+    /// Marks worker `by` as dead: every thread parked at the barrier,
+    /// and every later [`wait`](Barrier::wait), panics instead of
+    /// waiting for an arrival that will never come. The first poisoner
+    /// is the one reported.
+    pub fn poison(&self, by: usize) {
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        state.poisoned_by.get_or_insert(by);
+        self.cv.notify_all();
     }
 }
 
@@ -291,6 +359,47 @@ mod tests {
         for (k, &i) in order.iter().enumerate() {
             assert_eq!(i, k % N, "cycle order must be 0..n, repeated");
         }
+    }
+
+    /// Runs `blocked` — a wait nobody will ever release — on a thread
+    /// of its own beside `poison`, and returns the waiter's panic
+    /// message. Either order works: a waiter already parked is woken,
+    /// one that arrives late finds the poison on entry.
+    fn message_of_poisoned_waiter(blocked: impl FnOnce() + Send, poison: impl FnOnce()) -> String {
+        std::thread::scope(|s| {
+            let waiter = s.spawn(blocked);
+            poison();
+            let payload = waiter.join().expect_err("a poisoned waiter must panic");
+            payload
+                .downcast_ref::<String>()
+                .expect("panic message")
+                .clone()
+        })
+    }
+
+    #[test]
+    fn poisoned_turnstile_fails_waiters_and_later_passes() {
+        let ts = Turnstile::new(2);
+        // Index 1 waits for index 0, which never comes.
+        let msg = message_of_poisoned_waiter(|| ts.pass(1, || ()), || ts.poison(0));
+        assert!(msg.contains("worker 0 panicked"), "{msg}");
+        ts.poison(1);
+        let late = std::panic::catch_unwind(|| ts.pass(0, || ())).expect_err("stays poisoned");
+        let late = late.downcast_ref::<String>().expect("panic message");
+        assert!(late.contains("worker 0"), "the first poisoner is reported");
+    }
+
+    #[test]
+    fn poisoned_barrier_fails_waiters_and_later_waits() {
+        let barrier = Barrier::new(2);
+        let msg = message_of_poisoned_waiter(
+            || {
+                barrier.wait(0);
+            },
+            || barrier.poison(1),
+        );
+        assert!(msg.contains("worker 1 panicked"), "{msg}");
+        assert!(std::panic::catch_unwind(|| barrier.wait(1)).is_err());
     }
 
     #[test]

@@ -58,92 +58,273 @@ fn counter_totals(log: &het_trace::TraceLog, comp: &str) -> BTreeMap<&'static st
 /// BSP: the threaded backend must reproduce the simulator's final
 /// state exactly — dense parameters, eval metric, convergence curve,
 /// communication and cache accounting, every server row's vector and
-/// clock — and its merged trace must replay oracle-clean with the
-/// sim's cache and PS counter totals.
+/// clock, the row stores' tier traffic — and its merged trace must
+/// replay oracle-clean with the sim's cache and PS counter totals.
+///
+/// Only the server exchanges are ordered across threads, so the matrix
+/// covers every kind of exchange: a cached client whose reads write
+/// back (staleness 2), the cache-less client, full replicas gathered by
+/// the leader; on the flat store and on a tiered one whose 32 hot rows
+/// make per-shard call order observable; a cheap policy and the one
+/// that emits events from cache mutations; 2 and 4 threads.
 #[test]
 fn bsp_threads_match_sim_bit_for_bit() {
-    for (threads, seed) in [(2usize, 3u64), (4, 7)] {
-        let mut config = config_of(SystemPreset::HetCache { staleness: 10 }, seed, 240);
-        config.cluster = ClusterSpec::cluster_a(threads, 1);
-
-        het::trace::start(Vec::new());
-        let mut sim = trainer_of(config.clone(), seed);
-        let sim_report = sim.run();
-        let sim_trace = het::trace::finish();
-        let sim_dense = sim.export_dense_params();
-
-        let mut thr = trainer_of(config, seed);
-        let meta = vec![(
-            "kind".to_string(),
-            het::json::Json::Str("parallel-bsp".to_string()),
-        )];
-        let report = thr.run_threaded(Some(meta)).expect("threaded BSP run");
-
-        assert_eq!(report.backend, format!("threads:{threads}"));
-        assert_eq!(report.total_iterations, sim_report.total_iterations);
-        assert_eq!(
-            report.comm, sim_report.comm,
-            "threads:{threads} seed {seed}: comm accounting diverged from sim"
-        );
-        assert_eq!(
-            report.cache, sim_report.cache,
-            "threads:{threads} seed {seed}: merged cache stats diverged from sim"
-        );
-        let log = report.trace.as_ref().expect("traced threaded run");
-        het_trace::schema::validate_jsonl(&log.to_jsonl()).expect("schema-valid merged trace");
-        let oracle = check_replay(&ReplayLog::from(log), &OracleSpec::of(thr.config()))
-            .unwrap_or_else(|v| panic!("threads:{threads}: oracle [{}] {}", v.check, v.message));
-        assert_eq!(oracle.computes, report.total_iterations);
-        assert!(oracle.barriers > 0 && oracle.window_reads > 0);
-        for comp in ["cache", "ps"] {
-            assert_eq!(
-                counter_totals(log, comp),
-                counter_totals(&sim_trace, comp),
-                "threads:{threads} seed {seed}: {comp} trace counters diverged from sim"
-            );
-        }
-        assert_eq!(
-            report.final_metric, sim_report.final_metric,
-            "threads:{threads} seed {seed}: final metric diverged from sim"
-        );
-        assert_eq!(
-            report.final_dense, sim_dense,
-            "threads:{threads} seed {seed}: dense params diverged from sim"
-        );
-        // Curve timestamps are wall-clock on the threaded backend, so
-        // only the learning content is comparable — and it must match
-        // exactly, point for point.
-        assert_eq!(report.curve.len(), sim_report.curve.len());
-        for (a, b) in report.curve.iter().zip(&sim_report.curve) {
-            assert_eq!(a.iteration, b.iteration);
-            assert_eq!(
-                a.metric, b.metric,
-                "threads:{threads} seed {seed}: curve metric diverged at iter {}",
-                a.iteration
-            );
-            assert_eq!(
-                a.train_loss, b.train_loss,
-                "threads:{threads} seed {seed}: curve loss diverged at iter {}",
-                a.iteration
-            );
-        }
-        let sim_rows = sorted_rows(sim.server());
-        let thr_rows = sorted_rows(thr.server());
-        assert_eq!(sim_rows.len(), thr_rows.len());
-        for (a, b) in sim_rows.iter().zip(&thr_rows) {
-            assert_eq!(a.key, b.key);
-            assert_eq!(
-                a.clock, b.clock,
-                "threads:{threads} seed {seed}: clock of key {} diverged",
-                a.key
-            );
-            assert_eq!(
-                a.vector, b.vector,
-                "threads:{threads} seed {seed}: embedding row {} diverged",
-                a.key
-            );
+    let cached = SystemPreset::HetCache { staleness: 2 };
+    let systems = [
+        (cached, Some(PolicyKind::light_lfu())),
+        (cached, Some(PolicyKind::adaptive())),
+        (SystemPreset::HetHybrid, None),
+        (SystemPreset::HetAr, None),
+    ];
+    for (preset, policy) in systems {
+        for store in [StoreSpec::Mem, StoreSpec::Tiered(TieredConfig::new(32))] {
+            for threads in [2, 4] {
+                bsp_cell_matches_sim(preset, policy, store.clone(), threads);
+            }
         }
     }
+}
+
+/// One cell of [`bsp_threads_match_sim_bit_for_bit`].
+fn bsp_cell_matches_sim(
+    preset: SystemPreset,
+    policy: Option<PolicyKind>,
+    store: StoreSpec,
+    threads: usize,
+) {
+    let seed = 3 + threads as u64;
+    let cell = format!("{preset:?} {policy:?} {store:?} threads:{threads}");
+    let mut config = config_of(preset, seed, 240);
+    config.cluster = ClusterSpec::cluster_a(threads, 1);
+    config.store = store;
+    if let Some(policy) = policy {
+        config = config.with_cache(0.10, policy);
+    }
+
+    het::trace::start(Vec::new());
+    let mut sim = trainer_of(config.clone(), seed);
+    let sim_report = sim.run();
+    let sim_trace = het::trace::finish();
+    let sim_dense = sim.export_dense_params();
+
+    let mut thr = trainer_of(config, seed);
+    let meta = vec![(
+        "kind".to_string(),
+        het::json::Json::Str("parallel-bsp".to_string()),
+    )];
+    let report = thr.run_threaded(Some(meta)).expect("threaded BSP run");
+
+    assert_eq!(report.backend, format!("threads:{threads}"));
+    assert_eq!(report.total_iterations, sim_report.total_iterations);
+    assert_eq!(
+        report.comm, sim_report.comm,
+        "{cell}: comm accounting diverged from sim"
+    );
+    assert_eq!(
+        report.cache, sim_report.cache,
+        "{cell}: merged cache stats diverged from sim"
+    );
+    let log = report.trace.as_ref().expect("traced threaded run");
+    het_trace::schema::validate_jsonl(&log.to_jsonl()).expect("schema-valid merged trace");
+    let oracle = check_replay(&ReplayLog::from(log), &OracleSpec::of(thr.config()))
+        .unwrap_or_else(|v| panic!("{cell}: oracle [{}] {}", v.check, v.message));
+    assert_eq!(oracle.computes, report.total_iterations);
+    assert!(oracle.barriers > 0);
+    if policy.is_some() {
+        assert!(
+            oracle.window_reads > 0,
+            "{cell}: no staleness window checked"
+        );
+        assert!(
+            report.cache.invalidations > 0,
+            "{cell}: no read ever wrote back"
+        );
+    }
+    for comp in ["cache", "ps"] {
+        assert_eq!(
+            counter_totals(log, comp),
+            counter_totals(&sim_trace, comp),
+            "{cell}: {comp} trace counters diverged from sim"
+        );
+    }
+    assert_eq!(
+        report.final_metric, sim_report.final_metric,
+        "{cell}: final metric diverged from sim"
+    );
+    assert_eq!(
+        report.final_dense, sim_dense,
+        "{cell}: dense params diverged from sim"
+    );
+    // Curve timestamps are wall-clock on the threaded backend, so
+    // only the learning content is comparable — and it must match
+    // exactly, point for point.
+    assert_eq!(report.curve.len(), sim_report.curve.len());
+    for (a, b) in report.curve.iter().zip(&sim_report.curve) {
+        assert_eq!(a.iteration, b.iteration);
+        assert_eq!(
+            a.metric, b.metric,
+            "{cell}: curve metric diverged at iter {}",
+            a.iteration
+        );
+        assert_eq!(
+            a.train_loss, b.train_loss,
+            "{cell}: curve loss diverged at iter {}",
+            a.iteration
+        );
+    }
+    // Demotions, promotions and disk time follow each shard's call
+    // order; all zero on the flat store.
+    assert_eq!(
+        thr.server().store_stats(),
+        sim.server().store_stats(),
+        "{cell}: row-store traffic diverged from sim"
+    );
+    let sim_rows = sorted_rows(sim.server());
+    let thr_rows = sorted_rows(thr.server());
+    assert_eq!(sim_rows.len(), thr_rows.len());
+    for (a, b) in sim_rows.iter().zip(&thr_rows) {
+        assert_eq!(a.key, b.key);
+        assert_eq!(a.clock, b.clock, "{cell}: clock of key {} diverged", a.key);
+        assert_eq!(
+            a.vector, b.vector,
+            "{cell}: embedding row {} diverged",
+            a.key
+        );
+    }
+}
+
+/// A dataset that panics when asked for one particular training batch.
+struct PanicsAt {
+    inner: CtrDataset,
+    cursor: u64,
+}
+
+impl Dataset for PanicsAt {
+    type Batch = CtrBatch;
+    fn train_batch(&self, cursor: u64, batch_size: usize) -> CtrBatch {
+        assert_ne!(cursor, self.cursor, "injected: no batch at this cursor");
+        Dataset::train_batch(&self.inner, cursor, batch_size)
+    }
+    fn test_batch(&self, cursor: u64, batch_size: usize) -> CtrBatch {
+        Dataset::test_batch(&self.inner, cursor, batch_size)
+    }
+    fn epoch_examples(&self) -> u64 {
+        self.inner.epoch_examples()
+    }
+    fn test_examples(&self) -> u64 {
+        self.inner.test_examples()
+    }
+    fn n_keys(&self) -> usize {
+        Dataset::n_keys(&self.inner)
+    }
+}
+
+/// A model whose `bad_step`-th backward pass hands back gradients of
+/// the wrong dimension — which the server rejects, with a panic, in
+/// the middle of the worker's write exchange.
+struct WrongDimAt {
+    inner: WideDeep,
+    bad_step: Option<u32>,
+    steps: u32,
+}
+
+impl het::tensor::HasParams for WrongDimAt {
+    fn visit_params(&mut self, visitor: &mut dyn het::tensor::ParamVisitor) {
+        self.inner.visit_params(visitor);
+    }
+}
+
+impl EmbeddingModel for WrongDimAt {
+    type Batch = CtrBatch;
+    fn embedding_dim(&self) -> usize {
+        self.inner.embedding_dim()
+    }
+    fn forward_backward(&mut self, batch: &CtrBatch, store: &EmbeddingStore) -> (f32, SparseGrads) {
+        let (loss, grads) = self.inner.forward_backward(batch, store);
+        self.steps += 1;
+        if self.bad_step != Some(self.steps) {
+            return (loss, grads);
+        }
+        let dim = self.embedding_dim() + 1;
+        let mut bad = SparseGrads::new(dim);
+        bad.accumulate(batch.unique_keys()[0], &vec![0.0; dim]);
+        (loss, bad)
+    }
+    fn evaluate(&self, batch: &CtrBatch, store: &EmbeddingStore) -> het::models::EvalChunk {
+        self.inner.evaluate(batch, store)
+    }
+    fn metric_kind(&self) -> MetricKind {
+        self.inner.metric_kind()
+    }
+    fn flops_per_batch(&self, n: usize) -> f64 {
+        self.inner.flops_per_batch(n)
+    }
+}
+
+/// Runs `run` — a threaded job with a failure injected into worker 1 —
+/// on a thread of its own and returns the panic it must come back with
+/// inside five seconds.
+fn panic_of(run: impl FnOnce() + Send + 'static) -> String {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
+        let _ = tx.send(outcome);
+    });
+    let payload = rx
+        .recv_timeout(std::time::Duration::from_secs(5))
+        .expect("a worker panicked and its peers hung")
+        .expect_err("the injected failure never fired");
+    match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => payload
+            .downcast::<&str>()
+            .map_or_else(|_| "?".to_string(), |m| m.to_string()),
+    }
+}
+
+/// A worker that panics fails the run — its peers, parked on the
+/// turnstiles and barriers it will never reach, are woken to panic too,
+/// naming it — instead of hanging it. Once outside any ordered section
+/// (worker 1 cannot produce its third batch), once inside the write
+/// exchange, and once at the SSP gate.
+#[test]
+fn a_panicking_worker_fails_the_run_instead_of_hanging_it() {
+    let third_batch_of_worker_1 =
+        |config: &TrainerConfig| ((2 * config.cluster.n_workers + 1) * config.batch_size) as u64;
+    for preset in [
+        SystemPreset::HetCache { staleness: 10 },
+        SystemPreset::Ssp { staleness: 1 },
+    ] {
+        let message = panic_of(move || {
+            let config = config_of(preset, 3, 400);
+            let dataset = PanicsAt {
+                inner: CtrDataset::new(CtrConfig::tiny(3)),
+                cursor: third_batch_of_worker_1(&config),
+            };
+            let mut trainer = Trainer::new(config, dataset, |rng| WideDeep::new(rng, 4, 8, &[16]));
+            let _ = trainer.run_threaded(None);
+        });
+        // Worker 0, a waiter, is the first failed thread in worker order.
+        assert!(
+            message.contains("worker 1 panicked"),
+            "{preset:?}: {message}"
+        );
+    }
+
+    let message = panic_of(|| {
+        let config = config_of(SystemPreset::HetHybrid, 3, 400);
+        let replicas = std::sync::atomic::AtomicU32::new(0);
+        let dataset = CtrDataset::new(CtrConfig::tiny(3));
+        let mut trainer = Trainer::new(config, dataset, |rng| WrongDimAt {
+            inner: WideDeep::new(rng, 4, 8, &[16]),
+            // Replicas are built in worker order.
+            bad_step: (replicas.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 1)
+                .then_some(3),
+            steps: 0,
+        });
+        let _ = trainer.run_threaded(None);
+    });
+    assert!(message.contains("worker 1 panicked"), "{message}");
 }
 
 /// ASP and SSP threaded runs are nondeterministic by design, so each
