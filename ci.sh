@@ -37,6 +37,12 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --quick
 echo "    [timing] benchmark: $(($(date +%s) - step_start))s"
 
+# Every paper figure, ablation and sweep is a row of het_bench::EXPERIMENTS
+# behind one runner; Fig. 2 (a few seconds) is the smoke that the figure
+# path of that runner works. The sweep gates below go through it too.
+echo "==> experiment runner smoke (hetctl exp fig2)"
+cargo run -q --release -p het-bench --bin hetctl -- exp fig2
+
 echo "==> colocated train+serve smoke (one runtime, one PS fabric)"
 cargo run -q --release -p het-bench --bin hetctl -- colocate --iters 120 --requests 200
 
@@ -69,7 +75,7 @@ CORES=$(nproc)
 if [ "$CORES" -ge 2 ]; then SCALE_GATE=1.0; else SCALE_GATE=0.5; fi
 echo "==> scale sweep ($CORES cores -> threads:2 >= ${SCALE_GATE}x its sim twin, both recipes)"
 step_start=$(date +%s)
-cargo run -q --release -p het-bench --bin hetctl -- scale-sweep \
+cargo run -q --release -p het-bench --bin hetctl -- exp scale-sweep \
     --threads 1,2,4 --iters 240 --gate "$SCALE_GATE"
 echo "    [timing] scale sweep: $(($(date +%s) - step_start))s"
 
@@ -95,18 +101,18 @@ cargo run -q --release -p het-bench --bin hetctl -- oracle --seeds 0..120 --iter
 echo "    [timing] oracle campaign: $(($(date +%s) - step_start))s"
 
 echo "==> prefetch depth sweep (>=30% cut at depth 4, monotone non-increasing)"
-cargo run -q --release -p het-bench --bin hetctl -- prefetch-sweep \
+cargo run -q --release -p het-bench --bin hetctl -- exp prefetch-sweep \
     --iters 480 --depths 0,1,2,4,8 --gate 0.30
 
 echo "==> store sweep smoke (10^7 keys, bounded residency, hit-rate floor, Mem zero-disk)"
 step_start=$(date +%s)
-cargo run -q --release -p het-bench --bin hetctl -- store-sweep \
+cargo run -q --release -p het-bench --bin hetctl -- exp store-sweep \
     --keys 10000000 --ops 300000 --hot 65536 --gate 0.5
 echo "    [timing] store sweep: $(($(date +%s) - step_start))s"
 
 echo "==> policy shootout (adaptive within 5 hit-rate points of best fixed, all scenarios)"
 step_start=$(date +%s)
-cargo run -q --release -p het-bench --bin hetctl -- policy-shootout \
+cargo run -q --release -p het-bench --bin hetctl -- exp policy-shootout \
     --iters 240 --requests 2400 --gate 0.05
 echo "    [timing] policy shootout: $(($(date +%s) - step_start))s"
 

@@ -9,9 +9,8 @@
 //! hetctl chaos    --seeds 0..120
 //! hetctl oracle   --seeds 0..500 --iters 50
 //! hetctl oracle   --repro target/oracle/repro-0-17.json
-//! hetctl prefetch-sweep [--depths 0,1,2,4,8 --iters 600 --gate 0.30]
-//! hetctl store-sweep [--keys 10000000 --ops 1000000 --hot 16384,65536 --gate 0.5]
-//! hetctl scale-sweep [--threads 1,2,4 --iters 240 --gate 1.0]
+//! hetctl exp      fig7
+//! hetctl exp      prefetch-sweep [--depths 0,1,2,4,8 --iters 600 --gate 0.30]
 //! hetctl list
 //! ```
 //!
@@ -22,9 +21,13 @@
 //! PS fabric, reporting wall-clock throughput. A threaded training run
 //! always collects a merged per-thread trace and replays it through
 //! `het-oracle` before printing — the simulator stays the correctness
-//! oracle. `scale-sweep` charts threaded throughput against the thread
-//! count, and against the simulator's run of the same job, on the
-//! Fig. 2 CTR recipe and on the sparse-bound Reddit/GraphSAGE one.
+//! oracle.
+//!
+//! `exp <name>` runs one row of `het_bench::EXPERIMENTS` — a paper
+//! figure or table, an ablation, or a sweep — through the same runner
+//! `cargo bench -p het-bench` uses: it prints the records, writes them
+//! to `target/experiments/<record>.json`, and with `--gate <threshold>`
+//! (on the rows that have one) fails unless the records pass.
 //!
 //! Runs a (workload × system) training simulation and prints the report;
 //! `compare` additionally runs a baseline and prints speedups — the
@@ -36,20 +39,25 @@
 //! traffic while training" configuration. `oracle` runs the model-based
 //! consistency oracle over a seed range of fuzzed schedules (see
 //! `het-oracle`), shrinking and writing a repro file for any violation;
-//! `--repro` replays such a file. `chaos` runs the compound-failure
-//! campaign (`het_serve::run_chaos`) — 10× flash crowd + replica
-//! crashes + PS-shard outage + live shard split over a live trainer —
-//! and gates on its SLO/RTO verdicts; with `--seeds A..B` it sweeps a
-//! whole seed range and fails on the first unhealthy run.
+//! `--repro` replays such a file; a campaign also leaves its coverage
+//! record in `target/experiments/oracle_fuzz.json`. `chaos` runs the
+//! compound-failure campaign (`het_serve::run_chaos`) — 10× flash
+//! crowd + replica crashes + PS-shard outage + live shard split over a
+//! live trainer — and gates on its SLO/RTO verdicts; with `--seeds
+//! A..B` it sweeps a whole seed range and fails on the first unhealthy
+//! run.
 //!
 //! Every fault-capable subcommand also takes `--fault-plan FILE.json`
 //! (replace the derived fault plan with an explicit scripted one) and
 //! `--fault-plan-dump FILE.json` (write the plan actually used, in the
 //! same format — dump, edit, replay).
 
-use het_bench::{run_workload, run_workload_threaded, run_workload_traced, RunSummary, Workload};
+use het_bench::{
+    nearest, run_workload, run_workload_threaded, run_workload_traced, target_dir, Args, Table,
+    TraceArgs, Workload, EXPERIMENTS, TRACE_FLAGS,
+};
 use het_cache::PolicyKind;
-use het_core::config::{SparseMode, SystemPreset, TrainerConfig};
+use het_core::config::{SystemPreset, TrainerConfig};
 use het_core::{FaultConfig, TrainReport};
 use het_runtime::ExecutionBackend;
 use het_simnet::{ClusterSpec, SimDuration};
@@ -59,135 +67,9 @@ use std::process::ExitCode;
 /// each subcommand's full list is in [`COMMANDS`].
 const FAULT_FLAGS: &str = "fault-crashes fault-outages fault-stragglers fault-degradations \
                            fault-drop fault-horizon fault-checkpoint-every";
-const TRACE_FLAGS: &str = "trace trace-chrome";
 const PLAN_FLAGS: &str = "fault-plan fault-plan-dump";
 const TRAIN_FLAGS: &str = "workload system staleness backend workers servers dim iters cache-frac \
                            policy network target lr lookahead store";
-
-/// Levenshtein distance, for "did you mean" on a mistyped flag.
-fn edit_distance(a: &str, b: &str) -> usize {
-    let b: Vec<char> = b.chars().collect();
-    let mut row: Vec<usize> = (0..=b.len()).collect();
-    for (i, ca) in a.chars().enumerate() {
-        let mut diagonal = row[0];
-        row[0] = i + 1;
-        for (j, &cb) in b.iter().enumerate() {
-            let above = row[j + 1];
-            row[j + 1] = (diagonal + usize::from(ca != cb))
-                .min(row[j] + 1)
-                .min(above + 1);
-            diagonal = above;
-        }
-    }
-    row[b.len()]
-}
-
-struct Args {
-    map: Vec<(String, String)>,
-}
-
-impl Args {
-    /// Parses `--flag value` pairs. A flag outside `known` (the
-    /// subcommand's flag groups) is an error naming the nearest known
-    /// flag, so a typo never silently runs the defaults.
-    fn parse(argv: &[String], known: &[&str]) -> Result<Args, String> {
-        let known = || known.iter().flat_map(|group| group.split_whitespace());
-        let mut map = Vec::new();
-        let mut i = 0;
-        while i < argv.len() {
-            let key = argv[i]
-                .strip_prefix("--")
-                .ok_or_else(|| format!("expected --flag, got '{}'", argv[i]))?;
-            if !known().any(|k| k == key) {
-                return Err(match known().min_by_key(|k| edit_distance(key, k)) {
-                    Some(k) => format!("unknown flag --{key} (did you mean --{k}?)"),
-                    None => format!("unknown flag --{key} (this command takes no flags)"),
-                });
-            }
-            let value = argv
-                .get(i + 1)
-                .ok_or_else(|| format!("--{key} needs a value"))?
-                .clone();
-            map.push((key.to_string(), value));
-            i += 2;
-        }
-        Ok(Args { map })
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.map
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// A comma-separated list flag.
-    fn get_list<T: std::str::FromStr>(&self, key: &str, default: Vec<T>) -> Result<Vec<T>, String> {
-        let Some(list) = self.get(key) else {
-            return Ok(default);
-        };
-        let parse = |v: &str| v.trim().parse();
-        list.split(',')
-            .map(|v| parse(v).map_err(|_| format!("--{key}: cannot parse '{v}'")))
-            .collect()
-    }
-
-    fn get_parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key}: cannot parse '{v}'")),
-        }
-    }
-}
-
-/// The `--trace OUT.jsonl` / `--trace-chrome OUT.json` flags, handled
-/// identically by every subcommand: check [`TraceArgs::requested`],
-/// start/finish the collector around the run, then [`TraceArgs::write`]
-/// the log to every requested output.
-struct TraceArgs {
-    jsonl: Option<String>,
-    chrome: Option<String>,
-}
-
-impl TraceArgs {
-    fn of(args: &Args) -> TraceArgs {
-        TraceArgs {
-            jsonl: args.get("trace").map(str::to_string),
-            chrome: args.get("trace-chrome").map(str::to_string),
-        }
-    }
-
-    fn requested(&self) -> bool {
-        self.jsonl.is_some() || self.chrome.is_some()
-    }
-
-    /// Starts the trace collector (when any output was requested) with
-    /// the run's metadata; returns whether tracing is on.
-    fn begin(&self, kind: &str, seed: u64) -> bool {
-        if self.requested() {
-            het_trace::start(vec![
-                ("kind".to_string(), het_json::Json::Str(kind.to_string())),
-                ("seed".to_string(), het_json::Json::UInt(seed)),
-            ]);
-        }
-        self.requested()
-    }
-
-    fn write(&self, log: &het_trace::TraceLog) -> Result<(), String> {
-        if let Some(p) = &self.jsonl {
-            std::fs::write(p, log.to_jsonl()).map_err(|e| format!("--trace {p}: {e}"))?;
-            eprintln!("[trace jsonl] {p}");
-        }
-        if let Some(p) = &self.chrome {
-            std::fs::write(p, het_trace::chrome::to_chrome_trace(log))
-                .map_err(|e| format!("--trace-chrome {p}: {e}"))?;
-            eprintln!("[trace chrome] {p}");
-        }
-        Ok(())
-    }
-}
 
 fn workload_of(name: &str) -> Result<Workload, String> {
     Ok(match name {
@@ -272,16 +154,22 @@ fn store_spec_of(name: &str) -> Result<het_ps::StoreSpec, String> {
     }
 }
 
-fn print_report(workload: Workload, system: &str, summary: &RunSummary, report: &TrainReport) {
+fn print_report(workload: Workload, system: &str, report: &TrainReport) {
     println!("workload          {}", workload.name());
     println!("system            {system}");
-    println!("final metric      {:.4}", summary.final_metric);
-    println!("simulated time    {:.3} s", summary.sim_time_s);
-    println!("epoch time        {:.3} s", summary.epoch_time_s);
-    println!("embedding bytes   {}", summary.embedding_bytes);
-    println!("cache hit rate    {:.1} %", 100.0 * summary.cache_hit_rate);
-    println!("comm fraction     {:.1} %", 100.0 * summary.comm_fraction);
-    if let Some(t) = summary.time_to_target_s {
+    println!("final metric      {:.4}", report.final_metric);
+    println!(
+        "simulated time    {:.3} s",
+        report.total_sim_time.as_secs_f64()
+    );
+    println!("epoch time        {:.3} s", report.epoch_time());
+    println!("embedding bytes   {}", report.comm.embedding_bytes());
+    println!("cache hit rate    {:.1} %", 100.0 * report.cache.hit_rate());
+    println!(
+        "comm fraction     {:.1} %",
+        100.0 * report.breakdown.communication_fraction()
+    );
+    if let Some(t) = report.convergence_time() {
         println!("time to target    {t:.3} s");
     }
     if let Some(s) = &report.store {
@@ -432,16 +320,14 @@ fn run_one(
     preset: SystemPreset,
     args: &Args,
     traced: bool,
-) -> Result<(RunSummary, TrainReport, Option<het_trace::TraceLog>), String> {
+) -> Result<(TrainReport, Option<het_trace::TraceLog>), String> {
     let tweak = train_tweak(args, ExecutionBackend::Sim)?;
-    let (report, log) = if traced {
+    Ok(if traced {
         let (report, log) = run_workload_traced(workload, preset, &tweak);
         (report, Some(log))
     } else {
         (run_workload(workload, preset, &tweak), None)
-    };
-    let summary = RunSummary::from_report(workload, report.system.as_str(), &report);
-    Ok((summary, report, log))
+    })
 }
 
 /// The `--backend sim|threads:<n>` flag (default `sim`).
@@ -520,57 +406,6 @@ fn run_one_threaded(
     }
     print_parallel_report(workload, &report);
     TraceArgs::of(args).write(log)?;
-    Ok(())
-}
-
-/// Runs the thread-scaling sweep (`het_bench::scale_sweep`) — the
-/// Fig. 2 CTR recipe and the sparse-bound Reddit/GraphSAGE one, each
-/// width beside the simulator's run of the same job — prints the
-/// wall-clock throughput table, and writes the rows to
-/// `target/experiments/scale_sweep.json`. With `--gate F` the command
-/// fails unless every recipe's threads:2 row reaches at least `F ×` its
-/// sim twin's throughput — the CI smoke gate (`ci.sh` derives F from
-/// `nproc`: 1.0 with two cores or more, a tolerance below 1 on
-/// single-core boxes where extra threads only add coordination).
-fn cmd_scale_sweep(args: &Args) -> Result<(), String> {
-    let iters: u64 = args.get_parsed("iters", 240)?;
-    let gate: f64 = args.get_parsed("gate", 0.0)?;
-    let threads: Vec<usize> = args.get_list("threads", vec![1, 2, 4])?;
-    let rows = het_bench::scale_sweep(&threads, iters)?;
-    println!(
-        "{:>7} {:>7} {:>7} {:>10} {:>11} {:>12} {:>8} {:>11} {:>8}",
-        "recipe",
-        "threads",
-        "iters",
-        "wall(s)",
-        "ops/sec",
-        "cycle(us)",
-        "vs 1",
-        "sim ops/s",
-        "vs sim"
-    );
-    for r in &rows {
-        println!(
-            "{:>7} {:>7} {:>7} {:>10.3} {:>11.1} {:>12.1} {:>7.2}x {:>11.1} {:>7.2}x",
-            r.recipe,
-            r.threads,
-            r.iterations,
-            r.wall_s,
-            r.ops_per_sec,
-            r.cycle_time_us,
-            r.speedup_vs_one,
-            r.sim_ops_per_sec,
-            r.speedup_vs_sim
-        );
-    }
-    het_bench::out::write_json(
-        "scale_sweep",
-        &het_json::Json::Arr(rows.iter().map(het_json::ToJson::to_json).collect()),
-    );
-    if gate > 0.0 {
-        het_bench::scale_sweep_gate(&rows, gate)?;
-        println!("verdict: PASS (threads:2 >= {gate:.2} x its sim twin on every recipe)");
-    }
     Ok(())
 }
 
@@ -971,199 +806,6 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the lookahead-depth sweep (`het_bench::prefetch_sweep`) on the
-/// remote-PS CTR workload, prints the cycle-time table, and writes the
-/// rows to `target/experiments/prefetch_sweep.json`. With `--gate F`
-/// the command fails unless cycle time is monotonically non-increasing
-/// in depth *and* the depth-4 row cuts cycle time by at least fraction
-/// `F` vs depth 0 — the CI smoke gate.
-fn cmd_prefetch_sweep(args: &Args) -> Result<(), String> {
-    let iters: u64 = args.get_parsed("iters", 600)?;
-    let depths: Vec<u64> = args.get_list("depths", vec![0, 1, 2, 4, 8])?;
-    let gate: f64 = args.get_parsed("gate", 0.0)?;
-    let dim: usize = args.get_parsed("dim", 0)?;
-    let batch: usize = args.get_parsed("batch", 0)?;
-    let workers: usize = args.get_parsed("workers", 0)?;
-    let cache_frac: f64 = args.get_parsed("cache-frac", 0.0)?;
-    let staleness: u64 = args.get_parsed("staleness", 0)?;
-    let rows = het_bench::prefetch_sweep_with(&depths, iters, &|c| {
-        if dim > 0 {
-            c.dim = dim;
-        }
-        if batch > 0 {
-            c.batch_size = batch;
-        }
-        if workers > 0 {
-            c.cluster = ClusterSpec::cluster_a(workers, 1);
-        }
-        if cache_frac > 0.0 {
-            *c = c.clone().with_cache(cache_frac, PolicyKind::light_lfu());
-        }
-        if staleness > 0 {
-            if let SparseMode::Cached { staleness: s, .. } = &mut c.system.sparse {
-                *s = staleness;
-            }
-        }
-    });
-    println!(
-        "{:>6} {:>12} {:>9} {:>7} {:>10} {:>10} {:>8}",
-        "depth", "cycle(us)", "speedup", "hit%", "installs", "pf-hits", "wasted"
-    );
-    for r in &rows {
-        println!(
-            "{:>6} {:>12.2} {:>8.2}x {:>6.1} {:>10} {:>10} {:>8}",
-            r.depth,
-            r.cycle_time_us,
-            r.speedup_vs_demand,
-            100.0 * r.cache_hit_rate,
-            r.prefetch_installs,
-            r.prefetch_hits,
-            r.prefetch_wasted
-        );
-    }
-    het_bench::out::write_json(
-        "prefetch_sweep",
-        &het_json::Json::Arr(rows.iter().map(het_json::ToJson::to_json).collect()),
-    );
-    let tracing = TraceArgs::of(args);
-    if tracing.requested() {
-        // One extra traced run (default: the deepest swept depth) for
-        // the timeline where prefetch transfers overlap compute.
-        let trace_depth: u64 =
-            args.get_parsed("trace-depth", depths.last().copied().unwrap_or(0))?;
-        let (_, log) = het_bench::prefetch_sweep_traced(trace_depth, iters);
-        tracing.write(&log)?;
-    }
-    if gate > 0.0 {
-        for w in rows.windows(2) {
-            if w[1].cycle_time_us > w[0].cycle_time_us {
-                return Err(format!(
-                    "cycle time is not monotonically non-increasing: depth {} ({:.2} us) > \
-                     depth {} ({:.2} us)",
-                    w[1].depth, w[1].cycle_time_us, w[0].depth, w[0].cycle_time_us
-                ));
-            }
-        }
-        let depth4 = rows
-            .iter()
-            .find(|r| r.depth == 4)
-            .ok_or("--gate needs a depth-4 row in the sweep")?;
-        let reduction = 1.0 - depth4.cycle_time_us / rows[0].cycle_time_us;
-        println!(
-            "depth-4 cycle-time reduction: {:.1} % (gate {:.1} %)",
-            100.0 * reduction,
-            100.0 * gate
-        );
-        if reduction < gate {
-            return Err(format!(
-                "depth-4 cycle-time reduction {:.1} % is below the {:.1} % gate",
-                100.0 * reduction,
-                100.0 * gate
-            ));
-        }
-        println!("verdict: PASS");
-    }
-    Ok(())
-}
-
-/// Runs the tiered-store sweep (`het_bench::store_sweep`): one
-/// CTR-shaped Zipf stream at a paper-scale key space against the flat
-/// in-memory baseline and a tiered cell per hot budget, printing the
-/// memory-vs-disk crossover table and writing the rows to
-/// `target/experiments/store_sweep.json`. With `--gate FLOOR` the
-/// command fails unless every tiered cell stayed within its resident
-/// budget, exercised the cold tier, and kept its hot hit rate at or
-/// above FLOOR — the CI smoke gate proving 10⁷-key spaces run in
-/// bounded memory.
-fn cmd_store_sweep(args: &Args) -> Result<(), String> {
-    let n_keys: u64 = args.get_parsed("keys", 10_000_000)?;
-    let ops: u64 = args.get_parsed("ops", 1_000_000)?;
-    let dim: usize = args.get_parsed("dim", 16)?;
-    let gate: f64 = args.get_parsed("gate", 0.0)?;
-    let hot_budgets: Vec<u64> = args.get_list("hot", vec![1 << 14, 1 << 16, 1 << 18])?;
-    // Cold tiers spill to real segment files under target/experiments
-    // by default, so host memory stays bounded at 10⁷–10⁸-key scale;
-    // `--spill 0` keeps segments in memory (small sweeps only).
-    let spill_dir = if args.get_parsed("spill", 1u8)? != 0 {
-        Some(het_bench::out::experiments_dir().join("store_sweep_cold"))
-    } else {
-        None
-    };
-    let rows = het_bench::store_sweep(n_keys, ops, &hot_budgets, dim, spill_dir.clone());
-    println!(
-        "{:<16} {:>12} {:>12} {:>10} {:>7} {:>10} {:>8} {:>10}",
-        "backend", "distinct", "resident", "res(MiB)", "hit%", "io(ms)", "compact", "wall(ms)"
-    );
-    for r in &rows {
-        println!(
-            "{:<16} {:>12} {:>12} {:>10.1} {:>6.1} {:>10.2} {:>8} {:>10.0}",
-            r.backend,
-            r.distinct_keys,
-            r.resident_rows,
-            r.resident_mb,
-            100.0 * r.hot_hit_rate,
-            r.io_ms,
-            r.compactions,
-            r.wall_ms
-        );
-    }
-    het_bench::out::write_json(
-        "store_sweep",
-        &het_json::Json::Arr(rows.iter().map(het_json::ToJson::to_json).collect()),
-    );
-    if let Some(d) = &spill_dir {
-        // The cold logs are scratch, not an artifact.
-        let _ = std::fs::remove_dir_all(d);
-    }
-    if gate > 0.0 {
-        het_bench::store_sweep_gate(&rows, gate)?;
-        println!("verdict: PASS (every tiered cell bounded, hot hit rate >= {gate:.2})");
-    }
-    Ok(())
-}
-
-/// Runs the eviction-policy shootout (`het_bench::policy_shootout`):
-/// every scenario of the matrix (CTR/GNN training, prefetch on,
-/// faulted, serve with hot-set drift, serve with a flash crowd) ×
-/// every `PolicyKind`, printing the leaderboard and writing it to
-/// `target/experiments/policy_shootout.json`. With `--gate MARGIN` the
-/// command fails if on any scenario the adaptive meta-policy's hit
-/// rate falls more than MARGIN (absolute) below the best fixed policy
-/// — the CI gate proving the switcher tracks the per-workload winner.
-fn cmd_policy_shootout(args: &Args) -> Result<(), String> {
-    let iters: u64 = args.get_parsed("iters", 240)?;
-    let requests: usize = args.get_parsed("requests", 2_400)?;
-    let gate: f64 = args.get_parsed("gate", 0.0)?;
-    let rows = het_bench::policy_shootout(iters, requests);
-    println!(
-        "{:<20} {:<10} {:>7} {:>12} {:>10}",
-        "scenario", "policy", "hit%", "cycle(us)", "p99(us)"
-    );
-    for scenario in het_bench::SHOOTOUT_SCENARIOS {
-        let mut cells: Vec<_> = rows.iter().filter(|r| r.scenario == scenario).collect();
-        cells.sort_by(|a, b| b.hit_rate.total_cmp(&a.hit_rate));
-        for r in cells {
-            println!(
-                "{:<20} {:<10} {:>6.1}% {:>12.2} {:>10.1}",
-                r.scenario,
-                r.policy,
-                100.0 * r.hit_rate,
-                r.cycle_time_us,
-                r.p99_us
-            );
-        }
-    }
-    het_bench::out::write_json(
-        "policy_shootout",
-        &het_json::Json::Arr(rows.iter().map(het_json::ToJson::to_json).collect()),
-    );
-    if gate > 0.0 {
-        het_bench::shootout_gate(&rows, gate)?;
-        println!("verdict: PASS (adaptive within {gate:.2} of best fixed on every scenario)");
-    }
-    Ok(())
-}
-
 /// Parses `"A..B"` into a half-open index range.
 fn seed_range_of(s: &str) -> Result<(u64, u64), String> {
     let (a, b) = s
@@ -1200,13 +842,11 @@ fn cmd_oracle(args: &Args) -> Result<(), String> {
     }
 
     let (seed_start, seed_end) = seed_range_of(args.get("seeds").unwrap_or("0..100"))?;
+    // Fail before the campaign, not after it, when its record cannot be kept.
+    het_bench::experiments_dir()?;
     let out_dir = match args.get("out") {
         Some(p) => std::path::PathBuf::from(p),
-        None => {
-            let target = std::env::var("CARGO_TARGET_DIR")
-                .unwrap_or_else(|_| format!("{}/../../target", env!("CARGO_MANIFEST_DIR")));
-            std::path::PathBuf::from(target).join("oracle")
-        }
+        None => target_dir().join("oracle"),
     };
     let cfg = FuzzConfig {
         master_seed: args.get_parsed("master-seed", 0)?,
@@ -1235,6 +875,26 @@ fn cmd_oracle(args: &Args) -> Result<(), String> {
          {} prefetch installs",
         outcome.computes, outcome.window_reads, outcome.barriers, outcome.prefetch_installs
     );
+    // The campaign's coverage record, beside the other experiments'.
+    let mut record = Table::new(
+        "oracle_fuzz",
+        "master_seed runs bsp_runs asp_runs ssp_runs cached_runs faulted_runs computes \
+         window_reads barriers violations",
+    );
+    record.push(&[
+        &cfg.master_seed,
+        &outcome.runs,
+        &outcome.by_sync[0],
+        &outcome.by_sync[1],
+        &outcome.by_sync[2],
+        &outcome.cached_runs,
+        &outcome.faulted_runs,
+        &outcome.computes,
+        &outcome.window_reads,
+        &outcome.barriers,
+        &(outcome.violations.len() as u64),
+    ]);
+    record.write()?;
     if outcome.violations.is_empty() {
         println!("verdict: PASS — zero violations");
         return Ok(());
@@ -1259,19 +919,26 @@ fn cmd_oracle(args: &Args) -> Result<(), String> {
     ))
 }
 
-/// Prints the value vocabularies and, from [`COMMANDS`], every
-/// subcommand with the flags it reads.
+/// Prints the value vocabularies and, from [`COMMANDS`] and
+/// [`EXPERIMENTS`], every subcommand and experiment with the flags it
+/// reads.
 fn cmd_list(_: &Args) -> Result<(), String> {
     println!("workloads: wdl dfm dcn reddit amazon mag");
     println!("systems:   tf-ps tf-parallax het-ps het-ar het-hybrid het-cache ssp");
     println!("policies:  lru lfu lightlfu[:T] clock slru lfuda gdsf adaptive[:W]");
     println!("backends:  sim threads:N    stores: mem tiered:HOT_ROWS    networks: 1gbe 10gbe");
-    for (name, flags, _) in COMMANDS {
+    let line = |name: &str, flags: &[&str]| {
         let flags = flags.iter().flat_map(|g| g.split_whitespace());
         println!(
             "{name}:{}",
             flags.map(|f| format!(" --{f}")).collect::<String>()
         );
+    };
+    for (name, flags, _) in COMMANDS {
+        line(name, flags);
+    }
+    for exp in EXPERIMENTS {
+        line(&format!("exp {}", exp.name), exp.flags);
     }
     Ok(())
 }
@@ -1290,24 +957,25 @@ fn train_or_compare(args: &Args, compare: bool) -> Result<(), String> {
         return run_one_threaded(workload, preset, args, n);
     }
     let trace = TraceArgs::of(args);
-    let (summary, report, log) = run_one(workload, preset, args, trace.requested())?;
-    print_report(workload, &system_name, &summary, &report);
+    let (report, log) = run_one(workload, preset, args, trace.requested())?;
+    print_report(workload, &system_name, &report);
     if let Some(log) = log {
         trace.write(&log)?;
     }
     if compare {
         let base_name = args.get("baseline").unwrap_or("het-hybrid").to_string();
         let base_preset = system_of(&base_name, staleness)?;
-        let (base, base_report, _) = run_one(workload, base_preset, args, false)?;
+        let (base, _) = run_one(workload, base_preset, args, false)?;
         println!("\n--- baseline ---");
-        print_report(workload, &base_name, &base, &base_report);
+        print_report(workload, &base_name, &base);
         println!("\n--- comparison ---");
         println!(
             "epoch-time speedup      {:.2}x",
-            base.epoch_time_s / summary.epoch_time_s.max(f64::MIN_POSITIVE)
+            base.epoch_time() / report.epoch_time().max(f64::MIN_POSITIVE)
         );
-        let reduction = if base.embedding_bytes > 0 {
-            1.0 - summary.embedding_bytes as f64 / base.embedding_bytes as f64
+        let (bytes, base_bytes) = (report.comm.embedding_bytes(), base.comm.embedding_bytes());
+        let reduction = if base_bytes > 0 {
+            1.0 - bytes as f64 / base_bytes as f64
         } else {
             0.0
         };
@@ -1316,8 +984,9 @@ fn train_or_compare(args: &Args, compare: bool) -> Result<(), String> {
     Ok(())
 }
 
-/// Every subcommand: its name, the groups of flags it reads (checked by
-/// [`Args::parse`] before anything runs), and its entry point.
+/// Every subcommand but `exp` (whose flags are its experiment's): its
+/// name, the groups of flags it reads (checked by [`Args::parse`] before
+/// anything runs), and its entry point.
 #[allow(clippy::type_complexity)]
 const COMMANDS: &[(&str, &[&str], fn(&Args) -> Result<(), String>)] = &[
     ("train", &[TRAIN_FLAGS, FAULT_FLAGS, TRACE_FLAGS], |args| {
@@ -1365,38 +1034,29 @@ const COMMANDS: &[(&str, &[&str], fn(&Args) -> Result<(), String>)] = &[
         &["seeds iters master-seed stop-after sabotage-staleness out repro"],
         cmd_oracle,
     ),
-    (
-        "prefetch-sweep",
-        &[
-            "depths iters gate dim batch workers cache-frac staleness trace-depth",
-            TRACE_FLAGS,
-        ],
-        cmd_prefetch_sweep,
-    ),
-    ("scale-sweep", &["threads iters gate"], cmd_scale_sweep),
-    (
-        "store-sweep",
-        &["keys ops hot dim spill gate"],
-        cmd_store_sweep,
-    ),
-    (
-        "policy-shootout",
-        &["iters requests gate"],
-        cmd_policy_shootout,
-    ),
     ("list", &[], cmd_list),
 ];
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let names = |sep: &str| {
-        let names: Vec<&str> = COMMANDS.iter().map(|c| c.0).collect();
-        names.join(sep)
-    };
-    let result = match argv.first() {
-        None => Err(format!("usage: hetctl <{}> [--flag value ...]", names("|"))),
+    let names = || COMMANDS.iter().map(|c| c.0).chain(["exp"]);
+    let result = match argv.first().map(String::as_str) {
+        None => {
+            let names: Vec<&str> = names().collect();
+            Err(format!(
+                "usage: hetctl <{}> [--flag value ...]",
+                names.join("|")
+            ))
+        }
+        Some("exp") => match argv.get(1) {
+            None => Err("usage: hetctl exp <name> [--flag value ...] (see `hetctl list`)".into()),
+            Some(name) => het_bench::run_experiment(name, &argv[2..]),
+        },
         Some(command) => match COMMANDS.iter().find(|c| c.0 == command) {
-            None => Err(format!("unknown command '{command}' (try: {})", names(" "))),
+            None => Err(format!(
+                "unknown command '{command}' (did you mean {}?)",
+                nearest(command, names()).unwrap_or("list")
+            )),
             Some((_, flags, run)) => Args::parse(&argv[1..], flags).and_then(|args| run(&args)),
         },
     };

@@ -1,0 +1,628 @@
+//! The paper's §5 evaluation — Fig. 2/3/6–9, Tables 1–2 — plus the two
+//! ablations and the fault and serving sweeps, each one function from
+//! nothing to its [`Table`]s. They are rows of [`crate::EXPERIMENTS`];
+//! the runner prints and writes what they return.
+//!
+//! Scales are reduced from the paper (no GPU cluster here — the
+//! simulated cluster preserves the *shape*: who wins and by what
+//! factor). EXPERIMENTS.md sets each record beside the paper's numbers.
+
+use crate::{bench_config, ctr_dataset, run_workload, Args, Table, Workload, CTR_FIELDS};
+use het_cache::PolicyKind;
+use het_core::config::{Backbone, SystemPreset};
+use het_core::{FaultConfig, TrainReport, Trainer};
+use het_data::{auc, CtrDataset, Graph, GraphConfig, NeighborSampler};
+use het_models::{DeepCross, EmbeddingModel, EmbeddingStore, WideDeep};
+use het_simnet::{ClusterSpec, FaultSpec, SimDuration};
+use std::collections::HashMap;
+
+type Tables = Result<Vec<Table>, String>;
+
+/// The systems compared throughout §5, in the paper's order.
+const SYSTEMS: [(&str, SystemPreset); 7] = [
+    ("TF PS", SystemPreset::TfPs),
+    ("TF Parallax", SystemPreset::TfParallax),
+    ("HET PS", SystemPreset::HetPs),
+    ("HET AR", SystemPreset::HetAr),
+    ("HET Hybrid", SystemPreset::HetHybrid),
+    ("HET Cache s=10", SystemPreset::HetCache { staleness: 10 }),
+    ("HET Cache s=100", SystemPreset::HetCache { staleness: 100 }),
+];
+
+/// The rows of [`SYSTEMS`] whose name `keep` accepts, in the paper's
+/// order.
+fn systems(keep: impl Fn(&str) -> bool) -> impl Iterator<Item = (&'static str, SystemPreset)> {
+    SYSTEMS.into_iter().filter(move |(name, _)| keep(name))
+}
+
+/// Figure 2 — motivation: with the embedding table on a remote PS
+/// (1 worker, 1 GbE, D = 32), data transfer dominates the training
+/// cycle on all six workloads (the paper: up to 86 % for TF).
+pub(crate) fn fig2(_: &Args) -> Tables {
+    let mut t = Table::new(
+        "fig2_motivation",
+        "workload transfer_fraction compute_fraction embedding_params",
+    );
+    for workload in Workload::ALL {
+        let dim = 32usize;
+        let report = run_workload(workload, SystemPreset::TfPs, &|c| {
+            c.cluster = ClusterSpec::cluster_a(1, 1);
+            c.dim = dim;
+            c.max_iterations = 120;
+            c.eval_every = 120;
+        });
+        let transfer = report.breakdown.communication_fraction();
+        t.push(&[
+            &workload.name(),
+            &transfer,
+            &(1.0 - transfer),
+            &((workload.n_keys() * dim) as u64),
+        ]);
+    }
+    Ok(vec![t])
+}
+
+/// Figure 3 — update-popularity skew: the cumulative share of embedding
+/// updates held by the most popular x % of embeddings. The paper's
+/// observation (top 10 % of Criteo embeddings ≈ 90 % of updates; graphs
+/// similarly hub-dominated) is the premise of the whole cache design.
+pub(crate) fn fig3(_: &Args) -> Tables {
+    fn frequencies(keys: impl Iterator<Item = u64>) -> Vec<u64> {
+        let mut counts: HashMap<u64, u64> = HashMap::new();
+        for k in keys {
+            *counts.entry(k).or_insert(0) += 1;
+        }
+        counts.into_values().collect()
+    }
+    fn graph_frequencies(cfg: GraphConfig) -> Vec<u64> {
+        let graph = Graph::generate(cfg);
+        let sampler = NeighborSampler::degree_biased(8, 4);
+        let batch = |cursor: u64| sampler.train_batch(&graph, cursor * 128, 128);
+        frequencies((0..200).flat_map(|cursor| batch(cursor).unique_keys()))
+    }
+    let criteo = {
+        let mut cfg = het_data::CtrConfig::criteo_like(0xF3);
+        cfg.vocab_sizes = Some(het_data::ctr::scaled_criteo_vocabs(26 * 2_000));
+        let ds = CtrDataset::new(cfg);
+        frequencies((0..30_000).flat_map(|i| ds.example(i, false).0))
+    };
+    let amazon = graph_frequencies(GraphConfig {
+        n_nodes: 60_000,
+        ..GraphConfig::amazon_like(0xF3)
+    });
+    let mag = graph_frequencies(GraphConfig {
+        n_nodes: 50_000,
+        ..GraphConfig::ogbn_mag_like(0xF3)
+    });
+
+    let mut t = Table::new("fig3_skewness", "dataset top_percent update_share");
+    let datasets: [(&str, Vec<u64>); 3] = [
+        ("Criteo-like", criteo),
+        ("Amazon-like", amazon),
+        ("ogbn-mag-like", mag),
+    ];
+    for (name, mut freqs) in datasets {
+        freqs.sort_unstable_by(|a, b| b.cmp(a));
+        let total: u64 = freqs.iter().sum();
+        for pct in [0.01, 0.05, 0.10, 0.20, 0.50, 1.00] {
+            let k = ((freqs.len() as f64 * pct).ceil() as usize)
+                .min(freqs.len())
+                .max(1);
+            let mass: u64 = freqs.iter().take(k).sum();
+            t.push(&[&name, &(pct * 100.0), &(mass as f64 / total.max(1) as f64)]);
+        }
+    }
+    Ok(vec![t])
+}
+
+/// Figure 6 — convergence: metric vs simulated time, six workloads ×
+/// six systems, 8 workers on 1 GbE. Paper shape: the ASP PS systems
+/// trail in quality-per-time, HET Cache reaches any metric level first,
+/// and s=100 beats s=10 on time without losing quality.
+pub(crate) fn fig6(_: &Args) -> Tables {
+    let mut curves = Table::new("fig6_convergence_curves", "workload system points");
+    let mut summary = Table::new(
+        "fig6_convergence_summary",
+        "workload system sim_time_s epoch_time_s final_metric embedding_bytes cache_hit_rate \
+         comm_fraction time_to_target_s",
+    );
+    for workload in Workload::ALL {
+        for (name, preset) in systems(|n| n != "HET AR") {
+            let report = run_workload(workload, preset, &|c| {
+                c.max_iterations = 1_600;
+                c.eval_every = 320;
+            });
+            let points: Vec<(f64, f64)> = report
+                .curve
+                .iter()
+                .map(|p| (p.sim_time.as_secs_f64(), p.metric))
+                .collect();
+            curves.push(&[&workload.name(), &name, &points]);
+            summary.push(&[
+                &workload.name(),
+                &name,
+                &report.total_sim_time.as_secs_f64(),
+                &report.epoch_time(),
+                &report.final_metric,
+                &report.comm.embedding_bytes(),
+                &report.cache.hit_rate(),
+                &report.breakdown.communication_fraction(),
+                &report.convergence_time(),
+            ]);
+        }
+    }
+    Ok(vec![curves, summary])
+}
+
+/// Table 1 — simulated time to each workload's quality target, with
+/// slowdowns relative to HET Cache s=10: at this compressed scale
+/// (thousands of iterations, not the paper's ~10⁶) s=10 is the
+/// scale-matched analogue of the paper's s=100 reference column (the
+/// paper: 6.37–20.68× vs TF Parallax, 4.36–5.14× vs HET Hybrid). Like
+/// the paper, the ASP PS systems are left out: they never reach the
+/// thresholds.
+pub(crate) fn table1(_: &Args) -> Tables {
+    let mut t = Table::new(
+        "table1_end2end",
+        "workload system time_to_target_s speedup_vs_het_cache",
+    );
+    for workload in Workload::ALL {
+        let runs: Vec<(&str, Option<f64>)> =
+            systems(|n| !["TF PS", "HET PS", "HET AR"].contains(&n))
+                .map(|(name, preset)| {
+                    let report = run_workload(workload, preset, &|c| {
+                        c.target_metric = Some(workload.target_metric());
+                        // The paper's D=128 halved: large enough that vector
+                        // traffic dominates clock messages.
+                        c.dim = if workload.is_ctr() { 64 } else { 32 };
+                        c.max_iterations = 2_800;
+                        c.eval_every = 200;
+                    });
+                    (name, report.convergence_time())
+                })
+                .collect();
+        let reference = runs.iter().find(|(name, _)| *name == "HET Cache s=10");
+        let reference = reference.and_then(|(_, time)| time.filter(|r| *r > 0.0));
+        for (name, time) in runs {
+            let slowdown = time.and_then(|secs| reference.map(|r| secs / r));
+            t.push(&[&workload.name(), &name, &time, &slowdown]);
+        }
+    }
+    Ok(vec![t])
+}
+
+/// Figure 7 — per-epoch time and communication on the three DLRM
+/// tasks: (a) cluster A, 1 GbE — the paper sees up to 8.2× less
+/// embedding communication (~88 %) and large epoch-time speedups;
+/// (b) cluster B, 10 GbE — speedups shrink but HET still wins, and
+/// HET AR becomes the slowest (fast Ethernet removes the PS bottleneck
+/// while AllGather still pays the degenerate-collective price).
+pub(crate) fn fig7(_: &Args) -> Tables {
+    let mut t = Table::new(
+        "fig7_epoch_time",
+        "cluster workload system epoch_time_s comm_time_s embedding_bytes",
+    );
+    for (cluster_name, cluster) in [
+        ("1 GbE (cluster A)", ClusterSpec::cluster_a(8, 1)),
+        ("10 GbE (cluster B)", ClusterSpec::cluster_b(8, 1)),
+    ] {
+        for workload in Workload::DLRM {
+            for (name, preset) in systems(|n| n != "HET Cache s=10") {
+                let report = run_workload(workload, preset, &|c| {
+                    c.cluster = cluster;
+                    // The paper's §5.1 setting (D = 128), halved to keep
+                    // the real-compute part of the simulation fast.
+                    c.dim = 64;
+                    c.max_iterations = 240;
+                    c.eval_every = 240;
+                });
+                // Per-worker communication time per epoch (the breakdown
+                // sums over all workers).
+                let comm = report.breakdown.communication().as_secs_f64()
+                    / (report.epochs.max(f64::MIN_POSITIVE) * cluster.n_workers as f64);
+                t.push(&[
+                    &cluster_name,
+                    &workload.name(),
+                    &name,
+                    &report.epoch_time(),
+                    &comm,
+                    &report.comm.embedding_bytes(),
+                ]);
+            }
+        }
+    }
+    Ok(vec![t])
+}
+
+/// Table 2 — staleness vs model quality. Left: final test AUC of WDL
+/// and DCN at s ∈ {0, 100, 10k, ∞}; the paper finds s=100
+/// indistinguishable from s=0, mild degradation at 10k, clear
+/// degradation at ∞. Right: the prediction-bias check — test examples
+/// split by whether their embeddings were cache-resident (stale) at the
+/// end of the s=100 run, per-split AUC of the s=0 and s=100 models
+/// compared; the paper finds no bias from serving stale embeddings.
+pub(crate) fn table2(_: &Args) -> Tables {
+    const DIM: usize = 16;
+    const STALENESS: [(&str, u64); 4] =
+        [("0", 0), ("100", 100), ("10k", 10_000), ("inf", u64::MAX)];
+    let config = |s: u64| {
+        let mut config = bench_config(SystemPreset::HetCache { staleness: s });
+        config.eval_every = config.max_iterations;
+        config
+    };
+    // WDL runs keep the trainer (its worker-0 model scores the right
+    // part) and worker 0's end-of-training resident keys.
+    let run_wdl = |s: u64| {
+        let mut t = Trainer::new(config(s), ctr_dataset(0x7AB2), |rng| {
+            WideDeep::new(rng, CTR_FIELDS, DIM, &[64, 32])
+        });
+        let mut report = t.run();
+        let resident = report.resident_keys_per_worker.drain(..).next();
+        (t, resident.unwrap_or_default(), report.final_metric)
+    };
+    let run_dcn = |s: u64| {
+        let mut t = Trainer::new(config(s), ctr_dataset(0x7AB2), |rng| {
+            DeepCross::new(rng, CTR_FIELDS, DIM, 3, &[64, 32])
+        });
+        t.run().final_metric
+    };
+
+    let mut left = Table::new("table2_staleness_left", "model staleness final_auc");
+    let mut wdl: Vec<_> = STALENESS.iter().map(|&(_, s)| run_wdl(s)).collect();
+    for ((label, _), (_, _, final_auc)) in STALENESS.iter().zip(&wdl) {
+        left.push(&[&"WDL", label, final_auc]);
+    }
+    for (label, s) in STALENESS {
+        left.push(&[&"DCN", &label, &run_dcn(s)]);
+    }
+
+    // Per-example scores and "served from the stale path" flags against
+    // the pre-flush residency snapshot of the s=100 run's worker 0.
+    wdl.truncate(2);
+    let resident_keys = std::mem::take(&mut wdl[1].1);
+    let scored_split = |trainer: &Trainer<WideDeep, CtrDataset>| {
+        let (mut scores, mut labels, mut resident) = (Vec::new(), Vec::new(), Vec::new());
+        for b in 0..16u64 {
+            let batch = trainer.dataset().test_batch(b * 128, 128);
+            let mut store = EmbeddingStore::new(DIM);
+            for k in batch.unique_keys() {
+                store.insert(k, trainer.server().pull(k).vector);
+            }
+            let chunk = trainer.worker_model(0).evaluate(&batch, &store);
+            for i in 0..batch.len() {
+                // "Stale path" = the large majority of the example's
+                // keys were cache-resident at end of training (with the
+                // heterogeneous Criteo field profile, nearly every
+                // example carries at least one tail key, so an all-keys
+                // criterion would leave the split empty).
+                let keys = batch.example_keys(i);
+                let cached = keys
+                    .iter()
+                    .filter(|&&k| resident_keys.binary_search(&k).is_ok())
+                    .count();
+                resident.push(cached * 10 >= keys.len() * 9);
+            }
+            scores.extend(chunk.scores);
+            labels.extend(chunk.labels);
+        }
+        (scores, labels, resident)
+    };
+    let (s0_scores, s0_labels, _) = scored_split(&wdl[0].0);
+    let (s100_scores, s100_labels, s100_resident) = scored_split(&wdl[1].0);
+
+    let mut right = Table::new("table2_staleness_right", "split auc_s0 auc_s100");
+    for (split, want_resident) in [
+        ("≥90% cached (stale path)", true),
+        ("mostly uncached", false),
+    ] {
+        let pick = |v: &[f32]| -> Vec<f32> {
+            let chosen = v.iter().zip(&s100_resident);
+            chosen
+                .filter(|(_, &r)| r == want_resident)
+                .map(|(x, _)| *x)
+                .collect()
+        };
+        if pick(&s0_labels).is_empty() {
+            continue;
+        }
+        let auc0 = auc(&pick(&s0_scores), &pick(&s0_labels));
+        let auc100 = auc(&pick(&s100_scores), &pick(&s100_labels));
+        right.push(&[&split, &auc0, &auc100]);
+    }
+    Ok(vec![left, right])
+}
+
+/// Figure 8 — cache miss rate under cache sizes {3, 5, 10, 15} % of
+/// the table and eviction policies (LRU, LFU, §4.3's LightLFU) on the
+/// GNN tasks. Paper shape: LFU beats LRU (long-term popularity); miss
+/// rate falls steeply with size — ~3 % misses at 15 % on ogbn-mag.
+pub(crate) fn fig8(_: &Args) -> Tables {
+    let mut t = Table::new(
+        "fig8_cache_policy",
+        "workload policy cache_percent miss_rate",
+    );
+    for workload in [Workload::GnnOgbnMag, Workload::GnnReddit] {
+        for frac in [0.03, 0.05, 0.10, 0.15] {
+            for policy in [PolicyKind::Lru, PolicyKind::Lfu, PolicyKind::light_lfu()] {
+                let preset = SystemPreset::HetCache { staleness: 100 };
+                let report = run_workload(workload, preset, &|c| {
+                    *c = c.clone().with_cache(frac, policy);
+                    c.max_iterations = 800;
+                    c.eval_every = 800;
+                });
+                t.push(&[
+                    &workload.name(),
+                    &policy.to_string(),
+                    &(frac * 100.0),
+                    &report.cache.miss_rate(),
+                ]);
+            }
+        }
+    }
+    Ok(vec![t])
+}
+
+/// Figure 9 — scalability. (a) WDL-Criteo and (b) GNN-Reddit:
+/// throughput speedup over 1 worker at {1 … 32} workers; (c) WDL
+/// per-epoch time as D grows to 4096 (the paper's "one trillion
+/// parameters" point) on 32 workers. Paper shape: the PS baselines
+/// flatten with workers and explode with D; HET keeps scaling because
+/// hot-embedding traffic stays on the cache.
+pub(crate) fn fig9(_: &Args) -> Tables {
+    // Where the shared server NIC matters: every worker hits the PS
+    // each iteration.
+    let shared_nic = |workers: usize| {
+        let mut cluster = ClusterSpec::cluster_a(workers, 4);
+        cluster.shared_server_bandwidth = true;
+        cluster
+    };
+    let mut ab = Table::new(
+        "fig9ab_scalability",
+        "figure workload system workers throughput speedup_vs_1",
+    );
+    for (figure, workload) in [
+        ("fig9a", Workload::WdlCriteo),
+        ("fig9b", Workload::GnnReddit),
+    ] {
+        for (name, preset) in systems(|n| ["TF PS", "TF Parallax", "HET Cache s=100"].contains(&n))
+        {
+            let mut base = None;
+            for workers in [1usize, 2, 4, 8, 16, 32] {
+                let report = run_workload(workload, preset, &|c| {
+                    c.cluster = shared_nic(workers);
+                    // Same number of rounds per sweep point.
+                    c.max_iterations = 96 * workers as u64;
+                    c.eval_every = c.max_iterations;
+                });
+                let throughput = report.throughput();
+                let speedup = throughput / *base.get_or_insert(throughput);
+                ab.push(&[
+                    &figure,
+                    &workload.name(),
+                    &name,
+                    &workers,
+                    &throughput,
+                    &speedup,
+                ]);
+            }
+        }
+    }
+
+    let mut c = Table::new("fig9c_model_scale", "dim system epoch_time_s");
+    for (name, preset) in systems(|n| ["TF Parallax", "HET Cache s=100"].contains(&n)) {
+        for dim in [64usize, 256, 1024, 4096] {
+            let report = run_workload(Workload::WdlCriteo, preset, &|c| {
+                c.cluster = shared_nic(32);
+                c.dim = dim;
+                c.batch_size = 64;
+                // Timing-only: a couple of rounds suffice.
+                c.max_iterations = 64;
+                c.eval_every = 64;
+                c.eval_batches = 1;
+            });
+            c.push(&[&dim, &name, &report.epoch_time()]);
+        }
+    }
+    Ok(vec![ab, c])
+}
+
+/// Fault sweep — WDL-Criteo on HET Cache (s = 100) under rising fault
+/// intensity (worker crashes, PS-shard outages with checkpoint
+/// failover, straggler windows, degraded links, message drops), plus a
+/// cache-less HET Hybrid run at the heaviest level: without a cache
+/// there is no degraded-read path, so every outage it touches becomes a
+/// blocked read. Expected shape: AUC declines gently with intensity
+/// (clock-bounded degraded reads absorb outages). The schedule derives
+/// from the config seed, so every crash, failover and retry repeats
+/// bit for bit.
+pub(crate) fn fault_sweep(_: &Args) -> Tables {
+    const ITERS: u64 = 1_200;
+    /// (level, crashes, outages, stragglers, degradations, drop prob).
+    const LEVELS: [(&str, usize, usize, usize, usize, f64); 4] = [
+        ("none", 0, 0, 0, 0, 0.0),
+        ("light", 1, 1, 1, 0, 0.0),
+        ("medium", 2, 2, 2, 1, 0.01),
+        ("heavy", 4, 4, 3, 2, 0.05),
+    ];
+    let cached = SystemPreset::HetCache { staleness: 100 };
+    let run = |preset: SystemPreset, faults: FaultConfig| {
+        run_workload(Workload::WdlCriteo, preset, &|c| {
+            c.cluster = ClusterSpec::cluster_a(4, 1);
+            c.max_iterations = ITERS;
+            c.eval_every = ITERS / 4;
+            c.faults = faults.clone();
+        })
+    };
+    // Calibrate the fault horizon to the fault-free run so every
+    // scheduled event (placed in [5%, 85%] of the horizon) fires inside
+    // the run and its recovery window completes before the end.
+    let baseline = run(cached, FaultConfig::disabled());
+    let horizon = SimDuration::from_secs_f64(baseline.total_sim_time.as_secs_f64() * 0.8);
+    let faults_at = |level: usize| {
+        let (_, crashes, outages, stragglers, degradations, drop) = LEVELS[level];
+        if level == 0 {
+            return FaultConfig::disabled();
+        }
+        FaultConfig::with_spec(FaultSpec {
+            worker_crashes: crashes,
+            shard_outages: outages,
+            stragglers,
+            link_degradations: degradations,
+            message_drop_prob: drop,
+            horizon,
+            ..FaultSpec::default()
+        })
+    };
+
+    let mut t = Table::new(
+        "fault_sweep",
+        "level system final_metric sim_time_s worker_crashes shard_failovers degraded_reads \
+         blocked_ops retries straggler_slow_iters lost_updates",
+    );
+    let mut push = |level: usize, system: &str, r: &TrainReport| {
+        t.push(&[
+            &LEVELS[level].0,
+            &system,
+            &r.final_metric,
+            &r.total_sim_time.as_secs_f64(),
+            &r.faults.worker_crashes,
+            &r.faults.shard_failovers,
+            &r.faults.degraded_reads,
+            &r.faults.blocked_ops,
+            &r.faults.retries,
+            &r.faults.straggler_slow_iters,
+            &r.faults.lost_updates,
+        ]);
+    };
+    for level in 0..LEVELS.len() {
+        push(level, "HET Cache s=100", &run(cached, faults_at(level)));
+    }
+    push(3, "HET Hybrid", &run(SystemPreset::HetHybrid, faults_at(3)));
+    Ok(vec![t])
+}
+
+/// Serving sweep — tail latency vs cache capacity: `het-serve` with 2
+/// replicas, Zipf-1.1 traffic at 10 k req/s over 100 k keys on cluster
+/// A, per-replica capacity shrinking from 20 % to 1 % of the key space,
+/// warmed by SpaceSaving each time. The paper's cache argument from the
+/// serving side: as the cache shrinks the miss rate rises, every miss
+/// pays a staleness-validated PS round trip, and p99 must not improve —
+/// a sweep where it does is an `Err`.
+pub(crate) fn serve_sweep(_: &Args) -> Tables {
+    use het_serve::{ServeConfig, ServeSim};
+    let mut t = Table::new(
+        "serve_sweep",
+        "capacity capacity_frac miss_rate invalidations throughput_rps mean_batch_size p50_us \
+         p95_us p99_us max_us",
+    );
+    let mut prev_p99 = 0u64;
+    for frac in [0.20, 0.10, 0.05, 0.02, 0.01] {
+        let mut cfg = ServeConfig::new(42);
+        let capacity = ((cfg.n_keys as f64 * frac) as usize).max(1);
+        cfg.cache_capacity = capacity;
+        cfg.pretrain_updates = 2_000;
+        cfg.warmup_requests = 4_000;
+        let (n_fields, dim) = (cfg.n_fields, cfg.dim);
+        let r = ServeSim::new(cfg, move |rng| WideDeep::new(rng, n_fields, dim, &[32])).run();
+        if r.latency_p99_ns < prev_p99 {
+            return Err(format!(
+                "p99 must not improve as the cache shrinks (capacity {capacity}: {} < {prev_p99})",
+                r.latency_p99_ns
+            ));
+        }
+        prev_p99 = r.latency_p99_ns;
+        let us = |ns: u64| ns as f64 / 1e3;
+        t.push(&[
+            &(capacity as u64),
+            &frac,
+            &r.cache.miss_rate(),
+            &r.cache.invalidations,
+            &r.throughput_rps,
+            &r.mean_batch_size,
+            &us(r.latency_p50_ns),
+            &us(r.latency_p95_ns),
+            &us(r.latency_p99_ns),
+            &us(r.latency_max_ns),
+        ]);
+    }
+    Ok(vec![t])
+}
+
+/// Ablation — backbone optimisations (§4.1/§4.2) on the cache-less
+/// hybrid (WDL, 1 GbE), so the cache is out of the picture: how much of
+/// the HET-vs-TF same-architecture gap each of comm/compute overlap,
+/// message fusion and kernel efficiency carries. The paper asserts
+/// (§5.1) that HET PS and TF PS differ *only* in these.
+pub(crate) fn ablation_backbone(_: &Args) -> Tables {
+    let het = Backbone::het();
+    let variants = [
+        ("full HET backbone", het),
+        (
+            "- overlap",
+            Backbone {
+                overlap: false,
+                ..het
+            },
+        ),
+        (
+            "- message fusion",
+            Backbone {
+                fuse_messages: false,
+                ..het
+            },
+        ),
+        (
+            "- kernel efficiency",
+            Backbone {
+                compute_factor: 1.5,
+                ..het
+            },
+        ),
+        ("TF backbone (none)", Backbone::tensorflow()),
+    ];
+    let mut t = Table::new("ablation_backbone", "variant epoch_time_s embedding_bytes");
+    for (name, backbone) in variants {
+        let report = run_workload(Workload::WdlCriteo, SystemPreset::HetHybrid, &|c| {
+            c.system.backbone = backbone;
+            c.dim = 32;
+            c.max_iterations = 320;
+            c.eval_every = 320;
+        });
+        t.push(&[&name, &report.epoch_time(), &report.comm.embedding_bytes()]);
+    }
+    Ok(vec![t])
+}
+
+/// Ablation — consistency models (§2.1/§3.4) on WDL-Criteo (8 workers,
+/// 1 GbE): BSP, ASP, SSP(s) and HET(s) side by side. The paper's
+/// argument: SSP bounds *worker clocks*, blind to per-key skew, and is
+/// write-through, so it still pays full embedding traffic every
+/// iteration; HET's per-embedding staleness turns the same tolerance
+/// into an order-of-magnitude traffic cut.
+pub(crate) fn ablation_consistency(_: &Args) -> Tables {
+    let systems = [
+        ("BSP (hybrid)", SystemPreset::HetHybrid),
+        ("ASP (HET PS)", SystemPreset::HetPs),
+        ("SSP s=3", SystemPreset::Ssp { staleness: 3 }),
+        ("SSP s=10", SystemPreset::Ssp { staleness: 10 }),
+        ("HET s=10", SystemPreset::HetCache { staleness: 10 }),
+        ("HET s=100", SystemPreset::HetCache { staleness: 100 }),
+    ];
+    let mut t = Table::new(
+        "ablation_consistency",
+        "model final_metric sim_time_s embedding_bytes",
+    );
+    for (name, preset) in systems {
+        let report = run_workload(Workload::WdlCriteo, preset, &|c| {
+            c.max_iterations = 1_600;
+            c.eval_every = 1_600;
+        });
+        t.push(&[
+            &name,
+            &report.final_metric,
+            &report.total_sim_time.as_secs_f64(),
+            &report.comm.embedding_bytes(),
+        ]);
+    }
+    Ok(vec![t])
+}
