@@ -29,6 +29,15 @@ for pkg in het-json het-rng het-trace het-simnet het-tensor het-data \
 done
 echo "    [timing] test suite total: $(($(date +%s) - suite_start))s"
 
+# The loop above ran these with debug assertions on (every scratch loan
+# NaN-filled); the release profile is the one hetctl and the benchmark
+# run, so the allocation counts are gated there by name.
+echo "==> steady-state allocation gates (release: dense step allocates nothing, WDL step only its result)"
+cargo test -q --release -p het-tensor --test steady_state \
+    mlp_forward_backward_allocates_nothing_after_the_first_step
+cargo test -q --release -p het-models --test steady_state \
+    forward_backward_allocates_only_the_gradients_it_returns
+
 # The benchmark is a workspace of its own compiled against the public
 # API; build it, run its own tests, and smoke every workload once.
 echo "==> benchmark (own tests + one quick pass over all five workloads)"

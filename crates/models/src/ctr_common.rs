@@ -4,27 +4,26 @@
 
 use crate::store::{EmbeddingStore, SparseGrads};
 use het_data::CtrBatch;
-use het_tensor::Matrix;
+use het_tensor::{Matrix, Scratch};
 
 /// Builds the `(batch × fields·dim)` concatenated-embedding input and the
 /// `(batch × dim)` per-example embedding sum (used by wide / first-order
 /// terms).
-pub fn build_inputs(batch: &CtrBatch, store: &EmbeddingStore) -> (Matrix, Matrix) {
+pub fn build_inputs(batch: &CtrBatch, store: &EmbeddingStore) -> (Scratch, Scratch) {
     let dim = store.dim();
-    let fields = batch.n_fields;
     let b = batch.len();
-    let mut x = Matrix::zeros(b, fields * dim);
-    let mut sum = Matrix::zeros(b, dim);
+    let mut x = Scratch::new(b, batch.n_fields * dim);
+    let mut sum = Scratch::zeros(b, dim);
     for i in 0..b {
-        let keys = batch.example_keys(i);
-        let xr = x.row_mut(i);
-        for (f, &k) in keys.iter().enumerate() {
-            let v = store.get(k);
-            xr[f * dim..(f + 1) * dim].copy_from_slice(v);
-        }
         let sr = sum.row_mut(i);
-        for &k in keys {
-            for (s, &vv) in sr.iter_mut().zip(store.get(k)) {
+        for (xf, &k) in x
+            .row_mut(i)
+            .chunks_exact_mut(dim)
+            .zip(batch.example_keys(i))
+        {
+            let v = store.get(k);
+            xf.copy_from_slice(v);
+            for (s, &vv) in sr.iter_mut().zip(v) {
                 *s += vv;
             }
         }
@@ -35,7 +34,7 @@ pub fn build_inputs(batch: &CtrBatch, store: &EmbeddingStore) -> (Matrix, Matrix
 /// Scatters gradients back to embedding keys: `dx` has the concatenated
 /// layout (`batch × fields·dim`), `dsum` the summed layout
 /// (`batch × dim`, broadcast to every field of the example). Either may
-/// be `None`.
+/// be `None`. A key's slot receives its `dx` slice, then its `dsum` row.
 pub fn scatter_grads(
     batch: &CtrBatch,
     dx: Option<&Matrix>,
@@ -43,14 +42,22 @@ pub fn scatter_grads(
     out: &mut SparseGrads,
 ) {
     let dim = out.dim();
+    if let Some(ds) = dsum {
+        assert_eq!(ds.cols(), dim, "gradient dimension mismatch");
+    }
+    let add = |slot: &mut [f32], grad: &[f32]| {
+        for (s, &g) in slot.iter_mut().zip(grad) {
+            *s += g;
+        }
+    };
     for i in 0..batch.len() {
-        let keys = batch.example_keys(i);
-        for (f, &k) in keys.iter().enumerate() {
+        for (f, &k) in batch.example_keys(i).iter().enumerate() {
+            let slot = out.slot_mut(k);
             if let Some(dx) = dx {
-                out.accumulate(k, &dx.row(i)[f * dim..(f + 1) * dim]);
+                add(slot, &dx.row(i)[f * dim..(f + 1) * dim]);
             }
             if let Some(ds) = dsum {
-                out.accumulate(k, ds.row(i));
+                add(slot, ds.row(i));
             }
         }
     }

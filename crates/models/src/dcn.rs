@@ -12,8 +12,9 @@ use crate::store::{EmbeddingStore, SparseGrads};
 use crate::{EmbeddingModel, EvalChunk, MetricKind};
 use het_data::CtrBatch;
 use het_rng::Rng;
+use het_tensor::activation::{relu_backward, relu_inplace};
 use het_tensor::loss::bce_with_logits;
-use het_tensor::{CrossLayer, HasParams, Linear, Matrix, Mlp, ParamVisitor};
+use het_tensor::{CrossLayer, HasParams, Linear, Matrix, Mlp, ParamVisitor, Scratch};
 
 /// The Deep & Cross CTR model.
 pub struct DeepCross {
@@ -67,9 +68,10 @@ impl DeepCross {
         self.cross.len()
     }
 
-    fn logits_inference(&self, x: &Matrix) -> Matrix {
-        let mut xl = x.clone();
-        for layer in &self.cross {
+    fn logits_inference(&self, x: &Matrix) -> Scratch {
+        let (first, rest) = self.cross.split_first().expect("at least one cross layer");
+        let mut xl = first.forward_inference(x, x);
+        for layer in rest {
             xl = layer.forward_inference(x, &xl);
         }
         let deep_out = self.deep.forward_inference(x);
@@ -81,7 +83,7 @@ impl DeepCross {
     }
 }
 
-fn relu(mut m: Matrix) -> Matrix {
+fn relu(mut m: Scratch) -> Scratch {
     for v in m.as_mut_slice() {
         if *v < 0.0 {
             *v = 0.0;
@@ -120,25 +122,18 @@ impl EmbeddingModel for DeepCross {
         let width = x.cols();
 
         // Cross tower.
-        let mut xl = x.clone();
-        for layer in &mut self.cross {
+        let (first, rest) = self
+            .cross
+            .split_first_mut()
+            .expect("at least one cross layer");
+        let mut xl = first.forward(&x, &x);
+        for layer in rest {
             xl = layer.forward(&x, &xl);
         }
         // Deep tower with an output ReLU (so inference parity is simple).
-        let deep_hidden = self.deep.forward(&x);
-        let mut deep_mask = Matrix::zeros(deep_hidden.rows(), deep_hidden.cols());
-        let mut deep_out = deep_hidden;
-        for (v, m) in deep_out
-            .as_mut_slice()
-            .iter_mut()
-            .zip(deep_mask.as_mut_slice())
-        {
-            if *v > 0.0 {
-                *m = 1.0;
-            } else {
-                *v = 0.0;
-            }
-        }
+        let mut deep_out = self.deep.forward(&x);
+        let mut deep_mask = Matrix::default();
+        relu_inplace(&mut deep_out, &mut deep_mask);
 
         let combined = xl.hcat(&deep_out);
         let logits = self.combine.forward(&combined);
@@ -149,14 +144,12 @@ impl EmbeddingModel for DeepCross {
         let (mut dxl, mut ddeep) = dcombined.hsplit(width);
 
         // Deep tower backward (through the output ReLU).
-        for (g, &m) in ddeep.as_mut_slice().iter_mut().zip(deep_mask.as_slice()) {
-            *g *= m;
-        }
+        relu_backward(&mut ddeep, &deep_mask);
         let dx_deep = self.deep.backward(&ddeep);
 
         // Cross tower backward: walk layers in reverse, accumulating the
         // x0 contributions every layer produces.
-        let mut dx0_total = Matrix::zeros(x.rows(), width);
+        let mut dx0_total = Scratch::zeros(x.rows(), width);
         for layer in self.cross.iter_mut().rev() {
             let (dx0, dxl_prev) = layer.backward(&dxl);
             dx0_total.axpy(1.0, &dx0);

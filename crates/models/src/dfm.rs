@@ -12,7 +12,7 @@ use crate::{EmbeddingModel, EvalChunk, MetricKind};
 use het_data::CtrBatch;
 use het_rng::Rng;
 use het_tensor::loss::bce_with_logits;
-use het_tensor::{FmInteraction, HasParams, Linear, Matrix, Mlp, ParamVisitor};
+use het_tensor::{FmInteraction, HasParams, Linear, Matrix, Mlp, ParamVisitor, Scratch};
 
 /// The DeepFM CTR model.
 pub struct DeepFm {
@@ -43,7 +43,7 @@ impl DeepFm {
         self.n_fields
     }
 
-    fn logits(&self, x: &Matrix, sum: &Matrix) -> Matrix {
+    fn logits(&self, x: &Matrix, sum: &Matrix) -> Scratch {
         let mut out = self.deep.forward_inference(x);
         out.axpy(1.0, &self.fm.forward_inference(x));
         out.axpy(1.0, &self.first_order.forward_inference(sum));

@@ -15,8 +15,9 @@ use crate::store::{EmbeddingStore, SparseGrads};
 use crate::{EmbeddingModel, EvalChunk, MetricKind};
 use het_data::{GnnBatch, Key};
 use het_rng::Rng;
+use het_tensor::activation::{relu_backward, relu_inplace};
 use het_tensor::loss::{accuracy, softmax_cross_entropy};
-use het_tensor::{HasParams, Linear, Matrix, ParamVisitor};
+use het_tensor::{HasParams, Linear, Matrix, ParamVisitor, Scratch};
 
 /// The 2-layer GraphSAGE node classifier.
 pub struct GraphSage {
@@ -25,6 +26,8 @@ pub struct GraphSage {
     n_classes: usize,
     layer1: Linear,
     layer2: Linear,
+    /// ReLU mask of layer 1's output, kept from forward to backward.
+    mask1: Matrix,
 }
 
 impl GraphSage {
@@ -37,6 +40,7 @@ impl GraphSage {
             n_classes,
             layer1: Linear::new(rng, 2 * dim, hidden),
             layer2: Linear::new(rng, 2 * hidden, n_classes),
+            mask1: Matrix::default(),
         }
     }
 
@@ -51,8 +55,8 @@ impl GraphSage {
     }
 
     /// Gathers node embeddings into a `(nodes.len() × dim)` matrix.
-    fn gather(&self, nodes: &[u32], store: &EmbeddingStore) -> Matrix {
-        let mut m = Matrix::zeros(nodes.len(), self.dim);
+    fn gather(&self, nodes: &[u32], store: &EmbeddingStore) -> Scratch {
+        let mut m = Scratch::new(nodes.len(), self.dim);
         for (i, &v) in nodes.iter().enumerate() {
             m.row_mut(i).copy_from_slice(store.get(v as Key));
         }
@@ -61,14 +65,14 @@ impl GraphSage {
 
     /// Mean over consecutive groups of `fanout` rows:
     /// `(parents·fanout × c) → (parents × c)`.
-    fn group_mean(m: &Matrix, fanout: usize) -> Matrix {
+    fn group_mean(m: &Matrix, fanout: usize) -> Scratch {
         assert_eq!(
             m.rows() % fanout,
             0,
             "row count must be divisible by fanout"
         );
         let parents = m.rows() / fanout;
-        let mut out = Matrix::zeros(parents, m.cols());
+        let mut out = Scratch::zeros(parents, m.cols());
         let inv = 1.0 / fanout as f32;
         for p in 0..parents {
             let orow = out.row_mut(p);
@@ -83,8 +87,8 @@ impl GraphSage {
 
     /// Inverse of [`GraphSage::group_mean`] for gradients: spreads each
     /// parent-row gradient equally over its `fanout` member rows.
-    fn group_mean_backward(d: &Matrix, fanout: usize) -> Matrix {
-        let mut out = Matrix::zeros(d.rows() * fanout, d.cols());
+    fn group_mean_backward(d: &Matrix, fanout: usize) -> Scratch {
+        let mut out = Scratch::new(d.rows() * fanout, d.cols());
         let inv = 1.0 / fanout as f32;
         for p in 0..d.rows() {
             for f in 0..fanout {
@@ -97,9 +101,8 @@ impl GraphSage {
         out
     }
 
-    /// Shared forward plumbing; returns the logits plus everything the
-    /// backward pass needs.
-    fn forward_full(&mut self, batch: &GnnBatch, store: &EmbeddingStore) -> ForwardState {
+    /// Training forward pass; returns the logits.
+    fn forward_full(&mut self, batch: &GnnBatch, store: &EmbeddingStore) -> Scratch {
         let b = batch.len();
         let x_targets = self.gather(&batch.targets, store);
         let x_hop1 = self.gather(&batch.hop1, store);
@@ -113,17 +116,15 @@ impl GraphSage {
         let l1_input = in_targets.vcat(&in_hop1);
 
         let mut h1 = self.layer1.forward(&l1_input);
-        let mask1 = het_tensor::activation::relu_inplace(&mut h1);
+        relu_inplace(&mut h1, &mut self.mask1);
 
         let (h1_targets, h1_hop1) = h1.vsplit(b);
         let l2_input = h1_targets.hcat(&Self::group_mean(&h1_hop1, batch.fanout1));
-        let logits = self.layer2.forward(&l2_input);
-
-        ForwardState { logits, mask1 }
+        self.layer2.forward(&l2_input)
     }
 
     /// Inference-only logits.
-    fn logits_inference(&self, batch: &GnnBatch, store: &EmbeddingStore) -> Matrix {
+    fn logits_inference(&self, batch: &GnnBatch, store: &EmbeddingStore) -> Scratch {
         let b = batch.len();
         let x_targets = self.gather(&batch.targets, store);
         let x_hop1 = self.gather(&batch.hop1, store);
@@ -153,11 +154,6 @@ impl GraphSage {
     }
 }
 
-struct ForwardState {
-    logits: Matrix,
-    mask1: Matrix,
-}
-
 impl HasParams for GraphSage {
     fn visit_params(&mut self, v: &mut dyn ParamVisitor) {
         self.layer1.visit_params(v);
@@ -178,8 +174,8 @@ impl EmbeddingModel for GraphSage {
         embeddings: &EmbeddingStore,
     ) -> (f32, SparseGrads) {
         let b = batch.len();
-        let state = self.forward_full(batch, embeddings);
-        let (loss, dlogits) = softmax_cross_entropy(&state.logits, &batch.labels);
+        let logits = self.forward_full(batch, embeddings);
+        let (loss, dlogits) = softmax_cross_entropy(&logits, &batch.labels);
 
         // Layer 2 backward, split into self and neighbour parts.
         let dl2_input = self.layer2.backward(&dlogits);
@@ -188,7 +184,7 @@ impl EmbeddingModel for GraphSage {
 
         // Stack to match the layer-1 forward, apply the ReLU mask.
         let mut dh1 = dh1_targets.vcat(&dh1_hop1);
-        het_tensor::activation::relu_backward(&mut dh1, &state.mask1);
+        relu_backward(&mut dh1, &self.mask1);
 
         let dl1_input = self.layer1.backward(&dh1);
         let (d_in_targets, d_in_hop1) = dl1_input.vsplit(b);

@@ -84,14 +84,18 @@ impl SparseGrads {
         self.dim
     }
 
+    /// The key's slot, inserted as zeros if this is its first gradient.
+    pub fn slot_mut(&mut self, key: Key) -> &mut [f32] {
+        self.map.entry(key).or_insert_with(|| vec![0.0; self.dim])
+    }
+
     /// Accumulates `grad` into the key's slot.
     ///
     /// # Panics
     /// Panics on a dimension mismatch.
     pub fn accumulate(&mut self, key: Key, grad: &[f32]) {
         assert_eq!(grad.len(), self.dim, "gradient dimension mismatch");
-        let slot = self.map.entry(key).or_insert_with(|| vec![0.0; self.dim]);
-        for (s, &g) in slot.iter_mut().zip(grad) {
+        for (s, &g) in self.slot_mut(key).iter_mut().zip(grad) {
             *s += g;
         }
     }

@@ -12,7 +12,7 @@ use crate::{EmbeddingModel, EvalChunk, MetricKind};
 use het_data::CtrBatch;
 use het_rng::Rng;
 use het_tensor::loss::bce_with_logits;
-use het_tensor::{HasParams, Linear, Matrix, Mlp, ParamVisitor};
+use het_tensor::{HasParams, Linear, Matrix, Mlp, ParamVisitor, Scratch};
 
 /// The Wide & Deep CTR model.
 pub struct WideDeep {
@@ -42,7 +42,7 @@ impl WideDeep {
         self.n_fields
     }
 
-    fn logits(&self, x: &Matrix, sum: &Matrix) -> Matrix {
+    fn logits(&self, x: &Matrix, sum: &Matrix) -> Scratch {
         let mut deep = self.deep.forward_inference(x);
         let wide = self.wide.forward_inference(sum);
         deep.axpy(1.0, &wide);
@@ -75,6 +75,8 @@ impl EmbeddingModel for WideDeep {
         );
         let (x, sum) = build_inputs(batch, embeddings);
         let mut logits = self.deep.forward(&x);
+        // The layers keep their own copies; `dx` can have `x`'s buffer.
+        drop(x);
         let wide_out = self.wide.forward(&sum);
         logits.axpy(1.0, &wide_out);
 
@@ -205,6 +207,37 @@ mod tests {
             (numeric - analytic).abs() < 1e-2,
             "numeric {numeric} vs analytic {analytic}"
         );
+    }
+
+    /// A weight that went to infinity must show up in the loss even when
+    /// every input it multiplies is zero (`0·∞ = NaN`): the product kernel
+    /// skips no term and the ReLU lets NaN through.
+    #[test]
+    fn a_non_finite_weight_behind_zero_inputs_makes_the_loss_nan() {
+        let ds = CtrDataset::new(CtrConfig::tiny(1));
+        let batch = ds.train_batch(0, 8);
+        let mut rng = StdRng::seed_from_u64(2);
+        let mut model = WideDeep::new(&mut rng, 4, 8, &[16]);
+        let mut zeros = EmbeddingStore::new(8);
+        for k in crate::ModelBatch::unique_keys(&batch) {
+            zeros.insert(k, vec![0.0; 8]);
+        }
+        let (sane, _) = model.forward_backward(&batch, &zeros);
+        assert!(sane.is_finite());
+
+        struct BlowUpFirstWeight(bool);
+        impl ParamVisitor for BlowUpFirstWeight {
+            fn visit(&mut self, param: &mut [f32], _grad: &mut [f32]) {
+                if !std::mem::replace(&mut self.0, true) {
+                    param[0] = f32::INFINITY;
+                }
+            }
+        }
+        model.visit_params(&mut BlowUpFirstWeight(false));
+        let (loss, _) = model.forward_backward(&batch, &zeros);
+        assert!(loss.is_nan(), "loss {loss} hides the non-finite weight");
+        let scores = model.evaluate(&batch, &zeros).scores;
+        assert!(scores.iter().all(|s| s.is_nan()));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::{EmbeddingModel, EvalChunk, MetricKind};
 use het_data::CtrBatch;
 use het_rng::Rng;
 use het_tensor::loss::bce_with_logits;
-use het_tensor::{HasParams, Linear, Matrix, Mlp, ParamVisitor};
+use het_tensor::{HasParams, Linear, Matrix, Mlp, ParamVisitor, Scratch};
 
 /// One CIN layer's parameters: `weight[h]` is the `H_prev·F` filter of
 /// output feature map `h`, stored row-major as a Matrix (H × H_prev·F).
@@ -251,7 +251,7 @@ impl XDeepFm {
         dx0
     }
 
-    fn logits_inference(&self, x: &Matrix, sum: &Matrix) -> Matrix {
+    fn logits_inference(&self, x: &Matrix, sum: &Matrix) -> Scratch {
         let x0 = self.field_matrices(x);
         let (pooled, _) = self.cin_forward(&x0);
         let mut out = self.cin_out.forward_inference(&pooled);

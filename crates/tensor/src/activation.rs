@@ -12,17 +12,20 @@ pub fn sigmoid(x: f32) -> f32 {
     }
 }
 
-/// In-place ReLU; returns a mask matrix usable by [`relu_backward`].
-pub fn relu_inplace(x: &mut Matrix) -> Matrix {
-    let mut mask = Matrix::zeros(x.rows(), x.cols());
+/// In-place ReLU; writes the mask [`relu_backward`] needs over `mask`
+/// (reshaped to `x`'s shape). A NaN is not an inactive unit: it passes
+/// through with mask 1, so a poisoned activation reaches the loss
+/// instead of being zeroed on the way.
+pub fn relu_inplace(x: &mut Matrix, mask: &mut Matrix) {
+    mask.reshape(x.rows(), x.cols());
     for (v, m) in x.as_mut_slice().iter_mut().zip(mask.as_mut_slice()) {
-        if *v > 0.0 {
-            *m = 1.0;
-        } else {
+        if *v <= 0.0 {
             *v = 0.0;
+            *m = 0.0;
+        } else {
+            *m = 1.0;
         }
     }
-    mask
 }
 
 /// Applies the ReLU mask to an upstream gradient in place.
@@ -60,13 +63,24 @@ mod tests {
 
     #[test]
     fn relu_zeroes_negatives_and_masks() {
-        let mut x = Matrix::from_vec(1, 4, vec![-1.0, 0.0, 2.0, -3.0]);
-        let mask = relu_inplace(&mut x);
+        let mut x = Matrix::from_vec(1, 4, vec![-1.0, -0.0, 2.0, -3.0]);
+        let mut mask = Matrix::from_vec(2, 1, vec![f32::NAN; 2]);
+        relu_inplace(&mut x, &mut mask);
         assert_eq!(x.as_slice(), &[0.0, 0.0, 2.0, 0.0]);
+        assert!(x.get(0, 1).is_sign_positive(), "-0.0 becomes +0.0");
         assert_eq!(mask.as_slice(), &[0.0, 0.0, 1.0, 0.0]);
 
         let mut dy = Matrix::from_vec(1, 4, vec![5.0, 5.0, 5.0, 5.0]);
         relu_backward(&mut dy, &mask);
         assert_eq!(dy.as_slice(), &[0.0, 0.0, 5.0, 0.0]);
+    }
+
+    #[test]
+    fn relu_lets_nan_through() {
+        let mut x = Matrix::from_vec(1, 2, vec![f32::NAN, f32::NEG_INFINITY]);
+        let mut mask = Matrix::default();
+        relu_inplace(&mut x, &mut mask);
+        assert!(x.get(0, 0).is_nan());
+        assert_eq!((x.get(0, 1), mask.as_slice()), (0.0, &[1.0, 0.0][..]));
     }
 }

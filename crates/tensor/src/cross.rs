@@ -8,6 +8,7 @@
 use crate::init::xavier_uniform;
 use crate::matrix::Matrix;
 use crate::params::{HasParams, ParamVisitor};
+use crate::scratch::Scratch;
 use het_rng::Rng;
 
 /// One cross layer `y = x0 ⊙ (xl·w) + b + xl`.
@@ -41,15 +42,15 @@ impl CrossLayer {
 
     /// Forward pass. `x0` is the network input, `xl` the previous cross
     /// output; both `(batch × dim)`.
-    pub fn forward(&mut self, x0: &Matrix, xl: &Matrix) -> Matrix {
+    pub fn forward(&mut self, x0: &Matrix, xl: &Matrix) -> Scratch {
         self.forward_impl(x0, xl, true)
     }
 
     /// Inference-only forward pass (no activation storage).
-    pub fn forward_inference(&self, x0: &Matrix, xl: &Matrix) -> Matrix {
+    pub fn forward_inference(&self, x0: &Matrix, xl: &Matrix) -> Scratch {
         assert_eq!(x0.cols(), self.dim(), "x0 width must equal layer dim");
         assert_eq!(xl.cols(), self.dim(), "xl width must equal layer dim");
-        let mut y = Matrix::zeros(x0.rows(), self.dim());
+        let mut y = Scratch::new(x0.rows(), self.dim());
         for r in 0..x0.rows() {
             let s: f32 = xl.row(r).iter().zip(&self.w).map(|(&x, &w)| x * w).sum();
             let yr = y.row_mut(r);
@@ -64,11 +65,15 @@ impl CrossLayer {
         y
     }
 
-    fn forward_impl(&mut self, x0: &Matrix, xl: &Matrix, store: bool) -> Matrix {
+    fn forward_impl(&mut self, x0: &Matrix, xl: &Matrix, store: bool) -> Scratch {
         let y = self.forward_inference(x0, xl);
         if store {
-            self.last_x0 = Some(x0.clone());
-            self.last_xl = Some(xl.clone());
+            self.last_x0
+                .get_or_insert_with(Matrix::default)
+                .clone_from(x0);
+            self.last_xl
+                .get_or_insert_with(Matrix::default)
+                .clone_from(xl);
         }
         y
     }
@@ -77,7 +82,7 @@ impl CrossLayer {
     ///
     /// # Panics
     /// Panics if called before `forward`.
-    pub fn backward(&mut self, dy: &Matrix) -> (Matrix, Matrix) {
+    pub fn backward(&mut self, dy: &Matrix) -> (Scratch, Scratch) {
         let x0 = self
             .last_x0
             .as_ref()
@@ -87,8 +92,8 @@ impl CrossLayer {
             .as_ref()
             .expect("CrossLayer::backward before forward");
         let d = self.dim();
-        let mut dx0 = Matrix::zeros(dy.rows(), d);
-        let mut dxl = Matrix::zeros(dy.rows(), d);
+        let mut dx0 = Scratch::new(dy.rows(), d);
+        let mut dxl = Scratch::new(dy.rows(), d);
         for r in 0..dy.rows() {
             let dy_r = dy.row(r);
             let x0_r = x0.row(r);

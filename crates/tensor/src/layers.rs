@@ -1,9 +1,16 @@
 //! Dense layers: `Linear` (affine) and `Mlp` (stack of Linear + ReLU).
+//!
+//! What a layer keeps between `forward` and `backward` — its input, the
+//! ReLU masks — lives in the layer and is overwritten in place each
+//! step; everything else (outputs, input gradients, the weight-gradient
+//! temporary) is a [`Scratch`] loan, so a step at a repeated shape
+//! allocates nothing.
 
 use crate::activation::{relu_backward, relu_inplace};
 use crate::init::xavier_uniform;
 use crate::matrix::Matrix;
 use crate::params::{HasParams, ParamVisitor};
+use crate::scratch::Scratch;
 use het_rng::Rng;
 
 /// An affine layer `y = x W + b` with gradient accumulation.
@@ -42,37 +49,47 @@ impl Linear {
         &self.w
     }
 
-    /// Forward pass; stores the input for backward.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut y = x.matmul(&self.w);
-        y.add_row_broadcast(&self.b);
-        self.last_input = Some(x.clone());
-        y
+    /// Forward pass; copies the input into the layer for backward.
+    pub fn forward(&mut self, x: &Matrix) -> Scratch {
+        self.last_input
+            .get_or_insert_with(Matrix::default)
+            .clone_from(x);
+        self.forward_inference(x)
     }
 
     /// Inference-only forward pass; does not store activations.
-    pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        let mut y = x.matmul(&self.w);
+    pub fn forward_inference(&self, x: &Matrix) -> Scratch {
+        let mut y = Scratch::new(x.rows(), self.out_dim());
+        x.matmul_into(&self.w, &mut y);
         y.add_row_broadcast(&self.b);
         y
     }
 
     /// Backward pass: accumulates `gW += xᵀ dy`, `gb += Σ_rows dy` and
-    /// returns `dx = dy Wᵀ`.
+    /// returns `dx = dy Wᵀ`. Both sums are formed in a temporary first
+    /// and then added, so what accumulates is independent of what `gW`
+    /// and `gb` already hold.
     ///
     /// # Panics
     /// Panics if called before `forward`.
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
+    pub fn backward(&mut self, dy: &Matrix) -> Scratch {
         let x = self
             .last_input
             .as_ref()
             .expect("Linear::backward called before forward");
-        let gw = x.matmul_tn(dy);
-        self.gw.axpy(1.0, &gw);
-        for (g, d) in self.gb.iter_mut().zip(dy.col_sums()) {
-            *g += d;
+        {
+            let mut sum = Scratch::new(self.in_dim(), self.out_dim());
+            x.matmul_tn_into(dy, &mut sum);
+            self.gw.axpy(1.0, &sum);
+            dy.col_sums_into(&mut sum);
+            for (g, &d) in self.gb.iter_mut().zip(sum.as_slice()) {
+                *g += d;
+            }
+            // `sum` goes back before `dx` and its packed `Wᵀ` are taken.
         }
-        dy.matmul_nt(&self.w)
+        let mut dx = Scratch::new(dy.rows(), self.in_dim());
+        dy.matmul_nt_into(&self.w, &mut dx);
+        dx
     }
 
     /// Forward+backward FLOPs per batch of `batch` examples (three
@@ -93,6 +110,7 @@ impl HasParams for Linear {
 /// activation after the final layer, which usually feeds a loss).
 pub struct Mlp {
     layers: Vec<Linear>,
+    /// `masks[i]` is the ReLU mask of layer `i`'s output.
     masks: Vec<Matrix>,
 }
 
@@ -107,14 +125,12 @@ impl Mlp {
             dims.len() >= 2,
             "an MLP needs at least input and output dims"
         );
-        let layers = dims
+        let layers: Vec<Linear> = dims
             .windows(2)
             .map(|w| Linear::new(rng, w[0], w[1]))
             .collect();
-        Mlp {
-            layers,
-            masks: Vec::new(),
-        }
+        let masks = vec![Matrix::default(); layers.len() - 1];
+        Mlp { layers, masks }
     }
 
     /// Number of Linear layers.
@@ -128,32 +144,27 @@ impl Mlp {
     }
 
     /// Forward pass, storing ReLU masks for backward.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        self.masks.clear();
-        let n = self.layers.len();
-        let mut h = x.clone();
-        for (i, layer) in self.layers.iter_mut().enumerate() {
+    pub fn forward(&mut self, x: &Matrix) -> Scratch {
+        let (first, rest) = self.layers.split_first_mut().expect("at least one layer");
+        let mut h = first.forward(x);
+        for (layer, mask) in rest.iter_mut().zip(&mut self.masks) {
+            relu_inplace(&mut h, mask);
             h = layer.forward(&h);
-            if i + 1 < n {
-                self.masks.push(relu_inplace(&mut h));
-            }
         }
         h
     }
 
     /// Inference-only forward pass.
-    pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        let n = self.layers.len();
-        let mut h = x.clone();
-        for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward_inference(&h);
-            if i + 1 < n {
-                for v in h.as_mut_slice() {
-                    if *v < 0.0 {
-                        *v = 0.0;
-                    }
+    pub fn forward_inference(&self, x: &Matrix) -> Scratch {
+        let (first, rest) = self.layers.split_first().expect("at least one layer");
+        let mut h = first.forward_inference(x);
+        for layer in rest {
+            for v in h.as_mut_slice() {
+                if *v < 0.0 {
+                    *v = 0.0;
                 }
             }
+            h = layer.forward_inference(&h);
         }
         h
     }
@@ -161,13 +172,12 @@ impl Mlp {
     /// Backward pass; returns the gradient w.r.t. the MLP input. The mask
     /// stored for layer `i`'s output is applied when the gradient crosses
     /// that activation on the way down.
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let mut g = dy.clone();
-        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+    pub fn backward(&mut self, dy: &Matrix) -> Scratch {
+        let (last, rest) = self.layers.split_last_mut().expect("at least one layer");
+        let mut g = last.backward(dy);
+        for (layer, mask) in rest.iter_mut().zip(&self.masks).rev() {
+            relu_backward(&mut g, mask);
             g = layer.backward(&g);
-            if i > 0 {
-                relu_backward(&mut g, &self.masks[i - 1]);
-            }
         }
         g
     }

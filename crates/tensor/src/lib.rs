@@ -12,7 +12,10 @@
 //! All layers store the activations they need for backward, so the usage
 //! contract is the usual one: `forward` then `backward` on the same
 //! instance, one batch at a time (each simulated worker owns its own
-//! model replica, so no sharing is needed).
+//! model replica, so no sharing is needed). Everything a layer does not
+//! have to keep is a [`Scratch`] loan from a per-thread pool, so a step
+//! at a repeated shape allocates nothing; all three matrix products run
+//! on one kernel with a fixed accumulation order (see [`matrix`]).
 
 #![warn(missing_docs)]
 
@@ -25,6 +28,7 @@ pub mod loss;
 pub mod matrix;
 pub mod optim;
 pub mod params;
+pub mod scratch;
 
 pub use cross::CrossLayer;
 pub use fm::FmInteraction;
@@ -32,3 +36,4 @@ pub use layers::{Linear, Mlp};
 pub use matrix::Matrix;
 pub use optim::Sgd;
 pub use params::{FlatGrads, FlatParams, HasParams, ParamVisitor};
+pub use scratch::Scratch;

@@ -7,17 +7,18 @@
 
 use crate::activation::sigmoid;
 use crate::matrix::Matrix;
+use crate::scratch::Scratch;
 
 /// Mean binary cross-entropy over a batch of logits with {0,1} labels.
 /// Returns `(loss, dlogits)`.
 ///
 /// # Panics
 /// Panics if shapes disagree or `logits` is not a column.
-pub fn bce_with_logits(logits: &Matrix, labels: &[f32]) -> (f32, Matrix) {
+pub fn bce_with_logits(logits: &Matrix, labels: &[f32]) -> (f32, Scratch) {
     assert_eq!(logits.cols(), 1, "bce expects a (batch x 1) logit column");
     assert_eq!(logits.rows(), labels.len(), "label count must match batch");
     let n = labels.len().max(1) as f32;
-    let mut grad = Matrix::zeros(logits.rows(), 1);
+    let mut grad = Scratch::new(logits.rows(), 1);
     let mut loss = 0.0f64;
     for (i, &y) in labels.iter().enumerate() {
         let z = logits.get(i, 0);
@@ -34,11 +35,11 @@ pub fn bce_with_logits(logits: &Matrix, labels: &[f32]) -> (f32, Matrix) {
 ///
 /// # Panics
 /// Panics on shape mismatch or an out-of-range label.
-pub fn softmax_cross_entropy(logits: &Matrix, labels: &[usize]) -> (f32, Matrix) {
+pub fn softmax_cross_entropy(logits: &Matrix, labels: &[usize]) -> (f32, Scratch) {
     assert_eq!(logits.rows(), labels.len(), "label count must match batch");
     let classes = logits.cols();
     let n = labels.len().max(1) as f32;
-    let mut grad = Matrix::zeros(logits.rows(), classes);
+    let mut grad = Scratch::new(logits.rows(), classes);
     let mut loss = 0.0f64;
     for (i, &y) in labels.iter().enumerate() {
         assert!(y < classes, "label {y} out of range for {classes} classes");
