@@ -154,23 +154,39 @@ fn store_spec_of(name: &str) -> Result<het_ps::StoreSpec, String> {
     }
 }
 
-fn print_report(workload: Workload, system: &str, report: &TrainReport) {
+/// Prints a training report on either backend: host lines (`backend`,
+/// `wall time`, host throughput) only for a threaded run, modelled lines
+/// (simulated and epoch time, comm fraction) only for a sim run.
+fn print_train_report(workload: Workload, system: &str, report: &TrainReport) {
+    let sim = report.backend == ExecutionBackend::Sim;
     println!("workload          {}", workload.name());
     println!("system            {system}");
+    if !sim {
+        println!("backend           {}", report.backend);
+        println!("iterations        {}", report.total_iterations);
+        println!("wall time         {:.3} ms", report.wall_ns as f64 / 1e6);
+        println!("throughput        {:.1} iters/s", report.iters_per_wall_s());
+    }
     println!("final metric      {:.4}", report.final_metric);
-    println!(
-        "simulated time    {:.3} s",
-        report.total_sim_time.as_secs_f64()
-    );
-    println!("epoch time        {:.3} s", report.epoch_time());
+    if sim {
+        println!(
+            "simulated time    {:.3} s",
+            report.total_sim_time.as_secs_f64()
+        );
+        println!("epoch time        {:.3} s", report.epoch_time());
+    }
     println!("embedding bytes   {}", report.comm.embedding_bytes());
     println!("cache hit rate    {:.1} %", 100.0 * report.cache.hit_rate());
-    println!(
-        "comm fraction     {:.1} %",
-        100.0 * report.breakdown.communication_fraction()
-    );
-    if let Some(t) = report.convergence_time() {
-        println!("time to target    {t:.3} s");
+    if sim {
+        println!(
+            "comm fraction     {:.1} %",
+            100.0 * report.breakdown.communication_fraction()
+        );
+    }
+    match report.convergence_time() {
+        Some(t) if sim => println!("time to target    {t:.3} s"),
+        Some(t) => println!("time to target    {:.3} ms (wall)", t * 1e3),
+        None => {}
     }
     if let Some(s) = &report.store {
         println!("--- store (tiered) ---");
@@ -273,15 +289,7 @@ fn train_tweak(
     args: &Args,
     backend: ExecutionBackend,
 ) -> Result<impl Fn(&mut TrainerConfig), String> {
-    let workers = match (backend.threads(), args.get("workers")) {
-        (Some(n), Some(w)) if w.parse() != Ok(n) => {
-            return Err(format!(
-                "--workers {w} conflicts with --backend threads:{n} (one thread per worker)"
-            ))
-        }
-        (Some(n), _) => n,
-        (None, _) => args.get_parsed("workers", 8)?,
-    };
+    let workers = thread_count(args, backend, "workers", "worker", 8)?;
     let servers: usize = args.get_parsed("servers", 1)?;
     let dim: usize = args.get_parsed("dim", 16)?;
     let iters: u64 = args.get_parsed("iters", 1_600)?;
@@ -335,6 +343,25 @@ fn backend_of(args: &Args) -> Result<ExecutionBackend, String> {
     ExecutionBackend::parse(args.get("backend").unwrap_or("sim"))
 }
 
+/// The value of the count flag `--<flag>` (default `default`). On
+/// `threads:<n>` the backend sets it — one OS thread per `unit` — and a
+/// different `--<flag>` is an error rather than silently overridden.
+fn thread_count(
+    args: &Args,
+    backend: ExecutionBackend,
+    flag: &str,
+    unit: &str,
+    default: usize,
+) -> Result<usize, String> {
+    match (backend.threads(), args.get(flag)) {
+        (Some(n), Some(v)) if v.parse() != Ok(n) => Err(format!(
+            "--{flag} {v} conflicts with --backend threads:{n} (one thread per {unit})"
+        )),
+        (Some(n), _) => Ok(n),
+        (None, _) => args.get_parsed(flag, default),
+    }
+}
+
 /// Threaded `serve`/`colocate` have no trace output and no fault plan.
 fn reject_sim_only_flags(args: &Args) -> Result<(), String> {
     let given = |group: &str| group.split_whitespace().any(|f| args.get(f).is_some());
@@ -346,23 +373,6 @@ fn reject_sim_only_flags(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn print_parallel_report(workload: Workload, report: &het_core::ParallelReport) {
-    println!("workload          {}", workload.name());
-    println!("system            {}", report.system);
-    println!(
-        "backend           {} ({} threads)",
-        report.backend, report.n_threads
-    );
-    println!("iterations        {}", report.total_iterations);
-    println!("wall time         {:.3} ms", report.wall_ns as f64 / 1e6);
-    println!("throughput        {:.1} iters/s", report.ops_per_sec);
-    println!("final metric      {:.4}", report.final_metric);
-    println!("cache hit rate    {:.1} %", 100.0 * report.cache.hit_rate());
-    if let Some(t) = report.converged_at_ns {
-        println!("time to target    {:.3} ms (wall)", t as f64 / 1e6);
-    }
-}
-
 /// A training run on the threaded backend: same flags as the sim path,
 /// one OS thread per worker (`Trainer::run_threaded` rejects the
 /// sim-only ones). The run always collects a merged per-thread trace
@@ -371,6 +381,7 @@ fn print_parallel_report(workload: Workload, report: &het_core::ParallelReport) 
 /// just timed.
 fn run_one_threaded(
     workload: Workload,
+    system: &str,
     preset: SystemPreset,
     args: &Args,
     n_threads: usize,
@@ -404,45 +415,17 @@ fn run_one_threaded(
             ))
         }
     }
-    print_parallel_report(workload, &report);
+    print_train_report(workload, system, &report);
     TraceArgs::of(args).write(log)?;
     Ok(())
-}
-
-fn print_threaded_serve_report(report: &het_serve::ThreadedServeReport) {
-    println!("backend           threads ({} replicas)", report.n_threads);
-    println!("requests          {}", report.requests);
-    println!("batches           {}", report.batches);
-    println!("wall time         {:.3} ms", report.wall_ns as f64 / 1e6);
-    println!("throughput        {:.0} req/s", report.throughput_rps);
-    println!(
-        "latency           p50 {:.1} us, p95 {:.1} us, p99 {:.1} us, max {:.1} us",
-        report.latency_p50_ns as f64 / 1e3,
-        report.latency_p95_ns as f64 / 1e3,
-        report.latency_p99_ns as f64 / 1e3,
-        report.latency_max_ns as f64 / 1e3
-    );
-    println!(
-        "cache miss rate   {:.2} % ({} hits / {} misses / {} invalidations)",
-        100.0 * report.cache.miss_rate(),
-        report.cache.hits,
-        report.cache.misses,
-        report.cache.invalidations
-    );
-    if report.warmed_keys > 0 {
-        println!("warmed keys       {} per replica", report.warmed_keys);
-    }
-    if report.pretrain_updates > 0 {
-        println!("pretrain updates  {}", report.pretrain_updates);
-    }
-    println!("score mean        {:.4}", report.score_mean);
 }
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
     use het_serve::{ServeConfig, ServeSim};
 
+    let backend = backend_of(args)?;
     let mut cfg = ServeConfig::new(args.get_parsed("seed", 42)?);
-    cfg.n_replicas = args.get_parsed("replicas", cfg.n_replicas)?;
+    cfg.n_replicas = thread_count(args, backend, "replicas", "replica", cfg.n_replicas)?;
     cfg.dim = args.get_parsed("dim", cfg.dim)?;
     cfg.n_fields = args.get_parsed("fields", cfg.n_fields)?;
     cfg.n_keys = args.get_parsed("keys", cfg.n_keys)?;
@@ -483,17 +466,16 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             SimDuration::from_micros(args.get_parsed("heartbeat-us", 250u64)?);
     }
 
-    if let ExecutionBackend::Threads(n) = backend_of(args)? {
+    if let ExecutionBackend::Threads(n) = backend {
         // One OS thread per replica; the sim-only machinery (faults,
         // supervision, scripted plans, traces) stays on `--backend sim`
         // — `run_threaded_serve` rejects what slips past these checks.
         reject_sim_only_flags(args)?;
-        cfg.n_replicas = n;
         let (n_fields, dim) = (cfg.n_fields, cfg.dim);
         let report = het_serve::run_threaded_serve(cfg, n, move |rng| {
             het_models::WideDeep::new(rng, n_fields, dim, &[32])
         })?;
-        print_threaded_serve_report(&report);
+        print_serve_report(&report);
         return Ok(());
     }
 
@@ -525,8 +507,15 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Prints a serving report on either backend: `backend` and `wall time`
+/// only for a threaded run, `simulated time` only for a sim run.
+/// Latency and throughput are on the clock of the backend that ran.
 fn print_serve_report(report: &het_serve::ServeReport) {
+    let sim = report.backend == ExecutionBackend::Sim;
     println!("replicas          {}", report.n_replicas);
+    if !sim {
+        println!("backend           {}", report.backend);
+    }
     println!(
         "cache             {} entries, policy {}, staleness {}",
         report.cache_capacity, report.policy, report.staleness
@@ -536,10 +525,14 @@ fn print_serve_report(report: &het_serve::ServeReport) {
         "batches           {} (mean size {:.2})",
         report.batches, report.mean_batch_size
     );
-    println!(
-        "simulated time    {:.3} ms",
-        report.sim_time_ns as f64 / 1e6
-    );
+    if sim {
+        println!(
+            "simulated time    {:.3} ms",
+            report.sim_time_ns as f64 / 1e6
+        );
+    } else {
+        println!("wall time         {:.3} ms", report.wall_ns as f64 / 1e6);
+    }
     println!("throughput        {:.0} req/s", report.throughput_rps);
     println!(
         "latency           p50 {:.1} us, p95 {:.1} us, p99 {:.1} us, max {:.1} us",
@@ -608,6 +601,15 @@ fn print_serve_report(report: &het_serve::ServeReport) {
     }
 }
 
+/// The train and serve halves of a co-scheduled run, each through its
+/// one printer. The trainer is Wide&Deep on the CTR stream.
+fn print_colocated_report(report: &het_serve::ColocatedReport) {
+    println!("--- train ---");
+    print_train_report(Workload::WdlCriteo, &report.train.system, &report.train);
+    println!("--- serve ---");
+    print_serve_report(&report.serve);
+}
+
 /// Co-schedules a live CTR trainer and a serving fleet on one cluster
 /// runtime and one PS fabric (`het_serve::run_colocated`).
 fn cmd_colocate(args: &Args) -> Result<(), String> {
@@ -615,8 +617,9 @@ fn cmd_colocate(args: &Args) -> Result<(), String> {
     use het_data::{CtrConfig, CtrDataset};
     use het_serve::{run_colocated, ServeConfig};
 
+    let backend = backend_of(args)?;
     let seed: u64 = args.get_parsed("seed", 42)?;
-    let workers: usize = args.get_parsed("workers", 4)?;
+    let workers = thread_count(args, backend, "workers", "worker", 4)?;
     let servers: usize = args.get_parsed("servers", 2)?;
     let iters: u64 = args.get_parsed("iters", 400)?;
     let staleness: u64 = args.get_parsed("staleness", 10)?;
@@ -642,25 +645,21 @@ fn cmd_colocate(args: &Args) -> Result<(), String> {
     serve_cfg.pretrain_updates = args.get_parsed("pretrain-updates", serve_cfg.pretrain_updates)?;
     serve_cfg.warmup_requests = args.get_parsed("warmup", serve_cfg.warmup_requests)?;
 
-    if let ExecutionBackend::Threads(n) = backend_of(args)? {
+    if backend != ExecutionBackend::Sim {
         // Trainer workers and serving replicas each get a real OS
         // thread, sharing one live PS fabric; `threads:<n>` sizes the
         // trainer side, `--replicas` the fleet.
         reject_sim_only_flags(args)?;
-        train_cfg.cluster = ClusterSpec::cluster_a(n, servers);
         let mut trainer = Trainer::new(train_cfg, CtrDataset::new(CtrConfig::tiny(seed)), |rng| {
             het_models::WideDeep::new(rng, 4, 8, &[16])
         });
         let (n_fields, dim) = (serve_cfg.n_fields, serve_cfg.dim);
         let replicas = serve_cfg.n_replicas;
-        let (train, serve) =
+        let report =
             het_serve::run_threaded_colocated(&mut trainer, serve_cfg, replicas, move |rng| {
                 het_models::WideDeep::new(rng, n_fields, dim, &[16])
             })?;
-        println!("--- train ---");
-        print_parallel_report(Workload::WdlCriteo, &train);
-        println!("--- serve ---");
-        print_threaded_serve_report(&serve);
+        print_colocated_report(&report);
         return Ok(());
     }
 
@@ -682,30 +681,7 @@ fn cmd_colocate(args: &Args) -> Result<(), String> {
     let report = run_colocated(trainer, serve_cfg, move |rng| {
         het_models::WideDeep::new(rng, n_fields, dim, &[16])
     });
-    println!("--- train ---");
-    println!("system            {}", report.train.system);
-    println!("final metric      {:.4}", report.train.final_metric);
-    println!("iterations        {}", report.train.total_iterations);
-    println!(
-        "simulated time    {:.3} ms",
-        report.train.total_sim_time.as_secs_f64() * 1e3
-    );
-    println!(
-        "cache hit rate    {:.1} %",
-        100.0 * report.train.cache.hit_rate()
-    );
-    let tf = &report.train.faults;
-    if tf != &het_core::FaultStats::default() {
-        println!("--- train faults ---");
-        println!(
-            "worker crashes    {} ({} dirty entries lost)",
-            tf.worker_crashes, tf.dirty_entries_lost
-        );
-        println!("shard failovers   {}", tf.shard_failovers);
-        println!("degraded reads    {}", tf.degraded_reads);
-    }
-    println!("--- serve ---");
-    print_serve_report(&report.serve);
+    print_colocated_report(&report);
     if traced {
         trace.write(&het_trace::finish())?;
     }
@@ -767,12 +743,7 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     if traced {
         trace.write(&het_trace::finish())?;
     }
-    println!("--- train ---");
-    println!("system            {}", report.report.train.system);
-    println!("final metric      {:.4}", report.report.train.final_metric);
-    println!("iterations        {}", report.report.train.total_iterations);
-    println!("--- serve ---");
-    print_serve_report(&report.report.serve);
+    print_colocated_report(&report.report);
     println!("--- verdicts ---");
     let s = &report.report.serve;
     println!(
@@ -954,11 +925,11 @@ fn train_or_compare(args: &Args, compare: bool) -> Result<(), String> {
                 "compare is sim-only (its baselines are simulated); use --backend sim".to_string(),
             );
         }
-        return run_one_threaded(workload, preset, args, n);
+        return run_one_threaded(workload, &system_name, preset, args, n);
     }
     let trace = TraceArgs::of(args);
     let (report, log) = run_one(workload, preset, args, trace.requested())?;
-    print_report(workload, &system_name, &report);
+    print_train_report(workload, &system_name, &report);
     if let Some(log) = log {
         trace.write(&log)?;
     }
@@ -967,7 +938,7 @@ fn train_or_compare(args: &Args, compare: bool) -> Result<(), String> {
         let base_preset = system_of(&base_name, staleness)?;
         let (base, _) = run_one(workload, base_preset, args, false)?;
         println!("\n--- baseline ---");
-        print_report(workload, &base_name, &base);
+        print_train_report(workload, &base_name, &base);
         println!("\n--- comparison ---");
         println!(
             "epoch-time speedup      {:.2}x",

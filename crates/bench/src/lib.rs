@@ -231,21 +231,6 @@ pub fn run_workload(
     with_trainer!(workload, preset, tweak, |t| t.run())
 }
 
-/// [`run_workload`] plus the host seconds the run itself took — dataset
-/// and trainer construction excluded, as `run_threaded`'s own `wall_ns`
-/// excludes them.
-pub(crate) fn run_workload_timed(
-    workload: Workload,
-    preset: SystemPreset,
-    tweak: &dyn Fn(&mut TrainerConfig),
-) -> (TrainReport, f64) {
-    with_trainer!(workload, preset, tweak, |t| {
-        let start = std::time::Instant::now();
-        let report = t.run();
-        (report, start.elapsed().as_secs_f64())
-    })
-}
-
 /// [`run_workload`] with the observability layer switched on: the run
 /// is collected into a [`het_trace::TraceLog`] (JSONL / Chrome
 /// exportable) alongside the normal report. The trace carries the
@@ -279,16 +264,17 @@ pub fn run_workload_traced(
 /// [`run_workload`] on the threaded execution backend: the same
 /// (workload × system) pair run through [`Trainer::run_threaded`] on
 /// real OS threads (one per configured worker). Returns the
-/// [`het_core::ParallelReport`] plus the resolved config, so callers
-/// can hand the trace to `het-oracle` with a matching `OracleSpec`.
-/// Pass `trace_meta` to collect a per-thread merged trace; `None`
-/// skips tracing entirely.
+/// [`TrainReport`] — the sim's schema, with `backend` `threads:<n>`,
+/// host `wall_ns` and the modelled-time fields zero — plus the resolved
+/// config, so callers can hand the trace to `het-oracle` with a
+/// matching `OracleSpec`. Pass `trace_meta` to collect a per-thread
+/// merged trace into the report; `None` skips tracing entirely.
 pub fn run_workload_threaded(
     workload: Workload,
     preset: SystemPreset,
     tweak: &dyn Fn(&mut TrainerConfig),
     trace_meta: Option<Vec<(String, het_json::Json)>>,
-) -> Result<(het_core::ParallelReport, TrainerConfig), String> {
+) -> Result<(TrainReport, TrainerConfig), String> {
     with_trainer!(workload, preset, tweak, |t| Ok((
         t.run_threaded(trace_meta)?,
         t.config().clone()
@@ -323,19 +309,5 @@ mod tests {
             assert!(report.total_iterations >= 32, "{}", w.name());
             assert!(report.final_metric.is_finite(), "{}", w.name());
         }
-    }
-
-    #[test]
-    fn timed_run_is_the_same_run() {
-        let tweak = |c: &mut TrainerConfig| {
-            c.max_iterations = 16;
-            c.eval_every = 16;
-            c.cluster = het_simnet::ClusterSpec::cluster_a(2, 1);
-        };
-        let plain = run_workload(Workload::WdlCriteo, SystemPreset::HetHybrid, &tweak);
-        let (timed, secs) =
-            run_workload_timed(Workload::WdlCriteo, SystemPreset::HetHybrid, &tweak);
-        assert_eq!(plain.total_sim_time, timed.total_sim_time);
-        assert!(secs > 0.0);
     }
 }

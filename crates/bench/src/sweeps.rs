@@ -4,8 +4,8 @@
 //! They are rows of [`crate::EXPERIMENTS`]; nothing here prints.
 
 use crate::{
-    experiments_dir, run_workload, run_workload_threaded, run_workload_timed, run_workload_traced,
-    Args, Table, TraceArgs, Workload,
+    experiments_dir, run_workload, run_workload_threaded, run_workload_traced, Args, Table,
+    TraceArgs, Workload,
 };
 use het_cache::PolicyKind;
 use het_core::config::{SystemPreset, TrainerConfig};
@@ -147,12 +147,12 @@ const SCALE_SWEEP_RECIPES: [(&str, Workload, usize); 2] = [
 /// be 1 — the baseline of `speedup_vs_one`), one threaded training run
 /// with the cluster resized to one OS thread per worker, beside the
 /// single-threaded simulator's run of the very same job. Unlike every
-/// other experiment the numbers are **wall-clock**: they vary run to
+/// other experiment the numbers are **wall-clock** — each report's own
+/// `wall_ns`, which spans the same steps on both backends (first step
+/// to last, flush and final evaluation excluded) — so they vary run to
 /// run and with the host's core count. A wider row is a *bigger job*,
 /// so `speedup_vs_one` mixes scaling with the change of job;
-/// `speedup_vs_sim` (threads against the sim twin, which also pays its
-/// end-of-run flush and final evaluation, ~1 % at 240 iterations) does
-/// not.
+/// `speedup_vs_sim` (threads against the sim twin) does not.
 pub(crate) fn scale_sweep(args: &Args) -> Result<Vec<Table>, String> {
     let iters: u64 = args.get_parsed("iters", 240)?;
     let threads_list: Vec<u64> = args.get_list("threads", vec![1, 2, 4])?;
@@ -178,18 +178,18 @@ pub(crate) fn scale_sweep(args: &Args) -> Result<Vec<Table>, String> {
                 c.lookahead_depth = 0;
             };
             let (report, _) = run_workload_threaded(workload, HET_CACHE_100, &tweak, None)?;
-            let (sim, sim_secs) = run_workload_timed(workload, HET_CACHE_100, &tweak);
-            let sim_ops_per_sec = sim.total_iterations as f64 / sim_secs;
+            let sim_ops_per_sec = run_workload(workload, HET_CACHE_100, &tweak).iters_per_wall_s();
+            let ops_per_sec = report.iters_per_wall_s();
             t.push(&[
                 &recipe,
                 &threads,
                 &report.total_iterations,
                 &(report.wall_ns as f64 / 1e9),
-                &report.ops_per_sec,
+                &ops_per_sec,
                 &(report.wall_ns as f64 / 1e3 / report.total_iterations.max(1) as f64),
-                &(report.ops_per_sec / *one.get_or_insert(report.ops_per_sec)),
+                &(ops_per_sec / *one.get_or_insert(ops_per_sec)),
                 &sim_ops_per_sec,
-                &(report.ops_per_sec / sim_ops_per_sec),
+                &(ops_per_sec / sim_ops_per_sec),
             ]);
         }
     }

@@ -59,6 +59,47 @@ fn mistyped_names_and_repeated_flags_are_named() {
 }
 
 #[test]
+fn thread_counts_that_conflict_with_the_backend_are_rejected() {
+    assert_rejected(&[
+        (
+            "train --workers 4 --backend threads:2",
+            "--workers 4 conflicts with --backend threads:2",
+        ),
+        (
+            "serve --replicas 3 --backend threads:2",
+            "--replicas 3 conflicts with --backend threads:2",
+        ),
+        (
+            "colocate --workers 4 --backend threads:2",
+            "--workers 4 conflicts with --backend threads:2",
+        ),
+    ]);
+}
+
+/// A sim run's stdout is a pure function of its flags: no host time
+/// leaks into it. The same job on threads prints its host lines.
+#[test]
+fn sim_stdout_is_deterministic_and_threads_print_host_time() {
+    let stdout = |line: &str| {
+        let out = hetctl(line);
+        assert!(
+            out.status.success(),
+            "{line}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("utf-8 stdout")
+    };
+    let sim = "train --iters 32 --workers 2";
+    let first = stdout(sim);
+    assert_eq!(first, stdout(sim), "sim stdout differs between runs");
+    assert!(!first.contains("wall time"), "{first}");
+    let threads = stdout(&format!("{sim} --backend threads:2"));
+    for line in ["backend           threads:2", "wall time"] {
+        assert!(threads.contains(line), "missing `{line}`: {threads}");
+    }
+}
+
+#[test]
 fn user_supplied_lists_and_counts_are_checked_not_asserted() {
     assert_rejected(&[
         ("exp prefetch-sweep --depths 1,2", "depth-0 baseline"),

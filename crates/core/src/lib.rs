@@ -57,5 +57,4 @@ pub use fault::{FaultConfig, FaultRecord, FaultStats};
 pub use prefetch::{PrefetchAudit, PrefetchSummary, Prefetcher};
 pub use report::{ConvergencePoint, StoreSummary, TimeBreakdown, TrainReport};
 pub use retry::RetryPolicy;
-pub use trainer::parallel::ParallelReport;
 pub use trainer::Trainer;

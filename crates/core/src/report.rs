@@ -1,17 +1,36 @@
 //! Experiment output: convergence curves, time breakdowns, and the
 //! communication/cache statistics the paper's tables and figures report.
+//!
+//! One [`TrainReport`] serves both execution backends. Counters (comm
+//! bytes, cache hits, iterations, residency, store traffic) mean the
+//! same on both. Time has two kinds:
+//!
+//! * **modelled** — `total_sim_time` and `breakdown`, the simulator's
+//!   α-β network/compute clocks. Only the sim fills them; they are zero
+//!   on threads;
+//! * **host** — `wall_ns`, from the first scheduled step to the last
+//!   step's completion (the end-of-run flush and final evaluation
+//!   excluded), measured on both backends.
+//!
+//! `curve[].sim_time` and `converged_at` are on the clock of the backend
+//! that ran: modelled on the sim, wall stamps on threads. The JSON
+//! carries `backend` and `wall_ns` only for a threaded report, so a sim
+//! report's JSON stays a pure function of the seed.
 
 use crate::fault::{FaultRecord, FaultStats};
 use crate::prefetch::PrefetchSummary;
 use het_cache::CacheStats;
 use het_json::{Json, ToJson};
 use het_ps::StoreStats;
+use het_runtime::ExecutionBackend;
 use het_simnet::{CommStats, SimDuration, SimTime};
+use het_trace::TraceLog;
 
 /// One point on a convergence curve.
 #[derive(Clone, Copy, Debug)]
 pub struct ConvergencePoint {
-    /// Simulated wall-clock time of the evaluation.
+    /// Time of the evaluation on the run's clock: simulated on the sim,
+    /// a wall stamp on threads.
     pub sim_time: SimTime,
     /// Global iterations completed (summed over workers).
     pub iteration: u64,
@@ -152,14 +171,21 @@ impl ToJson for StoreSummary {
     }
 }
 
-/// The result of one training run.
-#[derive(Clone, Debug)]
+/// The result of one training run, on either backend (see the module
+/// docs for which fields are modelled and which are host time).
+#[derive(Clone, Debug, Default)]
 pub struct TrainReport {
     /// The system's display name.
     pub system: String,
+    /// The backend that ran the job.
+    pub backend: ExecutionBackend,
+    /// Host nanoseconds from the first scheduled step to the last
+    /// step's completion (flush and final evaluation excluded).
+    pub wall_ns: u64,
     /// Convergence curve sampled every `eval_every` iterations.
     pub curve: Vec<ConvergencePoint>,
-    /// Total simulated time (latest worker clock at termination).
+    /// Total simulated time (latest worker clock at termination); zero
+    /// on threads.
     pub total_sim_time: SimTime,
     /// Total iterations summed over workers.
     pub total_iterations: u64,
@@ -167,15 +193,16 @@ pub struct TrainReport {
     pub examples_processed: u64,
     /// Epochs completed (examples / epoch size).
     pub epochs: f64,
-    /// First simulated time at which the target metric was reached.
+    /// First time, on the run's clock, at which the target metric was
+    /// reached.
     pub converged_at: Option<SimTime>,
-    /// Metric at the last evaluation.
+    /// Metric at the final evaluation (after the end-of-run flush).
     pub final_metric: f64,
     /// Per-category communication bytes/messages (merged over workers).
     pub comm: CommStats,
     /// Cache statistics (zeroed for cache-less systems).
     pub cache: CacheStats,
-    /// Where simulated time went.
+    /// Where simulated time went; zero on threads.
     pub breakdown: TimeBreakdown,
     /// The embedding keys resident in each worker's cache at the end of
     /// training, snapshotted *before* the final flush (empty for
@@ -196,6 +223,13 @@ pub struct TrainReport {
     /// in-memory store (the default), which keeps the serialized report
     /// byte-identical to the legacy path.
     pub store: Option<StoreSummary>,
+    /// Worker 0's flat dense parameters at the end of the run — the
+    /// cross-backend bit-identity probe.
+    pub final_dense: Vec<f32>,
+    /// The merged per-thread trace of a threaded run given
+    /// `trace_meta`; `None` otherwise (a sim run's trace is collected
+    /// by the caller's own collector).
+    pub trace: Option<TraceLog>,
 }
 
 impl ToJson for TrainReport {
@@ -232,6 +266,11 @@ impl ToJson for TrainReport {
         if let Some(s) = &self.store {
             fields.push(("store".to_string(), s.to_json()));
         }
+        // Host time stays out of a sim report's JSON.
+        if self.backend != ExecutionBackend::Sim {
+            fields.push(("backend".to_string(), self.backend.to_string().to_json()));
+            fields.push(("wall_ns".to_string(), Json::UInt(self.wall_ns)));
+        }
         Json::Obj(fields)
     }
 }
@@ -256,9 +295,19 @@ impl TrainReport {
         }
     }
 
-    /// Time to the target metric in simulated seconds, if reached.
+    /// Time to the target metric in seconds on the run's clock, if
+    /// reached.
     pub fn convergence_time(&self) -> Option<f64> {
         self.converged_at.map(|t| t.as_secs_f64())
+    }
+
+    /// Iterations per host second of [`TrainReport::wall_ns`].
+    pub fn iters_per_wall_s(&self) -> f64 {
+        if self.wall_ns > 0 {
+            self.total_iterations as f64 / (self.wall_ns as f64 / 1e9)
+        } else {
+            0.0
+        }
     }
 }
 
@@ -283,21 +332,13 @@ mod tests {
     fn report() -> TrainReport {
         TrainReport {
             system: "test".into(),
-            curve: vec![],
             total_sim_time: SimTime::from_nanos(2_000_000_000),
             total_iterations: 100,
             examples_processed: 1_000,
             epochs: 4.0,
             converged_at: Some(SimTime::from_nanos(1_000_000_000)),
             final_metric: 0.8,
-            comm: CommStats::new(),
-            cache: CacheStats::default(),
-            breakdown: TimeBreakdown::default(),
-            resident_keys_per_worker: Vec::new(),
-            faults: FaultStats::default(),
-            fault_events: Vec::new(),
-            prefetch: None,
-            store: None,
+            ..TrainReport::default()
         }
     }
 
@@ -320,8 +361,13 @@ mod tests {
 
     #[test]
     fn report_serialises_to_json() {
-        let r = report();
+        let mut r = report();
+        r.wall_ns = 5;
         let json = het_json::to_string(&r);
         assert!(json.contains("\"system\":\"test\""));
+        assert!(!json.contains("wall_ns") && !json.contains("backend"));
+        r.backend = ExecutionBackend::Threads(2);
+        let json = het_json::to_string(&r);
+        assert!(json.ends_with(",\"backend\":\"threads:2\",\"wall_ns\":5}"));
     }
 }

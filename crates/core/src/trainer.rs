@@ -40,7 +40,7 @@ use het_models::{Dataset, EmbeddingModel, EmbeddingStore, EvalChunk, ModelBatch,
 use het_ps::{DenseStore, PsConfig, PsServer, ServerHandle, ShardCheckpointStore};
 use het_rng::rngs::StdRng;
 use het_rng::SeedableRng;
-use het_runtime::{ClusterRuntime, Ctx, Event, Process, ProcessId};
+use het_runtime::{ClusterRuntime, Ctx, Event, ExecutionBackend, Process, ProcessId, WallClock};
 use het_simnet::{
     wire, Collectives, CommCategory, CommStats, FaultPlan, SimDuration, SimTime, TieBreak,
 };
@@ -529,6 +529,10 @@ pub struct Trainer<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> {
     /// co-scheduled runtime that never registered one) stays on the
     /// legacy path even when a depth is configured.
     prefetcher_pid: Option<ProcessId>,
+    /// Host time of the run, restarted when its first step is scheduled
+    /// ([`Trainer::prime`] on the sim, [`Trainer::run_threaded`] on
+    /// threads).
+    wall: WallClock,
 }
 
 impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
@@ -676,6 +680,7 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
             last_checkpoint_iter: 0,
             plane,
             prefetcher_pid: None,
+            wall: WallClock::new(),
         }
     }
 
@@ -1125,6 +1130,13 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         self.workers[0].evaluate(&self.env)
     }
 
+    /// Worker 0's flat dense parameters (the report's `final_dense`).
+    pub fn export_dense_params(&mut self) -> Vec<f32> {
+        let mut flat = FlatParams::new();
+        flat.export_from(&mut self.workers[0].model);
+        flat.into_vec()
+    }
+
     fn record_eval(&mut self, sim_time: SimTime) -> bool {
         let metric = self.evaluate_now();
         let train_loss = mean_loss(self.workers.iter_mut().map(|w| std::mem::take(&mut w.loss)));
@@ -1160,8 +1172,10 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
     }
 
     /// Schedules this trainer's initial events on `rt`: one round event
-    /// for BSP, one event per worker for ASP/SSP.
-    pub fn prime(&self, rt: &mut ClusterRuntime, pid: ProcessId) {
+    /// for BSP, one event per worker for ASP/SSP. The report's `wall_ns`
+    /// counts from here.
+    pub fn prime(&mut self, rt: &mut ClusterRuntime, pid: ProcessId) {
+        self.wall = WallClock::new();
         match self.env.config.system.sync {
             SyncMode::Bsp => rt.prime(pid, SimTime::ZERO, Event::Wake(0)),
             SyncMode::Asp | SyncMode::Ssp { .. } => {
@@ -1346,6 +1360,16 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
     /// [`Trainer::run`]; co-scheduled setups call it directly after the
     /// shared runtime's loop returns.
     pub fn finalize(&mut self) -> TrainReport {
+        self.finish(ExecutionBackend::Sim)
+    }
+
+    /// The end of a run on either backend: stop the host clock, snapshot
+    /// cache residency, flush every cache, evaluate, and assemble the
+    /// report. The flush's trace scopes are stamped on the backend's
+    /// clock; the fields a backend does not model stay zero.
+    fn finish(&mut self, backend: ExecutionBackend) -> TrainReport {
+        let wall_ns = self.wall.elapsed_ns();
+        let sim = backend == ExecutionBackend::Sim;
         // Strand whatever the prefetcher still had queued or in flight
         // at shutdown: those keys count as cancelled, never installed.
         if let Some(p) = &self.plane {
@@ -1375,21 +1399,27 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
                 _ => Vec::new(),
             })
             .collect();
-        for w in 0..self.workers.len() {
-            if self.workers[w].is_cached() {
-                let (worker, env, ..) = self.step_parts(w);
-                worker.flush(env);
+        for worker in self.workers.iter_mut().filter(|w| w.is_cached()) {
+            if het_trace::enabled() {
+                let now = if sim {
+                    worker.clock.as_nanos()
+                } else {
+                    self.wall.stamp()
+                };
+                het_trace::set_scope(now, Some(worker.id as u64));
             }
+            worker.flush(&self.env);
         }
         let final_metric = self.evaluate_now();
-        let total_sim_time = self
-            .workers
-            .iter()
-            .map(|w| w.clock)
-            .max()
-            .unwrap_or(SimTime::ZERO);
-
         let (comm, cache, breakdown) = merged_stats(&self.workers);
+        // Threads charge host compute time beside modelled network time:
+        // there neither the breakdown nor a worker clock means anything.
+        let (total_sim_time, breakdown) = if sim {
+            let end = self.workers.iter().map(|w| w.clock).max();
+            (end.unwrap_or(SimTime::ZERO), breakdown)
+        } else {
+            (SimTime::ZERO, TimeBreakdown::default())
+        };
         let config = &self.env.config;
         let server = &self.env.server;
         let examples = self.progress.global_iterations * config.batch_size as u64;
@@ -1424,6 +1454,8 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         };
         TrainReport {
             system: config.system.name.to_string(),
+            backend,
+            wall_ns,
             curve: self.progress.curve.clone(),
             total_sim_time,
             total_iterations: self.progress.global_iterations,
@@ -1439,6 +1471,8 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
             fault_events: self.fault_events.clone(),
             prefetch: self.plane.as_ref().map(|p| p.lock().unwrap().summary()),
             store,
+            final_dense: self.export_dense_params(),
+            trace: None,
         }
     }
 }

@@ -30,6 +30,12 @@
 //!   **not** have a collector running on the calling thread — the run
 //!   starts one for the post-join flush and merges it in last.
 //!
+//! After the join the run ends in the sim's own `Trainer::finish`
+//! (flush, evaluate, assemble), so a threaded run returns the same
+//! [`TrainReport`] schema as a sim run: `backend` is `threads:<n>`,
+//! `wall_ns` and the curve's stamps are host time, and the modelled
+//! `total_sim_time` and `breakdown` are zero.
+//!
 //! Locking order (DESIGN.md §3.13): progress/phase locks → PS shard
 //! locks → trace scope.
 //!
@@ -39,84 +45,17 @@
 //! A worker thread that panics poisons everything its peers can block
 //! on, so the run fails with that panic instead of hanging.
 
-use super::{
-    allreduce_dense, apply_sparse_gather, mean_loss, merged_stats, Progress, StepEnv, Trainer,
-    Worker,
-};
+use super::{allreduce_dense, apply_sparse_gather, mean_loss, Progress, StepEnv, Trainer, Worker};
 use crate::config::{DenseSync, SyncMode};
-use crate::report::ConvergencePoint;
-use het_cache::CacheStats;
-use het_json::{Json, ToJson};
+use crate::report::{ConvergencePoint, TrainReport};
+use het_json::Json;
 use het_models::{Dataset, EmbeddingModel, EmbeddingStore, ModelBatch, SparseGrads};
-use het_runtime::{Barrier, Turnstile, WallClock};
-use het_simnet::{CommStats, SimDuration, SimTime};
-use het_tensor::{FlatGrads, FlatParams};
+use het_runtime::{Barrier, ExecutionBackend, Turnstile, WallClock};
+use het_simnet::{SimDuration, SimTime};
+use het_tensor::FlatGrads;
 use het_trace::TraceLog;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
-
-/// The result of one threaded training run.
-///
-/// Times are wall-clock nanoseconds (`curve[i].sim_time` holds the wall
-/// stamp of the evaluation), unlike [`crate::report::TrainReport`]'s
-/// simulated times — the two are not comparable on the time axis, only
-/// on iterations, metrics, and (for BSP) the parameters themselves.
-#[derive(Clone, Debug)]
-pub struct ParallelReport {
-    /// The system's display name.
-    pub system: String,
-    /// Backend label, `"threads:<n>"`.
-    pub backend: String,
-    /// Worker-thread count.
-    pub n_threads: usize,
-    /// Total iterations summed over workers.
-    pub total_iterations: u64,
-    /// Wall-clock run time in nanoseconds (training only; the final
-    /// flush and evaluation are excluded).
-    pub wall_ns: u64,
-    /// Iterations per wall-clock second.
-    pub ops_per_sec: f64,
-    /// Metric at the final evaluation (after the end-of-run flush).
-    pub final_metric: f64,
-    /// Wall stamp at which the target metric was reached, if it was.
-    pub converged_at_ns: Option<u64>,
-    /// Convergence curve; `sim_time` carries the wall stamp. BSP curves
-    /// are metric- and loss-identical to the sim backend's.
-    pub curve: Vec<ConvergencePoint>,
-    /// Per-category communication bytes/messages (merged over workers).
-    pub comm: CommStats,
-    /// Cache statistics (zeroed for cache-less systems).
-    pub cache: CacheStats,
-    /// Worker 0's flat dense parameters at the end of the run — the
-    /// cross-backend bit-identity probe (compare against
-    /// [`Trainer::export_dense_params`] on a sim run).
-    pub final_dense: Vec<f32>,
-    /// The merged per-thread trace, when `trace_meta` was passed.
-    pub trace: Option<TraceLog>,
-}
-
-impl ToJson for ParallelReport {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("system".to_string(), self.system.to_json()),
-            ("backend".to_string(), self.backend.to_json()),
-            ("n_threads".to_string(), Json::UInt(self.n_threads as u64)),
-            (
-                "total_iterations".to_string(),
-                Json::UInt(self.total_iterations),
-            ),
-            ("wall_ns".to_string(), Json::UInt(self.wall_ns)),
-            ("ops_per_sec".to_string(), Json::Num(self.ops_per_sec)),
-            ("final_metric".to_string(), Json::Num(self.final_metric)),
-            (
-                "converged_at_ns".to_string(),
-                self.converged_at_ns.map(Json::UInt).unwrap_or(Json::Null),
-            ),
-            ("curve".to_string(), self.curve.to_json()),
-            ("comm".to_string(), self.comm.to_json()),
-        ])
-    }
-}
 
 /// What one worker hands the leader at the end of a BSP round.
 #[derive(Default)]
@@ -201,16 +140,18 @@ impl AsyncShared {
 
 impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
     /// Runs the training job on real threads (one per configured
-    /// worker) and returns the [`ParallelReport`]. Pass `trace_meta` to
-    /// collect a merged wall-clock trace (see the module docs for the
-    /// collector contract).
+    /// worker) and returns its [`TrainReport`], with `backend`
+    /// `threads:<n>` and the modelled-time fields zero. Pass
+    /// `trace_meta` to collect a merged wall-clock trace into
+    /// [`TrainReport::trace`] (see the module docs for the collector
+    /// contract).
     ///
     /// Errors if the configuration requires the simulated clock: a
     /// non-empty fault plan or lookahead prefetching.
     pub fn run_threaded(
         &mut self,
         trace_meta: Option<Vec<(String, Json)>>,
-    ) -> Result<ParallelReport, String> {
+    ) -> Result<TrainReport, String> {
         if !self.plan.is_empty() {
             return Err(
                 "the threaded backend does not support fault injection; use --backend sim"
@@ -223,16 +164,17 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
                     .to_string(),
             );
         }
+        self.wall = WallClock::new();
         let Trainer {
             env,
             workers,
             progress,
+            wall,
             ..
         } = &mut *self;
-        let env = &*env;
+        let (env, clock) = (&*env, &*wall);
         let n = workers.len();
         let tracing = trace_meta.is_some();
-        let clock = WallClock::new();
         let sync = env.config.system.sync;
         let logs = if sync == SyncMode::Bsp {
             let shared = BspShared {
@@ -251,7 +193,7 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
                 workers,
                 tracing,
                 |by| shared.poison(by),
-                |worker| bsp_worker_loop(worker, &shared, &clock, env),
+                |worker| bsp_worker_loop(worker, &shared, clock, env),
             );
             *progress = shared.progress.into_inner().unwrap();
             logs
@@ -272,79 +214,42 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
                 workers,
                 tracing,
                 |by| shared.poison(by),
-                |worker| async_worker_loop(worker, &shared, &clock, env, staleness),
+                |worker| async_worker_loop(worker, &shared, clock, env, staleness),
             );
             progress.global_iterations = shared.progress.into_inner().unwrap().global;
             logs
         };
-        Ok(self.finish_threaded(&clock, logs, trace_meta, sync != SyncMode::Bsp))
+        Ok(self.finish_threaded(logs, trace_meta, sync != SyncMode::Bsp))
     }
 
-    /// Worker 0's flat dense parameters, for cross-backend bit-identity
-    /// probes against [`ParallelReport::final_dense`].
-    pub fn export_dense_params(&mut self) -> Vec<f32> {
-        let mut flat = FlatParams::new();
-        flat.export_from(&mut self.workers[0].model);
-        flat.into_vec()
-    }
-
-    /// Post-join tail: flush every cache (wall stamps, on the main
-    /// thread's own collector), evaluate, merge the per-thread traces,
-    /// and assemble the report. ASP/SSP runs get their one curve point
-    /// here.
+    /// Post-join tail: [`Trainer::finish`] on the main thread's own
+    /// collector (its flush scopes take wall stamps), then what only
+    /// threads have — the trace merge and, for ASP/SSP runs, their one
+    /// curve point.
     fn finish_threaded(
         &mut self,
-        clock: &WallClock,
         logs: Vec<TraceLog>,
         trace_meta: Option<Vec<(String, Json)>>,
         push_final_point: bool,
-    ) -> ParallelReport {
-        let tracing = trace_meta.is_some();
-        let wall_ns = clock.elapsed_ns();
-        if tracing {
+    ) -> TrainReport {
+        if trace_meta.is_some() {
             het_trace::start(Vec::new());
         }
-        for worker in self.workers.iter_mut().filter(|w| w.is_cached()) {
-            stamp_scope(worker, clock);
-            worker.flush(&self.env);
+        let mut report = self.finish(ExecutionBackend::Threads(self.workers.len()));
+        if push_final_point {
+            report.curve.push(ConvergencePoint {
+                sim_time: SimTime::from_nanos(report.wall_ns),
+                iteration: report.total_iterations,
+                metric: report.final_metric,
+                train_loss: mean_loss(self.workers.iter().map(|w| w.loss)),
+            });
         }
-        let final_metric = self.evaluate_now();
-        let trace = trace_meta.map(|meta| {
+        report.trace = trace_meta.map(|meta| {
             let mut parts = logs;
             parts.push(het_trace::finish());
             het_trace::merge_threads(meta, parts)
         });
-        let total = self.progress.global_iterations;
-        if push_final_point {
-            self.progress.curve.push(ConvergencePoint {
-                sim_time: SimTime::from_nanos(wall_ns),
-                iteration: total,
-                metric: final_metric,
-                train_loss: mean_loss(self.workers.iter().map(|w| w.loss)),
-            });
-        }
-        let (comm, cache, _) = merged_stats(&self.workers);
-        let n = self.workers.len();
-        let wall_s = wall_ns as f64 / 1e9;
-        ParallelReport {
-            system: self.env.config.system.name.to_string(),
-            backend: format!("threads:{n}"),
-            n_threads: n,
-            total_iterations: total,
-            wall_ns,
-            ops_per_sec: if wall_s > 0.0 {
-                total as f64 / wall_s
-            } else {
-                0.0
-            },
-            final_metric,
-            converged_at_ns: self.progress.converged_at.map(|t| t.as_nanos()),
-            curve: self.progress.curve.clone(),
-            comm,
-            cache,
-            final_dense: self.export_dense_params(),
-            trace,
-        }
+        report
     }
 }
 

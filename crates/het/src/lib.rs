@@ -65,8 +65,8 @@ pub mod prelude {
         TieredConfig, TrainerConfig,
     };
     pub use het_core::{
-        FaultConfig, FaultRecord, FaultStats, HetClient, ParallelReport, PrefetchAudit,
-        PrefetchSummary, Prefetcher, StoreSummary, TrainReport, Trainer,
+        FaultConfig, FaultRecord, FaultStats, HetClient, PrefetchAudit, PrefetchSummary,
+        Prefetcher, StoreSummary, TrainReport, Trainer,
     };
     pub use het_data::{
         auc, CtrBatch, CtrConfig, CtrDataset, GnnBatch, Graph, GraphConfig, Key, NeighborSampler,
@@ -83,7 +83,7 @@ pub mod prelude {
     pub use het_serve::{
         run_chaos, run_colocated, run_threaded_colocated, run_threaded_serve, AutoscaleConfig,
         ChaosConfig, ChaosReport, ColocatedReport, ReshardPlan, ServeConfig, ServeReport, ServeSim,
-        SupervisionConfig, ThreadedServeReport,
+        SupervisionConfig,
     };
     pub use het_simnet::{
         ClusterSpec, CommCategory, CommStats, FaultEvent, FaultPlan, FaultSpec, LinkSpec,

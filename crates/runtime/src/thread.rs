@@ -50,9 +50,10 @@ use std::time::Instant;
 /// Parsed from the CLI's `--backend` flag. `threads:<n>` carries the
 /// worker-thread count: the threaded trainer runs one thread per
 /// worker, so `threads:4` *is* a 4-worker cluster.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecutionBackend {
     /// Single-threaded discrete-event simulation (the default).
+    #[default]
     Sim,
     /// Real OS threads; the payload is the worker-thread count (≥ 1).
     Threads(usize),

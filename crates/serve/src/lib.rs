@@ -34,9 +34,9 @@
 //!   asserts SLO/RTO outcomes;
 //! * a **threaded backend** ([`thread`]): the same replica machinery on
 //!   real OS threads behind `--backend threads:<n>` — one thread per
-//!   replica over the shared PS fabric, reporting wall-clock
-//!   throughput/latency instead of simulated time (the simulator stays
-//!   the correctness oracle).
+//!   replica over the shared PS fabric, reporting the same
+//!   [`ServeReport`] with wall-clock throughput/latency instead of
+//!   simulated time (the simulator stays the correctness oracle).
 //!
 //! Same seed ⇒ byte-identical report JSON and byte-identical trace
 //! (on the sim backend; wall-clock measurements are exempt by design).
@@ -60,7 +60,5 @@ pub use sim::ServeSim;
 pub use supervise::{
     AutoscaleConfig, Autoscaler, ControlPlane, ReshardPlan, SupervisionConfig, Supervisor,
 };
-pub use thread::{
-    run_threaded_colocated, run_threaded_serve, run_threaded_serve_shared, ThreadedServeReport,
-};
+pub use thread::{run_threaded_colocated, run_threaded_serve};
 pub use workload::{generate_requests, pretrain, Request};

@@ -1,9 +1,24 @@
 //! The serving run's output: throughput, the latency distribution, and
 //! per-replica cache behaviour.
+//!
+//! One [`ServeReport`] serves both execution backends, assembled by one
+//! function ([`ServeReport::assemble`]) from per-replica rows. The config
+//! echo, request/batch counts, cache counters and per-replica rows mean
+//! the same on both. Time-valued fields are on the clock of the backend
+//! that ran: on the sim, latency is arrival → batch completion in
+//! modelled time; on threads it is a micro-batch's host service time
+//! (claim → forward done), and `throughput_rps` is per host second. The
+//! modelled `sim_time_ns`, `queue_wait_ns`, `lookup_ns` and `infer_ns`
+//! are zero on threads. `wall_ns` is host time on both, and the JSON
+//! carries it (with `backend`) only for a threaded report, so a sim
+//! report's JSON stays a pure function of the seed.
 
+use crate::config::ServeConfig;
 use het_cache::CacheStats;
 use het_core::FaultStats;
+use het_data::LatencyHistogram;
 use het_json::{Json, ToJson};
+use het_runtime::ExecutionBackend;
 
 /// Per-replica outcome of a serving run.
 #[derive(Clone, Debug)]
@@ -45,10 +60,16 @@ impl ToJson for ReplicaReport {
     }
 }
 
-/// The result of one serving run. Latency percentiles are kept in
-/// nanoseconds as exact integers so the JSON encoding is byte-stable.
-#[derive(Clone, Debug)]
+/// The result of one serving run, on either backend (see the module
+/// docs). Latency percentiles are kept in nanoseconds as exact integers
+/// so the JSON encoding is byte-stable.
+#[derive(Clone, Debug, Default)]
 pub struct ServeReport {
+    /// The backend that ran the fleet.
+    pub backend: ExecutionBackend,
+    /// Host nanoseconds from the start of serving to the last batch
+    /// done.
+    pub wall_ns: u64,
     /// Run seed (config echo).
     pub seed: u64,
     /// Replica count (config echo).
@@ -63,13 +84,13 @@ pub struct ServeReport {
     pub requests: u64,
     /// Micro-batches executed across replicas.
     pub batches: u64,
-    /// Instant the last batch completed.
+    /// Simulated instant the last batch completed; zero on threads.
     pub sim_time_ns: u64,
-    /// Served requests per second of simulated time.
+    /// Served requests per second on the run's clock.
     pub throughput_rps: f64,
     /// Mean requests per micro-batch.
     pub mean_batch_size: f64,
-    /// End-to-end latency percentiles (arrival → batch completion).
+    /// Median latency on the run's clock.
     pub latency_p50_ns: u64,
     /// 95th percentile latency.
     pub latency_p95_ns: u64,
@@ -79,11 +100,14 @@ pub struct ServeReport {
     pub latency_max_ns: u64,
     /// Mean latency.
     pub latency_mean_ns: f64,
-    /// Total time requests spent queued before their batch started.
+    /// Total modelled time requests spent queued before their batch
+    /// started; zero on threads.
     pub queue_wait_ns: u64,
-    /// Total time spent in cache/PS embedding resolution.
+    /// Total modelled time spent in cache/PS embedding resolution; zero
+    /// on threads.
     pub lookup_ns: u64,
-    /// Total time spent in model forward passes.
+    /// Total modelled time spent in model forward passes; zero on
+    /// threads.
     pub infer_ns: u64,
     /// Cache counters merged across replicas.
     pub cache: CacheStats,
@@ -122,7 +146,7 @@ pub struct ServeReport {
 
 impl ToJson for ServeReport {
     fn to_json(&self) -> Json {
-        Json::Obj(vec![
+        let mut fields = vec![
             ("seed".to_string(), Json::UInt(self.seed)),
             ("n_replicas".to_string(), Json::UInt(self.n_replicas as u64)),
             (
@@ -199,6 +223,69 @@ impl ToJson for ServeReport {
                 "replicas".to_string(),
                 Json::Arr(self.replicas.iter().map(|r| r.to_json()).collect()),
             ),
-        ])
+        ];
+        // Host time stays out of a sim report's JSON.
+        if self.backend != ExecutionBackend::Sim {
+            fields.push(("backend".to_string(), self.backend.to_string().to_json()));
+            fields.push(("wall_ns".to_string(), Json::UInt(self.wall_ns)));
+        }
+        Json::Obj(fields)
+    }
+}
+
+impl ServeReport {
+    /// The assembly both backends share: the config echo, the
+    /// per-replica rows and their summed counters, the fleet's latency
+    /// percentiles from `hist`, and throughput over `span_ns` — all on
+    /// the clock of the backend that ran. Every other field is its
+    /// default (zero; `backend` the sim); the caller fills what its
+    /// backend has.
+    pub(crate) fn assemble(
+        cfg: &ServeConfig,
+        replicas: Vec<ReplicaReport>,
+        hist: &LatencyHistogram,
+        span_ns: u64,
+        (score_sum, score_count): (f64, u64),
+    ) -> ServeReport {
+        let mut cache = CacheStats::default();
+        let (mut requests, mut batches) = (0u64, 0u64);
+        for r in &replicas {
+            cache.merge(&r.cache);
+            requests += r.requests;
+            batches += r.batches;
+        }
+        let span_s = span_ns as f64 / 1e9;
+        ServeReport {
+            seed: cfg.seed,
+            n_replicas: cfg.n_replicas,
+            cache_capacity: cfg.cache_capacity,
+            staleness: cfg.staleness,
+            policy: cfg.policy.to_string(),
+            requests,
+            batches,
+            throughput_rps: if span_s > 0.0 {
+                requests as f64 / span_s
+            } else {
+                0.0
+            },
+            mean_batch_size: if batches > 0 {
+                requests as f64 / batches as f64
+            } else {
+                0.0
+            },
+            latency_p50_ns: hist.quantile(0.5),
+            latency_p95_ns: hist.quantile(0.95),
+            latency_p99_ns: hist.quantile(0.99),
+            latency_max_ns: hist.max(),
+            latency_mean_ns: hist.mean(),
+            cache,
+            score_mean: if score_count > 0 {
+                score_sum / score_count as f64
+            } else {
+                0.0
+            },
+            replicas,
+            ..ServeReport::default()
+        }
     }
 }

@@ -21,7 +21,7 @@ use het_models::EmbeddingModel;
 use het_ps::{PsConfig, PsServer, ServerHandle, ServerOptimizer};
 use het_rng::rngs::StdRng;
 use het_rng::SeedableRng;
-use het_runtime::{ClusterRuntime, Ctx, Event, Process, ProcessId};
+use het_runtime::{ClusterRuntime, Ctx, Event, Process, ProcessId, WallClock};
 use het_simnet::{Collectives, CommStats, FaultPlan, SimDuration, SimTime, TieBreak};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -214,6 +214,8 @@ pub struct ServeSim<M: EmbeddingModel<Batch = CtrBatch>> {
     served_total: u64,
     respawns: u64,
     retry_waits: u64,
+    /// Host time of the run, restarted by [`ServeSim::prime`].
+    wall: WallClock,
 }
 
 impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
@@ -332,6 +334,7 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
             served_total: 0,
             respawns: 0,
             retry_waits: 0,
+            wall: WallClock::new(),
             cfg,
         }
     }
@@ -848,8 +851,10 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
     }
 
     /// Schedules every request arrival on `rt`, plus the first
-    /// heartbeat tick when the fleet is supervised.
-    pub fn prime(&self, rt: &mut ClusterRuntime, pid: ProcessId) {
+    /// heartbeat tick when the fleet is supervised. The report's
+    /// `wall_ns` counts from here.
+    pub fn prime(&mut self, rt: &mut ClusterRuntime, pid: ProcessId) {
+        self.wall = WallClock::new();
         for (i, req) in self.requests.iter().enumerate() {
             rt.prime(pid, req.at, Event::Arrive(i as u64));
         }
@@ -934,29 +939,27 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
     /// Assembles the [`ServeReport`]. Called by [`ServeSim::run`];
     /// co-scheduled setups call it after [`ServeSim::epilogue`].
     pub fn into_report(self) -> ServeReport {
-        let mut cache = het_cache::CacheStats::default();
-        let mut served = 0u64;
-        let mut batches = 0u64;
-        let replicas: Vec<ReplicaReport> = self
+        let replicas = self
             .replicas
             .iter()
             .enumerate()
-            .map(|(i, r)| {
-                let stats = *r.core.client.cache().stats();
-                cache.merge(&stats);
-                served += r.requests;
-                batches += r.batches;
-                ReplicaReport {
-                    replica: i,
-                    requests: r.requests,
-                    batches: r.batches,
-                    crashes: r.crash_count,
-                    cache: stats,
-                    p99_ns: r.hist.quantile(0.99),
-                }
+            .map(|(i, r)| ReplicaReport {
+                replica: i,
+                requests: r.requests,
+                batches: r.batches,
+                crashes: r.crash_count,
+                cache: *r.core.client.cache().stats(),
+                p99_ns: r.hist.quantile(0.99),
             })
             .collect();
-        debug_assert_eq!(served, self.requests.len() as u64, "every request served");
+        let end_ns = self.end_time.as_nanos();
+        let score = (self.score_sum, self.score_count);
+        let base = ServeReport::assemble(&self.cfg, replicas, &self.hist, end_ns, score);
+        debug_assert_eq!(
+            base.requests,
+            self.requests.len() as u64,
+            "every request served"
+        );
         let (detections, scale_ups, scale_downs, migrated_keys, max_recovery_ns, split_done) =
             match self.control.as_ref() {
                 Some(cp) => {
@@ -972,43 +975,15 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
                 }
                 None => (0, 0, 0, 0, 0, false),
             };
-        let sim_s = self.end_time.as_secs_f64();
         ServeReport {
-            seed: self.cfg.seed,
-            n_replicas: self.cfg.n_replicas,
-            cache_capacity: self.cfg.cache_capacity,
-            staleness: self.cfg.staleness,
-            policy: self.cfg.policy.to_string(),
-            requests: served,
-            batches,
-            sim_time_ns: self.end_time.as_nanos(),
-            throughput_rps: if sim_s > 0.0 {
-                served as f64 / sim_s
-            } else {
-                0.0
-            },
-            mean_batch_size: if batches > 0 {
-                served as f64 / batches as f64
-            } else {
-                0.0
-            },
-            latency_p50_ns: self.hist.quantile(0.5),
-            latency_p95_ns: self.hist.quantile(0.95),
-            latency_p99_ns: self.hist.quantile(0.99),
-            latency_max_ns: self.hist.max(),
-            latency_mean_ns: self.hist.mean(),
+            wall_ns: self.wall.elapsed_ns(),
+            sim_time_ns: end_ns,
             queue_wait_ns: self.queue_wait_ns,
             lookup_ns: self.lookup_ns,
             infer_ns: self.infer_ns,
-            cache,
             warmed_keys: self.warmed_keys,
             drift_prefetched_keys: self.drift_prefetched,
             pretrain_updates: self.pretrained,
-            score_mean: if self.score_count > 0 {
-                self.score_sum / self.score_count as f64
-            } else {
-                0.0
-            },
             faults: self.fault_stats,
             detections,
             respawns: self.respawns,
@@ -1018,7 +993,7 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
             migrated_keys,
             split_done,
             max_recovery_ns,
-            replicas,
+            ..base
         }
     }
 }

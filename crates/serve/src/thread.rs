@@ -16,8 +16,13 @@
 //! * latency is **wall-clock service time** per micro-batch (claim →
 //!   forward done). The open-loop arrival process and join-shortest-
 //!   queue routing are simulation constructs; the threaded backend is
-//!   a throughput/parallelism harness, not a queueing model, and its
-//!   report says so by carrying `wall_ns` instead of `sim_time_ns`.
+//!   a throughput/parallelism harness, not a queueing model.
+//!
+//! The per-thread results feed the same [`ServeReport::assemble`] the
+//! simulator's report comes from, so both backends return one schema:
+//! here `backend` is `threads:<n>`, latency and `throughput_rps` are on
+//! the host clock, and the modelled `sim_time_ns`, `queue_wait_ns`,
+//! `lookup_ns` and `infer_ns` are zero.
 //!
 //! What is deterministic here: the request schedule, the pretraining
 //! stream, the warmup set, and every per-request score (reads are
@@ -30,100 +35,18 @@
 //! rejected with an error pointing back at `--backend sim` rather than
 //! silently ignored.
 
+use crate::colocate::ColocatedReport;
 use crate::config::ServeConfig;
+use crate::report::{ReplicaReport, ServeReport};
 use crate::sim::{private_server, warmup_keys, ReplicaCore};
 use crate::workload::{generate_requests, pretrain, Request};
 use het_cache::CacheStats;
 use het_data::{CtrBatch, Key, LatencyHistogram};
-use het_json::{Json, ToJson};
 use het_models::EmbeddingModel;
 use het_ps::{PsServer, PullResult, ServerHandle};
 use het_rng::rngs::StdRng;
-use het_runtime::WallClock;
+use het_runtime::{ExecutionBackend, WallClock};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// The outcome of a threaded serving run. Times are host wall-clock
-/// nanoseconds — honest measurements, hardware-dependent, outside every
-/// byte-identity contract (unlike [`ServeReport`](crate::ServeReport)).
-#[derive(Clone, Debug)]
-pub struct ThreadedServeReport {
-    /// Replica threads the fleet ran on.
-    pub n_threads: usize,
-    /// Requests served (all of them — the run drains the schedule).
-    pub requests: u64,
-    /// Micro-batches executed across replica threads.
-    pub batches: u64,
-    /// Wall-clock nanoseconds from fleet start to last batch done.
-    pub wall_ns: u64,
-    /// Served requests per wall-clock second.
-    pub throughput_rps: f64,
-    /// Median micro-batch service latency (claim → forward done).
-    pub latency_p50_ns: u64,
-    /// 95th percentile service latency.
-    pub latency_p95_ns: u64,
-    /// 99th percentile service latency.
-    pub latency_p99_ns: u64,
-    /// Worst-case service latency.
-    pub latency_max_ns: u64,
-    /// Mean service latency.
-    pub latency_mean_ns: f64,
-    /// Cache counters merged across replica threads.
-    pub cache: CacheStats,
-    /// Keys pre-installed per replica by SpaceSaving warmup.
-    pub warmed_keys: u64,
-    /// PS updates applied before serving started.
-    pub pretrain_updates: u64,
-    /// Mean model score over all served examples (the fingerprint that
-    /// the forward pass actually consumed the embeddings).
-    pub score_mean: f64,
-}
-
-impl ToJson for ThreadedServeReport {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("backend".to_string(), Json::Str("threads".to_string())),
-            ("n_threads".to_string(), Json::UInt(self.n_threads as u64)),
-            ("requests".to_string(), Json::UInt(self.requests)),
-            ("batches".to_string(), Json::UInt(self.batches)),
-            ("wall_ns".to_string(), Json::UInt(self.wall_ns)),
-            ("throughput_rps".to_string(), Json::Num(self.throughput_rps)),
-            (
-                "latency_p50_ns".to_string(),
-                Json::UInt(self.latency_p50_ns),
-            ),
-            (
-                "latency_p95_ns".to_string(),
-                Json::UInt(self.latency_p95_ns),
-            ),
-            (
-                "latency_p99_ns".to_string(),
-                Json::UInt(self.latency_p99_ns),
-            ),
-            (
-                "latency_max_ns".to_string(),
-                Json::UInt(self.latency_max_ns),
-            ),
-            (
-                "latency_mean_ns".to_string(),
-                Json::Num(self.latency_mean_ns),
-            ),
-            ("hits".to_string(), Json::UInt(self.cache.hits)),
-            ("misses".to_string(), Json::UInt(self.cache.misses)),
-            (
-                "invalidations".to_string(),
-                Json::UInt(self.cache.invalidations),
-            ),
-            ("miss_rate".to_string(), Json::Num(self.cache.miss_rate())),
-            ("warmed_keys".to_string(), Json::UInt(self.warmed_keys)),
-            (
-                "pretrain_updates".to_string(),
-                Json::UInt(self.pretrain_updates),
-            ),
-            ("score_mean".to_string(), Json::Num(self.score_mean)),
-        ])
-    }
-}
 
 /// What one replica thread brings home.
 struct ThreadOut {
@@ -205,7 +128,7 @@ fn replica_loop<M: EmbeddingModel<Batch = CtrBatch>>(
 
 /// Runs the replica fleet: `n_threads` threads drain `requests` against
 /// `server`, each installing the shared `warm` snapshot first. Returns
-/// the per-thread results and the fleet wall time.
+/// the per-thread results in replica order and the fleet wall time.
 fn run_fleet<M: EmbeddingModel<Batch = CtrBatch>>(
     cfg: &ServeConfig,
     server: &PsServer,
@@ -216,69 +139,22 @@ fn run_fleet<M: EmbeddingModel<Batch = CtrBatch>>(
 ) -> (Vec<ThreadOut>, u64) {
     let clock = WallClock::new();
     let next = AtomicUsize::new(0);
-    let outs: Mutex<Vec<ThreadOut>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..n_threads {
-            let (clock, next, outs) = (&clock, &next, &outs);
-            scope.spawn(move || {
-                let replica = ReplicaCore::new(cfg, model_fn);
-                let out = replica_loop(cfg, server, requests, warm, next, clock, replica);
-                outs.lock().unwrap_or_else(|e| e.into_inner()).push(out);
-            });
-        }
+    let outs = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..n_threads)
+            .map(|_| {
+                let (clock, next) = (&clock, &next);
+                scope.spawn(move || {
+                    let replica = ReplicaCore::new(cfg, model_fn);
+                    replica_loop(cfg, server, requests, warm, next, clock, replica)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
-    let wall_ns = clock.elapsed_ns();
-    (
-        outs.into_inner().unwrap_or_else(|e| e.into_inner()),
-        wall_ns,
-    )
-}
-
-/// Merges per-thread results into the report.
-fn assemble_report(
-    outs: Vec<ThreadOut>,
-    wall_ns: u64,
-    n_threads: usize,
-    warmed_keys: u64,
-    pretrained: u64,
-) -> ThreadedServeReport {
-    let mut hist = LatencyHistogram::new();
-    let mut cache = CacheStats::default();
-    let (mut requests, mut batches) = (0u64, 0u64);
-    let (mut score_sum, mut score_count) = (0f64, 0u64);
-    for out in &outs {
-        hist.merge(&out.hist);
-        cache.merge(&out.cache);
-        requests += out.requests;
-        batches += out.batches;
-        score_sum += out.score_sum;
-        score_count += out.score_count;
-    }
-    let wall_s = wall_ns as f64 / 1e9;
-    ThreadedServeReport {
-        n_threads,
-        requests,
-        batches,
-        wall_ns,
-        throughput_rps: if wall_s > 0.0 {
-            requests as f64 / wall_s
-        } else {
-            0.0
-        },
-        latency_p50_ns: hist.quantile(0.5),
-        latency_p95_ns: hist.quantile(0.95),
-        latency_p99_ns: hist.quantile(0.99),
-        latency_max_ns: hist.max(),
-        latency_mean_ns: hist.mean(),
-        cache,
-        warmed_keys,
-        pretrain_updates: pretrained,
-        score_mean: if score_count > 0 {
-            score_sum / score_count as f64
-        } else {
-            0.0
-        },
-    }
+    (outs, clock.elapsed_ns())
 }
 
 /// Runs a threaded serving fleet over a private PS fabric: `n_threads`
@@ -290,31 +166,20 @@ pub fn run_threaded_serve<M: EmbeddingModel<Batch = CtrBatch>>(
     cfg: ServeConfig,
     n_threads: usize,
     model_fn: impl Fn(&mut StdRng) -> M + Sync,
-) -> Result<ThreadedServeReport, String> {
+) -> Result<ServeReport, String> {
     serve_on(&cfg, None, n_threads, model_fn)
 }
 
-/// Runs a threaded serving fleet against a *shared, live* PS fabric —
-/// the trainer's — while something else (a threaded trainer) mutates
-/// it. Pretraining is skipped (the live trainer *is* the training
-/// stream). Used by [`run_threaded_colocated`].
-pub fn run_threaded_serve_shared<M: EmbeddingModel<Batch = CtrBatch>>(
-    cfg: &ServeConfig,
-    server: ServerHandle,
-    n_threads: usize,
-    model_fn: impl Fn(&mut StdRng) -> M + Sync,
-) -> Result<ThreadedServeReport, String> {
-    serve_on(cfg, Some(server), n_threads, model_fn)
-}
-
-/// Warms and runs a fleet against `shared`, or — given none — against a
-/// private, pretrained PS fabric.
+/// Warms and runs a fleet against `shared` — a live PS fabric something
+/// else may be training (pretraining is then skipped: the live trainer
+/// *is* the training stream) — or, given none, against a private,
+/// pretrained one.
 fn serve_on<M: EmbeddingModel<Batch = CtrBatch>>(
     cfg: &ServeConfig,
     shared: Option<ServerHandle>,
     n_threads: usize,
     model_fn: impl Fn(&mut StdRng) -> M + Sync,
-) -> Result<ThreadedServeReport, String> {
+) -> Result<ServeReport, String> {
     cfg.validate();
     check_supported(cfg)?;
     if n_threads == 0 {
@@ -350,13 +215,33 @@ fn serve_on<M: EmbeddingModel<Batch = CtrBatch>>(
     }
     let requests = generate_requests(cfg);
     let (outs, wall_ns) = run_fleet(cfg, &server, &requests, &warm, n_threads, &model_fn);
-    Ok(assemble_report(
-        outs,
+    let mut hist = LatencyHistogram::new();
+    let mut score = (0.0, 0);
+    for out in &outs {
+        hist.merge(&out.hist);
+        score.0 += out.score_sum;
+        score.1 += out.score_count;
+    }
+    let replicas = outs
+        .iter()
+        .enumerate()
+        .map(|(i, out)| ReplicaReport {
+            replica: i,
+            requests: out.requests,
+            batches: out.batches,
+            crashes: 0,
+            cache: out.cache,
+            p99_ns: out.hist.quantile(0.99),
+        })
+        .collect();
+    Ok(ServeReport {
+        backend: ExecutionBackend::Threads(n_threads),
         wall_ns,
-        n_threads,
-        warm.len() as u64,
-        pretrained,
-    ))
+        n_replicas: n_threads,
+        warmed_keys: warm.len() as u64,
+        pretrain_updates: pretrained,
+        ..ServeReport::assemble(cfg, replicas, &hist, wall_ns, score)
+    })
 }
 
 /// Co-scheduled training + serving on the threaded backend: the
@@ -376,7 +261,7 @@ pub fn run_threaded_colocated<TM, D, SM>(
     mut serve_cfg: ServeConfig,
     n_serve_threads: usize,
     serve_model_fn: impl Fn(&mut StdRng) -> SM + Sync + Send,
-) -> Result<(het_core::ParallelReport, ThreadedServeReport), String>
+) -> Result<ColocatedReport, String>
 where
     TM: EmbeddingModel,
     D: het_models::Dataset<Batch = TM::Batch>,
@@ -388,14 +273,16 @@ where
     serve_cfg.n_shards = server.n_shards();
     std::thread::scope(|scope| {
         let serve_cfg = &serve_cfg;
-        let fleet = scope.spawn(move || {
-            run_threaded_serve_shared(serve_cfg, server, n_serve_threads, serve_model_fn)
-        });
+        let fleet =
+            scope.spawn(move || serve_on(serve_cfg, Some(server), n_serve_threads, serve_model_fn));
         let train = trainer.run_threaded(None);
         let serve = fleet
             .join()
             .map_err(|_| "serving fleet panicked".to_string())??;
-        Ok((train?, serve))
+        Ok(ColocatedReport {
+            train: train?,
+            serve,
+        })
     })
 }
 
@@ -417,7 +304,8 @@ mod tests {
         let model = model_of(&cfg);
         let report = run_threaded_serve(cfg, 3, model).expect("threaded serve");
         assert_eq!(report.requests, n_requests);
-        assert_eq!(report.n_threads, 3);
+        assert_eq!(report.backend, ExecutionBackend::Threads(3));
+        assert_eq!((report.n_replicas, report.replicas.len()), (3, 3));
         assert!(report.batches > 0);
         assert!(report.wall_ns > 0);
         assert!(report.throughput_rps > 0.0);
@@ -437,7 +325,15 @@ mod tests {
         cfg.warmup_requests = 40;
         let sim = crate::ServeSim::new(cfg.clone(), model_of(&cfg)).run();
         let thr = run_threaded_serve(cfg.clone(), 2, model_of(&cfg)).expect("threaded serve");
+        // One schema: the config echo, the request count and one row
+        // per replica are backend-independent.
+        let echo = |r: &ServeReport| {
+            let policy = r.policy.clone();
+            (r.seed, r.n_replicas, r.cache_capacity, r.staleness, policy)
+        };
+        assert_eq!(echo(&thr), echo(&sim));
         assert_eq!(thr.requests, sim.requests);
+        assert_eq!(thr.replicas.len(), sim.replicas.len());
         assert!(sim.warmed_keys > 0);
         assert_eq!(thr.warmed_keys, sim.warmed_keys);
         assert!(
@@ -462,7 +358,7 @@ mod tests {
         cfg.pretrain_updates = 0;
         cfg.n_requests = 200;
         let model = model_of(&cfg);
-        let (train, serve) =
+        let ColocatedReport { train, serve } =
             run_threaded_colocated(&mut trainer, cfg, 2, model).expect("threaded colocate");
         assert_eq!(train.total_iterations, 200);
         assert_eq!(serve.requests, 200);
