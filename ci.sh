@@ -61,16 +61,22 @@ RUST_TEST_THREADS=8 cargo test -q --release -p het-ps --test stress
 echo "    [timing] ps stress: $(($(date +%s) - step_start))s"
 
 echo "==> threaded train smoke (Fig. 2 CTR recipe on threads:4, oracle-replayed)"
+step_start=$(date +%s)
 cargo run -q --release -p het-bench --bin hetctl -- train \
     --backend threads:4 --workload wdl --iters 240 --dim 32
+echo "    [timing] threaded wdl smoke: $(($(date +%s) - step_start))s"
 
 echo "==> threaded sparse-bound train smoke (GraphSAGE BSP on threads:2, oracle-replayed)"
+step_start=$(date +%s)
 cargo run -q --release -p het-bench --bin hetctl -- train \
     --backend threads:2 --workload reddit --iters 240
+echo "    [timing] threaded reddit smoke: $(($(date +%s) - step_start))s"
 
 echo "==> threaded colocate smoke (live trainer + serving fleet on real threads)"
+step_start=$(date +%s)
 cargo run -q --release -p het-bench --bin hetctl -- colocate \
     --backend threads:2 --iters 120 --requests 200
+echo "    [timing] threaded colocate smoke: $(($(date +%s) - step_start))s"
 
 # The scale-sweep gate is hardware-honest: with two cores or more, two
 # worker threads must not lose to the single-threaded simulator running

@@ -6,15 +6,13 @@
 //! `--backend threads:<n>` (`het_runtime::ExecutionBackend`). All that
 //! lives here is who may run when, and what time it is:
 //!
-//! * **BSP**: only the **server exchange** of a read and of a write
-//!   passes through an ordered [`Turnstile`]; planning the read,
-//!   landing it in the worker's cache, compute, and the local half of
-//!   the write touch nothing but the worker's own state and run
-//!   genuinely in parallel. The round tail (sparse gather, dense
-//!   average, evaluation) runs on the barrier leader — the thread that
-//!   owns worker 0. Every PS call therefore happens in the sim's worker
-//!   order, which is what makes a threaded BSP run **bit-identical** to
-//!   the sim's (DESIGN.md §3.13).
+//! * **BSP**: one [`Turnstile`] orders a round's server calls as the
+//!   sim does: slot `w` is worker `w`'s read exchange, `n + w` its write
+//!   exchange, `2n` the round tail (sparse gather, dense average, eval)
+//!   on worker 0's thread. All else touches only the worker's own state
+//!   and runs in parallel, across round edges too; so a threaded BSP run
+//!   is **bit-identical** to the sim's (DESIGN.md §3.13). A [`Barrier`]
+//!   is met only where a round's tail may end the run.
 //! * **ASP/SSP**: workers free-run against the shared PS (per-shard
 //!   locks carry the concurrency); an iteration is claimed under a
 //!   progress lock before it runs, and the SSP gate blocks a worker
@@ -70,23 +68,18 @@ struct RoundSlot {
 
 /// Everything the BSP threads rendezvous on.
 struct BspShared {
-    /// Orders the server exchange of the round's reads, of its writes.
-    read_ts: Turnstile,
-    write_ts: Turnstile,
-    /// All reads + computes done; no write exchange may precede a later
-    /// worker's read exchange (the sim runs the whole read phase before
-    /// the write phase).
-    computed: Barrier,
-    /// All writes done; the leader tail may merge.
-    written: Barrier,
-    /// Leader tail done; followers may apply the averaged gradient.
-    applied: Barrier,
+    /// A cycle a round, in server order: reads, writes, the leader tail.
+    turnstile: Turnstile,
+    /// Met only where a round's tail may end the run.
+    barrier: Barrier,
+    /// Iterations at launch, and the rounds `on_round` runs from there.
+    start: u64,
+    rounds: u64,
     stop: AtomicBool,
     /// The first worker to panic (`usize::MAX`: none has).
     failed: AtomicUsize,
     slots: Mutex<Vec<RoundSlot>>,
-    /// The round's averaged dense gradient and AllReduce time, published
-    /// by the leader.
+    /// The last tail's averaged dense gradient and AllReduce time.
     avg: Mutex<(FlatGrads, SimDuration)>,
     progress: Mutex<Progress>,
 }
@@ -97,19 +90,13 @@ impl BspShared {
     fn poison(&self, by: usize) {
         // Peers woken to panic poison too, and may get to a primitive
         // before the worker that woke them does: all report the first.
-        let first =
-            match self
-                .failed
-                .compare_exchange(usize::MAX, by, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => by,
-                Err(first) => first,
-            };
-        self.read_ts.poison(first);
-        self.write_ts.poison(first);
-        for barrier in [&self.computed, &self.written, &self.applied] {
-            barrier.poison(first);
-        }
+        let first = self
+            .failed
+            .compare_exchange(usize::MAX, by, Ordering::SeqCst, Ordering::SeqCst)
+            .err()
+            .unwrap_or(by);
+        self.turnstile.poison(first);
+        self.barrier.poison(first);
     }
 }
 
@@ -177,12 +164,12 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         let tracing = trace_meta.is_some();
         let sync = env.config.system.sync;
         let logs = if sync == SyncMode::Bsp {
+            let (start, max) = (progress.global_iterations, env.config.max_iterations);
             let shared = BspShared {
-                read_ts: Turnstile::new(n),
-                write_ts: Turnstile::new(n),
-                computed: Barrier::new(n),
-                written: Barrier::new(n),
-                applied: Barrier::new(n),
+                turnstile: Turnstile::new(2 * n + 1),
+                barrier: Barrier::new(n),
+                start,
+                rounds: max.saturating_sub(start).div_ceil(n as u64),
                 stop: AtomicBool::new(false),
                 failed: AtomicUsize::new(usize::MAX),
                 slots: Mutex::new((0..n).map(|_| RoundSlot::default()).collect()),
@@ -321,43 +308,51 @@ fn timed_compute<M: EmbeddingModel>(
     (SimDuration::from_nanos(wall), loss, grads)
 }
 
-/// One worker thread's BSP loop. Per round: plan the read, ordered read
-/// exchange, land it and compute in parallel, local half of the write,
-/// barrier, ordered write exchange (+ ordered dense PS sync), dense
-/// export and round slot, barrier, leader tail, barrier, apply averaged
-/// gradient. The trace scope is stamped inside each ordered section, so
-/// the merged `(t, tid)` order of a traced run equals server order.
+/// One worker thread's BSP loop. Per round: read exchange (slot `w`),
+/// the last dense average, land the read, compute, local half of the
+/// write, dense export, write exchange + dense PS sync + round slot (slot
+/// `n + w`), plan the next round; worker 0 then runs the tail (`2n`).
+/// Stamped inside the slots, a trace merges in server order.
 fn bsp_worker_loop<M: EmbeddingModel, D: Dataset<Batch = M::Batch>>(
     worker: &mut Worker<M>,
     shared: &BspShared,
     clock: &WallClock,
     env: &StepEnv<D>,
 ) {
-    let w = worker.id;
-    let allreduce = env.config.system.dense == DenseSync::AllReduce;
-    while !shared.stop.load(Ordering::SeqCst) {
+    let (w, n, config) = (worker.id, env.config.cluster.n_workers, &env.config);
+    let allreduce = config.system.dense == DenseSync::AllReduce;
+    // Reads only the worker's cache: worker 0 may plan before the tail.
+    let plan = |worker: &mut Worker<M>| {
         let batch = worker.next_batch(env);
         let keys = batch.unique_keys();
-        let mut read = worker.plan_read(&keys, env, None, None);
-        shared.read_ts.pass(w, || {
+        let read = worker.plan_read(&keys, env, None, None);
+        (batch, keys, read)
+    };
+    // Published by the tail, which precedes slot 0; compute needs it first.
+    let apply_average = |worker: &mut Worker<M>| {
+        if allreduce && w != 0 {
+            let avg = shared.avg.lock().unwrap();
+            worker.apply_dense_average(&avg.0, avg.1, env);
+        }
+    };
+    let mut next = None;
+    for round in 1..=shared.rounds {
+        let (batch, keys, mut read) = next.take().unwrap_or_else(|| plan(worker));
+        shared.turnstile.pass(w, || {
             stamp_scope(worker, clock);
             worker.exchange_read(&mut read, &keys, env, None);
         });
+        if round > 1 {
+            apply_average(worker);
+        }
         let (store, _) = worker.apply_read(read, &keys, env);
         let (compute, loss, grads) = timed_compute(worker, &batch, &store, clock);
-        // Touches this worker's cache only, so it needs no peer to have
-        // finished reading.
         let mut pending = worker.plan_write(grads, env);
-        shared.computed.wait(w);
-        let (write, sparse) = shared.write_ts.pass(w, || {
-            stamp_scope(worker, clock);
-            let written = worker.exchange_write(&mut pending, env, None);
-            worker.dense_ps_sync(env);
-            written
-        });
         let dense = allreduce.then(|| worker.export_dense_grads());
-        worker.complete(compute, loss, write);
-        {
+        let write = shared.turnstile.pass(n + w, || {
+            stamp_scope(worker, clock);
+            let (write, sparse) = worker.exchange_write(&mut pending, env, None);
+            worker.dense_ps_sync(env);
             let mut slots = shared.slots.lock().unwrap();
             let slot = &mut slots[w];
             (slot.dense, slot.sparse) = (dense, sparse);
@@ -367,23 +362,31 @@ fn bsp_worker_loop<M: EmbeddingModel, D: Dataset<Batch = M::Batch>>(
             let (sum, count) = std::mem::take(&mut worker.loss);
             slot.loss.0 += sum;
             slot.loss.1 += count;
+            write
+        });
+        worker.complete(compute, loss, write);
+        // Meet where the run may end: the last round, a target's eval.
+        let global = shared.start + round * n as u64;
+        let meets = round == shared.rounds
+            || (config.target_metric.is_some() && global % config.eval_every < n as u64);
+        next = (!meets).then(|| plan(worker));
+        if w == 0 {
+            let tail = || bsp_leader_tail(worker, shared, clock, env);
+            shared.turnstile.pass(2 * n, tail);
         }
-        if shared.written.wait(w) {
-            bsp_leader_tail(worker, shared, clock, env);
-        }
-        shared.applied.wait(w);
-        // The leader already stepped worker 0's replica (before
-        // evaluating, mirroring the sim's apply-then-eval order).
-        if allreduce && w != 0 {
-            let avg = shared.avg.lock().unwrap();
-            worker.apply_dense_average(&avg.0, avg.1, env);
+        if meets {
+            shared.barrier.wait(w);
+            if round == shared.rounds || shared.stop.load(Ordering::SeqCst) {
+                apply_average(worker);
+                return;
+            }
         }
     }
 }
 
-/// The single-threaded tail of a BSP round, run by the barrier leader
-/// (worker 0's thread) while every other thread waits: the round's
-/// collectives, round accounting, and evaluation at the sim's cadence.
+/// The single-threaded tail of a BSP round, run on worker 0's thread in
+/// the turnstile's last slot: the round's collectives, round accounting,
+/// and evaluation at the sim's cadence.
 fn bsp_leader_tail<M: EmbeddingModel, D: Dataset<Batch = M::Batch>>(
     worker0: &mut Worker<M>,
     shared: &BspShared,
@@ -428,9 +431,6 @@ fn bsp_leader_tail<M: EmbeddingModel, D: Dataset<Batch = M::Batch>>(
         if progress.record_eval(metric, train_loss, at, config.target_metric) {
             shared.stop.store(true, Ordering::SeqCst);
         }
-    }
-    if global >= config.max_iterations {
-        shared.stop.store(true, Ordering::SeqCst);
     }
 }
 

@@ -15,18 +15,18 @@
 //!   the per-thread trace buffers mergeable into one deterministic
 //!   stream: two events can never tie on `t`, so the documented
 //!   `(t, tid)` merge order is total (`het_trace::merge_threads`).
-//! * **[`Turnstile`]** — an ordered-section primitive: threads pass in
-//!   a fixed index order, one at a time. The threaded BSP trainer runs
-//!   the server exchange of each read and each write through a
-//!   turnstile so server-visible calls happen in exactly the sim's
-//!   worker order — the property its bit-identity guarantee rests on —
-//!   while everything a worker does to its own state, and the compute
-//!   between the exchanges, runs genuinely in parallel.
-//! * **[`Barrier`]** — a reusable all-thread rendezvous (BSP round
-//!   edges). `std::sync::Barrier` would do, but this one reports the
-//!   leader deterministically (index 0, not "some thread"), which the
-//!   trainer uses to run the single-threaded round tail (allreduce,
-//!   eval) on a fixed thread.
+//! * **[`Turnstile`]** — an ordered-section primitive: its slots are
+//!   passed in a fixed index order, one at a time, by whichever threads
+//!   own them. The threaded BSP trainer runs each worker's read
+//!   exchange, each worker's write exchange and the round tail through
+//!   one turnstile, so server-visible calls happen in exactly the sim's
+//!   order — the property its bit-identity guarantee rests on — while
+//!   everything a worker does to its own state, and the compute between
+//!   the exchanges, runs genuinely in parallel.
+//! * **[`Barrier`]** — a reusable all-thread rendezvous.
+//!   `std::sync::Barrier` would do, but this one reports the leader
+//!   deterministically (index 0, not "some thread"). The BSP trainer
+//!   meets at one only where a round's tail may end the run.
 //!
 //! Both blocking primitives can be **poisoned**: when a worker thread
 //! unwinds, its launcher calls `poison(worker)` on everything the
@@ -153,16 +153,17 @@ fn poisoned(by: usize) -> ! {
     panic!("worker {by} panicked; a thread waiting on it gives up");
 }
 
-/// An ordered section: `n` threads each enter once per cycle, strictly
-/// in index order `0, 1, .., n-1`, one at a time.
+/// An ordered section with `n` slots, passed strictly in slot order
+/// `0, 1, .., n-1`, one at a time, cycle after cycle.
 ///
-/// The threaded BSP trainer wraps the server exchange of its read and
-/// of its write in a turnstile: worker `w` blocks until workers `0..w`
-/// have finished the exchange this cycle, runs its own alone, then
-/// admits `w + 1`. After `n-1` passes, the turnstile resets for the
-/// next cycle. Everything a worker does to state it owns — and the
-/// compute between the exchanges — runs outside the turnstile, fully
-/// parallel.
+/// A thread may own any set of slots: `pass(slot, body)` blocks until
+/// slots `0..slot` have been passed this cycle, runs `body` alone, then
+/// admits `slot + 1`; after slot `n-1` the next cycle starts at 0. The
+/// threaded BSP trainer gives worker `w` of `k` the slots `w` (its read
+/// exchange) and `k + w` (its write exchange), and worker 0 slot `2k`
+/// (the round tail) as well: one cycle is one round in the sim's server
+/// order. Everything a worker does to state it owns runs outside the
+/// turnstile, fully parallel.
 pub struct Turnstile {
     n: usize,
     state: Mutex<TurnState>,
@@ -175,7 +176,7 @@ struct TurnState {
 }
 
 impl Turnstile {
-    /// A turnstile for `n` threads (indices `0..n`).
+    /// A turnstile with `n` slots (indices `0..n`).
     pub fn new(n: usize) -> Self {
         Turnstile {
             n: n.max(1),
@@ -187,8 +188,8 @@ impl Turnstile {
         }
     }
 
-    /// Runs `body` when it is thread `index`'s turn this cycle, then
-    /// passes the turn on. Returns `body`'s result.
+    /// Runs `body` when it is slot `index`'s turn this cycle, then
+    /// passes the turn to the next slot. Returns `body`'s result.
     ///
     /// # Panics
     /// Panics, naming the worker that failed, once the turnstile is
@@ -210,8 +211,8 @@ impl Turnstile {
         out
     }
 
-    /// Marks worker `by` as dead: every thread waiting for its turn, and
-    /// every later [`pass`](Turnstile::pass), panics instead of waiting
+    /// Marks worker `by` as dead: every thread waiting for a slot's turn,
+    /// and every later [`pass`](Turnstile::pass), panics instead of waiting
     /// for a pass that will never come. The first poisoner is the one
     /// reported.
     pub fn poison(&self, by: usize) {
@@ -226,10 +227,7 @@ impl Turnstile {
 /// Each [`wait`](Barrier::wait) blocks until all `n` threads of the
 /// current generation have arrived, then releases them together and
 /// reports `true` to exactly the thread that arrived with `index == 0`
-/// — so "the leader" is a fixed thread across every round, and the
-/// single-threaded tail of a BSP round (gradient merge, eval) always
-/// runs on the thread that owns worker 0, mirroring the sim's
-/// worker-0-first orderings.
+/// — so "the leader" is a fixed thread across every round.
 pub struct Barrier {
     n: usize,
     state: Mutex<BarrierState>,
@@ -360,6 +358,34 @@ mod tests {
         for (k, &i) in order.iter().enumerate() {
             assert_eq!(i, k % N, "cycle order must be 0..n, repeated");
         }
+    }
+
+    #[test]
+    fn turnstile_orders_slots_owned_by_fewer_threads() {
+        const CYCLES: usize = 100;
+        let ts = Turnstile::new(5);
+        let order = Mutex::new(Vec::new());
+        std::thread::scope(|s| {
+            for slots in [&[0, 2, 4][..], &[1, 3][..]] {
+                let (ts, order) = (&ts, &order);
+                s.spawn(move || {
+                    for _ in 0..CYCLES {
+                        for &slot in slots {
+                            ts.pass(slot, || order.lock().unwrap().push(slot));
+                        }
+                    }
+                });
+            }
+        });
+        let order = order.into_inner().unwrap();
+        assert_eq!(order.len(), 5 * CYCLES);
+        for (k, &slot) in order.iter().enumerate() {
+            assert_eq!(slot, k % 5, "cycle order must be 0..5, repeated");
+        }
+        // A thread parked on a later slot is woken by a poison.
+        let ts = Turnstile::new(5);
+        let msg = message_of_poisoned_waiter(|| ts.pass(3, || ()), || ts.poison(0));
+        assert!(msg.contains("worker 0 panicked"), "{msg}");
     }
 
     /// Runs `blocked` — a wait nobody will ever release — on a thread

@@ -7,8 +7,8 @@
 //! * **BSP is bit-identical** — a threaded BSP run must end at exactly
 //!   the sim's final state: dense parameters, server embedding rows
 //!   (values *and* clocks), and eval metric, compared to the last bit.
-//!   The turnstiles serialize server-visible effects into the sim's
-//!   worker order, so there is no tolerance window to hide behind.
+//!   One turnstile serializes server-visible effects into the sim's
+//!   order, so there is no tolerance window to hide behind.
 //! * **ASP/SSP replay oracle-clean** — asynchronous threaded schedules
 //!   are timing-dependent, so instead of state equality the merged
 //!   per-thread trace is replayed through `het-oracle`, which checks
@@ -217,16 +217,41 @@ fn bsp_cell_matches_sim(
     }
 }
 
-/// A dataset that panics when asked for one particular training batch.
-struct PanicsAt {
+/// A `CtrDataset` that counts the training batches it hands each worker
+/// and, given `panic_at`, panics when asked for that cursor's batch.
+struct Probed {
     inner: CtrDataset,
-    cursor: u64,
+    panic_at: Option<u64>,
+    per_worker: Vec<std::sync::atomic::AtomicU64>,
 }
 
-impl Dataset for PanicsAt {
+impl Probed {
+    fn new(seed: u64, config: &TrainerConfig, panic_at: Option<u64>) -> Self {
+        Probed {
+            inner: CtrDataset::new(CtrConfig::tiny(seed)),
+            panic_at,
+            per_worker: (0..config.cluster.n_workers)
+                .map(|_| Default::default())
+                .collect(),
+        }
+    }
+
+    fn batches_of(&self, worker: usize) -> u64 {
+        self.per_worker[worker].load(std::sync::atomic::Ordering::SeqCst)
+    }
+}
+
+impl Dataset for Probed {
     type Batch = CtrBatch;
     fn train_batch(&self, cursor: u64, batch_size: usize) -> CtrBatch {
-        assert_ne!(cursor, self.cursor, "injected: no batch at this cursor");
+        assert_ne!(
+            Some(cursor),
+            self.panic_at,
+            "injected: no batch at this cursor"
+        );
+        // Workers stride the example sequence batch by batch.
+        let w = (cursor / batch_size as u64) as usize % self.per_worker.len();
+        self.per_worker[w].fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         Dataset::train_batch(&self.inner, cursor, batch_size)
     }
     fn test_batch(&self, cursor: u64, batch_size: usize) -> CtrBatch {
@@ -243,22 +268,45 @@ impl Dataset for PanicsAt {
     }
 }
 
-/// A model whose `bad_step`-th backward pass hands back gradients of
-/// the wrong dimension — which the server rejects, with a panic, in
-/// the middle of the worker's write exchange.
-struct WrongDimAt {
+/// A model replica with injected faults: its `bad_step`-th backward
+/// pass hands back gradients of the wrong dimension — which the server
+/// rejects, with a panic, in the middle of the worker's write exchange —
+/// and with `bad_eval` every evaluation panics.
+struct Faulty {
     inner: WideDeep,
     bad_step: Option<u32>,
+    bad_eval: bool,
     steps: u32,
 }
 
-impl het::tensor::HasParams for WrongDimAt {
+impl Faulty {
+    /// Replicas are built in worker order: the `n`-th one built is
+    /// worker `n`'s.
+    fn factory(
+        faulty_worker: u32,
+        bad_step: Option<u32>,
+        bad_eval: bool,
+    ) -> impl Fn(&mut het_rng::rngs::StdRng) -> Faulty {
+        let built = std::sync::atomic::AtomicU32::new(0);
+        move |rng| {
+            let faulty = built.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == faulty_worker;
+            Faulty {
+                inner: WideDeep::new(rng, 4, 8, &[16]),
+                bad_step: bad_step.filter(|_| faulty),
+                bad_eval: bad_eval && faulty,
+                steps: 0,
+            }
+        }
+    }
+}
+
+impl het::tensor::HasParams for Faulty {
     fn visit_params(&mut self, visitor: &mut dyn het::tensor::ParamVisitor) {
         self.inner.visit_params(visitor);
     }
 }
 
-impl EmbeddingModel for WrongDimAt {
+impl EmbeddingModel for Faulty {
     type Batch = CtrBatch;
     fn embedding_dim(&self) -> usize {
         self.inner.embedding_dim()
@@ -275,6 +323,7 @@ impl EmbeddingModel for WrongDimAt {
         (loss, bad)
     }
     fn evaluate(&self, batch: &CtrBatch, store: &EmbeddingStore) -> het::models::EvalChunk {
+        assert!(!self.bad_eval, "injected: this replica cannot evaluate");
         self.inner.evaluate(batch, store)
     }
     fn metric_kind(&self) -> MetricKind {
@@ -285,8 +334,8 @@ impl EmbeddingModel for WrongDimAt {
     }
 }
 
-/// Runs `run` — a threaded job with a failure injected into worker 1 —
-/// on a thread of its own and returns the panic it must come back with
+/// Runs `run` — a threaded job with a failure injected into one worker
+/// — on a thread of its own and returns the panic it must come back with
 /// inside five seconds.
 fn panic_of(run: impl FnOnce() + Send + 'static) -> String {
     let (tx, rx) = std::sync::mpsc::channel();
@@ -307,10 +356,12 @@ fn panic_of(run: impl FnOnce() + Send + 'static) -> String {
 }
 
 /// A worker that panics fails the run — its peers, parked on the
-/// turnstiles and barriers it will never reach, are woken to panic too,
-/// naming it — instead of hanging it. Once outside any ordered section
-/// (worker 1 cannot produce its third batch), once inside the write
-/// exchange, and once at the SSP gate.
+/// turnstile slots and the barrier it will never reach, are woken to
+/// panic too, naming it — instead of hanging it. Once outside any
+/// ordered section (worker 1 cannot produce its third batch), once
+/// inside the write exchange, once inside the leader tail (worker 0's
+/// evaluation, while its peers wait on their read slots), and once at
+/// the SSP gate.
 #[test]
 fn a_panicking_worker_fails_the_run_instead_of_hanging_it() {
     let third_batch_of_worker_1 =
@@ -321,10 +372,7 @@ fn a_panicking_worker_fails_the_run_instead_of_hanging_it() {
     ] {
         let message = panic_of(move || {
             let config = config_of(preset, 3, 400);
-            let dataset = PanicsAt {
-                inner: CtrDataset::new(CtrConfig::tiny(3)),
-                cursor: third_batch_of_worker_1(&config),
-            };
+            let dataset = Probed::new(3, &config, Some(third_batch_of_worker_1(&config)));
             let mut trainer = Trainer::new(config, dataset, |rng| WideDeep::new(rng, 4, 8, &[16]));
             let _ = trainer.run_threaded(None);
         });
@@ -337,18 +385,103 @@ fn a_panicking_worker_fails_the_run_instead_of_hanging_it() {
 
     let message = panic_of(|| {
         let config = config_of(SystemPreset::HetHybrid, 3, 400);
-        let replicas = std::sync::atomic::AtomicU32::new(0);
         let dataset = CtrDataset::new(CtrConfig::tiny(3));
-        let mut trainer = Trainer::new(config, dataset, |rng| WrongDimAt {
-            inner: WideDeep::new(rng, 4, 8, &[16]),
-            // Replicas are built in worker order.
-            bad_step: (replicas.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 1)
-                .then_some(3),
-            steps: 0,
-        });
+        let mut trainer = Trainer::new(config, dataset, Faulty::factory(1, Some(3), false));
         let _ = trainer.run_threaded(None);
     });
     assert!(message.contains("worker 1 panicked"), "{message}");
+
+    // The failed thread is worker 0's itself: its own panic is the run's.
+    let message = panic_of(|| {
+        let mut config = config_of(SystemPreset::HetCache { staleness: 10 }, 3, 400);
+        // The tail of the second round evaluates.
+        config.eval_every = 2 * config.cluster.n_workers as u64;
+        let dataset = CtrDataset::new(CtrConfig::tiny(3));
+        let mut trainer = Trainer::new(config, dataset, Faulty::factory(0, None, true));
+        let _ = trainer.run_threaded(None);
+    });
+    assert!(
+        message.contains("injected: this replica cannot evaluate"),
+        "{message}"
+    );
+}
+
+/// Threaded BSP runs exactly the sim's rounds — none at all when the
+/// iteration budget is already spent, one partial round's worth of
+/// overshoot otherwise — and samples no batch it does not train on.
+#[test]
+fn threaded_bsp_runs_the_sims_rounds_and_samples_only_them() {
+    for max_iterations in [0, 1, 3] {
+        let mut totals = Vec::new();
+        for threaded in [false, true] {
+            let mut config = config_of(SystemPreset::HetCache { staleness: 10 }, 3, max_iterations);
+            config.cluster = ClusterSpec::cluster_a(2, 1);
+            let dataset = Probed::new(3, &config, None);
+            let mut trainer = Trainer::new(config, dataset, |rng| WideDeep::new(rng, 4, 8, &[16]));
+            let report = if threaded {
+                trainer.run_threaded(None).expect("threaded run")
+            } else {
+                trainer.run()
+            };
+            for w in 0..2 {
+                assert_eq!(
+                    trainer.dataset().batches_of(w),
+                    trainer.worker_iterations(w),
+                    "max {max_iterations}, threaded {threaded}: worker {w} sampled \
+                     a batch it did not train on"
+                );
+            }
+            totals.push(report.total_iterations);
+        }
+        assert_eq!(
+            totals[0], totals[1],
+            "max {max_iterations}: sim and threads ran different rounds"
+        );
+    }
+}
+
+/// A run whose evaluation reaches `target_metric` mid-run stops at the
+/// same round on threads as on the sim — the one place the threaded BSP
+/// schedule still meets at a barrier — with the same curve, convergence
+/// and final dense parameters.
+#[test]
+fn threaded_bsp_stops_early_where_the_sim_does() {
+    for threads in [2, 4] {
+        let mut config = config_of(SystemPreset::HetCache { staleness: 2 }, 7, 240);
+        config.cluster = ClusterSpec::cluster_a(threads, 1);
+        config.eval_every = 20;
+        // The target is a metric the full run reaches at its sixth
+        // evaluation, so the targeted run stops there or earlier.
+        let full = trainer_of(config.clone(), 7).run();
+        config.target_metric = Some(full.curve[5].metric);
+
+        let sim = trainer_of(config.clone(), 7).run();
+        let thr = trainer_of(config, 7)
+            .run_threaded(None)
+            .expect("threaded run");
+        assert!(
+            sim.converged_at.is_some() && sim.total_iterations < 240,
+            "threads:{threads}: the target must stop the run early"
+        );
+        assert_eq!(
+            thr.total_iterations, sim.total_iterations,
+            "threads:{threads}"
+        );
+        assert_eq!(thr.converged_at.is_some(), sim.converged_at.is_some());
+        let points = |r: &TrainReport| {
+            r.curve
+                .iter()
+                .map(|p| (p.iteration, p.metric.to_bits(), p.train_loss.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            points(&thr),
+            points(&sim),
+            "threads:{threads}: curves differ"
+        );
+        assert_eq!(thr.final_metric, sim.final_metric, "threads:{threads}");
+        assert_eq!(thr.final_dense, sim.final_dense, "threads:{threads}");
+    }
 }
 
 /// ASP and SSP threaded runs are nondeterministic by design, so each
