@@ -32,11 +32,14 @@ echo "    [timing] test suite total: $(($(date +%s) - suite_start))s"
 # The loop above ran these with debug assertions on (every scratch loan
 # NaN-filled); the release profile is the one hetctl and the benchmark
 # run, so the allocation counts are gated there by name.
-echo "==> steady-state allocation gates (release: dense step allocates nothing, WDL step only its result)"
+echo "==> steady-state allocation gates (release: dense step allocates nothing, WDL step only its result, PS batches nothing)"
 cargo test -q --release -p het-tensor --test steady_state \
     mlp_forward_backward_allocates_nothing_after_the_first_step
 cargo test -q --release -p het-models --test steady_state \
     forward_backward_allocates_only_the_gradients_it_returns
+cargo test -q --release -p het-ps --test steady_state -- \
+    batched_pulls_pushes_and_clock_queries_allocate_nothing_after_the_first \
+    single_key_calls_allocate_only_the_row_they_return
 
 # The benchmark is a workspace of its own compiled against the public
 # API; build it, run its own tests, and smoke every workload once.
@@ -59,6 +62,19 @@ echo "==> PS concurrency stress (seeded schedule perturbation, high test paralle
 step_start=$(date +%s)
 RUST_TEST_THREADS=8 cargo test -q --release -p het-ps --test stress
 echo "    [timing] ps stress: $(($(date +%s) - step_start))s"
+
+# A live split raced by writers once lost updates (a key resolved to the
+# parent, moved, then re-created there); run it enough times to see a
+# window of that size again.
+echo "==> live split stress (30 runs, release, 8 test threads)"
+step_start=$(date +%s)
+run=0
+while [ "$run" -lt 30 ]; do
+    RUST_TEST_THREADS=8 cargo test -q --release -p het-ps --test stress \
+        live_shard_split_preserves_every_update
+    run=$((run + 1))
+done
+echo "    [timing] split stress x30: $(($(date +%s) - step_start))s"
 
 echo "==> threaded train smoke (Fig. 2 CTR recipe on threads:4, oracle-replayed)"
 step_start=$(date +%s)

@@ -82,6 +82,8 @@ pub(crate) struct ReadStep {
     resync: Vec<Key>,
     /// Keys that are not resident.
     missing: Vec<Key>,
+    /// The clock-check candidates' global clocks, in `hits` order.
+    hit_clocks: Vec<u64>,
     /// The pulled rows, `dim` floats each, in pull order (`missing`'s,
     /// then `resync`'s; a cache-less read's whole batch).
     rows: Vec<f32>,
@@ -346,13 +348,17 @@ impl HetClient {
             let ReadStep {
                 hits,
                 resync,
+                hit_clocks,
                 validated,
                 max_lag,
                 max_gap,
                 ..
             } = step;
+            hit_clocks.clear();
+            server.clocks_of(hits, hit_clocks);
+            let mut hit_clocks = hit_clocks.iter();
             hits.retain(|&k| {
-                let global = server.clock_of(k);
+                let global = *hit_clocks.next().expect("a clock per candidate");
                 let entry = self.cache.peek(k).expect("resident entry");
                 let valid = entry.within_read_bound(global, eff_staleness);
                 if !valid {
@@ -386,16 +392,19 @@ impl HetClient {
         // Phase B — synchronise entries the validation invalidated:
         // write back the pending gradients, then re-fetch. This leg
         // depends on the clock results, so it is sequential.
-        let mut dirty_pushes = 0usize;
-        for &k in &step.resync {
-            let entry = self.cache.peek(k).expect("resident entry");
-            if entry.dirty {
-                server.push_with_clock(k, &entry.pending_grad, entry.current_clock);
-                dirty_pushes += 1;
-            }
-        }
-        if dirty_pushes > 0 {
-            let bytes = self.costs.push(dirty_pushes, self.dim);
+        let entry = |k: Key| self.cache.peek(k).expect("resident entry");
+        let dirty: Vec<Key> = step
+            .resync
+            .iter()
+            .copied()
+            .filter(|&k| entry(k).dirty)
+            .collect();
+        if !dirty.is_empty() {
+            server.push_with_clock_many(&dirty, |&k| {
+                let e = entry(k);
+                (&e.pending_grad, e.current_clock)
+            });
+            let bytes = self.costs.push(dirty.len(), self.dim);
             stats.record(CommCategory::EmbeddingPush, bytes);
             step.time += store_io(server);
             let mut t_push = net.ps_transfer(bytes);
@@ -590,9 +599,7 @@ impl HetClient {
         if victims.is_empty() {
             return SimDuration::ZERO;
         }
-        for (k, ev) in victims {
-            server.push_with_clock(*k, &ev.pending_grad, ev.current_clock);
-        }
+        server.push_with_clock_many(victims, |(_, ev)| (&ev.pending_grad, ev.current_clock));
         let io = store_io(server);
         let wait = outage_wait(victims.iter().map(|(k, _)| k), server, &mut faults);
         let bytes = self.costs.push(victims.len(), self.dim);
@@ -640,16 +647,11 @@ impl HetClient {
         net: &Collectives,
         stats: &mut CommStats,
     ) -> SimDuration {
-        let drained = self.cache.drain_all();
-        let mut dirty = 0usize;
-        for (k, ev) in &drained {
-            if ev.dirty {
-                server.push_with_clock(*k, &ev.pending_grad, ev.current_clock);
-                dirty += 1;
-            }
-        }
-        if dirty > 0 {
-            let bytes = self.costs.push(dirty, self.dim);
+        let mut drained = self.cache.drain_all();
+        drained.retain(|(_, ev)| ev.dirty);
+        server.push_with_clock_many(&drained, |(_, ev)| (&ev.pending_grad, ev.current_clock));
+        if !drained.is_empty() {
+            let bytes = self.costs.push(drained.len(), self.dim);
             stats.record(CommCategory::EmbeddingPush, bytes);
             net.ps_transfer(bytes) + store_io(server)
         } else {
@@ -753,9 +755,7 @@ impl DirectPsClient {
             return SimDuration::ZERO;
         }
         let wait = outage_wait(keys.iter(), server, &mut faults);
-        for &k in keys {
-            server.push_inc(k, grads.get(k).expect("key from sorted_keys"));
-        }
+        server.push_inc_many(keys, |&k| grads.get(k).expect("key from sorted_keys"));
         let bytes = self.costs.push(grads.len(), self.dim);
         stats.record(CommCategory::EmbeddingPush, bytes);
         let io = store_io(server);

@@ -403,9 +403,9 @@ fn apply_sparse_gather<D>(gathered: &[SparseGrads], env: &StepEnv<D>) -> SimDura
         max_block = max_block.max(wire::sparse_allgather_block_bytes(grads.len(), dim));
         merged.merge(grads);
     }
-    for k in merged.sorted_keys() {
-        env.server.push_inc(k, merged.get(k).expect("merged key"));
-    }
+    let keys = merged.sorted_keys();
+    env.server
+        .push_inc_many(&keys, |&k| merged.get(k).expect("merged key"));
     // The merged apply is the gathered update landing in every
     // replica; its disk time rides the barrier it happens behind.
     env.net.allgather(max_block) + SimDuration::from_nanos(env.server.take_io_ns())

@@ -27,7 +27,7 @@ pub use checkpoint::{read_checkpoint, restore_server, write_checkpoint, Checkpoi
 pub use dense::DenseStore;
 pub use optimizer::ServerOptimizer;
 pub use recovery::{FailoverOutcome, ShardCheckpointStore};
-pub use server::{PsConfig, PsServer, PullResult};
+pub use server::{Keyed, PsConfig, PsServer, PullResult};
 // The storage vocabulary comes from `het-store`; re-exported so callers
 // configuring a server need not name that crate.
 pub use het_store::{RowStore, StoreSpec, StoreStats, StoredRow, TieredConfig};

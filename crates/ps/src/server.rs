@@ -4,7 +4,9 @@ use crate::optimizer::ServerOptimizer;
 use crate::sync::RwLock;
 use crate::Key;
 use het_store::{RowStore, StoreSpec, StoreStats, StoredRow};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{RwLockReadGuard, RwLockWriteGuard};
 
 /// Configuration of the embedding server.
 #[derive(Clone, Copy, Debug)]
@@ -53,8 +55,101 @@ pub struct PullResult {
     pub clock: u64,
 }
 
+/// An item of a batched server operation: anything that names the key
+/// it routes by — a bare key, or a key paired with its payload.
+pub trait Keyed {
+    /// The key the item routes by.
+    fn key(&self) -> Key;
+}
+
+impl Keyed for Key {
+    fn key(&self) -> Key {
+        *self
+    }
+}
+
+impl<T> Keyed for (Key, T) {
+    fn key(&self) -> Key {
+        self.0
+    }
+}
+
 struct Shard {
     store: Box<dyn RowStore>,
+}
+
+/// One shard's part of a batched operation.
+struct Run<'a> {
+    shard: usize,
+    /// The split out of `shard` still in flight, if any. Its child-side
+    /// keys are grouped under `shard` and settled under `shard`'s lock
+    /// ([`PsServer::moved`]).
+    split: Option<SplitState>,
+    /// Positions of the shard's items in the batch, in batch order.
+    positions: &'a [u32],
+    /// Whether to block on a busy shard lock. When false, an operation
+    /// finding the lock taken returns without touching the shard, and
+    /// the batch comes back to it after serving its free shards.
+    wait: bool,
+}
+
+impl Run<'_> {
+    fn read<'s>(&self, shards: &'s [RwLock<Shard>]) -> Option<RwLockReadGuard<'s, Shard>> {
+        let lock = &shards[self.shard];
+        if self.wait {
+            Some(lock.read())
+        } else {
+            lock.try_read()
+        }
+    }
+
+    fn write<'s>(&self, shards: &'s [RwLock<Shard>]) -> Option<RwLockWriteGuard<'s, Shard>> {
+        let lock = &shards[self.shard];
+        if self.wait {
+            Some(lock.write())
+        } else {
+            lock.try_write()
+        }
+    }
+
+    /// A traced run counts the run's operations against the shards that
+    /// served them: `on_child` of them on the split child, the rest on
+    /// the run's shard. One add per shard per batch.
+    fn count(&self, counter: &'static str, on_child: usize) {
+        if !het_trace::enabled() {
+            return;
+        }
+        let on_shard = self.positions.len() - on_child;
+        if on_shard > 0 {
+            het_trace::counter_add_at("ps", counter, Some(self.shard as u64), on_shard as u64);
+        }
+        if let Some(split) = self.split.filter(|_| on_child > 0) {
+            het_trace::counter_add_at("ps", counter, Some(split.child as u64), on_child as u64);
+        }
+    }
+}
+
+/// One thread's reusable buffers for grouping batches by shard: once
+/// they have grown to a batch's size, grouping allocates nothing.
+#[derive(Default)]
+struct Grouping {
+    /// Each item's home shard.
+    home: Vec<u32>,
+    /// Item positions grouped by shard, batch order within a shard.
+    order: Vec<u32>,
+    /// Shard `s`'s positions are `order[starts[s]..starts[s + 1]]`.
+    starts: Vec<u32>,
+    /// Positions a shared-lock pass left to the exclusive pass.
+    deferred: Vec<u32>,
+    /// Shards whose lock was busy on the first pass.
+    busy: Vec<u32>,
+}
+
+thread_local! {
+    // Taken out for the length of one batch and put back after it, so a
+    // nested batch on the same thread would start from fresh buffers
+    // instead of failing.
+    static GROUPING: Cell<Grouping> = Cell::new(Grouping::default());
 }
 
 /// One live or completed shard split. While `complete` is false the
@@ -77,6 +172,14 @@ fn child_side(key: Key, salt: u64) -> bool {
     splitmix64(key ^ salt) & 1 == 1
 }
 
+/// The split out of `parent` still in flight, if any (at most one).
+fn in_flight(splits: &[SplitState], parent: usize) -> Option<SplitState> {
+    splits
+        .iter()
+        .find(|s| s.parent == parent && !s.complete)
+        .copied()
+}
+
 /// The global embedding table: sharded, versioned, thread-safe.
 ///
 /// Physical shards = `config.n_shards` base shards plus any *spare*
@@ -93,6 +196,28 @@ fn child_side(key: Key, salt: u64) -> bool {
 /// [`PsServer::take_io_ns`] so the simulation can charge it into the
 /// same clocks that carry network time; background maintenance I/O
 /// (checkpoints, failover, migration) accrues separately.
+///
+/// # Batches and locks
+///
+/// Every client operation is a batch: [`PsServer::pull_into`],
+/// [`PsServer::clocks_of`], [`PsServer::push_inc_many`] and
+/// [`PsServer::push_with_clock_many`] group the batch's keys by shard
+/// (a stable counting sort, so each shard sees its keys in batch order)
+/// and take each shard's lock once — the shards free at that moment
+/// first, then, waiting, the ones another thread held. The single-key
+/// calls are batches of one. Pulls serve resident rows under the shard's *shared* lock
+/// through [`RowStore::get_shared`]; keys it cannot serve (not yet
+/// materialised, or a tiered store, which must record the access) take
+/// one exclusive pass of that shard. Pushes take the exclusive lock,
+/// clock queries the shared one.
+///
+/// Lock order: the split log, then shard locks; a split's parent before
+/// its child. The split log stays read-locked for a whole batch, so no
+/// split begins or seals partway through one, and no code takes the
+/// split log while it holds a shard lock. A key on the child side of a
+/// split still in flight is grouped under the parent and looked up
+/// under the parent's lock — the lock the migration moves rows under —
+/// so a row cannot move between finding it and using it.
 pub struct PsServer {
     config: PsConfig,
     /// Shards addressed by base routing (`== config.n_shards`).
@@ -261,19 +386,29 @@ impl PsServer {
     /// The shard a key lives on — public so the failover path and the
     /// client's outage handling can reason about shard placement.
     ///
-    /// Starts from the base hash route and walks the split log in
-    /// order: a completed split moves its child-side keys outright; a
-    /// migrating split dual-reads (the child owns a key only once the
-    /// migration has actually moved it there). With no splits this is
-    /// the historical `splitmix64(key) % n_shards`.
+    /// The key's [`home`](PsServer::home), unless a split out of that
+    /// shard is migrating and has already moved the key to its child
+    /// (dual read). With no splits this is the historical
+    /// `splitmix64(key) % n_shards`.
     pub fn shard_index_of(&self, key: Key) -> usize {
-        let mut idx = (splitmix64(key) % self.base_shards as u64) as usize;
         let splits = self.splits.read();
-        for s in splits.iter() {
-            if s.parent == idx
-                && child_side(key, s.salt)
-                && (s.complete || self.shards[s.child].read().store.contains(key))
-            {
+        let home = self.home(&splits, key);
+        let moved = |s: &SplitState| {
+            child_side(key, s.salt) && self.shards[s.child].read().store.contains(key)
+        };
+        in_flight(&splits, home)
+            .filter(moved)
+            .map_or(home, |s| s.child)
+    }
+
+    /// The shard `key` routes to by the base hash and the *completed*
+    /// splits, walked in log order. A child-side key of a split still in
+    /// flight stays on the parent here; where it lives is settled under
+    /// the parent's lock ([`PsServer::moved`]).
+    fn home(&self, splits: &[SplitState], key: Key) -> usize {
+        let mut idx = (splitmix64(key) % self.base_shards as u64) as usize;
+        for s in splits {
+            if s.complete && s.parent == idx && child_side(key, s.salt) {
                 idx = s.child;
             }
         }
@@ -321,53 +456,183 @@ impl PsServer {
         }
     }
 
-    /// The lock of the shard `key` lives on, resolved once per operation;
-    /// a traced run counts the operation against that shard.
-    fn route(&self, key: Key, counter: &'static str) -> &RwLock<Shard> {
-        let idx = self.shard_index_of(key);
-        if het_trace::enabled() {
-            het_trace::counter_add_at("ps", counter, Some(idx as u64), 1);
+    /// Runs `op` once for every shard that holds any of `items`, with
+    /// the shard's item positions in batch order and a cleared buffer
+    /// for positions to defer; `op` returns false if it gave up on a
+    /// busy lock ([`Run::wait`]). Shards free now are served first, in
+    /// shard order, then the busy ones, waiting: two threads walking
+    /// the shards do not queue behind each other shard after shard.
+    /// Shards share no state, so the order across them is invisible.
+    /// The split log stays read-locked throughout.
+    fn grouped<T: Keyed>(&self, items: &[T], mut op: impl FnMut(&Run<'_>, &mut Vec<u32>) -> bool) {
+        if items.is_empty() {
+            return;
         }
-        &self.shards[idx]
-    }
-
-    /// One pull: hands `read` the key's row under its shard lock,
-    /// lazily initialising the row on first touch.
-    fn pull_with<T>(&self, key: Key, read: impl FnOnce(&StoredRow) -> T) -> T {
-        let mut guard = self.route(key, "pulls").write();
-        let out = match guard.store.get(key) {
-            Some(row) => read(row),
-            None => {
-                let row = self.make_row(key);
-                let out = read(&row);
-                guard.store.insert(key, row);
-                out
+        let splits = self.splits.read();
+        if let [item] = items {
+            let shard = self.home(&splits, item.key());
+            let run = Run {
+                shard,
+                split: in_flight(&splits, shard),
+                positions: &[0],
+                wait: true,
+            };
+            op(&run, &mut Vec::new());
+            return;
+        }
+        let n_shards = self.shards.len();
+        let mut g = GROUPING.take();
+        g.home.clear();
+        g.home
+            .extend(items.iter().map(|it| self.home(&splits, it.key()) as u32));
+        // Counting sort: count per shard, turn the counts into run ends,
+        // then fill back to front so each run keeps batch order and each
+        // `starts[s]` ends on its run's start.
+        g.starts.clear();
+        g.starts.resize(n_shards + 1, 0);
+        for &s in &g.home {
+            g.starts[s as usize] += 1;
+        }
+        let mut end = 0;
+        for c in &mut g.starts {
+            end += *c;
+            *c = end;
+        }
+        g.order.clear();
+        g.order.resize(items.len(), 0);
+        for (i, &s) in g.home.iter().enumerate().rev() {
+            let c = &mut g.starts[s as usize];
+            *c -= 1;
+            g.order[*c as usize] = i as u32;
+        }
+        let Grouping {
+            order,
+            starts,
+            deferred,
+            busy,
+            ..
+        } = &mut g;
+        let mut serve = |shard: usize, wait: bool, deferred: &mut Vec<u32>| {
+            let positions = &order[starts[shard] as usize..starts[shard + 1] as usize];
+            positions.is_empty() || {
+                let run = Run {
+                    shard,
+                    split: in_flight(&splits, shard),
+                    positions,
+                    wait,
+                };
+                deferred.clear();
+                op(&run, deferred)
             }
         };
-        self.charge_io(&mut guard);
-        out
+        busy.clear();
+        for shard in 0..n_shards {
+            if !serve(shard, false, deferred) {
+                busy.push(shard as u32);
+            }
+        }
+        for &shard in busy.iter() {
+            serve(shard as usize, true, deferred);
+        }
+        GROUPING.set(g);
+    }
+
+    /// For a key of `run`'s shard (whose lock the caller holds, as
+    /// `parent`): the lock of the split child, if the in-flight split
+    /// has already moved the key there. Parent before child is the lock
+    /// order, and the migration moves rows under the parent's lock, so
+    /// the answer holds while the caller holds it.
+    fn moved(
+        &self,
+        run: &Run<'_>,
+        parent: &Shard,
+        key: Key,
+    ) -> Option<RwLockWriteGuard<'_, Shard>> {
+        let split = run.split.filter(|s| child_side(key, s.salt))?;
+        if parent.store.contains(key) {
+            return None;
+        }
+        let child = self.shards[split.child].write();
+        child.store.contains(key).then_some(child)
+    }
+
+    /// Pulls `keys`, handing `sink` each key's position and row, lazily
+    /// initialising rows on first touch. Resident rows are read under
+    /// the shard's shared lock; the rest take one exclusive pass that
+    /// looks again first (another thread may have created the row in
+    /// between).
+    fn pull_each(&self, keys: &[Key], mut sink: impl FnMut(usize, &StoredRow)) {
+        self.grouped(keys, |run, deferred| {
+            {
+                let Some(shard) = run.read(&self.shards) else {
+                    return false;
+                };
+                for &i in run.positions {
+                    let key = keys[i as usize];
+                    // Child-side keys of a migrating split need the
+                    // exclusive pass's dual read.
+                    let row = match run.split {
+                        Some(s) if child_side(key, s.salt) => None,
+                        _ => shard.store.get_shared(key),
+                    };
+                    match row {
+                        Some(row) => sink(i as usize, row),
+                        None => deferred.push(i),
+                    }
+                }
+            }
+            let mut on_child = 0;
+            if !deferred.is_empty() {
+                let mut shard = self.shards[run.shard].write();
+                for &i in deferred.iter() {
+                    let key = keys[i as usize];
+                    if let Some(mut child) = self.moved(run, &shard, key) {
+                        sink(i as usize, child.store.get(key).expect("moved() found it"));
+                        self.charge_io(&mut child);
+                        on_child += 1;
+                        continue;
+                    }
+                    match shard.store.get(key) {
+                        Some(row) => sink(i as usize, row),
+                        None => {
+                            let row = self.make_row(key);
+                            sink(i as usize, &row);
+                            shard.store.insert(key, row);
+                        }
+                    }
+                }
+                self.charge_io(&mut shard);
+            }
+            run.count("pulls", on_child);
+            true
+        });
     }
 
     /// Pulls one embedding, lazily initialising it on first touch.
     pub fn pull(&self, key: Key) -> PullResult {
-        self.pull_with(key, |row| PullResult {
-            vector: row.vector.clone(),
-            clock: row.clock,
-        })
+        let mut out = None;
+        self.pull_each(&[key], |_, row| {
+            out = Some(PullResult {
+                vector: row.vector.clone(),
+                clock: row.clock,
+            })
+        });
+        out.expect("a pull serves its key")
     }
 
-    /// Pulls `keys` in order into caller-owned buffers: `dim` floats per
-    /// key are appended to `rows` and one global clock per key to
-    /// `clocks`, so a batch costs no allocation per key.
+    /// Pulls `keys` into caller-owned buffers: `dim` floats per key are
+    /// appended to `rows` and one global clock per key to `clocks`, in
+    /// key order, so a batch costs no allocation per key.
     pub fn pull_into(&self, keys: &[Key], rows: &mut Vec<f32>, clocks: &mut Vec<u64>) {
-        rows.reserve(keys.len() * self.config.dim);
-        clocks.reserve(keys.len());
-        for &key in keys {
-            self.pull_with(key, |row| {
-                rows.extend_from_slice(&row.vector);
-                clocks.push(row.clock);
-            });
-        }
+        let dim = self.config.dim;
+        let (r0, c0) = (rows.len(), clocks.len());
+        rows.resize(r0 + keys.len() * dim, 0.0);
+        clocks.resize(c0 + keys.len(), 0);
+        let (rows, clocks) = (&mut rows[r0..], &mut clocks[c0..]);
+        self.pull_each(keys, |i, row| {
+            rows[i * dim..(i + 1) * dim].copy_from_slice(&row.vector);
+            clocks[i] = row.clock;
+        });
     }
 
     /// Pulls a batch of embeddings.
@@ -383,6 +648,53 @@ impl PsServer {
             .collect()
     }
 
+    /// Applies each item's gradient with the server's rule, lazily
+    /// initialising untouched rows, under one exclusive lock per shard.
+    /// `payload` gives the gradient and the clock update: `None` counts
+    /// one update, `Some(c)` synchronises the clock to `max(c_g, c)`.
+    fn push_each<'a, T: Keyed>(
+        &self,
+        items: &'a [T],
+        payload: impl Fn(&'a T) -> (&'a [f32], Option<u64>),
+    ) {
+        let (dim, lr, opt, clip) = (
+            self.config.dim,
+            self.config.lr,
+            self.config.optimizer,
+            self.config.grad_clip,
+        );
+        let mut scratch = Vec::new();
+        self.grouped(items, |run, _| {
+            let Some(mut shard) = run.write(&self.shards) else {
+                return false;
+            };
+            let mut on_child = 0;
+            for &i in run.positions {
+                let item = &items[i as usize];
+                let key = item.key();
+                let (grad, candidate) = payload(item);
+                assert_eq!(grad.len(), dim, "gradient dimension mismatch");
+                let grad = clipped(grad, clip, &mut scratch);
+                let init = &mut || self.make_row(key);
+                let update = &mut |e: &mut StoredRow| {
+                    opt.apply(&mut e.vector, &mut e.opt_state, grad, lr);
+                    e.clock = candidate.map_or(e.clock + 1, |c| e.clock.max(c));
+                };
+                match self.moved(run, &shard, key) {
+                    Some(mut child) => {
+                        child.store.apply(key, init, update);
+                        self.charge_io(&mut child);
+                        on_child += 1;
+                    }
+                    None => shard.store.apply(key, init, update),
+                }
+            }
+            self.charge_io(&mut shard);
+            run.count("pushes", on_child);
+            true
+        });
+    }
+
     /// HET eviction write-back (paper §3.1, `Het.Cache.Evict`): applies
     /// the accumulated gradient with the server's SGD rule and
     /// synchronises the global clock to `max(c_g, candidate_clock)`.
@@ -390,18 +702,24 @@ impl PsServer {
     /// # Panics
     /// Panics if the gradient length differs from the configured dim.
     pub fn push_with_clock(&self, key: Key, grad: &[f32], candidate_clock: u64) {
-        assert_eq!(grad.len(), self.config.dim, "gradient dimension mismatch");
-        let (lr, opt) = (self.config.lr, self.config.optimizer);
-        let mut scratch = Vec::new();
-        let grad = clipped(grad, self.config.grad_clip, &mut scratch);
-        let mut guard = self.route(key, "pushes").write();
-        guard
-            .store
-            .apply(key, &mut || self.make_row(key), &mut |e| {
-                opt.apply(&mut e.vector, &mut e.opt_state, grad, lr);
-                e.clock = e.clock.max(candidate_clock);
-            });
-        self.charge_io(&mut guard);
+        self.push_each(&[key], |_| (grad, Some(candidate_clock)));
+    }
+
+    /// Batched [`PsServer::push_with_clock`]: `update` gives each item's
+    /// gradient and candidate clock. Items on one shard apply in batch
+    /// order.
+    ///
+    /// # Panics
+    /// Panics if a gradient's length differs from the configured dim.
+    pub fn push_with_clock_many<'a, T: Keyed>(
+        &self,
+        items: &'a [T],
+        update: impl Fn(&'a T) -> (&'a [f32], u64),
+    ) {
+        self.push_each(items, |it| {
+            let (grad, clock) = update(it);
+            (grad, Some(clock))
+        });
     }
 
     /// Plain-PS push (the no-cache baselines): applies the gradient and
@@ -410,18 +728,40 @@ impl PsServer {
     /// # Panics
     /// Panics if the gradient length differs from the configured dim.
     pub fn push_inc(&self, key: Key, grad: &[f32]) {
-        assert_eq!(grad.len(), self.config.dim, "gradient dimension mismatch");
-        let (lr, opt) = (self.config.lr, self.config.optimizer);
-        let mut scratch = Vec::new();
-        let grad = clipped(grad, self.config.grad_clip, &mut scratch);
-        let mut guard = self.route(key, "pushes").write();
-        guard
-            .store
-            .apply(key, &mut || self.make_row(key), &mut |e| {
-                opt.apply(&mut e.vector, &mut e.opt_state, grad, lr);
-                e.clock += 1;
-            });
-        self.charge_io(&mut guard);
+        self.push_each(&[key], |_| (grad, None));
+    }
+
+    /// Batched [`PsServer::push_inc`]: `grad` gives each item's
+    /// gradient. Items on one shard apply in batch order.
+    ///
+    /// # Panics
+    /// Panics if a gradient's length differs from the configured dim.
+    pub fn push_inc_many<'a, T: Keyed>(&self, items: &'a [T], grad: impl Fn(&'a T) -> &'a [f32]) {
+        self.push_each(items, |it| (grad(it), None));
+    }
+
+    /// Hands `sink` each key's position and global clock (0 for
+    /// never-touched keys), under one shared lock per shard.
+    fn clocks_each(&self, keys: &[Key], mut sink: impl FnMut(usize, u64)) {
+        self.grouped(keys, |run, _| {
+            let Some(shard) = run.read(&self.shards) else {
+                return false;
+            };
+            let mut on_child = 0;
+            for &i in run.positions {
+                let key = keys[i as usize];
+                let clock = match self.moved(run, &shard, key) {
+                    Some(child) => {
+                        on_child += 1;
+                        child.store.clock_of(key)
+                    }
+                    None => shard.store.clock_of(key),
+                };
+                sink(i as usize, clock.unwrap_or(0));
+            }
+            run.count("clock_queries", on_child);
+            true
+        });
     }
 
     /// The global clock of a key (0 for never-touched keys). This is the
@@ -430,13 +770,18 @@ impl PsServer {
     /// time, mirroring how the wire protocol ships clocks without
     /// payloads.
     pub fn clock_of(&self, key: Key) -> u64 {
-        let shard = self.route(key, "clock_queries").read();
-        shard.store.clock_of(key).unwrap_or(0)
+        let mut out = 0;
+        self.clocks_each(&[key], |_, c| out = c);
+        out
     }
 
-    /// Batched [`PsServer::clock_of`].
-    pub fn clocks_of(&self, keys: &[Key]) -> Vec<u64> {
-        keys.iter().map(|&k| self.clock_of(k)).collect()
+    /// Batched [`PsServer::clock_of`]: appends one clock per key to
+    /// `clocks`, in key order.
+    pub fn clocks_of(&self, keys: &[Key], clocks: &mut Vec<u64>) {
+        let c0 = clocks.len();
+        clocks.resize(c0 + keys.len(), 0);
+        let clocks = &mut clocks[c0..];
+        self.clocks_each(keys, |i, c| clocks[i] = c);
     }
 
     /// Number of materialised embeddings across all shards.
@@ -544,11 +889,13 @@ impl PsServer {
             child >= self.base_shards && child < self.shards.len(),
             "split child must be a spare shard (index >= n_base_shards)"
         );
+        // Checked under the split log's write lock, which no batch holds
+        // at the same time, so nothing lands between check and begin.
+        let mut splits = self.splits.write();
         assert!(
             self.shards[child].read().store.is_empty(),
             "split child shard must be empty"
         );
-        let mut splits = self.splits.write();
         for s in splits.iter() {
             assert!(
                 s.child != child,
@@ -567,13 +914,15 @@ impl PsServer {
         });
     }
 
-    /// The in-flight split whose parent is `parent`, if any.
-    fn active_split(&self, parent: usize) -> Option<SplitState> {
-        self.splits
+    /// Child-side keys of `split` still on its parent.
+    fn left_to_migrate(&self, split: SplitState) -> usize {
+        self.shards[split.parent]
             .read()
+            .store
+            .sorted_keys()
             .iter()
-            .find(|s| s.parent == parent && !s.complete)
-            .copied()
+            .filter(|&&k| child_side(k, split.salt))
+            .count()
     }
 
     /// Moves up to `max_keys` child-side keys (in ascending key order,
@@ -587,8 +936,8 @@ impl PsServer {
     /// # Panics
     /// Panics if `parent` has no migration in flight.
     pub fn migrate_batch(&self, parent: usize, max_keys: usize) -> usize {
-        let split = self
-            .active_split(parent)
+        let splits = self.splits.read();
+        let split = in_flight(&splits, parent)
             .expect("migrate_batch: no migration in flight for this shard");
         let mut src = self.shards[split.parent].write();
         let mut moving: Vec<Key> = src.store.sorted_keys();
@@ -610,16 +959,8 @@ impl PsServer {
     /// Child-side keys still waiting on `parent` (0 once the migration
     /// has drained; also 0 when no migration is in flight).
     pub fn remaining_to_migrate(&self, parent: usize) -> usize {
-        let Some(split) = self.active_split(parent) else {
-            return 0;
-        };
-        self.shards[split.parent]
-            .read()
-            .store
-            .sorted_keys()
-            .iter()
-            .filter(|&&k| child_side(k, split.salt))
-            .count()
+        let splits = self.splits.read();
+        in_flight(&splits, parent).map_or(0, |split| self.left_to_migrate(split))
     }
 
     /// Seals a drained migration: from here on child-side keys route to
@@ -628,16 +969,19 @@ impl PsServer {
     /// # Panics
     /// Panics if `parent` has no migration in flight or keys remain.
     pub fn complete_split(&self, parent: usize) {
-        assert_eq!(
-            self.remaining_to_migrate(parent),
-            0,
-            "complete_split: migration not drained"
-        );
+        // Checked and sealed under one write lock of the split log, which
+        // no batch holds at the same time: no row can land on the parent
+        // between the check and the seal.
         let mut splits = self.splits.write();
         let s = splits
             .iter_mut()
             .find(|s| s.parent == parent && !s.complete)
             .expect("complete_split: no migration in flight for this shard");
+        assert_eq!(
+            self.left_to_migrate(*s),
+            0,
+            "complete_split: migration not drained"
+        );
         s.complete = true;
     }
 }
@@ -750,8 +1094,10 @@ mod tests {
         s.push_inc(2, &[0.0, 0.0]);
         let keys = [1, 2, 3];
         let pulls = s.pull_many(&keys);
-        let clocks = s.clocks_of(&keys);
-        assert_eq!(clocks, vec![2, 1, 0]);
+        let mut clocks = vec![9];
+        s.clocks_of(&keys, &mut clocks);
+        assert_eq!(clocks, vec![9, 2, 1, 0], "appended behind what was there");
+        clocks.remove(0);
         for (p, c) in pulls.iter().zip(&clocks) {
             assert_eq!(p.clock, *c);
         }
@@ -1044,6 +1390,105 @@ mod tests {
             assert_eq!(s.clock_of(k), 1);
         }
         assert_eq!(s.take_io_ns(), 0, "clock queries are served from the index");
+    }
+
+    /// Grouping a batch by shard must be invisible: each shard sees its
+    /// keys in batch order, so a tiered store demotes, promotes and
+    /// charges disk time exactly as under one call per key, and the
+    /// per-shard counters sum to the same values.
+    #[test]
+    fn grouped_ops_match_one_key_at_a_time() {
+        use het_rng::rngs::StdRng;
+        use het_rng::seq::SliceRandom;
+        use het_rng::SeedableRng;
+        let cfg = PsConfig {
+            dim: 2,
+            n_shards: 4,
+            lr: 0.5,
+            seed: 99,
+            optimizer: ServerOptimizer::Sgd,
+            grad_clip: Some(3.0),
+        };
+        // 60 keys, 12 of them twice, over 4 shards whose hot tiers hold 2
+        // rows each: every batch demotes.
+        let mut keys: Vec<Key> = (0..60).chain(0..12).collect();
+        keys.shuffle(&mut StdRng::seed_from_u64(33));
+        let items: Vec<(Key, Vec<f32>)> = keys
+            .iter()
+            .map(|&k| (k, vec![k as f32 * 0.1, -1.0]))
+            .collect();
+        let candidate = |k: Key, round: u64| k % 5 + 2 * round;
+        let run = |grouped: bool| {
+            let s = PsServer::with_store(cfg, 0, &tiered_spec(8));
+            het_trace::start(Vec::new());
+            let (mut rows, mut clocks, mut io) = (Vec::new(), Vec::new(), Vec::new());
+            for round in 0..3u64 {
+                if grouped {
+                    s.push_inc_many(&items, |(_, g)| g);
+                    s.pull_into(&keys, &mut rows, &mut clocks);
+                    s.push_with_clock_many(&items, |(k, g)| (g, candidate(*k, round)));
+                    s.clocks_of(&keys, &mut clocks);
+                } else {
+                    for (k, g) in &items {
+                        s.push_inc(*k, g);
+                    }
+                    for &k in &keys {
+                        let p = s.pull(k);
+                        rows.extend(p.vector);
+                        clocks.push(p.clock);
+                    }
+                    for (k, g) in &items {
+                        s.push_with_clock(*k, g, candidate(*k, round));
+                    }
+                    clocks.extend(keys.iter().map(|&k| s.clock_of(k)));
+                }
+                io.push(s.take_io_ns());
+            }
+            let counters = het_trace::finish().counters;
+            (rows, clocks, io, s.store_stats(), s.export_rows(), counters)
+        };
+        let grouped = run(true);
+        assert_eq!(grouped, run(false));
+        let (_, _, io, stats, _, counters) = grouped;
+        assert!(stats.demotions > 0 && io.iter().all(|&ns| ns > 0));
+        for counter in ["pulls", "pushes", "clock_queries"] {
+            let per_shard: Vec<u64> = counters
+                .iter()
+                .filter(|c| c.comp == "ps" && c.name == counter)
+                .map(|c| c.value)
+                .collect();
+            assert_eq!(per_shard.len(), 4, "{counter}: the batch spans every shard");
+            let per_round = if counter == "pushes" { 2 } else { 1 };
+            assert_eq!(per_shard.iter().sum::<u64>(), 3 * per_round * 72);
+        }
+    }
+
+    /// A batch does not queue behind another thread's hold on one shard:
+    /// it serves every free shard first and waits for the busy one last.
+    #[test]
+    fn a_batch_serves_free_shards_before_waiting_on_a_busy_one() {
+        use std::time::{Duration, Instant};
+        let s = server(1);
+        let keys: Vec<Key> = (0..64).collect();
+        let pushed = |k: Key| s.shards[s.shard_index_of(k)].read().store.clock_of(k) == Some(1);
+        std::thread::scope(|scope| {
+            let held = s.shards[0].write();
+            let batch = scope.spawn(|| s.push_inc_many(&keys, |_| &[1.0][..]));
+            let free: Vec<Key> = keys
+                .iter()
+                .copied()
+                .filter(|&k| s.shard_index_of(k) != 0)
+                .collect();
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !free.iter().all(|&k| pushed(k)) && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let served_while_held = free.iter().all(|&k| pushed(k));
+            drop(held);
+            batch.join().unwrap();
+            assert!(served_while_held, "free shards waited behind shard 0");
+        });
+        assert!(keys.iter().all(|&k| s.clock_of(k) == 1));
     }
 
     /// Satellite check: a live split while most parent rows sit cold.

@@ -7,7 +7,7 @@
 //! invariants hold between operations, so observing it after a
 //! panicking writer is safe.
 
-use std::sync::{PoisonError, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{PoisonError, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 
 /// A reader–writer lock whose guards ignore poisoning.
 #[derive(Debug, Default)]
@@ -29,6 +29,26 @@ impl<T> RwLock<T> {
         self.0.write().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Shared read access if it is free now (no writer holds or awaits
+    /// the lock); `None` instead of blocking.
+    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
+        match self.0.try_read() {
+            Ok(guard) => Some(guard),
+            Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+
+    /// Exclusive write access if it is free now; `None` instead of
+    /// blocking.
+    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
+        match self.0.try_write() {
+            Ok(guard) => Some(guard),
+            Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+
     /// Consumes the lock, returning the inner value.
     pub fn into_inner(self) -> T {
         self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
@@ -46,6 +66,18 @@ mod tests {
         *l.write() += 1;
         assert_eq!(*l.read(), 6);
         assert_eq!(l.into_inner(), 6);
+    }
+
+    #[test]
+    fn try_locks_give_up_instead_of_blocking() {
+        let l = RwLock::new(0u32);
+        {
+            let _r = l.read();
+            assert!(l.try_read().is_some(), "readers share");
+            assert!(l.try_write().is_none());
+        }
+        let _w = l.write();
+        assert!(l.try_read().is_none() && l.try_write().is_none());
     }
 
     #[test]

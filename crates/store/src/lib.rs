@@ -116,6 +116,16 @@ pub trait RowStore: Send + Sync {
     /// marked dirty. `None` for unmaterialised keys.
     fn get(&mut self, key: Key) -> Option<&StoredRow>;
 
+    /// Read access that changes nothing, so the server can serve it
+    /// under a shard's *shared* lock. `None` when the key is not
+    /// materialised **or** when the store cannot serve a read without
+    /// mutating (the default: a tiered hit moves its demotion order);
+    /// the caller then falls back to [`get`](RowStore::get) under the
+    /// exclusive lock, which decides between the two.
+    fn get_shared(&self, _key: Key) -> Option<&StoredRow> {
+        None
+    }
+
     /// Read-modify-write with lazy initialisation: ensures the row is
     /// resident (promoting, or creating it via `init`), applies `f`,
     /// and marks the row dirty so a later demotion writes it back.

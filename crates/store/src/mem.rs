@@ -23,6 +23,10 @@ impl RowStore for MemStore {
         self.table.get(&key)
     }
 
+    fn get_shared(&self, key: Key) -> Option<&StoredRow> {
+        self.table.get(&key)
+    }
+
     fn apply(
         &mut self,
         key: Key,
@@ -90,6 +94,8 @@ mod tests {
             r.clock += 1;
         });
         assert_eq!(s.get(7), Some(&row(1.5, 1)));
+        assert_eq!(s.get_shared(7), Some(&row(1.5, 1)));
+        assert_eq!(s.get_shared(8), None);
         assert_eq!(s.clock_of(7), Some(1));
         assert_eq!(s.clock_of(8), None);
         assert_eq!(s.len(), 1);

@@ -384,6 +384,15 @@ mod tests {
     }
 
     #[test]
+    fn shared_reads_decline_even_hot_rows() {
+        // A hot hit moves the demotion order, so no read is shared.
+        let mut s = tiered(4);
+        s.insert(1, row(1.0, 0));
+        assert!(s.get(1).is_some());
+        assert_eq!(s.get_shared(1), None);
+    }
+
+    #[test]
     fn clock_queries_never_charge_io() {
         let mut s = tiered(1);
         for k in 0..6u64 {
