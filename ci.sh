@@ -15,6 +15,11 @@ echo "==> cargo clippy --workspace --all-targets (with concurrency lint wall)"
 cargo clippy --workspace --all-targets -- -D warnings \
     -D clippy::arc_with_non_send_sync -D clippy::mutex_atomic
 
+# Docs name types across crates; a rename or a narrowed visibility
+# leaves a dangling intra-doc link that only rustdoc notices.
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo build --release (tier-1)"
 cargo build --release
 

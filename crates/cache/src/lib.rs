@@ -19,14 +19,15 @@
 //! `c_c ≤ c_s + s` (locally checkable) and `c_g ≤ c_c + s` (requires a
 //! clock-only round trip, which `het-core` charges to the network).
 //!
-//! Eviction is pluggable — a zoo of policies behind one trait: the
-//! paper's pair ([`policy::LruPolicy`], [`policy::LfuPolicy`]) and its
-//! §4.3 [`policy::LightLfuPolicy`] that promotes hot keys to a
-//! direct-access set, plus [`policy::ClockPolicy`] (cheap recency),
-//! [`policy::SlruPolicy`] (scan resistance), [`policy::LfudaPolicy`]
-//! (frequency aging), [`policy::GdsfPolicy`] (α-β cost awareness), and
-//! the sketch-driven [`policy::AdaptivePolicy`] that switches between
-//! them online at deterministic points.
+//! Eviction is pluggable — a zoo of policies behind one trait,
+//! [`CachePolicy`], each made by [`PolicyKind::build`]: the paper's
+//! pair (LRU, LFU) and its §4.3 light-weighted LFU that promotes hot
+//! keys to a direct-access set, plus CLOCK (cheap recency), SLRU (scan
+//! resistance), LFUDA (frequency aging), GDSF (α-β cost awareness),
+//! and an adaptive meta-policy that watches skew through a SpaceSaving
+//! sketch and switches between them online at deterministic points.
+//! Every ordered policy keeps its keys in one [`het_data::Ranked`]
+//! index and evicts the lowest rank; LFUDA is GDSF at the unit price.
 
 #![warn(missing_docs)]
 
@@ -37,10 +38,8 @@ pub mod table;
 
 pub use entry::{CacheEntry, EvictedEntry};
 pub use policy::{
-    fetch_cost_bytes, row_size_bytes, AdaptivePolicy, CachePolicy, ClockPolicy, GdsfPolicy,
-    LfuPolicy, LfudaPolicy, LightLfuPolicy, LruPolicy, PolicyKind, SlruPolicy,
-    DEFAULT_ADAPTIVE_WINDOW, DEFAULT_LIGHT_LFU_THRESHOLD, FETCH_COST_ALPHA_BYTES,
-    FETCH_COST_BETA_BYTES, GDSF_SCALE,
+    fetch_cost_bytes, row_size_bytes, CachePolicy, PolicyKind, DEFAULT_ADAPTIVE_WINDOW,
+    DEFAULT_LIGHT_LFU_THRESHOLD, FETCH_COST_ALPHA_BYTES, FETCH_COST_BETA_BYTES, GDSF_SCALE,
 };
 pub use stats::CacheStats;
 pub use table::CacheTable;

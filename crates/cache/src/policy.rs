@@ -11,15 +11,22 @@
 //! (size/cost awareness priced off the α-β wire model) — plus an
 //! adaptive meta-policy that watches the access skew through a
 //! SpaceSaving sketch and switches the live policy at deterministic
-//! window boundaries. All are provided behind one trait so
-//! `CacheTable` and the benches can swap them freely.
+//! window boundaries.
+//!
+//! Every policy but CLOCK keeps its keys in one [`het_data::Ranked`]
+//! index per ordered set and evicts its lowest rank: LRU ranks by last
+//! tick, LFU and LightLFU's unpromoted keys by (frequency, tick), SLRU's
+//! two segments by tick, GDSF by (priority, tick). LFUDA is GDSF at the
+//! unit price. The policies are private: [`PolicyKind::build`] makes
+//! one behind the [`CachePolicy`] trait, so `CacheTable` and the
+//! benches can swap them freely.
 
 use crate::Key;
-use het_data::SpaceSaving;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use het_data::{Ranked, SpaceSaving};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Default promotion threshold for the paper's light-weighted LFU
-/// (§4.3). Lifted out of `LightLfuPolicy::new(16)` so configs and
+/// (§4.3). Lifted out of the policy's constructor so configs and
 /// sweeps can vary it; the default keeps golden fixtures byte-stable.
 pub const DEFAULT_LIGHT_LFU_THRESHOLD: u64 = 16;
 
@@ -76,6 +83,7 @@ pub enum PolicyKind {
     Slru,
     /// LFU with dynamic aging: victim priority seeds a global age term,
     /// so formerly-hot keys decay instead of pinning the cache forever.
+    /// Built as GDSF at the unit price, so the priority is `age + freq`.
     Lfuda,
     /// Greedy-Dual-Size-Frequency: priority is age + freq·cost/size,
     /// with cost priced off the α-β wire model — keys that are cheap to
@@ -154,7 +162,7 @@ impl PolicyKind {
             }
             PolicyKind::Clock => Box::new(ClockPolicy::new()),
             PolicyKind::Slru => Box::new(SlruPolicy::from_capacity(capacity)),
-            PolicyKind::Lfuda => Box::new(LfudaPolicy::new()),
+            PolicyKind::Lfuda => Box::new(GdsfPolicy::lfuda()),
             PolicyKind::Gdsf => Box::new(GdsfPolicy::new()),
             PolicyKind::Adaptive { window } => Box::new(AdaptivePolicy::new(capacity, window)),
         }
@@ -216,101 +224,64 @@ pub trait CachePolicy: Send + Sync {
     }
 }
 
-/// Classic LRU via a logical tick per key.
-pub struct LruPolicy {
+/// Classic LRU: keys ranked by a logical tick of their last touch.
+struct LruPolicy {
     tick: u64,
-    last_used: HashMap<Key, u64>,
-    order: BTreeSet<(u64, Key)>,
+    order: Ranked<u64>,
 }
 
 impl LruPolicy {
-    /// Creates an empty LRU policy.
-    pub fn new() -> Self {
+    fn new() -> Self {
         LruPolicy {
             tick: 0,
-            last_used: HashMap::new(),
-            order: BTreeSet::new(),
+            order: Ranked::new(),
         }
-    }
-
-    fn touch(&mut self, key: Key) {
-        self.tick += 1;
-        if let Some(old) = self.last_used.insert(key, self.tick) {
-            self.order.remove(&(old, key));
-        }
-        self.order.insert((self.tick, key));
-    }
-}
-
-impl Default for LruPolicy {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
 impl CachePolicy for LruPolicy {
     fn on_insert(&mut self, key: Key) {
-        self.touch(key);
+        self.on_access(key);
     }
 
     fn on_access(&mut self, key: Key) {
-        self.touch(key);
+        self.tick += 1;
+        self.order.set(key, self.tick, ());
     }
 
     fn on_remove(&mut self, key: Key) {
-        if let Some(t) = self.last_used.remove(&key) {
-            self.order.remove(&(t, key));
-        }
+        self.order.remove(key);
     }
 
     fn pop_victim(&mut self) -> Option<Key> {
-        let &(tick, key) = self.order.iter().next()?;
-        self.order.remove(&(tick, key));
-        self.last_used.remove(&key);
-        Some(key)
+        self.order.pop_min().map(|(key, ..)| key)
     }
 
     fn len(&self) -> usize {
-        self.last_used.len()
+        self.order.len()
     }
 }
 
-/// Exact LFU with LRU tie-breaking.
-pub struct LfuPolicy {
+/// Exact LFU: keys ranked by (frequency, last tick), so ties break by
+/// recency.
+struct LfuPolicy {
     tick: u64,
-    state: HashMap<Key, (u64, u64)>,  // key -> (freq, last tick)
-    order: BTreeSet<(u64, u64, Key)>, // (freq, tick, key)
+    order: Ranked<(u64, u64)>,
 }
 
 impl LfuPolicy {
-    /// Creates an empty LFU policy.
-    pub fn new() -> Self {
+    fn new() -> Self {
         LfuPolicy {
             tick: 0,
-            state: HashMap::new(),
-            order: BTreeSet::new(),
+            order: Ranked::new(),
         }
     }
 
     fn bump(&mut self, key: Key, is_insert: bool) {
         self.tick += 1;
-        let entry = self.state.entry(key).or_insert((0, 0));
-        if entry.1 != 0 || entry.0 != 0 {
-            self.order.remove(&(entry.0, entry.1, key));
-        }
-        if !is_insert {
-            entry.0 += 1;
-        } else if entry.0 == 0 {
-            entry.0 = 1;
-        }
-        entry.1 = self.tick;
-        self.order.insert((entry.0, entry.1, key));
-    }
-}
-
-impl Default for LfuPolicy {
-    fn default() -> Self {
-        Self::new()
+        let freq = self.order.get(key).map_or(0, |&((freq, _), ())| freq);
+        let freq = if is_insert { freq.max(1) } else { freq + 1 };
+        self.order.set(key, (freq, self.tick), ());
     }
 }
 
@@ -324,20 +295,15 @@ impl CachePolicy for LfuPolicy {
     }
 
     fn on_remove(&mut self, key: Key) {
-        if let Some((f, t)) = self.state.remove(&key) {
-            self.order.remove(&(f, t, key));
-        }
+        self.order.remove(key);
     }
 
     fn pop_victim(&mut self) -> Option<Key> {
-        let &(f, t, key) = self.order.iter().next()?;
-        self.order.remove(&(f, t, key));
-        self.state.remove(&key);
-        Some(key)
+        self.order.pop_min().map(|(key, ..)| key)
     }
 
     fn len(&self) -> usize {
-        self.state.len()
+        self.order.len()
     }
 }
 
@@ -346,91 +312,69 @@ impl CachePolicy for LfuPolicy {
 /// threshold it is *promoted* — moved to a direct-access set whose
 /// members cost O(1) per access (a hash lookup, no ordered-structure
 /// maintenance) and are never evicted while any unpromoted key remains.
-pub struct LightLfuPolicy {
+struct LightLfuPolicy {
     threshold: u64,
     tick: u64,
-    cold: HashMap<Key, (u64, u64)>,
-    cold_order: BTreeSet<(u64, u64, Key)>,
-    hot: HashMap<Key, u64>, // promoted keys -> insertion order (FIFO fallback)
+    /// Unpromoted keys ranked by (frequency, last tick), as in LFU.
+    cold: Ranked<(u64, u64)>,
+    hot: HashSet<Key>,
+    /// Promoted keys in promotion order (the all-hot FIFO fallback).
     hot_fifo: VecDeque<Key>,
 }
 
 impl LightLfuPolicy {
-    /// Creates the policy with the given promotion threshold.
-    ///
     /// # Panics
     /// Panics if `threshold == 0` (everything would promote instantly).
-    pub fn new(threshold: u64) -> Self {
+    fn new(threshold: u64) -> Self {
         assert!(threshold > 0, "promotion threshold must be positive");
         LightLfuPolicy {
             threshold,
             tick: 0,
-            cold: HashMap::new(),
-            cold_order: BTreeSet::new(),
-            hot: HashMap::new(),
+            cold: Ranked::new(),
+            hot: HashSet::new(),
             hot_fifo: VecDeque::new(),
         }
-    }
-
-    /// Number of promoted (direct-access) keys.
-    pub fn promoted_len(&self) -> usize {
-        self.hot.len()
-    }
-
-    fn promote(&mut self, key: Key) {
-        self.tick += 1;
-        self.hot.insert(key, self.tick);
-        self.hot_fifo.push_back(key);
     }
 }
 
 impl CachePolicy for LightLfuPolicy {
     fn on_insert(&mut self, key: Key) {
         self.tick += 1;
-        self.cold.insert(key, (1, self.tick));
-        self.cold_order.insert((1, self.tick, key));
+        self.cold.set(key, (1, self.tick), ());
     }
 
     fn on_access(&mut self, key: Key) {
         // Promoted keys: O(1), no maintenance — the paper's fast path.
-        if self.hot.contains_key(&key) {
+        if self.hot.contains(&key) {
             return;
         }
         self.tick += 1;
-        if let Some((f, t)) = self.cold.get(&key).copied() {
-            self.cold_order.remove(&(f, t, key));
-            let nf = f + 1;
-            if nf >= self.threshold {
-                self.cold.remove(&key);
-                self.promote(key);
+        if let Some(&((freq, _), ())) = self.cold.get(key) {
+            let freq = freq + 1;
+            if freq >= self.threshold {
+                self.cold.remove(key);
+                self.hot.insert(key);
+                self.hot_fifo.push_back(key);
             } else {
-                self.cold.insert(key, (nf, self.tick));
-                self.cold_order.insert((nf, self.tick, key));
+                self.cold.set(key, (freq, self.tick), ());
             }
         }
     }
 
     fn on_remove(&mut self, key: Key) {
-        if let Some((f, t)) = self.cold.remove(&key) {
-            self.cold_order.remove(&(f, t, key));
-        } else if self.hot.remove(&key).is_some() {
+        if self.cold.remove(key).is_none() && self.hot.remove(&key) {
             self.hot_fifo.retain(|&k| k != key);
         }
     }
 
     fn pop_victim(&mut self) -> Option<Key> {
-        if let Some(&(f, t, key)) = self.cold_order.iter().next() {
-            self.cold_order.remove(&(f, t, key));
-            self.cold.remove(&key);
+        if let Some((key, ..)) = self.cold.pop_min() {
             return Some(key);
         }
         // All keys promoted: fall back to FIFO among the hot set.
-        while let Some(key) = self.hot_fifo.pop_front() {
-            if self.hot.remove(&key).is_some() {
-                return Some(key);
-            }
-        }
-        None
+        let key = self.hot_fifo.pop_front()?;
+        self.hot.remove(&key);
+        Some(key)
     }
 
     fn len(&self) -> usize {
@@ -443,24 +387,19 @@ impl CachePolicy for LightLfuPolicy {
 /// unreferenced. All operations are O(1) amortised — the cheapest
 /// recency approximation, included as a systems-extension beyond the
 /// paper's LRU/LFU pair.
-pub struct ClockPolicy {
+struct ClockPolicy {
+    /// Exactly the tracked keys: `on_remove` unlinks a key from the
+    /// ring as it drops its bit.
     ring: VecDeque<Key>,
     referenced: HashMap<Key, bool>,
 }
 
 impl ClockPolicy {
-    /// Creates an empty CLOCK policy.
-    pub fn new() -> Self {
+    fn new() -> Self {
         ClockPolicy {
             ring: VecDeque::new(),
             referenced: HashMap::new(),
         }
-    }
-}
-
-impl Default for ClockPolicy {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -484,24 +423,21 @@ impl CachePolicy for ClockPolicy {
     }
 
     fn pop_victim(&mut self) -> Option<Key> {
-        // Sweep: clear referenced bits until an unreferenced key is found.
-        // Terminates within two revolutions.
-        for _ in 0..self.ring.len() * 2 + 1 {
+        // Sweep: clear referenced bits until an unreferenced key is
+        // found — at most one revolution plus one step.
+        loop {
             let key = self.ring.pop_front()?;
-            match self.referenced.get_mut(&key) {
-                Some(bit) if *bit => {
-                    *bit = false;
-                    self.ring.push_back(key);
-                }
-                Some(_) => {
-                    self.referenced.remove(&key);
-                    return Some(key);
-                }
-                // Stale ring entry for a removed key: skip.
-                None => continue,
+            let bit = self
+                .referenced
+                .get_mut(&key)
+                .expect("the ring holds exactly the tracked keys");
+            if !*bit {
+                self.referenced.remove(&key);
+                return Some(key);
             }
+            *bit = false;
+            self.ring.push_back(key);
         }
-        None
     }
 
     fn len(&self) -> usize {
@@ -520,40 +456,29 @@ const SLRU_PROTECTED_DEN: usize = 5;
 /// probationary MRU position when full). Victims come from the
 /// probationary LRU end first, so a one-pass scan only ever churns the
 /// probationary segment — the hot set in protected survives.
-pub struct SlruPolicy {
+struct SlruPolicy {
     protected_cap: usize,
     tick: u64,
-    probation: HashMap<Key, u64>,
-    probation_order: BTreeSet<(u64, Key)>,
-    protected: HashMap<Key, u64>,
-    protected_order: BTreeSet<(u64, Key)>,
+    probation: Ranked<u64>,
+    protected: Ranked<u64>,
 }
 
 impl SlruPolicy {
-    /// Creates the policy with an explicit protected-segment capacity.
-    ///
     /// # Panics
     /// Panics if `protected_cap == 0`.
-    pub fn new(protected_cap: usize) -> Self {
+    fn new(protected_cap: usize) -> Self {
         assert!(protected_cap > 0, "protected capacity must be positive");
         SlruPolicy {
             protected_cap,
             tick: 0,
-            probation: HashMap::new(),
-            probation_order: BTreeSet::new(),
-            protected: HashMap::new(),
-            protected_order: BTreeSet::new(),
+            probation: Ranked::new(),
+            protected: Ranked::new(),
         }
     }
 
     /// Sizes the protected segment from the table capacity (80%).
-    pub fn from_capacity(capacity: usize) -> Self {
+    fn from_capacity(capacity: usize) -> Self {
         Self::new((capacity * SLRU_PROTECTED_NUM / SLRU_PROTECTED_DEN).max(1))
-    }
-
-    /// Number of keys currently in the protected segment.
-    pub fn protected_len(&self) -> usize {
-        self.protected.len()
     }
 
     fn next_tick(&mut self) -> u64 {
@@ -564,71 +489,48 @@ impl SlruPolicy {
 
 impl CachePolicy for SlruPolicy {
     fn on_insert(&mut self, key: Key) {
-        // Re-admission of an already-tracked key (the staging-region
-        // repin path) is a touch of its current segment, not a demotion.
-        if let Some(&t) = self.protected.get(&key) {
-            self.protected_order.remove(&(t, key));
-            let nt = self.next_tick();
-            self.protected.insert(key, nt);
-            self.protected_order.insert((nt, key));
-            return;
-        }
-        if let Some(old) = self.probation.get(&key).copied() {
-            self.probation_order.remove(&(old, key));
-        }
+        // Re-admission of an already-tracked key (the adaptive replay
+        // path) is a touch of its current segment, not a demotion.
         let t = self.next_tick();
-        self.probation.insert(key, t);
-        self.probation_order.insert((t, key));
+        if self.protected.get(key).is_some() {
+            self.protected.set(key, t, ());
+        } else {
+            self.probation.set(key, t, ());
+        }
     }
 
     fn on_access(&mut self, key: Key) {
-        if let Some(&t) = self.protected.get(&key) {
-            self.protected_order.remove(&(t, key));
-            let nt = self.next_tick();
-            self.protected.insert(key, nt);
-            self.protected_order.insert((nt, key));
+        // A protected key is touched in place; a probationary one is
+        // promoted.
+        if self.protected.get(key).is_none() && self.probation.remove(key).is_none() {
             return;
         }
-        if let Some(t) = self.probation.remove(&key) {
-            self.probation_order.remove(&(t, key));
-            let nt = self.next_tick();
-            self.protected.insert(key, nt);
-            self.protected_order.insert((nt, key));
-            // Overflowing protected demotes its LRU back to probation
-            // as the most-recent probationary key (it keeps a fair
-            // shot at re-promotion, but is no longer scan-proof).
-            while self.protected.len() > self.protected_cap {
-                let &(dt, dk) = self
-                    .protected_order
-                    .iter()
-                    .next()
-                    .expect("protected non-empty while over cap");
-                self.protected_order.remove(&(dt, dk));
-                self.protected.remove(&dk);
-                let nt = self.next_tick();
-                self.probation.insert(dk, nt);
-                self.probation_order.insert((nt, dk));
-            }
+        let t = self.next_tick();
+        self.protected.set(key, t, ());
+        // Overflowing protected demotes its LRU back to probation as
+        // the most-recent probationary key (it keeps a fair shot at
+        // re-promotion, but is no longer scan-proof).
+        while self.protected.len() > self.protected_cap {
+            let (demoted, ..) = self
+                .protected
+                .pop_min()
+                .expect("protected non-empty while over cap");
+            let t = self.next_tick();
+            self.probation.set(demoted, t, ());
         }
     }
 
     fn on_remove(&mut self, key: Key) {
-        if let Some(t) = self.probation.remove(&key) {
-            self.probation_order.remove(&(t, key));
-        } else if let Some(t) = self.protected.remove(&key) {
-            self.protected_order.remove(&(t, key));
+        if self.probation.remove(key).is_none() {
+            self.protected.remove(key);
         }
     }
 
     fn pop_victim(&mut self) -> Option<Key> {
-        if let Some(&(t, key)) = self.probation_order.iter().next() {
-            self.probation_order.remove(&(t, key));
-            self.probation.remove(&key);
-            return Some(key);
-        }
-        let &(t, key) = self.protected_order.iter().next()?;
-        self.protected_order.remove(&(t, key));
-        self.protected.remove(&key);
+        let (key, ..) = self
+            .probation
+            .pop_min()
+            .or_else(|| self.protected.pop_min())?;
         Some(key)
     }
 
@@ -637,134 +539,54 @@ impl CachePolicy for SlruPolicy {
     }
 }
 
-/// LFU with dynamic aging: each key's priority is `age + freq`, where
-/// `age` is a global term set to the victim's priority at every
-/// eviction. A formerly-hot key stops being touched, the age term
-/// catches up, and it becomes evictable — fixing exact LFU's cache
-/// pollution on drifting hot sets. Ties break by recency then key.
-pub struct LfudaPolicy {
-    age: u64,
-    tick: u64,
-    state: HashMap<Key, (u64, u64, u64)>, // key -> (freq, priority, last tick)
-    order: BTreeSet<(u64, u64, Key)>,     // (priority, tick, key)
-}
-
-impl LfudaPolicy {
-    /// Creates an empty LFUDA policy.
-    pub fn new() -> Self {
-        LfudaPolicy {
-            age: 0,
-            tick: 0,
-            state: HashMap::new(),
-            order: BTreeSet::new(),
-        }
-    }
-
-    /// The current global age term (the last victim's priority).
-    pub fn age(&self) -> u64 {
-        self.age
-    }
-}
-
-impl Default for LfudaPolicy {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CachePolicy for LfudaPolicy {
-    fn on_insert(&mut self, key: Key) {
-        self.tick += 1;
-        if let Some(&(f, p, t)) = self.state.get(&key) {
-            // Repin of a tracked key: refresh recency, keep its score.
-            self.order.remove(&(p, t, key));
-            self.state.insert(key, (f, p, self.tick));
-            self.order.insert((p, self.tick, key));
-            return;
-        }
-        let pri = self.age + 1;
-        self.state.insert(key, (1, pri, self.tick));
-        self.order.insert((pri, self.tick, key));
-    }
-
-    fn on_access(&mut self, key: Key) {
-        let Some(&(f, p, t)) = self.state.get(&key) else {
-            return;
-        };
-        self.tick += 1;
-        self.order.remove(&(p, t, key));
-        let nf = f + 1;
-        let pri = self.age + nf;
-        self.state.insert(key, (nf, pri, self.tick));
-        self.order.insert((pri, self.tick, key));
-    }
-
-    fn on_remove(&mut self, key: Key) {
-        if let Some((_, p, t)) = self.state.remove(&key) {
-            self.order.remove(&(p, t, key));
-        }
-    }
-
-    fn pop_victim(&mut self) -> Option<Key> {
-        let &(p, t, key) = self.order.iter().next()?;
-        self.order.remove(&(p, t, key));
-        self.state.remove(&key);
-        // Dynamic aging: the victim's priority becomes the floor every
-        // future insert/access builds on.
-        self.age = p;
-        Some(key)
-    }
-
-    fn len(&self) -> usize {
-        self.state.len()
-    }
-}
-
 /// Fixed-point scale for GDSF's cost/size ratio so priorities stay in
 /// exact integer arithmetic (deterministic across platforms).
 pub const GDSF_SCALE: u64 = 1024;
 
 /// Greedy-Dual-Size-Frequency: priority is
-/// `age + freq · cost · SCALE / size` with the same dynamic-aging term
-/// as LFUDA. Cost is the α-β refetch price of the row (message header
-/// plus payload), size its cache footprint, both in bytes — so small
-/// per-key messages (high α share) are worth keeping relative to their
-/// footprint, and expensive-to-refetch rows outrank cheap ones.
-pub struct GdsfPolicy {
+/// `age + freq · cost · SCALE / size`, where `age` is a global term set
+/// to the victim's priority at every eviction (dynamic aging: a
+/// formerly-hot key stops being touched, the age term catches up, and
+/// it becomes evictable). Cost is the α-β refetch price of the row
+/// (message header plus payload), size its cache footprint, both in
+/// bytes — so small per-key messages (high α share) are worth keeping
+/// relative to their footprint, and expensive-to-refetch rows outrank
+/// cheap ones. Ties break by recency, then key.
+///
+/// LFUDA is this policy at the unit price `(cost, size) = (1, SCALE)`
+/// for every key, whatever the table quotes: the priority is then
+/// exactly `age + freq`.
+struct GdsfPolicy {
     age: u64,
     tick: u64,
-    // Remembered (cost, size) from the latest priced insert, used when
-    // a key is re-admitted without a price (the repin path). Tables
-    // hold uniform-dimension rows, so this matches the real price.
-    default_price: (u64, u64),
-    state: HashMap<Key, GdsfEntry>,
-    order: BTreeSet<(u64, u64, Key)>, // (priority, tick, key)
-}
-
-#[derive(Clone, Copy)]
-struct GdsfEntry {
-    freq: u64,
-    cost: u64,
-    size: u64,
-    pri: u64,
-    tick: u64,
+    /// LFUDA: keep `price` at the unit price and ignore quoted ones.
+    unit_price: bool,
+    /// (cost, size) of the latest priced insert, used when a key is
+    /// admitted without a price (the repin path). Tables hold
+    /// uniform-dimension rows, so this matches the real price.
+    price: (u64, u64),
+    /// (priority, last tick) → (freq, cost, size).
+    order: Ranked<(u64, u64), (u64, u64, u64)>,
 }
 
 impl GdsfPolicy {
-    /// Creates an empty GDSF policy.
-    pub fn new() -> Self {
+    fn new() -> Self {
         GdsfPolicy {
             age: 0,
             tick: 0,
-            default_price: (1, 1),
-            state: HashMap::new(),
-            order: BTreeSet::new(),
+            unit_price: false,
+            price: (1, 1),
+            order: Ranked::new(),
         }
     }
 
-    /// The current global age term (the last victim's priority).
-    pub fn age(&self) -> u64 {
-        self.age
+    /// LFU with dynamic aging: GDSF at the unit price.
+    fn lfuda() -> Self {
+        GdsfPolicy {
+            unit_price: true,
+            price: (1, GDSF_SCALE),
+            ..Self::new()
+        }
     }
 
     fn priority(age: u64, freq: u64, cost: u64, size: u64) -> u64 {
@@ -772,82 +594,51 @@ impl GdsfPolicy {
     }
 }
 
-impl Default for GdsfPolicy {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl CachePolicy for GdsfPolicy {
     fn on_insert(&mut self, key: Key) {
-        let (cost, size) = self.default_price;
-        self.on_insert_cost(key, cost, size);
+        self.tick += 1;
+        let (pri, state) = match self.order.get(key) {
+            // Repin of a tracked key: refresh recency, keep its score.
+            Some(&((pri, _), state)) => (pri, state),
+            None => {
+                let (cost, size) = self.price;
+                (Self::priority(self.age, 1, cost, size), (1, cost, size))
+            }
+        };
+        self.order.set(key, (pri, self.tick), state);
     }
 
     fn on_insert_cost(&mut self, key: Key, cost_bytes: u64, size_bytes: u64) {
-        let cost = cost_bytes.max(1);
-        let size = size_bytes.max(1);
-        self.default_price = (cost, size);
-        self.tick += 1;
-        if let Some(&e) = self.state.get(&key) {
-            // Repin of a tracked key: refresh recency, keep its score.
-            self.order.remove(&(e.pri, e.tick, key));
-            let ne = GdsfEntry {
-                tick: self.tick,
-                ..e
-            };
-            self.state.insert(key, ne);
-            self.order.insert((ne.pri, ne.tick, key));
-            return;
+        if !self.unit_price {
+            self.price = (cost_bytes.max(1), size_bytes.max(1));
         }
-        let pri = Self::priority(self.age, 1, cost, size);
-        self.state.insert(
-            key,
-            GdsfEntry {
-                freq: 1,
-                cost,
-                size,
-                pri,
-                tick: self.tick,
-            },
-        );
-        self.order.insert((pri, self.tick, key));
+        self.on_insert(key);
     }
 
     fn on_access(&mut self, key: Key) {
-        let Some(&e) = self.state.get(&key) else {
+        let Some(&(_, (freq, cost, size))) = self.order.get(key) else {
             return;
         };
         self.tick += 1;
-        self.order.remove(&(e.pri, e.tick, key));
-        let freq = e.freq + 1;
-        let pri = Self::priority(self.age, freq, e.cost, e.size);
-        let ne = GdsfEntry {
-            freq,
-            pri,
-            tick: self.tick,
-            ..e
-        };
-        self.state.insert(key, ne);
-        self.order.insert((pri, self.tick, key));
+        let freq = freq + 1;
+        let pri = Self::priority(self.age, freq, cost, size);
+        self.order.set(key, (pri, self.tick), (freq, cost, size));
     }
 
     fn on_remove(&mut self, key: Key) {
-        if let Some(e) = self.state.remove(&key) {
-            self.order.remove(&(e.pri, e.tick, key));
-        }
+        self.order.remove(key);
     }
 
     fn pop_victim(&mut self) -> Option<Key> {
-        let &(p, t, key) = self.order.iter().next()?;
-        self.order.remove(&(p, t, key));
-        self.state.remove(&key);
-        self.age = p;
+        let (key, (pri, _), _) = self.order.pop_min()?;
+        // Dynamic aging: the victim's priority becomes the floor every
+        // future insert/access builds on.
+        self.age = pri;
         Some(key)
     }
 
     fn len(&self) -> usize {
-        self.state.len()
+        self.order.len()
     }
 }
 
@@ -871,12 +662,12 @@ const ADAPTIVE_SKEW_LOW: f64 = 0.2;
 /// Determinism rule: evaluation points are a pure function of the
 /// observation count, the sketch state is a pure function of the
 /// observed key sequence, and on a switch the resident set is replayed
-/// into the successor in recency order (oldest first) from the
-/// meta-policy's own ordered bookkeeping — so same-seed runs switch at
-/// identical points and stay byte-identical. Each switch emits a
+/// into the successor in recency order (oldest first) from a shadow
+/// LRU over the residents — so same-seed runs switch at identical
+/// points and stay byte-identical. Each switch emits a
 /// `cache.policy_switch` instant event and bumps the
 /// `cache.policy_switches` counter.
-pub struct AdaptivePolicy {
+struct AdaptivePolicy {
     capacity: usize,
     window: u64,
     obs_in_window: u64,
@@ -884,20 +675,16 @@ pub struct AdaptivePolicy {
     current: PolicyKind,
     inner: Box<dyn CachePolicy>,
     sketch: SpaceSaving,
-    tick: u64,
-    recency: HashMap<Key, u64>,
-    order: BTreeSet<(u64, Key)>,
+    recency: LruPolicy,
     switches: u64,
 }
 
 impl AdaptivePolicy {
-    /// Creates the meta-policy for a table of the given capacity,
-    /// evaluating skew every `window` observations. Starts on SLRU
-    /// (the middle ground) until the first evaluation.
+    /// Starts on SLRU (the middle ground) until the first evaluation.
     ///
     /// # Panics
     /// Panics if `capacity == 0` or `window == 0`.
-    pub fn new(capacity: usize, window: u64) -> Self {
+    fn new(capacity: usize, window: u64) -> Self {
         assert!(capacity > 0, "adaptive policy needs a positive capacity");
         assert!(window > 0, "adaptive evaluation window must be positive");
         let current = PolicyKind::Slru;
@@ -909,32 +696,15 @@ impl AdaptivePolicy {
             current,
             inner: current.build(capacity),
             sketch: SpaceSaving::new(ADAPTIVE_SKETCH_KEYS),
-            tick: 0,
-            recency: HashMap::new(),
-            order: BTreeSet::new(),
+            recency: LruPolicy::new(),
             switches: 0,
         }
     }
 
-    /// The kind of the currently live inner policy.
-    pub fn current_kind(&self) -> PolicyKind {
-        self.current
-    }
-
-    /// Number of switches performed so far.
-    pub fn switches(&self) -> u64 {
-        self.switches
-    }
-
-    fn touch(&mut self, key: Key) {
-        self.tick += 1;
-        if let Some(old) = self.recency.insert(key, self.tick) {
-            self.order.remove(&(old, key));
-        }
-        self.order.insert((self.tick, key));
-    }
-
+    /// Touches `key` in the recency shadow and feeds it to the sketch,
+    /// switching the inner policy at a window boundary.
     fn observe(&mut self, key: Key) {
+        self.recency.on_access(key);
         self.sketch.observe(key);
         self.obs_in_window += 1;
         self.total_obs += 1;
@@ -975,7 +745,7 @@ impl AdaptivePolicy {
         let mut fresh = next.build(self.capacity);
         // Replay residents oldest-first so the successor's recency
         // order mirrors ours — deterministic for same-seed runs.
-        for &(_, key) in &self.order {
+        for (&key, _) in self.recency.order.iter() {
             fresh.on_insert(key);
         }
         self.inner = fresh;
@@ -985,7 +755,7 @@ impl AdaptivePolicy {
             "from" => self.current.to_string(),
             "to" => next.to_string(),
             "hot_frac" => hot_frac,
-            "resident" => self.order.len(),
+            "resident" => self.recency.len(),
             "observations" => self.total_obs,
         );
         self.current = next;
@@ -994,35 +764,28 @@ impl AdaptivePolicy {
 
 impl CachePolicy for AdaptivePolicy {
     fn on_insert(&mut self, key: Key) {
-        self.touch(key);
         self.observe(key);
         self.inner.on_insert(key);
     }
 
     fn on_insert_cost(&mut self, key: Key, cost_bytes: u64, size_bytes: u64) {
-        self.touch(key);
         self.observe(key);
         self.inner.on_insert_cost(key, cost_bytes, size_bytes);
     }
 
     fn on_access(&mut self, key: Key) {
-        self.touch(key);
         self.observe(key);
         self.inner.on_access(key);
     }
 
     fn on_remove(&mut self, key: Key) {
-        if let Some(t) = self.recency.remove(&key) {
-            self.order.remove(&(t, key));
-        }
+        self.recency.on_remove(key);
         self.inner.on_remove(key);
     }
 
     fn pop_victim(&mut self) -> Option<Key> {
         let key = self.inner.pop_victim()?;
-        if let Some(t) = self.recency.remove(&key) {
-            self.order.remove(&(t, key));
-        }
+        self.recency.on_remove(key);
         Some(key)
     }
 
@@ -1143,7 +906,7 @@ mod tests {
         p.on_insert(2);
         p.on_access(1); // freq 2
         p.on_access(1); // freq 3 -> promoted
-        assert_eq!(p.promoted_len(), 1);
+        assert_eq!(p.hot.len(), 1);
         // Victim must be the cold key even though 1 is "older".
         assert_eq!(p.pop_victim(), Some(2));
         // Only the promoted key remains: FIFO fallback yields it.
@@ -1156,11 +919,11 @@ mod tests {
         let mut p = LightLfuPolicy::new(2);
         p.on_insert(1);
         p.on_access(1); // promoted at freq 2
-        let before = p.promoted_len();
+        let before = p.hot.len();
         for _ in 0..100 {
             p.on_access(1);
         }
-        assert_eq!(p.promoted_len(), before);
+        assert_eq!(p.hot.len(), before);
         assert_eq!(p.len(), 1);
     }
 
@@ -1240,7 +1003,7 @@ mod tests {
             p.on_insert(k);
             p.on_access(k);
         }
-        assert_eq!(p.protected_len(), 3);
+        assert_eq!(p.protected.len(), 3);
         // A one-pass scan: inserted once, never re-referenced.
         for k in 100..110u64 {
             p.on_insert(k);
@@ -1264,7 +1027,7 @@ mod tests {
         p.on_access(0);
         p.on_access(1);
         p.on_access(2); // protected over cap: demotes 0 back to probation
-        assert_eq!(p.protected_len(), 2);
+        assert_eq!(p.protected.len(), 2);
         // 0 is now the probationary victim.
         assert_eq!(p.pop_victim(), Some(0));
     }
@@ -1283,7 +1046,7 @@ mod tests {
 
     #[test]
     fn lfuda_ages_out_formerly_hot_keys() {
-        let mut p = LfudaPolicy::new();
+        let mut p = GdsfPolicy::lfuda();
         p.on_insert(1);
         for _ in 0..9 {
             p.on_access(1); // freq 10, pri 10
@@ -1297,7 +1060,7 @@ mod tests {
         while aged_out_at.is_none() && k < 1000 {
             p.on_insert(k);
             if p.len() > 3 && p.pop_victim() == Some(1) {
-                aged_out_at = Some(p.age());
+                aged_out_at = Some(p.age);
             }
             k += 1;
         }
@@ -1307,7 +1070,7 @@ mod tests {
 
     #[test]
     fn lfuda_breaks_priority_ties_by_recency() {
-        let mut p = LfudaPolicy::new();
+        let mut p = GdsfPolicy::lfuda();
         p.on_insert(1);
         p.on_insert(2);
         assert_eq!(p.pop_victim(), Some(1));
@@ -1344,7 +1107,7 @@ mod tests {
         while aged_out_at.is_none() && k < 1000 {
             p.on_insert_cost(k, 100, 100);
             if p.len() > 3 && p.pop_victim() == Some(1) {
-                aged_out_at = Some(p.age());
+                aged_out_at = Some(p.age);
             }
             k += 1;
         }
@@ -1366,7 +1129,7 @@ mod tests {
     #[test]
     fn adaptive_switches_to_lfuda_under_skew() {
         let mut p = AdaptivePolicy::new(64, 32);
-        assert_eq!(p.current_kind(), PolicyKind::Slru);
+        assert_eq!(p.current, PolicyKind::Slru);
         for k in 0..8u64 {
             p.on_insert(k);
         }
@@ -1374,9 +1137,8 @@ mod tests {
         for i in 0..200u64 {
             p.on_access(i % 2);
         }
-        assert_eq!(p.current_kind(), PolicyKind::Lfuda);
-        assert!(p.switches() >= 1);
-        assert_eq!(p.switch_count(), p.switches());
+        assert_eq!(p.current, PolicyKind::Lfuda);
+        assert!(p.switch_count() >= 1);
     }
 
     #[test]
@@ -1387,7 +1149,7 @@ mod tests {
         for i in 0..2048u64 {
             p.on_insert(i % 1024);
         }
-        assert_eq!(p.current_kind(), PolicyKind::Lru);
+        assert_eq!(p.current, PolicyKind::Lru);
     }
 
     #[test]
@@ -1400,10 +1162,10 @@ mod tests {
         for _ in 0..32 {
             p.on_access(0);
         }
-        assert!(p.switches() >= 1, "stream should have forced a switch");
+        assert!(p.switch_count() >= 1, "stream should have forced a switch");
         assert_eq!(p.len(), 10, "residents must survive the switch");
         // Every resident is still evictable exactly once.
-        let mut victims = BTreeSet::new();
+        let mut victims = HashSet::new();
         while let Some(v) = p.pop_victim() {
             assert!(victims.insert(v), "duplicate victim {v}");
         }
@@ -1426,7 +1188,7 @@ mod tests {
                     victims.push(p.pop_victim().unwrap());
                 }
             }
-            (victims, p.switches())
+            (victims, p.switch_count())
         };
         let (v1, s1) = run();
         let (v2, s2) = run();

@@ -35,7 +35,7 @@ impl CacheStats {
         self.hits + self.misses
     }
 
-    /// Miss rate in [0,1]; 0 when nothing was looked up.
+    /// Miss rate in `[0, 1]`; 0 when nothing was looked up.
     pub fn miss_rate(&self) -> f64 {
         let total = self.lookups();
         if total == 0 {
@@ -45,7 +45,7 @@ impl CacheStats {
         }
     }
 
-    /// Hit rate in [0,1].
+    /// Hit rate in `[0, 1]`.
     pub fn hit_rate(&self) -> f64 {
         let total = self.lookups();
         if total == 0 {

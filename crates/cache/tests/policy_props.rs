@@ -2,9 +2,7 @@
 //! randomised operation sequences, drawn from a seeded in-tree
 //! generator so runs are deterministic and hermetic.
 
-use het_cache::{
-    CachePolicy, CacheTable, ClockPolicy, LfuPolicy, LightLfuPolicy, LruPolicy, PolicyKind,
-};
+use het_cache::{CachePolicy, CacheTable, PolicyKind};
 use het_rng::rngs::StdRng;
 use het_rng::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -79,7 +77,7 @@ fn check_policy(mut policy: Box<dyn CachePolicy>, ops: Vec<Op>) {
 fn lru_tracks_reference_model() {
     let mut rng = StdRng::seed_from_u64(0xCACE_0001);
     for _ in 0..CASES {
-        check_policy(Box::new(LruPolicy::new()), random_ops(&mut rng, 200));
+        check_policy(PolicyKind::Lru.build(16), random_ops(&mut rng, 200));
     }
 }
 
@@ -87,7 +85,7 @@ fn lru_tracks_reference_model() {
 fn lfu_tracks_reference_model() {
     let mut rng = StdRng::seed_from_u64(0xCACE_0002);
     for _ in 0..CASES {
-        check_policy(Box::new(LfuPolicy::new()), random_ops(&mut rng, 200));
+        check_policy(PolicyKind::Lfu.build(16), random_ops(&mut rng, 200));
     }
 }
 
@@ -95,7 +93,7 @@ fn lfu_tracks_reference_model() {
 fn clock_tracks_reference_model() {
     let mut rng = StdRng::seed_from_u64(0xCACE_0003);
     for _ in 0..CASES {
-        check_policy(Box::new(ClockPolicy::new()), random_ops(&mut rng, 200));
+        check_policy(PolicyKind::Clock.build(16), random_ops(&mut rng, 200));
     }
 }
 
@@ -105,7 +103,10 @@ fn light_lfu_tracks_reference_model() {
     for _ in 0..CASES {
         let threshold = rng.gen_range(1u64..8);
         check_policy(
-            Box::new(LightLfuPolicy::new(threshold)),
+            PolicyKind::LightLfu {
+                promote_threshold: threshold,
+            }
+            .build(16),
             random_ops(&mut rng, 200),
         );
     }
@@ -135,7 +136,7 @@ fn lru_drain_order_is_recency_order() {
     for _ in 0..CASES {
         let n = rng.gen_range(1usize..40);
         let keys: Vec<u64> = (0..n).map(|_| rng.gen_range(0u64..64)).collect();
-        let mut policy = LruPolicy::new();
+        let mut policy = PolicyKind::Lru.build(64);
         let mut last_touch: Vec<u64> = Vec::new();
         for &k in &keys {
             if last_touch.contains(&k) {

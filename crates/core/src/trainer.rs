@@ -3,8 +3,8 @@
 //! Workers train *for real* (models from `het-models`, parameters on
 //! `het-ps`). The job body — Algorithm 1's `Het.Read` → forward/backward
 //! → `Het.Write` → dense sync, plus the round collectives, evaluation
-//! and the end-of-run flush — exists once, as methods on [`Worker`] over
-//! the shared [`StepEnv`]. Two schedulers drive it:
+//! and the end-of-run flush — exists once, as methods on `Worker` over
+//! the shared `StepEnv`. Two schedulers drive it:
 //!
 //! * this module's [`Process`] handlers, on the discrete-event
 //!   [`ClusterRuntime`]: every step advances a worker's clock by the

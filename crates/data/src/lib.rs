@@ -22,12 +22,14 @@
 pub mod ctr;
 pub mod graph;
 pub mod metrics;
+pub mod ranked;
 pub mod topk;
 pub mod zipf;
 
 pub use ctr::{CtrBatch, CtrConfig, CtrDataset};
 pub use graph::{GnnBatch, Graph, GraphConfig, NeighborSampler};
 pub use metrics::{auc, log_loss, LatencyHistogram};
+pub use ranked::Ranked;
 pub use topk::SpaceSaving;
 pub use zipf::ZipfSampler;
 

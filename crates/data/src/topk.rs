@@ -9,16 +9,13 @@
 //! any key with true frequency > N/k is monitored, and every estimate
 //! overshoots by at most `min_count`.
 
-use crate::Key;
-use std::collections::{BTreeSet, HashMap};
+use crate::{Key, Ranked};
 
 /// A SpaceSaving sketch over embedding keys.
 pub struct SpaceSaving {
     capacity: usize,
-    /// key → (estimated count, overestimation).
-    counters: HashMap<Key, (u64, u64)>,
-    /// (count, key) ordered set for O(log k) minimum lookups.
-    order: BTreeSet<(u64, Key)>,
+    /// key → estimated count (the rank), with its overestimation.
+    counters: Ranked<u64, u64>,
     total: u64,
 }
 
@@ -31,8 +28,7 @@ impl SpaceSaving {
         assert!(capacity > 0, "sketch capacity must be positive");
         SpaceSaving {
             capacity,
-            counters: HashMap::with_capacity(capacity + 1),
-            order: BTreeSet::new(),
+            counters: Ranked::with_capacity(capacity + 1),
             total: 0,
         }
     }
@@ -55,39 +51,31 @@ impl SpaceSaving {
     /// Records one observation of `key`.
     pub fn observe(&mut self, key: Key) {
         self.total += 1;
-        if let Some(&(count, over)) = self.counters.get(&key) {
-            self.order.remove(&(count, key));
-            self.counters.insert(key, (count + 1, over));
-            self.order.insert((count + 1, key));
-            return;
+        if let Some(&(count, over)) = self.counters.get(key) {
+            self.counters.set(key, count + 1, over);
+        } else if self.counters.len() < self.capacity {
+            self.counters.set(key, 1, 0);
+        } else {
+            // Replace the minimum: the newcomer inherits its count as
+            // the overestimation bound.
+            let (_, min_count, _) = self.counters.pop_min().expect("non-empty at capacity");
+            self.counters.set(key, min_count + 1, min_count);
         }
-        if self.counters.len() < self.capacity {
-            self.counters.insert(key, (1, 0));
-            self.order.insert((1, key));
-            return;
-        }
-        // Replace the minimum: the newcomer inherits its count as the
-        // overestimation bound.
-        let &(min_count, min_key) = self.order.iter().next().expect("non-empty at capacity");
-        self.order.remove(&(min_count, min_key));
-        self.counters.remove(&min_key);
-        self.counters.insert(key, (min_count + 1, min_count));
-        self.order.insert((min_count + 1, key));
     }
 
     /// The estimated count of a key, with its overestimation bound;
     /// `None` if the key is not monitored.
     pub fn estimate(&self, key: Key) -> Option<(u64, u64)> {
-        self.counters.get(&key).copied()
+        self.counters.get(key).copied()
     }
 
     /// The monitored keys sorted by estimated count, descending.
     pub fn top(&self, n: usize) -> Vec<(Key, u64)> {
-        self.order
+        self.counters
             .iter()
             .rev()
             .take(n)
-            .map(|&(count, key)| (key, count))
+            .map(|(&key, &(count, _))| (key, count))
             .collect()
     }
 

@@ -386,7 +386,7 @@ impl PsServer {
     /// The shard a key lives on — public so the failover path and the
     /// client's outage handling can reason about shard placement.
     ///
-    /// The key's [`home`](PsServer::home), unless a split out of that
+    /// The key's `home` shard, unless a split out of that
     /// shard is migrating and has already moved the key to its child
     /// (dual read). With no splits this is the historical
     /// `splitmix64(key) % n_shards`.

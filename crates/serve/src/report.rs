@@ -2,7 +2,7 @@
 //! per-replica cache behaviour.
 //!
 //! One [`ServeReport`] serves both execution backends, assembled by one
-//! function ([`ServeReport::assemble`]) from per-replica rows. The config
+//! function (`ServeReport::assemble`) from per-replica rows. The config
 //! echo, request/batch counts, cache counters and per-replica rows mean
 //! the same on both. Time-valued fields are on the clock of the backend
 //! that ran: on the sim, latency is arrival → batch completion in

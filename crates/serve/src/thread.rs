@@ -18,7 +18,7 @@
 //!   queue routing are simulation constructs; the threaded backend is
 //!   a throughput/parallelism harness, not a queueing model.
 //!
-//! The per-thread results feed the same [`ServeReport::assemble`] the
+//! The per-thread results feed the same `ServeReport::assemble` the
 //! simulator's report comes from, so both backends return one schema:
 //! here `backend` is `threads:<n>`, latency and `throughput_rps` are on
 //! the host clock, and the modelled `sim_time_ns`, `queue_wait_ns`,
@@ -159,9 +159,9 @@ fn run_fleet<M: EmbeddingModel<Batch = CtrBatch>>(
 
 /// Runs a threaded serving fleet over a private PS fabric: `n_threads`
 /// replica threads drain the deterministic request schedule of `cfg`.
-/// The `--backend threads:<n>` analogue of [`ServeSim::run`]
-/// (`crate::ServeSim::run`); see the module docs for what carries over
-/// and what does not.
+/// The `--backend threads:<n>` analogue of
+/// [`ServeSim::run`](crate::ServeSim::run); see the module docs for what
+/// carries over and what does not.
 pub fn run_threaded_serve<M: EmbeddingModel<Batch = CtrBatch>>(
     cfg: ServeConfig,
     n_threads: usize,
@@ -245,7 +245,7 @@ fn serve_on<M: EmbeddingModel<Batch = CtrBatch>>(
 }
 
 /// Co-scheduled training + serving on the threaded backend: the
-/// trainer's worker threads ([`Trainer::run_threaded`]) and a replica
+/// trainer's worker threads ([`het_core::Trainer::run_threaded`]) and a replica
 /// fleet share one live PS fabric and genuinely run *concurrently* —
 /// every `push_inc` the trainer lands advances the per-key clocks the
 /// fleet's `CheckValid` reads are bounded by, on real threads instead

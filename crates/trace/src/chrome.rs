@@ -1,6 +1,6 @@
 //! Chrome `trace_event` export.
 //!
-//! Converts a [`TraceLog`](crate::TraceLog) into the JSON object format
+//! Converts a [`TraceLog`] into the JSON object format
 //! consumed by `chrome://tracing` and Perfetto: spans become complete
 //! (`"ph":"X"`) events, instants become `"ph":"i"`, and final counter
 //! values are appended as one `"ph":"C"` sample at the end of the
