@@ -121,6 +121,30 @@ cargo run -q --release -p het-bench --bin hetctl -- chaos --seed 7
 echo "==> chaos recovery campaign (every seed must ride out the storm)"
 cargo run -q --release -p het-bench --bin hetctl -- chaos --seeds 0..120
 
+# A sabotaged mini-campaign must catch a violation, write a repro file,
+# and exit 1; replaying that file must reproduce it. This runs the repro
+# file's spellings end to end. It goes before the campaign below because
+# both write target/experiments/oracle_fuzz.json, and the clean
+# campaign's record is the one to keep.
+echo "==> oracle repro path (sabotaged mini-campaign fails, its repro replays the violation)"
+rm -rf target/oracle-ci
+status=0
+cargo run -q --release -p het-bench --bin hetctl -- oracle --master-seed 7 --seeds 0..40 \
+    --iters 40 --sabotage-staleness 16 --stop-after 1 --out target/oracle-ci || status=$?
+if [ "$status" -ne 1 ]; then
+    echo "sabotaged campaign exited $status, expected 1"
+    exit 1
+fi
+repro=$(ls target/oracle-ci/repro-7-*.json)
+status=0
+replay=$(cargo run -q --release -p het-bench --bin hetctl -- oracle --repro "$repro" 2>&1) \
+    || status=$?
+echo "$replay"
+if [ "$status" -ne 1 ] || ! echo "$replay" | grep -q "violation reproduced"; then
+    echo "replaying $repro exited $status without reproducing the violation"
+    exit 1
+fi
+
 echo "==> consistency oracle (120-seed fuzz campaign over the full policy zoo)"
 # The campaign also exercises the prefetch cell: ~1/3 of sampled
 # scenarios run with nonzero lookahead and are re-checked against the

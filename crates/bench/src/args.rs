@@ -1,6 +1,9 @@
 //! `--flag value` parsing shared by every `hetctl` subcommand and every
 //! row of the experiment table.
 
+use std::fmt::Display;
+use std::str::FromStr;
+
 /// Levenshtein distance, for "did you mean" on a mistyped name.
 fn edit_distance(a: &str, b: &str) -> usize {
     let b: Vec<char> = b.chars().collect();
@@ -67,29 +70,33 @@ impl Args {
     }
 
     /// A comma-separated list flag.
-    pub fn get_list<T: std::str::FromStr>(
-        &self,
-        key: &str,
-        default: Vec<T>,
-    ) -> Result<Vec<T>, String> {
-        let Some(list) = self.get(key) else {
-            return Ok(default);
-        };
-        let parse = |v: &str| v.trim().parse();
-        list.split(',')
-            .map(|v| parse(v).map_err(|_| format!("--{key}: cannot parse '{v}'")))
-            .collect()
+    pub fn get_list<T: FromStr>(&self, key: &str, default: Vec<T>) -> Result<Vec<T>, String>
+    where
+        T::Err: Display,
+    {
+        self.get(key).map_or(Ok(default), |list| {
+            list.split(',').map(|v| parse_flag(key, v.trim())).collect()
+        })
     }
 
     /// The value of `--key` parsed as `T`, or `default` when absent.
-    pub fn get_parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key}: cannot parse '{v}'")),
-        }
+    pub fn get_parsed<T: FromStr>(&self, key: &str, default: T) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        self.get(key).map_or(Ok(default), |v| parse_flag(key, v))
     }
+}
+
+/// `value` of `--key` parsed as `T`; a failure keeps the type's own
+/// message.
+fn parse_flag<T: FromStr>(key: &str, value: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    value
+        .parse()
+        .map_err(|e| format!("--{key}: cannot parse '{value}': {e}"))
 }
 
 /// The flags [`TraceArgs`] reads.

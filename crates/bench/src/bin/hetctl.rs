@@ -14,6 +14,11 @@
 //! hetctl list
 //! ```
 //!
+//! Every flag that names a value — `--workload`, `--system`,
+//! `--baseline`, `--policy`, `--store`, `--backend`, `--network` — takes
+//! the spellings `hetctl list` prints, read by the value type's own
+//! `FromStr` in the crate that defines it.
+//!
 //! `train`, `serve`, and `colocate` additionally take
 //! `--backend sim|threads:<n>`: `sim` (the default) is the
 //! deterministic discrete-event simulator, `threads:<n>` runs the same
@@ -57,7 +62,8 @@ use het_bench::{
     TraceArgs, Workload, EXPERIMENTS, TRACE_FLAGS,
 };
 use het_cache::PolicyKind;
-use het_core::config::{SystemPreset, TrainerConfig};
+use het_core::config::SystemPreset::{HetCache, HetHybrid};
+use het_core::config::{StoreSpec, SystemPreset, TrainerConfig};
 use het_core::{FaultConfig, TrainReport};
 use het_runtime::ExecutionBackend;
 use het_simnet::{ClusterSpec, SimDuration};
@@ -71,85 +77,17 @@ const PLAN_FLAGS: &str = "fault-plan fault-plan-dump";
 const TRAIN_FLAGS: &str = "workload system staleness backend workers servers dim iters cache-frac \
                            policy network target lr lookahead store";
 
-fn workload_of(name: &str) -> Result<Workload, String> {
-    Ok(match name {
-        "wdl" => Workload::WdlCriteo,
-        "dfm" => Workload::DfmCriteo,
-        "dcn" => Workload::DcnCriteo,
-        "reddit" => Workload::GnnReddit,
-        "amazon" => Workload::GnnAmazon,
-        "mag" => Workload::GnnOgbnMag,
-        other => {
-            return Err(format!(
-                "unknown workload '{other}' (try: wdl dfm dcn reddit amazon mag)"
-            ))
-        }
-    })
-}
+/// What `--network` reads: the link of the paper's cluster A or B.
+const NETWORKS: &str = "1gbe 10gbe";
 
-fn system_of(name: &str, staleness: u64) -> Result<SystemPreset, String> {
-    Ok(match name {
-        "tf-ps" => SystemPreset::TfPs,
-        "tf-parallax" => SystemPreset::TfParallax,
-        "het-ps" => SystemPreset::HetPs,
-        "het-ar" => SystemPreset::HetAr,
-        "het-hybrid" => SystemPreset::HetHybrid,
-        "het-cache" => SystemPreset::HetCache { staleness },
-        "ssp" => SystemPreset::Ssp { staleness },
-        other => return Err(format!(
-            "unknown system '{other}' (try: tf-ps tf-parallax het-ps het-ar het-hybrid het-cache ssp)"
-        )),
-    })
-}
-
-fn policy_of(name: &str) -> Result<PolicyKind, String> {
-    // Parameterised forms: `lightlfu:THRESHOLD`, `adaptive:WINDOW`.
-    if let Some(t) = name.strip_prefix("lightlfu:") {
-        let promote_threshold = t
-            .parse::<u64>()
-            .map_err(|_| format!("bad lightlfu threshold '{t}'"))?;
-        return Ok(PolicyKind::LightLfu { promote_threshold });
-    }
-    if let Some(w) = name.strip_prefix("adaptive:") {
-        let window = w
-            .parse::<u64>()
-            .map_err(|_| format!("bad adaptive window '{w}'"))?;
-        return Ok(PolicyKind::Adaptive { window });
-    }
-    Ok(match name {
-        "lru" => PolicyKind::Lru,
-        "lfu" => PolicyKind::Lfu,
-        "lightlfu" => PolicyKind::light_lfu(),
-        "clock" => PolicyKind::Clock,
-        "slru" => PolicyKind::Slru,
-        "lfuda" => PolicyKind::Lfuda,
-        "gdsf" => PolicyKind::Gdsf,
-        "adaptive" => PolicyKind::adaptive(),
-        other => {
-            return Err(format!(
-                "unknown policy '{other}' (try: lru lfu lightlfu[:T] clock slru lfuda gdsf adaptive[:W])"
-            ))
-        }
-    })
-}
-
-/// `--store mem | tiered:<hot_rows>`: the PS shard row-store backend.
-fn store_spec_of(name: &str) -> Result<het_ps::StoreSpec, String> {
-    if let Some(h) = name.strip_prefix("tiered:") {
-        let hot_rows: usize = h
-            .parse()
-            .map_err(|_| format!("bad tiered hot-row budget '{h}'"))?;
-        if hot_rows == 0 {
-            return Err("tiered hot-row budget must be positive".to_string());
-        }
-        return Ok(het_ps::StoreSpec::Tiered(het_ps::TieredConfig::new(
-            hot_rows,
-        )));
-    }
-    match name {
-        "mem" => Ok(het_ps::StoreSpec::Mem),
+/// The cluster `--network` (default `1gbe`) names, of `workers` workers
+/// and `servers` servers.
+fn cluster_of(args: &Args, workers: usize, servers: usize) -> Result<ClusterSpec, String> {
+    match args.get("network").unwrap_or("1gbe") {
+        "1gbe" => Ok(ClusterSpec::cluster_a(workers, servers)),
+        "10gbe" => Ok(ClusterSpec::cluster_b(workers, servers)),
         other => Err(format!(
-            "unknown store '{other}' (try: mem tiered:<hot_rows>)"
+            "--network: unknown network '{other}' (try: {NETWORKS})"
         )),
     }
 }
@@ -232,28 +170,19 @@ fn print_train_report(workload: Workload, system: &str, report: &TrainReport) {
     }
 }
 
-/// Builds the fault-injection config from the `--fault-*` flags; stays
-/// disabled (bit-identical to the fault-free build) when none are given.
+/// Builds the fault-injection config from the `--fault-*` flags; with
+/// no fault counted it is the zero spec (bit-identical to the fault-free
+/// build).
 fn fault_config_of(args: &Args) -> Result<FaultConfig, String> {
-    let crashes: usize = args.get_parsed("fault-crashes", 0)?;
-    let outages: usize = args.get_parsed("fault-outages", 0)?;
-    let stragglers: usize = args.get_parsed("fault-stragglers", 0)?;
-    let degradations: usize = args.get_parsed("fault-degradations", 0)?;
-    let drop_prob: f64 = args.get_parsed("fault-drop", 0.0)?;
-    let horizon_s: f64 = args.get_parsed("fault-horizon", 10.0)?;
-    let checkpoint_every: u64 = args.get_parsed("fault-checkpoint-every", 50)?;
     let mut cfg = FaultConfig::disabled();
-    if crashes == 0 && outages == 0 && stragglers == 0 && degradations == 0 && drop_prob <= 0.0 {
-        return Ok(cfg);
-    }
-    cfg.enabled = true;
-    cfg.checkpoint_every = checkpoint_every;
-    cfg.spec.worker_crashes = crashes;
-    cfg.spec.shard_outages = outages;
-    cfg.spec.stragglers = stragglers;
-    cfg.spec.link_degradations = degradations;
-    cfg.spec.message_drop_prob = drop_prob;
+    cfg.spec.worker_crashes = args.get_parsed("fault-crashes", 0)?;
+    cfg.spec.shard_outages = args.get_parsed("fault-outages", 0)?;
+    cfg.spec.stragglers = args.get_parsed("fault-stragglers", 0)?;
+    cfg.spec.link_degradations = args.get_parsed("fault-degradations", 0)?;
+    cfg.spec.message_drop_prob = args.get_parsed("fault-drop", 0.0)?;
+    let horizon_s: f64 = args.get_parsed("fault-horizon", 10.0)?;
     cfg.spec.horizon = SimDuration::from_secs_f64(horizon_s.max(0.001));
+    cfg.checkpoint_every = args.get_parsed("fault-checkpoint-every", 50)?;
     Ok(cfg)
 }
 
@@ -294,19 +223,16 @@ fn train_tweak(
     let dim: usize = args.get_parsed("dim", 16)?;
     let iters: u64 = args.get_parsed("iters", 1_600)?;
     let cache_frac: f64 = args.get_parsed("cache-frac", 0.10)?;
-    let policy = policy_of(args.get("policy").unwrap_or("lightlfu"))?;
-    let band = args.get("network").unwrap_or("1gbe").to_string();
+    let policy = args.get_parsed("policy", PolicyKind::light_lfu())?;
+    let cluster = cluster_of(args, workers, servers)?;
     let target: f64 = args.get_parsed("target", -1.0)?;
     let lr: f64 = args.get_parsed("lr", -1.0)?;
     let lookahead: u64 = args.get_parsed("lookahead", 0)?;
-    let store = store_spec_of(args.get("store").unwrap_or("mem"))?;
+    let store = args.get_parsed("store", StoreSpec::Mem)?;
     let faults = fault_config_of(args)?;
 
     Ok(move |c: &mut TrainerConfig| {
-        c.cluster = match band.as_str() {
-            "10gbe" => ClusterSpec::cluster_b(workers, servers),
-            _ => ClusterSpec::cluster_a(workers, servers),
-        };
+        c.cluster = cluster;
         c.dim = dim;
         c.max_iterations = iters;
         c.eval_every = (iters / 4).max(1);
@@ -338,9 +264,15 @@ fn run_one(
     })
 }
 
-/// The `--backend sim|threads:<n>` flag (default `sim`).
-fn backend_of(args: &Args) -> Result<ExecutionBackend, String> {
-    ExecutionBackend::parse(args.get("backend").unwrap_or("sim"))
+/// The preset `--<key>` names (default `default`) with its bound set to
+/// `staleness`: a preset's spelling carries no staleness bound.
+fn preset_flag(
+    args: &Args,
+    key: &str,
+    default: SystemPreset,
+    staleness: u64,
+) -> Result<SystemPreset, String> {
+    Ok(args.get_parsed(key, default)?.with_staleness(staleness))
 }
 
 /// The value of the count flag `--<flag>` (default `default`). On
@@ -381,7 +313,6 @@ fn reject_sim_only_flags(args: &Args) -> Result<(), String> {
 /// just timed.
 fn run_one_threaded(
     workload: Workload,
-    system: &str,
     preset: SystemPreset,
     args: &Args,
     n_threads: usize,
@@ -415,7 +346,7 @@ fn run_one_threaded(
             ))
         }
     }
-    print_train_report(workload, system, &report);
+    print_train_report(workload, &preset.to_string(), &report);
     TraceArgs::of(args).write(log)?;
     Ok(())
 }
@@ -423,7 +354,7 @@ fn run_one_threaded(
 fn cmd_serve(args: &Args) -> Result<(), String> {
     use het_serve::{ServeConfig, ServeSim};
 
-    let backend = backend_of(args)?;
+    let backend = args.get_parsed("backend", ExecutionBackend::Sim)?;
     let mut cfg = ServeConfig::new(args.get_parsed("seed", 42)?);
     cfg.n_replicas = thread_count(args, backend, "replicas", "replica", cfg.n_replicas)?;
     cfg.dim = args.get_parsed("dim", cfg.dim)?;
@@ -431,7 +362,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     cfg.n_keys = args.get_parsed("keys", cfg.n_keys)?;
     cfg.cache_capacity = args.get_parsed("cache", cfg.cache_capacity)?;
     cfg.staleness = args.get_parsed("staleness", cfg.staleness)?;
-    cfg.policy = policy_of(args.get("policy").unwrap_or("lightlfu"))?;
+    cfg.policy = args.get_parsed("policy", PolicyKind::light_lfu())?;
     cfg.arrival_rate = args.get_parsed("rate", cfg.arrival_rate)?;
     cfg.n_requests = args.get_parsed("requests", cfg.n_requests)?;
     cfg.zipf_exponent = args.get_parsed("zipf", cfg.zipf_exponent)?;
@@ -440,7 +371,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     cfg.pretrain_updates = args.get_parsed("pretrain-updates", cfg.pretrain_updates)?;
     cfg.warmup_requests = args.get_parsed("warmup", cfg.warmup_requests)?;
     cfg.n_shards = args.get_parsed("servers", cfg.n_shards)?;
-    cfg.store = store_spec_of(args.get("store").unwrap_or("mem"))?;
+    cfg.store = args.get_parsed("store", StoreSpec::Mem)?;
     let drift_ms: f64 = args.get_parsed("drift-period-ms", 0.0)?;
     if drift_ms > 0.0 {
         cfg.drift_period = SimDuration::from_secs_f64(drift_ms / 1e3);
@@ -456,10 +387,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         cfg.flash_hot_keys = args.get_parsed("flash-hot", 64u64)?;
     }
     cfg.faults = fault_config_of(args)?;
-    cfg.cluster = match args.get("network").unwrap_or("1gbe") {
-        "10gbe" => ClusterSpec::cluster_b(cfg.n_replicas, cfg.n_shards),
-        _ => ClusterSpec::cluster_a(cfg.n_replicas, cfg.n_shards),
-    };
+    cfg.cluster = cluster_of(args, cfg.n_replicas, cfg.n_shards)?;
     if args.get_parsed("supervised", 0u8)? != 0 {
         cfg.supervision.enabled = true;
         cfg.supervision.heartbeat_every =
@@ -617,13 +545,13 @@ fn cmd_colocate(args: &Args) -> Result<(), String> {
     use het_data::{CtrConfig, CtrDataset};
     use het_serve::{run_colocated, ServeConfig};
 
-    let backend = backend_of(args)?;
+    let backend = args.get_parsed("backend", ExecutionBackend::Sim)?;
     let seed: u64 = args.get_parsed("seed", 42)?;
     let workers = thread_count(args, backend, "workers", "worker", 4)?;
     let servers: usize = args.get_parsed("servers", 2)?;
     let iters: u64 = args.get_parsed("iters", 400)?;
     let staleness: u64 = args.get_parsed("staleness", 10)?;
-    let preset = system_of(args.get("system").unwrap_or("het-cache"), staleness)?;
+    let preset = preset_flag(args, "system", HetCache { staleness: 0 }, staleness)?;
 
     let mut train_cfg = TrainerConfig::tiny(preset);
     train_cfg.cluster = ClusterSpec::cluster_a(workers, servers);
@@ -639,7 +567,7 @@ fn cmd_colocate(args: &Args) -> Result<(), String> {
     serve_cfg.n_replicas = args.get_parsed("replicas", serve_cfg.n_replicas)?;
     serve_cfg.cache_capacity = args.get_parsed("cache", serve_cfg.cache_capacity)?;
     serve_cfg.staleness = args.get_parsed("serve-staleness", serve_cfg.staleness)?;
-    serve_cfg.policy = policy_of(args.get("policy").unwrap_or("lru"))?;
+    serve_cfg.policy = args.get_parsed("policy", PolicyKind::Lru)?;
     serve_cfg.arrival_rate = args.get_parsed("rate", serve_cfg.arrival_rate)?;
     serve_cfg.n_requests = args.get_parsed("requests", serve_cfg.n_requests)?;
     serve_cfg.pretrain_updates = args.get_parsed("pretrain-updates", serve_cfg.pretrain_updates)?;
@@ -890,14 +818,21 @@ fn cmd_oracle(args: &Args) -> Result<(), String> {
     ))
 }
 
-/// Prints the value vocabularies and, from [`COMMANDS`] and
-/// [`EXPERIMENTS`], every subcommand and experiment with the flags it
-/// reads.
+/// Prints the value vocabularies each flag's type reads and, from
+/// [`COMMANDS`] and [`EXPERIMENTS`], every subcommand and experiment
+/// with the flags it reads.
 fn cmd_list(_: &Args) -> Result<(), String> {
-    println!("workloads: wdl dfm dcn reddit amazon mag");
-    println!("systems:   tf-ps tf-parallax het-ps het-ar het-hybrid het-cache ssp");
-    println!("policies:  lru lfu lightlfu[:T] clock slru lfuda gdsf adaptive[:W]");
-    println!("backends:  sim threads:N    stores: mem tiered:HOT_ROWS    networks: 1gbe 10gbe");
+    let workloads = Workload::ALL.map(|w| w.to_string()).join(" ");
+    let systems = SystemPreset::ALL.map(|p| p.to_string()).join(" ");
+    println!("workloads: {workloads}");
+    println!("systems:   {systems}");
+    println!("policies:  {}", PolicyKind::SPELLINGS);
+    println!(
+        "backends:  {}    stores: {}    networks: {}",
+        ExecutionBackend::SPELLINGS,
+        StoreSpec::SPELLINGS,
+        NETWORKS
+    );
     let line = |name: &str, flags: &[&str]| {
         let flags = flags.iter().flat_map(|g| g.split_whitespace());
         println!(
@@ -915,30 +850,28 @@ fn cmd_list(_: &Args) -> Result<(), String> {
 }
 
 fn train_or_compare(args: &Args, compare: bool) -> Result<(), String> {
-    let workload = workload_of(args.get("workload").unwrap_or("wdl"))?;
+    let workload = args.get_parsed("workload", Workload::WdlCriteo)?;
     let staleness: u64 = args.get_parsed("staleness", 100)?;
-    let system_name = args.get("system").unwrap_or("het-cache").to_string();
-    let preset = system_of(&system_name, staleness)?;
-    if let ExecutionBackend::Threads(n) = backend_of(args)? {
+    let preset = preset_flag(args, "system", HetCache { staleness: 0 }, staleness)?;
+    if let ExecutionBackend::Threads(n) = args.get_parsed("backend", ExecutionBackend::Sim)? {
         if compare {
             return Err(
                 "compare is sim-only (its baselines are simulated); use --backend sim".to_string(),
             );
         }
-        return run_one_threaded(workload, &system_name, preset, args, n);
+        return run_one_threaded(workload, preset, args, n);
     }
     let trace = TraceArgs::of(args);
     let (report, log) = run_one(workload, preset, args, trace.requested())?;
-    print_train_report(workload, &system_name, &report);
+    print_train_report(workload, &preset.to_string(), &report);
     if let Some(log) = log {
         trace.write(&log)?;
     }
     if compare {
-        let base_name = args.get("baseline").unwrap_or("het-hybrid").to_string();
-        let base_preset = system_of(&base_name, staleness)?;
+        let base_preset = preset_flag(args, "baseline", HetHybrid, staleness)?;
         let (base, _) = run_one(workload, base_preset, args, false)?;
         println!("\n--- baseline ---");
-        print_train_report(workload, &base_name, &base);
+        print_train_report(workload, &base_preset.to_string(), &base);
         println!("\n--- comparison ---");
         println!(
             "epoch-time speedup      {:.2}x",

@@ -64,7 +64,7 @@ impl Workload {
         Workload::DcnCriteo,
     ];
 
-    /// The paper's display name.
+    /// The paper's display name (the spelling is its `Display`).
     pub fn name(self) -> &'static str {
         match self {
             Workload::WdlCriteo => "WDL-Criteo",
@@ -125,6 +125,33 @@ impl Workload {
             Workload::WdlCriteo | Workload::DcnCriteo => 0.05,
             _ => 0.6,
         }
+    }
+}
+
+impl std::fmt::Display for Workload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Workload::WdlCriteo => "wdl",
+            Workload::DfmCriteo => "dfm",
+            Workload::DcnCriteo => "dcn",
+            Workload::GnnReddit => "reddit",
+            Workload::GnnAmazon => "amazon",
+            Workload::GnnOgbnMag => "mag",
+        })
+    }
+}
+
+impl std::str::FromStr for Workload {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        Self::ALL
+            .into_iter()
+            .find(|w| w.to_string() == s)
+            .ok_or_else(|| {
+                let names = Self::ALL.map(|w| w.to_string()).join(" ");
+                format!("unknown workload '{s}' (try: {names})")
+            })
     }
 }
 
@@ -295,6 +322,14 @@ mod tests {
         }
         assert!(Workload::WdlCriteo.is_ctr());
         assert!(!Workload::GnnReddit.is_ctr());
+    }
+
+    #[test]
+    fn workloads_read_their_spelling_back() {
+        for w in Workload::ALL {
+            assert_eq!(w.to_string().parse(), Ok(w), "{w}");
+        }
+        assert!("WDL-Criteo".parse::<Workload>().is_err());
     }
 
     #[test]

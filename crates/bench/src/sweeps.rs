@@ -425,7 +425,6 @@ fn shootout_train(
         // Size the fault horizon from a clean probe, as the fuzzer and
         // golden-trace tests do, so the faults land inside the run.
         let probe = run(het_core::FaultConfig::disabled());
-        faults.enabled = true;
         faults.spec.worker_crashes = 2;
         faults.spec.shard_outages = 1;
         faults.spec.horizon = SimDuration::from_secs_f64(probe.total_sim_time.as_secs_f64() * 0.8);

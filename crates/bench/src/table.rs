@@ -56,20 +56,12 @@ impl Table {
 
     /// The numeric cell at (`row`, `key`); 0 for a non-number.
     pub fn num(&self, row: usize, key: &str) -> f64 {
-        match self.rows[row][self.col(key)] {
-            Json::Num(x) => x,
-            Json::UInt(n) => n as f64,
-            Json::Int(n) => n as f64,
-            _ => 0.0,
-        }
+        self.rows[row][self.col(key)].as_f64().unwrap_or(0.0)
     }
 
     /// The string cell at (`row`, `key`); empty for a non-string.
     pub fn text(&self, row: usize, key: &str) -> &str {
-        match &self.rows[row][self.col(key)] {
-            Json::Str(s) => s,
-            _ => "",
-        }
+        self.rows[row][self.col(key)].as_str().unwrap_or("")
     }
 
     /// Prints the table under its record name, one line per row, column

@@ -58,6 +58,39 @@ fn mistyped_names_and_repeated_flags_are_named() {
     ]);
 }
 
+/// Each value flag is read by its type's `FromStr`, whose message —
+/// naming the value and the spellings it takes — reaches the user.
+#[test]
+fn mistyped_values_are_rejected_with_the_types_own_message() {
+    assert_rejected(&[
+        (
+            "train --workload wdll",
+            "unknown workload 'wdll' (try: wdl dfm dcn reddit amazon mag)",
+        ),
+        (
+            "train --system het_cache",
+            "unknown system 'het_cache' (try: tf-ps",
+        ),
+        ("compare --baseline hybrid", "unknown system 'hybrid'"),
+        ("train --policy lruu", "unknown policy 'lruu' (try: lru lfu"),
+        ("serve --policy lightlfu:0", "a positive integer"),
+        ("train --store tiered:0", "'0' is not a positive row budget"),
+        (
+            "serve --store disk",
+            "unknown store 'disk' (try: mem tiered:HOT_ROWS)",
+        ),
+        (
+            "train --backend thread:2",
+            "unknown backend 'thread:2' (try: sim",
+        ),
+        (
+            "train --network 10GbE",
+            "unknown network '10GbE' (try: 1gbe 10gbe)",
+        ),
+        ("serve --network 40gbe", "unknown network '40gbe'"),
+    ]);
+}
+
 #[test]
 fn thread_counts_that_conflict_with_the_backend_are_rejected() {
     assert_rejected(&[

@@ -101,21 +101,8 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    /// The seven fixed (non-adaptive) policies, in leaderboard order.
-    pub const FIXED: [PolicyKind; 7] = [
-        PolicyKind::Lru,
-        PolicyKind::Lfu,
-        PolicyKind::LightLfu {
-            promote_threshold: DEFAULT_LIGHT_LFU_THRESHOLD,
-        },
-        PolicyKind::Clock,
-        PolicyKind::Slru,
-        PolicyKind::Lfuda,
-        PolicyKind::Gdsf,
-    ];
-
     /// Every kind, the full zoo: the seven fixed policies plus the
-    /// adaptive meta-policy at its default window.
+    /// adaptive meta-policy, each at its default parameter.
     pub const ALL: [PolicyKind; 8] = [
         PolicyKind::Lru,
         PolicyKind::Lfu,
@@ -150,6 +137,27 @@ impl PolicyKind {
         matches!(self, PolicyKind::Adaptive { .. })
     }
 
+    /// What [`str::parse`] reads: `T` is a LightLFU promotion threshold
+    /// and `W` an adaptive window, both positive; bare `lightlfu` and
+    /// `adaptive` take the defaults.
+    pub const SPELLINGS: &'static str = "lru lfu lightlfu[:T] clock slru lfuda gdsf adaptive[:W]";
+
+    /// The one spelling [`str::parse`] reads back to `self`: the
+    /// lower-cased `Display` label (which reports and records use), with
+    /// the parameter only where it is not the default.
+    pub fn spelling(self) -> String {
+        let name = self.to_string().to_lowercase();
+        match self {
+            PolicyKind::LightLfu { promote_threshold } if self != PolicyKind::light_lfu() => {
+                format!("{name}:{promote_threshold}")
+            }
+            PolicyKind::Adaptive { window } if self != PolicyKind::adaptive() => {
+                format!("{name}:{window}")
+            }
+            _ => name,
+        }
+    }
+
     /// Instantiates the policy for a table of the given capacity (SLRU
     /// sizes its protected segment from it; the adaptive meta-policy
     /// needs it to build its successors).
@@ -165,6 +173,30 @@ impl PolicyKind {
             PolicyKind::Lfuda => Box::new(GdsfPolicy::lfuda()),
             PolicyKind::Gdsf => Box::new(GdsfPolicy::new()),
             PolicyKind::Adaptive { window } => Box::new(AdaptivePolicy::new(capacity, window)),
+        }
+    }
+}
+
+impl std::str::FromStr for PolicyKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let (name, param) = s.split_once(':').map_or((s, None), |(n, p)| (n, Some(p)));
+        let kind = Self::ALL
+            .into_iter()
+            .find(|k| k.spelling() == name)
+            .ok_or_else(|| format!("unknown policy '{s}' (try: {})", Self::SPELLINGS))?;
+        match (kind, param.map(|p| p.parse().ok().filter(|&n| n > 0))) {
+            (_, None) => Ok(kind),
+            (PolicyKind::LightLfu { .. }, Some(Some(promote_threshold))) => {
+                Ok(PolicyKind::LightLfu { promote_threshold })
+            }
+            (PolicyKind::Adaptive { .. }, Some(Some(window))) => {
+                Ok(PolicyKind::Adaptive { window })
+            }
+            _ => Err(format!(
+                "policy '{s}': only lightlfu:T and adaptive:W take a parameter, a positive integer"
+            )),
         }
     }
 }
@@ -279,9 +311,11 @@ impl LfuPolicy {
 
     fn bump(&mut self, key: Key, is_insert: bool) {
         self.tick += 1;
-        let freq = self.order.get(key).map_or(0, |&((freq, _), ())| freq);
-        let freq = if is_insert { freq.max(1) } else { freq + 1 };
-        self.order.set(key, (freq, self.tick), ());
+        self.order.update(key, |held| {
+            let freq = held.map_or(0, |&((freq, _), ())| freq);
+            let freq = if is_insert { freq.max(1) } else { freq + 1 };
+            ((freq, self.tick), ())
+        });
     }
 }
 
@@ -801,6 +835,32 @@ impl CachePolicy for AdaptivePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn spellings_read_back_to_the_same_kind() {
+        let spelled: Vec<String> = PolicyKind::ALL.iter().map(|k| k.spelling()).collect();
+        assert_eq!(
+            spelled.join(" "),
+            "lru lfu lightlfu clock slru lfuda gdsf adaptive"
+        );
+        let tuned = [
+            PolicyKind::LightLfu {
+                promote_threshold: 4,
+            },
+            PolicyKind::Adaptive { window: 8 },
+        ];
+        for kind in PolicyKind::ALL.into_iter().chain(tuned) {
+            assert_eq!(kind.spelling().parse(), Ok(kind), "{}", kind.spelling());
+        }
+        assert_eq!(
+            tuned.map(PolicyKind::spelling),
+            ["lightlfu:4", "adaptive:8"]
+        );
+        for bad in ["lruu", "LRU", "lru:2", "lightlfu:0", "adaptive:x", ""] {
+            let err = bad.parse::<PolicyKind>().unwrap_err();
+            assert!(err.contains(bad), "{bad}: {err}");
+        }
+    }
 
     #[test]
     fn clock_gives_second_chances() {

@@ -18,6 +18,27 @@ pub enum DenseSync {
     AllReduce,
 }
 
+impl std::fmt::Display for DenseSync {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            DenseSync::Ps => "ps",
+            DenseSync::AllReduce => "allreduce",
+        })
+    }
+}
+
+impl std::str::FromStr for DenseSync {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "ps" => Ok(DenseSync::Ps),
+            "allreduce" => Ok(DenseSync::AllReduce),
+            _ => Err(format!("unknown dense sync '{s}' (try: ps allreduce)")),
+        }
+    }
+}
+
 /// How sparse (embedding) parameters are handled.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SparseMode {
@@ -57,6 +78,32 @@ pub enum SyncMode {
         /// Maximum iteration lead over the slowest worker.
         staleness: u64,
     },
+}
+
+impl std::fmt::Display for SyncMode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SyncMode::Bsp => f.write_str("bsp"),
+            SyncMode::Asp => f.write_str("asp"),
+            SyncMode::Ssp { staleness } => write!(f, "ssp:{staleness}"),
+        }
+    }
+}
+
+impl std::str::FromStr for SyncMode {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "bsp" => Ok(SyncMode::Bsp),
+            "asp" => Ok(SyncMode::Asp),
+            _ => s
+                .strip_prefix("ssp:")
+                .and_then(|n| n.parse().ok())
+                .map(|staleness| SyncMode::Ssp { staleness })
+                .ok_or_else(|| format!("unknown sync mode '{s}' (try: bsp asp ssp:<staleness>)")),
+        }
+    }
 }
 
 /// Backbone/runtime quality knobs. The paper attributes the gap between
@@ -139,6 +186,27 @@ pub enum SystemPreset {
 }
 
 impl SystemPreset {
+    /// The seven presets, in the paper's order, with staleness 0.
+    pub const ALL: [SystemPreset; 7] = [
+        SystemPreset::TfPs,
+        SystemPreset::TfParallax,
+        SystemPreset::HetPs,
+        SystemPreset::HetAr,
+        SystemPreset::HetHybrid,
+        SystemPreset::HetCache { staleness: 0 },
+        SystemPreset::Ssp { staleness: 0 },
+    ];
+
+    /// The preset with its staleness bound set to `staleness` (a no-op
+    /// on the presets without one).
+    pub fn with_staleness(self, staleness: u64) -> Self {
+        match self {
+            SystemPreset::HetCache { .. } => SystemPreset::HetCache { staleness },
+            SystemPreset::Ssp { .. } => SystemPreset::Ssp { staleness },
+            other => other,
+        }
+    }
+
     /// Materialises the preset with default cache parameters
     /// (capacity 10 % of the key space, light LFU — the paper's §5.1
     /// setup).
@@ -198,6 +266,30 @@ impl SystemPreset {
                 backbone: Backbone::het(),
             },
         }
+    }
+}
+
+/// The report name lower-cased and hyphenated (`HET Cache` is
+/// `het-cache`). The staleness bound is not part of the spelling, so
+/// [`str::parse`] gives staleness 0 and a caller that reads it
+/// separately sets it with [`SystemPreset::with_staleness`].
+impl std::fmt::Display for SystemPreset {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.config().name.to_lowercase().replace(' ', "-"))
+    }
+}
+
+impl std::str::FromStr for SystemPreset {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        Self::ALL
+            .into_iter()
+            .find(|p| p.to_string() == s)
+            .ok_or_else(|| {
+                let names = Self::ALL.map(|p| p.to_string()).join(" ");
+                format!("unknown system '{s}' (try: {names})")
+            })
     }
 }
 
@@ -380,6 +472,32 @@ mod tests {
         }
         let untouched = TrainerConfig::tiny(SystemPreset::TfPs).with_cache(0.25, PolicyKind::Lru);
         assert_eq!(untouched.system.sparse, SparseMode::PsDirect);
+    }
+
+    #[test]
+    fn spellings_read_back_to_the_same_value() {
+        for sync in [SyncMode::Bsp, SyncMode::Asp, SyncMode::Ssp { staleness: 3 }] {
+            assert_eq!(sync.to_string().parse(), Ok(sync), "{sync}");
+        }
+        for dense in [DenseSync::Ps, DenseSync::AllReduce] {
+            assert_eq!(dense.to_string().parse(), Ok(dense), "{dense}");
+        }
+        for preset in SystemPreset::ALL {
+            assert_eq!(preset.to_string().parse(), Ok(preset), "{preset}");
+            let bounded = preset.with_staleness(7);
+            let back = bounded
+                .to_string()
+                .parse()
+                .map(|p: SystemPreset| p.with_staleness(7));
+            assert_eq!(back, Ok(bounded), "{preset}");
+        }
+        for bad in ["ssp", "ssp:x", "BSP"] {
+            assert!(bad.parse::<SyncMode>().is_err(), "{bad}");
+        }
+        assert!("all-reduce".parse::<DenseSync>().is_err());
+        for bad in ["het_cache", "ssp:3", ""] {
+            assert!(bad.parse::<SystemPreset>().is_err(), "{bad}");
+        }
     }
 
     #[test]

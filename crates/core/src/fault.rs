@@ -20,10 +20,9 @@ use het_simnet::{FaultPlan, FaultSpec, SimDuration, SimTime};
 /// Fault-injection knobs of one training run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultConfig {
-    /// Master switch; when false the spec is ignored entirely.
-    pub enabled: bool,
-    /// What to schedule. `n_workers`/`n_shards` are filled in by the
-    /// trainer from the cluster shape, so sweeps only set counts.
+    /// What to schedule; the zero spec (the default) is injection off.
+    /// `n_workers`/`n_shards` are filled in by the trainer from the
+    /// cluster shape, so sweeps only set counts.
     pub spec: FaultSpec,
     /// Take a full PS checkpoint every this many global iterations
     /// (0 = only the initial empty checkpoint). Failovers restore the
@@ -38,10 +37,9 @@ pub struct FaultConfig {
 }
 
 impl FaultConfig {
-    /// Injection off — the default for every preset configuration.
+    /// Injection off (the zero spec), the default of every preset.
     pub fn disabled() -> Self {
         FaultConfig {
-            enabled: false,
             spec: FaultSpec::default(),
             checkpoint_every: 50,
             max_retries: 4,
@@ -49,21 +47,20 @@ impl FaultConfig {
         }
     }
 
-    /// Injection on with the given schedule spec and default recovery
+    /// Injection with the given schedule spec and default recovery
     /// knobs.
     pub fn with_spec(spec: FaultSpec) -> Self {
         FaultConfig {
-            enabled: true,
             spec,
             ..FaultConfig::disabled()
         }
     }
 
     /// Materialises the plan for a cluster of `n_workers`/`n_shards`,
-    /// deterministically from `seed`. Disabled or all-zero specs yield
-    /// the empty plan, which the trainer treats as injection-off.
+    /// deterministically from `seed`. The zero spec yields the empty
+    /// plan, which the trainer treats as injection-off.
     pub fn plan(&self, seed: u64, n_workers: usize, n_shards: usize) -> FaultPlan {
-        if !self.enabled || self.spec.is_zero() {
+        if self.spec.is_zero() {
             return FaultPlan::none();
         }
         let mut spec = self.spec.clone();
@@ -259,11 +256,11 @@ mod tests {
     fn disabled_or_zero_spec_plans_are_empty() {
         let cfg = FaultConfig::disabled();
         assert!(cfg.plan(1, 4, 8).is_empty());
-        let enabled_zero = FaultConfig {
-            enabled: true,
-            ..FaultConfig::disabled()
-        };
-        assert!(enabled_zero.plan(1, 4, 8).is_empty());
+        let zero = FaultConfig::with_spec(FaultSpec {
+            horizon: SimDuration::from_millis(1),
+            ..FaultSpec::default()
+        });
+        assert!(zero.plan(1, 4, 8).is_empty());
         let spec = FaultSpec {
             worker_crashes: 1,
             ..FaultSpec::default()

@@ -344,11 +344,6 @@ impl Graph {
         self.config.n_nodes
     }
 
-    /// Number of (directed) adjacency entries, i.e. 2× undirected edges.
-    pub fn n_adjacency(&self) -> usize {
-        self.neighbors.len()
-    }
-
     /// Neighbour list of one node.
     pub fn neighbors_of(&self, v: u32) -> &[u32] {
         let lo = self.offsets[v as usize] as usize;

@@ -12,6 +12,7 @@
 //! [`SpaceSaving`]: crate::SpaceSaving
 
 use crate::Key;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 
 /// Keys ordered by rank `R` (ties broken by key), each with a payload `V`.
@@ -55,9 +56,21 @@ impl<R: Ord + Copy, V> Ranked<R, V> {
     /// Inserts `key` at `rank` with `value`, or moves it there and
     /// replaces its payload if already held.
     pub fn set(&mut self, key: Key, rank: R, value: V) {
-        if let Some((old_rank, _)) = self.entries.insert(key, (rank, value)) {
-            self.order.remove(&(old_rank, key));
-        }
+        self.update(key, |_| (rank, value));
+    }
+
+    /// Sets `key`'s rank and payload to what `f` makes of the held ones
+    /// (`None` when `key` is not held), with one hash lookup.
+    pub fn update(&mut self, key: Key, f: impl FnOnce(Option<&(R, V)>) -> (R, V)) {
+        let rank = match self.entries.entry(key) {
+            Entry::Occupied(mut held) => {
+                let next = f(Some(held.get()));
+                let rank = next.0;
+                self.order.remove(&(held.insert(next).0, key));
+                rank
+            }
+            Entry::Vacant(slot) => slot.insert(f(None)).0,
+        };
         self.order.insert((rank, key));
     }
 
@@ -109,6 +122,20 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert_eq!(keys(&r), vec![2, 1]);
         assert_eq!(r.get(1), Some(&(30, ())));
+    }
+
+    #[test]
+    fn update_sees_the_held_entry_and_moves_it() {
+        let mut r: Ranked<u64, u64> = Ranked::new();
+        let bump = |held: Option<&(u64, u64)>| held.map_or((1, 0), |&(rank, n)| (rank + 10, n + 1));
+        r.update(1, bump);
+        r.update(2, bump);
+        r.update(1, bump);
+        assert_eq!(r.get(1), Some(&(11, 1)));
+        assert_eq!(r.get(2), Some(&(1, 0)));
+        assert_eq!(keys(&r), vec![2, 1]);
+        assert_eq!(r.pop_min(), Some((2, 1, 0)));
+        assert_eq!(r.pop_min(), Some((1, 11, 1)));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! The repo builds hermetically (no crate registry), so this crate
 //! stands in for the slice of `serde`/`serde_json` the workspace used:
 //! turning report and benchmark-row structs into JSON strings, plus a
-//! small recursive-descent parser ([`from_str`]) used by the trace
-//! schema validator to read emitted JSONL back.
+//! small recursive-descent parser ([`from_str`]) with typed field
+//! access ([`Json::field`]) used to read traces, fault plans and repro
+//! files back.
 //!
 //! Structs opt in by implementing [`ToJson`], usually via the
 //! [`impl_to_json!`] macro which maps named fields 1:1 to object keys
@@ -51,6 +52,68 @@ impl Json {
         let mut out = String::new();
         self.write(&mut out, Some(2), 0);
         out
+    }
+
+    /// Field `key` of an object. This and the `as_*` readers fail in one
+    /// shape — `missing field 'key'` or `expected <what>, got <value>` —
+    /// so a reader of a document only adds where it was reading.
+    pub fn get(&self, key: &str) -> Result<&Json, String> {
+        match self {
+            Json::Obj(fields) => fields
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v)
+                .ok_or_else(|| format!("missing field '{key}'")),
+            other => Err(other.expected("an object")),
+        }
+    }
+
+    /// Field `key` read by `read` (one of the `as_*` readers, or a
+    /// caller's own on top of them); a type error names the key.
+    pub fn field<'a, T>(
+        &'a self,
+        key: &str,
+        read: impl FnOnce(&'a Json) -> Result<T, String>,
+    ) -> Result<T, String> {
+        read(self.get(key)?).map_err(|e| format!("field '{key}': {e}"))
+    }
+
+    /// An unsigned integer (a non-negative [`Json::Int`] counts).
+    pub fn as_u64(&self) -> Result<u64, String> {
+        match *self {
+            Json::UInt(n) => Ok(n),
+            Json::Int(n) if n >= 0 => Ok(n as u64),
+            _ => Err(self.expected("an unsigned integer")),
+        }
+    }
+
+    /// Any number, integer or float.
+    pub fn as_f64(&self) -> Result<f64, String> {
+        match *self {
+            Json::Num(x) => Ok(x),
+            Json::UInt(n) => Ok(n as f64),
+            Json::Int(n) => Ok(n as f64),
+            _ => Err(self.expected("a number")),
+        }
+    }
+
+    /// A string.
+    pub fn as_str(&self) -> Result<&str, String> {
+        match self {
+            Json::Str(s) => Ok(s),
+            _ => Err(self.expected("a string")),
+        }
+    }
+
+    /// The error of a read that wanted `what`; containers are named, not
+    /// printed, so the message stays one line.
+    fn expected(&self, what: &str) -> String {
+        let got = match self {
+            Json::Arr(_) => "an array".to_string(),
+            Json::Obj(_) => "an object".to_string(),
+            scalar => scalar.encode(),
+        };
+        format!("expected {what}, got {got}")
     }
 
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
@@ -706,6 +769,29 @@ mod tests {
         assert_eq!(from_str(&encoded).unwrap(), original);
         let pretty = original.encode_pretty();
         assert_eq!(from_str(&pretty).unwrap(), original);
+    }
+
+    #[test]
+    fn typed_field_access_reads_and_names_what_failed() {
+        let doc = from_str(r#"{"n":3,"neg":-1,"x":0.5,"s":"hi","xs":[1]}"#).unwrap();
+        assert_eq!(doc.field("n", Json::as_u64), Ok(3));
+        assert_eq!(doc.field("n", Json::as_f64), Ok(3.0));
+        assert_eq!(doc.field("neg", Json::as_f64), Ok(-1.0));
+        assert_eq!(doc.field("x", Json::as_f64), Ok(0.5));
+        assert_eq!(doc.field("s", Json::as_str), Ok("hi"));
+        assert_eq!(doc.get("missing").unwrap_err(), "missing field 'missing'");
+        assert_eq!(
+            doc.field("neg", Json::as_u64).unwrap_err(),
+            "field 'neg': expected an unsigned integer, got -1"
+        );
+        assert_eq!(
+            doc.field("xs", Json::as_str).unwrap_err(),
+            "field 'xs': expected a string, got an array"
+        );
+        assert_eq!(
+            Json::UInt(1).get("n").unwrap_err(),
+            "expected an object, got 1"
+        );
     }
 
     #[test]

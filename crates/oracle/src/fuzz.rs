@@ -192,11 +192,7 @@ impl Scenario {
     /// The fault schedule, scoped to a horizon derived from the clean
     /// run's duration.
     pub fn fault_config(&self, horizon: SimDuration) -> FaultConfig {
-        if !self.has_faults() {
-            return FaultConfig::disabled();
-        }
         let mut cfg = FaultConfig::disabled();
-        cfg.enabled = true;
         cfg.spec.worker_crashes = self.crashes;
         cfg.spec.shard_outages = self.outages;
         cfg.spec.stragglers = self.stragglers;
@@ -212,54 +208,10 @@ impl Scenario {
     }
 }
 
-fn sync_to_json(sync: SyncMode) -> Json {
-    match sync {
-        SyncMode::Bsp => Json::Str("bsp".to_string()),
-        SyncMode::Asp => Json::Str("asp".to_string()),
-        SyncMode::Ssp { staleness } => Json::Obj(vec![("ssp".to_string(), Json::UInt(staleness))]),
-    }
-}
-
-fn policy_to_json(policy: PolicyKind) -> Json {
-    match policy {
-        PolicyKind::Lru => Json::Str("lru".to_string()),
-        PolicyKind::Lfu => Json::Str("lfu".to_string()),
-        PolicyKind::LightLfu { promote_threshold } => Json::Obj(vec![(
-            "light_lfu".to_string(),
-            Json::UInt(promote_threshold),
-        )]),
-        PolicyKind::Clock => Json::Str("clock".to_string()),
-        PolicyKind::Slru => Json::Str("slru".to_string()),
-        PolicyKind::Lfuda => Json::Str("lfuda".to_string()),
-        PolicyKind::Gdsf => Json::Str("gdsf".to_string()),
-        PolicyKind::Adaptive { window } => {
-            Json::Obj(vec![("adaptive".to_string(), Json::UInt(window))])
-        }
-    }
-}
-
-fn policy_from_json(json: &Json) -> Result<PolicyKind, String> {
-    match json {
-        Json::Str(p) if p == "lru" => Ok(PolicyKind::Lru),
-        Json::Str(p) if p == "lfu" => Ok(PolicyKind::Lfu),
-        // Repro files written before the threshold was sweepable.
-        Json::Str(p) if p == "light_lfu" => Ok(PolicyKind::light_lfu()),
-        Json::Str(p) if p == "clock" => Ok(PolicyKind::Clock),
-        Json::Str(p) if p == "slru" => Ok(PolicyKind::Slru),
-        Json::Str(p) if p == "lfuda" => Ok(PolicyKind::Lfuda),
-        Json::Str(p) if p == "gdsf" => Ok(PolicyKind::Gdsf),
-        Json::Obj(o) if o.iter().any(|(k, _)| k == "light_lfu") => Ok(PolicyKind::LightLfu {
-            promote_threshold: get_uint(o, "light_lfu")?,
-        }),
-        Json::Obj(o) if o.iter().any(|(k, _)| k == "adaptive") => Ok(PolicyKind::Adaptive {
-            window: get_uint(o, "adaptive")?,
-        }),
-        other => Err(format!("scenario: bad policy {other:?}")),
-    }
-}
-
 impl ToJson for Scenario {
     fn to_json(&self) -> Json {
+        let kv = |k: &str, v: Json| (k.to_string(), v);
+        let spelled = |k: &str, v: &dyn std::fmt::Display| kv(k, Json::Str(v.to_string()));
         let sparse = match self.sparse {
             SparseMode::PsDirect => Json::Str("direct".to_string()),
             SparseMode::AllGather => Json::Str("allgather".to_string()),
@@ -268,124 +220,64 @@ impl ToJson for Scenario {
                 capacity_fraction,
                 policy,
             } => Json::Obj(vec![
-                ("staleness".to_string(), Json::UInt(staleness)),
-                (
-                    "capacity_fraction".to_string(),
-                    Json::Num(capacity_fraction),
-                ),
-                ("policy".to_string(), policy_to_json(policy)),
+                kv("staleness", Json::UInt(staleness)),
+                kv("capacity_fraction", Json::Num(capacity_fraction)),
+                kv("policy", Json::Str(policy.spelling())),
             ]),
         };
-        let tie_break = match self.tie_break {
-            TieBreak::Fifo => Json::Str("fifo".to_string()),
-            TieBreak::Lifo => Json::Str("lifo".to_string()),
-            TieBreak::Salted(salt) => Json::Obj(vec![("salted".to_string(), Json::UInt(salt))]),
-        };
         Json::Obj(vec![
-            ("seed".to_string(), Json::UInt(self.seed)),
-            ("workers".to_string(), Json::UInt(self.workers as u64)),
-            ("iters".to_string(), Json::UInt(self.iters)),
-            ("sync".to_string(), sync_to_json(self.sync)),
-            (
-                "dense".to_string(),
-                Json::Str(
-                    match self.dense {
-                        DenseSync::Ps => "ps",
-                        DenseSync::AllReduce => "allreduce",
-                    }
-                    .to_string(),
-                ),
-            ),
-            ("sparse".to_string(), sparse),
-            ("tie_break".to_string(), tie_break),
-            ("crashes".to_string(), Json::UInt(self.crashes as u64)),
-            ("outages".to_string(), Json::UInt(self.outages as u64)),
-            ("stragglers".to_string(), Json::UInt(self.stragglers as u64)),
-            ("drop_prob".to_string(), Json::Num(self.drop_prob)),
-            (
-                "extra_staleness".to_string(),
-                Json::UInt(self.extra_staleness),
-            ),
-            ("lookahead".to_string(), Json::UInt(self.lookahead)),
-            ("tiered_hot".to_string(), Json::UInt(self.tiered_hot)),
+            kv("seed", Json::UInt(self.seed)),
+            kv("workers", Json::UInt(self.workers as u64)),
+            kv("iters", Json::UInt(self.iters)),
+            spelled("sync", &self.sync),
+            spelled("dense", &self.dense),
+            kv("sparse", sparse),
+            spelled("tie_break", &self.tie_break),
+            kv("crashes", Json::UInt(self.crashes as u64)),
+            kv("outages", Json::UInt(self.outages as u64)),
+            kv("stragglers", Json::UInt(self.stragglers as u64)),
+            kv("drop_prob", Json::Num(self.drop_prob)),
+            kv("extra_staleness", Json::UInt(self.extra_staleness)),
+            kv("lookahead", Json::UInt(self.lookahead)),
+            kv("tiered_hot", Json::UInt(self.tiered_hot)),
         ])
     }
 }
 
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("scenario: missing field '{key}'"))
-}
-
-fn get_uint(obj: &[(String, Json)], key: &str) -> Result<u64, String> {
-    match get(obj, key)? {
-        Json::UInt(n) => Ok(*n),
-        other => Err(format!("scenario: '{key}' must be a uint, got {other:?}")),
-    }
-}
-
-fn get_num(obj: &[(String, Json)], key: &str) -> Result<f64, String> {
-    match get(obj, key)? {
-        Json::Num(n) => Ok(*n),
-        Json::UInt(n) => Ok(*n as f64),
-        other => Err(format!("scenario: '{key}' must be a number, got {other:?}")),
-    }
+/// String field `key` of `json`, read by its type's `FromStr`.
+fn spelled<T: std::str::FromStr<Err = String>>(json: &Json, key: &str) -> Result<T, String> {
+    json.field(key, |v| v.as_str()?.parse())
 }
 
 impl Scenario {
     /// Parses a scenario back from its [`ToJson`] form.
     pub fn from_json(json: &Json) -> Result<Scenario, String> {
-        let Json::Obj(obj) = json else {
-            return Err("scenario: not an object".to_string());
-        };
-        let sync = match get(obj, "sync")? {
-            Json::Str(s) if s == "bsp" => SyncMode::Bsp,
-            Json::Str(s) if s == "asp" => SyncMode::Asp,
-            Json::Obj(o) => SyncMode::Ssp {
-                staleness: get_uint(o, "ssp")?,
-            },
-            other => return Err(format!("scenario: bad sync {other:?}")),
-        };
-        let dense = match get(obj, "dense")? {
-            Json::Str(s) if s == "ps" => DenseSync::Ps,
-            Json::Str(s) if s == "allreduce" => DenseSync::AllReduce,
-            other => return Err(format!("scenario: bad dense {other:?}")),
-        };
-        let sparse = match get(obj, "sparse")? {
+        let uint = |key| json.field(key, Json::as_u64);
+        let sparse = match json.get("sparse")? {
             Json::Str(s) if s == "direct" => SparseMode::PsDirect,
             Json::Str(s) if s == "allgather" => SparseMode::AllGather,
-            Json::Obj(o) => SparseMode::Cached {
-                staleness: get_uint(o, "staleness")?,
-                capacity_fraction: get_num(o, "capacity_fraction")?,
-                policy: policy_from_json(get(o, "policy")?)?,
+            cached @ Json::Obj(_) => SparseMode::Cached {
+                staleness: cached.field("staleness", Json::as_u64)?,
+                capacity_fraction: cached.field("capacity_fraction", Json::as_f64)?,
+                policy: spelled(cached, "policy")?,
             },
-            other => return Err(format!("scenario: bad sparse {other:?}")),
-        };
-        let tie_break = match get(obj, "tie_break")? {
-            Json::Str(s) if s == "fifo" => TieBreak::Fifo,
-            Json::Str(s) if s == "lifo" => TieBreak::Lifo,
-            Json::Obj(o) => TieBreak::Salted(get_uint(o, "salted")?),
-            other => return Err(format!("scenario: bad tie_break {other:?}")),
+            other => return Err(format!("bad sparse {}", other.encode())),
         };
         Ok(Scenario {
-            seed: get_uint(obj, "seed")?,
-            workers: get_uint(obj, "workers")? as usize,
-            iters: get_uint(obj, "iters")?,
-            sync,
-            dense,
+            seed: uint("seed")?,
+            workers: uint("workers")? as usize,
+            iters: uint("iters")?,
+            sync: spelled(json, "sync")?,
+            dense: spelled(json, "dense")?,
             sparse,
-            tie_break,
-            crashes: get_uint(obj, "crashes")? as usize,
-            outages: get_uint(obj, "outages")? as usize,
-            stragglers: get_uint(obj, "stragglers")? as usize,
-            drop_prob: get_num(obj, "drop_prob")?,
-            extra_staleness: get_uint(obj, "extra_staleness")?,
-            // Absent in repro files written before prefetching existed.
-            lookahead: get_uint(obj, "lookahead").unwrap_or(0),
-            // Absent in repro files written before the tiered store.
-            tiered_hot: get_uint(obj, "tiered_hot").unwrap_or(0),
+            tie_break: spelled(json, "tie_break")?,
+            crashes: uint("crashes")? as usize,
+            outages: uint("outages")? as usize,
+            stragglers: uint("stragglers")? as usize,
+            drop_prob: json.field("drop_prob", Json::as_f64)?,
+            extra_staleness: uint("extra_staleness")?,
+            lookahead: uint("lookahead")?,
+            tiered_hot: uint("tiered_hot")?,
         })
     }
 }
@@ -623,10 +515,9 @@ fn write_repro(
 pub fn read_repro(path: &Path) -> Result<Scenario, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let json = het_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let Json::Obj(obj) = &json else {
-        return Err("repro file: not an object".to_string());
-    };
-    Scenario::from_json(get(obj, "shrunk")?)
+    json.get("shrunk")
+        .and_then(Scenario::from_json)
+        .map_err(|e| format!("{}: shrunk scenario: {e}", path.display()))
 }
 
 /// Runs a fuzz campaign: samples, executes, and oracle-checks

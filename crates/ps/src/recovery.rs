@@ -56,11 +56,6 @@ impl ShardCheckpointStore {
         self.blobs.len()
     }
 
-    /// True once `shard` has at least one checkpoint.
-    pub fn has_checkpoint(&self, shard: usize) -> bool {
-        self.blobs[shard].is_some()
-    }
-
     /// Snapshots one shard through the wire format, replacing its
     /// previous checkpoint. Returns the number of rows captured. On
     /// error (e.g. a non-finite vector mid-divergence) the previous

@@ -261,11 +261,6 @@ impl ClusterRuntime {
         pid
     }
 
-    /// Number of registered processes.
-    pub fn n_processes(&self) -> usize {
-        self.stopped.len()
-    }
-
     /// First cluster-member index owned by `pid`.
     pub fn member_offset(&self, pid: ProcessId) -> usize {
         self.offsets[pid]

@@ -60,30 +60,31 @@ pub enum ExecutionBackend {
 }
 
 impl ExecutionBackend {
-    /// Parses `"sim"` or `"threads:<n>"` (n ≥ 1).
-    pub fn parse(s: &str) -> Result<Self, String> {
-        if s == "sim" {
-            return Ok(ExecutionBackend::Sim);
-        }
-        if let Some(n) = s.strip_prefix("threads:") {
-            let n: usize = n
-                .parse()
-                .map_err(|_| format!("--backend threads:<n>: '{n}' is not a number"))?;
-            if n == 0 {
-                return Err("--backend threads:<n> requires n >= 1".to_string());
-            }
-            return Ok(ExecutionBackend::Threads(n));
-        }
-        Err(format!(
-            "unknown backend '{s}' (expected 'sim' or 'threads:<n>')"
-        ))
-    }
+    /// What [`str::parse`] reads; `N` is a thread count of at least 1.
+    pub const SPELLINGS: &'static str = "sim threads:N";
 
     /// The worker-thread count, or `None` on the sim backend.
     pub fn threads(&self) -> Option<usize> {
         match self {
             ExecutionBackend::Sim => None,
             ExecutionBackend::Threads(n) => Some(*n),
+        }
+    }
+}
+
+impl std::str::FromStr for ExecutionBackend {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        if s == "sim" {
+            return Ok(ExecutionBackend::Sim);
+        }
+        let n = s
+            .strip_prefix("threads:")
+            .ok_or_else(|| format!("unknown backend '{s}' (try: {})", Self::SPELLINGS))?;
+        match n.parse() {
+            Ok(n) if n >= 1 => Ok(ExecutionBackend::Threads(n)),
+            _ => Err(format!("backend '{s}': '{n}' is not a thread count >= 1")),
         }
     }
 }
@@ -301,14 +302,12 @@ mod tests {
 
     #[test]
     fn backend_parses_and_displays() {
-        assert_eq!(ExecutionBackend::parse("sim"), Ok(ExecutionBackend::Sim));
-        assert_eq!(
-            ExecutionBackend::parse("threads:4"),
-            Ok(ExecutionBackend::Threads(4))
-        );
-        assert!(ExecutionBackend::parse("threads:0").is_err());
-        assert!(ExecutionBackend::parse("threads:x").is_err());
-        assert!(ExecutionBackend::parse("gpu").is_err());
+        for backend in [ExecutionBackend::Sim, ExecutionBackend::Threads(4)] {
+            assert_eq!(backend.to_string().parse(), Ok(backend), "{backend}");
+        }
+        for bad in ["threads:0", "threads:x", "gpu"] {
+            assert!(bad.parse::<ExecutionBackend>().is_err(), "{bad}");
+        }
         assert_eq!(ExecutionBackend::Threads(2).to_string(), "threads:2");
         assert_eq!(ExecutionBackend::Sim.threads(), None);
         assert_eq!(ExecutionBackend::Threads(3).threads(), Some(3));

@@ -30,6 +30,32 @@ pub enum TieBreak {
     Salted(u64),
 }
 
+impl std::fmt::Display for TieBreak {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TieBreak::Fifo => f.write_str("fifo"),
+            TieBreak::Lifo => f.write_str("lifo"),
+            TieBreak::Salted(salt) => write!(f, "salted:{salt}"),
+        }
+    }
+}
+
+impl std::str::FromStr for TieBreak {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "fifo" => Ok(TieBreak::Fifo),
+            "lifo" => Ok(TieBreak::Lifo),
+            _ => s
+                .strip_prefix("salted:")
+                .and_then(|salt| salt.parse().ok())
+                .map(TieBreak::Salted)
+                .ok_or_else(|| format!("unknown tie-break '{s}' (try: fifo lifo salted:<u64>)")),
+        }
+    }
+}
+
 /// SplitMix64 finalizer: a cheap bijective mix for [`TieBreak::Salted`].
 fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -159,6 +185,16 @@ impl<T> Default for EventQueue<T> {
 mod tests {
     use super::*;
     use crate::time::SimDuration;
+
+    #[test]
+    fn tie_breaks_read_their_spelling_back() {
+        for rule in [TieBreak::Fifo, TieBreak::Lifo, TieBreak::Salted(u64::MAX)] {
+            assert_eq!(rule.to_string().parse(), Ok(rule), "{rule}");
+        }
+        for bad in ["FIFO", "salted", "salted:-1", ""] {
+            assert!(bad.parse::<TieBreak>().is_err(), "{bad}");
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {

@@ -472,72 +472,16 @@ impl FaultPlan {
     /// are re-sorted and a zero drop probability normalises the drop
     /// seed to 0, so a round-trip compares equal even after hand edits.
     pub fn from_json(json: &Json) -> Result<FaultPlan, String> {
-        fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-            obj.iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("fault plan: missing field '{key}'"))
-        }
-        fn get_uint(obj: &[(String, Json)], key: &str) -> Result<u64, String> {
-            match get(obj, key)? {
-                Json::UInt(n) => Ok(*n),
-                other => Err(format!("fault plan: '{key}' must be a uint, got {other:?}")),
-            }
-        }
-        fn get_num(obj: &[(String, Json)], key: &str) -> Result<f64, String> {
-            match get(obj, key)? {
-                Json::Num(x) => Ok(*x),
-                Json::UInt(n) => Ok(*n as f64),
-                Json::Int(n) => Ok(*n as f64),
-                other => Err(format!(
-                    "fault plan: '{key}' must be a number, got {other:?}"
-                )),
-            }
-        }
-        let Json::Obj(obj) = json else {
-            return Err("fault plan: not an object".to_string());
-        };
-        let Json::Arr(raw_events) = get(obj, "events")? else {
-            return Err("fault plan: 'events' must be an array".to_string());
+        let Json::Arr(raw_events) = json.get("events")? else {
+            return Err("'events' must be an array".to_string());
         };
         let mut events = Vec::with_capacity(raw_events.len());
-        for (i, raw) in raw_events.iter().enumerate() {
-            let Json::Obj(e) = raw else {
-                return Err(format!("fault plan: event {i} is not an object"));
-            };
-            let kind = match get(e, "kind")? {
-                Json::Str(s) => s.as_str(),
-                other => return Err(format!("fault plan: event {i} kind {other:?}")),
-            };
-            events.push(match kind {
-                "worker_crash" => FaultEvent::WorkerCrash {
-                    worker: get_uint(e, "worker")? as usize,
-                    at: SimTime::from_nanos(get_uint(e, "at_ns")?),
-                    restart_delay: SimDuration::from_nanos(get_uint(e, "restart_ns")?),
-                },
-                "ps_shard_outage" => FaultEvent::PsShardOutage {
-                    shard: get_uint(e, "shard")? as usize,
-                    at: SimTime::from_nanos(get_uint(e, "at_ns")?),
-                    failover_delay: SimDuration::from_nanos(get_uint(e, "failover_ns")?),
-                },
-                "link_degradation" => FaultEvent::LinkDegradation {
-                    from: SimTime::from_nanos(get_uint(e, "from_ns")?),
-                    until: SimTime::from_nanos(get_uint(e, "until_ns")?),
-                    latency_factor: get_num(e, "latency_factor")?,
-                    bandwidth_factor: get_num(e, "bandwidth_factor")?,
-                },
-                "straggler" => FaultEvent::Straggler {
-                    worker: get_uint(e, "worker")? as usize,
-                    from: SimTime::from_nanos(get_uint(e, "from_ns")?),
-                    until: SimTime::from_nanos(get_uint(e, "until_ns")?),
-                    slowdown: get_num(e, "slowdown")?,
-                },
-                other => return Err(format!("fault plan: event {i} unknown kind '{other}'")),
-            });
+        for (i, e) in raw_events.iter().enumerate() {
+            events.push(Self::read_event(e).map_err(|e| format!("event {i}: {e}"))?);
         }
-        let drop_prob = get_num(obj, "drop_prob")?.clamp(0.0, 1.0);
+        let drop_prob = json.field("drop_prob", Json::as_f64)?.clamp(0.0, 1.0);
         let drop_seed = if drop_prob > 0.0 {
-            get_uint(obj, "drop_seed")?
+            json.field("drop_seed", Json::as_u64)?
         } else {
             0
         };
@@ -548,6 +492,37 @@ impl FaultPlan {
         };
         plan.sort();
         Ok(plan)
+    }
+
+    fn read_event(e: &Json) -> Result<FaultEvent, String> {
+        let time = |key| e.field(key, Json::as_u64).map(SimTime::from_nanos);
+        let delay = |key| e.field(key, Json::as_u64).map(SimDuration::from_nanos);
+        let index = |key| e.field(key, Json::as_u64).map(|n| n as usize);
+        Ok(match e.field("kind", Json::as_str)? {
+            "worker_crash" => FaultEvent::WorkerCrash {
+                worker: index("worker")?,
+                at: time("at_ns")?,
+                restart_delay: delay("restart_ns")?,
+            },
+            "ps_shard_outage" => FaultEvent::PsShardOutage {
+                shard: index("shard")?,
+                at: time("at_ns")?,
+                failover_delay: delay("failover_ns")?,
+            },
+            "link_degradation" => FaultEvent::LinkDegradation {
+                from: time("from_ns")?,
+                until: time("until_ns")?,
+                latency_factor: e.field("latency_factor", Json::as_f64)?,
+                bandwidth_factor: e.field("bandwidth_factor", Json::as_f64)?,
+            },
+            "straggler" => FaultEvent::Straggler {
+                worker: index("worker")?,
+                from: time("from_ns")?,
+                until: time("until_ns")?,
+                slowdown: e.field("slowdown", Json::as_f64)?,
+            },
+            other => return Err(format!("unknown kind '{other}'")),
+        })
     }
 }
 

@@ -248,6 +248,38 @@ impl StoreSpec {
     pub fn is_tiered(&self) -> bool {
         matches!(self, StoreSpec::Tiered(_))
     }
+
+    /// What [`str::parse`] reads; `HOT_ROWS` is a positive row budget.
+    pub const SPELLINGS: &'static str = "mem tiered:HOT_ROWS";
+}
+
+/// Spelled `mem` or `tiered:<hot_rows>`. The spelling carries only the
+/// hot-row budget: [`str::parse`] gives the rest of a tiered spec
+/// [`TieredConfig::new`]'s defaults.
+impl std::fmt::Display for StoreSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StoreSpec::Mem => f.write_str("mem"),
+            StoreSpec::Tiered(cfg) => write!(f, "tiered:{}", cfg.hot_rows),
+        }
+    }
+}
+
+impl std::str::FromStr for StoreSpec {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        if s == "mem" {
+            return Ok(StoreSpec::Mem);
+        }
+        let hot = s
+            .strip_prefix("tiered:")
+            .ok_or_else(|| format!("unknown store '{s}' (try: {})", Self::SPELLINGS))?;
+        match hot.parse() {
+            Ok(hot_rows) if hot_rows > 0 => Ok(StoreSpec::Tiered(TieredConfig::new(hot_rows))),
+            _ => Err(format!("store '{s}': '{hot}' is not a positive row budget")),
+        }
+    }
 }
 
 /// Configuration of a [`TieredStore`].
@@ -294,6 +326,16 @@ impl TieredConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn store_specs_read_their_spelling_back() {
+        for spec in [StoreSpec::Mem, StoreSpec::Tiered(TieredConfig::new(8))] {
+            assert_eq!(spec.to_string().parse(), Ok(spec.clone()), "{spec}");
+        }
+        for bad in ["memory", "tiered", "tiered:0", "tiered:-8", ""] {
+            assert!(bad.parse::<StoreSpec>().is_err(), "{bad}");
+        }
+    }
 
     #[test]
     fn hot_hit_rate_handles_empty_and_mixed() {

@@ -8,7 +8,7 @@
 //! `TraceLog`) and [`TraceCursor`] walks its event stream in emission
 //! order.
 
-use crate::{TraceLog, Value};
+use crate::TraceLog;
 use het_json::Json;
 
 /// One replayed trace event (owned strings).
@@ -41,11 +41,7 @@ impl ReplayEvent {
 
     /// A payload field as an unsigned integer, if present and unsigned.
     pub fn field_u64(&self, name: &str) -> Option<u64> {
-        match self.field(name)? {
-            Json::UInt(n) => Some(*n),
-            Json::Int(n) if *n >= 0 => Some(*n as u64),
-            _ => None,
-        }
+        self.field(name)?.as_u64().ok()
     }
 }
 
@@ -73,75 +69,12 @@ pub struct ReplayLog {
     pub counters: Vec<ReplayCounter>,
 }
 
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn get_str(obj: &[(String, Json)], key: &str) -> Option<String> {
-    match get(obj, key) {
-        Some(Json::Str(s)) => Some(s.clone()),
-        _ => None,
-    }
-}
-
-fn get_uint(obj: &[(String, Json)], key: &str) -> Option<u64> {
-    match get(obj, key) {
-        Some(Json::UInt(n)) => Some(*n),
-        _ => None,
-    }
-}
-
-fn get_opt_uint(obj: &[(String, Json)], key: &str) -> Option<u64> {
-    match get(obj, key) {
-        Some(Json::UInt(n)) => Some(*n),
-        _ => None,
-    }
-}
-
 impl ReplayLog {
-    /// Parses a `het-trace-v1` JSONL document. The document is first
-    /// run through [`crate::schema::validate_jsonl`], so a successful
-    /// parse implies schema validity.
+    /// Parses a `het-trace-v1` JSONL document, checking it against the
+    /// schema ([`crate::schema::validate_jsonl`]'s rules) in the same
+    /// pass, so a successful parse implies schema validity.
     pub fn parse(jsonl: &str) -> Result<ReplayLog, String> {
-        crate::schema::validate_jsonl(jsonl)?;
-        let mut log = ReplayLog::default();
-        for raw in jsonl.lines() {
-            let Json::Obj(obj) = het_json::from_str(raw).expect("validated line") else {
-                unreachable!("validated line is an object");
-            };
-            match get_str(&obj, "type").expect("validated type").as_str() {
-                "meta" => {
-                    log.meta = obj
-                        .into_iter()
-                        .filter(|(k, _)| k != "type" && k != "schema")
-                        .collect();
-                }
-                "event" => {
-                    let fields = match get(&obj, "fields") {
-                        Some(Json::Obj(f)) => f.clone(),
-                        _ => unreachable!("validated fields object"),
-                    };
-                    log.events.push(ReplayEvent {
-                        t_ns: get_uint(&obj, "t").expect("validated t"),
-                        worker: get_opt_uint(&obj, "w"),
-                        comp: get_str(&obj, "comp").expect("validated comp"),
-                        name: get_str(&obj, "name").expect("validated name"),
-                        dur_ns: get_opt_uint(&obj, "dur"),
-                        fields,
-                    });
-                }
-                "counter" => {
-                    log.counters.push(ReplayCounter {
-                        comp: get_str(&obj, "comp").expect("validated comp"),
-                        name: get_str(&obj, "name").expect("validated name"),
-                        idx: get_opt_uint(&obj, "idx"),
-                        value: get_uint(&obj, "value").expect("validated value"),
-                    });
-                }
-                _ => unreachable!("validated line type"),
-            }
-        }
-        Ok(log)
+        crate::schema::read_jsonl(jsonl).map(|(_, log)| log)
     }
 
     /// Sum of a counter across all sub-indices.
@@ -187,7 +120,7 @@ impl From<&TraceLog> for ReplayLog {
                     fields: e
                         .fields
                         .iter()
-                        .map(|(k, v)| (k.to_string(), value_to_json(v)))
+                        .map(|(k, v)| (k.to_string(), v.to_json()))
                         .collect(),
                 })
                 .collect(),
@@ -202,16 +135,6 @@ impl From<&TraceLog> for ReplayLog {
                 })
                 .collect(),
         }
-    }
-}
-
-fn value_to_json(v: &Value) -> Json {
-    match v {
-        Value::Bool(b) => Json::Bool(*b),
-        Value::UInt(n) => Json::UInt(*n),
-        Value::Int(n) => Json::Int(*n),
-        Value::Num(n) => Json::Num(*n),
-        Value::Str(s) => Json::Str(s.clone()),
     }
 }
 
@@ -264,6 +187,7 @@ impl<'a> Iterator for TraceCursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Value;
 
     fn sample_log() -> TraceLog {
         crate::start(vec![("seed".to_string(), Json::UInt(9))]);

@@ -6,6 +6,7 @@
 //! meta header, and cross-line ordering (meta first, counters after the
 //! last event, counters sorted).
 
+use crate::replay::{ReplayCounter, ReplayEvent, ReplayLog};
 use het_json::Json;
 use std::collections::BTreeSet;
 
@@ -60,51 +61,40 @@ pub struct TraceSummary {
     pub event_kinds: BTreeSet<String>,
 }
 
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn require_str(obj: &[(String, Json)], key: &str, line: usize) -> Result<String, String> {
-    match get(obj, key) {
-        Some(Json::Str(s)) if !s.is_empty() => Ok(s.clone()),
-        Some(_) => Err(format!(
-            "line {line}: field '{key}' must be a non-empty string"
-        )),
-        None => Err(format!("line {line}: missing field '{key}'")),
+/// A non-empty string.
+fn non_empty(v: &Json) -> Result<&str, String> {
+    match v.as_str()? {
+        "" => Err("expected a non-empty string, got \"\"".to_string()),
+        s => Ok(s),
     }
 }
 
-fn require_uint(obj: &[(String, Json)], key: &str, line: usize) -> Result<u64, String> {
-    match get(obj, key) {
-        Some(Json::UInt(n)) => Ok(*n),
-        Some(_) => Err(format!(
-            "line {line}: field '{key}' must be an unsigned integer"
-        )),
-        None => Err(format!("line {line}: missing field '{key}'")),
+/// An unsigned integer, or `null` for none.
+fn uint_or_null(v: &Json) -> Result<Option<u64>, String> {
+    match v {
+        Json::Null => Ok(None),
+        v => v.as_u64().map(Some),
     }
 }
 
-fn require_uint_or_null(
-    obj: &[(String, Json)],
+/// Field `key` read by `read`, or `None` when the line has no such key.
+fn optional<'a, T>(
+    json: &'a Json,
     key: &str,
-    line: usize,
-) -> Result<Option<u64>, String> {
-    match get(obj, key) {
-        Some(Json::UInt(n)) => Ok(Some(*n)),
-        Some(Json::Null) => Ok(None),
-        Some(_) => Err(format!("line {line}: field '{key}' must be uint or null")),
-        None => Err(format!("line {line}: missing field '{key}'")),
+    read: impl FnOnce(&'a Json) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    match json.get(key) {
+        Ok(_) => json.field(key, read).map(Some),
+        Err(_) => Ok(None),
     }
 }
 
-/// Validates a full JSONL trace document against `het-trace-v1`.
-/// Returns a [`TraceSummary`] on success and a message naming the first
-/// offending line on failure.
-pub fn validate_jsonl(input: &str) -> Result<TraceSummary, String> {
-    let mut summary = TraceSummary::default();
-    let mut saw_meta = false;
-    let mut in_counter_tail = false;
-    let mut last_counter_key: Option<(String, String, Option<u64>)> = None;
+/// One pass over a document: what the checks carry from line to line,
+/// and the replay log of the lines checked so far.
+#[derive(Default)]
+struct Reader {
+    summary: TraceSummary,
+    log: ReplayLog,
     // Wall-clock (threaded, merged) traces carry `"clock":"wall"` in
     // the meta line. The single sim clock is globally serial but NOT
     // monotone in emission order (the trainer re-scopes backwards at
@@ -113,122 +103,141 @@ pub fn validate_jsonl(input: &str) -> Result<TraceSummary, String> {
     // by the documented merge rule (`merge_threads`), must instead be
     // (t, tid)-sorted with a tid on every event; that global order
     // implies per-thread monotonicity, which is what we enforce.
-    let mut wall_clock = false;
-    let mut last_event_key: Option<(u64, u64)> = None;
+    wall_clock: bool,
+    last_event_key: Option<(u64, u64)>,
+}
 
-    for (i, raw) in input.lines().enumerate() {
-        let line = i + 1;
+impl Reader {
+    /// Checks line number `line` (1-based) of the document.
+    fn line(&mut self, line: usize, raw: &str) -> Result<(), String> {
         if raw.trim().is_empty() {
-            return Err(format!("line {line}: blank line in trace"));
+            return Err("blank line in trace".to_string());
         }
-        let parsed =
-            het_json::from_str(raw).map_err(|e| format!("line {line}: not valid JSON ({e})"))?;
-        let Json::Obj(obj) = parsed else {
-            return Err(format!("line {line}: every trace line must be an object"));
-        };
-        let kind = require_str(&obj, "type", line)?;
-        if line == 1 {
-            if kind != "meta" {
-                return Err("line 1: first line must have type 'meta'".to_string());
-            }
-            let schema = require_str(&obj, "schema", line)?;
-            if schema != crate::SCHEMA_VERSION {
-                return Err(format!(
-                    "line 1: schema '{schema}' != expected '{}'",
-                    crate::SCHEMA_VERSION
-                ));
-            }
-            if let Some(Json::Str(clock)) = get(&obj, crate::CLOCK_META_KEY) {
-                if clock == "wall" {
-                    wall_clock = true;
-                }
-            }
-            saw_meta = true;
-            continue;
+        let json = het_json::from_str(raw).map_err(|e| format!("not valid JSON ({e})"))?;
+        if !matches!(json, Json::Obj(_)) {
+            return Err("every trace line must be an object".to_string());
         }
-        match kind.as_str() {
-            "meta" => return Err(format!("line {line}: duplicate meta line")),
-            "event" => {
-                if in_counter_tail {
-                    return Err(format!(
-                        "line {line}: event after counter tail (counters must come last)"
-                    ));
-                }
-                let t = require_uint(&obj, "t", line)?;
-                require_uint_or_null(&obj, "w", line)?;
-                match get(&obj, "tid") {
-                    Some(Json::UInt(tid)) if wall_clock => {
-                        let key = (t, *tid);
-                        if let Some(prev) = last_event_key {
-                            if key < prev {
-                                return Err(format!(
-                                    "line {line}: wall-clock events out of (t, tid) merge \
-                                     order (got t={t} tid={tid} after t={} tid={})",
-                                    prev.0, prev.1
-                                ));
-                            }
-                        }
-                        last_event_key = Some(key);
-                    }
-                    Some(Json::UInt(_)) => {}
-                    Some(_) => {
-                        return Err(format!("line {line}: 'tid' must be an unsigned integer"))
-                    }
-                    None if wall_clock => {
+        let kind = json.field("type", non_empty)?;
+        if line > 1 {
+            return match kind {
+                "meta" => Err("duplicate meta line".to_string()),
+                "event" => self.event(&json),
+                "counter" => self.counter(&json),
+                other => Err(format!("unknown line type '{other}'")),
+            };
+        }
+        if kind != "meta" {
+            return Err("first line must have type 'meta'".to_string());
+        }
+        let schema = json.field("schema", non_empty)?;
+        if schema != crate::SCHEMA_VERSION {
+            return Err(format!(
+                "schema '{schema}' != expected '{}'",
+                crate::SCHEMA_VERSION
+            ));
+        }
+        self.wall_clock =
+            matches!(json.get(crate::CLOCK_META_KEY), Ok(Json::Str(c)) if c == "wall");
+        if let Json::Obj(meta) = json {
+            self.log.meta = meta
+                .into_iter()
+                .filter(|(k, _)| k != "type" && k != "schema")
+                .collect();
+        }
+        Ok(())
+    }
+
+    fn event(&mut self, json: &Json) -> Result<(), String> {
+        if !self.log.counters.is_empty() {
+            return Err("event after counter tail (counters must come last)".to_string());
+        }
+        let t = json.field("t", Json::as_u64)?;
+        let worker = json.field("w", uint_or_null)?;
+        match (optional(json, "tid", Json::as_u64)?, self.wall_clock) {
+            (Some(tid), true) => {
+                let key = (t, tid);
+                if let Some(prev) = self.last_event_key {
+                    if key < prev {
                         return Err(format!(
-                            "line {line}: wall-clock trace event is missing 'tid'"
-                        ))
-                    }
-                    None => {}
-                }
-                let comp = require_str(&obj, "comp", line)?;
-                if !known_component(&comp) {
-                    return Err(format!("line {line}: unknown component '{comp}'"));
-                }
-                let name = require_str(&obj, "name", line)?;
-                if let Some(dur) = get(&obj, "dur") {
-                    if !matches!(dur, Json::UInt(_)) {
-                        return Err(format!("line {line}: 'dur' must be an unsigned integer"));
-                    }
-                    summary.spans += 1;
-                }
-                match get(&obj, "fields") {
-                    Some(Json::Obj(_)) => {}
-                    Some(_) => return Err(format!("line {line}: 'fields' must be an object")),
-                    None => return Err(format!("line {line}: missing field 'fields'")),
-                }
-                summary.events += 1;
-                summary.event_kinds.insert(format!("{comp}.{name}"));
-                summary.components.insert(comp);
-            }
-            "counter" => {
-                in_counter_tail = true;
-                let comp = require_str(&obj, "comp", line)?;
-                if !known_component(&comp) {
-                    return Err(format!("line {line}: unknown component '{comp}'"));
-                }
-                let name = require_str(&obj, "name", line)?;
-                let idx = require_uint_or_null(&obj, "idx", line)?;
-                require_uint(&obj, "value", line)?;
-                let key = (comp.clone(), name, idx);
-                if let Some(prev) = &last_counter_key {
-                    if *prev >= key {
-                        return Err(format!(
-                            "line {line}: counters out of sorted (comp,name,idx) order"
+                            "wall-clock events out of (t, tid) merge order \
+                             (got t={t} tid={tid} after t={} tid={})",
+                            prev.0, prev.1
                         ));
                     }
                 }
-                last_counter_key = Some(key);
-                summary.counters += 1;
-                summary.components.insert(comp);
+                self.last_event_key = Some(key);
             }
-            other => return Err(format!("line {line}: unknown line type '{other}'")),
+            (None, true) => return Err("wall-clock trace event is missing 'tid'".to_string()),
+            (_, false) => {}
         }
+        let comp = json.field("comp", non_empty)?;
+        if !known_component(comp) {
+            return Err(format!("unknown component '{comp}'"));
+        }
+        let name = json.field("name", non_empty)?;
+        let dur_ns = optional(json, "dur", Json::as_u64)?;
+        let Json::Obj(fields) = json.get("fields")? else {
+            return Err("'fields' must be an object".to_string());
+        };
+        self.summary.spans += usize::from(dur_ns.is_some());
+        self.summary.events += 1;
+        self.summary.event_kinds.insert(format!("{comp}.{name}"));
+        self.summary.components.insert(comp.to_string());
+        self.log.events.push(ReplayEvent {
+            t_ns: t,
+            worker,
+            comp: comp.to_string(),
+            name: name.to_string(),
+            dur_ns,
+            fields: fields.clone(),
+        });
+        Ok(())
     }
-    if !saw_meta {
+
+    fn counter(&mut self, json: &Json) -> Result<(), String> {
+        let comp = json.field("comp", non_empty)?;
+        if !known_component(comp) {
+            return Err(format!("unknown component '{comp}'"));
+        }
+        let name = json.field("name", non_empty)?;
+        let idx = json.field("idx", uint_or_null)?;
+        let value = json.field("value", Json::as_u64)?;
+        let prev = self.log.counters.last();
+        if prev.is_some_and(|p| (p.comp.as_str(), p.name.as_str(), p.idx) >= (comp, name, idx)) {
+            return Err("counters out of sorted (comp,name,idx) order".to_string());
+        }
+        self.summary.counters += 1;
+        self.summary.components.insert(comp.to_string());
+        self.log.counters.push(ReplayCounter {
+            comp: comp.to_string(),
+            name: name.to_string(),
+            idx,
+            value,
+        });
+        Ok(())
+    }
+}
+
+/// Validates a full JSONL trace document against `het-trace-v1`.
+/// Returns a [`TraceSummary`] on success and a message naming the first
+/// offending line on failure.
+pub fn validate_jsonl(input: &str) -> Result<TraceSummary, String> {
+    read_jsonl(input).map(|(summary, _)| summary)
+}
+
+/// Checks `input` against `het-trace-v1` and builds its replay log, in
+/// one pass.
+pub(crate) fn read_jsonl(input: &str) -> Result<(TraceSummary, ReplayLog), String> {
+    if input.is_empty() {
         return Err("empty trace: missing meta line".to_string());
     }
-    Ok(summary)
+    let mut reader = Reader::default();
+    for (i, raw) in input.lines().enumerate() {
+        reader
+            .line(i + 1, raw)
+            .map_err(|e| format!("line {}: {e}", i + 1))?;
+    }
+    Ok((reader.summary, reader.log))
 }
 
 #[cfg(test)]

@@ -21,7 +21,6 @@ fn run(seed: u64, preset: SystemPreset, faults: FaultConfig) -> TrainReport {
 /// from a clean run of the same cell so every event lands in-run.
 fn fault_spec(horizon: SimDuration) -> FaultConfig {
     let mut cfg = FaultConfig::disabled();
-    cfg.enabled = true;
     cfg.checkpoint_every = 20;
     cfg.spec.worker_crashes = 2;
     cfg.spec.shard_outages = 1;
@@ -304,7 +303,6 @@ fn serve_seed_matrix_identical_reports() {
     };
     let faults = || {
         let mut cfg = FaultConfig::disabled();
-        cfg.enabled = true;
         cfg.spec.worker_crashes = 1;
         cfg.spec.shard_outages = 1;
         cfg.spec.restart_delay = SimDuration::from_millis(2);
@@ -387,7 +385,6 @@ fn colocated_seed_matrix_identical_reports_and_traces() {
     };
     let faults = |horizon: SimDuration| {
         let mut cfg = FaultConfig::disabled();
-        cfg.enabled = true;
         cfg.checkpoint_every = 20;
         cfg.spec.worker_crashes = 2;
         cfg.spec.shard_outages = 1;

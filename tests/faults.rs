@@ -42,7 +42,6 @@ fn assert_bit_identical(a: &TrainReport, b: &TrainReport) {
 /// before the run ends.
 fn full_spec(sim_time: SimTime) -> FaultConfig {
     let mut cfg = FaultConfig::disabled();
-    cfg.enabled = true;
     cfg.spec.worker_crashes = 1;
     cfg.spec.shard_outages = 1;
     cfg.spec.stragglers = 1;
@@ -56,13 +55,31 @@ fn full_spec(sim_time: SimTime) -> FaultConfig {
 fn disabled_and_zero_schedule_match_the_fault_free_run_exactly() {
     let baseline = run(11, FaultConfig::disabled());
 
-    // enabled = true but an all-zero spec: the plan is empty, and the
-    // empty plan must take byte-for-byte the fault-free code path.
-    let mut zero = FaultConfig::disabled();
-    zero.enabled = true;
+    // An all-zero spec: the plan is empty, and the empty plan must take
+    // byte-for-byte the fault-free code path.
+    let zero = FaultConfig::disabled();
     let zeroed = run(11, zero);
 
     assert_bit_identical(&baseline, &zeroed);
+    assert_eq!(zeroed.faults, FaultStats::default());
+    assert!(zeroed.fault_events.is_empty());
+}
+
+#[test]
+fn zero_counts_ignore_the_recovery_knobs() {
+    let baseline = run(11, FaultConfig::disabled());
+
+    // No fault is counted, so the knobs that would shape one (a
+    // checkpoint every iteration, a horizon shorter than one, no
+    // retries) must not reach the run: no checkpoint store is built.
+    let mut zero = FaultConfig::disabled();
+    zero.spec.horizon = SimDuration::from_micros(1);
+    zero.checkpoint_every = 1;
+    zero.max_retries = 0;
+    let zeroed = run(11, zero);
+
+    assert_bit_identical(&baseline, &zeroed);
+    assert_eq!(zeroed.faults.checkpoints, 0);
     assert_eq!(zeroed.faults, FaultStats::default());
     assert!(zeroed.fault_events.is_empty());
 }
@@ -136,7 +153,6 @@ fn different_fault_seeds_produce_different_schedules() {
 fn message_drops_charge_retries_and_extra_bytes() {
     let baseline = run(29, FaultConfig::disabled());
     let mut cfg = FaultConfig::disabled();
-    cfg.enabled = true;
     cfg.spec.message_drop_prob = 0.5;
     let dropped = run(29, cfg);
 

@@ -49,7 +49,6 @@ fn traced_run(cfg: ServeConfig) -> (ServeReport, trace::TraceLog) {
 /// everything lands inside a tiny run (~50 ms of simulated time).
 fn fault_spec() -> FaultConfig {
     let mut cfg = FaultConfig::disabled();
-    cfg.enabled = true;
     cfg.spec.worker_crashes = 2;
     cfg.spec.shard_outages = 1;
     cfg.spec.restart_delay = SimDuration::from_millis(2);
@@ -61,7 +60,7 @@ fn fault_spec() -> FaultConfig {
 #[test]
 fn same_seed_gives_byte_identical_report_and_trace() {
     for faults in [FaultConfig::disabled(), fault_spec()] {
-        let faulted = faults.enabled;
+        let faulted = !faults.spec.is_zero();
         let mut cfg = ServeConfig::tiny(13);
         cfg.faults = faults;
         let (report_a, log_a) = traced_run(cfg.clone());

@@ -62,7 +62,6 @@ fn traced_run(
 /// so each event fires before the run ends (same shape as `faults.rs`).
 fn full_spec(sim_time: SimTime) -> FaultConfig {
     let mut cfg = FaultConfig::disabled();
-    cfg.enabled = true;
     cfg.spec.worker_crashes = 1;
     cfg.spec.shard_outages = 1;
     cfg.spec.stragglers = 1;
