@@ -58,10 +58,14 @@ echo "    [timing] benchmark: $(($(date +%s) - step_start))s"
 # behind one runner; Fig. 2 (a few seconds) is the smoke that the figure
 # path of that runner works. The sweep gates below go through it too.
 echo "==> experiment runner smoke (hetctl exp fig2)"
+step_start=$(date +%s)
 cargo run -q --release -p het-bench --bin hetctl -- exp fig2
+echo "    [timing] fig2 smoke: $(($(date +%s) - step_start))s"
 
 echo "==> colocated train+serve smoke (one runtime, one PS fabric)"
+step_start=$(date +%s)
 cargo run -q --release -p het-bench --bin hetctl -- colocate --iters 120 --requests 200
+echo "    [timing] colocate smoke: $(($(date +%s) - step_start))s"
 
 echo "==> PS concurrency stress (seeded schedule perturbation, high test parallelism)"
 step_start=$(date +%s)
@@ -116,10 +120,14 @@ cargo run -q --release -p het-bench --bin hetctl -- exp scale-sweep \
 echo "    [timing] scale sweep: $(($(date +%s) - step_start))s"
 
 echo "==> chaos smoke (compound failure, SLO/RTO gate, single seed)"
+step_start=$(date +%s)
 cargo run -q --release -p het-bench --bin hetctl -- chaos --seed 7
+echo "    [timing] chaos smoke: $(($(date +%s) - step_start))s"
 
 echo "==> chaos recovery campaign (every seed must ride out the storm)"
+step_start=$(date +%s)
 cargo run -q --release -p het-bench --bin hetctl -- chaos --seeds 0..120
+echo "    [timing] chaos campaign: $(($(date +%s) - step_start))s"
 
 # A sabotaged mini-campaign must catch a violation, write a repro file,
 # and exit 1; replaying that file must reproduce it. This runs the repro
@@ -127,6 +135,7 @@ cargo run -q --release -p het-bench --bin hetctl -- chaos --seeds 0..120
 # both write target/experiments/oracle_fuzz.json, and the clean
 # campaign's record is the one to keep.
 echo "==> oracle repro path (sabotaged mini-campaign fails, its repro replays the violation)"
+step_start=$(date +%s)
 rm -rf target/oracle-ci
 status=0
 cargo run -q --release -p het-bench --bin hetctl -- oracle --master-seed 7 --seeds 0..40 \
@@ -144,6 +153,7 @@ if [ "$status" -ne 1 ] || ! echo "$replay" | grep -q "violation reproduced"; the
     echo "replaying $repro exited $status without reproducing the violation"
     exit 1
 fi
+echo "    [timing] oracle repro path: $(($(date +%s) - step_start))s"
 
 echo "==> consistency oracle (120-seed fuzz campaign over the full policy zoo)"
 # The campaign also exercises the prefetch cell: ~1/3 of sampled
@@ -161,8 +171,10 @@ cargo run -q --release -p het-bench --bin hetctl -- oracle --seeds 0..120 --iter
 echo "    [timing] oracle campaign: $(($(date +%s) - step_start))s"
 
 echo "==> prefetch depth sweep (>=30% cut at depth 4, monotone non-increasing)"
+step_start=$(date +%s)
 cargo run -q --release -p het-bench --bin hetctl -- exp prefetch-sweep \
     --iters 480 --depths 0,1,2,4,8 --gate 0.30
+echo "    [timing] prefetch sweep: $(($(date +%s) - step_start))s"
 
 echo "==> store sweep smoke (10^7 keys, bounded residency, hit-rate floor, Mem zero-disk)"
 step_start=$(date +%s)

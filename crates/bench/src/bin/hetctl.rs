@@ -333,8 +333,7 @@ fn run_one_threaded(
         .trace
         .as_ref()
         .ok_or("threaded run returned no trace to replay")?;
-    let replay = het_trace::replay::ReplayLog::from(log);
-    match het_oracle::check_replay(&replay, &het_oracle::OracleSpec::of(&config)) {
+    match het_oracle::check_replay(log, &het_oracle::OracleSpec::of(&config)) {
         Ok(o) => println!(
             "oracle replay: clean ({} events, {} computes, {} window reads)",
             o.events, o.computes, o.window_reads

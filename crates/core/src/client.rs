@@ -69,6 +69,26 @@ fn store_io(server: &PsServer) -> SimDuration {
     SimDuration::from_nanos(server.take_io_ns())
 }
 
+/// One priced leg of the exchange: records the bytes of `messages`
+/// under `category`, prices each message as its own PS transfer, and
+/// passes the leg through the fault plan's degradation and drops (each
+/// retransmission recorded again).
+fn priced_leg(
+    messages: &[u64],
+    category: CommCategory,
+    net: &Collectives,
+    stats: &mut CommStats,
+    faults: &mut Option<&mut FaultContext<'_>>,
+) -> SimDuration {
+    let bytes = messages.iter().sum();
+    stats.record(category, bytes);
+    let base = messages.iter().map(|&b| net.ps_transfer(b)).sum();
+    match faults {
+        Some(f) => f.charge_leg(base, |b| stats.record(category, b), bytes),
+        None => base,
+    }
+}
+
 /// One `Het.Read` between its stages: what the plan decided to move,
 /// then what the exchange moved, for the apply stage to land.
 #[derive(Default)]
@@ -339,12 +359,7 @@ impl HetClient {
         let mut t_clock = SimDuration::ZERO;
         if !step.hits.is_empty() {
             let bytes = self.costs.clock_check(step.hits.len());
-            stats.record(CommCategory::ClockSync, bytes);
-            t_clock = net.ps_transfer(bytes);
-            if let Some(f) = faults.as_mut() {
-                t_clock =
-                    f.charge_leg(t_clock, |b| stats.record(CommCategory::ClockSync, b), bytes);
-            }
+            t_clock = priced_leg(&[bytes], CommCategory::ClockSync, net, stats, &mut faults);
             let ReadStep {
                 hits,
                 resync,
@@ -375,15 +390,13 @@ impl HetClient {
         if !step.missing.is_empty() {
             let req = self.costs.fetch_request(step.missing.len());
             let resp = self.costs.fetch_response(step.missing.len(), self.dim);
-            stats.record(CommCategory::EmbeddingFetch, req + resp);
-            t_missing = net.ps_transfer(req) + net.ps_transfer(resp);
-            if let Some(f) = faults.as_mut() {
-                t_missing = f.charge_leg(
-                    t_missing,
-                    |b| stats.record(CommCategory::EmbeddingFetch, b),
-                    req + resp,
-                );
-            }
+            t_missing = priced_leg(
+                &[req, resp],
+                CommCategory::EmbeddingFetch,
+                net,
+                stats,
+                &mut faults,
+            );
             server.pull_into(&step.missing, &mut step.rows, &mut step.clocks);
             t_missing += store_io(server);
         }
@@ -405,31 +418,25 @@ impl HetClient {
                 (&e.pending_grad, e.current_clock)
             });
             let bytes = self.costs.push(dirty.len(), self.dim);
-            stats.record(CommCategory::EmbeddingPush, bytes);
             step.time += store_io(server);
-            let mut t_push = net.ps_transfer(bytes);
-            if let Some(f) = faults.as_mut() {
-                t_push = f.charge_leg(
-                    t_push,
-                    |b| stats.record(CommCategory::EmbeddingPush, b),
-                    bytes,
-                );
-            }
-            step.time += t_push;
+            step.time += priced_leg(
+                &[bytes],
+                CommCategory::EmbeddingPush,
+                net,
+                stats,
+                &mut faults,
+            );
         }
         if !step.resync.is_empty() {
             let req = self.costs.fetch_request(step.resync.len());
             let resp = self.costs.fetch_response(step.resync.len(), self.dim);
-            stats.record(CommCategory::EmbeddingFetch, req + resp);
-            let mut t_refetch = net.ps_transfer(req) + net.ps_transfer(resp);
-            if let Some(f) = faults.as_mut() {
-                t_refetch = f.charge_leg(
-                    t_refetch,
-                    |b| stats.record(CommCategory::EmbeddingFetch, b),
-                    req + resp,
-                );
-            }
-            step.time += t_refetch;
+            step.time += priced_leg(
+                &[req, resp],
+                CommCategory::EmbeddingFetch,
+                net,
+                stats,
+                &mut faults,
+            );
             server.pull_into(&step.resync, &mut step.rows, &mut step.clocks);
             step.time += store_io(server);
         }
@@ -603,11 +610,13 @@ impl HetClient {
         let io = store_io(server);
         let wait = outage_wait(victims.iter().map(|(k, _)| k), server, &mut faults);
         let bytes = self.costs.push(victims.len(), self.dim);
-        stats.record(CommCategory::EmbeddingPush, bytes);
-        let mut t = net.ps_transfer(bytes);
-        if let Some(f) = faults.as_mut() {
-            t = f.charge_leg(t, |b| stats.record(CommCategory::EmbeddingPush, b), bytes);
-        }
+        let t = priced_leg(
+            &[bytes],
+            CommCategory::EmbeddingPush,
+            net,
+            stats,
+            &mut faults,
+        );
         if self.write_behind {
             self.deferred_push += wait + t + io;
             SimDuration::ZERO
@@ -711,15 +720,13 @@ impl DirectPsClient {
         let wait = outage_wait(keys.iter(), server, &mut faults);
         let req = self.costs.fetch_request(keys.len());
         let resp = self.costs.fetch_response(keys.len(), self.dim);
-        stats.record(CommCategory::EmbeddingFetch, req + resp);
-        let mut time = net.ps_transfer(req) + net.ps_transfer(resp);
-        if let Some(f) = faults.as_mut() {
-            time = f.charge_leg(
-                time,
-                |b| stats.record(CommCategory::EmbeddingFetch, b),
-                req + resp,
-            );
-        }
+        let time = priced_leg(
+            &[req, resp],
+            CommCategory::EmbeddingFetch,
+            net,
+            stats,
+            &mut faults,
+        );
         server.pull_into(keys, &mut step.rows, &mut step.clocks);
         step.time += wait + time + store_io(server);
     }
@@ -757,12 +764,14 @@ impl DirectPsClient {
         let wait = outage_wait(keys.iter(), server, &mut faults);
         server.push_inc_many(keys, |&k| grads.get(k).expect("key from sorted_keys"));
         let bytes = self.costs.push(grads.len(), self.dim);
-        stats.record(CommCategory::EmbeddingPush, bytes);
         let io = store_io(server);
-        let mut t = net.ps_transfer(bytes);
-        if let Some(f) = faults.as_mut() {
-            t = f.charge_leg(t, |b| stats.record(CommCategory::EmbeddingPush, b), bytes);
-        }
+        let t = priced_leg(
+            &[bytes],
+            CommCategory::EmbeddingPush,
+            net,
+            stats,
+            &mut faults,
+        );
         wait + t + io
     }
 }

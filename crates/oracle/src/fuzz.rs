@@ -319,9 +319,7 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioOutcome {
         ("scenario".to_string(), scenario.to_json()),
     ]);
     let report = train(scenario, faults, scenario.extra_staleness);
-    let log = het_trace::finish();
-    let replay = het_trace::replay::ReplayLog::from(&log);
-    let oracle = check_replay(&replay, &scenario.oracle_spec());
+    let oracle = check_replay(&het_trace::finish(), &scenario.oracle_spec());
     ScenarioOutcome { report, oracle }
 }
 

@@ -27,10 +27,10 @@
 //!    hits ≤ total hits) and the `prefetch_install` / `prefetch_hit`
 //!    event stream must reconcile with the cache counters.
 //!
-//! The oracle is driven either from an in-memory
-//! [`het_trace::TraceLog`] (via `ReplayLog::from`) or from a JSONL
-//! document (via `ReplayLog::parse`). The schedule-exploration fuzzer
-//! on top of it lives in [`fuzz`].
+//! The oracle replays a [`het_trace::TraceLog`]: the one the collector
+//! returned, or one read back from its JSONL form with
+//! [`het_trace::TraceLog::parse`] — the same type either way. The
+//! schedule-exploration fuzzer on top of it lives in [`fuzz`].
 
 #![warn(missing_docs)]
 
@@ -39,7 +39,7 @@ pub mod fuzz;
 use het_core::config::{SparseMode, SyncMode, TrainerConfig};
 use het_core::consistency::ConsistencyBound;
 use het_json::{Json, ToJson};
-use het_trace::replay::ReplayLog;
+use het_trace::TraceLog;
 
 /// What the oracle needs to know about the run it replays.
 #[derive(Clone, Debug, PartialEq)]
@@ -138,7 +138,7 @@ macro_rules! violation {
 /// Replays a trace against the reference model and checks every
 /// invariant. Returns coverage counters on success, the first
 /// violation otherwise.
-pub fn check_replay(log: &ReplayLog, spec: &OracleSpec) -> Result<OracleReport, Violation> {
+pub fn check_replay(log: &TraceLog, spec: &OracleSpec) -> Result<OracleReport, Violation> {
     let n = spec.n_workers;
     let bound = ConsistencyBound::for_sync(spec.sync);
     let mut report = OracleReport::default();
@@ -154,7 +154,7 @@ pub fn check_replay(log: &ReplayLog, spec: &OracleSpec) -> Result<OracleReport, 
         hi - lo
     };
 
-    for e in log.cursor() {
+    for e in &log.events {
         report.events += 1;
         if e.is("trainer", "compute") {
             let Some(w) = e.worker else {
@@ -404,7 +404,7 @@ pub fn check_replay(log: &ReplayLog, spec: &OracleSpec) -> Result<OracleReport, 
 mod tests {
     use super::*;
     use het_json::Json;
-    use het_trace::Value;
+    use het_trace::field;
 
     fn spec(sync: SyncMode, cache_staleness: Option<u64>, n: usize) -> OracleSpec {
         OracleSpec {
@@ -428,10 +428,10 @@ mod tests {
         het_trace::emit("trainer", "compute", Some(1), vec![]);
     }
 
-    fn synthetic(build: impl FnOnce()) -> ReplayLog {
+    fn synthetic(build: impl FnOnce()) -> TraceLog {
         het_trace::start(Vec::new());
         build();
-        ReplayLog::from(&het_trace::finish())
+        het_trace::finish()
     }
 
     #[test]
@@ -509,10 +509,10 @@ mod tests {
                 "read_window",
                 None,
                 vec![
-                    ("validated", Value::UInt(3)),
-                    ("degraded", Value::UInt(0)),
-                    ("max_lag", Value::UInt(4)),
-                    ("max_gap", Value::UInt(0)),
+                    field("validated", 3u64),
+                    field("degraded", 0u64),
+                    field("max_lag", 4u64),
+                    field("max_gap", 0u64),
                 ],
             );
         });
@@ -543,7 +543,7 @@ mod tests {
                 "trainer",
                 "worker_crash",
                 None,
-                vec![("dirty_lost", Value::UInt(1))],
+                vec![field("dirty_lost", 1u64)],
             );
         });
         let r = check_replay(&balanced, &spec(SyncMode::Bsp, Some(2), 1)).unwrap();
@@ -574,23 +574,13 @@ mod tests {
             "prefetcher",
             "prefetch_install",
             None,
-            vec![("installed", Value::UInt(3)), ("waited_ns", Value::UInt(0))],
+            vec![field("installed", 3u64), field("waited_ns", 0u64)],
         );
         het_trace::counter_add("cache", "hits", 5);
         het_trace::counter_add("cache", "prefetch_hits", 2);
-        het_trace::emit(
-            "prefetcher",
-            "prefetch_hit",
-            None,
-            vec![("n", Value::UInt(2))],
-        );
+        het_trace::emit("prefetcher", "prefetch_hit", None, vec![field("n", 2u64)]);
         het_trace::counter_add("cache", "prefetch_wasted", 1);
-        het_trace::emit(
-            "prefetcher",
-            "prefetch_waste",
-            None,
-            vec![("n", Value::UInt(1))],
-        );
+        het_trace::emit("prefetcher", "prefetch_waste", None, vec![field("n", 1u64)]);
     }
 
     #[test]
@@ -611,16 +601,11 @@ mod tests {
                 "prefetcher",
                 "prefetch_install",
                 None,
-                vec![("installed", Value::UInt(3))],
+                vec![field("installed", 3u64)],
             );
             het_trace::counter_add("cache", "hits", 2);
             het_trace::counter_add("cache", "prefetch_hits", 2);
-            het_trace::emit(
-                "prefetcher",
-                "prefetch_hit",
-                None,
-                vec![("n", Value::UInt(2))],
-            );
+            het_trace::emit("prefetcher", "prefetch_hit", None, vec![field("n", 2u64)]);
         });
         let v = check_replay(&log, &prefetch_spec(2, 4, 1)).unwrap_err();
         assert_eq!(v.check, "prefetch-ledger");
@@ -634,16 +619,11 @@ mod tests {
                 "prefetcher",
                 "prefetch_install",
                 None,
-                vec![("installed", Value::UInt(2))],
+                vec![field("installed", 2u64)],
             );
             het_trace::counter_add("cache", "hits", 2);
             het_trace::counter_add("cache", "prefetch_hits", 2);
-            het_trace::emit(
-                "prefetcher",
-                "prefetch_hit",
-                None,
-                vec![("n", Value::UInt(2))],
-            );
+            het_trace::emit("prefetcher", "prefetch_hit", None, vec![field("n", 2u64)]);
         });
         let v = check_replay(&log, &prefetch_spec(2, 4, 1)).unwrap_err();
         assert_eq!(v.check, "prefetch-ledger");
@@ -661,16 +641,11 @@ mod tests {
                 "prefetcher",
                 "prefetch_install",
                 None,
-                vec![("installed", Value::UInt(2))],
+                vec![field("installed", 2u64)],
             );
             het_trace::counter_add("cache", "hits", 3);
             het_trace::counter_add("cache", "prefetch_hits", 3);
-            het_trace::emit(
-                "prefetcher",
-                "prefetch_hit",
-                None,
-                vec![("n", Value::UInt(3))],
-            );
+            het_trace::emit("prefetcher", "prefetch_hit", None, vec![field("n", 3u64)]);
         });
         let v = check_replay(&log, &prefetch_spec(2, 4, 1)).unwrap_err();
         assert_eq!(v.check, "prefetch-ledger");
@@ -691,16 +666,11 @@ mod tests {
                 "prefetcher",
                 "prefetch_install",
                 None,
-                vec![("installed", Value::UInt(3))],
+                vec![field("installed", 3u64)],
             );
             het_trace::counter_add("cache", "hits", 1);
             het_trace::counter_add("cache", "prefetch_hits", 3);
-            het_trace::emit(
-                "prefetcher",
-                "prefetch_hit",
-                None,
-                vec![("n", Value::UInt(3))],
-            );
+            het_trace::emit("prefetcher", "prefetch_hit", None, vec![field("n", 3u64)]);
         });
         let v = check_replay(&log, &prefetch_spec(2, 4, 1)).unwrap_err();
         assert_eq!(v.check, "prefetch-ledger");

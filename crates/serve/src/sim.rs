@@ -407,61 +407,42 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
             .unwrap_or_else(|| self.best_of(0..n).expect("non-empty fleet"))
     }
 
-    /// Applies every crash the runtime's fault delivery has due for
-    /// replica `r` at or before `t`.
-    fn apply_crashes(&mut self, r: usize, t: SimTime, ctx: &mut Ctx<'_>) {
-        while let Some((at, restart)) = ctx.take_crash(r, t) {
-            self.apply_one_crash(r, at, restart);
+    /// Applies every crash `take` has due for replica `r` at or before
+    /// `t` (the runtime's fault delivery, through a [`Ctx`] mid-run or
+    /// the runtime itself in the epilogue).
+    fn apply_crashes(
+        &mut self,
+        r: usize,
+        t: SimTime,
+        mut take: impl FnMut(usize, SimTime) -> Option<(SimTime, SimDuration)>,
+    ) {
+        while let Some((at, restart)) = take(r, t) {
+            self.apply_crash(r, at, restart);
         }
     }
 
-    /// One crash: the cache is lost cold and the replica is out until
-    /// the restart delay elapses. Queued requests survive (the balancer
-    /// holds them), which is how the latency cost of a crash surfaces.
-    fn apply_one_crash(&mut self, r: usize, at: SimTime, restart: SimDuration) {
+    /// One crash: the cache is lost cold. Queued requests survive (the
+    /// balancer holds them), which is how the latency cost of a crash
+    /// surfaces. Unsupervised, the replica is out until the scripted
+    /// restart delay elapses. Supervised, it goes *down indefinitely*
+    /// and the restart delay is ignored, because recovery is then the
+    /// supervisor's job (detection via heartbeat age, respawn via the
+    /// control plane).
+    fn apply_crash(&mut self, r: usize, at: SimTime, restart: SimDuration) {
         let replica = &mut self.replicas[r];
         het_trace::set_scope(at.as_nanos(), Some((self.member_offset + r) as u64));
         let (lost, dirty_lost, _) = replica.core.client.crash_reset();
         debug_assert_eq!(dirty_lost, 0, "read-only caches hold no dirty entries");
-        replica.busy_until = replica.busy_until.max(at + restart);
         replica.crash_count += 1;
         self.fault_stats.worker_crashes += 1;
         self.fault_stats.keys_lost += lost;
-        het_trace::emit_at(
-            "serve",
-            "replica_crash",
-            at.as_nanos(),
-            Some(restart.as_nanos()),
-            vec![("keys_lost", het_trace::Value::from(lost))],
-        );
-    }
-
-    /// Supervised-mode crash application: the replica goes *down
-    /// indefinitely* — the scripted restart delay is ignored, because
-    /// recovery is now the supervisor's job (detection via heartbeat
-    /// age, respawn via the control plane).
-    fn apply_supervised_crashes(&mut self, r: usize, t: SimTime, ctx: &mut Ctx<'_>) {
-        while let Some((at, _restart)) = ctx.take_crash(r, t) {
-            self.apply_supervised_crash(r, at);
+        if self.cfg.supervision.enabled {
+            self.down[r] = true;
+            het_trace::event!("serve", "replica_crash", "keys_lost" => lost);
+        } else {
+            replica.busy_until = replica.busy_until.max(at + restart);
+            het_trace::span!("serve", "replica_crash", restart.as_nanos(), "keys_lost" => lost);
         }
-    }
-
-    fn apply_supervised_crash(&mut self, r: usize, at: SimTime) {
-        let replica = &mut self.replicas[r];
-        het_trace::set_scope(at.as_nanos(), Some((self.member_offset + r) as u64));
-        let (lost, dirty_lost, _) = replica.core.client.crash_reset();
-        debug_assert_eq!(dirty_lost, 0, "read-only caches hold no dirty entries");
-        self.down[r] = true;
-        replica.crash_count += 1;
-        self.fault_stats.worker_crashes += 1;
-        self.fault_stats.keys_lost += lost;
-        het_trace::emit_at(
-            "serve",
-            "replica_crash",
-            at.as_nanos(),
-            None,
-            vec![("keys_lost", het_trace::Value::from(lost))],
-        );
     }
 
     /// If the batch replica `r` would launch at `t` needs a PS shard
@@ -496,14 +477,10 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
     /// One scheduling step for replica `r` at time `t`: either launch a
     /// micro-batch, or schedule the wake-up that will.
     fn step(&mut self, r: usize, t: SimTime, ctx: &mut Ctx<'_>) {
-        if self.cfg.supervision.enabled {
-            self.apply_supervised_crashes(r, t, ctx);
-            if self.down[r] {
-                // Queued requests wait for the supervised respawn.
-                return;
-            }
-        } else {
-            self.apply_crashes(r, t, ctx);
+        self.apply_crashes(r, t, |r, t| ctx.take_crash(r, t));
+        if self.down[r] {
+            // Queued requests wait for the supervised respawn.
+            return;
         }
         let replica = &self.replicas[r];
         if replica.queue.is_empty() {
@@ -524,13 +501,7 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
                 het_trace::set_scope(t.as_nanos(), Some((self.member_offset + r) as u64));
                 self.replicas[r].busy_until = t + wait;
                 self.retry_waits += 1;
-                het_trace::emit_at(
-                    "serve",
-                    "retry_wait",
-                    t.as_nanos(),
-                    Some(wait.as_nanos()),
-                    vec![("shard", het_trace::Value::from(shard))],
-                );
+                het_trace::span!("serve", "retry_wait", wait.as_nanos(), "shard" => shard);
                 het_trace::count!("serve", "retry_waits");
                 ctx.schedule(t + wait, Event::Wake(r as u64));
                 return;
@@ -557,7 +528,7 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
     fn on_heartbeat(&mut self, t: SimTime, ctx: &mut Ctx<'_>) {
         if self.cfg.supervision.enabled {
             for r in 0..self.replicas.len() {
-                self.apply_supervised_crashes(r, t, ctx);
+                self.apply_crashes(r, t, |r, t| ctx.take_crash(r, t));
             }
         }
         // Rotate the drift detector's short window on heartbeat ticks;
@@ -644,16 +615,8 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
         let warmed = self.warm_one_from_sketch(r);
         let prefetched = self.prefetch_drifted(r, t);
         self.respawns += 1;
-        het_trace::emit_at(
-            "serve",
-            "replica_respawn",
-            t.as_nanos(),
-            None,
-            vec![
-                ("keys_warmed", het_trace::Value::from(warmed)),
-                ("keys_prefetched", het_trace::Value::from(prefetched)),
-            ],
-        );
+        het_trace::event!("serve", "replica_respawn",
+            "keys_warmed" => warmed, "keys_prefetched" => prefetched);
     }
 
     /// Admits a scaled-up replica into the JSQ pool, warming its cache
@@ -668,13 +631,7 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
                 warmed = self.warm_one_from_sketch(r);
             }
         }
-        het_trace::emit_at(
-            "serve",
-            "replica_admit",
-            t.as_nanos(),
-            None,
-            vec![("keys_warmed", het_trace::Value::from(warmed))],
-        );
+        het_trace::event!("serve", "replica_admit", "keys_warmed" => warmed);
     }
 
     /// Installs the live sketch's top keys into replica `r`'s (empty)
@@ -827,7 +784,7 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
                 "request",
                 req.at.as_nanos(),
                 Some(latency.as_nanos()),
-                vec![("id", het_trace::Value::from(req.id))],
+                vec![het_trace::field("id", req.id)],
             );
         }
         self.end_time = self.end_time.max(done);
@@ -869,13 +826,7 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
     pub fn epilogue(&mut self, rt: &mut ClusterRuntime, pid: ProcessId) {
         let horizon = self.end_time;
         for r in 0..self.replicas.len() {
-            while let Some((at, restart)) = rt.take_crash(pid, r, horizon) {
-                if self.cfg.supervision.enabled {
-                    self.apply_supervised_crash(r, at);
-                } else {
-                    self.apply_one_crash(r, at, restart);
-                }
-            }
+            self.apply_crashes(r, horizon, |r, t| rt.take_crash(pid, r, t));
         }
         self.fault_stats.shard_failovers = self
             .plan

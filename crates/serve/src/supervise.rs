@@ -345,19 +345,10 @@ impl Supervisor {
                 let outcome = store
                     .fail_and_restore(&self.server, shard)
                     .expect("in-memory restore");
-                het_trace::emit(
-                    "supervisor",
-                    "shard_restored",
-                    Some(failover.as_nanos()),
-                    vec![
-                        ("shard", het_trace::Value::from(shard)),
-                        (
-                            "rows_restored",
-                            het_trace::Value::from(outcome.rows_restored),
-                        ),
-                        ("lost_updates", het_trace::Value::from(outcome.lost_updates)),
-                    ],
-                );
+                het_trace::span!("supervisor", "shard_restored", failover.as_nanos(),
+                    "shard" => shard,
+                    "rows_restored" => outcome.rows_restored,
+                    "lost_updates" => outcome.lost_updates);
             }
             return;
         }

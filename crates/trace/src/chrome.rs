@@ -67,7 +67,7 @@ pub fn to_chrome_trace(log: &TraceLog) -> String {
                 Json::Str(format!("{}.{}", e.comp, e.name)),
             ),
             ("cat".to_string(), Json::Str(e.comp.to_string())),
-            ("pid".to_string(), Json::UInt(pid_of(e.comp))),
+            ("pid".to_string(), Json::UInt(pid_of(&e.comp))),
             ("tid".to_string(), Json::UInt(tid)),
             ("ts".to_string(), Json::Num(ts)),
         ];
@@ -85,15 +85,7 @@ pub fn to_chrome_trace(log: &TraceLog) -> String {
             }
         }
         if !e.fields.is_empty() {
-            obj.push((
-                "args".to_string(),
-                Json::Obj(
-                    e.fields
-                        .iter()
-                        .map(|(k, v)| (k.to_string(), v.to_json()))
-                        .collect(),
-                ),
-            ));
+            obj.push(("args".to_string(), crate::payload(e)));
         }
         events.push(Json::Obj(obj));
     }
@@ -106,7 +98,7 @@ pub fn to_chrome_trace(log: &TraceLog) -> String {
             ("name".to_string(), Json::Str(name)),
             ("cat".to_string(), Json::Str(c.comp.to_string())),
             ("ph".to_string(), Json::Str("C".to_string())),
-            ("pid".to_string(), Json::UInt(pid_of(c.comp))),
+            ("pid".to_string(), Json::UInt(pid_of(&c.comp))),
             ("tid".to_string(), Json::UInt(0)),
             ("ts".to_string(), Json::Num(t_end_us)),
             (
@@ -125,7 +117,7 @@ pub fn to_chrome_trace(log: &TraceLog) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CounterEntry, TraceEvent, Value};
+    use crate::{field, CounterEntry, TraceEvent};
 
     #[test]
     fn chrome_export_is_parseable_and_shaped() {
@@ -136,24 +128,24 @@ mod tests {
                     t_ns: 2_000,
                     worker: Some(1),
                     tid: None,
-                    comp: "trainer",
-                    name: "read",
+                    comp: "trainer".into(),
+                    name: "read".into(),
                     dur_ns: Some(1_500),
-                    fields: vec![("keys", Value::UInt(4))],
+                    fields: vec![field("keys", 4u64)],
                 },
                 TraceEvent {
                     t_ns: 5_000,
                     worker: None,
                     tid: None,
-                    comp: "ps",
-                    name: "failover",
+                    comp: "ps".into(),
+                    name: "failover".into(),
                     dur_ns: None,
                     fields: vec![],
                 },
             ],
             counters: vec![CounterEntry {
-                comp: "cache",
-                name: "hits",
+                comp: "cache".into(),
+                name: "hits".into(),
                 idx: Some(0),
                 value: 9,
             }],
@@ -186,8 +178,8 @@ mod tests {
                     t_ns: 1_000,
                     worker: Some(0),
                     tid: None,
-                    comp: "trainer",
-                    name: "iteration",
+                    comp: "trainer".into(),
+                    name: "iteration".into(),
                     dur_ns: Some(500),
                     fields: vec![],
                 },
@@ -195,15 +187,15 @@ mod tests {
                     t_ns: 2_000,
                     worker: Some(1),
                     tid: None,
-                    comp: "serve",
-                    name: "batch",
+                    comp: "serve".into(),
+                    name: "batch".into(),
                     dur_ns: Some(700),
-                    fields: vec![("n", Value::UInt(3))],
+                    fields: vec![field("n", 3u64)],
                 },
             ],
             counters: vec![CounterEntry {
-                comp: "serve",
-                name: "requests",
+                comp: "serve".into(),
+                name: "requests".into(),
                 idx: Some(1),
                 value: 3,
             }],

@@ -10,6 +10,13 @@
 //! (one event per line, schema `het-trace-v1`) and as a Chrome
 //! `trace_event` JSON for `chrome://tracing` / Perfetto.
 //!
+//! [`TraceLog`] is the only trace type: the collector returns one,
+//! [`TraceLog::parse`] reads one back from JSONL (checking the schema
+//! as it goes), and the `het-oracle` replay checker walks one. Names
+//! and field keys are `Cow<'static, str>` ([`Name`]), borrowed from a
+//! call site's literals when emitted and owned when parsed; field
+//! values are [`het_json::Json`].
+//!
 //! Design constraints, in priority order:
 //!
 //! 1. **Zero cost when disabled.** Tracing is off by default; every
@@ -36,7 +43,8 @@ pub mod chrome;
 pub mod replay;
 pub mod schema;
 
-use het_json::Json;
+use het_json::{Json, ToJson};
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -44,74 +52,9 @@ use std::collections::{BTreeMap, BTreeSet};
 /// the validator. Bump when the line shape changes.
 pub const SCHEMA_VERSION: &str = "het-trace-v1";
 
-/// A field value attached to a trace event.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Value {
-    /// Boolean flag.
-    Bool(bool),
-    /// Unsigned integer (counts, nanoseconds, bytes).
-    UInt(u64),
-    /// Signed integer.
-    Int(i64),
-    /// Floating point (metrics, losses).
-    Num(f64),
-    /// Free-form text.
-    Str(String),
-}
-
-impl Value {
-    /// The JSON form of this value.
-    pub fn to_json(&self) -> Json {
-        match self {
-            Value::Bool(b) => Json::Bool(*b),
-            Value::UInt(n) => Json::UInt(*n),
-            Value::Int(n) => Json::Int(*n),
-            Value::Num(x) => Json::Num(*x),
-            Value::Str(s) => Json::Str(s.clone()),
-        }
-    }
-}
-
-impl From<bool> for Value {
-    fn from(v: bool) -> Self {
-        Value::Bool(v)
-    }
-}
-impl From<u64> for Value {
-    fn from(v: u64) -> Self {
-        Value::UInt(v)
-    }
-}
-impl From<u32> for Value {
-    fn from(v: u32) -> Self {
-        Value::UInt(v as u64)
-    }
-}
-impl From<usize> for Value {
-    fn from(v: usize) -> Self {
-        Value::UInt(v as u64)
-    }
-}
-impl From<i64> for Value {
-    fn from(v: i64) -> Self {
-        Value::Int(v)
-    }
-}
-impl From<f64> for Value {
-    fn from(v: f64) -> Self {
-        Value::Num(v)
-    }
-}
-impl From<&str> for Value {
-    fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
-    }
-}
-impl From<String> for Value {
-    fn from(v: String) -> Self {
-        Value::Str(v)
-    }
-}
+/// A name or payload key: borrowed from the `'static` literal a call
+/// site passes when emitted, owned when parsed back from JSONL.
+pub type Name = Cow<'static, str>;
 
 /// One structured trace event.
 #[derive(Clone, Debug, PartialEq)]
@@ -126,22 +69,39 @@ pub struct TraceEvent {
     /// traces stay byte-identical to pre-threading fixtures.
     pub tid: Option<u64>,
     /// Emitting component: `"simnet"`, `"ps"`, `"cache"`, `"trainer"`.
-    pub comp: &'static str,
+    pub comp: Name,
     /// Event name within the component (e.g. `"read"`, `"failover"`).
-    pub name: &'static str,
+    pub name: Name,
     /// Span duration in nanoseconds; `None` marks an instant event.
     pub dur_ns: Option<u64>,
-    /// Structured payload fields.
-    pub fields: Vec<(&'static str, Value)>,
+    /// Structured payload fields, in emission order.
+    pub fields: Vec<(Name, Json)>,
+}
+
+impl TraceEvent {
+    /// True when the event is `comp/name`.
+    pub fn is(&self, comp: &str, name: &str) -> bool {
+        self.comp == comp && self.name == name
+    }
+
+    /// Looks up a payload field by key.
+    pub fn field(&self, key: &str) -> Option<&Json> {
+        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// A payload field as an unsigned integer, if present and unsigned.
+    pub fn field_u64(&self, key: &str) -> Option<u64> {
+        self.field(key)?.as_u64().ok()
+    }
 }
 
 /// Final value of one counter in the metrics registry.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CounterEntry {
     /// Owning component.
-    pub comp: &'static str,
+    pub comp: Name,
     /// Counter name.
-    pub name: &'static str,
+    pub name: Name,
     /// Optional sub-index (worker for trainer/cache/simnet counters,
     /// shard for PS counters); `None` aggregates across all.
     pub idx: Option<u64>,
@@ -150,7 +110,9 @@ pub struct CounterEntry {
 }
 
 /// A finished trace: run metadata, the event stream in emission order,
-/// and the final counter totals in deterministic (sorted) order.
+/// and the final counter totals in deterministic (sorted) order. The
+/// collector returns one, [`TraceLog::parse`] reads one back from its
+/// JSONL form, and the `het-oracle` replay checker walks one.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TraceLog {
     /// Run metadata key/value pairs written into the JSONL meta line.
@@ -186,11 +148,11 @@ impl TraceLog {
     }
 
     /// The set of components that emitted at least one event or counter.
-    pub fn components(&self) -> BTreeSet<&'static str> {
+    pub fn components(&self) -> BTreeSet<&str> {
         self.events
             .iter()
-            .map(|e| e.comp)
-            .chain(self.counters.iter().map(|c| c.comp))
+            .map(|e| &*e.comp)
+            .chain(self.counters.iter().map(|c| &*c.comp))
             .collect()
     }
 
@@ -223,15 +185,7 @@ impl TraceLog {
             if let Some(dur) = e.dur_ns {
                 fields.push(("dur".to_string(), Json::UInt(dur)));
             }
-            fields.push((
-                "fields".to_string(),
-                Json::Obj(
-                    e.fields
-                        .iter()
-                        .map(|(k, v)| (k.to_string(), v.to_json()))
-                        .collect(),
-                ),
-            ));
+            fields.push(("fields".to_string(), payload(e)));
             out.push_str(&Json::Obj(fields).encode());
             out.push('\n');
         }
@@ -253,10 +207,33 @@ impl TraceLog {
     }
 }
 
+/// An event's payload fields as one JSON object.
+pub(crate) fn payload(e: &TraceEvent) -> Json {
+    Json::Obj(
+        e.fields
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.clone()))
+            .collect(),
+    )
+}
+
+/// The counters of a `(comp, name, idx)`-keyed map, in its sorted order.
+fn counter_entries(counters: BTreeMap<(Name, Name, Option<u64>), u64>) -> Vec<CounterEntry> {
+    counters
+        .into_iter()
+        .map(|((comp, name, idx), value)| CounterEntry {
+            comp,
+            name,
+            idx,
+            value,
+        })
+        .collect()
+}
+
 struct Collector {
     meta: Vec<(String, Json)>,
     events: Vec<TraceEvent>,
-    counters: BTreeMap<(&'static str, &'static str, Option<u64>), u64>,
+    counters: BTreeMap<(Name, Name, Option<u64>), u64>,
     t_ns: u64,
     worker: Option<u64>,
 }
@@ -272,6 +249,19 @@ thread_local! {
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.with(|e| e.get())
+}
+
+/// Runs `f` on this thread's collector, if tracing is on.
+#[inline]
+fn with_collector(f: impl FnOnce(&mut Collector)) {
+    if !enabled() {
+        return;
+    }
+    COLLECTOR.with(|c| {
+        if let Some(col) = c.borrow_mut().as_mut() {
+            f(col);
+        }
+    });
 }
 
 /// Starts collecting on this thread with the given run metadata.
@@ -298,16 +288,7 @@ pub fn finish() -> TraceLog {
         Some(col) => TraceLog {
             meta: col.meta,
             events: col.events,
-            counters: col
-                .counters
-                .into_iter()
-                .map(|((comp, name, idx), value)| CounterEntry {
-                    comp,
-                    name,
-                    idx,
-                    value,
-                })
-                .collect(),
+            counters: counter_entries(col.counters),
         },
         None => TraceLog::default(),
     })
@@ -317,15 +298,16 @@ pub fn finish() -> TraceLog {
 /// worker subsequent events/counters are attributed to. The trainer
 /// calls this at phase boundaries; leaf code never needs to.
 pub fn set_scope(t_ns: u64, worker: Option<u64>) {
-    if !enabled() {
-        return;
-    }
-    COLLECTOR.with(|c| {
-        if let Some(col) = c.borrow_mut().as_mut() {
-            col.t_ns = t_ns;
-            col.worker = worker;
-        }
+    with_collector(|col| {
+        col.t_ns = t_ns;
+        col.worker = worker;
     });
+}
+
+/// One payload field: the call site's `'static` key and the JSON form
+/// of `value` (`UInt`, `Int`, `Num`, `Bool` or `Str`).
+pub fn field(key: &'static str, value: impl ToJson) -> (Name, Json) {
+    (Cow::Borrowed(key), value.to_json())
 }
 
 /// Records an event at the ambient scope's time and worker. A `Some`
@@ -335,51 +317,42 @@ pub fn emit(
     comp: &'static str,
     name: &'static str,
     dur_ns: Option<u64>,
-    fields: Vec<(&'static str, Value)>,
+    fields: Vec<(Name, Json)>,
 ) {
-    if !enabled() {
-        return;
-    }
-    COLLECTOR.with(|c| {
-        if let Some(col) = c.borrow_mut().as_mut() {
-            col.events.push(TraceEvent {
-                t_ns: col.t_ns,
-                worker: col.worker,
-                tid: None,
-                comp,
-                name,
-                dur_ns,
-                fields,
-            });
-        }
-    });
+    push(comp, name, None, dur_ns, fields);
 }
 
 /// Like [`emit`], but with an explicit timestamp (for call sites that
-/// know a more precise time than the ambient scope, e.g. a fault's
-/// scheduled instant).
+/// know a more precise time than the ambient scope, e.g. a request's
+/// arrival).
 pub fn emit_at(
     comp: &'static str,
     name: &'static str,
     t_ns: u64,
     dur_ns: Option<u64>,
-    fields: Vec<(&'static str, Value)>,
+    fields: Vec<(Name, Json)>,
 ) {
-    if !enabled() {
-        return;
-    }
-    COLLECTOR.with(|c| {
-        if let Some(col) = c.borrow_mut().as_mut() {
-            col.events.push(TraceEvent {
-                t_ns,
-                worker: col.worker,
-                tid: None,
-                comp,
-                name,
-                dur_ns,
-                fields,
-            });
-        }
+    push(comp, name, Some(t_ns), dur_ns, fields);
+}
+
+/// Appends an event at `t_ns`, or at the ambient time when `None`.
+fn push(
+    comp: &'static str,
+    name: &'static str,
+    t_ns: Option<u64>,
+    dur_ns: Option<u64>,
+    fields: Vec<(Name, Json)>,
+) {
+    with_collector(|col| {
+        col.events.push(TraceEvent {
+            t_ns: t_ns.unwrap_or(col.t_ns),
+            worker: col.worker,
+            tid: None,
+            comp: Cow::Borrowed(comp),
+            name: Cow::Borrowed(name),
+            dur_ns,
+            fields,
+        });
     });
 }
 
@@ -387,14 +360,11 @@ pub fn emit_at(
 /// sub-index. No-op when tracing is disabled.
 #[inline]
 pub fn counter_add(comp: &'static str, name: &'static str, delta: u64) {
-    if !enabled() {
-        return;
-    }
-    COLLECTOR.with(|c| {
-        if let Some(col) = c.borrow_mut().as_mut() {
-            let idx = col.worker;
-            *col.counters.entry((comp, name, idx)).or_insert(0) += delta;
-        }
+    with_collector(|col| {
+        let idx = col.worker;
+        *col.counters
+            .entry((Cow::Borrowed(comp), Cow::Borrowed(name), idx))
+            .or_insert(0) += delta;
     });
 }
 
@@ -402,13 +372,10 @@ pub fn counter_add(comp: &'static str, name: &'static str, delta: u64) {
 /// rather than the ambient worker). No-op when tracing is disabled.
 #[inline]
 pub fn counter_add_at(comp: &'static str, name: &'static str, idx: Option<u64>, delta: u64) {
-    if !enabled() {
-        return;
-    }
-    COLLECTOR.with(|c| {
-        if let Some(col) = c.borrow_mut().as_mut() {
-            *col.counters.entry((comp, name, idx)).or_insert(0) += delta;
-        }
+    with_collector(|col| {
+        *col.counters
+            .entry((Cow::Borrowed(comp), Cow::Borrowed(name), idx))
+            .or_insert(0) += delta;
     });
 }
 
@@ -447,7 +414,7 @@ pub fn merge_threads(mut meta: Vec<(String, Json)>, parts: Vec<TraceLog>) -> Tra
         meta.push((CLOCK_META_KEY.to_string(), Json::Str("wall".to_string())));
     }
     let mut events = Vec::new();
-    let mut counters: BTreeMap<(&'static str, &'static str, Option<u64>), u64> = BTreeMap::new();
+    let mut counters = BTreeMap::new();
     for (i, part) in parts.into_iter().enumerate() {
         for mut e in part.events {
             e.tid = Some(e.tid.unwrap_or(i as u64));
@@ -461,21 +428,13 @@ pub fn merge_threads(mut meta: Vec<(String, Json)>, parts: Vec<TraceLog>) -> Tra
     TraceLog {
         meta,
         events,
-        counters: counters
-            .into_iter()
-            .map(|((comp, name, idx), value)| CounterEntry {
-                comp,
-                name,
-                idx,
-                value,
-            })
-            .collect(),
+        counters: counter_entries(counters),
     }
 }
 
 /// Emits an instant event at the ambient scope:
 /// `event!("trainer", "eval", "metric" => 0.75)`. Field values go
-/// through [`Value::from`]; nothing is evaluated when tracing is off.
+/// through [`field`]; nothing is evaluated when tracing is off.
 #[macro_export]
 macro_rules! event {
     ($comp:expr, $name:expr $(, $k:literal => $v:expr)* $(,)?) => {
@@ -484,7 +443,7 @@ macro_rules! event {
                 $comp,
                 $name,
                 ::core::option::Option::None,
-                ::std::vec![$(($k, $crate::Value::from($v))),*],
+                ::std::vec![$($crate::field($k, $v)),*],
             );
         }
     };
@@ -500,7 +459,7 @@ macro_rules! span {
                 $comp,
                 $name,
                 ::core::option::Option::Some($dur),
-                ::std::vec![$(($k, $crate::Value::from($v))),*],
+                ::std::vec![$($crate::field($k, $v)),*],
             );
         }
     };
@@ -608,6 +567,35 @@ mod tests {
     }
 
     #[test]
+    fn jsonl_parses_back_into_the_same_log() {
+        start(vec![("seed".to_string(), Json::UInt(9))]);
+        set_scope(5, Some(0));
+        span!("trainer", "read", 3u64, "keys" => 4u64);
+        set_scope(8, Some(1));
+        event!("client", "read_window", "max_lag" => 2u64, "note" => "x", "d" => -1i64);
+        counter_add_at("cache", "hits", Some(0), 3);
+        counter_add_at("cache", "hits", Some(1), 2);
+        let log = finish();
+        let parsed = TraceLog::parse(&log.to_jsonl()).unwrap();
+        assert_eq!(parsed, log);
+        assert_eq!(parsed.counter("cache", "hits"), 5);
+        assert_eq!(parsed.counter_at("cache", "hits", Some(1)), 2);
+        let window = &parsed.events[1];
+        assert!(window.is("client", "read_window"));
+        assert_eq!(window.field_u64("max_lag"), Some(2));
+        assert!(
+            window.field_u64("note").is_none(),
+            "string field is not u64"
+        );
+
+        // A merged wall-clock trace keeps each event's thread id.
+        let merged = merge_threads(vec![], vec![log.clone(), log]);
+        let parsed = TraceLog::parse(&merged.to_jsonl()).unwrap();
+        assert_eq!(parsed, merged);
+        assert_eq!(parsed.events[1].tid, Some(1));
+    }
+
+    #[test]
     fn counters_are_sorted_deterministically() {
         start(vec![]);
         counter_add_at("ps", "pull", Some(2), 1);
@@ -618,7 +606,7 @@ mod tests {
         let order: Vec<(&str, &str, Option<u64>)> = log
             .counters
             .iter()
-            .map(|c| (c.comp, c.name, c.idx))
+            .map(|c| (&*c.comp, &*c.name, c.idx))
             .collect();
         assert_eq!(
             order,

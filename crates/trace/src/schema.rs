@@ -1,13 +1,15 @@
-//! Validator for the `het-trace-v1` JSONL schema.
+//! Reader and validator for the `het-trace-v1` JSONL schema.
 //!
-//! Used by the golden-trace regression tests and the CI gate: committed
-//! fixture files and freshly generated traces must both pass. The
-//! validator checks line-level shape (required keys, value types), the
-//! meta header, and cross-line ordering (meta first, counters after the
-//! last event, counters sorted).
+//! [`TraceLog::parse`] reads a document back into the [`TraceLog`] its
+//! writer held, checking line-level shape (required keys, value types),
+//! the meta header, and cross-line ordering (meta first, counters after
+//! the last event, counters sorted) in the same pass. The golden-trace
+//! regression tests and the CI gate run every committed fixture and
+//! freshly generated trace through it ([`validate_jsonl`]).
 
-use crate::replay::{ReplayCounter, ReplayEvent, ReplayLog};
+use crate::{CounterEntry, TraceEvent, TraceLog};
 use het_json::Json;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 /// The component taxonomy of `het-trace-v1`. Every event and counter
@@ -61,12 +63,38 @@ pub struct TraceSummary {
     pub event_kinds: BTreeSet<String>,
 }
 
+impl TraceSummary {
+    /// What `log` contains.
+    fn of(log: &TraceLog) -> TraceSummary {
+        TraceSummary {
+            events: log.events.len(),
+            spans: log.events.iter().filter(|e| e.dur_ns.is_some()).count(),
+            counters: log.counters.len(),
+            components: log.components().into_iter().map(str::to_string).collect(),
+            event_kinds: log
+                .events
+                .iter()
+                .map(|e| format!("{}.{}", e.comp, e.name))
+                .collect(),
+        }
+    }
+}
+
 /// A non-empty string.
 fn non_empty(v: &Json) -> Result<&str, String> {
     match v.as_str()? {
         "" => Err("expected a non-empty string, got \"\"".to_string()),
         s => Ok(s),
     }
+}
+
+/// A component of the registered taxonomy.
+fn component(v: &Json) -> Result<&str, String> {
+    let comp = non_empty(v)?;
+    if !known_component(comp) {
+        return Err(format!("unknown component '{comp}'"));
+    }
+    Ok(comp)
 }
 
 /// An unsigned integer, or `null` for none.
@@ -90,11 +118,10 @@ fn optional<'a, T>(
 }
 
 /// One pass over a document: what the checks carry from line to line,
-/// and the replay log of the lines checked so far.
+/// and the log of the lines checked so far.
 #[derive(Default)]
 struct Reader {
-    summary: TraceSummary,
-    log: ReplayLog,
+    log: TraceLog,
     // Wall-clock (threaded, merged) traces carry `"clock":"wall"` in
     // the meta line. The single sim clock is globally serial but NOT
     // monotone in emission order (the trainer re-scopes backwards at
@@ -104,7 +131,6 @@ struct Reader {
     // (t, tid)-sorted with a tid on every event; that global order
     // implies per-thread monotonicity, which is what we enforce.
     wall_clock: bool,
-    last_event_key: Option<(u64, u64)>,
 }
 
 impl Reader {
@@ -151,66 +177,57 @@ impl Reader {
         if !self.log.counters.is_empty() {
             return Err("event after counter tail (counters must come last)".to_string());
         }
-        let t = json.field("t", Json::as_u64)?;
+        let t_ns = json.field("t", Json::as_u64)?;
         let worker = json.field("w", uint_or_null)?;
-        match (optional(json, "tid", Json::as_u64)?, self.wall_clock) {
-            (Some(tid), true) => {
-                let key = (t, tid);
-                if let Some(prev) = self.last_event_key {
-                    if key < prev {
-                        return Err(format!(
-                            "wall-clock events out of (t, tid) merge order \
-                             (got t={t} tid={tid} after t={} tid={})",
-                            prev.0, prev.1
-                        ));
-                    }
+        let tid = optional(json, "tid", Json::as_u64)?;
+        if self.wall_clock {
+            let Some(tid) = tid else {
+                return Err("wall-clock trace event is missing 'tid'".to_string());
+            };
+            if let Some(prev) = self.log.events.last() {
+                let prev = (prev.t_ns, prev.tid.unwrap_or(0));
+                if (t_ns, tid) < prev {
+                    return Err(format!(
+                        "wall-clock events out of (t, tid) merge order \
+                         (got t={t_ns} tid={tid} after t={} tid={})",
+                        prev.0, prev.1
+                    ));
                 }
-                self.last_event_key = Some(key);
             }
-            (None, true) => return Err("wall-clock trace event is missing 'tid'".to_string()),
-            (_, false) => {}
         }
-        let comp = json.field("comp", non_empty)?;
-        if !known_component(comp) {
-            return Err(format!("unknown component '{comp}'"));
-        }
+        let comp = json.field("comp", component)?;
         let name = json.field("name", non_empty)?;
         let dur_ns = optional(json, "dur", Json::as_u64)?;
         let Json::Obj(fields) = json.get("fields")? else {
             return Err("'fields' must be an object".to_string());
         };
-        self.summary.spans += usize::from(dur_ns.is_some());
-        self.summary.events += 1;
-        self.summary.event_kinds.insert(format!("{comp}.{name}"));
-        self.summary.components.insert(comp.to_string());
-        self.log.events.push(ReplayEvent {
-            t_ns: t,
+        self.log.events.push(TraceEvent {
+            t_ns,
             worker,
-            comp: comp.to_string(),
-            name: name.to_string(),
+            tid,
+            comp: Cow::Owned(comp.to_string()),
+            name: Cow::Owned(name.to_string()),
             dur_ns,
-            fields: fields.clone(),
+            fields: fields
+                .iter()
+                .map(|(k, v)| (Cow::Owned(k.clone()), v.clone()))
+                .collect(),
         });
         Ok(())
     }
 
     fn counter(&mut self, json: &Json) -> Result<(), String> {
-        let comp = json.field("comp", non_empty)?;
-        if !known_component(comp) {
-            return Err(format!("unknown component '{comp}'"));
-        }
+        let comp = json.field("comp", component)?;
         let name = json.field("name", non_empty)?;
         let idx = json.field("idx", uint_or_null)?;
         let value = json.field("value", Json::as_u64)?;
         let prev = self.log.counters.last();
-        if prev.is_some_and(|p| (p.comp.as_str(), p.name.as_str(), p.idx) >= (comp, name, idx)) {
+        if prev.is_some_and(|p| (&*p.comp, &*p.name, p.idx) >= (comp, name, idx)) {
             return Err("counters out of sorted (comp,name,idx) order".to_string());
         }
-        self.summary.counters += 1;
-        self.summary.components.insert(comp.to_string());
-        self.log.counters.push(ReplayCounter {
-            comp: comp.to_string(),
-            name: name.to_string(),
+        self.log.counters.push(CounterEntry {
+            comp: Cow::Owned(comp.to_string()),
+            name: Cow::Owned(name.to_string()),
             idx,
             value,
         });
@@ -218,26 +235,30 @@ impl Reader {
     }
 }
 
+impl TraceLog {
+    /// Parses a `het-trace-v1` JSONL document back into the log its
+    /// writer held, checking it against the schema in the same pass:
+    /// a successful parse implies a valid document. Fails with a
+    /// message naming the first offending line.
+    pub fn parse(jsonl: &str) -> Result<TraceLog, String> {
+        if jsonl.is_empty() {
+            return Err("empty trace: missing meta line".to_string());
+        }
+        let mut reader = Reader::default();
+        for (i, raw) in jsonl.lines().enumerate() {
+            reader
+                .line(i + 1, raw)
+                .map_err(|e| format!("line {}: {e}", i + 1))?;
+        }
+        Ok(reader.log)
+    }
+}
+
 /// Validates a full JSONL trace document against `het-trace-v1`.
 /// Returns a [`TraceSummary`] on success and a message naming the first
 /// offending line on failure.
 pub fn validate_jsonl(input: &str) -> Result<TraceSummary, String> {
-    read_jsonl(input).map(|(summary, _)| summary)
-}
-
-/// Checks `input` against `het-trace-v1` and builds its replay log, in
-/// one pass.
-pub(crate) fn read_jsonl(input: &str) -> Result<(TraceSummary, ReplayLog), String> {
-    if input.is_empty() {
-        return Err("empty trace: missing meta line".to_string());
-    }
-    let mut reader = Reader::default();
-    for (i, raw) in input.lines().enumerate() {
-        reader
-            .line(i + 1, raw)
-            .map_err(|e| format!("line {}: {e}", i + 1))?;
-    }
-    Ok((reader.summary, reader.log))
+    TraceLog::parse(input).map(|log| TraceSummary::of(&log))
 }
 
 #[cfg(test)]
@@ -249,12 +270,7 @@ mod tests {
         crate::start(vec![("seed".to_string(), Json::UInt(1))]);
         crate::set_scope(5, Some(0));
         crate::emit("trainer", "read", Some(3), vec![]);
-        crate::emit(
-            "ps",
-            "failover",
-            None,
-            vec![("shard", crate::Value::UInt(1))],
-        );
+        crate::emit("ps", "failover", None, vec![crate::field("shard", 1u64)]);
         crate::counter_add("cache", "hits", 2);
         crate::counter_add_at("ps", "pull", Some(1), 1);
         crate::finish()
@@ -306,6 +322,12 @@ mod tests {
     }
 
     #[test]
+    fn parse_rejects_invalid_documents() {
+        assert!(TraceLog::parse("").is_err());
+        assert!(TraceLog::parse("{\"type\":\"event\"}\n").is_err());
+    }
+
+    #[test]
     fn component_registry_is_sorted_and_enforced() {
         let mut sorted = KNOWN_COMPONENTS.to_vec();
         sorted.sort_unstable();
@@ -342,7 +364,7 @@ mod tests {
             "supervisor",
             "detect_crash",
             None,
-            vec![("replica", crate::Value::UInt(1))],
+            vec![crate::field("replica", 1u64)],
         );
         crate::emit("autoscaler", "scale_up", None, vec![]);
         crate::counter_add("supervisor", "heartbeats", 3);
@@ -379,8 +401,8 @@ mod tests {
                     t_ns: t,
                     worker: Some(0),
                     tid: None,
-                    comp: "trainer",
-                    name: "compute",
+                    comp: "trainer".into(),
+                    name: "compute".into(),
                     dur_ns: None,
                     fields: vec![],
                 })

@@ -168,8 +168,7 @@ fn per_sync_mode_bounds_hold_in_training() {
         });
         let _ = trainer.run();
         let log = het::trace::finish();
-        let replay = het::trace::replay::ReplayLog::from(&log);
-        if let Err(v) = check_replay(&replay, &OracleSpec::of(&config)) {
+        if let Err(v) = check_replay(&log, &OracleSpec::of(&config)) {
             panic!("{label}: oracle violation [{}]: {}", v.check, v.message);
         }
     }

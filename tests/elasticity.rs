@@ -70,7 +70,7 @@ fn detected_crash_is_respawned_and_everything_is_served() {
     );
     // Detection is heartbeat-driven: the supervisor's own events tell
     // the story in order — detect, then respawn command.
-    let sup: Vec<&str> = log.events_of("supervisor").map(|e| e.name).collect();
+    let sup: Vec<&str> = log.events_of("supervisor").map(|e| &*e.name).collect();
     assert!(sup.contains(&"detect_crash"), "no detect_crash event");
     assert!(sup.contains(&"respawn"), "no respawn command event");
     let respawn_events = log
@@ -82,12 +82,7 @@ fn detected_crash_is_respawned_and_everything_is_served() {
     let warmed = log
         .events_of("serve")
         .filter(|e| e.name == "replica_respawn")
-        .filter_map(
-            |e| match e.fields.iter().find(|(k, _)| *k == "keys_warmed") {
-                Some((_, trace::Value::UInt(v))) => Some(*v),
-                _ => None,
-            },
-        )
+        .filter_map(|e| e.field_u64("keys_warmed"))
         .next()
         .expect("replica_respawn carries keys_warmed");
     assert!(warmed > 0, "respawn warmed nothing from the sketch");
@@ -306,8 +301,7 @@ fn chaos_campaign_is_healthy_deterministic_and_oracle_clean() {
     // model-based consistency oracle: clock bounds, gradient
     // conservation, push parity, cache windows.
     let spec = OracleSpec::of(&cfg.train_config());
-    let replay = trace::replay::ReplayLog::from(&log_a);
-    let oracle = check_replay(&replay, &spec).expect("oracle found a violation in the chaos run");
+    let oracle = check_replay(&log_a, &spec).expect("oracle found a violation in the chaos run");
     assert!(oracle.computes > 0, "oracle never saw an iteration");
     assert!(oracle.window_reads > 0, "oracle never saw a read window");
 }

@@ -52,20 +52,6 @@ fn full_spec(sim_time: SimTime) -> FaultConfig {
 }
 
 #[test]
-fn disabled_and_zero_schedule_match_the_fault_free_run_exactly() {
-    let baseline = run(11, FaultConfig::disabled());
-
-    // An all-zero spec: the plan is empty, and the empty plan must take
-    // byte-for-byte the fault-free code path.
-    let zero = FaultConfig::disabled();
-    let zeroed = run(11, zero);
-
-    assert_bit_identical(&baseline, &zeroed);
-    assert_eq!(zeroed.faults, FaultStats::default());
-    assert!(zeroed.fault_events.is_empty());
-}
-
-#[test]
 fn zero_counts_ignore_the_recovery_knobs() {
     let baseline = run(11, FaultConfig::disabled());
 

@@ -23,7 +23,6 @@
 use het::json::{Json, ToJson};
 use het::prelude::*;
 use het_oracle::{check_replay, OracleSpec};
-use het_trace::replay::ReplayLog;
 use std::collections::BTreeMap;
 
 fn config_of(preset: SystemPreset, seed: u64, iters: u64) -> TrainerConfig {
@@ -47,10 +46,10 @@ fn sorted_rows(server: &PsServer) -> Vec<CheckpointRow> {
 
 /// A trace's counters of one component, summed over their sub-indices
 /// (workers, shards).
-fn counter_totals(log: &het_trace::TraceLog, comp: &str) -> BTreeMap<&'static str, u64> {
+fn counter_totals<'a>(log: &'a het_trace::TraceLog, comp: &str) -> BTreeMap<&'a str, u64> {
     let mut totals = BTreeMap::new();
     for c in log.counters.iter().filter(|c| c.comp == comp) {
-        *totals.entry(c.name).or_insert(0) += c.value;
+        *totals.entry(&*c.name).or_insert(0) += c.value;
     }
     totals
 }
@@ -173,9 +172,14 @@ fn bsp_cell_matches_sim(
         "{cell}: dense params diverged from sim"
     );
 
+    // The merged wall-clock trace reads back from JSONL as itself,
+    // thread ids included; parsing also checks it against the schema.
     let log = report.trace.as_ref().expect("traced threaded run");
-    het_trace::schema::validate_jsonl(&log.to_jsonl()).expect("schema-valid merged trace");
-    let oracle = check_replay(&ReplayLog::from(log), &OracleSpec::of(thr.config()))
+    let parsed = het_trace::TraceLog::parse(&log.to_jsonl())
+        .unwrap_or_else(|e| panic!("{cell}: merged trace is not schema-valid: {e}"));
+    assert_eq!(parsed, *log, "{cell}: merged trace changed through JSONL");
+    assert!(parsed.events.iter().all(|e| e.tid.is_some()));
+    let oracle = check_replay(log, &OracleSpec::of(thr.config()))
         .unwrap_or_else(|v| panic!("{cell}: oracle [{}] {}", v.check, v.message));
     assert_eq!(oracle.computes, report.total_iterations);
     assert!(oracle.barriers > 0);
@@ -525,8 +529,7 @@ fn async_threaded_traces_replay_oracle_clean() {
         het_trace::schema::validate_jsonl(&log.to_jsonl())
             .unwrap_or_else(|e| panic!("{label}: bad trace: {e}"));
 
-        let replay = ReplayLog::from(log);
-        let oracle = check_replay(&replay, &OracleSpec::of(trainer.config()))
+        let oracle = check_replay(log, &OracleSpec::of(trainer.config()))
             .unwrap_or_else(|v| panic!("{label}: oracle violation: [{}] {}", v.check, v.message));
         assert_eq!(
             oracle.computes, report.total_iterations,

@@ -147,10 +147,12 @@ fn concurrent_training_never_breaks_the_staleness_window() {
         "no serve-side read_window events emitted"
     );
     let field = |e: &trace::TraceEvent, key: &str| -> u64 {
-        match e.fields.iter().find(|(k, _)| *k == key) {
-            Some((_, trace::Value::UInt(v))) => *v,
-            other => panic!("read_window field {key} missing or mistyped: {other:?}"),
-        }
+        e.field_u64(key).unwrap_or_else(|| {
+            panic!(
+                "read_window field {key} missing or mistyped: {:?}",
+                e.field(key)
+            )
+        })
     };
     let mut validated_total = 0u64;
     for w in &windows {
@@ -345,12 +347,16 @@ fn committed_serve_fixture_validates_and_is_current() {
             "fixture missing event kind {kind}"
         );
     }
-    let derived = traced_run(fixture_cfg()).1.to_jsonl();
+    let log = traced_run(fixture_cfg()).1;
     assert_eq!(
-        committed, derived,
+        committed,
+        log.to_jsonl(),
         "serve fixture is stale — regenerate with \
          `cargo test -p het --test serving -- --ignored regenerate`"
     );
+    // The reader must give back exactly the log the writer held.
+    let parsed = trace::TraceLog::parse(&committed).expect("serve fixture parses");
+    assert_eq!(parsed, log, "the serve log changed through JSONL");
 }
 
 /// Rewrites `tests/golden/serve_cached.trace.jsonl`. Run manually after

@@ -449,15 +449,10 @@ fn golden_fixtures_are_current() {
             "{name}: committed fixture is stale — regenerate with \
              `cargo test -p het --test trace_golden -- --ignored regenerate`"
         );
-        // The replay API must read back exactly what the writer emits,
-        // from text or from the in-memory log.
-        let parsed = trace::replay::ReplayLog::parse(&committed)
-            .unwrap_or_else(|e| panic!("{name}: replay parse failed: {e}"));
-        assert_eq!(
-            parsed,
-            trace::replay::ReplayLog::from(&log),
-            "{name}: replay-from-text and replay-from-memory disagree"
-        );
+        // The reader must give back exactly the log the writer held.
+        let parsed = trace::TraceLog::parse(&committed)
+            .unwrap_or_else(|e| panic!("{name}: parse failed: {e}"));
+        assert_eq!(parsed, log, "{name}: the log changed through JSONL");
     }
 }
 
