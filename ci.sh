@@ -5,6 +5,9 @@ set -eu
 
 cd "$(dirname "$0")"
 
+# Milliseconds since the epoch (GNU date), for the [timing] lines.
+now_ms() { echo $(($(date +%s%N) / 1000000)); }
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -24,15 +27,15 @@ echo "==> cargo build --release (tier-1)"
 cargo build --release
 
 echo "==> cargo test -q (tier-1, per-package timing)"
-suite_start=$(date +%s)
+suite_start=$(now_ms)
 for pkg in het-json het-rng het-trace het-simnet het-tensor het-data \
            het-store het-ps het-cache het-runtime het-models het-core \
            het-serve het-oracle het-bench het; do
-    pkg_start=$(date +%s)
+    pkg_start=$(now_ms)
     cargo test -q -p "$pkg"
-    echo "    [timing] $pkg: $(($(date +%s) - pkg_start))s"
+    echo "    [timing] $pkg: $(($(now_ms) - pkg_start))ms"
 done
-echo "    [timing] test suite total: $(($(date +%s) - suite_start))s"
+echo "    [timing] test suite total: $(($(now_ms) - suite_start))ms"
 
 # The loop above ran these with debug assertions on (every scratch loan
 # NaN-filled); the release profile is the one hetctl and the benchmark
@@ -49,59 +52,59 @@ cargo test -q --release -p het-ps --test steady_state -- \
 # The benchmark is a workspace of its own compiled against the public
 # API; build it, run its own tests, and smoke every workload once.
 echo "==> benchmark (own tests + one quick pass over all five workloads)"
-step_start=$(date +%s)
+step_start=$(now_ms)
 cargo test -q --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --quick
-echo "    [timing] benchmark: $(($(date +%s) - step_start))s"
+echo "    [timing] benchmark: $(($(now_ms) - step_start))ms"
 
 # Every paper figure, ablation and sweep is a row of het_bench::EXPERIMENTS
 # behind one runner; Fig. 2 (a few seconds) is the smoke that the figure
 # path of that runner works. The sweep gates below go through it too.
 echo "==> experiment runner smoke (hetctl exp fig2)"
-step_start=$(date +%s)
+step_start=$(now_ms)
 cargo run -q --release -p het-bench --bin hetctl -- exp fig2
-echo "    [timing] fig2 smoke: $(($(date +%s) - step_start))s"
+echo "    [timing] fig2 smoke: $(($(now_ms) - step_start))ms"
 
 echo "==> colocated train+serve smoke (one runtime, one PS fabric)"
-step_start=$(date +%s)
+step_start=$(now_ms)
 cargo run -q --release -p het-bench --bin hetctl -- colocate --iters 120 --requests 200
-echo "    [timing] colocate smoke: $(($(date +%s) - step_start))s"
+echo "    [timing] colocate smoke: $(($(now_ms) - step_start))ms"
 
 echo "==> PS concurrency stress (seeded schedule perturbation, high test parallelism)"
-step_start=$(date +%s)
+step_start=$(now_ms)
 RUST_TEST_THREADS=8 cargo test -q --release -p het-ps --test stress
-echo "    [timing] ps stress: $(($(date +%s) - step_start))s"
+echo "    [timing] ps stress: $(($(now_ms) - step_start))ms"
 
 # A live split raced by writers once lost updates (a key resolved to the
 # parent, moved, then re-created there); run it enough times to see a
 # window of that size again.
 echo "==> live split stress (30 runs, release, 8 test threads)"
-step_start=$(date +%s)
+step_start=$(now_ms)
 run=0
 while [ "$run" -lt 30 ]; do
     RUST_TEST_THREADS=8 cargo test -q --release -p het-ps --test stress \
         live_shard_split_preserves_every_update
     run=$((run + 1))
 done
-echo "    [timing] split stress x30: $(($(date +%s) - step_start))s"
+echo "    [timing] split stress x30: $(($(now_ms) - step_start))ms"
 
 echo "==> threaded train smoke (Fig. 2 CTR recipe on threads:4, oracle-replayed)"
-step_start=$(date +%s)
+step_start=$(now_ms)
 cargo run -q --release -p het-bench --bin hetctl -- train \
     --backend threads:4 --workload wdl --iters 240 --dim 32
-echo "    [timing] threaded wdl smoke: $(($(date +%s) - step_start))s"
+echo "    [timing] threaded wdl smoke: $(($(now_ms) - step_start))ms"
 
 echo "==> threaded sparse-bound train smoke (GraphSAGE BSP on threads:2, oracle-replayed)"
-step_start=$(date +%s)
+step_start=$(now_ms)
 cargo run -q --release -p het-bench --bin hetctl -- train \
     --backend threads:2 --workload reddit --iters 240
-echo "    [timing] threaded reddit smoke: $(($(date +%s) - step_start))s"
+echo "    [timing] threaded reddit smoke: $(($(now_ms) - step_start))ms"
 
 echo "==> threaded colocate smoke (live trainer + serving fleet on real threads)"
-step_start=$(date +%s)
+step_start=$(now_ms)
 cargo run -q --release -p het-bench --bin hetctl -- colocate \
     --backend threads:2 --iters 120 --requests 200
-echo "    [timing] threaded colocate smoke: $(($(date +%s) - step_start))s"
+echo "    [timing] threaded colocate smoke: $(($(now_ms) - step_start))ms"
 
 # The scale-sweep gate is hardware-honest: with two cores or more, two
 # worker threads must not lose to the single-threaded simulator running
@@ -114,20 +117,20 @@ echo "    [timing] threaded colocate smoke: $(($(date +%s) - step_start))s"
 CORES=$(nproc)
 if [ "$CORES" -ge 2 ]; then SCALE_GATE=1.0; else SCALE_GATE=0.5; fi
 echo "==> scale sweep ($CORES cores -> threads:2 >= ${SCALE_GATE}x its sim twin, both recipes)"
-step_start=$(date +%s)
+step_start=$(now_ms)
 cargo run -q --release -p het-bench --bin hetctl -- exp scale-sweep \
     --threads 1,2,4 --iters 240 --gate "$SCALE_GATE"
-echo "    [timing] scale sweep: $(($(date +%s) - step_start))s"
+echo "    [timing] scale sweep: $(($(now_ms) - step_start))ms"
 
 echo "==> chaos smoke (compound failure, SLO/RTO gate, single seed)"
-step_start=$(date +%s)
+step_start=$(now_ms)
 cargo run -q --release -p het-bench --bin hetctl -- chaos --seed 7
-echo "    [timing] chaos smoke: $(($(date +%s) - step_start))s"
+echo "    [timing] chaos smoke: $(($(now_ms) - step_start))ms"
 
 echo "==> chaos recovery campaign (every seed must ride out the storm)"
-step_start=$(date +%s)
+step_start=$(now_ms)
 cargo run -q --release -p het-bench --bin hetctl -- chaos --seeds 0..120
-echo "    [timing] chaos campaign: $(($(date +%s) - step_start))s"
+echo "    [timing] chaos campaign: $(($(now_ms) - step_start))ms"
 
 # A sabotaged mini-campaign must catch a violation, write a repro file,
 # and exit 1; replaying that file must reproduce it. This runs the repro
@@ -135,7 +138,7 @@ echo "    [timing] chaos campaign: $(($(date +%s) - step_start))s"
 # both write target/experiments/oracle_fuzz.json, and the clean
 # campaign's record is the one to keep.
 echo "==> oracle repro path (sabotaged mini-campaign fails, its repro replays the violation)"
-step_start=$(date +%s)
+step_start=$(now_ms)
 rm -rf target/oracle-ci
 status=0
 cargo run -q --release -p het-bench --bin hetctl -- oracle --master-seed 7 --seeds 0..40 \
@@ -153,7 +156,7 @@ if [ "$status" -ne 1 ] || ! echo "$replay" | grep -q "violation reproduced"; the
     echo "replaying $repro exited $status without reproducing the violation"
     exit 1
 fi
-echo "    [timing] oracle repro path: $(($(date +%s) - step_start))s"
+echo "    [timing] oracle repro path: $(($(now_ms) - step_start))ms"
 
 echo "==> consistency oracle (120-seed fuzz campaign over the full policy zoo)"
 # The campaign also exercises the prefetch cell: ~1/3 of sampled
@@ -166,26 +169,26 @@ echo "==> consistency oracle (120-seed fuzz campaign over the full policy zoo)"
 # memory/disk store with a tiny hot budget (8/32/128 rows), so the
 # same invariants are re-proven across demotions, cold-log spills, and
 # compactions; the shrinker tries dropping back to the Mem store first.
-step_start=$(date +%s)
+step_start=$(now_ms)
 cargo run -q --release -p het-bench --bin hetctl -- oracle --seeds 0..120 --iters 40
-echo "    [timing] oracle campaign: $(($(date +%s) - step_start))s"
+echo "    [timing] oracle campaign: $(($(now_ms) - step_start))ms"
 
 echo "==> prefetch depth sweep (>=30% cut at depth 4, monotone non-increasing)"
-step_start=$(date +%s)
+step_start=$(now_ms)
 cargo run -q --release -p het-bench --bin hetctl -- exp prefetch-sweep \
     --iters 480 --depths 0,1,2,4,8 --gate 0.30
-echo "    [timing] prefetch sweep: $(($(date +%s) - step_start))s"
+echo "    [timing] prefetch sweep: $(($(now_ms) - step_start))ms"
 
 echo "==> store sweep smoke (10^7 keys, bounded residency, hit-rate floor, Mem zero-disk)"
-step_start=$(date +%s)
+step_start=$(now_ms)
 cargo run -q --release -p het-bench --bin hetctl -- exp store-sweep \
     --keys 10000000 --ops 300000 --hot 65536 --gate 0.5
-echo "    [timing] store sweep: $(($(date +%s) - step_start))s"
+echo "    [timing] store sweep: $(($(now_ms) - step_start))ms"
 
 echo "==> policy shootout (adaptive within 5 hit-rate points of best fixed, all scenarios)"
-step_start=$(date +%s)
+step_start=$(now_ms)
 cargo run -q --release -p het-bench --bin hetctl -- exp policy-shootout \
     --iters 240 --requests 2400 --gate 0.05
-echo "    [timing] policy shootout: $(($(date +%s) - step_start))s"
+echo "    [timing] policy shootout: $(($(now_ms) - step_start))ms"
 
 echo "CI green."

@@ -409,14 +409,9 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     // `--fault-plan` replaces the plan `cfg.faults` would derive;
     // either way the plan actually used is what `--fault-plan-dump`
     // writes.
-    let fleet = if cfg.autoscale.enabled {
-        cfg.autoscale.max_replicas
-    } else {
-        cfg.n_replicas
-    };
     let plan = match fault_plan_override(args)? {
         Some(plan) => plan,
-        None => cfg.faults.plan(cfg.seed, fleet, cfg.n_shards),
+        None => cfg.fault_plan(),
     };
     dump_fault_plan(args, &plan)?;
 
@@ -594,7 +589,7 @@ fn cmd_colocate(args: &Args) -> Result<(), String> {
         train_cfg,
         CtrDataset::new(CtrConfig::tiny(seed)),
         |rng| het_models::WideDeep::new(rng, 4, 8, &[16]),
-        serve_cfg.n_replicas,
+        serve_cfg.fleet_size(),
         0,
     );
     if let Some(plan) = fault_plan_override(args)? {

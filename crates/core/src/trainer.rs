@@ -524,13 +524,11 @@ pub struct Trainer<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> {
     /// Lookahead-prefetch state shared with the [`Prefetcher`] process;
     /// `None` unless `lookahead_depth > 0` under a cached sparse mode.
     plane: Option<Arc<Mutex<PrefetchPlane>>>,
-    /// The co-registered prefetcher's process id. Planning is inert
-    /// until this is set — a run without a prefetcher process (e.g. a
-    /// co-scheduled runtime that never registered one) stays on the
-    /// legacy path even when a depth is configured.
+    /// The prefetcher's process id, set by [`Trainer::register`];
+    /// planning is inert without one (the threaded runner has none).
     prefetcher_pid: Option<ProcessId>,
     /// Host time of the run, restarted when its first step is scheduled
-    /// ([`Trainer::prime`] on the sim, [`Trainer::run_threaded`] on
+    /// ([`Trainer::register`] on the sim, [`Trainer::run_threaded`] on
     /// threads).
     wall: WallClock,
 }
@@ -554,7 +552,8 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
     ///   a job co-scheduled after this trainer on the same
     ///   [`ClusterRuntime`] (which then owns members
     ///   `n_workers..n_workers + extra_members`) draws its crash
-    ///   schedule from the same plan;
+    ///   schedule from the same plan — for a serving fleet, pass its
+    ///   `ServeConfig::fleet_size()`;
     /// * `spare_shards` extra physical PS shards are reserved as
     ///   live-split targets (see [`het_ps::PsServer::with_spare_shards`]).
     ///   The fault plan still addresses only the base shards — spares
@@ -754,32 +753,6 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
     /// Iterations completed by one worker.
     pub fn worker_iterations(&self, worker: usize) -> u64 {
         self.workers[worker].iterations
-    }
-
-    /// Builds the lookahead [`Prefetcher`] process for this trainer, or
-    /// `None` when prefetching is off (`lookahead_depth == 0` or a
-    /// cache-less sparse mode). [`Trainer::run`] wires it up itself;
-    /// co-scheduled setups register it on their shared runtime and hand
-    /// the pid back via [`Trainer::set_prefetcher_pid`].
-    pub fn make_prefetcher(&self) -> Option<Prefetcher> {
-        self.plane.as_ref().map(|plane| {
-            Prefetcher::new(
-                Arc::clone(plane),
-                self.env.server.clone(),
-                self.env.net,
-                wire::MessageCosts {
-                    fused: self.env.config.system.backbone.fuse_messages,
-                },
-                self.env.config.dim,
-                self.plan.clone(),
-            )
-        })
-    }
-
-    /// Registers the prefetcher's process id; lookahead planning stays
-    /// inert until this is called.
-    pub fn set_prefetcher_pid(&mut self, pid: ProcessId) {
-        self.prefetcher_pid = Some(pid);
     }
 
     /// Turns on plan auditing: every plan decision (the target batch's
@@ -1146,35 +1119,30 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
 
     /// Runs the full simulation on a private [`ClusterRuntime`] and
     /// returns the report. Co-scheduled setups (training + serving on
-    /// one cluster) build the runtime themselves, register every job,
-    /// call [`Trainer::prime`], run, then [`Trainer::finalize`].
+    /// one cluster) build the runtime themselves, [`Trainer::register`]
+    /// the trainer first, register every other job, run, then
+    /// [`Trainer::finalize`].
     pub fn run(&mut self) -> TrainReport {
         let mut rt = ClusterRuntime::new(self.env.config.tie_break, self.plan.clone());
-        let pid = rt.register(self.workers.len());
-        // The prefetcher is a separate process with no fault-domain
-        // members of its own: worker crashes and shard outages route to
-        // the trainer, which cancels the affected plane state.
-        let prefetcher = self.make_prefetcher();
-        self.prime(&mut rt, pid);
-        match prefetcher {
-            Some(mut pf) => {
-                let pf_pid = rt.register(0);
-                self.set_prefetcher_pid(pf_pid);
-                let this: &mut dyn Process = self;
-                rt.run(&mut [this, &mut pf]);
-            }
-            None => {
-                let this: &mut dyn Process = self;
-                rt.run(&mut [this]);
-            }
-        }
+        let mut prefetcher = self.register(&mut rt);
+        let this: &mut dyn Process = self;
+        let mut procs = vec![this];
+        procs.extend(prefetcher.as_mut().map(|p| p as &mut dyn Process));
+        rt.run(&mut procs);
         self.finalize()
     }
 
-    /// Schedules this trainer's initial events on `rt`: one round event
-    /// for BSP, one event per worker for ASP/SSP. The report's `wall_ns`
-    /// counts from here.
-    pub fn prime(&mut self, rt: &mut ClusterRuntime, pid: ProcessId) {
+    /// Registers every process this trainer needs on `rt` and schedules
+    /// its first events: the trainer itself (one round event for BSP,
+    /// one event per worker for ASP/SSP), then, when lookahead
+    /// prefetching is on, its [`Prefetcher`]. The prefetcher owns no
+    /// cluster members — worker crashes and shard outages route to the
+    /// trainer, which cancels the affected plane state — and is
+    /// returned for the run list, right after the trainer. Register the
+    /// trainer before any co-scheduled job: it owns members
+    /// `0..n_workers`. The report's `wall_ns` counts from here.
+    pub fn register(&mut self, rt: &mut ClusterRuntime) -> Option<Prefetcher> {
+        let pid = rt.register(self.workers.len());
         self.wall = WallClock::new();
         match self.env.config.system.sync {
             SyncMode::Bsp => rt.prime(pid, SimTime::ZERO, Event::Wake(0)),
@@ -1184,6 +1152,19 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
                 }
             }
         }
+        let plane = self.plane.as_ref()?;
+        let prefetcher = Prefetcher::new(
+            Arc::clone(plane),
+            self.env.server.clone(),
+            self.env.net,
+            wire::MessageCosts {
+                fused: self.env.config.system.backbone.fuse_messages,
+            },
+            self.env.config.dim,
+            self.plan.clone(),
+        );
+        self.prefetcher_pid = Some(rt.register(0));
+        Some(prefetcher)
     }
 
     /// One BSP round, dispatched as a single barrier-process event: all

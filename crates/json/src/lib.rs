@@ -246,10 +246,19 @@ macro_rules! impl_unsigned {
 }
 impl_unsigned!(u8, u16, u32, u64, usize);
 
+// Numbers convert to the one form the parser reads their text back
+// as, so a value survives `encode` → `from_str` unchanged: a
+// non-negative integer is `UInt` whatever its Rust type, and a
+// non-finite float (printed as `null`) is `Null`.
 macro_rules! impl_signed {
     ($($t:ty),*) => {$(
         impl ToJson for $t {
-            fn to_json(&self) -> Json { Json::Int(*self as i64) }
+            fn to_json(&self) -> Json {
+                match u64::try_from(*self) {
+                    Ok(n) => Json::UInt(n),
+                    Err(_) => Json::Int(*self as i64),
+                }
+            }
         }
     )*};
 }
@@ -257,13 +266,17 @@ impl_signed!(i8, i16, i32, i64, isize);
 
 impl ToJson for f64 {
     fn to_json(&self) -> Json {
-        Json::Num(*self)
+        if self.is_finite() {
+            Json::Num(*self)
+        } else {
+            Json::Null
+        }
     }
 }
 
 impl ToJson for f32 {
     fn to_json(&self) -> Json {
-        Json::Num(*self as f64)
+        f64::from(*self).to_json()
     }
 }
 

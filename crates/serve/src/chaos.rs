@@ -1,21 +1,22 @@
 //! The chaos campaign: compound failure under load, with SLO/RTO
 //! verdicts.
 //!
-//! One run co-schedules a live CTR trainer and a *supervised* serving
-//! fleet on a single [`ClusterRuntime`] and PS fabric — the
-//! [`crate::colocate`] configuration plus the full elasticity stack of
-//! [`crate::supervise`] — and throws the target scenario at it:
+//! One run is a [`run_colocated`] call: a live CTR trainer and a
+//! serving fleet whose config turns on the full elasticity stack of
+//! [`crate::supervise`] (supervision, a live split, autoscaling), so the
+//! fleet registers its supervisor and autoscaler beside itself. It
+//! throws the target scenario at them:
 //!
 //! * a **flash crowd** multiplies the arrival rate mid-run;
 //! * **replica crashes** land *inside* the flash window (and again
-//!   later), detected by the [`Supervisor`]'s heartbeat watcher and
+//!   later), detected by the supervisor's heartbeat watcher and
 //!   recovered with sketch-warmed caches;
 //! * a **PS-shard outage** overlaps the flash; the trainer restores the
 //!   shard from its checkpoint while serving replicas ride it out on
 //!   the [`het_core::RetryPolicy`] backoff schedule;
 //! * a **live shard split** runs concurrently, migrating keys off a hot
 //!   shard batch by batch while gradients keep flowing;
-//! * the **[`Autoscaler`]** grows the admitted pool into the flash and
+//! * the **autoscaler** grows the admitted pool into the flash and
 //!   drains it afterwards.
 //!
 //! The faults are *scripted* (exact instants, exact members) so the
@@ -24,16 +25,14 @@
 //! [`ChaosReport`] JSON and trace. [`ChaosReport::assert_healthy`] turns
 //! the run into a pass/fail gate for CI campaigns.
 
-use crate::colocate::ColocatedReport;
+use crate::colocate::{run_colocated, ColocatedReport};
 use crate::config::ServeConfig;
-use crate::sim::ServeSim;
-use crate::supervise::{AutoscaleConfig, Autoscaler, ReshardPlan, Supervisor};
+use crate::supervise::{AutoscaleConfig, ReshardPlan};
 use het_core::config::{SystemPreset, TrainerConfig};
 use het_core::Trainer;
 use het_data::{CtrConfig, CtrDataset};
 use het_json::{Json, ToJson};
 use het_models::WideDeep;
-use het_runtime::{ClusterRuntime, Event, Process};
 use het_simnet::{ClusterSpec, FaultEvent, FaultPlan, SimDuration, SimTime};
 
 /// Knobs of one chaos run. Everything else — fault instants, the
@@ -246,71 +245,26 @@ impl ToJson for ChaosReport {
     }
 }
 
-/// Runs the chaos scenario to completion: live trainer + supervised
-/// fleet + supervisor + autoscaler on one runtime, under
+/// Runs the chaos scenario to completion: live trainer + supervised,
+/// autoscaled fleet on one runtime ([`run_colocated`]), under
 /// [`ChaosConfig::fault_plan`]. Deterministic: same config ⇒
 /// byte-identical [`ChaosReport`] JSON and trace.
 pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     let train_cfg = cfg.train_config();
-    let mut serve_cfg = cfg.serve_config(train_cfg.dim);
-    let supervision = serve_cfg.supervision.clone();
-    let autoscale = serve_cfg.autoscale;
-    let fleet = autoscale.max_replicas;
-    let plan = cfg.fault_plan();
-
+    let serve_cfg = cfg.serve_config(train_cfg.dim);
     // One spare physical shard backs the live split.
     let mut trainer = Trainer::with_cluster(
         train_cfg,
         CtrDataset::new(CtrConfig::tiny(cfg.seed)),
         |rng| WideDeep::new(rng, 4, 8, &[16]),
-        fleet,
+        serve_cfg.fleet_size(),
         1,
     );
-    trainer.override_plan(plan.clone());
-    let server = trainer.server_handle();
-    serve_cfg.n_shards = server.n_shards();
-    let member_offset = trainer.n_workers();
+    trainer.override_plan(cfg.fault_plan());
     let (n_fields, dim) = (serve_cfg.n_fields, serve_cfg.dim);
-    let mut sim = ServeSim::with_shared(
-        serve_cfg,
-        server.clone(),
-        plan.clone(),
-        member_offset,
-        move |rng| WideDeep::new(rng, n_fields, dim, &[16]),
-    );
-    sim.prepare();
-    let cp = sim.control_plane().expect("supervised fleet");
-
-    let mut rt = ClusterRuntime::new(trainer.tie_break(), plan.clone());
-    let train_pid = rt.register(trainer.n_workers());
-    let serve_pid = rt.register(sim.n_replicas());
-    cp.borrow_mut().serve_pid = serve_pid;
-    let sup_pid = rt.register(1);
-    let auto_pid = rt.register(1);
-    // The colocated trainer owns PS restore, so the supervisor runs as
-    // a passive outage observer (`Supervisor::new`, not `with_store`).
-    let mut supervisor = Supervisor::new(
-        supervision,
-        cp.clone(),
-        server,
-        plan.clone(),
-        sim.n_replicas(),
-    );
-    let mut autoscaler = Autoscaler::new(autoscale, cp);
-    trainer.prime(&mut rt, train_pid);
-    sim.prime(&mut rt, serve_pid);
-    rt.prime(sup_pid, SimTime::ZERO, Event::Wake(0));
-    rt.prime(auto_pid, SimTime::ZERO, Event::Wake(0));
-    {
-        let procs: &mut [&mut dyn Process] =
-            &mut [&mut trainer, &mut sim, &mut supervisor, &mut autoscaler];
-        rt.run(procs);
-    }
-    sim.epilogue(&mut rt, serve_pid);
-    let report = ColocatedReport {
-        train: trainer.finalize(),
-        serve: sim.into_report(),
-    };
+    let report = run_colocated(trainer, serve_cfg, move |rng| {
+        WideDeep::new(rng, n_fields, dim, &[16])
+    });
 
     let s = &report.serve;
     let slo_ok = s.latency_p99_ns <= cfg.slo_p99.as_nanos();

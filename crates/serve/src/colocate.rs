@@ -1,14 +1,20 @@
 //! Co-scheduled training + serving: one cluster runtime, one PS fabric.
 //!
 //! This is the "serving heavy traffic while training" configuration of
-//! the north star, done for real: a [`Trainer`] and a [`ServeSim`] are
-//! both registered on a single `het-runtime` [`ClusterRuntime`], so
-//! training iterations and inference micro-batches interleave in one
-//! global simulated-time order against one live [`het_ps::PsServer`].
-//! Every gradient the trainer pushes advances the per-key server
-//! clocks the serving replicas' `CheckValid` reads are bounded by —
-//! the freshness/latency coupling emerges from actual co-scheduling
-//! instead of a synthetic update feed.
+//! the north star, done for real: a [`Trainer`] and a [`ServeSim`]
+//! share a single `het-runtime` [`ClusterRuntime`], so training
+//! iterations and inference micro-batches interleave in one global
+//! simulated-time order against one live [`het_ps::PsServer`]. Every
+//! gradient the trainer pushes advances the per-key server clocks the
+//! serving replicas' `CheckValid` reads are bounded by — the
+//! freshness/latency coupling emerges from actual co-scheduling instead
+//! of a synthetic update feed.
+//!
+//! Each job registers its own processes, exactly as it does when run
+//! alone: [`Trainer::register`] adds the trainer and, with lookahead on,
+//! its prefetcher; the fleet then adds itself, its supervisor when
+//! supervision is on (a passive outage observer here — the trainer owns
+//! PS restore) and its autoscaler when autoscaling is on.
 //!
 //! Fault injection is cluster-wide: the trainer's plan covers the
 //! serving replicas as extra cluster members (see
@@ -51,10 +57,10 @@ impl ToJson for ColocatedReport {
 /// [`ClusterRuntime`] and one PS fabric.
 ///
 /// Build the trainer with [`Trainer::with_cluster`] passing
-/// `serve_cfg.n_replicas` as the extra member count, so the cluster's
-/// fault plan covers the fleet. The serve config's `n_shards` and
-/// `faults` are superseded by the shared fabric and plan; its `dim`
-/// must match the trainer's.
+/// [`ServeConfig::fleet_size`] as the extra member count, so the
+/// cluster's fault plan covers the whole fleet. The serve config's
+/// `n_shards` and `faults` are superseded by the shared fabric and plan;
+/// its `dim` must match the trainer's.
 ///
 /// The run ends when the trainer has finished *and* every request has
 /// been served (the loop drains both jobs' events).
@@ -69,41 +75,32 @@ where
     SM: EmbeddingModel<Batch = CtrBatch>,
 {
     let server = trainer.server_handle();
+    // The fleet reads the trainer's live table; its shard count is a
+    // property of that fabric, not of the serve config.
+    serve_cfg.n_shards = server.n_shards();
+    serve_cfg.validate();
     assert_eq!(
         serve_cfg.dim,
         server.dim(),
         "serve dim must match the trainer's PS fabric"
     );
-    // The fleet reads the trainer's live table; its shard count is a
-    // property of that fabric, not of the serve config.
-    serve_cfg.n_shards = server.n_shards();
     let plan = trainer.plan().clone();
-    let member_offset = trainer.n_workers();
-    let mut sim = ServeSim::with_shared(
+    let sim = ServeSim::assemble(
         serve_cfg,
         server,
         plan.clone(),
-        member_offset,
+        trainer.n_workers(),
         serve_model_fn,
     );
-
-    // Pretraining pushes and cache warmup happen before t = 0, exactly
-    // as in a standalone serving run.
-    sim.prepare();
-
     let mut rt = ClusterRuntime::new(trainer.tie_break(), plan);
-    let train_pid = rt.register(trainer.n_workers());
-    let serve_pid = rt.register(sim.n_replicas());
-    debug_assert_eq!(rt.member_offset(serve_pid), member_offset);
-    trainer.prime(&mut rt, train_pid);
-    sim.prime(&mut rt, serve_pid);
-    {
-        let procs: &mut [&mut dyn Process] = &mut [&mut trainer, &mut sim];
-        rt.run(procs);
-    }
-    sim.epilogue(&mut rt, serve_pid);
+    let mut prefetcher = trainer.register(&mut rt);
+    let serve = {
+        let mut head: Vec<&mut dyn Process> = vec![&mut trainer];
+        head.extend(prefetcher.as_mut().map(|p| p as &mut dyn Process));
+        sim.run_after(rt, &mut head)
+    };
     ColocatedReport {
         train: trainer.finalize(),
-        serve: sim.into_report(),
+        serve,
     }
 }

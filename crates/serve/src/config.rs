@@ -4,7 +4,7 @@ use crate::supervise::{AutoscaleConfig, SupervisionConfig};
 use het_cache::PolicyKind;
 use het_core::FaultConfig;
 use het_ps::StoreSpec;
-use het_simnet::{ClusterSpec, SimDuration, SimTime};
+use het_simnet::{ClusterSpec, FaultPlan, SimDuration, SimTime};
 
 /// Configuration of a [`ServeSim`](crate::ServeSim) run: the request
 /// workload, the replica fleet, cache/staleness settings, and fault
@@ -158,6 +158,25 @@ impl ServeConfig {
             autoscale: AutoscaleConfig::disabled(),
             store: StoreSpec::Mem,
         }
+    }
+
+    /// Replicas the fleet is built with: the autoscaler's ceiling when
+    /// autoscaling (only the admitted prefix takes traffic), else
+    /// `n_replicas`. A fleet co-scheduled after a trainer owns this many
+    /// cluster members.
+    pub fn fleet_size(&self) -> usize {
+        if self.autoscale.enabled {
+            self.autoscale.max_replicas
+        } else {
+            self.n_replicas
+        }
+    }
+
+    /// The fault plan `faults` derives for a standalone run: replica `r`
+    /// is member `r` of a [`ServeConfig::fleet_size`] fleet.
+    pub fn fault_plan(&self) -> FaultPlan {
+        self.faults
+            .plan(self.seed, self.fleet_size(), self.n_shards)
     }
 
     /// Validates internal consistency (positive sizes, sane rates).

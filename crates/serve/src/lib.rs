@@ -15,7 +15,9 @@
 //!   ([`sim`]); the fleet is a `het_runtime::Process`, so it can be
 //!   **co-scheduled with a real trainer** on one cluster runtime and
 //!   one PS fabric, exposing the freshness/latency trade-off of
-//!   serving *while training* ([`colocate`]);
+//!   serving *while training* ([`colocate`]). Each job registers its
+//!   own processes there: the trainer its prefetcher, the fleet its
+//!   supervisor and autoscaler — the same ones it registers alone;
 //! * **micro-batching** per replica (max batch size + max queue delay)
 //!   with full queueing/latency accounting into a [`ServeReport`]
 //!   (throughput, p50/p95/p99 from a deterministic histogram,
@@ -24,14 +26,15 @@
 //!   PS-shard failover degrades gracefully to stale serving (§3.3), and
 //!   everything lands in the `serve` trace component;
 //! * **self-healing elasticity** ([`supervise`]): a heartbeat-driven
-//!   [`Supervisor`] *detects* crashes (no fault-plan peeking) and
-//!   drives respawns with sketch-warmed caches and checkpoint-restored
-//!   PS shards, an [`Autoscaler`] resizes the admitted replica pool
-//!   under hysteresis, and a [`ReshardPlan`] live-splits a hot PS shard
-//!   while traffic continues — all opt-in, all deterministic;
-//! * a **chaos campaign harness** ([`chaos`]) that co-schedules
-//!   trainer + supervised fleet under a compound fault scenario and
-//!   asserts SLO/RTO outcomes;
+//!   supervisor *detects* crashes (no fault-plan peeking) and drives
+//!   respawns with sketch-warmed caches and checkpoint-restored PS
+//!   shards, an autoscaler resizes the admitted replica pool under
+//!   hysteresis, and a [`ReshardPlan`] live-splits a hot PS shard while
+//!   traffic continues — all opt-in through [`SupervisionConfig`] and
+//!   [`AutoscaleConfig`], all deterministic;
+//! * a **chaos campaign harness** ([`chaos`]) that runs trainer +
+//!   supervised, autoscaled fleet through [`run_colocated`] under a
+//!   compound fault scenario and asserts SLO/RTO outcomes;
 //! * a **threaded backend** ([`thread`]): the same replica machinery on
 //!   real OS threads behind `--backend threads:<n>` — one thread per
 //!   replica over the shared PS fabric, reporting the same
@@ -57,8 +60,6 @@ pub use colocate::{run_colocated, ColocatedReport};
 pub use config::ServeConfig;
 pub use report::{ReplicaReport, ServeReport};
 pub use sim::ServeSim;
-pub use supervise::{
-    AutoscaleConfig, Autoscaler, ControlPlane, ReshardPlan, SupervisionConfig, Supervisor,
-};
+pub use supervise::{AutoscaleConfig, ReshardPlan, SupervisionConfig};
 pub use thread::{run_threaded_colocated, run_threaded_serve};
 pub use workload::{generate_requests, pretrain, Request};

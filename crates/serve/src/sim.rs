@@ -67,6 +67,27 @@ pub(crate) fn warmup_keys(cfg: &ServeConfig) -> Vec<Key> {
     top.into_iter().map(|(k, _)| k).collect()
 }
 
+/// Rows pulled from the PS in one grouped call, to install into replica
+/// caches: `dim` floats and one clock per key, in key order.
+pub(crate) struct Pulled {
+    keys: Vec<Key>,
+    rows: Vec<f32>,
+    clocks: Vec<u64>,
+}
+
+impl Pulled {
+    /// Pulls `keys` under one lock per shard.
+    pub fn from(server: &PsServer, keys: &[Key]) -> Self {
+        let (mut rows, mut clocks) = (Vec::new(), Vec::new());
+        server.pull_into(keys, &mut rows, &mut clocks);
+        Pulled {
+            keys: keys.to_vec(),
+            rows,
+            clocks,
+        }
+    }
+}
+
 /// What one micro-batch did.
 pub(crate) struct BatchOutcome {
     /// Modelled embedding-resolution time.
@@ -110,6 +131,25 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ReplicaCore<M> {
             client,
             model,
             comm: CommStats::default(),
+        }
+    }
+
+    /// Installs `pulled` into the cache in key order — as prefetched
+    /// entries, whose first reads count as prefetch hits, when
+    /// `prefetched`.
+    pub fn install(&mut self, pulled: &Pulled, prefetched: bool) {
+        let rows = pulled.rows.chunks_exact(self.model.embedding_dim());
+        let cache = self.client.cache_mut();
+        for ((&k, row), &clock) in pulled.keys.iter().zip(rows).zip(&pulled.clocks) {
+            let displaced = if prefetched {
+                cache.install_prefetched(k, row.to_vec(), clock)
+            } else {
+                cache.install(k, row.to_vec(), clock)
+            };
+            debug_assert!(
+                displaced.is_none(),
+                "read-only caches hold no dirty entries"
+            );
         }
     }
 
@@ -214,7 +254,7 @@ pub struct ServeSim<M: EmbeddingModel<Batch = CtrBatch>> {
     served_total: u64,
     respawns: u64,
     retry_waits: u64,
-    /// Host time of the run, restarted by [`ServeSim::prime`].
+    /// Host time of the run, restarted when the fleet registers.
     wall: WallClock,
 }
 
@@ -224,12 +264,7 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
     /// gets an identically seeded RNG, so the fleet serves the same
     /// model.
     pub fn new(cfg: ServeConfig, model_fn: impl Fn(&mut StdRng) -> M) -> Self {
-        let fleet = if cfg.autoscale.enabled {
-            cfg.autoscale.max_replicas
-        } else {
-            cfg.n_replicas
-        };
-        let plan = cfg.faults.plan(cfg.seed, fleet, cfg.n_shards);
+        let plan = cfg.fault_plan();
         Self::with_plan(cfg, plan, model_fn)
     }
 
@@ -250,42 +285,18 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
         Self::assemble(cfg, server, plan, 0, model_fn)
     }
 
-    /// Builds the simulator over a *shared* PS fabric for co-scheduling
-    /// with another job on one [`ClusterRuntime`]. The cluster's fault
-    /// plan replaces the one `cfg.faults` would generate (the shared
-    /// cluster owns fault injection), and `member_offset` is the
-    /// fleet's first member index within that plan — register the fleet
-    /// on the runtime at the same offset.
-    pub fn with_shared(
+    /// Builds the fleet over `server` under `plan`, as cluster members
+    /// from `member_offset` on: 0 over a private fabric, the trainer's
+    /// worker count when co-scheduled after one (see
+    /// [`crate::run_colocated`]).
+    pub(crate) fn assemble(
         cfg: ServeConfig,
         server: ServerHandle,
         plan: FaultPlan,
         member_offset: usize,
         model_fn: impl Fn(&mut StdRng) -> M,
     ) -> Self {
-        cfg.validate();
-        assert_eq!(
-            server.dim(),
-            cfg.dim,
-            "shared PS fabric dim must match the serve config"
-        );
-        Self::assemble(cfg, server, plan, member_offset, model_fn)
-    }
-
-    fn assemble(
-        cfg: ServeConfig,
-        server: ServerHandle,
-        plan: FaultPlan,
-        member_offset: usize,
-        model_fn: impl Fn(&mut StdRng) -> M,
-    ) -> Self {
-        // Elastic fleets are built at their ceiling; only the admitted
-        // prefix takes traffic until the autoscaler grows the pool.
-        let fleet = if cfg.autoscale.enabled {
-            cfg.autoscale.max_replicas
-        } else {
-            cfg.n_replicas
-        };
+        let fleet = cfg.fleet_size();
         let supervised = cfg.supervision.enabled || cfg.autoscale.enabled;
         let replicas = (0..fleet)
             .map(|_| Replica {
@@ -339,14 +350,6 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
         }
     }
 
-    /// The shared control plane, present when supervision or
-    /// autoscaling is enabled. Co-scheduled setups hand clones to the
-    /// [`Supervisor`] and [`Autoscaler`] they register alongside the
-    /// fleet.
-    pub fn control_plane(&self) -> Option<Rc<RefCell<ControlPlane>>> {
-        self.control.clone()
-    }
-
     /// Pre-installs the [`warmup_keys`] into every replica cache.
     fn warm_replicas(&mut self) {
         let top = warmup_keys(&self.cfg);
@@ -356,16 +359,9 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
         self.warmed_keys = top.len() as u64;
         for (r, replica) in self.replicas.iter_mut().enumerate() {
             het_trace::set_scope(0, Some((self.member_offset + r) as u64));
-            for &k in &top {
-                let pulled = self.server.pull(k);
-                let displaced =
-                    replica
-                        .core
-                        .client
-                        .cache_mut()
-                        .install(k, pulled.vector, pulled.clock);
-                debug_assert!(displaced.is_none(), "warmup installs into an empty cache");
-            }
+            replica
+                .core
+                .install(&Pulled::from(&self.server, &top), false);
             het_trace::counter_add("serve", "warmed_keys", top.len() as u64);
         }
         // Warmup runs before the first request; its cold fetches must
@@ -640,16 +636,14 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
         let Some(sketch) = self.sketch.as_ref() else {
             return 0;
         };
-        let top: Vec<(Key, u64)> = sketch.top(self.cfg.cache_capacity);
-        let replica = &mut self.replicas[r];
-        for &(k, _) in &top {
-            let pulled = self.server.pull(k);
-            let _ = replica
-                .core
-                .client
-                .cache_mut()
-                .install(k, pulled.vector, pulled.clock);
-        }
+        let top: Vec<Key> = sketch
+            .top(self.cfg.cache_capacity)
+            .into_iter()
+            .map(|(k, _)| k)
+            .collect();
+        self.replicas[r]
+            .core
+            .install(&Pulled::from(&self.server, &top), false);
         self.server.reclassify_pending_io();
         het_trace::counter_add("serve", "warmed_keys", top.len() as u64);
         top.len() as u64
@@ -687,27 +681,16 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
         let replica = &mut self.replicas[r];
         let budget = ((self.cfg.cache_capacity / 4).max(1) as u64)
             .saturating_sub(replica.core.client.cache().pinned_len() as u64);
-        let mut installed = 0u64;
-        for k in candidates {
-            if installed == budget {
-                break;
-            }
-            if replica.core.client.cache().find(k) {
-                continue;
-            }
-            let pulled = self.server.pull(k);
-            let displaced =
-                replica
-                    .core
-                    .client
-                    .cache_mut()
-                    .install_prefetched(k, pulled.vector, pulled.clock);
-            debug_assert!(
-                displaced.is_none(),
-                "read-only caches hold no dirty entries"
-            );
-            installed += 1;
-        }
+        let cache = replica.core.client.cache();
+        let keys: Vec<Key> = candidates
+            .into_iter()
+            .filter(|&k| !cache.find(k))
+            .take(budget as usize)
+            .collect();
+        replica
+            .core
+            .install(&Pulled::from(&self.server, &keys), true);
+        let installed = keys.len() as u64;
         // Drift prefetch is asynchronous background work; its cold
         // fetches hide behind serving, like the trainer's prefetcher.
         self.server.reclassify_pending_io();
@@ -794,36 +777,85 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
         }
     }
 
-    /// Number of replicas in the fleet.
-    pub fn n_replicas(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// Pre-run setup: pretraining pushes and cache warmup, both before
-    /// t = 0. Called by [`ServeSim::run`]; co-scheduled setups call it
-    /// before the shared runtime's loop starts.
-    pub fn prepare(&mut self) {
+    /// Registers and primes on `rt` every process the fleet needs, after
+    /// whatever `rt` already holds: the fleet itself (pretrained and
+    /// warmed first, both before t = 0), then a [`Supervisor`] when
+    /// `supervision.enabled` and an [`Autoscaler`] when
+    /// `autoscale.enabled`. The supervisor owns PS restore only when
+    /// the fleet runs `alone` on its private fabric; beside a trainer,
+    /// the trainer restores and the supervisor only observes outages.
+    /// Returns the fleet's pid and the helpers in registration order.
+    /// The report's `wall_ns` counts from here.
+    fn register(
+        &mut self,
+        rt: &mut ClusterRuntime,
+        alone: bool,
+    ) -> (ProcessId, Vec<Box<dyn Process>>) {
         self.pretrained = pretrain(&self.cfg, &self.server, self.cfg.pretrain_updates);
         self.warm_replicas();
-    }
-
-    /// Schedules every request arrival on `rt`, plus the first
-    /// heartbeat tick when the fleet is supervised. The report's
-    /// `wall_ns` counts from here.
-    pub fn prime(&mut self, rt: &mut ClusterRuntime, pid: ProcessId) {
+        let pid = rt.register(self.replicas.len());
         self.wall = WallClock::new();
         for (i, req) in self.requests.iter().enumerate() {
             rt.prime(pid, req.at, Event::Arrive(i as u64));
         }
-        if self.control.is_some() {
-            rt.prime(pid, SimTime::ZERO, Event::Wake(HEARTBEAT_WAKE));
+        let mut helpers: Vec<Box<dyn Process>> = Vec::new();
+        let Some(cp) = self.control.clone() else {
+            return (pid, helpers);
+        };
+        rt.prime(pid, SimTime::ZERO, Event::Wake(HEARTBEAT_WAKE));
+        cp.borrow_mut().serve_pid = pid;
+        if self.cfg.supervision.enabled {
+            let sup_pid = rt.register(1);
+            rt.prime(sup_pid, SimTime::ZERO, Event::Wake(0));
+            let build = if alone {
+                Supervisor::with_store
+            } else {
+                Supervisor::new
+            };
+            helpers.push(Box::new(build(
+                self.cfg.supervision.clone(),
+                cp.clone(),
+                self.server.clone(),
+                self.plan.clone(),
+                self.replicas.len(),
+            )));
         }
+        if self.cfg.autoscale.enabled {
+            let auto_pid = rt.register(1);
+            rt.prime(auto_pid, SimTime::ZERO, Event::Wake(0));
+            helpers.push(Box::new(Autoscaler::new(self.cfg.autoscale, cp)));
+        }
+        (pid, helpers)
     }
 
-    /// Post-run fault accounting: crashes scheduled after the last
-    /// served batch still count, as do PS-shard outages observed within
-    /// the serving horizon.
-    pub fn epilogue(&mut self, rt: &mut ClusterRuntime, pid: ProcessId) {
+    /// Runs the schedule to completion on a private [`ClusterRuntime`]
+    /// and produces the report. Every generated request is served — the
+    /// run only ends once all queues drain.
+    pub fn run(self) -> ServeReport {
+        let rt = ClusterRuntime::new(TieBreak::Fifo, self.plan.clone());
+        self.run_after(rt, &mut [])
+    }
+
+    /// The one runner behind [`ServeSim::run`] and
+    /// [`crate::run_colocated`]: registers the fleet on `rt` after
+    /// `head` — the processes `rt` already holds, in registration order
+    /// (none, or a trainer and its prefetcher) — runs every process to
+    /// completion, then accounts the faults due after the last served
+    /// batch and assembles the report.
+    pub(crate) fn run_after(
+        mut self,
+        mut rt: ClusterRuntime,
+        head: &mut [&mut dyn Process],
+    ) -> ServeReport {
+        let (pid, mut helpers) = self.register(&mut rt, head.is_empty());
+        {
+            let mut procs: Vec<&mut dyn Process> = head.iter_mut().map(|p| &mut **p as _).collect();
+            procs.push(&mut self);
+            procs.extend(helpers.iter_mut().map(|h| &mut **h as _));
+            rt.run(&mut procs);
+        }
+        // Crashes scheduled after the last served batch still count, as
+        // do PS-shard outages within the serving horizon.
         let horizon = self.end_time;
         for r in 0..self.replicas.len() {
             self.apply_crashes(r, horizon, |r, t| rt.take_crash(pid, r, t));
@@ -834,62 +866,11 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
             .iter()
             .filter(|&&(_, at, _)| at <= horizon)
             .count() as u64;
-    }
-
-    /// Runs the schedule to completion on a private [`ClusterRuntime`]
-    /// and produces the report. Every generated request is served — the
-    /// run only ends once all queues drain. A supervised run registers
-    /// the [`Supervisor`] (owning PS restore) and, when autoscaling is
-    /// on, the [`Autoscaler`] as additional runtime members.
-    pub fn run(mut self) -> ServeReport {
-        self.prepare();
-        let mut rt = ClusterRuntime::new(TieBreak::Fifo, self.plan.clone());
-        let pid = rt.register(self.replicas.len());
-        self.prime(&mut rt, pid);
-        let mut supervisor = self
-            .control
-            .as_ref()
-            .filter(|_| self.cfg.supervision.enabled)
-            .map(|cp| {
-                cp.borrow_mut().serve_pid = pid;
-                let sup_pid = rt.register(1);
-                rt.prime(sup_pid, SimTime::ZERO, Event::Wake(0));
-                Supervisor::with_store(
-                    self.cfg.supervision.clone(),
-                    cp.clone(),
-                    self.server.clone(),
-                    self.plan.clone(),
-                    self.replicas.len(),
-                )
-            });
-        let mut autoscaler = self
-            .control
-            .as_ref()
-            .filter(|_| self.cfg.autoscale.enabled)
-            .map(|cp| {
-                cp.borrow_mut().serve_pid = pid;
-                let auto_pid = rt.register(1);
-                rt.prime(auto_pid, SimTime::ZERO, Event::Wake(0));
-                Autoscaler::new(self.cfg.autoscale, cp.clone())
-            });
-        {
-            let mut procs: Vec<&mut dyn Process> = Vec::with_capacity(3);
-            procs.push(&mut self);
-            if let Some(sup) = supervisor.as_mut() {
-                procs.push(sup);
-            }
-            if let Some(auto) = autoscaler.as_mut() {
-                procs.push(auto);
-            }
-            rt.run(&mut procs);
-        }
-        self.epilogue(&mut rt, pid);
         self.into_report()
     }
 
-    /// Assembles the [`ServeReport`]. Called by [`ServeSim::run`];
-    /// co-scheduled setups call it after [`ServeSim::epilogue`].
-    pub fn into_report(self) -> ServeReport {
+    /// Assembles the [`ServeReport`].
+    fn into_report(self) -> ServeReport {
         let replicas = self
             .replicas
             .iter()

@@ -1,18 +1,22 @@
 //! Supervision and elasticity for the serving fleet.
 //!
-//! Three cooperating [`Process`]es on one [`het_runtime::ClusterRuntime`]:
+//! Three cooperating [`Process`]es on one [`het_runtime::ClusterRuntime`],
+//! all registered by the fleet itself when its [`SupervisionConfig`] or
+//! [`AutoscaleConfig`] enables them — alone or beside a co-scheduled
+//! trainer ([`crate::colocate`]):
 //!
 //! * the **fleet** ([`crate::ServeSim`]) self-schedules heartbeat ticks
 //!   and posts per-replica liveness + queue depth into a shared
-//!   [`ControlPlane`];
-//! * the **[`Supervisor`]** watches heartbeat ages — a replica whose
+//!   `ControlPlane`;
+//! * the **supervisor** watches heartbeat ages — a replica whose
 //!   heartbeat is older than `miss_threshold` intervals is *detected*
 //!   as crashed (the supervisor never reads the fault plan for crash
 //!   detection) and a respawn is commanded after a
 //!   [`RetryPolicy`]-scheduled backoff; it also detects PS-shard
 //!   outages, drives checkpoint-restore when it owns the checkpoint
-//!   store, and drives **live shard splits** batch by batch;
-//! * the **[`Autoscaler`]** watches queue depth and resizes the
+//!   store (a fleet alone on its private PS; beside a trainer, the
+//!   trainer restores), and drives **live shard splits** batch by batch;
+//! * the **autoscaler** watches queue depth and resizes the
 //!   admitted replica pool under hysteresis (scale up past
 //!   `queue_high`, down below `queue_low`, never within `cooldown` of
 //!   the last action), warming a replica before it joins the JSQ pool.
@@ -144,7 +148,7 @@ pub struct ReshardPlan {
 /// The fleet posts liveness and load; the supervisor and autoscaler
 /// post commands, applied by the fleet at its next control wake.
 #[derive(Debug)]
-pub struct ControlPlane {
+pub(crate) struct ControlPlane {
     /// The fleet's process id, for [`Ctx::schedule_for`] pokes.
     pub serve_pid: ProcessId,
     /// Last heartbeat instant per replica (stops advancing on crash).
@@ -212,7 +216,7 @@ enum Health {
 
 /// Heartbeat-driven failure detector and recovery driver (one runtime
 /// member). See the module docs for the protocol.
-pub struct Supervisor {
+pub(crate) struct Supervisor {
     cfg: SupervisionConfig,
     cp: Rc<RefCell<ControlPlane>>,
     server: ServerHandle,
@@ -282,11 +286,6 @@ impl Supervisor {
             .expect("in-memory checkpoint");
         sup.store = Some(store);
         sup
-    }
-
-    /// True once a planned live split has begun and fully completed.
-    pub fn split_complete(&self) -> bool {
-        self.split_complete
     }
 
     fn detect_crashes(&mut self, t: SimTime, ctx: &mut Ctx<'_>) {
@@ -440,7 +439,7 @@ impl Process for Supervisor {
 
 /// Queue-depth-driven fleet resizing (one runtime member). See the
 /// module docs for the hysteresis protocol.
-pub struct Autoscaler {
+pub(crate) struct Autoscaler {
     cfg: AutoscaleConfig,
     cp: Rc<RefCell<ControlPlane>>,
     last_action: Option<SimTime>,
@@ -532,7 +531,7 @@ impl Process for Autoscaler {
 
 /// Wake payload the fleet interprets as "apply pending control-plane
 /// commands" (respawns, admissions).
-pub const CONTROL_WAKE: u64 = u64::MAX - 1;
+pub(crate) const CONTROL_WAKE: u64 = u64::MAX - 1;
 
 /// Wake payload the fleet interprets as a heartbeat tick.
-pub const HEARTBEAT_WAKE: u64 = u64::MAX;
+pub(crate) const HEARTBEAT_WAKE: u64 = u64::MAX;

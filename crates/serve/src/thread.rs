@@ -38,12 +38,12 @@
 use crate::colocate::ColocatedReport;
 use crate::config::ServeConfig;
 use crate::report::{ReplicaReport, ServeReport};
-use crate::sim::{private_server, warmup_keys, ReplicaCore};
+use crate::sim::{private_server, warmup_keys, Pulled, ReplicaCore};
 use crate::workload::{generate_requests, pretrain, Request};
 use het_cache::CacheStats;
-use het_data::{CtrBatch, Key, LatencyHistogram};
+use het_data::{CtrBatch, LatencyHistogram};
 use het_models::EmbeddingModel;
-use het_ps::{PsServer, PullResult, ServerHandle};
+use het_ps::{PsServer, ServerHandle};
 use het_rng::rngs::StdRng;
 use het_runtime::{ExecutionBackend, WallClock};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -84,17 +84,12 @@ fn replica_loop<M: EmbeddingModel<Batch = CtrBatch>>(
     cfg: &ServeConfig,
     server: &PsServer,
     requests: &[Request],
-    warm: &[(Key, PullResult)],
+    warm: &Pulled,
     next: &AtomicUsize,
     clock: &WallClock,
     mut replica: ReplicaCore<M>,
 ) -> ThreadOut {
-    for (k, pulled) in warm {
-        let _ = replica
-            .client
-            .cache_mut()
-            .install(*k, pulled.vector.clone(), pulled.clock);
-    }
+    replica.install(warm, false);
     let net = cfg.cluster.collectives();
     let mut out = ThreadOut {
         hist: LatencyHistogram::new(),
@@ -133,7 +128,7 @@ fn run_fleet<M: EmbeddingModel<Batch = CtrBatch>>(
     cfg: &ServeConfig,
     server: &PsServer,
     requests: &[Request],
-    warm: &[(Key, PullResult)],
+    warm: &Pulled,
     n_threads: usize,
     model_fn: &(impl Fn(&mut StdRng) -> M + Sync),
 ) -> (Vec<ThreadOut>, u64) {
@@ -204,11 +199,9 @@ fn serve_on<M: EmbeddingModel<Batch = CtrBatch>>(
     // identical snapshot (the sim warms each replica from the same key
     // set; pulling once gives the threaded fleet the same content
     // without racing the warm pulls).
-    let warm: Vec<(Key, PullResult)> = warmup_keys(cfg)
-        .into_iter()
-        .map(|k| (k, server.pull(k)))
-        .collect();
-    if !warm.is_empty() {
+    let warm_keys = warmup_keys(cfg);
+    let warm = Pulled::from(&server, &warm_keys);
+    if !warm_keys.is_empty() {
         // Warmup precedes the first request; its cold fetches are not
         // serving latency.
         server.reclassify_pending_io();
@@ -238,7 +231,7 @@ fn serve_on<M: EmbeddingModel<Batch = CtrBatch>>(
         backend: ExecutionBackend::Threads(n_threads),
         wall_ns,
         n_replicas: n_threads,
-        warmed_keys: warm.len() as u64,
+        warmed_keys: warm_keys.len() as u64,
         pretrain_updates: pretrained,
         ..ServeReport::assemble(cfg, replicas, &hist, wall_ns, score)
     })

@@ -193,8 +193,13 @@ mod tests {
         let (a, b) = (make_server(), make_server());
         assert_eq!(pretrain(&cfg, &a, 100), 100);
         assert_eq!(pretrain(&cfg, &b, 100), 100);
-        let ticks: u64 = (0..cfg.n_keys).map(|k| a.pull(k).clock).sum();
-        let ticks_b: u64 = (0..cfg.n_keys).map(|k| b.pull(k).clock).sum();
+        let keys: Vec<Key> = (0..cfg.n_keys).collect();
+        let ticks_of = |server: &PsServer| {
+            let mut clocks = Vec::new();
+            server.clocks_of(&keys, &mut clocks);
+            clocks.iter().sum::<u64>()
+        };
+        let (ticks, ticks_b) = (ticks_of(&a), ticks_of(&b));
         assert_eq!(ticks, 100, "every push advances exactly one key clock");
         assert_eq!(ticks_b, ticks, "same seed, same stream");
     }

@@ -596,6 +596,18 @@ mod tests {
     }
 
     #[test]
+    fn signed_and_non_finite_fields_parse_back_as_themselves() {
+        // JSON text has one spelling for a non-negative integer and one
+        // (`null`) for a non-finite float; the emitted values must be
+        // the ones those spellings parse back into.
+        start(vec![]);
+        event!("trainer", "compute", "signed" => 5i64, "nan" => f64::NAN, "inf" => f32::INFINITY);
+        let log = finish();
+        assert_eq!(log.events[0].field_u64("signed"), Some(5));
+        assert_eq!(TraceLog::parse(&log.to_jsonl()).unwrap(), log);
+    }
+
+    #[test]
     fn counters_are_sorted_deterministically() {
         start(vec![]);
         counter_add_at("ps", "pull", Some(2), 1);

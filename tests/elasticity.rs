@@ -171,6 +171,43 @@ fn drift_prefetch_closes_the_post_respawn_cold_start_gap() {
     );
 }
 
+/// A supervised fleet beside a live trainer registers its own
+/// supervisor, as it does alone: a crash of the first replica (cluster
+/// member `n_workers`) is detected and respawned, and the run returns
+/// having served every request. Without a supervisor the requests
+/// queued at the crashed replica are never served and its heartbeat
+/// reschedules forever.
+#[test]
+fn colocated_supervised_fleet_respawns_a_crashed_replica() {
+    let serve_cfg = supervised_cfg(94);
+    let n_requests = serve_cfg.n_requests as u64;
+    let train_cfg = TrainerConfig::tiny(SystemPreset::HetCache { staleness: 10 });
+    let mut trainer = Trainer::with_cluster(
+        train_cfg,
+        CtrDataset::new(CtrConfig::tiny(94)),
+        |rng| WideDeep::new(rng, 4, 8, &[16]),
+        serve_cfg.fleet_size(),
+        0,
+    );
+    trainer.override_plan(FaultPlan::scripted(vec![FaultEvent::WorkerCrash {
+        worker: trainer.n_workers(),
+        at: SimTime::ZERO + SimDuration::from_millis(20),
+        restart_delay: SimDuration::from_secs_f64(3600.0),
+    }]));
+    let (n_fields, dim) = (serve_cfg.n_fields, serve_cfg.dim);
+    let report = run_colocated(trainer, serve_cfg, move |rng| {
+        WideDeep::new(rng, n_fields, dim, &[16])
+    });
+    let s = &report.serve;
+    assert_eq!(s.faults.worker_crashes, 1, "the crash must land");
+    assert_eq!(s.detections, 1, "heartbeat silence must be detected once");
+    assert_eq!(s.respawns, 1, "the detection must drive a respawn");
+    assert_eq!(
+        s.requests, n_requests,
+        "supervised recovery dropped requests"
+    );
+}
+
 /// A live split moves real keys between shards mid-serving, yet every
 /// served score is bit-identical to the unsplit run: resharding is
 /// invisible to correctness, visible only to placement.

@@ -260,3 +260,55 @@ fn faults_cancel_prefetches_and_ledger_still_closes() {
         "faulted cache prefetch ledger does not close"
     );
 }
+
+/// A trainer co-scheduled with a serving fleet registers its own
+/// prefetcher, as it does alone: at depth 2 the colocated run issues
+/// lookahead pulls, and the combined trace replays clean through the
+/// consistency oracle (clock bounds, push parity, prefetch ledger).
+#[test]
+fn colocated_trainer_keeps_its_prefetcher() {
+    use het::trace;
+    use het_oracle::{check_replay, OracleSpec};
+
+    let mut config = TrainerConfig::tiny(SystemPreset::HetCache { staleness: 10 });
+    config.lookahead_depth = 2;
+    let mut serve_cfg = ServeConfig::tiny(5);
+    serve_cfg.dim = config.dim;
+    // No pretraining pushes, so push parity (PS pushes == cache
+    // write-backs) holds over the whole trace.
+    serve_cfg.pretrain_updates = 0;
+    let n_requests = serve_cfg.n_requests as u64;
+    let trainer = Trainer::with_cluster(
+        config.clone(),
+        CtrDataset::new(CtrConfig::tiny(config.seed)),
+        |rng| WideDeep::new(rng, 4, 8, &[16]),
+        serve_cfg.fleet_size(),
+        0,
+    );
+    let (n_fields, dim) = (serve_cfg.n_fields, serve_cfg.dim);
+    trace::start(Vec::new());
+    let report = run_colocated(trainer, serve_cfg, move |rng| {
+        WideDeep::new(rng, n_fields, dim, &[16])
+    });
+    let log = trace::finish();
+
+    let prefetch = report
+        .train
+        .prefetch
+        .expect("a lookahead run reports its prefetcher");
+    assert!(
+        prefetch.issued_keys > 0,
+        "the colocated trainer issued no lookahead pulls"
+    );
+    assert_eq!(
+        report.serve.requests, n_requests,
+        "co-scheduling dropped requests"
+    );
+    let oracle = check_replay(&log, &OracleSpec::of(&config))
+        .expect("oracle found a violation in the colocated lookahead run");
+    assert!(oracle.computes > 0, "oracle never saw an iteration");
+    assert!(
+        oracle.prefetch_installs > 0,
+        "oracle never saw a prefetch land"
+    );
+}
