@@ -49,6 +49,17 @@ cargo test -q --release -p het-ps --test steady_state -- \
     batched_pulls_pushes_and_clock_queries_allocate_nothing_after_the_first \
     single_key_calls_allocate_only_the_row_they_return
 
+# The loop above checked the digest ledger (tests/golden/digests.tsv:
+# its simulator cells in het's determinism test, its hetctl cells in
+# het-bench's ledger test) on the dev profile; hetctl users and the
+# benchmark run release, so the same digests must come out of it: they
+# may not depend on opt-level.
+echo "==> digest ledger (release build against the committed digests)"
+step_start=$(now_ms)
+cargo test -q --release -p het --test determinism
+cargo test -q --release -p het-bench --test ledger
+echo "    [timing] release ledger: $(($(now_ms) - step_start))ms"
+
 # The benchmark is a workspace of its own compiled against the public
 # API; build it, run its own tests, and smoke every workload once.
 echo "==> benchmark (own tests + one quick pass over all five workloads)"

@@ -86,6 +86,47 @@ impl Args {
     {
         self.get(key).map_or(Ok(default), |v| parse_flag(key, v))
     }
+
+    /// A count that sizes something (workers, rows, iterations): `--key`
+    /// as an unsigned integer, or `default` when absent; zero is an
+    /// error naming the flag.
+    pub fn get_positive<T: FromStr + From<u8> + PartialEq>(
+        &self,
+        key: &str,
+        default: T,
+    ) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        let n = self.get_parsed(key, default)?;
+        positive(key, [&n])?;
+        Ok(n)
+    }
+
+    /// A comma-separated list of such counts.
+    pub fn get_positive_list<T: FromStr + From<u8> + PartialEq>(
+        &self,
+        key: &str,
+        default: Vec<T>,
+    ) -> Result<Vec<T>, String>
+    where
+        T::Err: Display,
+    {
+        let list = self.get_list(key, default)?;
+        positive(key, &list)?;
+        Ok(list)
+    }
+}
+
+/// Rejects a zero among the values of `--key`.
+fn positive<'a, T: From<u8> + PartialEq + 'a>(
+    key: &str,
+    values: impl IntoIterator<Item = &'a T>,
+) -> Result<(), String> {
+    if values.into_iter().any(|v| *v == T::from(0)) {
+        return Err(format!("--{key} must be positive"));
+    }
+    Ok(())
 }
 
 /// `value` of `--key` parsed as `T`; a failure keeps the type's own

@@ -66,7 +66,7 @@ use het_core::config::SystemPreset::{HetCache, HetHybrid};
 use het_core::config::{StoreSpec, SystemPreset, TrainerConfig};
 use het_core::{FaultConfig, TrainReport};
 use het_runtime::ExecutionBackend;
-use het_simnet::{ClusterSpec, SimDuration};
+use het_simnet::{ClusterSpec, FaultSpec, SimDuration};
 use std::process::ExitCode;
 
 /// Flag groups shared by several subcommands, whitespace-separated;
@@ -172,16 +172,29 @@ fn print_train_report(workload: Workload, system: &str, report: &TrainReport) {
 
 /// Builds the fault-injection config from the `--fault-*` flags; with
 /// no fault counted it is the zero spec (bit-identical to the fault-free
-/// build).
-fn fault_config_of(args: &Args) -> Result<FaultConfig, String> {
+/// build). Timed faults (crashes, outages, stragglers, degradations) are
+/// placed inside `--fault-horizon` seconds when it is given, else inside
+/// `run_horizon()`, a horizon sized from the run itself so they land
+/// before it ends.
+fn fault_config_of(
+    args: &Args,
+    run_horizon: impl FnOnce() -> Result<SimDuration, String>,
+) -> Result<FaultConfig, String> {
     let mut cfg = FaultConfig::disabled();
     cfg.spec.worker_crashes = args.get_parsed("fault-crashes", 0)?;
     cfg.spec.shard_outages = args.get_parsed("fault-outages", 0)?;
     cfg.spec.stragglers = args.get_parsed("fault-stragglers", 0)?;
     cfg.spec.link_degradations = args.get_parsed("fault-degradations", 0)?;
     cfg.spec.message_drop_prob = args.get_parsed("fault-drop", 0.0)?;
-    let horizon_s: f64 = args.get_parsed("fault-horizon", 10.0)?;
-    cfg.spec.horizon = SimDuration::from_secs_f64(horizon_s.max(0.001));
+    let s = &cfg.spec;
+    let largest = s.worker_crashes.max(s.shard_outages).max(s.stragglers);
+    let timed = largest.max(s.link_degradations) > 0;
+    if args.get("fault-horizon").is_some() {
+        let horizon_s: f64 = args.get_parsed("fault-horizon", 0.0)?;
+        cfg.spec.horizon = SimDuration::from_secs_f64(horizon_s.max(0.001));
+    } else if timed {
+        cfg.spec.horizon = run_horizon()?.max(SimDuration::from_millis(1));
+    }
     cfg.checkpoint_every = args.get_parsed("fault-checkpoint-every", 50)?;
     Ok(cfg)
 }
@@ -211,16 +224,17 @@ fn dump_fault_plan(args: &Args, plan: &het_simnet::FaultPlan) -> Result<(), Stri
 }
 
 /// The `TrainerConfig` edit the `train`/`compare` flags ask for, built
-/// once for both backends. On `threads:<n>` the backend sets the worker
-/// count (one OS thread per worker); a different `--workers` is an
-/// error.
+/// once for both backends, running under `faults`. On `threads:<n>` the
+/// backend sets the worker count (one OS thread per worker); a
+/// different `--workers` is an error.
 fn train_tweak(
     args: &Args,
     backend: ExecutionBackend,
+    faults: FaultConfig,
 ) -> Result<impl Fn(&mut TrainerConfig), String> {
     let workers = thread_count(args, backend, "workers", "worker", 8)?;
     let servers: usize = args.get_parsed("servers", 1)?;
-    let dim: usize = args.get_parsed("dim", 16)?;
+    let dim: usize = args.get_positive("dim", 16)?;
     let iters: u64 = args.get_parsed("iters", 1_600)?;
     let cache_frac: f64 = args.get_parsed("cache-frac", 0.10)?;
     let policy = args.get_parsed("policy", PolicyKind::light_lfu())?;
@@ -229,7 +243,6 @@ fn train_tweak(
     let lr: f64 = args.get_parsed("lr", -1.0)?;
     let lookahead: u64 = args.get_parsed("lookahead", 0)?;
     let store = args.get_parsed("store", StoreSpec::Mem)?;
-    let faults = fault_config_of(args)?;
 
     Ok(move |c: &mut TrainerConfig| {
         c.cluster = cluster;
@@ -255,7 +268,14 @@ fn run_one(
     args: &Args,
     traced: bool,
 ) -> Result<(TrainReport, Option<het_trace::TraceLog>), String> {
-    let tweak = train_tweak(args, ExecutionBackend::Sim)?;
+    // Timed faults without `--fault-horizon` land inside a clean run of
+    // the same job.
+    let faults = fault_config_of(args, || {
+        let clean_tweak = train_tweak(args, ExecutionBackend::Sim, FaultConfig::disabled())?;
+        let clean = run_workload(workload, preset, &clean_tweak);
+        Ok(FaultSpec::horizon_within(clean.total_sim_time))
+    })?;
+    let tweak = train_tweak(args, ExecutionBackend::Sim, faults)?;
     Ok(if traced {
         let (report, log) = run_workload_traced(workload, preset, &tweak);
         (report, Some(log))
@@ -275,9 +295,10 @@ fn preset_flag(
     Ok(args.get_parsed(key, default)?.with_staleness(staleness))
 }
 
-/// The value of the count flag `--<flag>` (default `default`). On
-/// `threads:<n>` the backend sets it — one OS thread per `unit` — and a
-/// different `--<flag>` is an error rather than silently overridden.
+/// The value of the count flag `--<flag>` (default `default`; zero is an
+/// error). On `threads:<n>` the backend sets it — one OS thread per
+/// `unit` — and a different `--<flag>` is an error rather than silently
+/// overridden.
 fn thread_count(
     args: &Args,
     backend: ExecutionBackend,
@@ -290,7 +311,7 @@ fn thread_count(
             "--{flag} {v} conflicts with --backend threads:{n} (one thread per {unit})"
         )),
         (Some(n), _) => Ok(n),
-        (None, _) => args.get_parsed(flag, default),
+        (None, _) => args.get_positive(flag, default),
     }
 }
 
@@ -317,7 +338,9 @@ fn run_one_threaded(
     args: &Args,
     n_threads: usize,
 ) -> Result<(), String> {
-    let tweak = train_tweak(args, ExecutionBackend::Threads(n_threads))?;
+    // The threaded trainer rejects any fault plan, wherever it falls.
+    let faults = fault_config_of(args, || Ok(FaultSpec::default().horizon))?;
+    let tweak = train_tweak(args, ExecutionBackend::Threads(n_threads), faults)?;
     let meta = vec![
         (
             "kind".to_string(),
@@ -356,20 +379,20 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let backend = args.get_parsed("backend", ExecutionBackend::Sim)?;
     let mut cfg = ServeConfig::new(args.get_parsed("seed", 42)?);
     cfg.n_replicas = thread_count(args, backend, "replicas", "replica", cfg.n_replicas)?;
-    cfg.dim = args.get_parsed("dim", cfg.dim)?;
-    cfg.n_fields = args.get_parsed("fields", cfg.n_fields)?;
-    cfg.n_keys = args.get_parsed("keys", cfg.n_keys)?;
-    cfg.cache_capacity = args.get_parsed("cache", cfg.cache_capacity)?;
+    cfg.dim = args.get_positive("dim", cfg.dim)?;
+    cfg.n_fields = args.get_positive("fields", cfg.n_fields)?;
+    cfg.n_keys = args.get_positive("keys", cfg.n_keys)?;
+    cfg.cache_capacity = args.get_positive("cache", cfg.cache_capacity)?;
     cfg.staleness = args.get_parsed("staleness", cfg.staleness)?;
     cfg.policy = args.get_parsed("policy", PolicyKind::light_lfu())?;
     cfg.arrival_rate = args.get_parsed("rate", cfg.arrival_rate)?;
     cfg.n_requests = args.get_parsed("requests", cfg.n_requests)?;
     cfg.zipf_exponent = args.get_parsed("zipf", cfg.zipf_exponent)?;
-    cfg.max_batch = args.get_parsed("max-batch", cfg.max_batch)?;
+    cfg.max_batch = args.get_positive("max-batch", cfg.max_batch)?;
     cfg.max_queue_delay = SimDuration::from_micros(args.get_parsed("max-delay-us", 200u64)?);
     cfg.pretrain_updates = args.get_parsed("pretrain-updates", cfg.pretrain_updates)?;
     cfg.warmup_requests = args.get_parsed("warmup", cfg.warmup_requests)?;
-    cfg.n_shards = args.get_parsed("servers", cfg.n_shards)?;
+    cfg.n_shards = args.get_positive("servers", cfg.n_shards)?;
     cfg.store = args.get_parsed("store", StoreSpec::Mem)?;
     let drift_ms: f64 = args.get_parsed("drift-period-ms", 0.0)?;
     if drift_ms > 0.0 {
@@ -385,13 +408,14 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         cfg.flash_factor = args.get_parsed("flash-x", 4.0)?;
         cfg.flash_hot_keys = args.get_parsed("flash-hot", 64u64)?;
     }
-    cfg.faults = fault_config_of(args)?;
     cfg.cluster = cluster_of(args, cfg.n_replicas, cfg.n_shards)?;
     if args.get_parsed("supervised", 0u8)? != 0 {
         cfg.supervision.enabled = true;
         cfg.supervision.heartbeat_every =
             SimDuration::from_micros(args.get_parsed("heartbeat-us", 250u64)?);
     }
+    cfg.validate()?;
+    cfg.faults = fault_config_of(args, || Ok(cfg.nominal_span()))?;
 
     if let ExecutionBackend::Threads(n) = backend {
         // One OS thread per replica; the sim-only machinery (faults,
@@ -552,20 +576,23 @@ fn cmd_colocate(args: &Args) -> Result<(), String> {
     train_cfg.max_iterations = iters;
     train_cfg.eval_every = (iters / 4).max(1);
     train_cfg.seed = seed;
-    train_cfg.faults = fault_config_of(args)?;
 
     // The fleet shares the trainer's PS fabric, so its dim comes from
     // the trainer; shard count is synced inside `run_colocated`.
     let mut serve_cfg = ServeConfig::tiny(seed);
     serve_cfg.dim = train_cfg.dim;
-    serve_cfg.n_replicas = args.get_parsed("replicas", serve_cfg.n_replicas)?;
-    serve_cfg.cache_capacity = args.get_parsed("cache", serve_cfg.cache_capacity)?;
+    serve_cfg.n_replicas = args.get_positive("replicas", serve_cfg.n_replicas)?;
+    serve_cfg.cache_capacity = args.get_positive("cache", serve_cfg.cache_capacity)?;
     serve_cfg.staleness = args.get_parsed("serve-staleness", serve_cfg.staleness)?;
     serve_cfg.policy = args.get_parsed("policy", PolicyKind::Lru)?;
     serve_cfg.arrival_rate = args.get_parsed("rate", serve_cfg.arrival_rate)?;
     serve_cfg.n_requests = args.get_parsed("requests", serve_cfg.n_requests)?;
     serve_cfg.pretrain_updates = args.get_parsed("pretrain-updates", serve_cfg.pretrain_updates)?;
     serve_cfg.warmup_requests = args.get_parsed("warmup", serve_cfg.warmup_requests)?;
+    serve_cfg.validate()?;
+    // One fault plan covers the trainer and the fleet; its faults land
+    // inside the request schedule.
+    train_cfg.faults = fault_config_of(args, || Ok(serve_cfg.nominal_span()))?;
 
     if backend != ExecutionBackend::Sim {
         // Trainer workers and serving replicas each get a real OS
@@ -617,7 +644,7 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     use het_serve::{run_chaos, ChaosConfig};
 
     let mut cfg = ChaosConfig::tiny(args.get_parsed("seed", 42)?);
-    cfg.workers = args.get_parsed("workers", cfg.workers)?;
+    cfg.workers = args.get_positive("workers", cfg.workers)?;
     cfg.servers = args.get_parsed("servers", cfg.servers)?;
     cfg.train_iters = args.get_parsed("iters", cfg.train_iters)?;
     cfg.requests = args.get_parsed("requests", cfg.requests)?;

@@ -13,7 +13,7 @@ use het_core::config::{Backbone, SystemPreset};
 use het_core::{FaultConfig, TrainReport, Trainer};
 use het_data::{auc, CtrDataset, Graph, GraphConfig, NeighborSampler};
 use het_models::{DeepCross, EmbeddingModel, EmbeddingStore, WideDeep};
-use het_simnet::{ClusterSpec, FaultSpec, SimDuration};
+use het_simnet::{ClusterSpec, FaultSpec};
 use std::collections::HashMap;
 
 type Tables = Result<Vec<Table>, String>;
@@ -457,7 +457,7 @@ pub(crate) fn fault_sweep(_: &Args) -> Tables {
     // scheduled event (placed in [5%, 85%] of the horizon) fires inside
     // the run and its recovery window completes before the end.
     let baseline = run(cached, FaultConfig::disabled());
-    let horizon = SimDuration::from_secs_f64(baseline.total_sim_time.as_secs_f64() * 0.8);
+    let horizon = FaultSpec::horizon_within(baseline.total_sim_time);
     let faults_at = |level: usize| {
         let (_, crashes, outages, stragglers, degradations, drop) = LEVELS[level];
         if level == 0 {

@@ -10,17 +10,9 @@ use crate::{
 use het_cache::PolicyKind;
 use het_core::config::{SystemPreset, TrainerConfig};
 use het_core::TrainReport;
-use het_simnet::SimDuration;
+use het_simnet::{FaultSpec, SimDuration};
 
 const HET_CACHE_100: SystemPreset = SystemPreset::HetCache { staleness: 100 };
-
-/// Rejects a zero among user-supplied counts that size a run.
-fn positive(flag: &str, values: &[u64]) -> Result<(), String> {
-    if values.contains(&0) {
-        return Err(format!("--{flag} must be positive"));
-    }
-    Ok(())
-}
 
 fn cycle_us(report: &TrainReport) -> f64 {
     report.total_sim_time.as_secs_f64() * 1e6 / report.total_iterations.max(1) as f64
@@ -58,9 +50,8 @@ fn prefetch_sweep_config(c: &mut TrainerConfig, iters: u64, depth: u64) {
 /// gives the timeline where `prefetch_issue` transfers overlap
 /// `compute` spans.
 pub(crate) fn prefetch_sweep(args: &Args) -> Result<Vec<Table>, String> {
-    let iters: u64 = args.get_parsed("iters", 600)?;
+    let iters: u64 = args.get_positive("iters", 600)?;
     let depths: Vec<u64> = args.get_list("depths", vec![0, 1, 2, 4, 8])?;
-    positive("iters", &[iters])?;
     if depths.first() != Some(&0) {
         return Err("prefetch-sweep must start at the depth-0 baseline".to_string());
     }
@@ -154,10 +145,8 @@ const SCALE_SWEEP_RECIPES: [(&str, Workload, usize); 2] = [
 /// so `speedup_vs_one` mixes scaling with the change of job;
 /// `speedup_vs_sim` (threads against the sim twin) does not.
 pub(crate) fn scale_sweep(args: &Args) -> Result<Vec<Table>, String> {
-    let iters: u64 = args.get_parsed("iters", 240)?;
-    let threads_list: Vec<u64> = args.get_list("threads", vec![1, 2, 4])?;
-    positive("iters", &[iters])?;
-    positive("threads", &threads_list)?;
+    let iters: u64 = args.get_positive("iters", 240)?;
+    let threads_list: Vec<u64> = args.get_positive_list("threads", vec![1, 2, 4])?;
     if threads_list.first() != Some(&1) {
         return Err("scale-sweep must start at the threads:1 baseline".to_string());
     }
@@ -307,13 +296,10 @@ fn store_sweep_cell(
 /// experiments dir by default, so host memory stays bounded; `--spill
 /// 0` keeps segments in memory (small sweeps only).
 pub(crate) fn store_sweep(args: &Args) -> Result<Vec<Table>, String> {
-    let n_keys: u64 = args.get_parsed("keys", 10_000_000)?;
+    let n_keys: u64 = args.get_positive("keys", 10_000_000)?;
     let ops: u64 = args.get_parsed("ops", 1_000_000)?;
-    let dim: usize = args.get_parsed("dim", 16)?;
-    let hot_budgets: Vec<u64> = args.get_list("hot", vec![1 << 14, 1 << 16, 1 << 18])?;
-    positive("keys", &[n_keys])?;
-    positive("dim", &[dim as u64])?;
-    positive("hot", &hot_budgets)?;
+    let dim: usize = args.get_positive("dim", 16)?;
+    let hot_budgets: Vec<u64> = args.get_positive_list("hot", vec![1 << 14, 1 << 16, 1 << 18])?;
     let spill_dir = match args.get_parsed("spill", 1u8)? {
         0 => None,
         _ => Some(experiments_dir()?.join("store_sweep_cold")),
@@ -427,7 +413,7 @@ fn shootout_train(
         let probe = run(het_core::FaultConfig::disabled());
         faults.spec.worker_crashes = 2;
         faults.spec.shard_outages = 1;
-        faults.spec.horizon = SimDuration::from_secs_f64(probe.total_sim_time.as_secs_f64() * 0.8);
+        faults.spec.horizon = FaultSpec::horizon_within(probe.total_sim_time);
         faults.checkpoint_every = 20;
     }
     run(faults)
@@ -471,10 +457,8 @@ fn shootout_serve(
 /// leave `p99_us` at 0; serve scenarios (`--requests`) report tail
 /// latency and leave `cycle_time_us` at 0.
 pub(crate) fn policy_shootout(args: &Args) -> Result<Vec<Table>, String> {
-    let iters: u64 = args.get_parsed("iters", 240)?;
-    let requests: usize = args.get_parsed("requests", 2_400)?;
-    positive("iters", &[iters])?;
-    positive("requests", &[requests as u64])?;
+    let iters: u64 = args.get_positive("iters", 240)?;
+    let requests: usize = args.get_positive("requests", 2_400)?;
     let mut t = Table::new(
         "policy_shootout",
         "scenario policy hit_rate cycle_time_us p99_us",

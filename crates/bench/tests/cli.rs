@@ -12,6 +12,17 @@ fn hetctl(line: &str) -> Output {
         .expect("spawn hetctl")
 }
 
+/// The stdout of a successful run of `line`.
+fn stdout(line: &str) -> String {
+    let out = hetctl(line);
+    assert!(
+        out.status.success(),
+        "{line}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
 /// Each `(command line, needle)`: a clean failure — exit status 1, one
 /// `hetctl: …` line, no panic — whose message carries the needle.
 fn assert_rejected(cases: &[(&str, &str)]) {
@@ -113,15 +124,6 @@ fn thread_counts_that_conflict_with_the_backend_are_rejected() {
 /// leaks into it. The same job on threads prints its host lines.
 #[test]
 fn sim_stdout_is_deterministic_and_threads_print_host_time() {
-    let stdout = |line: &str| {
-        let out = hetctl(line);
-        assert!(
-            out.status.success(),
-            "{line}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8(out.stdout).expect("utf-8 stdout")
-    };
     let sim = "train --iters 32 --workers 2";
     let first = stdout(sim);
     assert_eq!(first, stdout(sim), "sim stdout differs between runs");
@@ -156,6 +158,42 @@ fn user_supplied_lists_and_counts_are_checked_not_asserted() {
         ),
         ("exp policy-shootout --gate x", "--gate: cannot parse"),
     ]);
+}
+
+/// A zero where a count sizes a structure, or a config the serving
+/// fleet rejects, is a flag error, not a panic inside the run.
+#[test]
+fn zero_counts_are_rejected_before_the_run() {
+    assert_rejected(&[
+        ("train --workers 0", "--workers must be positive"),
+        ("train --dim 0", "--dim must be positive"),
+        ("serve --rate 0", "arrival_rate must be positive"),
+        ("serve --cache 0", "--cache must be positive"),
+        ("serve --keys 0", "--keys must be positive"),
+        ("serve --max-batch 0", "--max-batch must be positive"),
+        ("colocate --replicas 0", "--replicas must be positive"),
+        ("colocate --rate 0", "arrival_rate must be positive"),
+        ("chaos --workers 0", "--workers must be positive"),
+    ]);
+}
+
+/// Without `--fault-horizon`, faults are placed inside the run they are
+/// injected into, so one counted crash happens.
+#[test]
+fn counted_faults_land_inside_the_run() {
+    for line in [
+        "train --iters 64 --workers 2 --fault-crashes 1",
+        "serve --fault-crashes 1",
+        "colocate --fault-crashes 1",
+    ] {
+        let out = stdout(line);
+        let crashes: u64 = out
+            .lines()
+            .filter(|l| l.starts_with("worker crashes") || l.starts_with("replica crashes"))
+            .filter_map(|l| l.split_whitespace().nth(2)?.parse::<u64>().ok())
+            .sum();
+        assert!(crashes >= 1, "{line}: no crash happened\n{out}");
+    }
 }
 
 #[test]

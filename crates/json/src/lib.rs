@@ -129,8 +129,9 @@ impl Json {
             Json::Num(x) => {
                 if x.is_finite() {
                     // Rust's shortest round-trip formatting; integral
-                    // values get an explicit ".0" so readers see a float.
-                    if x.fract() == 0.0 && x.abs() < 1e15 {
+                    // values, at every magnitude, get an explicit ".0"
+                    // so they parse back as a float, not an integer.
+                    if x.fract() == 0.0 {
                         let _ = write!(out, "{x:.1}");
                     } else {
                         let _ = write!(out, "{x}");
@@ -645,6 +646,22 @@ impl<'a> Parser<'a> {
         }
     }
 }
+
+/// FNV-1a 64-bit over `bytes`, continuing from `state` (start from
+/// [`FNV_OFFSET`]). Tiny, dependency-free and byte-order independent:
+/// the checksum in the store's page footer and the digest the
+/// determinism ledger pins each run's report and trace by. A corruption
+/// and change check, not a cryptographic seal.
+pub fn fnv1a64(bytes: &[u8], mut state: u64) -> u64 {
+    for &b in bytes {
+        state ^= b as u64;
+        state = state.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    state
+}
+
+/// The FNV-1a offset basis (initial state).
+pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
 #[cfg(test)]
 mod tests {

@@ -3,10 +3,10 @@
 //!
 //! "Canonical" pins down the one representation the parser produces
 //! for each number class: non-negative integers are `UInt`, negative
-//! integers are `Int`, and floats are `Num` — finite, and (when
-//! integral) small enough that the `.0` suffix survives (`|x| < 1e15`
-//! prints as `x.0`; above that the digit string re-parses as an
-//! integer). The generator below only produces canonical values, which
+//! integers are `Int`, and floats are `Num` — finite, at any magnitude:
+//! every integral float prints with a `.0`, so even one in the range
+//! where its digits would fit a `u64` (1e15 ≤ |x| < 2^64) parses back as
+//! a float. The generator below only produces canonical values, which
 //! is exactly the set `ToJson` implementations in this workspace emit.
 
 use het_json::{from_str, Json};
@@ -64,20 +64,31 @@ const EDGE_NUMS: &[f64] = &[
     f64::EPSILON,
     f64::MIN_POSITIVE,
     1e11,
+    1e15,
+    -2.5e16,
+    9007199254740993.0,     // 2^53 + 1 rounds to 2^53
+    18446744073709549568.0, // the largest float below 2^64
+    1e20,
+    f64::MAX,
     -99999.25,
     0.1 + 0.2, // classic shortest-repr stress value
 ];
 
 fn random_number(rng: &mut StdRng) -> Json {
-    match rng.gen_range(0u32..6) {
+    match rng.gen_range(0u32..7) {
         0 => Json::UInt(EDGE_UINTS[rng.gen_range(0..EDGE_UINTS.len())]),
         1 => Json::UInt(rng.gen_range(0..u64::MAX)),
         // Negative only: a non-negative Int re-parses as UInt.
         2 => Json::Int(EDGE_INTS[rng.gen_range(0..EDGE_INTS.len())]),
         3 => Json::Int(-rng.gen_range(1i64..i64::MAX)),
         4 => Json::Num(EDGE_NUMS[rng.gen_range(0..EDGE_NUMS.len())]),
+        5 => {
+            // Integral, 1e15 ≤ |x| < 2^64: digits that would fit a u64.
+            let x = rng.gen_range(1e15..18446744073709549568.0f64).trunc();
+            Json::Num(if rng.gen_bool(0.5) { -x } else { x })
+        }
         _ => {
-            // Finite, and |x| < 1e12 so integral values keep their ".0".
+            // Finite, |x| < 2^32, integral one time in 2^20.
             let x = (rng.gen_range(0u64..1 << 52) as f64 / (1u64 << 20) as f64)
                 * if rng.gen_bool(0.5) { -1.0 } else { 1.0 };
             Json::Num(x)

@@ -22,7 +22,7 @@ use het_json::{Json, ToJson};
 use het_models::WideDeep;
 use het_rng::rngs::StdRng;
 use het_rng::{Rng, SeedableRng};
-use het_simnet::{ClusterSpec, SimDuration, TieBreak};
+use het_simnet::{ClusterSpec, FaultSpec, SimDuration, TieBreak};
 use std::path::{Path, PathBuf};
 
 /// One sampled workload: everything needed to re-execute a run
@@ -308,9 +308,7 @@ fn train(scenario: &Scenario, faults: FaultConfig, extra_staleness: u64) -> Trai
 pub fn run_scenario(scenario: &Scenario) -> ScenarioOutcome {
     let faults = if scenario.has_faults() {
         let probe = train(scenario, FaultConfig::disabled(), 0);
-        scenario.fault_config(SimDuration::from_secs_f64(
-            probe.total_sim_time.as_secs_f64() * 0.8,
-        ))
+        scenario.fault_config(FaultSpec::horizon_within(probe.total_sim_time))
     } else {
         FaultConfig::disabled()
     };

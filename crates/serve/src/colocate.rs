@@ -64,6 +64,10 @@ impl ToJson for ColocatedReport {
 ///
 /// The run ends when the trainer has finished *and* every request has
 /// been served (the loop drains both jobs' events).
+///
+/// # Panics
+/// Panics on a serve config [`ServeConfig::validate`] rejects, or whose
+/// `dim` is not the trainer's.
 pub fn run_colocated<TM, D, SM>(
     mut trainer: Trainer<TM, D>,
     mut serve_cfg: ServeConfig,
@@ -78,7 +82,9 @@ where
     // The fleet reads the trainer's live table; its shard count is a
     // property of that fabric, not of the serve config.
     serve_cfg.n_shards = server.n_shards();
-    serve_cfg.validate();
+    serve_cfg
+        .validate()
+        .unwrap_or_else(|e| panic!("invalid serve config: {e}"));
     assert_eq!(
         serve_cfg.dim,
         server.dim(),

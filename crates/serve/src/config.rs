@@ -179,60 +179,66 @@ impl ServeConfig {
             .plan(self.seed, self.fleet_size(), self.n_shards)
     }
 
-    /// Validates internal consistency (positive sizes, sane rates).
-    ///
-    /// # Panics
-    /// Panics on an invalid configuration, naming the offending field.
-    pub fn validate(&self) {
-        assert!(self.n_replicas > 0, "n_replicas must be positive");
-        assert!(self.dim > 0, "dim must be positive");
-        assert!(self.n_fields > 0, "n_fields must be positive");
-        assert!(self.n_keys > 0, "n_keys must be positive");
-        assert!(self.cache_capacity > 0, "cache_capacity must be positive");
-        assert!(
+    /// How long the request schedule takes at the base arrival rate:
+    /// the span a run's faults are placed in when nothing else sizes it.
+    pub fn nominal_span(&self) -> SimDuration {
+        SimDuration::from_secs_f64(self.n_requests as f64 / self.arrival_rate)
+    }
+
+    /// Checks internal consistency (positive sizes, sane rates); the
+    /// error names the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        let check = |ok: bool, msg: &str| if ok { Ok(()) } else { Err(msg.to_string()) };
+        check(self.n_replicas > 0, "n_replicas must be positive")?;
+        check(self.dim > 0, "dim must be positive")?;
+        check(self.n_fields > 0, "n_fields must be positive")?;
+        check(self.n_keys > 0, "n_keys must be positive")?;
+        check(self.cache_capacity > 0, "cache_capacity must be positive")?;
+        check(
             self.arrival_rate > 0.0 && self.arrival_rate.is_finite(),
-            "arrival_rate must be positive and finite"
-        );
-        assert!(self.max_batch > 0, "max_batch must be positive");
-        assert!(self.n_shards > 0, "n_shards must be positive");
-        assert!(
+            "arrival_rate must be positive and finite",
+        )?;
+        check(self.max_batch > 0, "max_batch must be positive")?;
+        check(self.n_shards > 0, "n_shards must be positive")?;
+        check(
             self.flash_at.is_none() || self.flash_factor >= 1.0,
-            "flash_factor must be >= 1 when a flash crowd is scheduled"
-        );
+            "flash_factor must be >= 1 when a flash crowd is scheduled",
+        )?;
         if self.supervision.enabled {
-            assert!(
+            check(
                 self.supervision.heartbeat_every > SimDuration::ZERO,
-                "heartbeat_every must be positive"
-            );
-            assert!(
+                "heartbeat_every must be positive",
+            )?;
+            check(
                 self.supervision.miss_threshold > 0,
-                "miss_threshold must be positive"
-            );
+                "miss_threshold must be positive",
+            )?;
             if self.supervision.drift_prefetch {
-                assert!(
+                check(
                     self.supervision.drift_window > SimDuration::ZERO,
-                    "drift_window must be positive when drift_prefetch is on"
-                );
+                    "drift_window must be positive when drift_prefetch is on",
+                )?;
             }
         }
         if self.autoscale.enabled {
-            assert!(
+            check(
                 self.autoscale.min_replicas > 0,
-                "min_replicas must be positive"
-            );
-            assert!(
+                "min_replicas must be positive",
+            )?;
+            check(
                 self.autoscale.min_replicas <= self.n_replicas
                     && self.n_replicas <= self.autoscale.max_replicas,
-                "initial n_replicas must lie within [min_replicas, max_replicas]"
-            );
-            assert!(
+                "initial n_replicas must lie within [min_replicas, max_replicas]",
+            )?;
+            check(
                 self.autoscale.queue_low < self.autoscale.queue_high,
-                "hysteresis band requires queue_low < queue_high"
-            );
-            assert!(
+                "hysteresis band requires queue_low < queue_high",
+            )?;
+            check(
                 self.autoscale.evaluate_every > SimDuration::ZERO,
-                "evaluate_every must be positive"
-            );
+                "evaluate_every must be positive",
+            )?;
         }
+        Ok(())
     }
 }

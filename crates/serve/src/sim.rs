@@ -263,6 +263,9 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
     /// constructs one replica's model from a seeded RNG; every replica
     /// gets an identically seeded RNG, so the fleet serves the same
     /// model.
+    ///
+    /// # Panics
+    /// Panics on a config [`ServeConfig::validate`] rejects.
     pub fn new(cfg: ServeConfig, model_fn: impl Fn(&mut StdRng) -> M) -> Self {
         let plan = cfg.fault_plan();
         Self::with_plan(cfg, plan, model_fn)
@@ -272,12 +275,16 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
     /// scripted, or loaded from a `--fault-plan` file) instead of the
     /// one `cfg.faults` would generate. Plan member indices address the
     /// fleet directly (replica `r` is member `r`).
+    ///
+    /// # Panics
+    /// Panics on a config [`ServeConfig::validate`] rejects.
     pub fn with_plan(
         cfg: ServeConfig,
         plan: FaultPlan,
         model_fn: impl Fn(&mut StdRng) -> M,
     ) -> Self {
-        cfg.validate();
+        cfg.validate()
+            .unwrap_or_else(|e| panic!("invalid serve config: {e}"));
         // A planned live split needs a spare physical shard to split
         // into; an unused spare changes nothing about routing.
         let spares = usize::from(cfg.supervision.reshard.is_some());

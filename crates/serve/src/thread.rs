@@ -175,7 +175,7 @@ fn serve_on<M: EmbeddingModel<Batch = CtrBatch>>(
     n_threads: usize,
     model_fn: impl Fn(&mut StdRng) -> M + Sync,
 ) -> Result<ServeReport, String> {
-    cfg.validate();
+    cfg.validate()?;
     check_supported(cfg)?;
     if n_threads == 0 {
         return Err("threaded serving needs at least one replica thread".to_string());

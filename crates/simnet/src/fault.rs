@@ -158,6 +158,14 @@ impl FaultSpec {
             && self.link_degradations == 0
             && self.message_drop_prob <= 0.0
     }
+
+    /// The horizon that puts every fault inside a clean run ending at
+    /// `end`: 80 % of its length, so the last event (at 85 % of the
+    /// horizon) lands at 68 % of the run and its recovery fits before
+    /// the run ends. Size a faulted run's horizon from its clean twin.
+    pub fn horizon_within(end: SimTime) -> SimDuration {
+        SimDuration::from_secs_f64(end.as_secs_f64() * 0.8)
+    }
 }
 
 /// Multipliers a degraded link applies; `NEUTRAL` when links are clean.

@@ -24,6 +24,7 @@
 //! cold tier uses a same-key follow-up row to carry optimiser state);
 //! the checkpoint reader layers its own duplicate rejection on top.
 
+use het_json::{fnv1a64, FNV_OFFSET};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 
 /// One encoded embedding row.
@@ -36,20 +37,6 @@ pub struct PageRow {
     /// The embedding vector.
     pub vector: Vec<f32>,
 }
-
-/// FNV-1a 64-bit, the checksum in the `HET-CKPT-END` footer. Chosen for
-/// being tiny, dependency-free, and byte-order independent; this is a
-/// corruption check, not a cryptographic seal.
-pub fn fnv1a64(bytes: &[u8], mut state: u64) -> u64 {
-    for &b in bytes {
-        state ^= b as u64;
-        state = state.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    state
-}
-
-/// The FNV-1a offset basis (initial state).
-pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
 fn data_err(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)

@@ -47,7 +47,7 @@ fn full_spec(sim_time: SimTime) -> FaultConfig {
     cfg.spec.stragglers = 1;
     cfg.spec.link_degradations = 1;
     cfg.spec.message_drop_prob = 0.02;
-    cfg.spec.horizon = SimDuration::from_secs_f64(sim_time.as_secs_f64() * 0.8);
+    cfg.spec.horizon = FaultSpec::horizon_within(sim_time);
     cfg
 }
 

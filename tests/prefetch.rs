@@ -228,7 +228,7 @@ fn trace_counters_reconcile_with_prefetch_report() {
 #[test]
 fn faults_cancel_prefetches_and_ledger_still_closes() {
     let clean = trainer_for(cached_config(SyncMode::Asp, 4, 9)).run();
-    let horizon = SimDuration::from_secs_f64(clean.total_sim_time.as_secs_f64() * 0.8);
+    let horizon = FaultSpec::horizon_within(clean.total_sim_time);
     let mut config = cached_config(SyncMode::Asp, 4, 9);
     config.faults.checkpoint_every = 20;
     config.faults.spec.worker_crashes = 2;
