@@ -53,12 +53,17 @@ cargo test -q --release -p het-ps --test steady_state -- \
 # its simulator cells in het's determinism test, its hetctl cells in
 # het-bench's ledger test) on the dev profile; hetctl users and the
 # benchmark run release, so the same digests must come out of it: they
-# may not depend on opt-level.
+# may not depend on opt-level. Nor may they depend on how many host
+# threads a simulated BSP round had: the training cells run again with a
+# round pinned to 1, 2 and 4 host threads, whatever this box's CPUs.
 echo "==> digest ledger (release build against the committed digests)"
 step_start=$(now_ms)
 cargo test -q --release -p het --test determinism
 cargo test -q --release -p het-bench --test ledger
 echo "    [timing] release ledger: $(($(now_ms) - step_start))ms"
+step_start=$(now_ms)
+cargo test -q --release -p het --test host_threads
+echo "    [timing] ledger at 1/2/4 host threads: $(($(now_ms) - step_start))ms"
 
 # The benchmark is a workspace of its own compiled against the public
 # API; build it, run its own tests, and smoke every workload once.

@@ -653,6 +653,7 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     cfg.slo_p99 =
         SimDuration::from_micros(args.get_parsed("slo-p99-us", cfg.slo_p99.as_nanos() / 1_000)?);
     cfg.rto = SimDuration::from_micros(args.get_parsed("rto-us", cfg.rto.as_nanos() / 1_000)?);
+    cfg.validate()?;
     dump_fault_plan(args, &cfg.fault_plan())?;
 
     if let Some(range) = args.get("seeds") {

@@ -174,6 +174,8 @@ fn zero_counts_are_rejected_before_the_run() {
         ("colocate --replicas 0", "--replicas must be positive"),
         ("colocate --rate 0", "arrival_rate must be positive"),
         ("chaos --workers 0", "--workers must be positive"),
+        ("chaos --rate 0", "arrival_rate must be positive"),
+        ("chaos --flash-x 0.5", "flash_factor must be >= 1"),
     ]);
 }
 

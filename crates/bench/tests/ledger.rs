@@ -73,7 +73,7 @@ fn rows_named(names: &[&str]) -> Vec<(String, Job)> {
 }
 
 fn run_rows(rows: &[(String, Job)], nudged: &[&str]) -> Ledger {
-    run_all(rows, |row| run_row(row, nudged))
+    run_all(rows, |row| run_row(row, nudged, None))
 }
 
 /// The cells of `produced` whose line is not the committed one.
@@ -127,8 +127,8 @@ fn two_nudged_cells_are_both_named() {
 #[test]
 fn a_row_run_twice_in_one_thread_is_byte_equal() {
     let row = &rows_named(&["colocate/seed7"])[0];
-    let first = run_row(row, &[]);
-    assert_eq!(first, run_row(row, &[]));
+    let first = run_row(row, &[], None);
+    assert_eq!(first, run_row(row, &[], None));
     assert!(moved(&first.into_iter().collect()).is_empty());
 }
 

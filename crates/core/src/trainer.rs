@@ -15,9 +15,12 @@
 //! Synchronous systems (the hybrids, HET AR) run in two-phase BSP
 //! rounds: all workers read, then all compute and write, then the dense
 //! AllReduce (and, for HET AR, the sparse AllGather) closes the round at
-//! the barrier. Asynchronous systems (TF PS, HET PS) interleave worker
-//! iterations; SSP additionally blocks workers that run more than `s`
-//! iterations ahead of the slowest.
+//! the barrier. On the simulator a round's server stages run in worker
+//! order on the event loop's thread, and the stages no other worker
+//! reads — sampling, forward/backward, the dense step — on helper
+//! threads as their inputs land (DESIGN.md §3.2). Asynchronous systems
+//! (TF PS, HET PS) interleave worker iterations; SSP additionally blocks
+//! workers that run more than `s` iterations ahead of the slowest.
 //!
 //! On the simulator a BSP trainer is a *barrier process* (one event per
 //! round), an ASP/SSP trainer schedules one event per worker iteration,
@@ -27,6 +30,7 @@
 //! co-scheduled job (e.g. a serving fleet on the same PS fabric) shares
 //! one plan, one queue, and one clock domain.
 
+mod helpers;
 pub mod parallel;
 
 use crate::client::{DirectPsClient, HetClient, ReadStep};
@@ -34,6 +38,7 @@ use crate::config::{DenseSync, SparseMode, SyncMode, TrainerConfig};
 use crate::fault::{FaultContext, FaultRecord, FaultStats};
 use crate::prefetch::{PrefetchAudit, PrefetchOrder, PrefetchPlane, Prefetcher};
 use crate::report::{ConvergencePoint, TimeBreakdown, TrainReport};
+use helpers::Helpers;
 use het_cache::{CacheStats, EvictedEntry};
 use het_data::Key;
 use het_models::{Dataset, EmbeddingModel, EmbeddingStore, EvalChunk, ModelBatch, SparseGrads};
@@ -45,7 +50,7 @@ use het_simnet::{
     wire, Collectives, CommCategory, CommStats, FaultPlan, SimDuration, SimTime, TieBreak,
 };
 use het_tensor::{FlatGrads, FlatParams, Sgd};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Per-worker sparse path.
 enum SparseEngine {
@@ -87,9 +92,55 @@ impl<D> StepEnv<D> {
     }
 }
 
-struct Worker<M> {
-    id: usize,
+impl<D: Dataset> StepEnv<D> {
+    /// Worker `w`'s batch of iteration `t` and the keys it touches.
+    fn sample(&self, worker: usize, iteration: u64) -> (D::Batch, Vec<Key>) {
+        let cursor = self.data_cursor(worker, iteration);
+        let batch = self.dataset.train_batch(cursor, self.config.batch_size);
+        let keys = batch.unique_keys();
+        (batch, keys)
+    }
+}
+
+/// A worker's dense replica: its model, the training loss since the
+/// last evaluation, and the buffer its dense gradients are exported
+/// into for a dense PS or a threaded round's leader. A forward/backward
+/// pass touches nothing else, so a scheduler may hand the replica to
+/// another thread while the worker's server side stays where it is.
+struct Replica<M> {
     model: M,
+    loss: (f64, u64),
+    /// The last exported dense gradients, reused step after step (the
+    /// simulator's AllReduce sums straight from the model instead).
+    grads: FlatGrads,
+}
+
+impl<M: EmbeddingModel> Replica<M> {
+    /// Forward and backward pass over the batch.
+    fn compute(&mut self, batch: &M::Batch, store: &EmbeddingStore) -> (f32, SparseGrads) {
+        let (loss, grads) = self.model.forward_backward(batch, store);
+        self.loss.0 += loss as f64;
+        self.loss.1 += 1;
+        (loss, grads)
+    }
+
+    /// Copies the model's dense gradients into [`Replica::grads`].
+    fn export_dense_grads(&mut self) {
+        self.grads.export_from(&mut self.model);
+    }
+
+    /// This replica's share of a round's dense AllReduce, the math half
+    /// ([`Worker::account_dense_average`] is the other): step the model
+    /// by the averaged gradient.
+    fn step_dense(&mut self, avg: &FlatGrads, sgd: &Sgd) {
+        avg.import_into(&mut self.model);
+        sgd.step(&mut self.model);
+    }
+}
+
+/// A worker's server side: its sparse engine, clock and accounting.
+struct Worker {
+    id: usize,
     sparse: SparseEngine,
     /// Simulated time, owned by the sim scheduler (the threaded one
     /// keeps time on its `WallClock`).
@@ -97,21 +148,13 @@ struct Worker<M> {
     iterations: u64,
     comm: CommStats,
     breakdown: TimeBreakdown,
-    /// Training loss since the last evaluation.
-    loss: (f64, u64),
 }
 
 /// The job body. Every method runs at the ambient trace scope — the
 /// scheduler publishes "now" (`het_trace::set_scope`) before calling —
 /// and returns the modelled duration of what it did; what to do with
 /// that duration is the scheduler's business.
-impl<M: EmbeddingModel> Worker<M> {
-    /// The batch of this worker's next iteration.
-    fn next_batch<D: Dataset<Batch = M::Batch>>(&self, env: &StepEnv<D>) -> M::Batch {
-        let cursor = env.data_cursor(self.id, self.iterations);
-        env.dataset.train_batch(cursor, env.config.batch_size)
-    }
-
+impl Worker {
     /// `Het.Read`: acquire the batch's embeddings — the three stages
     /// back to back.
     fn read<D>(
@@ -218,14 +261,6 @@ impl<M: EmbeddingModel> Worker<M> {
         (store, t_read)
     }
 
-    /// Forward and backward pass over the batch.
-    fn compute(&mut self, batch: &M::Batch, store: &EmbeddingStore) -> (f32, SparseGrads) {
-        let (loss, grads) = self.model.forward_backward(batch, store);
-        self.loss.0 += loss as f64;
-        self.loss.1 += 1;
-        (loss, grads)
-    }
-
     /// `Het.Write`: apply the sparse gradients — both stages back to
     /// back. Replicated mode hands them back for the round's AllGather
     /// instead.
@@ -298,17 +333,21 @@ impl<M: EmbeddingModel> Worker<M> {
 
     /// Dense PS path: push gradients to the dense store, pull fresh
     /// parameters. Zero when the dense path is AllReduce.
-    fn dense_ps_sync<D>(&mut self, env: &StepEnv<D>) -> SimDuration {
+    fn dense_ps_sync<M: EmbeddingModel, D>(
+        &mut self,
+        replica: &mut Replica<M>,
+        env: &StepEnv<D>,
+    ) -> SimDuration {
         let Some(store) = &env.dense_store else {
             return SimDuration::ZERO;
         };
-        let grads = self.export_dense_grads();
-        store.push(grads.as_slice());
+        replica.export_dense_grads();
+        store.push(replica.grads.as_slice());
         let (params, _version) = store.pull();
-        FlatParams::from_vec(params).import_into(&mut self.model);
-        self.model.zero_grads();
+        FlatParams::from_vec(params).import_into(&mut replica.model);
+        replica.model.zero_grads();
 
-        let bytes = wire::dense_transfer_bytes(grads.len());
+        let bytes = wire::dense_transfer_bytes(replica.grads.len());
         self.comm.record(CommCategory::DensePs, bytes);
         self.comm.record(CommCategory::DensePs, bytes);
         let t = env.net.ps_transfer(bytes) * 2;
@@ -317,17 +356,10 @@ impl<M: EmbeddingModel> Worker<M> {
         t
     }
 
-    fn export_dense_grads(&mut self) -> FlatGrads {
-        let mut grads = FlatGrads::new();
-        grads.export_from(&mut self.model);
-        grads
-    }
-
-    /// Dense AllReduce path, this worker's share of a round's
-    /// [`allreduce_dense`]: step the replica by the averaged gradient.
-    fn apply_dense_average<D>(&mut self, avg: &FlatGrads, t: SimDuration, env: &StepEnv<D>) {
-        avg.import_into(&mut self.model);
-        env.sgd.step(&mut self.model);
+    /// This worker's share of a round's dense AllReduce, the accounting
+    /// half ([`Replica::step_dense`] is the other): `CommStats::record`
+    /// emits trace counters, so this stays on the thread that traces.
+    fn account_dense_average<D>(&mut self, avg: &FlatGrads, t: SimDuration, env: &StepEnv<D>) {
         let bytes = (avg.len() * wire::F32_BYTES as usize) as u64;
         let per_worker_bytes = env.net.ring_allreduce_bytes_per_worker(bytes);
         if per_worker_bytes > 0 {
@@ -343,7 +375,11 @@ impl<M: EmbeddingModel> Worker<M> {
     /// stale writes are visible, exactly as they are to the training
     /// computation, and eviction bookkeeping is untouched), falling
     /// back to the server for everything else.
-    fn evaluate<D: Dataset<Batch = M::Batch>>(&self, env: &StepEnv<D>) -> f64 {
+    fn evaluate<M: EmbeddingModel, D: Dataset<Batch = M::Batch>>(
+        &self,
+        replica: &Replica<M>,
+        env: &StepEnv<D>,
+    ) -> f64 {
         let config = &env.config;
         let cache = match &self.sparse {
             SparseEngine::Cached(c) => Some(c.cache()),
@@ -363,9 +399,9 @@ impl<M: EmbeddingModel> Worker<M> {
             }
             // Evaluation is outside the simulated clocks entirely.
             env.server.reclassify_pending_io();
-            chunk.extend(self.model.evaluate(&batch, &store));
+            chunk.extend(replica.model.evaluate(&batch, &store));
         }
-        chunk.metric(self.model.metric_kind())
+        chunk.metric(replica.model.metric_kind())
     }
 
     fn is_cached(&self) -> bool {
@@ -411,24 +447,10 @@ fn apply_sparse_gather<D>(gathered: &[SparseGrads], env: &StepEnv<D>) -> SimDura
     env.net.allgather(max_block) + SimDuration::from_nanos(env.server.take_io_ns())
 }
 
-/// The round's dense AllReduce: the workers' gradients accumulated in
-/// worker order (float addition order is part of the bit-identity
-/// contract between the backends), then averaged. Returns the average
-/// and the collective's time (zero for one worker).
-fn allreduce_dense<D>(
-    grads: impl ExactSizeIterator<Item = FlatGrads>,
-    env: &StepEnv<D>,
-) -> (FlatGrads, SimDuration) {
-    let n = grads.len() as f32;
-    let mut sum = FlatGrads::new();
-    for g in grads {
-        sum.accumulate(&g);
-    }
-    sum.scale(1.0 / n);
-    let t = env
-        .net
-        .ring_allreduce((sum.len() * wire::F32_BYTES as usize) as u64);
-    (sum, t)
+/// The time of a round's dense AllReduce of `avg` (zero for one worker).
+fn allreduce_time<D>(avg: &FlatGrads, env: &StepEnv<D>) -> SimDuration {
+    env.net
+        .ring_allreduce((avg.len() * wire::F32_BYTES as usize) as u64)
 }
 
 /// Mean training loss over per-worker `(sum, count)` parts, added in
@@ -447,7 +469,7 @@ fn mean_loss(parts: impl Iterator<Item = (f64, u64)>) -> f64 {
 }
 
 /// Communication, cache and time accounting merged over the workers.
-fn merged_stats<M>(workers: &[Worker<M>]) -> (CommStats, CacheStats, TimeBreakdown) {
+fn merged_stats(workers: &[Worker]) -> (CommStats, CacheStats, TimeBreakdown) {
     let mut comm = CommStats::new();
     let mut cache = CacheStats::default();
     let mut breakdown = TimeBreakdown::default();
@@ -506,8 +528,19 @@ impl Progress {
 
 /// The training job for one (system, model, dataset) triple.
 pub struct Trainer<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> {
-    env: StepEnv<D>,
-    workers: Vec<Worker<M>>,
+    /// Shared with a round's helper threads while the event loop's
+    /// thread mutates the rest of the trainer.
+    env: Arc<StepEnv<D>>,
+    workers: Vec<Worker>,
+    /// Worker `w`'s dense replica is `replicas[w]`.
+    replicas: Vec<Replica<M>>,
+    /// The sum, then the average, of a BSP round's dense gradients;
+    /// reused round after round.
+    dense_sum: FlatGrads,
+    /// Host threads a simulated BSP round may use, the event loop's
+    /// included; 0 until [`Trainer::register`] reads the host's (see
+    /// [`Trainer::with_host_threads`]).
+    host_threads: usize,
     progress: Progress,
     // --- fault injection (all inert when `plan` is empty) ---
     // Crash and outage *schedules* live in the runtime's centralized
@@ -604,9 +637,14 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
             fused: config.system.backbone.fuse_messages,
         };
         let mut workers = Vec::with_capacity(config.cluster.n_workers);
+        let mut replicas = Vec::with_capacity(config.cluster.n_workers);
         for id in 0..config.cluster.n_workers {
             let mut rng = StdRng::seed_from_u64(config.seed ^ 0x0DE1_CAFE);
-            let model = model_factory(&mut rng);
+            replicas.push(Replica {
+                model: model_factory(&mut rng),
+                loss: (0.0, 0),
+                grads: FlatGrads::new(),
+            });
             let sparse = match config.system.sparse {
                 SparseMode::PsDirect => {
                     SparseEngine::Direct(DirectPsClient::with_costs(config.dim, costs))
@@ -635,19 +673,17 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
             };
             workers.push(Worker {
                 id,
-                model,
                 sparse,
                 clock: SimTime::ZERO,
                 iterations: 0,
                 comm: CommStats::new(),
                 breakdown: TimeBreakdown::default(),
-                loss: (0.0, 0),
             });
         }
 
         let dense_store = (config.system.dense == DenseSync::Ps).then(|| {
             let mut flat = FlatParams::new();
-            flat.export_from(&mut workers[0].model);
+            flat.export_from(&mut replicas[0].model);
             DenseStore::new(flat.into_vec(), config.lr)
         });
 
@@ -661,15 +697,18 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
             )))
         });
         Trainer {
-            env: StepEnv {
+            env: Arc::new(StepEnv {
                 sgd: Sgd::new(config.lr),
                 config,
                 dataset,
                 server,
                 dense_store,
                 net,
-            },
+            }),
             workers,
+            replicas,
+            dense_sum: FlatGrads::new(),
+            host_threads: 0,
             progress: Progress::default(),
             plan,
             ckpt_store,
@@ -681,6 +720,15 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
             prefetcher_pid: None,
             wall: WallClock::new(),
         }
+    }
+
+    /// Caps the host threads a simulated BSP round runs on, the event
+    /// loop's included, at `n` (at least 1). By default
+    /// [`Trainer::register`] reads the host's available parallelism.
+    /// Reports and traces do not depend on it; only wall time does.
+    pub fn with_host_threads(mut self, n: usize) -> Self {
+        self.host_threads = n.max(1);
+        self
     }
 
     /// The trainer's configuration.
@@ -730,7 +778,7 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
 
     /// A worker's model replica.
     pub fn worker_model(&self, worker: usize) -> &M {
-        &self.workers[worker].model
+        &self.replicas[worker].model
     }
 
     /// The dataset under training.
@@ -795,12 +843,7 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         let to = next_read + plane.depth();
         let mut queued = false;
         for target in from..to {
-            let cursor = self.env.data_cursor(w, target);
-            let batch = self
-                .env
-                .dataset
-                .train_batch(cursor, self.env.config.batch_size);
-            let keys = batch.unique_keys();
+            let (_, keys) = self.env.sample(w, target);
             let mut issued = Vec::new();
             let mut skipped_resident = Vec::new();
             let mut skipped_inflight = Vec::new();
@@ -913,6 +956,7 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         let Trainer {
             env,
             workers,
+            replicas,
             fault_stats,
             fault_events,
             plane,
@@ -943,8 +987,9 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         };
         if let Some(store) = &env.dense_store {
             let (params, _version) = store.pull();
-            FlatParams::from_vec(params).import_into(&mut worker.model);
-            worker.model.zero_grads();
+            let model = &mut replicas[w].model;
+            FlatParams::from_vec(params).import_into(model);
+            model.zero_grads();
         }
         fault_stats.worker_crashes += 1;
         fault_stats.dirty_entries_lost += dirty;
@@ -988,7 +1033,7 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         &mut self,
         w: usize,
     ) -> (
-        &mut Worker<M>,
+        &mut Worker,
         &StepEnv<D>,
         Option<FaultContext<'_>>,
         Option<&Mutex<PrefetchPlane>>,
@@ -1015,20 +1060,19 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         worker.read(keys, env, faults.as_mut(), plane)
     }
 
-    /// Phase 2 of an iteration: compute + sparse write, charged at the
-    /// modelled compute time. Returns the iteration's critical-path
-    /// span (§4.1: the backbone may overlap communication with
-    /// computation) and, for replicated mode, the gradients to gather
-    /// at the barrier.
-    fn do_compute_write(
+    /// Phase 2 of an iteration: the sparse write of the gradients a
+    /// compute over `n_examples` produced, charged after that compute's
+    /// modelled time. Returns the iteration's critical-path span (§4.1:
+    /// the backbone may overlap communication with computation) and,
+    /// for replicated mode, the gradients to gather at the barrier.
+    fn do_write(
         &mut self,
         w: usize,
-        batch: &M::Batch,
-        store: &EmbeddingStore,
+        flops: f64,
+        (loss, grads): (f32, SparseGrads),
         read_time: SimDuration,
     ) -> (SimDuration, Option<SparseGrads>) {
         let now = self.workers[w].clock;
-        let flops = self.workers[w].model.flops_per_batch(batch.n_examples());
         let compute_factor = self.env.config.system.backbone.compute_factor;
         let mut compute = self.env.config.cluster.compute_time(flops * compute_factor);
         if !self.plan.is_empty() {
@@ -1045,7 +1089,6 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         }
 
         let (worker, env, mut faults, plane) = self.step_parts(w);
-        let (loss, grads) = worker.compute(batch, store);
         let (write, gathered) = worker.write(grads, env, faults.as_mut());
 
         // Write-behind: the dirty evictions already reached the server
@@ -1077,42 +1120,33 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
 
     /// Worker `w`'s dense PS push/pull at its current clock.
     fn dense_ps_sync(&mut self, w: usize) -> SimDuration {
-        let (worker, env, ..) = self.step_parts(w);
-        worker.dense_ps_sync(env)
-    }
-
-    /// BSP dense path: average gradients across workers, step each
-    /// replica. Returns the AllReduce time (zero for one worker).
-    fn dense_allreduce(&mut self) -> SimDuration {
-        let grads: Vec<FlatGrads> = self
-            .workers
-            .iter_mut()
-            .map(Worker::export_dense_grads)
-            .collect();
-        let (avg, t) = allreduce_dense(grads.into_iter(), &self.env);
-        for w in 0..self.workers.len() {
-            let (worker, env, ..) = self.step_parts(w);
-            worker.apply_dense_average(&avg, t, env);
+        let worker = &mut self.workers[w];
+        if het_trace::enabled() {
+            het_trace::set_scope(worker.clock.as_nanos(), Some(w as u64));
         }
-        t
+        worker.dense_ps_sync(&mut self.replicas[w], &self.env)
     }
 
     /// Evaluates the current model against the held-out split from
     /// worker 0's point of view (its dense replica and cache view).
     pub fn evaluate_now(&mut self) -> f64 {
-        self.workers[0].evaluate(&self.env)
+        self.workers[0].evaluate(&self.replicas[0], &self.env)
     }
 
     /// Worker 0's flat dense parameters (the report's `final_dense`).
     pub fn export_dense_params(&mut self) -> Vec<f32> {
         let mut flat = FlatParams::new();
-        flat.export_from(&mut self.workers[0].model);
+        flat.export_from(&mut self.replicas[0].model);
         flat.into_vec()
     }
 
     fn record_eval(&mut self, sim_time: SimTime) -> bool {
         let metric = self.evaluate_now();
-        let train_loss = mean_loss(self.workers.iter_mut().map(|w| std::mem::take(&mut w.loss)));
+        let train_loss = mean_loss(
+            self.replicas
+                .iter_mut()
+                .map(|r| std::mem::take(&mut r.loss)),
+        );
         self.progress
             .record_eval(metric, train_loss, sim_time, self.env.config.target_metric)
     }
@@ -1140,9 +1174,14 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
     /// trainer, which cancels the affected plane state — and is
     /// returned for the run list, right after the trainer. Register the
     /// trainer before any co-scheduled job: it owns members
-    /// `0..n_workers`. The report's `wall_ns` counts from here.
+    /// `0..n_workers`. The report's `wall_ns` counts from here, and the
+    /// host threads a BSP round may use are read here, not in
+    /// [`Trainer::new`], so building a job stays cheap.
     pub fn register(&mut self, rt: &mut ClusterRuntime) -> Option<Prefetcher> {
         let pid = rt.register(self.workers.len());
+        if self.host_threads == 0 {
+            self.host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        }
         self.wall = WallClock::new();
         match self.env.config.system.sync {
             SyncMode::Bsp => rt.prime(pid, SimTime::ZERO, Event::Wake(0)),
@@ -1167,6 +1206,105 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         Some(prefetcher)
     }
 
+    /// A BSP round's stages from sampling to the dense AllReduce,
+    /// pipelined (DESIGN.md §3.2). Each worker's batch is sampled on a
+    /// helper thread; its read runs here, in worker order, and releases
+    /// its forward/backward pass to a helper; once every read has run,
+    /// its write runs here, in worker order, as soon as that pass is
+    /// done. So every server call, fault draw and trace emission keeps
+    /// the serial order. Returns the longest worker span and the
+    /// collectives' time.
+    fn round_stages(&mut self) -> (SimDuration, SimDuration) {
+        let env = Arc::clone(&self.env);
+        let env = &*env;
+        let n = self.workers.len();
+        let allreduce = env.config.system.dense == DenseSync::AllReduce;
+        let mut replicas = std::mem::take(&mut self.replicas);
+        let mut replica_of = replicas.iter_mut();
+        let average = OnceLock::new();
+        let helpers = self.host_threads.min(n).max(1) - 1;
+        let (span_max, barrier_time) = Helpers::run(helpers, |pool| {
+            let samples: Vec<_> = (self.workers.iter())
+                .map(|worker| {
+                    let (w, iteration) = (worker.id, worker.iterations);
+                    pool.spawn(move || env.sample(w, iteration))
+                })
+                .collect();
+            let mut computes = Vec::with_capacity(n);
+            for (w, sample) in samples.into_iter().enumerate() {
+                let (batch, keys) = pool.wait(sample);
+                let (store, t_read) = self.do_read(w, &keys);
+                let replica = replica_of.next().expect("a replica per worker");
+                let flops = replica.model.flops_per_batch(batch.n_examples());
+                let compute = pool.spawn(move || {
+                    let out = replica.compute(&batch, &store);
+                    (replica, out, store)
+                });
+                computes.push((flops, t_read, compute));
+            }
+            let mut sum = allreduce.then(|| {
+                let mut sum = std::mem::take(&mut self.dense_sum);
+                sum.clear();
+                sum
+            });
+            let mut span_max = SimDuration::ZERO;
+            let mut gathered = Vec::new();
+            let mut computed = Vec::with_capacity(n);
+            for (w, (flops, t_read, compute)) in computes.into_iter().enumerate() {
+                let (replica, out, store) = pool.wait(compute);
+                // Freed by the thread that built it: one malloc arena
+                // holds every round's stores.
+                drop(store);
+                let (span, g) = self.do_write(w, flops, out, t_read);
+                span_max = span_max.max(span);
+                gathered.extend(g);
+                // Worker order: float addition order is part of the
+                // bit-identity contract between the backends. Straight
+                // from the model: no worker holds a copy of its own.
+                if let Some(sum) = &mut sum {
+                    sum.accumulate_from(&mut replica.model);
+                }
+                computed.push(replica);
+            }
+            // Barrier: collectives. Each replica steps by the dense
+            // average on a helper; the accounting stays here.
+            let steps: Vec<_> = match sum {
+                Some(mut sum) => {
+                    sum.scale(1.0 / n as f32);
+                    let avg = average.get_or_init(|| sum);
+                    let sgd = &env.sgd;
+                    (computed.into_iter())
+                        .map(|replica| pool.spawn(move || replica.step_dense(avg, sgd)))
+                        .collect()
+                }
+                None => Vec::new(),
+            };
+            let mut barrier_time = SimDuration::ZERO;
+            if !gathered.is_empty() {
+                let t = apply_sparse_gather(&gathered, env);
+                for worker in &mut self.workers {
+                    worker.breakdown.sparse_write += t;
+                }
+                barrier_time += t;
+            }
+            if let Some(avg) = average.get() {
+                let t = allreduce_time(avg, env);
+                for w in 0..n {
+                    let (worker, env, ..) = self.step_parts(w);
+                    worker.account_dense_average(avg, t, env);
+                }
+                barrier_time += t;
+            }
+            steps.into_iter().for_each(|step| pool.wait(step));
+            (span_max, barrier_time)
+        });
+        self.replicas = replicas;
+        if let Some(avg) = average.into_inner() {
+            self.dense_sum = avg;
+        }
+        (span_max, barrier_time)
+    }
+
     /// One BSP round, dispatched as a single barrier-process event: all
     /// workers read, all compute and write, then the collectives close
     /// the round and the next round is scheduled at the barrier's exit.
@@ -1187,42 +1325,15 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
                 restart_penalty = restart_penalty.max(self.maybe_crash(w, round_start, ctx));
             }
         }
-        // Phase 1: reads.
-        let mut pending: Vec<(M::Batch, EmbeddingStore, SimDuration)> = Vec::with_capacity(n);
-        for w in 0..n {
-            let batch = self.workers[w].next_batch(&self.env);
-            let keys = batch.unique_keys();
-            let (store, t_read) = self.do_read(w, &keys);
-            pending.push((batch, store, t_read));
-        }
-        // Phase 2: compute + write.
-        let mut span_max = SimDuration::ZERO;
-        let mut gathered = Vec::new();
-        for (w, (batch, store, t_read)) in pending.into_iter().enumerate() {
-            let (span, g) = self.do_compute_write(w, &batch, &store, t_read);
-            span_max = span_max.max(span);
-            gathered.extend(g);
-        }
-        // Barrier: collectives.
-        let mut barrier_time = SimDuration::ZERO;
-        if !gathered.is_empty() {
-            let t = apply_sparse_gather(&gathered, &self.env);
-            for worker in &mut self.workers {
-                worker.breakdown.sparse_write += t;
+        let (span_max, mut barrier_time) = self.round_stages();
+        if self.env.config.system.dense == DenseSync::Ps {
+            // BSP over a dense PS (not used by the presets but
+            // supported): each worker syncs; charge the max.
+            let mut max_t = SimDuration::ZERO;
+            for w in 0..n {
+                max_t = max_t.max(self.dense_ps_sync(w));
             }
-            barrier_time += t;
-        }
-        match self.env.config.system.dense {
-            DenseSync::AllReduce => barrier_time += self.dense_allreduce(),
-            DenseSync::Ps => {
-                // BSP over a dense PS (not used by the presets but
-                // supported): each worker syncs; charge the max.
-                let mut max_t = SimDuration::ZERO;
-                for w in 0..n {
-                    max_t = max_t.max(self.dense_ps_sync(w));
-                }
-                barrier_time += max_t;
-            }
+            barrier_time += max_t;
         }
         let round_time = span_max + barrier_time + restart_penalty;
         let now = round_start + round_time;
@@ -1308,10 +1419,12 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
                 self.workers[w].clock = t + crash_delay;
             }
         }
-        let batch = self.workers[w].next_batch(&self.env);
-        let keys = batch.unique_keys();
+        let (batch, keys) = self.env.sample(w, self.workers[w].iterations);
         let (store, t_read) = self.do_read(w, &keys);
-        let (mut iter_time, gathered) = self.do_compute_write(w, &batch, &store, t_read);
+        let replica = &mut self.replicas[w];
+        let flops = replica.model.flops_per_batch(batch.n_examples());
+        let out = replica.compute(&batch, &store);
+        let (mut iter_time, gathered) = self.do_write(w, flops, out, t_read);
         debug_assert!(gathered.is_none(), "replicated sparse requires BSP");
         iter_time += self.dense_ps_sync(w);
 

@@ -43,11 +43,13 @@
 //! A worker thread that panics poisons everything its peers can block
 //! on, so the run fails with that panic instead of hanging.
 
-use super::{allreduce_dense, apply_sparse_gather, mean_loss, Progress, StepEnv, Trainer, Worker};
+use super::{
+    allreduce_time, apply_sparse_gather, mean_loss, Progress, Replica, StepEnv, Trainer, Worker,
+};
 use crate::config::{DenseSync, SyncMode};
 use crate::report::{ConvergencePoint, TrainReport};
 use het_json::Json;
-use het_models::{Dataset, EmbeddingModel, EmbeddingStore, ModelBatch, SparseGrads};
+use het_models::{Dataset, EmbeddingModel, EmbeddingStore, SparseGrads};
 use het_runtime::{Barrier, ExecutionBackend, Turnstile, WallClock};
 use het_simnet::{SimDuration, SimTime};
 use het_tensor::FlatGrads;
@@ -58,8 +60,9 @@ use std::sync::{Condvar, Mutex};
 /// What one worker hands the leader at the end of a BSP round.
 #[derive(Default)]
 struct RoundSlot {
-    /// Exported dense gradients (AllReduce dense path).
-    dense: Option<FlatGrads>,
+    /// Exported dense gradients (AllReduce dense path), swapped with
+    /// the worker's own buffer: two buffers per worker, reused.
+    dense: FlatGrads,
     /// Sparse gradient block (HET AR only).
     sparse: Option<SparseGrads>,
     /// Training loss since the last evaluation.
@@ -79,7 +82,8 @@ struct BspShared {
     /// The first worker to panic (`usize::MAX`: none has).
     failed: AtomicUsize,
     slots: Mutex<Vec<RoundSlot>>,
-    /// The last tail's averaged dense gradient and AllReduce time.
+    /// The last tail's averaged dense gradient (its buffer reused round
+    /// after round) and AllReduce time.
     avg: Mutex<(FlatGrads, SimDuration)>,
     progress: Mutex<Progress>,
 }
@@ -155,11 +159,12 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         let Trainer {
             env,
             workers,
+            replicas,
             progress,
             wall,
             ..
         } = &mut *self;
-        let (env, clock) = (&*env, &*wall);
+        let (env, clock) = (&**env, &*wall);
         let n = workers.len();
         let tracing = trace_meta.is_some();
         let sync = env.config.system.sync;
@@ -178,9 +183,10 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
             };
             let logs = on_threads(
                 workers,
+                replicas,
                 tracing,
                 |by| shared.poison(by),
-                |worker| bsp_worker_loop(worker, &shared, clock, env),
+                |worker, replica| bsp_worker_loop(worker, replica, &shared, clock, env),
             );
             *progress = shared.progress.into_inner().unwrap();
             logs
@@ -199,9 +205,12 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
             };
             let logs = on_threads(
                 workers,
+                replicas,
                 tracing,
                 |by| shared.poison(by),
-                |worker| async_worker_loop(worker, &shared, clock, env, staleness),
+                |worker, replica| {
+                    async_worker_loop(worker, replica, &shared, clock, env, staleness)
+                },
             );
             progress.global_iterations = shared.progress.into_inner().unwrap().global;
             logs
@@ -228,7 +237,7 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
                 sim_time: SimTime::from_nanos(report.wall_ns),
                 iteration: report.total_iterations,
                 metric: report.final_metric,
-                train_loss: mean_loss(self.workers.iter().map(|w| w.loss)),
+                train_loss: mean_loss(self.replicas.iter().map(|r| r.loss)),
             });
         }
         report.trace = trace_meta.map(|meta| {
@@ -248,10 +257,11 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
 /// which must fail whatever the other threads can block on — and the
 /// first failed worker's panic (in worker order) is re-raised.
 fn on_threads<M: Send>(
-    workers: &mut [Worker<M>],
+    workers: &mut [Worker],
+    replicas: &mut [Replica<M>],
     tracing: bool,
     poison: impl Fn(usize) + Sync,
-    body: impl Fn(&mut Worker<M>) + Sync,
+    body: impl Fn(&mut Worker, &mut Replica<M>) + Sync,
 ) -> Vec<TraceLog> {
     struct PoisonOnUnwind<'a, P: Fn(usize)>(&'a P, usize);
     impl<P: Fn(usize)> Drop for PoisonOnUnwind<'_, P> {
@@ -262,16 +272,15 @@ fn on_threads<M: Send>(
         }
     }
     std::thread::scope(|s| {
-        let handles: Vec<_> = workers
-            .iter_mut()
-            .map(|worker| {
+        let handles: Vec<_> = (workers.iter_mut().zip(replicas))
+            .map(|(worker, replica)| {
                 let (body, poison) = (&body, &poison);
                 s.spawn(move || {
                     let _guard = PoisonOnUnwind(poison, worker.id);
                     if tracing {
                         het_trace::start(Vec::new());
                     }
-                    body(worker);
+                    body(worker, replica);
                     het_trace::finish()
                 })
             })
@@ -289,7 +298,7 @@ fn on_threads<M: Send>(
 }
 
 /// Publishes "now" for `worker`'s next events on a traced run.
-fn stamp_scope<M>(worker: &Worker<M>, clock: &WallClock) {
+fn stamp_scope(worker: &Worker, clock: &WallClock) {
     if het_trace::enabled() {
         het_trace::set_scope(clock.stamp(), Some(worker.id as u64));
     }
@@ -297,13 +306,13 @@ fn stamp_scope<M>(worker: &Worker<M>, clock: &WallClock) {
 
 /// Runs the forward/backward pass and measures its wall time.
 fn timed_compute<M: EmbeddingModel>(
-    worker: &mut Worker<M>,
+    replica: &mut Replica<M>,
     batch: &M::Batch,
     store: &EmbeddingStore,
     clock: &WallClock,
 ) -> (SimDuration, f32, SparseGrads) {
     let t0 = clock.elapsed_ns();
-    let (loss, grads) = worker.compute(batch, store);
+    let (loss, grads) = replica.compute(batch, store);
     let wall = clock.elapsed_ns().saturating_sub(t0);
     (SimDuration::from_nanos(wall), loss, grads)
 }
@@ -314,7 +323,8 @@ fn timed_compute<M: EmbeddingModel>(
 /// `n + w`), plan the next round; worker 0 then runs the tail (`2n`).
 /// Stamped inside the slots, a trace merges in server order.
 fn bsp_worker_loop<M: EmbeddingModel, D: Dataset<Batch = M::Batch>>(
-    worker: &mut Worker<M>,
+    worker: &mut Worker,
+    replica: &mut Replica<M>,
     shared: &BspShared,
     clock: &WallClock,
     env: &StepEnv<D>,
@@ -322,17 +332,17 @@ fn bsp_worker_loop<M: EmbeddingModel, D: Dataset<Batch = M::Batch>>(
     let (w, n, config) = (worker.id, env.config.cluster.n_workers, &env.config);
     let allreduce = config.system.dense == DenseSync::AllReduce;
     // Reads only the worker's cache: worker 0 may plan before the tail.
-    let plan = |worker: &mut Worker<M>| {
-        let batch = worker.next_batch(env);
-        let keys = batch.unique_keys();
+    let plan = |worker: &mut Worker| {
+        let (batch, keys) = env.sample(worker.id, worker.iterations);
         let read = worker.plan_read(&keys, env, None, None);
         (batch, keys, read)
     };
     // Published by the tail, which precedes slot 0; compute needs it first.
-    let apply_average = |worker: &mut Worker<M>| {
+    let apply_average = |worker: &mut Worker, replica: &mut Replica<M>| {
         if allreduce && w != 0 {
             let avg = shared.avg.lock().unwrap();
-            worker.apply_dense_average(&avg.0, avg.1, env);
+            replica.step_dense(&avg.0, &env.sgd);
+            worker.account_dense_average(&avg.0, avg.1, env);
         }
     };
     let mut next = None;
@@ -343,23 +353,28 @@ fn bsp_worker_loop<M: EmbeddingModel, D: Dataset<Batch = M::Batch>>(
             worker.exchange_read(&mut read, &keys, env, None);
         });
         if round > 1 {
-            apply_average(worker);
+            apply_average(worker, replica);
         }
         let (store, _) = worker.apply_read(read, &keys, env);
-        let (compute, loss, grads) = timed_compute(worker, &batch, &store, clock);
+        let (compute, loss, grads) = timed_compute(replica, &batch, &store, clock);
         let mut pending = worker.plan_write(grads, env);
-        let dense = allreduce.then(|| worker.export_dense_grads());
+        if allreduce {
+            replica.export_dense_grads();
+        }
         let write = shared.turnstile.pass(n + w, || {
             stamp_scope(worker, clock);
             let (write, sparse) = worker.exchange_write(&mut pending, env, None);
-            worker.dense_ps_sync(env);
+            worker.dense_ps_sync(replica, env);
             let mut slots = shared.slots.lock().unwrap();
             let slot = &mut slots[w];
-            (slot.dense, slot.sparse) = (dense, sparse);
+            slot.sparse = sparse;
+            if allreduce {
+                std::mem::swap(&mut slot.dense, &mut replica.grads);
+            }
             // Accumulated here exactly as the worker itself would, so
             // the leader's worker-order sum is bit-identical to the
             // sim's (float addition order matters).
-            let (sum, count) = std::mem::take(&mut worker.loss);
+            let (sum, count) = std::mem::take(&mut replica.loss);
             slot.loss.0 += sum;
             slot.loss.1 += count;
             write
@@ -371,13 +386,13 @@ fn bsp_worker_loop<M: EmbeddingModel, D: Dataset<Batch = M::Batch>>(
             || (config.target_metric.is_some() && global % config.eval_every < n as u64);
         next = (!meets).then(|| plan(worker));
         if w == 0 {
-            let tail = || bsp_leader_tail(worker, shared, clock, env);
+            let tail = || bsp_leader_tail(worker, replica, shared, clock, env);
             shared.turnstile.pass(2 * n, tail);
         }
         if meets {
             shared.barrier.wait(w);
             if round == shared.rounds || shared.stop.load(Ordering::SeqCst) {
-                apply_average(worker);
+                apply_average(worker, replica);
                 return;
             }
         }
@@ -388,7 +403,8 @@ fn bsp_worker_loop<M: EmbeddingModel, D: Dataset<Batch = M::Batch>>(
 /// the turnstile's last slot: the round's collectives, round accounting,
 /// and evaluation at the sim's cadence.
 fn bsp_leader_tail<M: EmbeddingModel, D: Dataset<Batch = M::Batch>>(
-    worker0: &mut Worker<M>,
+    worker0: &mut Worker,
+    replica0: &mut Replica<M>,
     shared: &BspShared,
     clock: &WallClock,
     env: &StepEnv<D>,
@@ -401,12 +417,17 @@ fn bsp_leader_tail<M: EmbeddingModel, D: Dataset<Batch = M::Batch>>(
         apply_sparse_gather(&gathered, env);
     }
     if config.system.dense == DenseSync::AllReduce {
-        let grads = slots
-            .iter_mut()
-            .map(|s| s.dense.take().expect("dense slot filled in write phase"));
-        let (avg, t) = allreduce_dense(grads, env);
-        worker0.apply_dense_average(&avg, t, env);
-        *shared.avg.lock().unwrap() = (avg, t);
+        let mut avg = shared.avg.lock().unwrap();
+        let (sum, t) = &mut *avg;
+        // Worker order, as on the sim: float addition order matters.
+        sum.clear();
+        for slot in slots.iter() {
+            sum.accumulate(&slot.dense);
+        }
+        sum.scale(1.0 / n as f32);
+        *t = allreduce_time(sum, env);
+        replica0.step_dense(sum, &env.sgd);
+        worker0.account_dense_average(sum, *t, env);
     }
     let mut progress = shared.progress.lock().unwrap();
     progress.global_iterations += n;
@@ -425,7 +446,7 @@ fn bsp_leader_tail<M: EmbeddingModel, D: Dataset<Batch = M::Batch>>(
             "round_iters" => n, "round_end_ns" => t_ns);
     }
     if global % config.eval_every < n {
-        let metric = worker0.evaluate(env);
+        let metric = worker0.evaluate(replica0, env);
         let train_loss = mean_loss(slots.iter_mut().map(|s| std::mem::take(&mut s.loss)));
         let at = SimTime::from_nanos(t_ns);
         if progress.record_eval(metric, train_loss, at, config.target_metric) {
@@ -441,7 +462,8 @@ fn bsp_leader_tail<M: EmbeddingModel, D: Dataset<Batch = M::Batch>>(
 /// events equals the completion order and the oracle's spread bound
 /// holds at every event.
 fn async_worker_loop<M: EmbeddingModel, D: Dataset<Batch = M::Batch>>(
-    worker: &mut Worker<M>,
+    worker: &mut Worker,
+    replica: &mut Replica<M>,
     shared: &AsyncShared,
     clock: &WallClock,
     env: &StepEnv<D>,
@@ -472,13 +494,12 @@ fn async_worker_loop<M: EmbeddingModel, D: Dataset<Batch = M::Batch>>(
             }
             p.global += 1;
         }
-        let batch = worker.next_batch(env);
-        let keys = batch.unique_keys();
+        let (batch, keys) = env.sample(worker.id, worker.iterations);
         stamp_scope(worker, clock);
         let (store, _) = worker.read(&keys, env, None, None);
-        let (compute, loss, grads) = timed_compute(worker, &batch, &store, clock);
+        let (compute, loss, grads) = timed_compute(replica, &batch, &store, clock);
         let (write, _) = worker.write(grads, env, None);
-        worker.dense_ps_sync(env);
+        worker.dense_ps_sync(replica, env);
         {
             let mut p = shared.progress.lock().unwrap();
             stamp_scope(worker, clock);

@@ -76,8 +76,9 @@ impl EvalChunk {
     }
 }
 
-/// A mini-batch an embedding model can consume.
-pub trait ModelBatch {
+/// A mini-batch an embedding model can consume. `Send`: a trainer may
+/// sample a batch on one thread and compute on it on another.
+pub trait ModelBatch: Send {
     /// Sorted, deduplicated embedding keys the batch touches.
     fn unique_keys(&self) -> Vec<Key>;
     /// Number of examples.

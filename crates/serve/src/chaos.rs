@@ -121,6 +121,18 @@ impl ChaosConfig {
         ])
     }
 
+    /// Checks the scenario before [`run_chaos`] runs it: the serve
+    /// configuration it derives (rates, the flash) must be valid. The
+    /// error names the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        // The fault instants and the flash window are fractions of the
+        // span, which a non-positive rate leaves undefined.
+        if !(self.arrival_rate > 0.0 && self.arrival_rate.is_finite()) {
+            return Err("arrival_rate must be positive and finite".to_string());
+        }
+        self.serve_config(self.train_config().dim).validate()
+    }
+
     /// The trainer configuration of the scenario — exposed so harnesses
     /// can derive an oracle spec (`het_oracle::OracleSpec::of`) for the
     /// exact run [`run_chaos`] executes.

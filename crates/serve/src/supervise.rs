@@ -271,7 +271,9 @@ impl Supervisor {
     /// Like [`Supervisor::new`], but this supervisor owns PS-shard
     /// restore: it takes a baseline checkpoint now, re-checkpoints
     /// every `checkpoint_every`, and on each delivered outage restores
-    /// the failed shard from the latest checkpoint.
+    /// the failed shard from the latest checkpoint. A plan with no
+    /// shard outage has nothing to restore, so then it checkpoints
+    /// nothing: a checkpoint copies the whole table.
     pub fn with_store(
         cfg: SupervisionConfig,
         cp: Rc<RefCell<ControlPlane>>,
@@ -280,11 +282,13 @@ impl Supervisor {
         n_replicas: usize,
     ) -> Self {
         let mut sup = Self::new(cfg, cp, server, plan, n_replicas);
-        let mut store = ShardCheckpointStore::new(sup.server.n_shards(), sup.server.dim());
-        store
-            .checkpoint_all(&sup.server)
-            .expect("in-memory checkpoint");
-        sup.store = Some(store);
+        if !sup.plan.shard_outages().is_empty() {
+            let mut store = ShardCheckpointStore::new(sup.server.n_shards(), sup.server.dim());
+            store
+                .checkpoint_all(&sup.server)
+                .expect("in-memory checkpoint");
+            sup.store = Some(store);
+        }
         sup
     }
 

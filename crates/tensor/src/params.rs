@@ -113,10 +113,10 @@ impl FlatGrads {
     ///
     /// # Panics
     /// Panics on length mismatch (unless `self` is empty, in which case it
-    /// adopts `other`'s length).
+    /// copies `other` into the capacity it has).
     pub fn accumulate(&mut self, other: &FlatGrads) {
         if self.buf.is_empty() {
-            self.buf = other.buf.clone();
+            self.buf.extend_from_slice(&other.buf);
             return;
         }
         assert_eq!(
@@ -124,9 +124,47 @@ impl FlatGrads {
             other.buf.len(),
             "flat gradient length mismatch"
         );
-        for (a, &b) in self.buf.iter_mut().zip(&other.buf) {
-            *a += b;
+        add(&mut self.buf, &other.buf);
+    }
+
+    /// `self += ` the model's gradients, in visit order: exactly
+    /// [`FlatGrads::accumulate`] of their export, without the buffer the
+    /// export would fill.
+    ///
+    /// # Panics
+    /// Panics if the model's parameter count differs from a non-empty
+    /// buffer's length.
+    pub fn accumulate_from(&mut self, model: &mut dyn HasParams) {
+        if self.buf.is_empty() {
+            self.export_from(model);
+            return;
         }
+        struct Accumulate<'a> {
+            buf: &'a mut [f32],
+            offset: usize,
+        }
+        impl ParamVisitor for Accumulate<'_> {
+            fn visit(&mut self, _param: &mut [f32], grad: &mut [f32]) {
+                let end = self.offset + grad.len();
+                add(&mut self.buf[self.offset..end], grad);
+                self.offset = end;
+            }
+        }
+        assert_eq!(
+            self.buf.len(),
+            model.n_params(),
+            "flat gradient length mismatch"
+        );
+        model.visit_params(&mut Accumulate {
+            buf: &mut self.buf,
+            offset: 0,
+        });
+    }
+
+    /// Empties the buffer, keeping its capacity: a sum of the next
+    /// round's gradients reuses it.
+    pub fn clear(&mut self) {
+        self.buf.clear();
     }
 
     /// Scales every element (e.g. by `1/N` after summing N workers).
@@ -142,6 +180,13 @@ impl FlatGrads {
     /// True when the buffer is empty.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
+    }
+}
+
+/// Element-wise `sum += other`, one addition per element in index order.
+fn add(sum: &mut [f32], other: &[f32]) {
+    for (a, &b) in sum.iter_mut().zip(other) {
+        *a += b;
     }
 }
 
@@ -291,6 +336,11 @@ mod tests {
         let mut sum = FlatGrads::new();
         sum.accumulate(&a);
         sum.accumulate(&a);
+        // The same sum, straight from the model.
+        let mut direct = FlatGrads::new();
+        direct.accumulate_from(&mut m);
+        direct.accumulate_from(&mut m);
+        assert_eq!(direct.as_slice(), sum.as_slice());
         sum.scale(0.5);
         assert_eq!(sum.as_slice(), a.as_slice());
         assert_eq!(sum.len(), 5);

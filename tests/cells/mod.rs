@@ -4,7 +4,9 @@
 //! row clean and then faulted inside the clean run. A cell's line is its
 //! name, the FNV-1a-64 of its report JSON and of its trace JSONL.
 //!
-//! `tests/determinism.rs` checks each family against the committed file;
+//! `tests/determinism.rs` checks each family against the committed file,
+//! and `tests/host_threads.rs` checks the training families again with a
+//! BSP round pinned to 1, 2 and 4 host threads;
 //! `crates/bench/tests/ledger.rs` adds the `hetctl` cells, the tests
 //! that prove the ledger sees a change, and `-- --ignored regenerate`.
 //!
@@ -19,6 +21,7 @@
 use het_cache::PolicyKind::{Adaptive, Gdsf, Lfuda, Slru};
 use het_core::config::{StoreSpec, SyncMode, SystemPreset, TieredConfig, TrainerConfig};
 use het_core::{FaultConfig, TrainReport, Trainer};
+use het_data::CtrBatch;
 use het_data::{CtrConfig, CtrDataset};
 use het_json::{fnv1a64, Json, ToJson, FNV_OFFSET};
 use het_models::WideDeep;
@@ -131,9 +134,25 @@ fn traced<R: ToJson>(kind: &str, run: impl FnOnce() -> R) -> (R, Out) {
     (report, out)
 }
 
-fn train(c: TrainerConfig) -> (TrainReport, Out) {
+/// `trainer` with its BSP rounds on `host_threads` host threads, if
+/// given (the host's own count otherwise).
+fn on_host_threads<D: het_models::Dataset<Batch = CtrBatch>>(
+    trainer: Trainer<WideDeep, D>,
+    host_threads: Option<usize>,
+) -> Trainer<WideDeep, D> {
+    match host_threads {
+        Some(n) => trainer.with_host_threads(n),
+        None => trainer,
+    }
+}
+
+fn train(c: TrainerConfig, host_threads: Option<usize>) -> (TrainReport, Out) {
     let dataset = CtrDataset::new(CtrConfig::tiny(c.seed));
-    traced("train", || Trainer::new(c, dataset, wide_deep).run())
+    // Built under the collector: a faulted trainer traces its baseline
+    // checkpoint as it is built.
+    traced("train", || {
+        on_host_threads(Trainer::new(c, dataset, wide_deep), host_threads).run()
+    })
 }
 
 /// Crashes and a shard outage, checkpoints every 20 iterations; a train
@@ -155,8 +174,13 @@ fn faults(fleet: bool, crashes: usize, horizon: SimDuration) -> FaultConfig {
 }
 
 /// Runs one row, flipping the lowest bit of `lr` — one ulp — in the
-/// cells named in `nudged`; returns its cells. Panics when a check fails.
-pub fn run_row((name, job): &(String, Job), nudged: &[&str]) -> Vec<(String, String)> {
+/// cells named in `nudged`, its trainers' BSP rounds on `host_threads`
+/// host threads if given; returns its cells. Panics when a check fails.
+pub fn run_row(
+    (name, job): &(String, Job),
+    nudged: &[&str],
+    host_threads: Option<usize>,
+) -> Vec<(String, String)> {
     let cell = |phase: &str| format!("{name}/{phase}");
     let config = |c: &TrainerConfig, phase: &str, faults: FaultConfig| {
         let mut c = TrainerConfig {
@@ -187,9 +211,11 @@ pub fn run_row((name, job): &(String, Job), nudged: &[&str]) -> Vec<(String, Str
     };
     let outs = match job {
         Job::Train(c) => {
-            let (clean, clean_out) = train(config(c, "clean", FaultConfig::disabled()));
+            let clean_config = config(c, "clean", FaultConfig::disabled());
+            let (clean, clean_out) = train(clean_config, host_threads);
             let horizon = FaultSpec::horizon_within(clean.total_sim_time);
-            let (faulted, out) = train(config(c, "faulted", faults(false, 2, horizon)));
+            let faulted_config = config(c, "faulted", faults(false, 2, horizon));
+            let (faulted, out) = train(faulted_config, host_threads);
             let fired = faulted.faults.worker_crashes + faulted.faults.shard_failovers;
             assert!(fired > 0, "{name}: no fault fired");
             check_train(c, &clean);
@@ -214,6 +240,7 @@ pub fn run_row((name, job): &(String, Job), nudged: &[&str]) -> Vec<(String, Str
             let colocate = |c: TrainerConfig| {
                 let dataset = CtrDataset::new(CtrConfig::tiny(c.seed));
                 let trainer = Trainer::with_cluster(c, dataset, wide_deep, serve.n_replicas, 0);
+                let trainer = on_host_threads(trainer, host_threads);
                 let run = || run_colocated(trainer, ServeConfig::clone(serve), wide_deep);
                 let (r, out) = traced("colocate", run);
                 // The serve counters are the fleet's alone; the cache
@@ -295,9 +322,16 @@ pub fn assert_matches_committed(prefix: &str, produced: &Ledger) {
 /// Runs the rows named `prefix…` once and checks their cells against the
 /// committed ledger.
 pub fn check_family(prefix: &str) {
+    check_family_at(prefix, None);
+}
+
+/// [`check_family`] with the trainers' BSP rounds on `host_threads` host
+/// threads, if given.
+pub fn check_family_at(prefix: &str, host_threads: Option<usize>) {
     let rows: Vec<_> = (rows().into_iter())
         .filter(|(name, _)| name.starts_with(prefix))
         .collect();
     assert!(!rows.is_empty(), "no row named {prefix}…");
-    assert_matches_committed(prefix, &run_all(&rows, |row| run_row(row, &[])));
+    let produced = run_all(&rows, |row| run_row(row, &[], host_threads));
+    assert_matches_committed(prefix, &produced);
 }
