@@ -174,6 +174,30 @@ if [ "$status" -ne 1 ] || ! echo "$replay" | grep -q "violation reproduced"; the
 fi
 echo "    [timing] oracle repro path: $(($(now_ms) - step_start))ms"
 
+# A run replayed from the fault plan it dumped must be the same run:
+# every job checkpoints, and restores, from the plan it actually runs.
+echo "==> fault-plan replay (a dumped plan replays to byte-identical stdout)"
+step_start=$(now_ms)
+rm -rf target/plan-replay-ci
+mkdir -p target/plan-replay-ci
+replay_check() {
+    out=target/plan-replay-ci/$1
+    # $2 and $3 are command lines: split into words on purpose.
+    # shellcheck disable=SC2086
+    cargo run -q --release -p het-bench --bin hetctl -- $2 --fault-plan-dump "$out.json" \
+        > "$out.dumped"
+    # shellcheck disable=SC2086
+    cargo run -q --release -p het-bench --bin hetctl -- $3 --fault-plan "$out.json" \
+        > "$out.replayed"
+    if ! diff "$out.dumped" "$out.replayed"; then
+        echo "replaying $out.json changed the stdout of: hetctl $2"
+        exit 1
+    fi
+}
+replay_check serve "serve --supervised 1 --fault-crashes 1 --fault-outages 1" "serve --supervised 1"
+replay_check colocate "colocate --fault-outages 1" "colocate"
+echo "    [timing] fault-plan replay: $(($(now_ms) - step_start))ms"
+
 echo "==> consistency oracle (120-seed fuzz campaign over the full policy zoo)"
 # The campaign also exercises the prefetch cell: ~1/3 of sampled
 # scenarios run with nonzero lookahead and are re-checked against the

@@ -198,6 +198,29 @@ fn counted_faults_land_inside_the_run() {
     }
 }
 
+/// A run replayed from the plan it dumped is the same run: every job
+/// checkpoints, and restores, from the plan it actually runs.
+#[test]
+fn a_dumped_fault_plan_replays_the_run_it_came_from() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    for (name, line, replay) in [
+        ("colocate", "colocate --fault-outages 1", "colocate"),
+        (
+            "serve",
+            "serve --requests 2000 --supervised 1 --fault-crashes 1 --fault-outages 1",
+            "serve --requests 2000 --supervised 1",
+        ),
+    ] {
+        let plan = dir.join(format!("replayed-{name}-plan.json"));
+        let plan = plan.to_str().expect("a UTF-8 path");
+        let dumped = stdout(&format!("{line} --fault-plan-dump {plan}"));
+        let replayed = stdout(&format!("{replay} --fault-plan {plan}"));
+        assert!(dumped.contains("shard failovers   1"), "{line}\n{dumped}");
+        assert_eq!(dumped, replayed, "{line}: the replay differs");
+        std::fs::remove_file(plan).unwrap();
+    }
+}
+
 #[test]
 fn an_unwritable_experiments_dir_is_an_error_before_the_run() {
     // A regular file where the target dir should be: nothing can be

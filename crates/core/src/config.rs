@@ -159,6 +159,34 @@ pub struct SystemConfig {
     pub backbone: Backbone,
 }
 
+impl SystemConfig {
+    /// Refuses a pairing that would silently mis-train. ASP and SSP
+    /// workers step on their own and never meet in a round, so a dense
+    /// AllReduce would never sync their dense parameters and a sparse
+    /// AllGather would drop every sparse gradient: both need `bsp`.
+    /// The error names the fields.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.sync == SyncMode::Bsp {
+            return Ok(());
+        }
+        let mut collectives = Vec::new();
+        if self.dense == DenseSync::AllReduce {
+            collectives.push("dense allreduce");
+        }
+        if self.sparse == SparseMode::AllGather {
+            collectives.push("sparse allgather");
+        }
+        if collectives.is_empty() {
+            return Ok(());
+        }
+        Err(format!(
+            "sync {} cannot run {}: only bsp workers meet in a round",
+            self.sync,
+            collectives.join(" or ")
+        ))
+    }
+}
+
 /// The six systems of the paper's evaluation (§5), plus SSP.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SystemPreset {
@@ -472,6 +500,29 @@ mod tests {
         }
         let untouched = TrainerConfig::tiny(SystemPreset::TfPs).with_cache(0.25, PolicyKind::Lru);
         assert_eq!(untouched.system.sparse, SparseMode::PsDirect);
+    }
+
+    #[test]
+    fn async_sync_modes_refuse_round_collectives() {
+        for preset in SystemPreset::ALL {
+            assert_eq!(preset.config().validate(), Ok(()), "{preset}");
+        }
+        let mut het_ar = SystemPreset::HetAr.config();
+        het_ar.sync = SyncMode::Ssp { staleness: 2 };
+        let err = het_ar.validate().unwrap_err();
+        assert!(
+            err.contains("sync ssp:2") && err.contains("dense allreduce or sparse allgather"),
+            "{err}"
+        );
+        let mut hybrid = SystemPreset::HetHybrid.config();
+        hybrid.sync = SyncMode::Asp;
+        let err = hybrid.validate().unwrap_err();
+        assert!(
+            err.contains("sync asp cannot run dense allreduce:"),
+            "{err}"
+        );
+        hybrid.dense = DenseSync::Ps;
+        assert_eq!(hybrid.validate(), Ok(()));
     }
 
     #[test]

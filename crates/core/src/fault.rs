@@ -13,7 +13,7 @@
 //! an empty [`FaultPlan`] takes byte-for-byte the same arithmetic path
 //! as a run with injection disabled.
 
-use crate::retry::RetryPolicy;
+use crate::retry::PROTOCOL_RETRY;
 use het_json::{Json, ToJson};
 use het_simnet::{FaultPlan, FaultSpec, SimDuration, SimTime};
 
@@ -21,19 +21,12 @@ use het_simnet::{FaultPlan, FaultSpec, SimDuration, SimTime};
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultConfig {
     /// What to schedule; the zero spec (the default) is injection off.
-    /// `n_workers`/`n_shards` are filled in by the trainer from the
-    /// cluster shape, so sweeps only set counts.
+    /// The trainer supplies the cluster shape, so sweeps only set counts.
     pub spec: FaultSpec,
     /// Take a full PS checkpoint every this many global iterations
     /// (0 = only the initial empty checkpoint). Failovers restore the
     /// last checkpoint; everything since is lost and accounted.
     pub checkpoint_every: u64,
-    /// Retries after a dropped message before giving up and proceeding
-    /// (the message is then treated as delivered — training must make
-    /// progress; each retry is charged time and bytes).
-    pub max_retries: u32,
-    /// Base backoff charged before the first resend; doubles per retry.
-    pub retry_backoff: SimDuration,
 }
 
 impl FaultConfig {
@@ -42,13 +35,11 @@ impl FaultConfig {
         FaultConfig {
             spec: FaultSpec::default(),
             checkpoint_every: 50,
-            max_retries: 4,
-            retry_backoff: SimDuration::from_micros(200),
         }
     }
 
-    /// Injection with the given schedule spec and default recovery
-    /// knobs.
+    /// Injection with the given schedule spec and the default
+    /// checkpoint period.
     pub fn with_spec(spec: FaultSpec) -> Self {
         FaultConfig {
             spec,
@@ -63,17 +54,7 @@ impl FaultConfig {
         if self.spec.is_zero() {
             return FaultPlan::none();
         }
-        let mut spec = self.spec.clone();
-        spec.n_workers = n_workers;
-        spec.n_shards = n_shards;
-        FaultPlan::generate(seed, &spec)
-    }
-
-    /// The retry schedule these knobs describe: `retry_backoff` doubling
-    /// per attempt for up to `max_retries` attempts, no jitter — the
-    /// policy every client protocol leg has always charged.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        RetryPolicy::exponential(self.retry_backoff, self.max_retries)
+        FaultPlan::generate(seed, &self.spec, n_workers, n_shards)
     }
 }
 
@@ -161,8 +142,6 @@ pub struct FaultContext<'a> {
     pub now: SimTime,
     /// The calling worker's index.
     pub worker: usize,
-    /// Backoff schedule charged per dropped message.
-    pub retry: RetryPolicy,
     /// The worker's monotone message counter.
     pub ops: &'a mut u64,
     /// Run-wide fault counters.
@@ -180,7 +159,8 @@ impl FaultContext<'_> {
     /// Applies link degradation and message drops to one communication
     /// leg of base duration `base`. Returns the charged duration; the
     /// caller has already recorded `bytes` once, and this method records
-    /// it again per retransmission via `record`.
+    /// it again per retransmission via `record`, each resend after a
+    /// [`PROTOCOL_RETRY`] backoff.
     ///
     /// With an empty plan this returns `base` untouched — the
     /// bit-identity contract.
@@ -202,7 +182,7 @@ impl FaultContext<'_> {
         }
         let mut total = leg;
         let mut attempt = 0u32;
-        while attempt < self.retry.max_attempts {
+        while attempt < PROTOCOL_RETRY.max_attempts {
             let op = self.next_op();
             if !self.plan.should_drop(self.worker, op) {
                 break;
@@ -210,7 +190,7 @@ impl FaultContext<'_> {
             self.stats.retries += 1;
             het_trace::count!("trainer", "msg_drops");
             record(bytes);
-            total += self.retry.delay(attempt) + leg;
+            total += PROTOCOL_RETRY.delay(attempt) + leg;
             attempt += 1;
         }
         total
@@ -294,7 +274,6 @@ mod tests {
             plan: &plan,
             now: SimTime::ZERO,
             worker: 0,
-            retry: RetryPolicy::exponential(SimDuration::from_micros(100), 4),
             ops: &mut ops,
             stats: &mut stats,
         };
@@ -320,7 +299,6 @@ mod tests {
             plan: &plan,
             now: SimTime::from_nanos(10),
             worker: 0,
-            retry: RetryPolicy::exponential(SimDuration::ZERO, 0),
             ops: &mut ops,
             stats: &mut stats,
         };
@@ -340,28 +318,27 @@ mod tests {
             message_drop_prob: 1.0,
             ..FaultSpec::default()
         };
-        let plan = FaultPlan::generate(9, &spec);
+        let plan = FaultPlan::generate(9, &spec, 2, 1);
         let mut ops = 0;
         let mut stats = FaultStats::default();
         let mut ctx = FaultContext {
             plan: &plan,
             now: SimTime::ZERO,
             worker: 1,
-            retry: RetryPolicy::exponential(SimDuration::from_nanos(100), 3),
             ops: &mut ops,
             stats: &mut stats,
         };
-        let base = SimDuration::from_nanos(1_000);
+        let base = SimDuration::from_micros(1);
         let mut extra_bytes = 0u64;
         let t = ctx.charge_leg(base, |b| extra_bytes += b, 50);
-        // 3 retries: backoffs 100 + 200 + 400, plus 3 resends.
+        // 4 retries: backoffs 200 + 400 + 800 + 1600 µs, plus 4 resends.
         assert_eq!(
             t,
-            SimDuration::from_nanos(1_000 + 100 + 1_000 + 200 + 1_000 + 400 + 1_000)
+            SimDuration::from_micros(1 + 200 + 1 + 400 + 1 + 800 + 1 + 1_600 + 1)
         );
-        assert_eq!(extra_bytes, 150);
-        assert_eq!(stats.retries, 3);
-        assert_eq!(ops, 3);
+        assert_eq!(extra_bytes, 200);
+        assert_eq!(stats.retries, 4);
+        assert_eq!(ops, 4);
     }
 
     #[test]
@@ -377,7 +354,6 @@ mod tests {
             plan: &plan,
             now: SimTime::from_nanos(200),
             worker: 0,
-            retry: RetryPolicy::exponential(SimDuration::ZERO, 0),
             ops: &mut ops,
             stats: &mut stats,
         };

@@ -591,6 +591,11 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
     ///   live-split targets (see [`het_ps::PsServer::with_spare_shards`]).
     ///   The fault plan still addresses only the base shards — spares
     ///   receive traffic solely through supervised resharding.
+    ///
+    /// # Panics
+    /// Panics on a system that
+    /// [`SystemConfig::validate`](crate::config::SystemConfig::validate)
+    /// refuses (ASP or SSP with a dense AllReduce or a sparse AllGather).
     pub fn with_cluster(
         config: TrainerConfig,
         dataset: D,
@@ -598,6 +603,9 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         extra_members: usize,
         spare_shards: usize,
     ) -> Self {
+        if let Err(e) = config.system.validate() {
+            panic!("invalid system {}: {e}", config.system.name);
+        }
         let net = config.cluster.collectives();
         let n_shards = config.cluster.n_servers.max(1) * 4;
         let ps_config = PsConfig {
@@ -616,22 +624,6 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
             config.cluster.n_workers + extra_members,
             n_shards,
         );
-        let mut fault_stats = FaultStats::default();
-        // Failover restores from the last checkpoint, so a baseline
-        // snapshot of the (deterministically initialised) table is taken
-        // before training starts. Sized over the *physical* shard count
-        // so shards populated by a live split stay restorable.
-        let ckpt_store = (!plan.is_empty()).then(|| {
-            let mut store = ShardCheckpointStore::new(server.n_shards(), config.dim);
-            store.checkpoint_all(&server).expect("in-memory checkpoint");
-            fault_stats.checkpoints += 1;
-            if het_trace::enabled() {
-                het_trace::set_scope(0, None);
-                het_trace::event!("ps", "checkpoint", "iteration" => 0u64);
-            }
-            store
-        });
-
         let n_keys = dataset.n_keys();
         let costs = wire::MessageCosts {
             fused: config.system.backbone.fuse_messages,
@@ -711,8 +703,8 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
             host_threads: 0,
             progress: Progress::default(),
             plan,
-            ckpt_store,
-            fault_stats,
+            ckpt_store: None,
+            fault_stats: FaultStats::default(),
             fault_events: Vec::new(),
             worker_ops,
             last_checkpoint_iter: 0,
@@ -755,8 +747,9 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
     }
 
     /// Replaces the fault plan with a scripted (or file-loaded) one.
-    /// Must be called before the run starts; the caller is responsible
-    /// for handing the same plan to the shared [`ClusterRuntime`].
+    /// Must be called before [`Trainer::register`], which checkpoints
+    /// from the plan it finds; the caller is responsible for handing the
+    /// same plan to the shared [`ClusterRuntime`].
     /// Event member indices follow the construction-time layout
     /// (workers `0..n_workers`, then any extra members).
     pub fn override_plan(&mut self, plan: FaultPlan) {
@@ -1047,7 +1040,6 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
             plan: &self.plan,
             now,
             worker: w,
-            retry: self.env.config.faults.retry_policy(),
             ops: &mut self.worker_ops[w],
             stats: &mut self.fault_stats,
         });
@@ -1178,6 +1170,24 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
     /// host threads a BSP round may use are read here, not in
     /// [`Trainer::new`], so building a job stays cheap.
     pub fn register(&mut self, rt: &mut ClusterRuntime) -> Option<Prefetcher> {
+        // Failover restores from the last checkpoint, so a baseline
+        // snapshot of the (deterministically initialised) table is taken
+        // before training starts, from the plan this run uses. A plan
+        // with no shard outage has nothing to restore: a checkpoint
+        // copies the whole table, so then none is taken. Sized over the
+        // *physical* shard count so shards populated by a live split
+        // stay restorable.
+        if !self.plan.shard_outages().is_empty() {
+            let server = &self.env.server;
+            let mut store = ShardCheckpointStore::new(server.n_shards(), self.env.config.dim);
+            store.checkpoint_all(server).expect("in-memory checkpoint");
+            self.fault_stats.checkpoints += 1;
+            if het_trace::enabled() {
+                het_trace::set_scope(0, None);
+                het_trace::event!("ps", "checkpoint", "iteration" => 0u64);
+            }
+            self.ckpt_store = Some(store);
+        }
         let pid = rt.register(self.workers.len());
         if self.host_threads == 0 {
             self.host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -1602,6 +1612,15 @@ mod tests {
         let dataset = CtrDataset::new(CtrConfig::tiny(7));
         let config = TrainerConfig::tiny(preset);
         Trainer::new(config, dataset, |rng| WideDeep::new(rng, 4, 8, &[16]))
+    }
+
+    #[test]
+    #[should_panic(expected = "sync asp cannot run dense allreduce or sparse allgather")]
+    fn async_workers_with_round_collectives_are_refused() {
+        let mut config = TrainerConfig::tiny(SystemPreset::HetAr);
+        config.system.sync = SyncMode::Asp;
+        let dataset = CtrDataset::new(CtrConfig::tiny(7));
+        Trainer::new(config, dataset, |rng| WideDeep::new(rng, 4, 8, &[16]));
     }
 
     #[test]

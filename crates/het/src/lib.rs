@@ -74,7 +74,7 @@ pub mod prelude {
     };
     pub use het_models::{
         Dataset, DeepCross, DeepFm, EmbeddingModel, EmbeddingStore, GnnDataset, GraphSage,
-        MetricKind, SparseGrads, WideDeep, XDeepFm,
+        MetricKind, SparseGrads, WideDeep,
     };
     pub use het_ps::{
         CheckpointRow, FailoverOutcome, PsConfig, PsServer, ServerOptimizer, ShardCheckpointStore,

@@ -19,7 +19,6 @@ pub mod dfm;
 pub mod sage;
 pub mod store;
 pub mod wdl;
-pub mod xdeepfm;
 
 pub use dataset::{Dataset, GnnDataset};
 pub use dcn::DeepCross;
@@ -27,7 +26,6 @@ pub use dfm::DeepFm;
 pub use sage::GraphSage;
 pub use store::{EmbeddingStore, SparseGrads};
 pub use wdl::WideDeep;
-pub use xdeepfm::XDeepFm;
 
 use het_data::Key;
 use het_tensor::HasParams;

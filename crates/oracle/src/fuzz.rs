@@ -250,7 +250,8 @@ fn spelled<T: std::str::FromStr<Err = String>>(json: &Json, key: &str) -> Result
 }
 
 impl Scenario {
-    /// Parses a scenario back from its [`ToJson`] form.
+    /// Parses a scenario back from its [`ToJson`] form, refusing one
+    /// whose system [`SystemConfig::validate`] refuses.
     pub fn from_json(json: &Json) -> Result<Scenario, String> {
         let uint = |key| json.field(key, Json::as_u64);
         let sparse = match json.get("sparse")? {
@@ -263,7 +264,7 @@ impl Scenario {
             },
             other => return Err(format!("bad sparse {}", other.encode())),
         };
-        Ok(Scenario {
+        let scenario = Scenario {
             seed: uint("seed")?,
             workers: uint("workers")? as usize,
             iters: uint("iters")?,
@@ -278,7 +279,9 @@ impl Scenario {
             extra_staleness: uint("extra_staleness")?,
             lookahead: uint("lookahead")?,
             tiered_hot: uint("tiered_hot")?,
-        })
+        };
+        scenario.trainer_config().system.validate()?;
+        Ok(scenario)
     }
 }
 
@@ -593,6 +596,40 @@ mod tests {
             let s = Scenario::sample(0xF00D, index, 50);
             let back = Scenario::from_json(&s.to_json()).unwrap();
             assert_eq!(s, back, "index {index}");
+        }
+    }
+
+    #[test]
+    fn a_repro_pairing_async_sync_with_a_collective_is_rejected() {
+        let base = Scenario {
+            sync: SyncMode::Asp,
+            dense: DenseSync::Ps,
+            sparse: SparseMode::PsDirect,
+            ..Scenario::sample(0xF00D, 0, 40)
+        };
+        assert!(Scenario::from_json(&base.to_json()).is_ok());
+        for (sync, dense, sparse, needle) in [
+            (
+                SyncMode::Asp,
+                DenseSync::AllReduce,
+                SparseMode::PsDirect,
+                "sync asp cannot run dense allreduce",
+            ),
+            (
+                SyncMode::Ssp { staleness: 2 },
+                DenseSync::Ps,
+                SparseMode::AllGather,
+                "sync ssp:2 cannot run sparse allgather",
+            ),
+        ] {
+            let repro = Scenario {
+                sync,
+                dense,
+                sparse,
+                ..base.clone()
+            };
+            let err = Scenario::from_json(&repro.to_json()).unwrap_err();
+            assert!(err.contains(needle), "{err}");
         }
     }
 

@@ -1,31 +1,19 @@
-//! Server-side optimisers for embedding rows.
+//! Server-side optimiser for embedding rows.
 //!
-//! The paper trains with plain SGD (§5), which is the default and the
-//! only optimiser compatible with the HET cache's read-my-updates
-//! approximation (the client applies the same rule locally). Adagrad is
-//! provided as an extension for the cache-less paths — per-coordinate
-//! adaptive rates are the de-facto standard for production embedding
-//! tables (e.g. Kraken's and HugeCTR's sparse optimisers) because rare
-//! keys need larger steps than hot ones.
+//! The paper trains with plain SGD (§5), the only optimiser compatible
+//! with the HET cache's read-my-updates approximation (the client applies
+//! the same rule locally).
 
 /// How the server applies pushed gradients to an embedding row.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ServerOptimizer {
     /// `x -= lr * g` — the paper's setting.
     Sgd,
-    /// `acc += g²; x -= lr * g / (√acc + ε)` — per-coordinate adaptive
-    /// steps. Requires accumulator state per row (allocated lazily).
-    Adagrad {
-        /// Numerical-stability epsilon.
-        eps: f32,
-    },
 }
 
 impl ServerOptimizer {
-    /// Applies one update to `row` with learning rate `lr`. `state` is
-    /// the per-row optimiser state: unused by SGD, the squared-gradient
-    /// accumulator for Adagrad (resized lazily).
-    pub fn apply(&self, row: &mut [f32], state: &mut Vec<f32>, grad: &[f32], lr: f32) {
+    /// Applies one update to `row` with learning rate `lr`.
+    pub fn apply(&self, row: &mut [f32], grad: &[f32], lr: f32) {
         debug_assert_eq!(row.len(), grad.len());
         match *self {
             ServerOptimizer::Sgd => {
@@ -33,22 +21,7 @@ impl ServerOptimizer {
                     *p -= lr * g;
                 }
             }
-            ServerOptimizer::Adagrad { eps } => {
-                if state.len() != row.len() {
-                    state.clear();
-                    state.resize(row.len(), 0.0);
-                }
-                for ((p, acc), &g) in row.iter_mut().zip(state.iter_mut()).zip(grad) {
-                    *acc += g * g;
-                    *p -= lr * g / (acc.sqrt() + eps);
-                }
-            }
         }
-    }
-
-    /// True when the optimiser keeps per-row state.
-    pub fn is_stateful(&self) -> bool {
-        matches!(self, ServerOptimizer::Adagrad { .. })
     }
 }
 
@@ -59,56 +32,7 @@ mod tests {
     #[test]
     fn sgd_applies_plain_step() {
         let mut row = vec![1.0f32, -1.0];
-        let mut state = Vec::new();
-        ServerOptimizer::Sgd.apply(&mut row, &mut state, &[2.0, -2.0], 0.5);
+        ServerOptimizer::Sgd.apply(&mut row, &[2.0, -2.0], 0.5);
         assert_eq!(row, vec![0.0, 0.0]);
-        assert!(state.is_empty(), "SGD keeps no state");
-        assert!(!ServerOptimizer::Sgd.is_stateful());
-    }
-
-    #[test]
-    fn adagrad_first_step_is_normalised() {
-        let opt = ServerOptimizer::Adagrad { eps: 1e-8 };
-        let mut row = vec![0.0f32];
-        let mut state = Vec::new();
-        opt.apply(&mut row, &mut state, &[4.0], 0.1);
-        // First step: g/√(g²) = sign(g), so step ≈ lr.
-        assert!((row[0] + 0.1).abs() < 1e-5);
-        assert_eq!(state.len(), 1);
-        assert!(opt.is_stateful());
-    }
-
-    #[test]
-    fn adagrad_steps_shrink_over_time() {
-        let opt = ServerOptimizer::Adagrad { eps: 1e-8 };
-        let mut row = vec![0.0f32];
-        let mut state = Vec::new();
-        let mut prev = 0.0f32;
-        let mut last_step = f32::INFINITY;
-        for _ in 0..5 {
-            opt.apply(&mut row, &mut state, &[1.0], 0.1);
-            let step = (prev - row[0]).abs();
-            assert!(
-                step < last_step + 1e-9,
-                "steps must shrink: {step} vs {last_step}"
-            );
-            last_step = step;
-            prev = row[0];
-        }
-    }
-
-    #[test]
-    fn adagrad_adapts_per_coordinate() {
-        let opt = ServerOptimizer::Adagrad { eps: 1e-8 };
-        let mut row = vec![0.0f32, 0.0];
-        let mut state = Vec::new();
-        // Coordinate 0 gets large gradients, coordinate 1 small ones.
-        for _ in 0..10 {
-            opt.apply(&mut row, &mut state, &[10.0, 0.1], 0.1);
-        }
-        // Both coordinates move, and the rare/small coordinate is not
-        // drowned out (relative progress comparable).
-        assert!(row[0] < 0.0 && row[1] < 0.0);
-        assert!(state[0] > state[1]);
     }
 }

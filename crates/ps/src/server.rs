@@ -20,8 +20,7 @@ pub struct PsConfig {
     pub lr: f32,
     /// Seed for deterministic lazy initialisation.
     pub seed: u64,
-    /// How pushed gradients are applied (the paper uses SGD; Adagrad is
-    /// provided for the cache-less paths).
+    /// How pushed gradients are applied (the paper's SGD).
     pub optimizer: ServerOptimizer,
     /// Optional L2 clip applied to each pushed gradient. HET's stale
     /// writes arrive as *accumulated* gradients (up to `s` batches in
@@ -677,7 +676,7 @@ impl PsServer {
                 let grad = clipped(grad, clip, &mut scratch);
                 let init = &mut || self.make_row(key);
                 let update = &mut |e: &mut StoredRow| {
-                    opt.apply(&mut e.vector, &mut e.opt_state, grad, lr);
+                    opt.apply(&mut e.vector, grad, lr);
                     e.clock = candidate.map_or(e.clock + 1, |c| e.clock.max(c));
                 };
                 match self.moved(run, &shard, key) {
@@ -939,6 +938,12 @@ impl PsServer {
         let splits = self.splits.read();
         let split = in_flight(&splits, parent)
             .expect("migrate_batch: no migration in flight for this shard");
+        self.move_keys(split, max_keys)
+    }
+
+    /// The body of [`PsServer::migrate_batch`], for a caller that holds
+    /// the split log's lock.
+    fn move_keys(&self, split: SplitState, max_keys: usize) -> usize {
         let mut src = self.shards[split.parent].write();
         let mut moving: Vec<Key> = src.store.sorted_keys();
         moving.retain(|&k| child_side(k, split.salt));
@@ -963,25 +968,24 @@ impl PsServer {
         in_flight(&splits, parent).map_or(0, |split| self.left_to_migrate(split))
     }
 
-    /// Seals a drained migration: from here on child-side keys route to
-    /// the child unconditionally (lazy initialisation included).
+    /// Seals a migration: moves every child-side key still on the
+    /// parent — a fresh child-side key pushed mid-split is created there
+    /// lazily, even after the last [`PsServer::migrate_batch`] — then
+    /// from here on routes child-side keys to the child unconditionally
+    /// (lazy initialisation included).
     ///
     /// # Panics
-    /// Panics if `parent` has no migration in flight or keys remain.
+    /// Panics if `parent` has no migration in flight.
     pub fn complete_split(&self, parent: usize) {
-        // Checked and sealed under one write lock of the split log, which
+        // Moved and sealed under one write lock of the split log, which
         // no batch holds at the same time: no row can land on the parent
-        // between the check and the seal.
+        // between the last move and the seal.
         let mut splits = self.splits.write();
         let s = splits
             .iter_mut()
             .find(|s| s.parent == parent && !s.complete)
             .expect("complete_split: no migration in flight for this shard");
-        assert_eq!(
-            self.left_to_migrate(*s),
-            0,
-            "complete_split: migration not drained"
-        );
+        self.move_keys(*s, usize::MAX);
         s.complete = true;
     }
 }
@@ -1252,6 +1256,41 @@ mod tests {
     }
 
     #[test]
+    fn a_key_pushed_after_the_drain_moves_when_the_split_completes() {
+        let cfg = PsConfig {
+            dim: 1,
+            n_shards: 2,
+            lr: 0.5,
+            seed: 7,
+            optimizer: ServerOptimizer::Sgd,
+            grad_clip: None,
+        };
+        let s = PsServer::with_spare_shards(cfg, 1);
+        for k in 0..64u64 {
+            s.push_inc(k, &[1.0]);
+        }
+        s.begin_split(0, 2, 0xABCD);
+        while s.remaining_to_migrate(0) > 0 {
+            s.migrate_batch(0, 5);
+        }
+        // A writer's fresh child-side key lands on the parent between
+        // the caller's last batch and the seal.
+        let fresh = (64..u64::MAX)
+            .find(|&k| s.shard_index_of(k) == 0 && child_side(k, 0xABCD))
+            .unwrap();
+        s.push_inc(fresh, &[1.0]);
+        assert_eq!(s.remaining_to_migrate(0), 1);
+        s.complete_split(0);
+        assert_eq!(s.shard_index_of(fresh), 2);
+        assert!(
+            s.shards[2].read().store.contains(fresh),
+            "moved to the child"
+        );
+        assert_eq!(s.clock_of(fresh), 1, "its update survives the move");
+        assert_exactly_one_owner(&s);
+    }
+
+    #[test]
     fn migration_is_deterministic_across_instances() {
         let cfg = PsConfig {
             dim: 2,
@@ -1291,15 +1330,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not drained")]
-    fn completing_undrained_split_rejected() {
+    fn completing_an_undrained_split_moves_the_rest() {
         let s = PsServer::with_spare_shards(*server(2).config(), 1);
-        for k in 0..64u64 {
-            let _ = s.pull(k);
-        }
+        let before: Vec<_> = (0..64u64).map(|k| s.pull(k)).collect();
         s.begin_split(0, 4, 9);
-        assert!(s.remaining_to_migrate(0) > 0);
+        let left = s.remaining_to_migrate(0);
+        assert!(left > 0);
         s.complete_split(0);
+        assert_eq!(s.shards[4].read().store.len(), left);
+        for (k, row) in (0..64u64).zip(&before) {
+            assert_eq!(&s.pull(k), row, "key {k}");
+        }
+        assert_exactly_one_owner(&s);
     }
 
     #[test]

@@ -222,11 +222,8 @@ fn live_shard_split_preserves_every_update() {
                     server.migrate_batch(0, 4);
                     jitter(&mut rng);
                 }
-                // Drain whatever landed between the last batch and the
-                // writers finishing, then seal.
-                while server.remaining_to_migrate(0) > 0 {
-                    server.migrate_batch(0, 16);
-                }
+                // Writers may still push: the seal moves whatever
+                // landed on the parent since the last batch.
                 server.complete_split(0);
             });
         }

@@ -459,13 +459,11 @@ mod tests {
     #[test]
     fn fault_routing_translates_member_blocks() {
         let spec = FaultSpec {
-            n_workers: 4,
-            n_shards: 2,
             worker_crashes: 4,
             horizon: SimDuration::from_millis(10),
             ..FaultSpec::default()
         };
-        let plan = FaultPlan::generate(3, &spec);
+        let plan = FaultPlan::generate(3, &spec, 4, 2);
         let horizon = SimTime::ZERO + SimDuration::from_millis(10);
         // Expected per-member schedules straight from the plan.
         let expect: Vec<_> = (0..4).map(|m| plan.worker_crashes(m)).collect();
@@ -489,13 +487,11 @@ mod tests {
     #[test]
     fn outage_cursor_is_cluster_global() {
         let spec = FaultSpec {
-            n_workers: 2,
-            n_shards: 4,
             shard_outages: 3,
             horizon: SimDuration::from_millis(10),
             ..FaultSpec::default()
         };
-        let plan = FaultPlan::generate(9, &spec);
+        let plan = FaultPlan::generate(9, &spec, 2, 4);
         let mut expect = plan.shard_outages();
         expect.sort_by_key(|&(shard, at, _)| (at.as_nanos(), shard));
 

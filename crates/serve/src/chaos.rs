@@ -11,9 +11,14 @@
 //! * **replica crashes** land *inside* the flash window (and again
 //!   later), detected by the supervisor's heartbeat watcher and
 //!   recovered with sketch-warmed caches;
-//! * a **PS-shard outage** overlaps the flash; the trainer restores the
-//!   shard from its checkpoint while serving replicas ride it out on
-//!   the [`het_core::RetryPolicy`] backoff schedule;
+//! * a **PS-shard outage** overlaps the flash; serving replicas ride it
+//!   out on the [`crate::supervise::SUPERVISOR_RETRY`] backoff. The
+//!   trainer checkpoints from the scripted plan and restores an outage
+//!   it lives to see, and beside a trainer the supervisor only observes
+//!   outages. At [`ChaosConfig::tiny`] scale the trainer ends at about
+//!   20 ms of simulated time, before the outage at 22.5 ms, so no one
+//!   restores that shard and nothing clears its rows: the fleet only
+//!   waits out the window;
 //! * a **live shard split** runs concurrently, migrating keys off a hot
 //!   shard batch by batch while gradients keep flowing;
 //! * the **autoscaler** grows the admitted pool into the flash and

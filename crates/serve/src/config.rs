@@ -209,16 +209,6 @@ impl ServeConfig {
                 self.supervision.heartbeat_every > SimDuration::ZERO,
                 "heartbeat_every must be positive",
             )?;
-            check(
-                self.supervision.miss_threshold > 0,
-                "miss_threshold must be positive",
-            )?;
-            if self.supervision.drift_prefetch {
-                check(
-                    self.supervision.drift_window > SimDuration::ZERO,
-                    "drift_window must be positive when drift_prefetch is on",
-                )?;
-            }
         }
         if self.autoscale.enabled {
             check(

@@ -12,7 +12,10 @@
 
 use crate::config::ServeConfig;
 use crate::report::{ReplicaReport, ServeReport};
-use crate::supervise::{Autoscaler, ControlPlane, Supervisor, CONTROL_WAKE, HEARTBEAT_WAKE};
+use crate::supervise::{
+    Autoscaler, ControlPlane, Supervisor, CONTROL_WAKE, DRIFT_WINDOW, HEARTBEAT_WAKE,
+    SUPERVISOR_RETRY,
+};
 use crate::workload::{generate_requests, key_of, pretrain, warmup_seed, Request};
 use het_core::fault::{FaultContext, FaultStats};
 use het_core::HetClient;
@@ -473,7 +476,7 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
             }
         }
         let (shard, end) = worst?;
-        let wait = self.cfg.supervision.retry.time_to_reach(end.since(t))?;
+        let wait = SUPERVISOR_RETRY.time_to_reach(end.since(t))?;
         Some((shard, wait))
     }
 
@@ -539,7 +542,7 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
         // its newly-hot keys into every live admitted replica.
         let mut rotated = false;
         if let Some(recent) = self.recent_sketch.as_mut() {
-            if t.since(self.recent_since) >= self.cfg.supervision.drift_window {
+            if t.since(self.recent_since) >= DRIFT_WINDOW {
                 let fresh = SpaceSaving::new(self.cfg.cache_capacity);
                 self.prev_sketch = Some(std::mem::replace(recent, fresh));
                 self.recent_since = t;
@@ -723,7 +726,6 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
             plan: &self.plan,
             now: t,
             worker: self.member_offset + r,
-            retry: self.cfg.faults.retry_policy(),
             ops: &mut replica.ops,
             stats: &mut self.fault_stats,
         });

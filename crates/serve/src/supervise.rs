@@ -9,10 +9,10 @@
 //!   and posts per-replica liveness + queue depth into a shared
 //!   `ControlPlane`;
 //! * the **supervisor** watches heartbeat ages — a replica whose
-//!   heartbeat is older than `miss_threshold` intervals is *detected*
+//!   heartbeat is older than [`MISS_THRESHOLD`] intervals is *detected*
 //!   as crashed (the supervisor never reads the fault plan for crash
 //!   detection) and a respawn is commanded after a
-//!   [`RetryPolicy`]-scheduled backoff; it also detects PS-shard
+//!   [`SUPERVISOR_RETRY`] backoff; it also detects PS-shard
 //!   outages, drives checkpoint-restore when it owns the checkpoint
 //!   store (a fleet alone on its private PS; beside a trainer, the
 //!   trainer restores), and drives **live shard splits** batch by batch;
@@ -34,8 +34,27 @@ use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
+/// A replica is detected as crashed once its heartbeat is older than
+/// this many heartbeat periods.
+pub const MISS_THRESHOLD: u32 = 3;
+/// Backoff schedule for respawn commands and the fleet's outage-retry
+/// waits.
+pub const SUPERVISOR_RETRY: RetryPolicy = RetryPolicy {
+    base: SimDuration::from_micros(200),
+    max_attempts: 8,
+};
+/// Period of the supervisor's shard checkpoints, taken only when the
+/// supervisor owns the checkpoint store (standalone serving; colocated
+/// runs restore through the trainer) and the plan has a shard outage.
+pub const SUPERVISOR_CHECKPOINT_EVERY: SimDuration = SimDuration::from_millis(5);
+/// Rotation period of the short-window sketch that defines "recently
+/// hot" for [`SupervisionConfig::drift_prefetch`].
+pub const DRIFT_WINDOW: SimDuration = SimDuration::from_millis(1);
+
 /// Supervision knobs of a serving run. Disabled by default — a run
-/// without supervision takes byte-for-byte the legacy path.
+/// without supervision takes byte-for-byte the legacy path. The fixed
+/// parts of the protocol are [`MISS_THRESHOLD`], [`SUPERVISOR_RETRY`],
+/// [`SUPERVISOR_CHECKPOINT_EVERY`] and [`DRIFT_WINDOW`].
 #[derive(Clone, Debug)]
 pub struct SupervisionConfig {
     /// Master switch for heartbeats, crash detection, and driven
@@ -43,16 +62,6 @@ pub struct SupervisionConfig {
     pub enabled: bool,
     /// Heartbeat (and supervisor tick) period.
     pub heartbeat_every: SimDuration,
-    /// A replica is detected as crashed once its heartbeat is older
-    /// than this many periods.
-    pub miss_threshold: u32,
-    /// Backoff schedule for respawn commands and the fleet's
-    /// outage-retry waits.
-    pub retry: RetryPolicy,
-    /// Period of the supervisor's periodic shard checkpoints, used only
-    /// when the supervisor owns the checkpoint store (standalone
-    /// serving; colocated runs restore through the trainer).
-    pub checkpoint_every: SimDuration,
     /// Optional live PS-shard split driven by the supervisor.
     pub reshard: Option<ReshardPlan>,
     /// Drift-triggered serving prefetch. A sketch-warmed cache only
@@ -60,15 +69,11 @@ pub struct SupervisionConfig {
     /// hot set the keys that become hot *afterwards* all cold-miss,
     /// and a freshly respawned replica pays that gap exactly when its
     /// held-back queue needs it least. When enabled, the fleet keeps a
-    /// short-window popularity sketch (rotated every
-    /// [`SupervisionConfig::drift_window`]); each completed window
-    /// triggers prefetch pulls of its newly-hot keys into every live
-    /// admitted replica, and a supervised respawn runs one extra round
-    /// right after its lifetime-sketch warmup.
+    /// short-window popularity sketch (rotated every [`DRIFT_WINDOW`]);
+    /// each completed window triggers prefetch pulls of its newly-hot
+    /// keys into every live admitted replica, and a supervised respawn
+    /// runs one extra round right after its lifetime-sketch warmup.
     pub drift_prefetch: bool,
-    /// Rotation period of the short-window sketch that defines
-    /// "recently hot" for [`SupervisionConfig::drift_prefetch`].
-    pub drift_window: SimDuration,
 }
 
 impl SupervisionConfig {
@@ -77,12 +82,8 @@ impl SupervisionConfig {
         SupervisionConfig {
             enabled: false,
             heartbeat_every: SimDuration::from_micros(500),
-            miss_threshold: 3,
-            retry: RetryPolicy::exponential(SimDuration::from_micros(200), 8),
-            checkpoint_every: SimDuration::from_millis(5),
             reshard: None,
             drift_prefetch: false,
-            drift_window: SimDuration::from_millis(1),
         }
     }
 }
@@ -270,10 +271,10 @@ impl Supervisor {
 
     /// Like [`Supervisor::new`], but this supervisor owns PS-shard
     /// restore: it takes a baseline checkpoint now, re-checkpoints
-    /// every `checkpoint_every`, and on each delivered outage restores
-    /// the failed shard from the latest checkpoint. A plan with no
-    /// shard outage has nothing to restore, so then it checkpoints
-    /// nothing: a checkpoint copies the whole table.
+    /// every [`SUPERVISOR_CHECKPOINT_EVERY`], and on each delivered
+    /// outage restores the failed shard from the latest checkpoint. A
+    /// plan with no shard outage has nothing to restore, so then it
+    /// checkpoints nothing: a checkpoint copies the whole table.
     pub fn with_store(
         cfg: SupervisionConfig,
         cp: Rc<RefCell<ControlPlane>>,
@@ -293,7 +294,7 @@ impl Supervisor {
     }
 
     fn detect_crashes(&mut self, t: SimTime, ctx: &mut Ctx<'_>) {
-        let deadline = self.cfg.heartbeat_every * self.cfg.miss_threshold as u64;
+        let deadline = self.cfg.heartbeat_every * MISS_THRESHOLD as u64;
         let serve_pid = self.cp.borrow().serve_pid;
         for r in 0..self.health.len() {
             let last = self.cp.borrow().last_heartbeat[r];
@@ -303,7 +304,7 @@ impl Supervisor {
                         het_trace::event!("supervisor", "detect_crash",
                             "replica" => r, "silent_ns" => t.since(last).as_nanos());
                         het_trace::count!("supervisor", "detections");
-                        let backoff = self.cfg.retry.delay(self.attempts[r]);
+                        let backoff = SUPERVISOR_RETRY.delay(self.attempts[r]);
                         self.attempts[r] = self.attempts[r].saturating_add(1);
                         let respawn_at = t + backoff;
                         {
@@ -338,7 +339,7 @@ impl Supervisor {
         if let Some(store) = self.store.as_mut() {
             // Restore owner: periodic checkpoints + checkpoint-restore
             // on every delivered outage.
-            if t.since(self.last_checkpoint) >= self.cfg.checkpoint_every {
+            if t.since(self.last_checkpoint) >= SUPERVISOR_CHECKPOINT_EVERY {
                 store.checkpoint_all(&self.server).expect("checkpoint");
                 self.last_checkpoint = t;
             }

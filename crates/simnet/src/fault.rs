@@ -85,18 +85,28 @@ impl FaultEvent {
     }
 }
 
+/// Compute-time multiplier inside a generated straggler window.
+pub const STRAGGLER_SLOWDOWN: f64 = 4.0;
+/// Length of each generated straggler window.
+pub const STRAGGLER_WINDOW: SimDuration = SimDuration::from_millis(500);
+/// Latency multiplier inside a generated link-degradation window.
+pub const DEGRADED_LATENCY_FACTOR: f64 = 10.0;
+/// Bandwidth multiplier inside a generated link-degradation window.
+pub const DEGRADED_BANDWIDTH_FACTOR: f64 = 0.1;
+/// Length of each generated link-degradation window.
+pub const DEGRADATION_WINDOW: SimDuration = SimDuration::from_millis(500);
+
 /// Knobs for seeded fault-schedule generation.
 ///
 /// Counts are exact (not rates): `worker_crashes = 2` schedules exactly
 /// two crash events inside the horizon, which keeps sweep experiments
 /// comparable across seeds. The default is the all-zero spec — no
-/// faults of any kind.
+/// faults of any kind. A generated straggler or degradation window has
+/// the fixed shape of [`STRAGGLER_SLOWDOWN`]/[`STRAGGLER_WINDOW`] and
+/// [`DEGRADED_LATENCY_FACTOR`]/[`DEGRADED_BANDWIDTH_FACTOR`]/
+/// [`DEGRADATION_WINDOW`]; a scripted plan carries each event's own.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultSpec {
-    /// Number of workers faults may target.
-    pub n_workers: usize,
-    /// Number of PS shards faults may target.
-    pub n_shards: usize,
     /// Faults are scheduled inside `[5%, 85%]` of this horizon, so
     /// recovery windows fit before a typical run ends.
     pub horizon: SimDuration,
@@ -110,18 +120,8 @@ pub struct FaultSpec {
     pub failover_delay: SimDuration,
     /// Straggler windows to schedule.
     pub stragglers: usize,
-    /// Compute-time multiplier inside a straggler window (≥ 1).
-    pub straggler_slowdown: f64,
-    /// Length of each straggler window.
-    pub straggler_window: SimDuration,
     /// Link-degradation windows to schedule.
     pub link_degradations: usize,
-    /// Latency multiplier inside a degradation window (≥ 1).
-    pub degraded_latency_factor: f64,
-    /// Bandwidth multiplier inside a degradation window (0 < f ≤ 1).
-    pub degraded_bandwidth_factor: f64,
-    /// Length of each link-degradation window.
-    pub degradation_window: SimDuration,
     /// Probability an individual request is dropped and must be
     /// retried (decided per message, deterministically from the seed).
     pub message_drop_prob: f64,
@@ -130,20 +130,13 @@ pub struct FaultSpec {
 impl Default for FaultSpec {
     fn default() -> Self {
         FaultSpec {
-            n_workers: 0,
-            n_shards: 0,
             horizon: SimDuration::from_millis(10_000),
             worker_crashes: 0,
             restart_delay: SimDuration::from_millis(200),
             shard_outages: 0,
             failover_delay: SimDuration::from_millis(300),
             stragglers: 0,
-            straggler_slowdown: 4.0,
-            straggler_window: SimDuration::from_millis(500),
             link_degradations: 0,
-            degraded_latency_factor: 10.0,
-            degraded_bandwidth_factor: 0.1,
-            degradation_window: SimDuration::from_millis(500),
             message_drop_prob: 0.0,
         }
     }
@@ -213,8 +206,9 @@ impl FaultPlan {
         }
     }
 
-    /// Generates the schedule for `spec`, deterministically from `seed`.
-    pub fn generate(seed: u64, spec: &FaultSpec) -> Self {
+    /// Generates the schedule for `spec` on a cluster of `n_workers`
+    /// workers and `n_shards` PS shards, deterministically from `seed`.
+    pub fn generate(seed: u64, spec: &FaultSpec, n_workers: usize, n_shards: usize) -> Self {
         let mut rng = SplitMix64::new(seed ^ 0xFA17_FA17_FA17_FA17);
         let mut events = Vec::new();
         let h = spec.horizon.as_nanos();
@@ -227,14 +221,14 @@ impl FaultPlan {
 
         for _ in 0..spec.worker_crashes {
             events.push(FaultEvent::WorkerCrash {
-                worker: pick(&mut rng, spec.n_workers),
+                worker: pick(&mut rng, n_workers),
                 at: at(&mut rng),
                 restart_delay: spec.restart_delay,
             });
         }
         for _ in 0..spec.shard_outages {
             events.push(FaultEvent::PsShardOutage {
-                shard: pick(&mut rng, spec.n_shards),
+                shard: pick(&mut rng, n_shards),
                 at: at(&mut rng),
                 failover_delay: spec.failover_delay,
             });
@@ -242,19 +236,19 @@ impl FaultPlan {
         for _ in 0..spec.stragglers {
             let from = at(&mut rng);
             events.push(FaultEvent::Straggler {
-                worker: pick(&mut rng, spec.n_workers),
+                worker: pick(&mut rng, n_workers),
                 from,
-                until: from + spec.straggler_window,
-                slowdown: spec.straggler_slowdown,
+                until: from + STRAGGLER_WINDOW,
+                slowdown: STRAGGLER_SLOWDOWN,
             });
         }
         for _ in 0..spec.link_degradations {
             let from = at(&mut rng);
             events.push(FaultEvent::LinkDegradation {
                 from,
-                until: from + spec.degradation_window,
-                latency_factor: spec.degraded_latency_factor,
-                bandwidth_factor: spec.degraded_bandwidth_factor,
+                until: from + DEGRADATION_WINDOW,
+                latency_factor: DEGRADED_LATENCY_FACTOR,
+                bandwidth_factor: DEGRADED_BANDWIDTH_FACTOR,
             });
         }
         let drop_prob = spec.message_drop_prob.clamp(0.0, 1.0);
@@ -540,8 +534,6 @@ mod tests {
 
     fn spec() -> FaultSpec {
         FaultSpec {
-            n_workers: 8,
-            n_shards: 4,
             horizon: SimDuration::from_millis(4_000),
             worker_crashes: 3,
             shard_outages: 2,
@@ -554,29 +546,25 @@ mod tests {
 
     #[test]
     fn same_seed_same_schedule() {
-        let a = FaultPlan::generate(42, &spec());
-        let b = FaultPlan::generate(42, &spec());
+        let a = FaultPlan::generate(42, &spec(), 8, 4);
+        let b = FaultPlan::generate(42, &spec(), 8, 4);
         assert_eq!(a, b);
-        let c = FaultPlan::generate(43, &spec());
+        let c = FaultPlan::generate(43, &spec(), 8, 4);
         assert_ne!(a, c, "different seeds should give different schedules");
     }
 
     #[test]
     fn zero_spec_yields_empty_plan() {
-        let spec = FaultSpec {
-            n_workers: 8,
-            n_shards: 4,
-            ..FaultSpec::default()
-        };
+        let spec = FaultSpec::default();
         assert!(spec.is_zero());
-        let plan = FaultPlan::generate(7, &spec);
+        let plan = FaultPlan::generate(7, &spec, 8, 4);
         assert!(plan.is_empty());
         assert_eq!(plan, FaultPlan::none());
     }
 
     #[test]
     fn event_counts_match_spec() {
-        let plan = FaultPlan::generate(1, &spec());
+        let plan = FaultPlan::generate(1, &spec(), 8, 4);
         let crashes = plan
             .events()
             .iter()
@@ -603,7 +591,7 @@ mod tests {
     #[test]
     fn events_are_time_ordered_and_inside_horizon() {
         let s = spec();
-        let plan = FaultPlan::generate(99, &s);
+        let plan = FaultPlan::generate(99, &s, 8, 4);
         let times: Vec<_> = plan.events().iter().map(|e| e.at()).collect();
         let mut sorted = times.clone();
         sorted.sort();
@@ -668,7 +656,7 @@ mod tests {
 
     #[test]
     fn drops_are_deterministic_and_roughly_calibrated() {
-        let plan = FaultPlan::generate(5, &spec());
+        let plan = FaultPlan::generate(5, &spec(), 8, 4);
         let hits: Vec<bool> = (0..10_000).map(|op| plan.should_drop(3, op)).collect();
         let again: Vec<bool> = (0..10_000).map(|op| plan.should_drop(3, op)).collect();
         assert_eq!(hits, again);
@@ -684,7 +672,7 @@ mod tests {
     #[test]
     fn json_round_trips_generated_and_scripted_plans() {
         for seed in [1u64, 42, 0xFA17] {
-            let plan = FaultPlan::generate(seed, &spec());
+            let plan = FaultPlan::generate(seed, &spec(), 8, 4);
             let back = FaultPlan::from_json(&plan.to_json()).unwrap();
             assert_eq!(plan, back, "seed {seed}");
             // Text round-trip through the in-tree parser too.

@@ -39,7 +39,7 @@ use std::path::PathBuf;
 pub type Key = u64;
 
 /// One stored embedding row: vector, global clock `c_g`, and optimiser
-/// state (empty for SGD, the Adagrad accumulator otherwise).
+/// state (empty under the server's SGD).
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct StoredRow {
     /// The embedding vector (length = dim).

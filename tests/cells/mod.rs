@@ -19,7 +19,7 @@
 #![allow(dead_code)]
 
 use het_cache::PolicyKind::{Adaptive, Gdsf, Lfuda, Slru};
-use het_core::config::{StoreSpec, SyncMode, SystemPreset, TieredConfig, TrainerConfig};
+use het_core::config::{DenseSync, StoreSpec, SyncMode, SystemPreset, TieredConfig, TrainerConfig};
 use het_core::{FaultConfig, TrainReport, Trainer};
 use het_data::CtrBatch;
 use het_data::{CtrConfig, CtrDataset};
@@ -86,6 +86,10 @@ pub fn rows() -> Vec<(String, Job)> {
         for sync in [SyncMode::Bsp, SyncMode::Asp, SyncMode::Ssp { staleness: 2 }] {
             let mut c = tiny(cached, seed);
             c.system.sync = sync;
+            // Workers that never meet in a round cannot AllReduce.
+            if sync != SyncMode::Bsp {
+                c.system.dense = DenseSync::Ps;
+            }
             c.lookahead_depth = 4;
             rows.push((format!("prefetch/{sync}/seed{seed}"), Job::Train(c)));
         }
@@ -148,8 +152,8 @@ fn on_host_threads<D: het_models::Dataset<Batch = CtrBatch>>(
 
 fn train(c: TrainerConfig, host_threads: Option<usize>) -> (TrainReport, Out) {
     let dataset = CtrDataset::new(CtrConfig::tiny(c.seed));
-    // Built under the collector: a faulted trainer traces its baseline
-    // checkpoint as it is built.
+    // The run registers the trainer under the collector, where a plan
+    // with a shard outage traces its baseline checkpoint.
     traced("train", || {
         on_host_threads(Trainer::new(c, dataset, wide_deep), host_threads).run()
     })

@@ -123,7 +123,6 @@ fn drift_prefetch_closes_the_post_respawn_cold_start_gap() {
         cfg.drift_period = SimDuration::from_millis(2);
         cfg.drift_step = 40;
         cfg.supervision.drift_prefetch = prefetch;
-        cfg.supervision.drift_window = SimDuration::from_millis(1);
         run_with_plan(cfg, crash_plan())
     };
     let warm_only = run(false);

@@ -56,19 +56,6 @@ fn dfm_and_dcn_train_under_het_cache() {
 }
 
 #[test]
-fn xdeepfm_trains_under_het_cache() {
-    use het::models::XDeepFm;
-    let mut config = tiny_config(SystemPreset::HetCache { staleness: 10 });
-    config.max_iterations = 200;
-    let mut trainer = Trainer::new(config, ctr_dataset(4), |rng| {
-        XDeepFm::new(rng, 4, 8, &[4, 4], &[16])
-    });
-    let report = trainer.run();
-    assert!(report.final_metric.is_finite());
-    assert!(report.cache.lookups() > 0);
-}
-
-#[test]
 fn graphsage_trains_under_het_cache() {
     let graph = Graph::generate(GraphConfig::tiny(5));
     let classes = graph.config().n_classes;

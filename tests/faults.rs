@@ -56,12 +56,11 @@ fn zero_counts_ignore_the_recovery_knobs() {
     let baseline = run(11, FaultConfig::disabled());
 
     // No fault is counted, so the knobs that would shape one (a
-    // checkpoint every iteration, a horizon shorter than one, no
-    // retries) must not reach the run: no checkpoint store is built.
+    // checkpoint every iteration, a horizon shorter than one) must not
+    // reach the run: no checkpoint store is built.
     let mut zero = FaultConfig::disabled();
     zero.spec.horizon = SimDuration::from_micros(1);
     zero.checkpoint_every = 1;
-    zero.max_retries = 0;
     let zeroed = run(11, zero);
 
     assert_bit_identical(&baseline, &zeroed);

@@ -509,7 +509,10 @@ fn async_threaded_traces_replay_oracle_clean() {
         let mut config = config_of(preset, 11, 160);
         config.cluster = ClusterSpec::cluster_a(3, 1);
         if let Some(sync) = sync {
+            // Free-running workers sync dense parameters on the dense
+            // PS: they never meet in an AllReduce.
             config.system.sync = sync;
+            config.system.dense = DenseSync::Ps;
         }
         let mut trainer = trainer_of(config, 11);
         let meta = vec![(

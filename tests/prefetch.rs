@@ -9,10 +9,14 @@ use std::collections::HashSet;
 
 /// A cached system with the sync mode overridden (the HetCache preset
 /// is BSP; ASP/SSP cells reuse its cache protocol under free-running
-/// and bounded-staleness schedules).
+/// and bounded-staleness schedules, syncing dense parameters through
+/// the dense PS, as workers that never meet in a round cannot AllReduce).
 fn cached_config(sync: SyncMode, depth: u64, seed: u64) -> TrainerConfig {
     let mut config = TrainerConfig::tiny(SystemPreset::HetCache { staleness: 10 });
     config.system.sync = sync;
+    if sync != SyncMode::Bsp {
+        config.system.dense = DenseSync::Ps;
+    }
     config.seed = seed;
     config.max_iterations = 240;
     config.lookahead_depth = depth;
