@@ -175,7 +175,8 @@ fi
 echo "    [timing] oracle repro path: $(($(now_ms) - step_start))ms"
 
 # A run replayed from the fault plan it dumped must be the same run:
-# every job checkpoints, and restores, from the plan it actually runs.
+# only the trainer checkpoints and restores PS shards, from the plan it
+# actually runs; a supervised fleet alone only observes the outage.
 echo "==> fault-plan replay (a dumped plan replays to byte-identical stdout)"
 step_start=$(now_ms)
 rm -rf target/plan-replay-ci

@@ -64,7 +64,7 @@ use het_bench::{
 use het_cache::PolicyKind;
 use het_core::config::SystemPreset::{HetCache, HetHybrid};
 use het_core::config::{StoreSpec, SystemPreset, TrainerConfig};
-use het_core::{FaultConfig, TrainReport};
+use het_core::TrainReport;
 use het_runtime::ExecutionBackend;
 use het_simnet::{ClusterSpec, FaultSpec, SimDuration};
 use std::process::ExitCode;
@@ -72,7 +72,10 @@ use std::process::ExitCode;
 /// Flag groups shared by several subcommands, whitespace-separated;
 /// each subcommand's full list is in [`COMMANDS`].
 const FAULT_FLAGS: &str = "fault-crashes fault-outages fault-stragglers fault-degradations \
-                           fault-drop fault-horizon fault-checkpoint-every";
+                           fault-drop fault-horizon";
+/// The trainer's checkpoint period: only a trainer checkpoints and
+/// restores PS shards, so `serve` does not take it.
+const CHECKPOINT_FLAG: &str = "fault-checkpoint-every";
 const PLAN_FLAGS: &str = "fault-plan fault-plan-dump";
 const TRAIN_FLAGS: &str = "workload system staleness backend workers servers dim iters cache-frac \
                            policy network target lr lookahead store";
@@ -170,33 +173,34 @@ fn print_train_report(workload: Workload, system: &str, report: &TrainReport) {
     }
 }
 
-/// Builds the fault-injection config from the `--fault-*` flags; with
-/// no fault counted it is the zero spec (bit-identical to the fault-free
-/// build). Timed faults (crashes, outages, stragglers, degradations) are
-/// placed inside `--fault-horizon` seconds when it is given, else inside
+/// Builds the fault spec from the `--fault-*` flags; with no fault
+/// counted it is the zero spec (bit-identical to the fault-free build).
+/// Timed faults (crashes, outages, stragglers, degradations) are placed
+/// inside `--fault-horizon` seconds when it is given, else inside
 /// `run_horizon()`, a horizon sized from the run itself so they land
 /// before it ends.
-fn fault_config_of(
+fn fault_spec_of(
     args: &Args,
     run_horizon: impl FnOnce() -> Result<SimDuration, String>,
-) -> Result<FaultConfig, String> {
-    let mut cfg = FaultConfig::disabled();
-    cfg.spec.worker_crashes = args.get_parsed("fault-crashes", 0)?;
-    cfg.spec.shard_outages = args.get_parsed("fault-outages", 0)?;
-    cfg.spec.stragglers = args.get_parsed("fault-stragglers", 0)?;
-    cfg.spec.link_degradations = args.get_parsed("fault-degradations", 0)?;
-    cfg.spec.message_drop_prob = args.get_parsed("fault-drop", 0.0)?;
-    let s = &cfg.spec;
+) -> Result<FaultSpec, String> {
+    let mut spec = FaultSpec {
+        worker_crashes: args.get_parsed("fault-crashes", 0)?,
+        shard_outages: args.get_parsed("fault-outages", 0)?,
+        stragglers: args.get_parsed("fault-stragglers", 0)?,
+        link_degradations: args.get_parsed("fault-degradations", 0)?,
+        message_drop_prob: args.get_parsed("fault-drop", 0.0)?,
+        ..FaultSpec::default()
+    };
+    let s = &spec;
     let largest = s.worker_crashes.max(s.shard_outages).max(s.stragglers);
     let timed = largest.max(s.link_degradations) > 0;
     if args.get("fault-horizon").is_some() {
         let horizon_s: f64 = args.get_parsed("fault-horizon", 0.0)?;
-        cfg.spec.horizon = SimDuration::from_secs_f64(horizon_s.max(0.001));
+        spec.horizon = SimDuration::from_secs_f64(horizon_s.max(0.001));
     } else if timed {
-        cfg.spec.horizon = run_horizon()?.max(SimDuration::from_millis(1));
+        spec.horizon = run_horizon()?.max(SimDuration::from_millis(1));
     }
-    cfg.checkpoint_every = args.get_parsed("fault-checkpoint-every", 50)?;
-    Ok(cfg)
+    Ok(spec)
 }
 
 /// `--fault-plan FILE.json`: an explicit scripted fault plan to run
@@ -230,7 +234,7 @@ fn dump_fault_plan(args: &Args, plan: &het_simnet::FaultPlan) -> Result<(), Stri
 fn train_tweak(
     args: &Args,
     backend: ExecutionBackend,
-    faults: FaultConfig,
+    faults: FaultSpec,
 ) -> Result<impl Fn(&mut TrainerConfig), String> {
     let workers = thread_count(args, backend, "workers", "worker", 8)?;
     let servers: usize = args.get_parsed("servers", 1)?;
@@ -243,6 +247,7 @@ fn train_tweak(
     let lr: f64 = args.get_parsed("lr", -1.0)?;
     let lookahead: u64 = args.get_parsed("lookahead", 0)?;
     let store = args.get_parsed("store", StoreSpec::Mem)?;
+    let checkpoint_every: u64 = args.get_parsed(CHECKPOINT_FLAG, 50)?;
 
     Ok(move |c: &mut TrainerConfig| {
         c.cluster = cluster;
@@ -259,6 +264,7 @@ fn train_tweak(
         c.lookahead_depth = lookahead;
         c.store = store.clone();
         c.faults = faults.clone();
+        c.checkpoint_every = checkpoint_every;
     })
 }
 
@@ -270,8 +276,8 @@ fn run_one(
 ) -> Result<(TrainReport, Option<het_trace::TraceLog>), String> {
     // Timed faults without `--fault-horizon` land inside a clean run of
     // the same job.
-    let faults = fault_config_of(args, || {
-        let clean_tweak = train_tweak(args, ExecutionBackend::Sim, FaultConfig::disabled())?;
+    let faults = fault_spec_of(args, || {
+        let clean_tweak = train_tweak(args, ExecutionBackend::Sim, FaultSpec::default())?;
         let clean = run_workload(workload, preset, &clean_tweak);
         Ok(FaultSpec::horizon_within(clean.total_sim_time))
     })?;
@@ -339,7 +345,7 @@ fn run_one_threaded(
     n_threads: usize,
 ) -> Result<(), String> {
     // The threaded trainer rejects any fault plan, wherever it falls.
-    let faults = fault_config_of(args, || Ok(FaultSpec::default().horizon))?;
+    let faults = fault_spec_of(args, || Ok(FaultSpec::default().horizon))?;
     let tweak = train_tweak(args, ExecutionBackend::Threads(n_threads), faults)?;
     let meta = vec![
         (
@@ -415,7 +421,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             SimDuration::from_micros(args.get_parsed("heartbeat-us", 250u64)?);
     }
     cfg.validate()?;
-    cfg.faults = fault_config_of(args, || Ok(cfg.nominal_span()))?;
+    cfg.faults = fault_spec_of(args, || Ok(cfg.nominal_span()))?;
 
     if let ExecutionBackend::Threads(n) = backend {
         // One OS thread per replica; the sim-only machinery (faults,
@@ -592,7 +598,8 @@ fn cmd_colocate(args: &Args) -> Result<(), String> {
     serve_cfg.validate()?;
     // One fault plan covers the trainer and the fleet; its faults land
     // inside the request schedule.
-    train_cfg.faults = fault_config_of(args, || Ok(serve_cfg.nominal_span()))?;
+    train_cfg.faults = fault_spec_of(args, || Ok(serve_cfg.nominal_span()))?;
+    train_cfg.checkpoint_every = args.get_parsed(CHECKPOINT_FLAG, train_cfg.checkpoint_every)?;
 
     if backend != ExecutionBackend::Sim {
         // Trainer workers and serving replicas each get a real OS
@@ -915,12 +922,20 @@ fn train_or_compare(args: &Args, compare: bool) -> Result<(), String> {
 /// anything runs), and its entry point.
 #[allow(clippy::type_complexity)]
 const COMMANDS: &[(&str, &[&str], fn(&Args) -> Result<(), String>)] = &[
-    ("train", &[TRAIN_FLAGS, FAULT_FLAGS, TRACE_FLAGS], |args| {
-        train_or_compare(args, false)
-    }),
+    (
+        "train",
+        &[TRAIN_FLAGS, FAULT_FLAGS, CHECKPOINT_FLAG, TRACE_FLAGS],
+        |args| train_or_compare(args, false),
+    ),
     (
         "compare",
-        &[TRAIN_FLAGS, "baseline", FAULT_FLAGS, TRACE_FLAGS],
+        &[
+            TRAIN_FLAGS,
+            "baseline",
+            FAULT_FLAGS,
+            CHECKPOINT_FLAG,
+            TRACE_FLAGS,
+        ],
         |args| train_or_compare(args, true),
     ),
     (
@@ -941,6 +956,7 @@ const COMMANDS: &[(&str, &[&str], fn(&Args) -> Result<(), String>)] = &[
             "seed workers servers iters staleness system replicas cache serve-staleness policy \
              rate requests pretrain-updates warmup backend",
             FAULT_FLAGS,
+            CHECKPOINT_FLAG,
             TRACE_FLAGS,
             PLAN_FLAGS,
         ],

@@ -10,7 +10,7 @@
 use crate::{bench_config, ctr_dataset, run_workload, Args, Table, Workload, CTR_FIELDS};
 use het_cache::PolicyKind;
 use het_core::config::{Backbone, SystemPreset};
-use het_core::{FaultConfig, TrainReport, Trainer};
+use het_core::{TrainReport, Trainer};
 use het_data::{auc, CtrDataset, Graph, GraphConfig, NeighborSampler};
 use het_models::{DeepCross, EmbeddingModel, EmbeddingStore, WideDeep};
 use het_simnet::{ClusterSpec, FaultSpec};
@@ -445,7 +445,7 @@ pub(crate) fn fault_sweep(_: &Args) -> Tables {
         ("heavy", 4, 4, 3, 2, 0.05),
     ];
     let cached = SystemPreset::HetCache { staleness: 100 };
-    let run = |preset: SystemPreset, faults: FaultConfig| {
+    let run = |preset: SystemPreset, faults: FaultSpec| {
         run_workload(Workload::WdlCriteo, preset, &|c| {
             c.cluster = ClusterSpec::cluster_a(4, 1);
             c.max_iterations = ITERS;
@@ -456,14 +456,11 @@ pub(crate) fn fault_sweep(_: &Args) -> Tables {
     // Calibrate the fault horizon to the fault-free run so every
     // scheduled event (placed in [5%, 85%] of the horizon) fires inside
     // the run and its recovery window completes before the end.
-    let baseline = run(cached, FaultConfig::disabled());
+    let baseline = run(cached, FaultSpec::default());
     let horizon = FaultSpec::horizon_within(baseline.total_sim_time);
     let faults_at = |level: usize| {
         let (_, crashes, outages, stragglers, degradations, drop) = LEVELS[level];
-        if level == 0 {
-            return FaultConfig::disabled();
-        }
-        FaultConfig::with_spec(FaultSpec {
+        FaultSpec {
             worker_crashes: crashes,
             shard_outages: outages,
             stragglers,
@@ -471,7 +468,7 @@ pub(crate) fn fault_sweep(_: &Args) -> Tables {
             message_drop_prob: drop,
             horizon,
             ..FaultSpec::default()
-        })
+        }
     };
 
     let mut t = Table::new(

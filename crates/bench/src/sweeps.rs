@@ -394,7 +394,7 @@ fn shootout_train(
     lookahead: u64,
     faulted: bool,
 ) -> TrainReport {
-    let run = |faults: het_core::FaultConfig| {
+    let run = |faults: FaultSpec| {
         run_workload(workload, HET_CACHE_100, &|c| {
             c.cluster = het_simnet::ClusterSpec::cluster_a(2, 1);
             c.max_iterations = iters;
@@ -404,19 +404,21 @@ fn shootout_train(
             *c = c.clone().with_cache(0.05, policy);
             c.lookahead_depth = lookahead;
             c.faults = faults.clone();
+            c.checkpoint_every = 20;
         })
     };
-    let mut faults = het_core::FaultConfig::disabled();
-    if faulted {
-        // Size the fault horizon from a clean probe, as the fuzzer and
-        // golden-trace tests do, so the faults land inside the run.
-        let probe = run(het_core::FaultConfig::disabled());
-        faults.spec.worker_crashes = 2;
-        faults.spec.shard_outages = 1;
-        faults.spec.horizon = FaultSpec::horizon_within(probe.total_sim_time);
-        faults.checkpoint_every = 20;
+    if !faulted {
+        return run(FaultSpec::default());
     }
-    run(faults)
+    // Size the fault horizon from a clean probe, as the fuzzer and
+    // golden-trace tests do, so the faults land inside the run.
+    let probe = run(FaultSpec::default());
+    run(FaultSpec {
+        worker_crashes: 2,
+        shard_outages: 1,
+        horizon: FaultSpec::horizon_within(probe.total_sim_time),
+        ..FaultSpec::default()
+    })
 }
 
 fn shootout_serve(

@@ -65,6 +65,11 @@ fn mistyped_names_and_repeated_flags_are_named() {
         ("exp fig22", "did you mean fig2?"),
         ("exp scale-sweep --thread 1", "did you mean --threads?"),
         ("prefetch-sweep", "unknown command"),
+        // Only a trainer checkpoints PS shards.
+        (
+            "serve --fault-checkpoint-every 5",
+            "unknown flag --fault-checkpoint-every",
+        ),
         ("exp", "usage: hetctl exp <name>"),
     ]);
 }

@@ -27,6 +27,7 @@ serve --requests 2000 --trace
 serve --requests 2000 --store tiered:64 --trace
 serve --requests 2000 --warmup 500 --trace
 serve --requests 2000 --supervised 1 --fault-crashes 1 --trace
+serve --requests 2000 --supervised 1 --fault-crashes 1 --fault-outages 1 --trace
 serve --requests 2000 --supervised 1 --fault-crashes 2 --fault-horizon 0.15 --trace
 serve --requests 2000 --warmup 500 --store tiered:64 --supervised 1 --fault-crashes 2 --fault-horizon 0.15 --trace
 colocate --trace

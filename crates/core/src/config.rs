@@ -1,10 +1,9 @@
 //! System and trainer configuration, including the paper's six evaluated
 //! system presets.
 
-use crate::fault::FaultConfig;
 use het_cache::PolicyKind;
 pub use het_ps::{StoreSpec, TieredConfig};
-use het_simnet::{ClusterSpec, TieBreak};
+use het_simnet::{ClusterSpec, FaultSpec, TieBreak};
 
 /// How dense (non-embedding) parameters are synchronised.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -351,9 +350,15 @@ pub struct TrainerConfig {
     /// Master seed: model init, worker data order.
     pub seed: u64,
     /// Deterministic fault injection (crashes, outages, stragglers,
-    /// degraded links, message drops). Disabled by default; with an
-    /// empty schedule the run is bit-identical to injection off.
-    pub faults: FaultConfig,
+    /// degraded links, message drops); the trainer supplies the cluster
+    /// shape. The zero spec (the default) is injection off, and a run
+    /// with an empty schedule is bit-identical to it.
+    pub faults: FaultSpec,
+    /// Take a full PS checkpoint every this many global iterations
+    /// (0 = only the initial one) when the fault plan has a shard
+    /// outage. A failover restores the last checkpoint; everything
+    /// since is lost and accounted.
+    pub checkpoint_every: u64,
     /// Same-time ordering rule for the async event queue (ASP/SSP).
     /// `Fifo` preserves the historical schedule; the oracle fuzzer
     /// sweeps the other rules to explore adversarial interleavings.
@@ -395,7 +400,8 @@ impl TrainerConfig {
             target_metric: None,
             server_grad_clip: Some(1.0),
             seed: 0xBEEF,
-            faults: FaultConfig::disabled(),
+            faults: FaultSpec::default(),
+            checkpoint_every: 50,
             tie_break: TieBreak::Fifo,
             sabotage_extra_staleness: 0,
             lookahead_depth: 0,
@@ -418,7 +424,8 @@ impl TrainerConfig {
             target_metric: None,
             server_grad_clip: Some(1.0),
             seed: 0xBEEF,
-            faults: FaultConfig::disabled(),
+            faults: FaultSpec::default(),
+            checkpoint_every: 50,
             tie_break: TieBreak::Fifo,
             sabotage_extra_staleness: 0,
             lookahead_depth: 0,

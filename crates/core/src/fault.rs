@@ -1,12 +1,12 @@
-//! Fault-injection configuration and accounting for the trainer.
+//! Fault accounting for the trainer.
 //!
 //! The schedule itself lives in [`het_simnet::fault`]; this module owns
-//! what the *training stack* does about it: the [`FaultConfig`] knob on
-//! `TrainerConfig`, the per-run [`FaultStats`] and [`FaultRecord`] event
-//! log reported in `TrainReport`, and the [`FaultContext`] the client
-//! protocol threads through each communication leg to apply link
-//! degradation, deterministic message drops with retry/backoff, and
-//! clock-bounded graceful degradation during PS-shard outages.
+//! what the *training stack* does about it: the per-run [`FaultStats`]
+//! and [`FaultRecord`] event log reported in `TrainReport`, and the
+//! [`FaultContext`] the client protocol threads through each
+//! communication leg to apply link degradation, deterministic message
+//! drops with retry/backoff, and clock-bounded graceful degradation
+//! during PS-shard outages.
 //!
 //! The contract that keeps replay exact: every fault effect is applied
 //! *only* when its factor differs from the neutral value, so a run with
@@ -15,54 +15,7 @@
 
 use crate::retry::PROTOCOL_RETRY;
 use het_json::{Json, ToJson};
-use het_simnet::{FaultPlan, FaultSpec, SimDuration, SimTime};
-
-/// Fault-injection knobs of one training run.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FaultConfig {
-    /// What to schedule; the zero spec (the default) is injection off.
-    /// The trainer supplies the cluster shape, so sweeps only set counts.
-    pub spec: FaultSpec,
-    /// Take a full PS checkpoint every this many global iterations
-    /// (0 = only the initial empty checkpoint). Failovers restore the
-    /// last checkpoint; everything since is lost and accounted.
-    pub checkpoint_every: u64,
-}
-
-impl FaultConfig {
-    /// Injection off (the zero spec), the default of every preset.
-    pub fn disabled() -> Self {
-        FaultConfig {
-            spec: FaultSpec::default(),
-            checkpoint_every: 50,
-        }
-    }
-
-    /// Injection with the given schedule spec and the default
-    /// checkpoint period.
-    pub fn with_spec(spec: FaultSpec) -> Self {
-        FaultConfig {
-            spec,
-            ..FaultConfig::disabled()
-        }
-    }
-
-    /// Materialises the plan for a cluster of `n_workers`/`n_shards`,
-    /// deterministically from `seed`. The zero spec yields the empty
-    /// plan, which the trainer treats as injection-off.
-    pub fn plan(&self, seed: u64, n_workers: usize, n_shards: usize) -> FaultPlan {
-        if self.spec.is_zero() {
-            return FaultPlan::none();
-        }
-        FaultPlan::generate(seed, &self.spec, n_workers, n_shards)
-    }
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        FaultConfig::disabled()
-    }
-}
+use het_simnet::{FaultPlan, SimDuration, SimTime};
 
 /// Aggregate fault/recovery counters of one run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -230,40 +183,7 @@ impl FaultContext<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use het_simnet::FaultEvent;
-
-    #[test]
-    fn disabled_or_zero_spec_plans_are_empty() {
-        let cfg = FaultConfig::disabled();
-        assert!(cfg.plan(1, 4, 8).is_empty());
-        let zero = FaultConfig::with_spec(FaultSpec {
-            horizon: SimDuration::from_millis(1),
-            ..FaultSpec::default()
-        });
-        assert!(zero.plan(1, 4, 8).is_empty());
-        let spec = FaultSpec {
-            worker_crashes: 1,
-            ..FaultSpec::default()
-        };
-        assert!(!FaultConfig::with_spec(spec).plan(1, 4, 8).is_empty());
-    }
-
-    #[test]
-    fn plan_fills_cluster_shape() {
-        let spec = FaultSpec {
-            worker_crashes: 8,
-            shard_outages: 8,
-            ..FaultSpec::default()
-        };
-        let plan = FaultConfig::with_spec(spec).plan(3, 2, 3);
-        for e in plan.events() {
-            match e {
-                FaultEvent::WorkerCrash { worker, .. } => assert!(*worker < 2),
-                FaultEvent::PsShardOutage { shard, .. } => assert!(*shard < 3),
-                _ => {}
-            }
-        }
-    }
+    use het_simnet::{FaultEvent, FaultSpec};
 
     #[test]
     fn charge_leg_is_identity_on_empty_plan() {

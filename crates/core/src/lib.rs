@@ -53,7 +53,7 @@ pub use config::{
     Backbone, DenseSync, SparseMode, StoreSpec, SyncMode, SystemConfig, SystemPreset, TieredConfig,
     TrainerConfig,
 };
-pub use fault::{FaultConfig, FaultRecord, FaultStats};
+pub use fault::{FaultRecord, FaultStats};
 pub use prefetch::{PrefetchAudit, PrefetchSummary, Prefetcher};
 pub use report::{ConvergencePoint, StoreSummary, TimeBreakdown, TrainReport};
 pub use retry::RetryPolicy;

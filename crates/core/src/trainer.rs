@@ -619,8 +619,9 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         let server =
             ServerHandle::new(PsServer::with_store(ps_config, spare_shards, &config.store));
 
-        let plan = config.faults.plan(
+        let plan = FaultPlan::generate(
             config.seed,
+            &config.faults,
             config.cluster.n_workers + extra_members,
             n_shards,
         );
@@ -886,29 +887,18 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
         }
     }
 
-    /// Fires due fault-plan events at simulated time `now`: periodic
-    /// checkpoints (on the global iteration counter) and PS-shard
+    /// Fires due fault-plan events at simulated time `now`: PS-shard
     /// failovers, which roll the shard back to its last checkpoint and
-    /// account every lost clock tick. Outages are drained from the
-    /// runtime's cluster-global cursor, so a co-scheduled job never
-    /// replays a failover this trainer already performed.
+    /// account every lost clock tick, then the periodic checkpoint (on
+    /// the global iteration counter). Restores come first, so a
+    /// checkpoint due in the same event never snapshots a shard that
+    /// failed before it. Outages are drained from the runtime's
+    /// cluster-global cursor, so a co-scheduled job never replays a
+    /// failover this trainer already performed.
     fn process_fault_events(&mut self, now: SimTime, ctx: &mut Ctx<'_>) {
         let Some(store) = &mut self.ckpt_store else {
             return;
         };
-        let every = self.env.config.faults.checkpoint_every;
-        let global = self.progress.global_iterations;
-        if every > 0 && global >= self.last_checkpoint_iter + every {
-            self.last_checkpoint_iter = global;
-            store
-                .checkpoint_all(&self.env.server)
-                .expect("in-memory checkpoint");
-            self.fault_stats.checkpoints += 1;
-            if het_trace::enabled() {
-                het_trace::set_scope(now.as_nanos(), None);
-                het_trace::event!("ps", "checkpoint", "iteration" => global);
-            }
-        }
         while let Some((shard, at, failover)) = ctx.take_due_outage(now) {
             let outcome = store
                 .fail_and_restore(&self.env.server, shard)
@@ -934,6 +924,19 @@ impl<M: EmbeddingModel, D: Dataset<Batch = M::Batch>> Trainer<M, D> {
                     outcome.rows_restored, outcome.keys_lost, outcome.lost_updates, failover
                 ),
             });
+        }
+        let every = self.env.config.checkpoint_every;
+        let global = self.progress.global_iterations;
+        if every > 0 && global >= self.last_checkpoint_iter + every {
+            self.last_checkpoint_iter = global;
+            store
+                .checkpoint_all(&self.env.server)
+                .expect("in-memory checkpoint");
+            self.fault_stats.checkpoints += 1;
+            if het_trace::enabled() {
+                het_trace::set_scope(now.as_nanos(), None);
+                het_trace::event!("ps", "checkpoint", "iteration" => global);
+            }
         }
     }
 

@@ -65,8 +65,8 @@ pub mod prelude {
         TieredConfig, TrainerConfig,
     };
     pub use het_core::{
-        FaultConfig, FaultRecord, FaultStats, HetClient, PrefetchAudit, PrefetchSummary,
-        Prefetcher, StoreSummary, TrainReport, Trainer,
+        FaultRecord, FaultStats, HetClient, PrefetchAudit, PrefetchSummary, Prefetcher,
+        StoreSummary, TrainReport, Trainer,
     };
     pub use het_data::{
         auc, CtrBatch, CtrConfig, CtrDataset, GnnBatch, Graph, GraphConfig, Key, NeighborSampler,

@@ -16,7 +16,7 @@ use het_core::config::{
     Backbone, DenseSync, SparseMode, StoreSpec, SyncMode, SystemConfig, SystemPreset, TieredConfig,
     TrainerConfig,
 };
-use het_core::{FaultConfig, TrainReport, Trainer};
+use het_core::{TrainReport, Trainer};
 use het_data::{CtrConfig, CtrDataset};
 use het_json::{Json, ToJson};
 use het_models::WideDeep;
@@ -183,6 +183,7 @@ impl Scenario {
         config.seed = self.seed;
         config.tie_break = self.tie_break;
         config.lookahead_depth = self.lookahead;
+        config.checkpoint_every = 20;
         if self.tiered_hot > 0 {
             config.store = StoreSpec::Tiered(TieredConfig::new(self.tiered_hot as usize));
         }
@@ -191,15 +192,15 @@ impl Scenario {
 
     /// The fault schedule, scoped to a horizon derived from the clean
     /// run's duration.
-    pub fn fault_config(&self, horizon: SimDuration) -> FaultConfig {
-        let mut cfg = FaultConfig::disabled();
-        cfg.spec.worker_crashes = self.crashes;
-        cfg.spec.shard_outages = self.outages;
-        cfg.spec.stragglers = self.stragglers;
-        cfg.spec.message_drop_prob = self.drop_prob;
-        cfg.spec.horizon = horizon;
-        cfg.checkpoint_every = 20;
-        cfg
+    pub fn fault_spec(&self, horizon: SimDuration) -> FaultSpec {
+        FaultSpec {
+            worker_crashes: self.crashes,
+            shard_outages: self.outages,
+            stragglers: self.stragglers,
+            message_drop_prob: self.drop_prob,
+            horizon,
+            ..FaultSpec::default()
+        }
     }
 
     /// What the oracle must check for this scenario.
@@ -293,7 +294,7 @@ pub struct ScenarioOutcome {
     pub oracle: Result<OracleReport, Violation>,
 }
 
-fn train(scenario: &Scenario, faults: FaultConfig, extra_staleness: u64) -> TrainReport {
+fn train(scenario: &Scenario, faults: FaultSpec, extra_staleness: u64) -> TrainReport {
     let mut config = scenario.trainer_config();
     config.faults = faults;
     config.sabotage_extra_staleness = extra_staleness;
@@ -310,10 +311,10 @@ fn train(scenario: &Scenario, faults: FaultConfig, extra_staleness: u64) -> Trai
 /// sabotage widening.
 pub fn run_scenario(scenario: &Scenario) -> ScenarioOutcome {
     let faults = if scenario.has_faults() {
-        let probe = train(scenario, FaultConfig::disabled(), 0);
-        scenario.fault_config(FaultSpec::horizon_within(probe.total_sim_time))
+        let probe = train(scenario, FaultSpec::default(), 0);
+        scenario.fault_spec(FaultSpec::horizon_within(probe.total_sim_time))
     } else {
-        FaultConfig::disabled()
+        FaultSpec::default()
     };
     het_trace::start(vec![
         ("workload".to_string(), Json::Str("fuzz".to_string())),

@@ -11,14 +11,13 @@
 //! * **replica crashes** land *inside* the flash window (and again
 //!   later), detected by the supervisor's heartbeat watcher and
 //!   recovered with sketch-warmed caches;
-//! * a **PS-shard outage** overlaps the flash; serving replicas ride it
-//!   out on the [`crate::supervise::SUPERVISOR_RETRY`] backoff. The
-//!   trainer checkpoints from the scripted plan and restores an outage
-//!   it lives to see, and beside a trainer the supervisor only observes
-//!   outages. At [`ChaosConfig::tiny`] scale the trainer ends at about
-//!   20 ms of simulated time, before the outage at 22.5 ms, so no one
-//!   restores that shard and nothing clears its rows: the fleet only
-//!   waits out the window;
+//! * a **PS-shard outage** lands right after the flash; serving
+//!   replicas ride it out on the [`crate::supervise::SUPERVISOR_RETRY`]
+//!   backoff, the supervisor observes it, and the trainer — the only
+//!   job that checkpoints and restores PS shards — rolls the shard back
+//!   to its last checkpoint. At [`ChaosConfig::tiny`] scale the outage
+//!   lands at 22.5 ms of simulated time and the trainer runs to about
+//!   44 ms, so every seed restores that shard;
 //! * a **live shard split** runs concurrently, migrating keys off a hot
 //!   shard batch by batch while gradients keep flowing;
 //! * the **autoscaler** grows the admitted pool into the flash and
@@ -69,14 +68,14 @@ pub struct ChaosConfig {
 impl ChaosConfig {
     /// The target scenario at test scale: 4 workers + an elastic fleet
     /// of up to 4 replicas, a 10× flash, two replica crashes, one shard
-    /// outage, and a concurrent live split — finishing in well under a
-    /// second of simulated time.
+    /// outage the trainer restores, and a concurrent live split —
+    /// finishing in well under a second of simulated time.
     pub fn tiny(seed: u64) -> Self {
         ChaosConfig {
             seed,
             workers: 4,
             servers: 2,
-            train_iters: 200,
+            train_iters: 320,
             requests: 600,
             arrival_rate: 8_000.0,
             flash_factor: 10.0,
@@ -149,7 +148,7 @@ impl ChaosConfig {
         cfg.seed = self.seed;
         // Checkpoint often enough that the scripted outage restores
         // recent state.
-        cfg.faults.checkpoint_every = 25;
+        cfg.checkpoint_every = 25;
         cfg
     }
 
@@ -208,8 +207,8 @@ pub struct ChaosReport {
     pub slo_ok: bool,
     /// Worst detection→respawn gap ≤ objective.
     pub rto_ok: bool,
-    /// Every injected crash was detected and respawned, and every
-    /// request was served.
+    /// Every injected crash was detected and respawned, the trainer
+    /// restored the failed shard, and every request was served.
     pub recovered_ok: bool,
     /// The live split began, migrated, and completed mid-run.
     pub split_ok: bool,
@@ -237,8 +236,11 @@ impl ChaosReport {
         );
         assert!(
             self.recovered_ok,
-            "recovery incomplete: {} crashes, {} detections, {} respawns",
-            s.faults.worker_crashes, s.detections, s.respawns
+            "recovery incomplete: {} crashes, {} detections, {} respawns, {} shard failovers",
+            s.faults.worker_crashes,
+            s.detections,
+            s.respawns,
+            self.report.train.faults.shard_failovers
         );
         assert!(
             self.split_ok,
@@ -288,6 +290,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     let rto_ok = s.max_recovery_ns <= cfg.rto.as_nanos();
     let recovered_ok = s.detections == s.faults.worker_crashes
         && s.respawns == s.detections
+        && report.train.faults.shard_failovers == 1
         && s.requests == cfg.requests as u64;
     let split_ok = s.split_done && s.migrated_keys > 0;
     ChaosReport {

@@ -13,8 +13,9 @@
 //! Each job registers its own processes, exactly as it does when run
 //! alone: [`Trainer::register`] adds the trainer and, with lookahead on,
 //! its prefetcher; the fleet then adds itself, its supervisor when
-//! supervision is on (a passive outage observer here — the trainer owns
-//! PS restore) and its autoscaler when autoscaling is on.
+//! supervision is on (an outage observer, as alone — the trainer is the
+//! only job that checkpoints and restores PS shards) and its autoscaler
+//! when autoscaling is on.
 //!
 //! Fault injection is cluster-wide: the trainer's plan covers the
 //! serving replicas as extra cluster members (see

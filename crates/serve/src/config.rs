@@ -2,9 +2,8 @@
 
 use crate::supervise::{AutoscaleConfig, SupervisionConfig};
 use het_cache::PolicyKind;
-use het_core::FaultConfig;
 use het_ps::StoreSpec;
-use het_simnet::{ClusterSpec, FaultPlan, SimDuration, SimTime};
+use het_simnet::{ClusterSpec, FaultPlan, FaultSpec, SimDuration, SimTime};
 
 /// Configuration of a [`ServeSim`](crate::ServeSim) run: the request
 /// workload, the replica fleet, cache/staleness settings, and fault
@@ -66,8 +65,9 @@ pub struct ServeConfig {
     /// SpaceSaving warmup: requests' worth of keys observed by the
     /// sketch to pre-populate every replica cache (0 = cold start).
     pub warmup_requests: usize,
-    /// Fault injection (replica crashes, PS-shard failover, …).
-    pub faults: FaultConfig,
+    /// Fault injection (replica crashes, PS-shard outages, …); the
+    /// zero spec (the default) is injection off.
+    pub faults: FaultSpec,
     /// Number of PS shards.
     pub n_shards: usize,
     /// The simulated cluster (compute speed, link costs).
@@ -114,7 +114,7 @@ impl ServeConfig {
             max_queue_delay: SimDuration::from_micros(200),
             pretrain_updates: 0,
             warmup_requests: 0,
-            faults: FaultConfig::disabled(),
+            faults: FaultSpec::default(),
             n_shards,
             cluster: ClusterSpec::cluster_a(n_replicas, n_shards),
             supervision: SupervisionConfig::disabled(),
@@ -151,7 +151,7 @@ impl ServeConfig {
             max_queue_delay: SimDuration::from_micros(300),
             pretrain_updates: 200,
             warmup_requests: 0,
-            faults: FaultConfig::disabled(),
+            faults: FaultSpec::default(),
             n_shards,
             cluster: ClusterSpec::cluster_a(n_replicas, n_shards),
             supervision: SupervisionConfig::disabled(),
@@ -175,8 +175,7 @@ impl ServeConfig {
     /// The fault plan `faults` derives for a standalone run: replica `r`
     /// is member `r` of a [`ServeConfig::fleet_size`] fleet.
     pub fn fault_plan(&self) -> FaultPlan {
-        self.faults
-            .plan(self.seed, self.fleet_size(), self.n_shards)
+        FaultPlan::generate(self.seed, &self.faults, self.fleet_size(), self.n_shards)
     }
 
     /// How long the request schedule takes at the base arrival rate:

@@ -27,10 +27,11 @@
 //!   everything lands in the `serve` trace component;
 //! * **self-healing elasticity** ([`supervise`]): a heartbeat-driven
 //!   supervisor *detects* crashes (no fault-plan peeking) and drives
-//!   respawns with sketch-warmed caches and checkpoint-restored PS
-//!   shards, an autoscaler resizes the admitted replica pool under
-//!   hysteresis, and a [`ReshardPlan`] live-splits a hot PS shard while
-//!   traffic continues — all opt-in through [`SupervisionConfig`] and
+//!   respawns with sketch-warmed caches, observes PS-shard outages
+//!   (only a co-scheduled trainer restores a shard), an autoscaler
+//!   resizes the admitted replica pool under hysteresis, and a
+//!   [`ReshardPlan`] live-splits a hot PS shard while traffic
+//!   continues — all opt-in through [`SupervisionConfig`] and
 //!   [`AutoscaleConfig`], all deterministic;
 //! * a **chaos campaign harness** ([`chaos`]) that runs trainer +
 //!   supervised, autoscaled fleet through [`run_colocated`] under a

@@ -790,16 +790,9 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
     /// whatever `rt` already holds: the fleet itself (pretrained and
     /// warmed first, both before t = 0), then a [`Supervisor`] when
     /// `supervision.enabled` and an [`Autoscaler`] when
-    /// `autoscale.enabled`. The supervisor owns PS restore only when
-    /// the fleet runs `alone` on its private fabric; beside a trainer,
-    /// the trainer restores and the supervisor only observes outages.
-    /// Returns the fleet's pid and the helpers in registration order.
-    /// The report's `wall_ns` counts from here.
-    fn register(
-        &mut self,
-        rt: &mut ClusterRuntime,
-        alone: bool,
-    ) -> (ProcessId, Vec<Box<dyn Process>>) {
+    /// `autoscale.enabled`. Returns the fleet's pid and the helpers in
+    /// registration order. The report's `wall_ns` counts from here.
+    fn register(&mut self, rt: &mut ClusterRuntime) -> (ProcessId, Vec<Box<dyn Process>>) {
         self.pretrained = pretrain(&self.cfg, &self.server, self.cfg.pretrain_updates);
         self.warm_replicas();
         let pid = rt.register(self.replicas.len());
@@ -816,12 +809,7 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
         if self.cfg.supervision.enabled {
             let sup_pid = rt.register(1);
             rt.prime(sup_pid, SimTime::ZERO, Event::Wake(0));
-            let build = if alone {
-                Supervisor::with_store
-            } else {
-                Supervisor::new
-            };
-            helpers.push(Box::new(build(
+            helpers.push(Box::new(Supervisor::new(
                 self.cfg.supervision.clone(),
                 cp.clone(),
                 self.server.clone(),
@@ -856,7 +844,7 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
         mut rt: ClusterRuntime,
         head: &mut [&mut dyn Process],
     ) -> ServeReport {
-        let (pid, mut helpers) = self.register(&mut rt, head.is_empty());
+        let (pid, mut helpers) = self.register(&mut rt);
         {
             let mut procs: Vec<&mut dyn Process> = head.iter_mut().map(|p| &mut **p as _).collect();
             procs.push(&mut self);

@@ -12,10 +12,11 @@
 //!   heartbeat is older than [`MISS_THRESHOLD`] intervals is *detected*
 //!   as crashed (the supervisor never reads the fault plan for crash
 //!   detection) and a respawn is commanded after a
-//!   [`SUPERVISOR_RETRY`] backoff; it also detects PS-shard
-//!   outages, drives checkpoint-restore when it owns the checkpoint
-//!   store (a fleet alone on its private PS; beside a trainer, the
-//!   trainer restores), and drives **live shard splits** batch by batch;
+//!   [`SUPERVISOR_RETRY`] backoff; it observes PS-shard outages from
+//!   the plan (announcing each one's detection and end — restoring a
+//!   shard is the trainer's job: a fleet alone on its PS never writes
+//!   it after pretraining, so there is nothing to roll back), and
+//!   drives **live shard splits** batch by batch;
 //! * the **autoscaler** watches queue depth and resizes the
 //!   admitted replica pool under hysteresis (scale up past
 //!   `queue_high`, down below `queue_low`, never within `cooldown` of
@@ -27,7 +28,7 @@
 //! same seed ⇒ byte-identical report and trace.
 
 use het_core::RetryPolicy;
-use het_ps::{ServerHandle, ShardCheckpointStore};
+use het_ps::ServerHandle;
 use het_runtime::{Ctx, Event, Process, ProcessId};
 use het_simnet::{FaultPlan, SimDuration, SimTime};
 use std::cell::RefCell;
@@ -43,18 +44,14 @@ pub const SUPERVISOR_RETRY: RetryPolicy = RetryPolicy {
     base: SimDuration::from_micros(200),
     max_attempts: 8,
 };
-/// Period of the supervisor's shard checkpoints, taken only when the
-/// supervisor owns the checkpoint store (standalone serving; colocated
-/// runs restore through the trainer) and the plan has a shard outage.
-pub const SUPERVISOR_CHECKPOINT_EVERY: SimDuration = SimDuration::from_millis(5);
 /// Rotation period of the short-window sketch that defines "recently
 /// hot" for [`SupervisionConfig::drift_prefetch`].
 pub const DRIFT_WINDOW: SimDuration = SimDuration::from_millis(1);
 
 /// Supervision knobs of a serving run. Disabled by default — a run
 /// without supervision takes byte-for-byte the legacy path. The fixed
-/// parts of the protocol are [`MISS_THRESHOLD`], [`SUPERVISOR_RETRY`],
-/// [`SUPERVISOR_CHECKPOINT_EVERY`] and [`DRIFT_WINDOW`].
+/// parts of the protocol are [`MISS_THRESHOLD`], [`SUPERVISOR_RETRY`]
+/// and [`DRIFT_WINDOW`].
 #[derive(Clone, Debug)]
 pub struct SupervisionConfig {
     /// Master switch for heartbeats, crash detection, and driven
@@ -222,11 +219,6 @@ pub(crate) struct Supervisor {
     cp: Rc<RefCell<ControlPlane>>,
     server: ServerHandle,
     plan: FaultPlan,
-    /// Present when this supervisor owns PS restore (standalone
-    /// serving). Colocated runs leave restore to the trainer and the
-    /// supervisor only observes/announces outages.
-    store: Option<ShardCheckpointStore>,
-    last_checkpoint: SimTime,
     health: Vec<Health>,
     /// Respawns commanded per replica — indexes the backoff schedule.
     attempts: Vec<u32>,
@@ -241,9 +233,8 @@ pub(crate) struct Supervisor {
 }
 
 impl Supervisor {
-    /// A supervisor for a fleet of `n_replicas`, observing outages
-    /// passively (restore is owned elsewhere, e.g. by a colocated
-    /// trainer).
+    /// A supervisor for a fleet of `n_replicas`. It observes outages
+    /// in `plan` and restores nothing (a colocated trainer does).
     pub fn new(
         cfg: SupervisionConfig,
         cp: Rc<RefCell<ControlPlane>>,
@@ -256,8 +247,6 @@ impl Supervisor {
             cp,
             server,
             plan,
-            store: None,
-            last_checkpoint: SimTime::ZERO,
             health: vec![Health::Up; n_replicas],
             attempts: vec![0; n_replicas],
             seen_outages: BTreeSet::new(),
@@ -267,30 +256,6 @@ impl Supervisor {
             split_complete: false,
             next_migrate: SimTime::ZERO,
         }
-    }
-
-    /// Like [`Supervisor::new`], but this supervisor owns PS-shard
-    /// restore: it takes a baseline checkpoint now, re-checkpoints
-    /// every [`SUPERVISOR_CHECKPOINT_EVERY`], and on each delivered
-    /// outage restores the failed shard from the latest checkpoint. A
-    /// plan with no shard outage has nothing to restore, so then it
-    /// checkpoints nothing: a checkpoint copies the whole table.
-    pub fn with_store(
-        cfg: SupervisionConfig,
-        cp: Rc<RefCell<ControlPlane>>,
-        server: ServerHandle,
-        plan: FaultPlan,
-        n_replicas: usize,
-    ) -> Self {
-        let mut sup = Self::new(cfg, cp, server, plan, n_replicas);
-        if !sup.plan.shard_outages().is_empty() {
-            let mut store = ShardCheckpointStore::new(sup.server.n_shards(), sup.server.dim());
-            store
-                .checkpoint_all(&sup.server)
-                .expect("in-memory checkpoint");
-            sup.store = Some(store);
-        }
-        sup
     }
 
     fn detect_crashes(&mut self, t: SimTime, ctx: &mut Ctx<'_>) {
@@ -332,32 +297,12 @@ impl Supervisor {
         }
     }
 
-    fn watch_outages(&mut self, t: SimTime, ctx: &mut Ctx<'_>) {
+    fn watch_outages(&mut self, t: SimTime) {
         if self.plan.is_empty() {
             return;
         }
-        if let Some(store) = self.store.as_mut() {
-            // Restore owner: periodic checkpoints + checkpoint-restore
-            // on every delivered outage.
-            if t.since(self.last_checkpoint) >= SUPERVISOR_CHECKPOINT_EVERY {
-                store.checkpoint_all(&self.server).expect("checkpoint");
-                self.last_checkpoint = t;
-            }
-            while let Some((shard, at, failover)) = ctx.take_due_outage(t) {
-                het_trace::event!("supervisor", "detect_outage",
-                    "shard" => shard, "at_ns" => at.as_nanos());
-                let outcome = store
-                    .fail_and_restore(&self.server, shard)
-                    .expect("in-memory restore");
-                het_trace::span!("supervisor", "shard_restored", failover.as_nanos(),
-                    "shard" => shard,
-                    "rows_restored" => outcome.rows_restored,
-                    "lost_updates" => outcome.lost_updates);
-            }
-            return;
-        }
-        // Passive observer: announce outage windows from the plan; the
-        // restore itself is the colocated trainer's job.
+        // Announce outage windows from the plan; the restore itself is
+        // the colocated trainer's job.
         for shard in 0..self.server.n_base_shards() {
             if let Some(end) = self.plan.shard_outage_end(shard, t) {
                 if self.seen_outages.insert((shard, end.as_nanos())) {
@@ -367,19 +312,14 @@ impl Supervisor {
                 }
             }
         }
-        let mut restored: Vec<(usize, SimTime)> = Vec::new();
         self.pending_restore.retain(|&(shard, end)| {
-            if t >= end {
-                restored.push((shard, end));
-                false
-            } else {
-                true
+            if t < end {
+                return true;
             }
-        });
-        for (shard, end) in restored {
             het_trace::event!("supervisor", "shard_restored",
                 "shard" => shard, "at_ns" => end.as_nanos());
-        }
+            false
+        });
     }
 
     fn drive_split(&mut self, t: SimTime) {
@@ -432,7 +372,7 @@ impl Process for Supervisor {
         ctx.scope_at(t, Some(0));
         het_trace::count!("supervisor", "heartbeats");
         self.detect_crashes(t, ctx);
-        self.watch_outages(t, ctx);
+        self.watch_outages(t);
         self.drive_split(t);
         if self.cp.borrow().done && (self.split_complete || self.cfg.reshard.is_none()) {
             ctx.stop();
@@ -540,3 +480,82 @@ pub(crate) const CONTROL_WAKE: u64 = u64::MAX - 1;
 
 /// Wake payload the fleet interprets as a heartbeat tick.
 pub(crate) const HEARTBEAT_WAKE: u64 = u64::MAX;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sim::{private_server, ServeSim};
+    use crate::workload::{generate_requests, pretrain};
+    use crate::ServeConfig;
+    use het_models::WideDeep;
+    use het_simnet::FaultEvent;
+
+    /// A supervised fleet alone on its PS never writes it after
+    /// pretraining — through replica crashes, a shard outage and a live
+    /// split — which is why its supervisor restores nothing: every key
+    /// reads back as a fresh pretrained table has it. Keys pretraining
+    /// wrote keep their values; keys serving first touched hold their
+    /// lazy initial value at clock 0. Compared by key, so the split's
+    /// row moves do not count.
+    #[test]
+    fn a_supervised_fleet_alone_never_changes_a_row() {
+        let mut cfg = ServeConfig::tiny(5);
+        cfg.n_requests = 600;
+        cfg.supervision.enabled = true;
+        cfg.supervision.heartbeat_every = SimDuration::from_micros(250);
+        let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
+        cfg.supervision.reshard = Some(ReshardPlan {
+            at: ms(5),
+            parent: 0,
+            batch: 32,
+            every: SimDuration::from_micros(200),
+            salt: 7,
+        });
+        let plan = FaultPlan::scripted(vec![
+            FaultEvent::WorkerCrash {
+                worker: 0,
+                at: ms(10),
+                restart_delay: SimDuration::from_secs_f64(3600.0),
+            },
+            FaultEvent::PsShardOutage {
+                shard: 0,
+                at: ms(20),
+                failover_delay: SimDuration::from_millis(5),
+            },
+            FaultEvent::WorkerCrash {
+                worker: 1,
+                at: ms(30),
+                restart_delay: SimDuration::from_secs_f64(3600.0),
+            },
+        ]);
+        let server = private_server(&cfg, 1);
+        let (n_fields, dim) = (cfg.n_fields, cfg.dim);
+        let sim = ServeSim::assemble(cfg.clone(), server.clone(), plan, 0, move |rng| {
+            WideDeep::new(rng, n_fields, dim, &[16])
+        });
+        let report = sim.run();
+        assert_eq!(report.faults.worker_crashes, 2);
+        assert_eq!(report.respawns, 2);
+        assert_eq!(report.faults.shard_failovers, 1);
+        assert!(report.split_done && report.migrated_keys > 0);
+
+        let reference = private_server(&cfg, 0);
+        pretrain(&cfg, &reference, cfg.pretrain_updates);
+        let served: BTreeSet<u64> = generate_requests(&cfg)
+            .into_iter()
+            .flat_map(|r| r.keys)
+            .collect();
+        let mut first_touched_by_serving = 0;
+        for key in 0..cfg.n_keys {
+            let row = server.pull(key);
+            assert_eq!(row, reference.pull(key), "key {key} changed");
+            if row.clock == 0 && served.contains(&key) {
+                first_touched_by_serving += 1;
+            }
+        }
+        assert!(
+            first_touched_by_serving > 0,
+            "pretraining wrote every served key"
+        );
+    }
+}

@@ -64,7 +64,7 @@ struct ThreadOut {
 /// no wall-clock analogue here.
 fn check_supported(cfg: &ServeConfig) -> Result<(), String> {
     for (on, what) in [
-        (!cfg.faults.spec.is_zero(), "fault injection"),
+        (!cfg.faults.is_zero(), "fault injection"),
         (cfg.supervision.enabled, "supervision"),
         (cfg.autoscale.enabled, "autoscaling"),
     ] {

@@ -563,6 +563,37 @@ mod tests {
     }
 
     #[test]
+    fn disabled_or_zero_spec_plans_are_empty() {
+        let zero = FaultSpec {
+            horizon: SimDuration::from_millis(1),
+            ..FaultSpec::default()
+        };
+        assert!(FaultPlan::generate(1, &zero, 4, 8).is_empty());
+        let spec = FaultSpec {
+            worker_crashes: 1,
+            ..FaultSpec::default()
+        };
+        assert!(!FaultPlan::generate(1, &spec, 4, 8).is_empty());
+    }
+
+    #[test]
+    fn plan_fills_cluster_shape() {
+        let spec = FaultSpec {
+            worker_crashes: 8,
+            shard_outages: 8,
+            ..FaultSpec::default()
+        };
+        let plan = FaultPlan::generate(3, &spec, 2, 3);
+        for e in plan.events() {
+            match e {
+                FaultEvent::WorkerCrash { worker, .. } => assert!(*worker < 2),
+                FaultEvent::PsShardOutage { shard, .. } => assert!(*shard < 3),
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
     fn event_counts_match_spec() {
         let plan = FaultPlan::generate(1, &spec(), 8, 4);
         let crashes = plan

@@ -26,7 +26,7 @@ use std::collections::BTreeSet;
 /// | `serve`   | events: `request`, `batch`, `lookup`, `infer`, `replica_crash`, `replica_respawn`, `replica_admit`, `retry_wait`, `drift_prefetch` (respawn prefetch of recently-hot keys); counters: requests, batches, queue_wait_ns, lookup_ns, infer_ns, degraded_reads, warmed_keys, drift_prefetched_keys, retry_waits (per replica) |
 /// | `simnet`  | events: link/fault schedule milestones |
 /// | `store`   | counters: hot_hits, promotions, demotions, clean_drops, cold_read_bytes, cold_write_bytes, compactions (per PS shard; emitted only when a shard runs the tiered store, so flat-store traces are unchanged) |
-/// | `supervisor` | events: `detect_crash`, `respawn`, `detect_outage`, `shard_restored`, `split_begin`, `migrate`, `split_done` (failure detection + driven recovery + live resharding); counters: heartbeats, detections, respawns, migrated_keys |
+/// | `supervisor` | events: `detect_crash`, `respawn`, `detect_outage`, `shard_restored`, `split_begin`, `migrate`, `split_done` (crash detection + driven respawns, outage observation from the plan — only the trainer restores shards — and live resharding); counters: heartbeats, detections, respawns, migrated_keys |
 /// | `trainer` | events: iteration/fault spans (`blocked_wait`, …); counters: degraded_reads, … |
 ///
 /// Kept sorted so membership checks can binary-search.

@@ -20,7 +20,7 @@
 
 use het_cache::PolicyKind::{Adaptive, Gdsf, Lfuda, Slru};
 use het_core::config::{DenseSync, StoreSpec, SyncMode, SystemPreset, TieredConfig, TrainerConfig};
-use het_core::{FaultConfig, TrainReport, Trainer};
+use het_core::{TrainReport, Trainer};
 use het_data::CtrBatch;
 use het_data::{CtrConfig, CtrDataset};
 use het_json::{fnv1a64, Json, ToJson, FNV_OFFSET};
@@ -159,22 +159,24 @@ fn train(c: TrainerConfig, host_threads: Option<usize>) -> (TrainReport, Out) {
     })
 }
 
-/// Crashes and a shard outage, checkpoints every 20 iterations; a train
-/// row's plan adds a straggler and drops, a fleet's short recoveries.
-fn faults(fleet: bool, crashes: usize, horizon: SimDuration) -> FaultConfig {
-    let mut cfg = FaultConfig::disabled();
-    cfg.checkpoint_every = 20;
-    cfg.spec.worker_crashes = crashes;
-    cfg.spec.shard_outages = 1;
-    cfg.spec.horizon = horizon;
+/// Crashes and a shard outage (trainers checkpoint every 20
+/// iterations); a train row's plan adds a straggler and drops, a fleet's
+/// short recoveries.
+fn faults(fleet: bool, crashes: usize, horizon: SimDuration) -> FaultSpec {
+    let mut spec = FaultSpec {
+        worker_crashes: crashes,
+        shard_outages: 1,
+        horizon,
+        ..FaultSpec::default()
+    };
     if fleet {
-        cfg.spec.restart_delay = SimDuration::from_millis(2);
-        cfg.spec.failover_delay = SimDuration::from_millis(4);
+        spec.restart_delay = SimDuration::from_millis(2);
+        spec.failover_delay = SimDuration::from_millis(4);
     } else {
-        cfg.spec.stragglers = 1;
-        cfg.spec.message_drop_prob = 0.01;
+        spec.stragglers = 1;
+        spec.message_drop_prob = 0.01;
     }
-    cfg
+    spec
 }
 
 /// Runs one row, flipping the lowest bit of `lr` — one ulp — in the
@@ -186,9 +188,10 @@ pub fn run_row(
     host_threads: Option<usize>,
 ) -> Vec<(String, String)> {
     let cell = |phase: &str| format!("{name}/{phase}");
-    let config = |c: &TrainerConfig, phase: &str, faults: FaultConfig| {
+    let config = |c: &TrainerConfig, phase: &str, faults: FaultSpec| {
         let mut c = TrainerConfig {
             faults,
+            checkpoint_every: 20,
             ..c.clone()
         };
         if nudged.contains(&cell(phase).as_str()) {
@@ -215,7 +218,7 @@ pub fn run_row(
     };
     let outs = match job {
         Job::Train(c) => {
-            let clean_config = config(c, "clean", FaultConfig::disabled());
+            let clean_config = config(c, "clean", FaultSpec::default());
             let (clean, clean_out) = train(clean_config, host_threads);
             let horizon = FaultSpec::horizon_within(clean.total_sim_time);
             let faulted_config = config(c, "faulted", faults(false, 2, horizon));
@@ -235,10 +238,7 @@ pub fn run_row(
                 traced("serve", || ServeSim::new(c, wide_deep).run()).1
             };
             let horizon = SimDuration::from_millis(40);
-            [
-                serve(FaultConfig::disabled()),
-                serve(faults(true, 1, horizon)),
-            ]
+            [serve(FaultSpec::default()), serve(faults(true, 1, horizon))]
         }
         Job::Colocate(train, serve) => {
             let colocate = |c: TrainerConfig| {
@@ -263,7 +263,7 @@ pub fn run_row(
                 }
                 (r, out)
             };
-            let (clean, clean_out) = colocate(config(train, "clean", FaultConfig::disabled()));
+            let (clean, clean_out) = colocate(config(train, "clean", FaultSpec::default()));
             let horizon = FaultSpec::horizon_within(clean.train.total_sim_time);
             let (faulted, out) = colocate(config(train, "faulted", faults(true, 2, horizon)));
             let crashes = faulted.train.faults.worker_crashes + faulted.serve.faults.worker_crashes;

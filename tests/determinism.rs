@@ -14,12 +14,11 @@ mod cells;
 
 use het::prelude::*;
 
-fn run(seed: u64, preset: SystemPreset, faults: FaultConfig) -> TrainReport {
+fn run(seed: u64, preset: SystemPreset) -> TrainReport {
     let dataset = CtrDataset::new(CtrConfig::tiny(seed));
     let mut config = TrainerConfig::tiny(preset);
     config.seed = seed;
     config.max_iterations = 240;
-    config.faults = faults;
     let mut trainer = Trainer::new(config, dataset, |rng| WideDeep::new(rng, 4, 8, &[16]));
     trainer.run()
 }
@@ -61,16 +60,8 @@ fn colocated_seed_matrix_identical_reports_and_traces() {
 
 #[test]
 fn different_seeds_differ() {
-    let a = run(
-        1,
-        SystemPreset::HetCache { staleness: 10 },
-        FaultConfig::disabled(),
-    );
-    let b = run(
-        2,
-        SystemPreset::HetCache { staleness: 10 },
-        FaultConfig::disabled(),
-    );
+    let a = run(1, SystemPreset::HetCache { staleness: 10 });
+    let b = run(2, SystemPreset::HetCache { staleness: 10 });
     // Different data & init ⇒ different learning trajectory.
     assert_ne!(a.final_metric, b.final_metric);
 }

@@ -9,12 +9,16 @@
 
 use het::prelude::*;
 
-fn run(seed: u64, faults: FaultConfig) -> TrainReport {
+fn run(seed: u64, faults: FaultSpec) -> TrainReport {
+    run_with(seed, |config| config.faults = faults)
+}
+
+fn run_with(seed: u64, edit: impl FnOnce(&mut TrainerConfig)) -> TrainReport {
     let dataset = CtrDataset::new(CtrConfig::tiny(seed));
     let mut config = TrainerConfig::tiny(SystemPreset::HetCache { staleness: 10 });
     config.seed = seed;
     config.max_iterations = 240;
-    config.faults = faults;
+    edit(&mut config);
     let mut trainer = Trainer::new(config, dataset, |rng| WideDeep::new(rng, 4, 8, &[16]));
     trainer.run()
 }
@@ -40,28 +44,29 @@ fn assert_bit_identical(a: &TrainReport, b: &TrainReport) {
 /// A schedule with every fault class, with the horizon placed inside
 /// `sim_time` so each event fires (and its recovery window completes)
 /// before the run ends.
-fn full_spec(sim_time: SimTime) -> FaultConfig {
-    let mut cfg = FaultConfig::disabled();
-    cfg.spec.worker_crashes = 1;
-    cfg.spec.shard_outages = 1;
-    cfg.spec.stragglers = 1;
-    cfg.spec.link_degradations = 1;
-    cfg.spec.message_drop_prob = 0.02;
-    cfg.spec.horizon = FaultSpec::horizon_within(sim_time);
-    cfg
+fn full_spec(sim_time: SimTime) -> FaultSpec {
+    FaultSpec {
+        worker_crashes: 1,
+        shard_outages: 1,
+        stragglers: 1,
+        link_degradations: 1,
+        message_drop_prob: 0.02,
+        horizon: FaultSpec::horizon_within(sim_time),
+        ..FaultSpec::default()
+    }
 }
 
 #[test]
 fn zero_counts_ignore_the_recovery_knobs() {
-    let baseline = run(11, FaultConfig::disabled());
+    let baseline = run(11, FaultSpec::default());
 
     // No fault is counted, so the knobs that would shape one (a
     // checkpoint every iteration, a horizon shorter than one) must not
     // reach the run: no checkpoint store is built.
-    let mut zero = FaultConfig::disabled();
-    zero.spec.horizon = SimDuration::from_micros(1);
-    zero.checkpoint_every = 1;
-    let zeroed = run(11, zero);
+    let zeroed = run_with(11, |config| {
+        config.faults.horizon = SimDuration::from_micros(1);
+        config.checkpoint_every = 1;
+    });
 
     assert_bit_identical(&baseline, &zeroed);
     assert_eq!(zeroed.faults.checkpoints, 0);
@@ -71,7 +76,7 @@ fn zero_counts_ignore_the_recovery_knobs() {
 
 #[test]
 fn same_seed_replays_the_faulted_run_bit_identically() {
-    let baseline = run(13, FaultConfig::disabled());
+    let baseline = run(13, FaultSpec::default());
     let faults = full_spec(baseline.total_sim_time);
 
     let a = run(13, faults.clone());
@@ -93,7 +98,7 @@ fn same_seed_replays_the_faulted_run_bit_identically() {
 
 #[test]
 fn faulted_run_completes_and_reports_every_event() {
-    let baseline = run(17, FaultConfig::disabled());
+    let baseline = run(17, FaultSpec::default());
     let report = run(17, full_spec(baseline.total_sim_time));
 
     // The run still completes its full iteration budget.
@@ -123,10 +128,38 @@ fn faulted_run_completes_and_reports_every_event() {
 }
 
 #[test]
+fn a_failover_rolls_back_to_the_checkpoint_before_the_outage() {
+    // A checkpoint falls due at every round start here, so one is due
+    // at the round start where the outage is restored. Taken before the
+    // restore, it would snapshot the failed shard and the failover
+    // would roll nothing back; taken after, the failover loses the
+    // updates of the round before.
+    let baseline = run(31, FaultSpec::default());
+    let report = run_with(31, |config| {
+        config.faults = FaultSpec {
+            shard_outages: 1,
+            horizon: FaultSpec::horizon_within(baseline.total_sim_time),
+            ..FaultSpec::default()
+        };
+        config.checkpoint_every = 1;
+    });
+    assert_eq!(
+        report.faults.shard_failovers, 1,
+        "{:?}",
+        report.fault_events
+    );
+    assert!(
+        report.faults.lost_updates > 0,
+        "the failover rolled back no tick: {:?}",
+        report.fault_events
+    );
+}
+
+#[test]
 fn different_fault_seeds_produce_different_schedules() {
-    let base_a = run(19, FaultConfig::disabled());
+    let base_a = run(19, FaultSpec::default());
     let a = run(19, full_spec(base_a.total_sim_time));
-    let base_b = run(23, FaultConfig::disabled());
+    let base_b = run(23, FaultSpec::default());
     let b = run(23, full_spec(base_b.total_sim_time));
     assert_ne!(
         a.fault_events.iter().map(|e| e.at).collect::<Vec<_>>(),
@@ -136,10 +169,14 @@ fn different_fault_seeds_produce_different_schedules() {
 
 #[test]
 fn message_drops_charge_retries_and_extra_bytes() {
-    let baseline = run(29, FaultConfig::disabled());
-    let mut cfg = FaultConfig::disabled();
-    cfg.spec.message_drop_prob = 0.5;
-    let dropped = run(29, cfg);
+    let baseline = run(29, FaultSpec::default());
+    let dropped = run(
+        29,
+        FaultSpec {
+            message_drop_prob: 0.5,
+            ..FaultSpec::default()
+        },
+    );
 
     assert!(dropped.faults.retries > 0);
     assert!(

@@ -572,8 +572,8 @@ fn threaded_bsp_is_deterministic() {
 #[test]
 fn threaded_backend_rejects_sim_only_features() {
     let mut faulted = config_of(SystemPreset::HetCache { staleness: 10 }, 3, 60);
-    faulted.faults.spec.worker_crashes = 1;
-    faulted.faults.spec.horizon = SimDuration::from_secs_f64(10.0);
+    faulted.faults.worker_crashes = 1;
+    faulted.faults.horizon = SimDuration::from_secs_f64(10.0);
     let err = trainer_of(faulted, 3).run_threaded(None).unwrap_err();
     assert!(err.contains("--backend sim"), "unhelpful error: {err}");
 

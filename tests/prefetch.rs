@@ -234,10 +234,10 @@ fn faults_cancel_prefetches_and_ledger_still_closes() {
     let clean = trainer_for(cached_config(SyncMode::Asp, 4, 9)).run();
     let horizon = FaultSpec::horizon_within(clean.total_sim_time);
     let mut config = cached_config(SyncMode::Asp, 4, 9);
-    config.faults.checkpoint_every = 20;
-    config.faults.spec.worker_crashes = 2;
-    config.faults.spec.shard_outages = 1;
-    config.faults.spec.horizon = horizon;
+    config.checkpoint_every = 20;
+    config.faults.worker_crashes = 2;
+    config.faults.shard_outages = 1;
+    config.faults.horizon = horizon;
     let mut t = trainer_for(config);
     t.enable_prefetch_audit();
     let report = t.run();

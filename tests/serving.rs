@@ -47,20 +47,21 @@ fn traced_run(cfg: ServeConfig) -> (ServeReport, trace::TraceLog) {
 
 /// A fault schedule with replica crashes and one shard outage, sized so
 /// everything lands inside a tiny run (~50 ms of simulated time).
-fn fault_spec() -> FaultConfig {
-    let mut cfg = FaultConfig::disabled();
-    cfg.spec.worker_crashes = 2;
-    cfg.spec.shard_outages = 1;
-    cfg.spec.restart_delay = SimDuration::from_millis(2);
-    cfg.spec.failover_delay = SimDuration::from_millis(4);
-    cfg.spec.horizon = SimDuration::from_millis(40);
-    cfg
+fn fault_spec() -> FaultSpec {
+    FaultSpec {
+        worker_crashes: 2,
+        shard_outages: 1,
+        restart_delay: SimDuration::from_millis(2),
+        failover_delay: SimDuration::from_millis(4),
+        horizon: SimDuration::from_millis(40),
+        ..FaultSpec::default()
+    }
 }
 
 #[test]
 fn same_seed_gives_byte_identical_report_and_trace() {
-    for faults in [FaultConfig::disabled(), fault_spec()] {
-        let faulted = !faults.spec.is_zero();
+    for faults in [FaultSpec::default(), fault_spec()] {
+        let faulted = !faults.is_zero();
         let mut cfg = ServeConfig::tiny(13);
         cfg.faults = faults;
         let (report_a, log_a) = traced_run(cfg.clone());
@@ -225,10 +226,10 @@ fn p99_degrades_monotonically_as_cache_shrinks() {
 fn replica_crashes_cold_restart_and_still_serve_everything() {
     let mut cfg = ServeConfig::tiny(57);
     cfg.faults = fault_spec();
-    cfg.faults.spec.shard_outages = 0;
+    cfg.faults.shard_outages = 0;
     let clean = {
         let mut c = cfg.clone();
-        c.faults = FaultConfig::disabled();
+        c.faults = FaultSpec::default();
         run(c)
     };
     let faulted = run(cfg.clone());
@@ -254,7 +255,7 @@ fn replica_crashes_cold_restart_and_still_serve_everything() {
 fn shard_outage_degrades_to_stale_serving() {
     let mut cfg = ServeConfig::tiny(69);
     cfg.faults = fault_spec();
-    cfg.faults.spec.worker_crashes = 0;
+    cfg.faults.worker_crashes = 0;
     cfg.warmup_requests = 2_000; // resident hot set → degradable reads
     cfg.pretrain_updates = 300;
     let report = run(cfg.clone());

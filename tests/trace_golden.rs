@@ -25,7 +25,7 @@ const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golde
 const FIXTURE_SEED: u64 = 17;
 const FIXTURE_ITERS: u64 = 60;
 
-fn config(seed: u64, preset: SystemPreset, iters: u64, faults: FaultConfig) -> TrainerConfig {
+fn config(seed: u64, preset: SystemPreset, iters: u64, faults: FaultSpec) -> TrainerConfig {
     let mut config = TrainerConfig::tiny(preset);
     config.seed = seed;
     config.max_iterations = iters;
@@ -33,9 +33,12 @@ fn config(seed: u64, preset: SystemPreset, iters: u64, faults: FaultConfig) -> T
     config
 }
 
-fn run(seed: u64, preset: SystemPreset, iters: u64, faults: FaultConfig) -> TrainReport {
-    let dataset = CtrDataset::new(CtrConfig::tiny(seed));
-    let config = config(seed, preset, iters, faults);
+fn run(seed: u64, preset: SystemPreset, iters: u64, faults: FaultSpec) -> TrainReport {
+    run_config(config(seed, preset, iters, faults))
+}
+
+fn run_config(config: TrainerConfig) -> TrainReport {
+    let dataset = CtrDataset::new(CtrConfig::tiny(config.seed));
     let mut trainer = Trainer::new(config, dataset, |rng| WideDeep::new(rng, 4, 8, &[16]));
     trainer.run()
 }
@@ -44,31 +47,36 @@ fn traced_run(
     seed: u64,
     preset: SystemPreset,
     iters: u64,
-    faults: FaultConfig,
+    faults: FaultSpec,
 ) -> (TrainReport, trace::TraceLog) {
+    traced_config(config(seed, preset, iters, faults))
+}
+
+fn traced_config(config: TrainerConfig) -> (TrainReport, trace::TraceLog) {
     trace::start(vec![
         (
             "system".to_string(),
-            Json::Str(preset.config().name.to_string()),
+            Json::Str(config.system.name.to_string()),
         ),
-        ("seed".to_string(), Json::UInt(seed)),
-        ("iters".to_string(), Json::UInt(iters)),
+        ("seed".to_string(), Json::UInt(config.seed)),
+        ("iters".to_string(), Json::UInt(config.max_iterations)),
     ]);
-    let report = run(seed, preset, iters, faults);
+    let report = run_config(config);
     (report, trace::finish())
 }
 
 /// A schedule with every fault class, horizon placed inside `sim_time`
 /// so each event fires before the run ends (same shape as `faults.rs`).
-fn full_spec(sim_time: SimTime) -> FaultConfig {
-    let mut cfg = FaultConfig::disabled();
-    cfg.spec.worker_crashes = 1;
-    cfg.spec.shard_outages = 1;
-    cfg.spec.stragglers = 1;
-    cfg.spec.link_degradations = 1;
-    cfg.spec.message_drop_prob = 0.02;
-    cfg.spec.horizon = FaultSpec::horizon_within(sim_time);
-    cfg
+fn full_spec(sim_time: SimTime) -> FaultSpec {
+    FaultSpec {
+        worker_crashes: 1,
+        shard_outages: 1,
+        stragglers: 1,
+        link_degradations: 1,
+        message_drop_prob: 0.02,
+        horizon: FaultSpec::horizon_within(sim_time),
+        ..FaultSpec::default()
+    }
 }
 
 fn assert_bit_identical(a: &TrainReport, b: &TrainReport) {
@@ -87,8 +95,8 @@ fn same_seed_runs_emit_byte_identical_traces() {
         SystemPreset::HetCache { staleness: 10 },
         SystemPreset::HetPs,
     ] {
-        let (report_a, log_a) = traced_run(23, preset, 160, FaultConfig::disabled());
-        let (report_b, log_b) = traced_run(23, preset, 160, FaultConfig::disabled());
+        let (report_a, log_a) = traced_run(23, preset, 160, FaultSpec::default());
+        let (report_b, log_b) = traced_run(23, preset, 160, FaultSpec::default());
         assert_bit_identical(&report_a, &report_b);
         let (jsonl_a, jsonl_b) = (log_a.to_jsonl(), log_b.to_jsonl());
         assert!(!log_a.events.is_empty(), "{preset:?}: trace has no events");
@@ -110,7 +118,7 @@ fn same_seed_runs_emit_byte_identical_traces() {
 #[test]
 fn traces_are_schema_valid_and_cover_every_component() {
     let preset = SystemPreset::HetCache { staleness: 10 };
-    let clean = run(29, preset, 240, FaultConfig::disabled());
+    let clean = run(29, preset, 240, FaultSpec::default());
     let (report, log) = traced_run(29, preset, 240, full_spec(clean.total_sim_time));
     assert!(report.faults.worker_crashes > 0, "crash never fired");
     assert!(report.faults.shard_failovers > 0, "failover never fired");
@@ -146,7 +154,7 @@ fn traces_are_schema_valid_and_cover_every_component() {
 #[test]
 fn tracing_leaves_the_training_run_unchanged() {
     let preset = SystemPreset::HetCache { staleness: 10 };
-    let clean = run(31, preset, 160, FaultConfig::disabled());
+    let clean = run(31, preset, 160, FaultSpec::default());
     let faults = full_spec(clean.total_sim_time);
 
     let untraced = run(31, preset, 160, faults.clone());
@@ -157,7 +165,7 @@ fn tracing_leaves_the_training_run_unchanged() {
 #[test]
 fn trace_counters_reconcile_with_report_statistics() {
     let preset = SystemPreset::HetCache { staleness: 10 };
-    let clean = run(37, preset, 240, FaultConfig::disabled());
+    let clean = run(37, preset, 240, FaultSpec::default());
     let (report, log) = traced_run(37, preset, 240, full_spec(clean.total_sim_time));
 
     // Cache counters track CacheStats exactly (summed over workers).
@@ -214,7 +222,7 @@ fn trace_counters_reconcile_with_report_statistics() {
 
 #[test]
 fn chrome_export_is_well_formed_json() {
-    let (_report, log) = traced_run(41, SystemPreset::HetPs, 80, FaultConfig::disabled());
+    let (_report, log) = traced_run(41, SystemPreset::HetPs, 80, FaultSpec::default());
     let chrome = trace::chrome::to_chrome_trace(&log);
     let parsed = het::json::from_str(&chrome).expect("chrome export parses");
     let Json::Obj(fields) = parsed else {
@@ -233,10 +241,11 @@ fn chrome_export_is_well_formed_json() {
 
 fn fixture_bsp_faulted() -> trace::TraceLog {
     let preset = SystemPreset::HetCache { staleness: 10 };
-    let clean = run(FIXTURE_SEED, preset, FIXTURE_ITERS, FaultConfig::disabled());
-    let mut faults = full_spec(clean.total_sim_time);
-    faults.checkpoint_every = 20;
-    traced_run(FIXTURE_SEED, preset, FIXTURE_ITERS, faults).1
+    let clean = run(FIXTURE_SEED, preset, FIXTURE_ITERS, FaultSpec::default());
+    let faults = full_spec(clean.total_sim_time);
+    let mut cfg = config(FIXTURE_SEED, preset, FIXTURE_ITERS, faults);
+    cfg.checkpoint_every = 20;
+    traced_config(cfg).1
 }
 
 fn fixture_asp_clean() -> trace::TraceLog {
@@ -244,7 +253,7 @@ fn fixture_asp_clean() -> trace::TraceLog {
         FIXTURE_SEED,
         SystemPreset::HetPs,
         FIXTURE_ITERS,
-        FaultConfig::disabled(),
+        FaultSpec::default(),
     )
     .1
 }
@@ -254,7 +263,7 @@ fn fixture_asp_clean() -> trace::TraceLog {
 /// component's issue/install/hit/waste instrumentation.
 fn fixture_bsp_prefetch() -> (TrainReport, trace::TraceLog) {
     let preset = SystemPreset::HetCache { staleness: 10 };
-    let mut cfg = config(FIXTURE_SEED, preset, FIXTURE_ITERS, FaultConfig::disabled());
+    let mut cfg = config(FIXTURE_SEED, preset, FIXTURE_ITERS, FaultSpec::default());
     cfg.lookahead_depth = 4;
     trace::start(vec![
         (
@@ -277,7 +286,7 @@ fn fixture_bsp_prefetch() -> (TrainReport, trace::TraceLog) {
 /// component's counter instrumentation at fixture granularity.
 fn fixture_bsp_tiered() -> (TrainReport, trace::TraceLog) {
     let preset = SystemPreset::HetCache { staleness: 10 };
-    let mut cfg = config(FIXTURE_SEED, preset, FIXTURE_ITERS, FaultConfig::disabled());
+    let mut cfg = config(FIXTURE_SEED, preset, FIXTURE_ITERS, FaultSpec::default());
     cfg.store = StoreSpec::Tiered(TieredConfig::new(32));
     trace::start(vec![
         (
