@@ -379,6 +379,19 @@ fn run_one_threaded(
     Ok(())
 }
 
+/// Rejects the first of `dependents` (flag names, whitespace-separated)
+/// given while `on` is false, naming `gate`, what switches them on: a
+/// flag that would be read by nothing is an error, not ignored.
+fn needed_by(args: &Args, dependents: &str, on: bool, gate: &str) -> Result<(), String> {
+    let mut given = dependents
+        .split_whitespace()
+        .filter(|f| args.get(f).is_some());
+    match given.next() {
+        Some(flag) if !on => Err(format!("--{flag} needs {gate}")),
+        _ => Ok(()),
+    }
+}
+
 fn cmd_serve(args: &Args) -> Result<(), String> {
     use het_serve::{ServeConfig, ServeSim};
 
@@ -401,12 +414,17 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     cfg.n_shards = args.get_positive("servers", cfg.n_shards)?;
     cfg.store = args.get_parsed("store", StoreSpec::Mem)?;
     let drift_ms: f64 = args.get_parsed("drift-period-ms", 0.0)?;
-    if drift_ms > 0.0 {
+    let drift = drift_ms > 0.0;
+    needed_by(args, "drift-step", drift, "a positive --drift-period-ms")?;
+    if drift {
         cfg.drift_period = SimDuration::from_secs_f64(drift_ms / 1e3);
         cfg.drift_step = args.get_parsed("drift-step", 1u64)?;
     }
     let flash_at_ms: f64 = args.get_parsed("flash-at-ms", -1.0)?;
-    if flash_at_ms >= 0.0 {
+    let flash = flash_at_ms >= 0.0;
+    let flash_shape = "flash-dur-ms flash-x flash-hot";
+    needed_by(args, flash_shape, flash, "--flash-at-ms")?;
+    if flash {
         cfg.flash_at =
             Some(het_simnet::SimTime::ZERO + SimDuration::from_secs_f64(flash_at_ms / 1e3));
         cfg.flash_duration =
@@ -415,11 +433,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         cfg.flash_hot_keys = args.get_parsed("flash-hot", 64u64)?;
     }
     cfg.cluster = cluster_of(args, cfg.n_replicas, cfg.n_shards)?;
-    if args.get_parsed("supervised", 0u8)? != 0 {
-        cfg.supervision.enabled = true;
-        cfg.supervision.heartbeat_every =
-            SimDuration::from_micros(args.get_parsed("heartbeat-us", 250u64)?);
-    }
+    cfg.supervised = args.get_parsed("supervised", 0u8)? != 0;
     cfg.validate()?;
     cfg.faults = fault_spec_of(args, || Ok(cfg.nominal_span()))?;
 
@@ -669,18 +683,24 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
         for seed in start..end {
             cfg.seed = seed;
             let r = run_chaos(&cfg);
-            if !r.healthy() {
-                failed += 1;
-                let s = &r.report.serve;
-                println!(
-                    "seed {seed}: FAIL (slo_ok={} p99={:.1}us, rto_ok={}, recovered_ok={}, split_ok={})",
-                    r.slo_ok,
-                    s.latency_p99_ns as f64 / 1e3,
-                    r.rto_ok,
-                    r.recovered_ok,
-                    r.split_ok
-                );
-            }
+            failed += u64::from(!r.healthy());
+            let s = &r.report.serve;
+            println!(
+                "seed {seed}: {}; slo {} p99 {:.1} us; rto {} worst recovery {:.1} us; \
+                 recovery {} {} respawns of {} crashes, trainer {} shard failovers; \
+                 split {} {} keys migrated",
+                if r.healthy() { "PASS" } else { "FAIL" },
+                verdict(r.slo_ok, "VIOLATED"),
+                s.latency_p99_ns as f64 / 1e3,
+                verdict(r.rto_ok, "VIOLATED"),
+                s.max_recovery_ns as f64 / 1e3,
+                verdict(r.recovered_ok, "INCOMPLETE"),
+                s.respawns,
+                s.faults.worker_crashes,
+                r.report.train.faults.shard_failovers,
+                verdict(r.split_ok, "INCOMPLETE"),
+                s.migrated_keys
+            );
         }
         println!(
             "chaos campaign: {} seeds, {} unhealthy",
@@ -707,31 +727,36 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
         "slo  p99          {:.1} us vs {:.1} us objective: {}",
         s.latency_p99_ns as f64 / 1e3,
         report.slo_p99_ns as f64 / 1e3,
-        if report.slo_ok { "OK" } else { "VIOLATED" }
+        verdict(report.slo_ok, "VIOLATED")
     );
     println!(
         "rto               {:.1} us vs {:.1} us objective: {}",
         s.max_recovery_ns as f64 / 1e3,
         report.rto_ns as f64 / 1e3,
-        if report.rto_ok { "OK" } else { "VIOLATED" }
+        verdict(report.rto_ok, "VIOLATED")
     );
     println!(
         "recovery          {}",
-        if report.recovered_ok {
-            "OK"
-        } else {
-            "INCOMPLETE"
-        }
+        verdict(report.recovered_ok, "INCOMPLETE")
     );
     println!(
         "live split        {}",
-        if report.split_ok { "OK" } else { "INCOMPLETE" }
+        verdict(report.split_ok, "INCOMPLETE")
     );
     if !report.healthy() {
         return Err("chaos gate failed".to_string());
     }
     println!("verdict: PASS");
     Ok(())
+}
+
+/// A chaos verdict's word: `OK`, or `bad`.
+fn verdict(ok: bool, bad: &str) -> &str {
+    if ok {
+        "OK"
+    } else {
+        bad
+    }
 }
 
 /// Parses `"A..B"` into a half-open index range.
@@ -943,7 +968,7 @@ const COMMANDS: &[(&str, &[&str], fn(&Args) -> Result<(), String>)] = &[
         &[
             "seed replicas dim fields keys cache staleness policy rate requests zipf max-batch \
              max-delay-us pretrain-updates warmup servers store drift-period-ms drift-step \
-             flash-at-ms flash-dur-ms flash-x flash-hot network supervised heartbeat-us backend",
+             flash-at-ms flash-dur-ms flash-x flash-hot network supervised backend",
             FAULT_FLAGS,
             TRACE_FLAGS,
             PLAN_FLAGS,

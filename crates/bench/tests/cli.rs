@@ -165,6 +165,30 @@ fn user_supplied_lists_and_counts_are_checked_not_asserted() {
     ]);
 }
 
+/// A flag that only means something beside another is rejected without
+/// it, naming the flag it needs, instead of being read by nothing.
+#[test]
+fn dependent_flags_without_their_gate_are_rejected() {
+    assert_rejected(&[
+        (
+            "serve --drift-step 5",
+            "--drift-step needs a positive --drift-period-ms",
+        ),
+        (
+            "serve --drift-period-ms 0 --drift-step 5",
+            "--drift-step needs a positive --drift-period-ms",
+        ),
+        (
+            "serve --flash-dur-ms 5",
+            "--flash-dur-ms needs --flash-at-ms",
+        ),
+        ("serve --flash-x 8", "--flash-x needs --flash-at-ms"),
+        ("serve --flash-hot 32", "--flash-hot needs --flash-at-ms"),
+        // The heartbeat period is a constant, not a flag.
+        ("serve --heartbeat-us 250", "unknown flag --heartbeat-us"),
+    ]);
+}
+
 /// A zero where a count sizes a structure, or a config the serving
 /// fleet rejects, is a flag error, not a panic inside the run.
 #[test]

@@ -81,9 +81,8 @@ pub mod prelude {
     };
     pub use het_runtime::{ClusterRuntime, Ctx, Event, ExecutionBackend, Process, ProcessId};
     pub use het_serve::{
-        run_chaos, run_colocated, run_threaded_colocated, run_threaded_serve, AutoscaleConfig,
-        ChaosConfig, ChaosReport, ColocatedReport, ReshardPlan, ServeConfig, ServeReport, ServeSim,
-        SupervisionConfig,
+        run_chaos, run_colocated, run_threaded_colocated, run_threaded_serve, ChaosConfig,
+        ChaosReport, ColocatedReport, ServeConfig, ServeReport, ServeSim,
     };
     pub use het_simnet::{
         ClusterSpec, CommCategory, CommStats, FaultEvent, FaultPlan, FaultSpec, LinkSpec,

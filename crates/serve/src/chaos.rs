@@ -31,7 +31,6 @@
 
 use crate::colocate::{run_colocated, ColocatedReport};
 use crate::config::ServeConfig;
-use crate::supervise::{AutoscaleConfig, ReshardPlan};
 use het_core::config::{SystemPreset, TrainerConfig};
 use het_core::Trainer;
 use het_data::{CtrConfig, CtrDataset};
@@ -39,9 +38,10 @@ use het_json::{Json, ToJson};
 use het_models::WideDeep;
 use het_simnet::{ClusterSpec, FaultEvent, FaultPlan, SimDuration, SimTime};
 
-/// Knobs of one chaos run. Everything else — fault instants, the
-/// reshard schedule, supervision periods — is derived deterministically
-/// from these so the scenario stays the same shape at every scale.
+/// Knobs of one chaos run. Fault instants and the split's start are
+/// derived deterministically from these so the scenario stays the same
+/// shape at every scale; supervision periods are the constants of
+/// [`crate::supervise`].
 #[derive(Clone, Debug)]
 pub struct ChaosConfig {
     /// Master seed (workload, model init, data order).
@@ -170,25 +170,9 @@ impl ChaosConfig {
         cfg.flash_duration = SimDuration::from_secs_f64(self.span().as_secs_f64() * 0.05);
         cfg.flash_factor = self.flash_factor;
         cfg.flash_hot_keys = 64;
-        cfg.supervision.enabled = true;
-        cfg.supervision.heartbeat_every = SimDuration::from_micros(250);
-        cfg.supervision.reshard = Some(ReshardPlan {
-            at: self.at(0.15),
-            parent: 0,
-            batch: 64,
-            every: SimDuration::from_micros(200),
-            salt: 0x5157_1755_C4A0_5717,
-        });
-        cfg.autoscale = AutoscaleConfig {
-            enabled: true,
-            min_replicas: 1,
-            max_replicas: 4,
-            evaluate_every: SimDuration::from_micros(500),
-            queue_high: 6.0,
-            queue_low: 0.5,
-            cooldown: SimDuration::from_millis(4),
-            warmup_delay: SimDuration::from_micros(300),
-        };
+        cfg.supervised = true;
+        cfg.reshard_at = Some(self.at(0.15));
+        cfg.autoscale = true;
         cfg
     }
 }

@@ -1,6 +1,6 @@
 //! Configuration of a serving run.
 
-use crate::supervise::{AutoscaleConfig, SupervisionConfig};
+use crate::supervise::{AUTOSCALE_MAX, AUTOSCALE_MIN};
 use het_cache::PolicyKind;
 use het_ps::StoreSpec;
 use het_simnet::{ClusterSpec, FaultPlan, FaultSpec, SimDuration, SimTime};
@@ -73,11 +73,16 @@ pub struct ServeConfig {
     /// The simulated cluster (compute speed, link costs).
     pub cluster: ClusterSpec,
     /// Heartbeat supervision: failure detection + driven recovery
-    /// (disabled by default — the legacy scripted-fault path).
-    pub supervision: SupervisionConfig,
-    /// Queue-depth autoscaling of the replica pool (disabled by
-    /// default).
-    pub autoscale: AutoscaleConfig,
+    /// (off by default — the scripted-fault path). Its periods are the
+    /// constants of [`crate::supervise`].
+    pub supervised: bool,
+    /// Queue-depth autoscaling of the replica pool (off by default).
+    /// When on, the fleet is built at [`AUTOSCALE_MAX`] physical
+    /// replicas and `n_replicas` of them start admitted.
+    pub autoscale: bool,
+    /// When the supervisor begins a live split of a PS shard into a
+    /// spare, or `None` for no split. Needs `supervised`.
+    pub reshard_at: Option<SimTime>,
     /// Row-store backend of the PS shards behind the fleet.
     /// [`StoreSpec::Mem`] (the default) keeps every row resident;
     /// [`StoreSpec::Tiered`] bounds resident rows and charges modelled
@@ -117,8 +122,9 @@ impl ServeConfig {
             faults: FaultSpec::default(),
             n_shards,
             cluster: ClusterSpec::cluster_a(n_replicas, n_shards),
-            supervision: SupervisionConfig::disabled(),
-            autoscale: AutoscaleConfig::disabled(),
+            supervised: false,
+            autoscale: false,
+            reshard_at: None,
             store: StoreSpec::Mem,
         }
     }
@@ -154,8 +160,9 @@ impl ServeConfig {
             faults: FaultSpec::default(),
             n_shards,
             cluster: ClusterSpec::cluster_a(n_replicas, n_shards),
-            supervision: SupervisionConfig::disabled(),
-            autoscale: AutoscaleConfig::disabled(),
+            supervised: false,
+            autoscale: false,
+            reshard_at: None,
             store: StoreSpec::Mem,
         }
     }
@@ -165,8 +172,8 @@ impl ServeConfig {
     /// `n_replicas`. A fleet co-scheduled after a trainer owns this many
     /// cluster members.
     pub fn fleet_size(&self) -> usize {
-        if self.autoscale.enabled {
-            self.autoscale.max_replicas
+        if self.autoscale {
+            AUTOSCALE_MAX
         } else {
             self.n_replicas
         }
@@ -203,30 +210,14 @@ impl ServeConfig {
             self.flash_at.is_none() || self.flash_factor >= 1.0,
             "flash_factor must be >= 1 when a flash crowd is scheduled",
         )?;
-        if self.supervision.enabled {
-            check(
-                self.supervision.heartbeat_every > SimDuration::ZERO,
-                "heartbeat_every must be positive",
-            )?;
-        }
-        if self.autoscale.enabled {
-            check(
-                self.autoscale.min_replicas > 0,
-                "min_replicas must be positive",
-            )?;
-            check(
-                self.autoscale.min_replicas <= self.n_replicas
-                    && self.n_replicas <= self.autoscale.max_replicas,
-                "initial n_replicas must lie within [min_replicas, max_replicas]",
-            )?;
-            check(
-                self.autoscale.queue_low < self.autoscale.queue_high,
-                "hysteresis band requires queue_low < queue_high",
-            )?;
-            check(
-                self.autoscale.evaluate_every > SimDuration::ZERO,
-                "evaluate_every must be positive",
-            )?;
+        check(
+            self.reshard_at.is_none() || self.supervised,
+            "reshard_at needs supervised: the supervisor drives the split",
+        )?;
+        if self.autoscale && !(AUTOSCALE_MIN..=AUTOSCALE_MAX).contains(&self.n_replicas) {
+            return Err(format!(
+                "n_replicas must lie within [{AUTOSCALE_MIN}, {AUTOSCALE_MAX}] when autoscale is on"
+            ));
         }
         Ok(())
     }

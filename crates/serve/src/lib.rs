@@ -29,10 +29,11 @@
 //!   supervisor *detects* crashes (no fault-plan peeking) and drives
 //!   respawns with sketch-warmed caches, observes PS-shard outages
 //!   (only a co-scheduled trainer restores a shard), an autoscaler
-//!   resizes the admitted replica pool under hysteresis, and a
-//!   [`ReshardPlan`] live-splits a hot PS shard while traffic
-//!   continues — all opt-in through [`SupervisionConfig`] and
-//!   [`AutoscaleConfig`], all deterministic;
+//!   resizes the admitted replica pool under hysteresis, and the
+//!   supervisor live-splits a hot PS shard while traffic continues —
+//!   each switched on by one [`ServeConfig`] field (`supervised`,
+//!   `autoscale`, `reshard_at`), with every period and threshold a
+//!   constant of [`supervise`], all deterministic;
 //! * a **chaos campaign harness** ([`chaos`]) that runs trainer +
 //!   supervised, autoscaled fleet through [`run_colocated`] under a
 //!   compound fault scenario and asserts SLO/RTO outcomes;
@@ -61,6 +62,5 @@ pub use colocate::{run_colocated, ColocatedReport};
 pub use config::ServeConfig;
 pub use report::{ReplicaReport, ServeReport};
 pub use sim::ServeSim;
-pub use supervise::{AutoscaleConfig, ReshardPlan, SupervisionConfig};
 pub use thread::{run_threaded_colocated, run_threaded_serve};
 pub use workload::{generate_requests, pretrain, Request};

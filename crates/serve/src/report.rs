@@ -113,9 +113,6 @@ pub struct ServeReport {
     pub cache: CacheStats,
     /// Keys pre-installed per replica by SpaceSaving warmup.
     pub warmed_keys: u64,
-    /// Keys installed by drift-triggered respawn prefetch (0 unless
-    /// `supervision.drift_prefetch`).
-    pub drift_prefetched_keys: u64,
     /// PS updates applied before serving started.
     pub pretrain_updates: u64,
     /// Mean model score over all served examples (a cheap fingerprint
@@ -198,10 +195,6 @@ impl ToJson for ServeReport {
             ),
             ("miss_rate".to_string(), Json::Num(self.cache.miss_rate())),
             ("warmed_keys".to_string(), Json::UInt(self.warmed_keys)),
-            (
-                "drift_prefetched_keys".to_string(),
-                Json::UInt(self.drift_prefetched_keys),
-            ),
             (
                 "pretrain_updates".to_string(),
                 Json::UInt(self.pretrain_updates),

@@ -13,8 +13,8 @@
 use crate::config::ServeConfig;
 use crate::report::{ReplicaReport, ServeReport};
 use crate::supervise::{
-    Autoscaler, ControlPlane, Supervisor, CONTROL_WAKE, DRIFT_WINDOW, HEARTBEAT_WAKE,
-    SUPERVISOR_RETRY,
+    Autoscaler, ControlPlane, Supervisor, AUTOSCALE_EVERY, CONTROL_WAKE, HEARTBEAT_EVERY,
+    HEARTBEAT_WAKE, SUPERVISOR_RETRY,
 };
 use crate::workload::{generate_requests, key_of, pretrain, warmup_seed, Request};
 use het_core::fault::{FaultContext, FaultStats};
@@ -137,18 +137,12 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ReplicaCore<M> {
         }
     }
 
-    /// Installs `pulled` into the cache in key order — as prefetched
-    /// entries, whose first reads count as prefetch hits, when
-    /// `prefetched`.
-    pub fn install(&mut self, pulled: &Pulled, prefetched: bool) {
+    /// Installs `pulled` into the cache in key order.
+    pub fn install(&mut self, pulled: &Pulled) {
         let rows = pulled.rows.chunks_exact(self.model.embedding_dim());
         let cache = self.client.cache_mut();
         for ((&k, row), &clock) in pulled.keys.iter().zip(rows).zip(&pulled.clocks) {
-            let displaced = if prefetched {
-                cache.install_prefetched(k, row.to_vec(), clock)
-            } else {
-                cache.install(k, row.to_vec(), clock)
-            };
+            let displaced = cache.install(k, row.to_vec(), clock);
             debug_assert!(
                 displaced.is_none(),
                 "read-only caches hold no dirty entries"
@@ -244,16 +238,6 @@ pub struct ServeSim<M: EmbeddingModel<Batch = CtrBatch>> {
     /// Live popularity sketch over arrived request keys, used to warm
     /// respawned and newly admitted replicas.
     sketch: Option<SpaceSaving>,
-    /// Short-window popularity sketch for drift-triggered respawn
-    /// prefetch; `None` unless `supervision.drift_prefetch`.
-    recent_sketch: Option<SpaceSaving>,
-    /// The previous full short window, so a rotation boundary never
-    /// blinds the drift detector.
-    prev_sketch: Option<SpaceSaving>,
-    /// Start of the current short window.
-    recent_since: SimTime,
-    /// Keys installed by drift-triggered respawn prefetch.
-    drift_prefetched: u64,
     served_total: u64,
     respawns: u64,
     retry_waits: u64,
@@ -290,7 +274,7 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
             .unwrap_or_else(|e| panic!("invalid serve config: {e}"));
         // A planned live split needs a spare physical shard to split
         // into; an unused spare changes nothing about routing.
-        let spares = usize::from(cfg.supervision.reshard.is_some());
+        let spares = usize::from(cfg.reshard_at.is_some());
         let server = private_server(&cfg, spares);
         Self::assemble(cfg, server, plan, 0, model_fn)
     }
@@ -307,7 +291,7 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
         model_fn: impl Fn(&mut StdRng) -> M,
     ) -> Self {
         let fleet = cfg.fleet_size();
-        let supervised = cfg.supervision.enabled || cfg.autoscale.enabled;
+        let supervised = cfg.supervised || cfg.autoscale;
         let replicas = (0..fleet)
             .map(|_| Replica {
                 core: ReplicaCore::new(&cfg, &model_fn),
@@ -332,11 +316,6 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
             down: vec![false; fleet],
             ever_admitted: (0..fleet).map(|r| r < cfg.n_replicas).collect(),
             sketch: supervised.then(|| SpaceSaving::new(cfg.cache_capacity)),
-            recent_sketch: (supervised && cfg.supervision.drift_prefetch)
-                .then(|| SpaceSaving::new(cfg.cache_capacity)),
-            prev_sketch: None,
-            recent_since: SimTime::ZERO,
-            drift_prefetched: 0,
             control,
             replicas,
             plan,
@@ -369,9 +348,7 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
         self.warmed_keys = top.len() as u64;
         for (r, replica) in self.replicas.iter_mut().enumerate() {
             het_trace::set_scope(0, Some((self.member_offset + r) as u64));
-            replica
-                .core
-                .install(&Pulled::from(&self.server, &top), false);
+            replica.core.install(&Pulled::from(&self.server, &top));
             het_trace::counter_add("serve", "warmed_keys", top.len() as u64);
         }
         // Warmup runs before the first request; its cold fetches must
@@ -442,7 +419,7 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
         replica.crash_count += 1;
         self.fault_stats.worker_crashes += 1;
         self.fault_stats.keys_lost += lost;
-        if self.cfg.supervision.enabled {
+        if self.cfg.supervised {
             self.down[r] = true;
             het_trace::event!("serve", "replica_crash", "keys_lost" => lost);
         } else {
@@ -502,7 +479,7 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
             ctx.schedule(deadline, Event::Wake(r as u64));
             return;
         }
-        if self.cfg.supervision.enabled {
+        if self.cfg.supervised {
             if let Some((shard, wait)) = self.outage_retry_wait(r, t) {
                 het_trace::set_scope(t.as_nanos(), Some((self.member_offset + r) as u64));
                 self.replicas[r].busy_until = t + wait;
@@ -516,14 +493,14 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
         self.execute_batch(r, t, ctx);
     }
 
-    /// Heartbeat period of the fleet: supervision's heartbeat when
-    /// enabled, otherwise the autoscaler's evaluation period (the
+    /// Heartbeat period of the fleet: the supervisor's when
+    /// supervised, otherwise the autoscaler's evaluation period (the
     /// control plane still needs fresh queue depths).
     fn heartbeat_period(&self) -> SimDuration {
-        if self.cfg.supervision.enabled {
-            self.cfg.supervision.heartbeat_every
+        if self.cfg.supervised {
+            HEARTBEAT_EVERY
         } else {
-            self.cfg.autoscale.evaluate_every
+            AUTOSCALE_EVERY
         }
     }
 
@@ -532,33 +509,9 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
     /// supervisor detects), then post liveness and queue depth into the
     /// control plane.
     fn on_heartbeat(&mut self, t: SimTime, ctx: &mut Ctx<'_>) {
-        if self.cfg.supervision.enabled {
+        if self.cfg.supervised {
             for r in 0..self.replicas.len() {
                 self.apply_crashes(r, t, |r, t| ctx.take_crash(r, t));
-            }
-        }
-        // Rotate the drift detector's short window on heartbeat ticks;
-        // each completed window triggers a prefetch round that installs
-        // its newly-hot keys into every live admitted replica.
-        let mut rotated = false;
-        if let Some(recent) = self.recent_sketch.as_mut() {
-            if t.since(self.recent_since) >= DRIFT_WINDOW {
-                let fresh = SpaceSaving::new(self.cfg.cache_capacity);
-                self.prev_sketch = Some(std::mem::replace(recent, fresh));
-                self.recent_since = t;
-                rotated = true;
-            }
-        }
-        if rotated {
-            let live: Vec<usize> = {
-                let cp = self.control.as_ref().expect("heartbeat implies control");
-                let cp = cp.borrow();
-                (0..self.replicas.len())
-                    .filter(|&r| cp.admitted[r] && !self.down[r])
-                    .collect()
-            };
-            for r in live {
-                self.prefetch_drifted(r, t);
             }
         }
         let done = self.served_total == self.requests.len() as u64;
@@ -619,10 +572,8 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
         self.down[r] = false;
         self.replicas[r].busy_until = self.replicas[r].busy_until.max(t);
         let warmed = self.warm_one_from_sketch(r);
-        let prefetched = self.prefetch_drifted(r, t);
         self.respawns += 1;
-        het_trace::event!("serve", "replica_respawn",
-            "keys_warmed" => warmed, "keys_prefetched" => prefetched);
+        het_trace::event!("serve", "replica_respawn", "keys_warmed" => warmed);
     }
 
     /// Admits a scaled-up replica into the JSQ pool, warming its cache
@@ -653,64 +604,10 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
             .collect();
         self.replicas[r]
             .core
-            .install(&Pulled::from(&self.server, &top), false);
+            .install(&Pulled::from(&self.server, &top));
         self.server.reclassify_pending_io();
         het_trace::counter_add("serve", "warmed_keys", top.len() as u64);
         top.len() as u64
-    }
-
-    /// Drift-triggered prefetch into replica `r`: pulls the keys that
-    /// are hot in the *recent* window (plus the previous one, so a
-    /// rotation boundary never blinds it) but not resident — exactly
-    /// the hot-set drift a snapshot-warmed cache lags behind — and
-    /// lands them as prefetched entries, so their first hits show up in
-    /// `prefetch_hits`. Runs on every window rotation for live admitted
-    /// replicas and once more inside a supervised respawn, right after
-    /// the lifetime-sketch warmup. Capped at a quarter of the cache per
-    /// round so a mistaken drift signal cannot flush the resident hot
-    /// set. Returns the number of keys installed.
-    fn prefetch_drifted(&mut self, r: usize, t: SimTime) -> u64 {
-        if !self.cfg.supervision.drift_prefetch {
-            return 0;
-        }
-        het_trace::set_scope(t.as_nanos(), Some((self.member_offset + r) as u64));
-        let mut candidates: Vec<Key> = Vec::new();
-        for sketch in [self.recent_sketch.as_ref(), self.prev_sketch.as_ref()]
-            .into_iter()
-            .flatten()
-        {
-            for (k, _) in sketch.top(self.cfg.cache_capacity) {
-                if !candidates.contains(&k) {
-                    candidates.push(k);
-                }
-            }
-        }
-        // The budget also bounds the *total* staging region: pins from
-        // earlier rotations that never hit count against it, so a churny
-        // workload cannot accumulate unconsumed pins without limit.
-        let replica = &mut self.replicas[r];
-        let budget = ((self.cfg.cache_capacity / 4).max(1) as u64)
-            .saturating_sub(replica.core.client.cache().pinned_len() as u64);
-        let cache = replica.core.client.cache();
-        let keys: Vec<Key> = candidates
-            .into_iter()
-            .filter(|&k| !cache.find(k))
-            .take(budget as usize)
-            .collect();
-        replica
-            .core
-            .install(&Pulled::from(&self.server, &keys), true);
-        let installed = keys.len() as u64;
-        // Drift prefetch is asynchronous background work; its cold
-        // fetches hide behind serving, like the trainer's prefetcher.
-        self.server.reclassify_pending_io();
-        if installed > 0 {
-            self.drift_prefetched += installed;
-            het_trace::event!("serve", "drift_prefetch",
-                "replica" => r, "keys" => installed);
-            het_trace::count!("serve", "drift_prefetched_keys", installed);
-        }
-        installed
     }
 
     fn execute_batch(&mut self, r: usize, t: SimTime, ctx: &mut Ctx<'_>) {
@@ -789,9 +686,9 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
     /// Registers and primes on `rt` every process the fleet needs, after
     /// whatever `rt` already holds: the fleet itself (pretrained and
     /// warmed first, both before t = 0), then a [`Supervisor`] when
-    /// `supervision.enabled` and an [`Autoscaler`] when
-    /// `autoscale.enabled`. Returns the fleet's pid and the helpers in
-    /// registration order. The report's `wall_ns` counts from here.
+    /// `supervised` and an [`Autoscaler`] when `autoscale`. Returns the
+    /// fleet's pid and the helpers in registration order. The report's
+    /// `wall_ns` counts from here.
     fn register(&mut self, rt: &mut ClusterRuntime) -> (ProcessId, Vec<Box<dyn Process>>) {
         self.pretrained = pretrain(&self.cfg, &self.server, self.cfg.pretrain_updates);
         self.warm_replicas();
@@ -806,21 +703,21 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
         };
         rt.prime(pid, SimTime::ZERO, Event::Wake(HEARTBEAT_WAKE));
         cp.borrow_mut().serve_pid = pid;
-        if self.cfg.supervision.enabled {
+        if self.cfg.supervised {
             let sup_pid = rt.register(1);
             rt.prime(sup_pid, SimTime::ZERO, Event::Wake(0));
             helpers.push(Box::new(Supervisor::new(
-                self.cfg.supervision.clone(),
+                self.cfg.reshard_at,
                 cp.clone(),
                 self.server.clone(),
                 self.plan.clone(),
                 self.replicas.len(),
             )));
         }
-        if self.cfg.autoscale.enabled {
+        if self.cfg.autoscale {
             let auto_pid = rt.register(1);
             rt.prime(auto_pid, SimTime::ZERO, Event::Wake(0));
-            helpers.push(Box::new(Autoscaler::new(self.cfg.autoscale, cp)));
+            helpers.push(Box::new(Autoscaler::new(cp)));
         }
         (pid, helpers)
     }
@@ -911,7 +808,6 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> ServeSim<M> {
             lookup_ns: self.lookup_ns,
             infer_ns: self.infer_ns,
             warmed_keys: self.warmed_keys,
-            drift_prefetched_keys: self.drift_prefetched,
             pretrain_updates: self.pretrained,
             faults: self.fault_stats,
             detections,
@@ -939,11 +835,6 @@ impl<M: EmbeddingModel<Batch = CtrBatch>> Process for ServeSim<M> {
                 if let Some(sketch) = self.sketch.as_mut() {
                     for &k in &self.requests[i as usize].keys {
                         sketch.observe(k);
-                    }
-                }
-                if let Some(recent) = self.recent_sketch.as_mut() {
-                    for &k in &self.requests[i as usize].keys {
-                        recent.observe(k);
                     }
                 }
                 let r = self.route();

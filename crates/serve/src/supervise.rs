@@ -1,9 +1,9 @@
 //! Supervision and elasticity for the serving fleet.
 //!
 //! Three cooperating [`Process`]es on one [`het_runtime::ClusterRuntime`],
-//! all registered by the fleet itself when its [`SupervisionConfig`] or
-//! [`AutoscaleConfig`] enables them — alone or beside a co-scheduled
-//! trainer ([`crate::colocate`]):
+//! all registered by the fleet itself when its config sets
+//! `ServeConfig::supervised` or `ServeConfig::autoscale` — alone or
+//! beside a co-scheduled trainer ([`crate::colocate`]):
 //!
 //! * the **fleet** ([`crate::ServeSim`]) self-schedules heartbeat ticks
 //!   and posts per-replica liveness + queue depth into a shared
@@ -16,11 +16,17 @@
 //!   the plan (announcing each one's detection and end — restoring a
 //!   shard is the trainer's job: a fleet alone on its PS never writes
 //!   it after pretraining, so there is nothing to roll back), and
-//!   drives **live shard splits** batch by batch;
+//!   drives the **live shard split** `ServeConfig::reshard_at` asks for,
+//!   batch by batch;
 //! * the **autoscaler** watches queue depth and resizes the
 //!   admitted replica pool under hysteresis (scale up past
-//!   `queue_high`, down below `queue_low`, never within `cooldown` of
-//!   the last action), warming a replica before it joins the JSQ pool.
+//!   [`QUEUE_HIGH`], down below [`QUEUE_LOW`], never within
+//!   [`AUTOSCALE_COOLDOWN`] of the last action), warming a replica
+//!   before it joins the JSQ pool.
+//!
+//! Every period, threshold and split parameter is a constant of this
+//! module; a config switches each process on and says when a split
+//! begins.
 //!
 //! Commands flow through the control plane and take effect at
 //! deterministic instants delivered by [`het_runtime::Ctx::schedule_for`],
@@ -44,103 +50,33 @@ pub const SUPERVISOR_RETRY: RetryPolicy = RetryPolicy {
     base: SimDuration::from_micros(200),
     max_attempts: 8,
 };
-/// Rotation period of the short-window sketch that defines "recently
-/// hot" for [`SupervisionConfig::drift_prefetch`].
-pub const DRIFT_WINDOW: SimDuration = SimDuration::from_millis(1);
-
-/// Supervision knobs of a serving run. Disabled by default — a run
-/// without supervision takes byte-for-byte the legacy path. The fixed
-/// parts of the protocol are [`MISS_THRESHOLD`], [`SUPERVISOR_RETRY`]
-/// and [`DRIFT_WINDOW`].
-#[derive(Clone, Debug)]
-pub struct SupervisionConfig {
-    /// Master switch for heartbeats, crash detection, and driven
-    /// recovery.
-    pub enabled: bool,
-    /// Heartbeat (and supervisor tick) period.
-    pub heartbeat_every: SimDuration,
-    /// Optional live PS-shard split driven by the supervisor.
-    pub reshard: Option<ReshardPlan>,
-    /// Drift-triggered serving prefetch. A sketch-warmed cache only
-    /// covers the popularity snapshot at warmup time — under a drifting
-    /// hot set the keys that become hot *afterwards* all cold-miss,
-    /// and a freshly respawned replica pays that gap exactly when its
-    /// held-back queue needs it least. When enabled, the fleet keeps a
-    /// short-window popularity sketch (rotated every [`DRIFT_WINDOW`]);
-    /// each completed window triggers prefetch pulls of its newly-hot
-    /// keys into every live admitted replica, and a supervised respawn
-    /// runs one extra round right after its lifetime-sketch warmup.
-    pub drift_prefetch: bool,
-}
-
-impl SupervisionConfig {
-    /// Supervision off (the default in every preset config).
-    pub fn disabled() -> Self {
-        SupervisionConfig {
-            enabled: false,
-            heartbeat_every: SimDuration::from_micros(500),
-            reshard: None,
-            drift_prefetch: false,
-        }
-    }
-}
-
-/// Autoscaling knobs. Disabled by default.
-#[derive(Clone, Copy, Debug)]
-pub struct AutoscaleConfig {
-    /// Master switch. When enabled the fleet is built at
-    /// `max_replicas` physical replicas and `ServeConfig::n_replicas`
-    /// of them start admitted.
-    pub enabled: bool,
-    /// Admitted-pool floor.
-    pub min_replicas: usize,
-    /// Physical fleet size and admitted-pool ceiling.
-    pub max_replicas: usize,
-    /// Evaluation period.
-    pub evaluate_every: SimDuration,
-    /// Scale up when mean queued requests per admitted replica exceeds
-    /// this.
-    pub queue_high: f64,
-    /// Scale down when it falls below this (hysteresis band:
-    /// `queue_low < queue_high`).
-    pub queue_low: f64,
-    /// Minimum time between consecutive scaling actions.
-    pub cooldown: SimDuration,
-    /// Cache warmup lead time before a scaled-up replica is admitted
-    /// to the JSQ pool.
-    pub warmup_delay: SimDuration,
-}
-
-impl AutoscaleConfig {
-    /// Autoscaling off (the default in every preset config).
-    pub fn disabled() -> Self {
-        AutoscaleConfig {
-            enabled: false,
-            min_replicas: 1,
-            max_replicas: 4,
-            evaluate_every: SimDuration::from_millis(1),
-            queue_high: 8.0,
-            queue_low: 1.0,
-            cooldown: SimDuration::from_millis(2),
-            warmup_delay: SimDuration::from_micros(500),
-        }
-    }
-}
-
-/// A supervisor-driven live split of one PS shard into a spare.
-#[derive(Clone, Copy, Debug)]
-pub struct ReshardPlan {
-    /// When to begin the split.
-    pub at: SimTime,
-    /// The shard to split (must be a base shard of the fabric).
-    pub parent: usize,
-    /// Keys migrated per supervisor tick.
-    pub batch: usize,
-    /// Minimum time between migration batches.
-    pub every: SimDuration,
-    /// Salt of the deterministic child-side key predicate.
-    pub salt: u64,
-}
+/// Heartbeat (and supervisor tick) period of a supervised fleet.
+pub const HEARTBEAT_EVERY: SimDuration = SimDuration::from_micros(250);
+/// Admitted-pool floor of an autoscaled fleet.
+pub const AUTOSCALE_MIN: usize = 1;
+/// Physical size and admitted-pool ceiling of an autoscaled fleet.
+pub const AUTOSCALE_MAX: usize = 4;
+/// Autoscaler evaluation period (also the heartbeat period of an
+/// autoscaled fleet without supervision).
+pub const AUTOSCALE_EVERY: SimDuration = SimDuration::from_micros(500);
+/// Scale up when mean queued requests per admitted replica exceeds
+/// this.
+pub const QUEUE_HIGH: f64 = 6.0;
+/// Scale down when it falls below this (the hysteresis band).
+pub const QUEUE_LOW: f64 = 0.5;
+/// Minimum time between consecutive scaling actions.
+pub const AUTOSCALE_COOLDOWN: SimDuration = SimDuration::from_millis(4);
+/// Cache warmup lead time before a scaled-up replica joins the JSQ
+/// pool.
+pub const ADMIT_WARMUP: SimDuration = SimDuration::from_micros(300);
+/// The base shard a live split divides (`ServeConfig::reshard_at`).
+pub const SPLIT_PARENT: usize = 0;
+/// Keys a live split migrates per batch.
+pub const SPLIT_BATCH: usize = 64;
+/// Minimum time between a live split's migration batches.
+pub const SPLIT_EVERY: SimDuration = SimDuration::from_micros(200);
+/// Salt of a live split's deterministic child-side key predicate.
+pub const SPLIT_SALT: u64 = 0x5157_1755_C4A0_5717;
 
 /// Shared state between the fleet, the supervisor, and the autoscaler.
 /// The fleet posts liveness and load; the supervisor and autoscaler
@@ -215,7 +151,8 @@ enum Health {
 /// Heartbeat-driven failure detector and recovery driver (one runtime
 /// member). See the module docs for the protocol.
 pub(crate) struct Supervisor {
-    cfg: SupervisionConfig,
+    /// When the live split begins, if one is planned.
+    reshard_at: Option<SimTime>,
     cp: Rc<RefCell<ControlPlane>>,
     server: ServerHandle,
     plan: FaultPlan,
@@ -233,17 +170,19 @@ pub(crate) struct Supervisor {
 }
 
 impl Supervisor {
-    /// A supervisor for a fleet of `n_replicas`. It observes outages
-    /// in `plan` and restores nothing (a colocated trainer does).
+    /// A supervisor for a fleet of `n_replicas`, splitting
+    /// [`SPLIT_PARENT`] from `reshard_at` on if given. It observes
+    /// outages in `plan` and restores nothing (a colocated trainer
+    /// does).
     pub fn new(
-        cfg: SupervisionConfig,
+        reshard_at: Option<SimTime>,
         cp: Rc<RefCell<ControlPlane>>,
         server: ServerHandle,
         plan: FaultPlan,
         n_replicas: usize,
     ) -> Self {
         Supervisor {
-            cfg,
+            reshard_at,
             cp,
             server,
             plan,
@@ -259,7 +198,7 @@ impl Supervisor {
     }
 
     fn detect_crashes(&mut self, t: SimTime, ctx: &mut Ctx<'_>) {
-        let deadline = self.cfg.heartbeat_every * MISS_THRESHOLD as u64;
+        let deadline = HEARTBEAT_EVERY * MISS_THRESHOLD as u64;
         let serve_pid = self.cp.borrow().serve_pid;
         for r in 0..self.health.len() {
             let last = self.cp.borrow().last_heartbeat[r];
@@ -323,8 +262,8 @@ impl Supervisor {
     }
 
     fn drive_split(&mut self, t: SimTime) {
-        let Some(plan) = self.cfg.reshard else { return };
-        if self.split_complete || t < plan.at {
+        let Some(at) = self.reshard_at else { return };
+        if self.split_complete || t < at {
             return;
         }
         if !self.split_begun {
@@ -334,9 +273,9 @@ impl Supervisor {
             );
             self.split_child = self.server.n_base_shards();
             self.server
-                .begin_split(plan.parent, self.split_child, plan.salt);
+                .begin_split(SPLIT_PARENT, self.split_child, SPLIT_SALT);
             het_trace::event!("supervisor", "split_begin",
-                "parent" => plan.parent, "child" => self.split_child);
+                "parent" => SPLIT_PARENT, "child" => self.split_child);
             self.split_begun = true;
             self.next_migrate = t;
         }
@@ -345,24 +284,24 @@ impl Supervisor {
         }
         // Never move keys while the parent shard is mid-outage; the
         // migration resumes on the next tick after failover.
-        if self.plan.shard_down(plan.parent, t) {
+        if self.plan.shard_down(SPLIT_PARENT, t) {
             return;
         }
-        let moved = self.server.migrate_batch(plan.parent, plan.batch);
+        let moved = self.server.migrate_batch(SPLIT_PARENT, SPLIT_BATCH);
         if moved > 0 {
             het_trace::event!("supervisor", "migrate",
-                "parent" => plan.parent, "moved" => moved);
+                "parent" => SPLIT_PARENT, "moved" => moved);
             het_trace::count!("supervisor", "migrated_keys", moved as u64);
             self.cp.borrow_mut().migrated_keys += moved as u64;
         }
-        if self.server.remaining_to_migrate(plan.parent) == 0 {
-            self.server.complete_split(plan.parent);
+        if self.server.remaining_to_migrate(SPLIT_PARENT) == 0 {
+            self.server.complete_split(SPLIT_PARENT);
             het_trace::event!("supervisor", "split_done",
-                "parent" => plan.parent, "child" => self.split_child);
+                "parent" => SPLIT_PARENT, "child" => self.split_child);
             self.split_complete = true;
             self.cp.borrow_mut().split_done = true;
         } else {
-            self.next_migrate = t + plan.every;
+            self.next_migrate = t + SPLIT_EVERY;
         }
     }
 }
@@ -374,10 +313,10 @@ impl Process for Supervisor {
         self.detect_crashes(t, ctx);
         self.watch_outages(t);
         self.drive_split(t);
-        if self.cp.borrow().done && (self.split_complete || self.cfg.reshard.is_none()) {
+        if self.cp.borrow().done && (self.split_complete || self.reshard_at.is_none()) {
             ctx.stop();
         } else {
-            ctx.schedule(t + self.cfg.heartbeat_every, Event::Wake(0));
+            ctx.schedule(t + HEARTBEAT_EVERY, Event::Wake(0));
         }
     }
 }
@@ -385,16 +324,14 @@ impl Process for Supervisor {
 /// Queue-depth-driven fleet resizing (one runtime member). See the
 /// module docs for the hysteresis protocol.
 pub(crate) struct Autoscaler {
-    cfg: AutoscaleConfig,
     cp: Rc<RefCell<ControlPlane>>,
     last_action: Option<SimTime>,
 }
 
 impl Autoscaler {
     /// An autoscaler over the shared control plane.
-    pub fn new(cfg: AutoscaleConfig, cp: Rc<RefCell<ControlPlane>>) -> Self {
+    pub fn new(cp: Rc<RefCell<ControlPlane>>) -> Self {
         Autoscaler {
-            cfg,
             cp,
             last_action: None,
         }
@@ -402,7 +339,7 @@ impl Autoscaler {
 
     fn in_cooldown(&self, t: SimTime) -> bool {
         self.last_action
-            .is_some_and(|at| t.since(at) < self.cfg.cooldown)
+            .is_some_and(|at| t.since(at) < AUTOSCALE_COOLDOWN)
     }
 }
 
@@ -423,15 +360,12 @@ impl Process for Autoscaler {
             };
             let decision = if self.in_cooldown(t) || cp.done {
                 None
-            } else if mean_q > self.cfg.queue_high && pool < self.cfg.max_replicas {
+            } else if mean_q > QUEUE_HIGH && pool < AUTOSCALE_MAX {
                 // Lowest idle replica joins after warmup.
                 (0..cp.admitted.len())
                     .find(|&r| !cp.admitted[r] && cp.admit_at[r].is_none())
                     .map(|r| (r, true, total_q))
-            } else if mean_q < self.cfg.queue_low
-                && pool > self.cfg.min_replicas
-                && pending_admits == 0
-            {
+            } else if mean_q < QUEUE_LOW && pool > AUTOSCALE_MIN && pending_admits == 0 {
                 // Highest admitted replica drains out.
                 admitted.last().map(|&r| (r, false, total_q))
             } else {
@@ -441,7 +375,7 @@ impl Process for Autoscaler {
         };
         match decision {
             Some((r, true, total_q)) => {
-                let admit_at = t + self.cfg.warmup_delay;
+                let admit_at = t + ADMIT_WARMUP;
                 {
                     let mut cp = self.cp.borrow_mut();
                     cp.admit_at[r] = Some(admit_at);
@@ -469,7 +403,7 @@ impl Process for Autoscaler {
         if done {
             ctx.stop();
         } else {
-            ctx.schedule(t + self.cfg.evaluate_every, Event::Wake(0));
+            ctx.schedule(t + AUTOSCALE_EVERY, Event::Wake(0));
         }
     }
 }
@@ -501,16 +435,9 @@ mod tests {
     fn a_supervised_fleet_alone_never_changes_a_row() {
         let mut cfg = ServeConfig::tiny(5);
         cfg.n_requests = 600;
-        cfg.supervision.enabled = true;
-        cfg.supervision.heartbeat_every = SimDuration::from_micros(250);
+        cfg.supervised = true;
         let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
-        cfg.supervision.reshard = Some(ReshardPlan {
-            at: ms(5),
-            parent: 0,
-            batch: 32,
-            every: SimDuration::from_micros(200),
-            salt: 7,
-        });
+        cfg.reshard_at = Some(ms(5));
         let plan = FaultPlan::scripted(vec![
             FaultEvent::WorkerCrash {
                 worker: 0,

@@ -31,7 +31,7 @@
 //! serving runs *while training* (the PS clocks advance concurrently).
 //!
 //! Features that are inherently schedule-scripted — fault injection,
-//! heartbeat supervision, autoscaling, drift-triggered prefetch — are
+//! heartbeat supervision (and with it the live split), autoscaling — are
 //! rejected with an error pointing back at `--backend sim` rather than
 //! silently ignored.
 
@@ -65,8 +65,8 @@ struct ThreadOut {
 fn check_supported(cfg: &ServeConfig) -> Result<(), String> {
     for (on, what) in [
         (!cfg.faults.is_zero(), "fault injection"),
-        (cfg.supervision.enabled, "supervision"),
-        (cfg.autoscale.enabled, "autoscaling"),
+        (cfg.supervised, "supervision"),
+        (cfg.autoscale, "autoscaling"),
     ] {
         if on {
             return Err(format!(
@@ -89,7 +89,7 @@ fn replica_loop<M: EmbeddingModel<Batch = CtrBatch>>(
     clock: &WallClock,
     mut replica: ReplicaCore<M>,
 ) -> ThreadOut {
-    replica.install(warm, false);
+    replica.install(warm);
     let net = cfg.cluster.collectives();
     let mut out = ThreadOut {
         hist: LatencyHistogram::new(),
@@ -362,7 +362,7 @@ mod tests {
     #[test]
     fn threaded_serve_rejects_sim_only_features() {
         let mut cfg = ServeConfig::tiny(5);
-        cfg.supervision.enabled = true;
+        cfg.supervised = true;
         let err = run_threaded_serve(cfg, 2, model_of(&ServeConfig::tiny(5))).unwrap_err();
         assert!(err.contains("--backend sim"), "{err}");
     }

@@ -1,8 +1,10 @@
 //! The seeded simulator cells of the determinism ledger,
 //! `tests/golden/digests.tsv`: sync mode × seed, prefetch, the policy
-//! zoo, the tiered store, serving, colocated training + serving — each
-//! row clean and then faulted inside the clean run. A cell's line is its
-//! name, the FNV-1a-64 of its report JSON and of its trace JSONL.
+//! zoo, the tiered store, serving, the elastic fleet (supervised and
+//! autoscaled, with a flash crowd and a live split), and colocated
+//! training + serving — each row clean and then faulted inside the
+//! clean run. A cell's line is its name, the FNV-1a-64 of its report
+//! JSON and of its trace JSONL.
 //!
 //! `tests/determinism.rs` checks each family against the committed file,
 //! and `tests/host_threads.rs` checks the training families again with a
@@ -12,8 +14,9 @@
 //!
 //! The runner also keeps each row honest: faults fire and change the
 //! run, prefetchers engage, a tier holds no more rows than are stored
-//! and demotes once the table outgrows it, and colocated trace counters
-//! reconcile with both reports.
+//! and demotes once the table outgrows it, an elastic fleet scales up,
+//! completes its split and detects and respawns every crash, and
+//! colocated trace counters reconcile with both reports.
 
 // Each of the two test binaries uses a part of this module.
 #![allow(dead_code)]
@@ -26,8 +29,8 @@ use het_data::{CtrConfig, CtrDataset};
 use het_json::{fnv1a64, Json, ToJson, FNV_OFFSET};
 use het_models::WideDeep;
 use het_rng::rngs::StdRng;
-use het_serve::{run_colocated, ServeConfig, ServeSim};
-use het_simnet::{FaultSpec, SimDuration};
+use het_serve::{run_colocated, ServeConfig, ServeReport, ServeSim};
+use het_simnet::{FaultSpec, SimDuration, SimTime};
 use het_trace::TraceLog;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -110,6 +113,10 @@ pub fn rows() -> Vec<(String, Job)> {
             format!("serve/seed{seed}"),
             Job::Serve(ServeConfig::tiny(seed)),
         ));
+        rows.push((
+            format!("serve/elastic/seed{seed}"),
+            Job::Serve(elastic(seed)),
+        ));
         let mut train = tiny(cached, seed);
         train.max_iterations = 120;
         let mut serve = ServeConfig::tiny(seed);
@@ -120,6 +127,38 @@ pub fn rows() -> Vec<(String, Job)> {
         ));
     }
     rows
+}
+
+/// A supervised, autoscaled fleet: a 10× flash crowd at 20 ms for
+/// 25 ms, and a live split from 5 ms.
+fn elastic(seed: u64) -> ServeConfig {
+    let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
+    ServeConfig {
+        n_requests: 800,
+        supervised: true,
+        autoscale: true,
+        reshard_at: Some(ms(5)),
+        flash_at: Some(ms(20)),
+        flash_duration: SimDuration::from_millis(25),
+        flash_factor: 10.0,
+        flash_hot_keys: 64,
+        ..ServeConfig::tiny(seed)
+    }
+}
+
+/// What an elastic fleet must have done: scaled up when autoscaled,
+/// completed a planned split, and detected and respawned every crash
+/// when supervised.
+fn check_serve(name: &str, c: &ServeConfig, r: &ServeReport) {
+    assert!(!c.autoscale || r.scale_ups > 0, "{name}: never scaled up");
+    let split = c.reshard_at.is_none() || (r.split_done && r.migrated_keys > 0);
+    assert!(split, "{name}: the live split did not complete");
+    let crashes = r.faults.worker_crashes;
+    let recovered = r.detections == crashes && r.respawns == crashes;
+    assert!(
+        !c.supervised || recovered,
+        "{name}: a crash went unrecovered"
+    );
 }
 
 pub fn digest(text: &str) -> String {
@@ -231,14 +270,20 @@ pub fn run_row(
         }
         Job::Serve(c) => {
             let serve = |faults| {
-                let c = ServeConfig {
+                let run = ServeConfig {
                     faults,
                     ..c.clone()
                 };
-                traced("serve", || ServeSim::new(c, wide_deep).run()).1
+                let (report, out) = traced("serve", || ServeSim::new(run, wide_deep).run());
+                check_serve(name, c, &report);
+                (report, out)
             };
             let horizon = SimDuration::from_millis(40);
-            [serve(FaultSpec::default()), serve(faults(true, 1, horizon))]
+            let (_, clean) = serve(FaultSpec::default());
+            let (faulted, out) = serve(faults(true, 1, horizon));
+            let crashed = faulted.faults.worker_crashes > 0;
+            assert!(!c.supervised || crashed, "{name}: no crash fired");
+            [clean, out]
         }
         Job::Colocate(train, serve) => {
             let colocate = |c: TrainerConfig| {

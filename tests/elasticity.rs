@@ -6,7 +6,8 @@
 //! with sketch-warmed caches, and still serves every request — and two
 //! same-seed runs are byte-identical in report JSON and trace; (2) a
 //! live PS-shard split driven mid-serving conserves every served
-//! result bit-for-bit while actually moving keys; (3) the autoscaler
+//! result bit-for-bit while actually moving keys, and a split with no
+//! supervisor to drive it is rejected; (3) the autoscaler
 //! scales up into a flash crowd and back down after it, without
 //! flapping on steady load; (4) the full chaos campaign — 10× flash +
 //! replica crashes + concurrent shard outage + live split over a live
@@ -15,7 +16,6 @@
 
 use het::json::{Json, ToJson};
 use het::prelude::*;
-use het::serve::supervise::ReshardPlan;
 use het::serve::ServeSim;
 use het::trace;
 use het_oracle::{check_replay, OracleSpec};
@@ -49,8 +49,7 @@ fn crash_plan() -> FaultPlan {
 
 fn supervised_cfg(seed: u64) -> ServeConfig {
     let mut cfg = ServeConfig::tiny(seed);
-    cfg.supervision.enabled = true;
-    cfg.supervision.heartbeat_every = SimDuration::from_micros(250);
+    cfg.supervised = true;
     cfg
 }
 
@@ -105,71 +104,6 @@ fn supervised_recovery_is_byte_identical_across_runs() {
     trace::schema::validate_jsonl(&log_a.to_jsonl()).expect("supervised trace is schema-valid");
 }
 
-/// The cold-start gap supervised respawns left open: the respawned
-/// cache is warmed from the *lifetime* popularity sketch, which lags a
-/// drifting hot set — the replica comes back resident in yesterday's
-/// keys and cold-misses the traffic it is about to serve. Drift-
-/// triggered respawn prefetch (`supervision.drift_prefetch`) follows
-/// the warmup with prefetch pulls for recently-hot keys it missed, so
-/// the post-respawn tail must be no worse than warmup-only recovery.
-#[test]
-fn drift_prefetch_closes_the_post_respawn_cold_start_gap() {
-    let run = |prefetch: bool| {
-        let mut cfg = supervised_cfg(96);
-        cfg.n_requests = 800;
-        // Brisk hot-set drift: by the 10 ms crash the hot set has
-        // rotated far from the distribution startup traffic taught the
-        // lifetime sketch.
-        cfg.drift_period = SimDuration::from_millis(2);
-        cfg.drift_step = 40;
-        cfg.supervision.drift_prefetch = prefetch;
-        run_with_plan(cfg, crash_plan())
-    };
-    let warm_only = run(false);
-    let prefetched = run(true);
-    for (name, r) in [("warmup-only", &warm_only), ("prefetched", &prefetched)] {
-        assert_eq!(r.requests, 800, "{name} run dropped requests");
-        assert_eq!(r.respawns, 1, "{name} run must respawn exactly once");
-    }
-    assert_eq!(
-        warm_only.drift_prefetched_keys, 0,
-        "drift prefetch off must stay prefetch-silent"
-    );
-    assert_eq!(warm_only.cache.prefetch_installs, 0);
-    assert!(
-        prefetched.drift_prefetched_keys > 0,
-        "drift prefetch never engaged"
-    );
-    assert_eq!(
-        prefetched.cache.prefetch_installs, prefetched.drift_prefetched_keys,
-        "every prefetch install must come from the drift path"
-    );
-    assert!(
-        prefetched.cache.prefetch_hits > 0,
-        "no prefetched key ever served a read"
-    );
-    assert!(
-        prefetched.latency_p99_ns <= warm_only.latency_p99_ns,
-        "post-respawn p99 with drift prefetch ({} ns) must not exceed warmup-only ({} ns)",
-        prefetched.latency_p99_ns,
-        warm_only.latency_p99_ns
-    );
-    // The effect concentrates on the crashed replica's own tail.
-    assert!(
-        prefetched.replicas[0].p99_ns <= warm_only.replicas[0].p99_ns,
-        "crashed replica's p99 with drift prefetch ({} ns) must not exceed warmup-only ({} ns)",
-        prefetched.replicas[0].p99_ns,
-        warm_only.replicas[0].p99_ns
-    );
-    // Byte-determinism holds with the drift prefetcher on.
-    let again = run(true);
-    assert_eq!(
-        prefetched.to_json().encode(),
-        again.to_json().encode(),
-        "same-seed drift-prefetch reports diverged"
-    );
-}
-
 /// A supervised fleet beside a live trainer registers its own
 /// supervisor, as it does alone: a crash of the first replica (cluster
 /// member `n_workers`) is detected and respawned, and the run returns
@@ -215,14 +149,8 @@ fn live_shard_split_conserves_every_served_result() {
     let mut base_cfg = ServeConfig::tiny(93);
     base_cfg.pretrain_updates = 400;
     let mut split_cfg = base_cfg.clone();
-    split_cfg.supervision.enabled = true;
-    split_cfg.supervision.reshard = Some(ReshardPlan {
-        at: SimTime::ZERO + SimDuration::from_millis(5),
-        parent: 0,
-        batch: 16,
-        every: SimDuration::from_micros(100),
-        salt: 0xC4A0_5717,
-    });
+    split_cfg.supervised = true;
+    split_cfg.reshard_at = Some(SimTime::ZERO + SimDuration::from_millis(5));
     let base = run_with_plan(base_cfg, FaultPlan::none());
     let split = run_with_plan(split_cfg, FaultPlan::none());
     assert!(split.split_done, "the split never completed");
@@ -237,19 +165,27 @@ fn live_shard_split_conserves_every_served_result() {
     );
 }
 
+/// The supervisor drives a live split, so a split planned without one
+/// would never run: the config is rejected, naming both fields.
+#[test]
+fn a_live_split_without_supervision_is_rejected() {
+    let mut cfg = ServeConfig::tiny(93);
+    cfg.reshard_at = Some(SimTime::ZERO + SimDuration::from_millis(5));
+    let err = cfg
+        .validate()
+        .expect_err("an unsupervised split must be rejected");
+    assert!(
+        err.contains("reshard_at") && err.contains("supervised"),
+        "{err}"
+    );
+    cfg.supervised = true;
+    assert_eq!(cfg.validate(), Ok(()));
+}
+
 fn autoscaled_cfg(seed: u64, flash: bool) -> ServeConfig {
     let mut cfg = ServeConfig::tiny(seed);
     cfg.n_requests = 800;
-    cfg.autoscale = AutoscaleConfig {
-        enabled: true,
-        min_replicas: 1,
-        max_replicas: 4,
-        evaluate_every: SimDuration::from_micros(500),
-        queue_high: 6.0,
-        queue_low: 0.5,
-        cooldown: SimDuration::from_millis(4),
-        warmup_delay: SimDuration::from_micros(300),
-    };
+    cfg.autoscale = true;
     if flash {
         cfg.flash_at = Some(SimTime::ZERO + SimDuration::from_millis(20));
         cfg.flash_duration = SimDuration::from_millis(25);
